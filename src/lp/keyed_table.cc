@@ -35,11 +35,12 @@ KeyedChecksumTable::occupancy() const
 }
 
 std::size_t
-KeyedChecksumTable::claimSlot(std::uint64_t key)
+KeyedChecksumTable::claimSlot(std::uint64_t key, std::size_t home)
 {
     LP_ASSERT(key != emptyKey, "reserved key");
+    LP_ASSERT(home < slots, "home slot out of range");
     const std::size_t limit = slots * maxLoadNum / maxLoadDen;
-    std::size_t i = bucketOf(key);
+    std::size_t i = home;
     for (std::size_t probes = 0; probes < slots; ++probes) {
         if (data[i].key == key)
             return i;
@@ -70,9 +71,10 @@ KeyedChecksumTable::claimSlot(std::uint64_t key)
 }
 
 std::size_t
-KeyedChecksumTable::findSlot(std::uint64_t key) const
+KeyedChecksumTable::findSlot(std::uint64_t key, std::size_t home) const
 {
-    std::size_t i = bucketOf(key);
+    LP_ASSERT(home < slots, "home slot out of range");
+    std::size_t i = home;
     for (std::size_t probes = 0; probes < slots; ++probes) {
         if (data[i].key == key)
             return i;

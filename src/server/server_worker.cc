@@ -371,7 +371,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // op filled its batch).
         w.pending.push_back(Worker::Pending{
             op.connId, op.reqId, epoch, obs::nowNs(), op.traceId,
-            op.batch});
+            op.batch, nullptr, {}});
         w.kv->pipeline(0).notePending(epoch, Clock::now());
         return;
       }
@@ -396,7 +396,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
             w.statMuts.fetch_add(1, std::memory_order_relaxed);
             w.pending.push_back(Worker::Pending{
                 0, 0, epoch, obs::nowNs(), op.txn->traceId,
-                nullptr});
+                nullptr, nullptr, {}});
             w.kv->pipeline(0).notePending(epoch, Clock::now());
         }
         if (!part.writes.empty()) {

@@ -218,16 +218,18 @@ class PersistencyBackend
     }
 
     /**
-     * Address of the PRIMARY digest slot holding (@p shard,
-     * @p epoch)'s batch checksum, or null for backends without one.
-     * Fault-injection aid: lets the corruption matrix rot exactly
-     * one epoch's digest instead of spraying the table.
+     * Address of the digest slot holding (@p shard, @p epoch)'s batch
+     * checksum in the primary table (or, with @p replica, the replica
+     * table), or null for backends without one. Fault-injection and
+     * layout-test aid: lets the corruption matrix rot exactly one
+     * epoch's digest instead of spraying the table.
      */
     virtual const void *
-    digestSlotAddr(int shard, std::uint64_t epoch) const
+    digestSlotAddr(int shard, std::uint64_t epoch, bool replica) const
     {
         (void)shard;
         (void)epoch;
+        (void)replica;
         return nullptr;
     }
 

@@ -135,9 +135,11 @@ class LpBackend : public PersistencyBackend<Env>
 
     /**
      * Close the open batch: seal the journal header into the digest
-     * and store the digest into BOTH checksum tables, then extend
-     * parity coverage over the newly sealed regions -- all with
-     * plain stores (the Figure 8 commit). No flush, no fence.
+     * and store the digest into BOTH checksum tables, at the epoch's
+     * home slot (checksumEpochSlot: consecutive epochs share a
+     * block), then extend parity coverage over the newly sealed
+     * regions -- all with plain stores (the Figure 8 commit). No
+     * flush, no fence.
      */
     void
     commitEpoch(Env &env, int shard) override
@@ -159,10 +161,11 @@ class LpBackend : public PersistencyBackend<Env>
                          sh.acc, ckCost());
         const std::uint64_t ckey =
             checksumEpochKey(shard, epoch, window_);
-        const std::size_t s = cktable_->claimSlot(ckey);
+        const std::size_t home = checksumEpochSlot(shard, epoch, window_);
+        const std::size_t s = cktable_->claimSlot(ckey, home);
         env.st(cktable_->keyPtr(s), ckey);
         env.st(cktable_->digestPtr(s), sh.acc.value());
-        const std::size_t s2 = ckreplica_->claimSlot(ckey);
+        const std::size_t s2 = ckreplica_->claimSlot(ckey, home);
         env.st(ckreplica_->keyPtr(s2), ckey);
         env.st(ckreplica_->digestPtr(s2), sh.acc.value());
         sh.parity->cover(env, epoch, sh.journal->sealedBytes());
@@ -205,11 +208,12 @@ class LpBackend : public PersistencyBackend<Env>
              e <= pl.lastCommitted(); ++e) {
             const std::uint64_t ckey =
                 checksumEpochKey(shard, e, window_);
-            const std::size_t s = cktable_->findSlot(ckey);
+            const std::size_t home = checksumEpochSlot(shard, e, window_);
+            const std::size_t s = cktable_->findSlot(ckey, home);
             LP_ASSERT(s != core::KeyedChecksumTable::npos,
                       "committed digest missing");
             blocks.push_back(ep::blockIndexOf(cktable_->keyPtr(s)));
-            const std::size_t s2 = ckreplica_->findSlot(ckey);
+            const std::size_t s2 = ckreplica_->findSlot(ckey, home);
             if (s2 != core::KeyedChecksumTable::npos)
                 blocks.push_back(
                     ep::blockIndexOf(ckreplica_->keyPtr(s2)));
@@ -277,9 +281,10 @@ class LpBackend : public PersistencyBackend<Env>
         auto matches = [&](std::uint64_t e, std::uint64_t digest) {
             const std::uint64_t ckey =
                 checksumEpochKey(shard, e, window_);
-            if (cktable_->matches(ckey, digest))
+            const std::size_t home = checksumEpochSlot(shard, e, window_);
+            if (cktable_->matches(ckey, digest, home))
                 return true;
-            if (ckreplica_->matches(ckey, digest)) {
+            if (ckreplica_->matches(ckey, digest, home)) {
                 if (strict)
                     this->noteRepaired(shard, &rep, 1);
                 return true;
@@ -292,11 +297,8 @@ class LpBackend : public PersistencyBackend<Env>
         std::vector<std::uintptr_t> blocks;
         const std::uint64_t committed = sh.journal->replay(
             env, cfg(), base, matches,
-            [&](JEntry &je) {
-                KvSlot *slot =
-                    table().applyOp(env, je.op() == JOp::Put,
-                                    env.ld(&je.key),
-                                    env.ld(&je.value));
+            [&](bool isPut, std::uint64_t key, std::uint64_t value) {
+                KvSlot *slot = table().applyOp(env, isPut, key, value);
                 if (slot)
                     blocks.push_back(ep::blockIndexOf(slot));
             },
@@ -328,8 +330,10 @@ class LpBackend : public PersistencyBackend<Env>
             [&](std::uint64_t e, std::uint64_t digest) {
                 const std::uint64_t ckey =
                     checksumEpochKey(shard, e, window_);
-                return cktable_->matches(ckey, digest) ||
-                       ckreplica_->matches(ckey, digest);
+                const std::size_t home =
+                    checksumEpochSlot(shard, e, window_);
+                return cktable_->matches(ckey, digest, home) ||
+                       ckreplica_->matches(ckey, digest, home);
             });
     }
 
@@ -401,13 +405,16 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
     const void *
-    digestSlotAddr(int shard, std::uint64_t epoch) const override
+    digestSlotAddr(int shard, std::uint64_t epoch,
+                   bool replica) const override
     {
-        const std::size_t s = cktable_->findSlot(
-            checksumEpochKey(shard, epoch, window_));
+        core::KeyedChecksumTable &t = replica ? *ckreplica_ : *cktable_;
+        const std::size_t s =
+            t.findSlot(checksumEpochKey(shard, epoch, window_),
+                       checksumEpochSlot(shard, epoch, window_));
         if (s == core::KeyedChecksumTable::npos)
             return nullptr;
-        return cktable_->keyPtr(s);
+        return t.keyPtr(s);
     }
 
     FaultSurface

@@ -26,4 +26,11 @@ checksumEpochKey(int shard, std::uint64_t epoch, std::uint64_t window)
     return (std::uint64_t(shard + 1) << 40) | (epoch & (window - 1));
 }
 
+std::size_t
+checksumEpochSlot(int shard, std::uint64_t epoch, std::uint64_t window)
+{
+    return std::size_t(std::uint64_t(shard) * window +
+                       (epoch & (window - 1)));
+}
+
 } // namespace lp::store

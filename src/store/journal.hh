@@ -4,13 +4,15 @@
  * format, append/seal (the Figure 8 region-commit idiom of plain
  * stores), and the validated replay walk recovery runs.
  *
- * Journal entries are packed at 24B for write density and MAY
- * straddle blocks: a torn (half-persisted) entry is precisely what
- * the per-batch checksum detects, so density costs nothing in
- * safety. The journal array restarts at offset 0 after each fold;
- * the batch's epoch rides in every record's tag so a stale record
- * from an earlier generation can never be mistaken for part of a
- * newer batch.
+ * Journal records are 16B, four to a 64B block, and the journal base
+ * is block-aligned, so no record ever straddles a block. A record
+ * stores only what replay applies; its epoch and in-batch index are
+ * not stored but folded into the batch digest as a per-word salt
+ * (journalSalt). A stale record from an earlier journal generation --
+ * even one sitting at the same position of a permutation of the new
+ * batch -- therefore still fails validation, because it is salted as
+ * the epoch and index it would have to belong to. The journal array
+ * restarts at offset 0 after each fold.
  *
  * The journal owns the CURSORS (tail, open-batch header index) and
  * the store/checksum mechanics; epoch numbering and batch/fold
@@ -27,29 +29,35 @@
 #include <cstdint>
 
 #include "base/logging.hh"
+#include "base/types.hh"
 #include "ep/pmem_ops.hh"
 #include "lp/checksum.hh"
+#include "repair/repair.hh"
 #include "store/layout.hh"
 
 namespace lp::store
 {
 
-/** Journal record type, held in the low byte of JEntry::tag. */
+/**
+ * Journal record type. Only a header stores its type (in its tag);
+ * Put and Del records are told apart by their first word.
+ */
 enum class JOp : std::uint8_t
 {
-    Header = 0,  ///< batch header: key = op count, value = epoch
-    Put = 1,
-    Del = 2,
+    Header = 0,  ///< batch header: {makeTag(Header, epoch), op count}
+    Put = 1,     ///< stored as {key, value}
+    Del = 2,     ///< stored as {slotTombstoneKey, key}
 };
 
 /**
- * One journal record, packed to 24B (2.67 records per block) for
- * write density; see the file comment for why torn records are safe.
+ * One journal record, 16B (four per block). Put is {key, value}; Del
+ * is {slotTombstoneKey, key}, unambiguous because slotTombstoneKey is
+ * above maxUserKey; the batch header is {makeTag(Header, epoch),
+ * op count}.
  */
 struct JEntry
 {
-    std::uint64_t tag;  ///< (epoch << 8) | JOp
-    std::uint64_t key;  ///< user key; for Header: op count of batch
+    std::uint64_t key;
     std::uint64_t value;
 
     static std::uint64_t
@@ -58,11 +66,43 @@ struct JEntry
         return (epoch << 8) | static_cast<std::uint64_t>(op);
     }
 
-    std::uint64_t epoch() const { return tag >> 8; }
-    JOp op() const { return static_cast<JOp>(tag & 0xff); }
+    /** The stored form of a Put or Del. */
+    static JEntry
+    encode(JOp op, std::uint64_t key, std::uint64_t value)
+    {
+        return op == JOp::Del ? JEntry{slotTombstoneKey, key}
+                              : JEntry{key, value};
+    }
 };
 
-static_assert(sizeof(JEntry) == 24);
+static_assert(sizeof(JEntry) == 16);
+static_assert(blockBytes % sizeof(JEntry) == 0,
+              "a journal record must never straddle a block");
+
+/** Instructions charged per digest salt (one mix64). */
+inline constexpr std::uint64_t journalSaltCost = 8;
+
+/**
+ * Digest salt of digested word @p word (header words 0 and 1, record
+ * i words 2i and 2i+1) of the batch of @p epoch. It is ADDED to the
+ * word before the word enters the checksum: an XOR salt would cancel
+ * out of a Parity digest for a permuted batch, an additive one
+ * carries into the folded bits and does not.
+ */
+inline std::uint64_t
+journalSalt(std::uint64_t epoch, std::uint64_t word)
+{
+    return repair::mix64(epoch * 0x9e3779b97f4a7c15ull + word);
+}
+
+/** Fold record @p index (0 = header) of @p epoch's batch into @p acc. */
+inline void
+digestRecord(core::ChecksumAcc &acc, std::uint64_t epoch,
+             std::uint64_t index, std::uint64_t key, std::uint64_t value)
+{
+    acc.addWord(key + journalSalt(epoch, 2 * index));
+    acc.addWord(value + journalSalt(epoch, 2 * index + 1));
+}
 
 /** Journal entry capacity for @p cfg: foldBatches + slack batches. */
 std::size_t journalCapacity(const StoreConfig &cfg);
@@ -81,6 +121,17 @@ std::uint64_t epochWindowFor(const StoreConfig &cfg);
  */
 std::uint64_t checksumEpochKey(int shard, std::uint64_t epoch,
                                std::uint64_t window);
+
+/**
+ * Home slot of (@p shard, @p epoch)'s digest in an LP checksum table
+ * of at least shards * @p window slots: shard * window + (epoch mod
+ * window). Distinct live keys get distinct homes, so placement never
+ * collides, and consecutive epochs of a shard fill adjacent slots --
+ * four to a block -- so a fold flushes a quarter as many digest
+ * blocks as hashed placement would.
+ */
+std::size_t checksumEpochSlot(int shard, std::uint64_t epoch,
+                              std::uint64_t window);
 
 /**
  * One shard's batch journal: an append cursor over a fixed arena
@@ -130,14 +181,13 @@ class BatchJournal
         LP_ASSERT(!batchOpen(), "batch already open");
         batchStart_ = tail_++;
         JEntry &h = buf_[batchStart_];
-        env.st(&h.tag, JEntry::makeTag(JOp::Header, epoch));
-        env.st(&h.key, std::uint64_t{0});  // op count, filled at seal
-        env.st(&h.value, epoch);
+        env.st(&h.key, JEntry::makeTag(JOp::Header, epoch));
+        env.st(&h.value, std::uint64_t{0});  // op count, filled at seal
         acc.reset();
         env.tick(4);
     }
 
-    /** Append one record and fold it into the digest. */
+    /** Append one record and fold it (salted) into the digest. */
     void
     append(Env &env, JOp op, std::uint64_t key, std::uint64_t value,
            std::uint64_t epoch, core::ChecksumAcc &acc,
@@ -145,14 +195,11 @@ class BatchJournal
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "append out of bounds");
         JEntry &e = buf_[tail_];
-        const std::uint64_t tag = JEntry::makeTag(op, epoch);
-        env.st(&e.tag, tag);
-        env.st(&e.key, key);
-        env.st(&e.value, value);
-        acc.addWord(tag);
-        acc.addWord(key);
-        acc.addWord(value);
-        env.tick(3 * ckCost);
+        const JEntry rec = JEntry::encode(op, key, value);
+        env.st(&e.key, rec.key);
+        env.st(&e.value, rec.value);
+        digestRecord(acc, epoch, tail_ - batchStart_, rec.key, rec.value);
+        env.tick(recordCost(ckCost));
         ++tail_;
     }
 
@@ -166,10 +213,10 @@ class BatchJournal
          core::ChecksumAcc &acc, std::uint64_t ckCost)
     {
         LP_ASSERT(batchOpen(), "no open batch");
-        env.st(&buf_[batchStart_].key, count);
-        acc.addWord(JEntry::makeTag(JOp::Header, epoch));
-        acc.addWord(count);
-        env.tick(2 * ckCost);
+        env.st(&buf_[batchStart_].value, count);
+        digestRecord(acc, epoch, 0, JEntry::makeTag(JOp::Header, epoch),
+                     count);
+        env.tick(recordCost(ckCost));
         batchStart_ = npos;
     }
 
@@ -193,10 +240,10 @@ class BatchJournal
      * offset 0, expect epochs base+1, base+2, ...; recompute each
      * batch's digest over what actually reached NVMM and ask
      * @p matches(epoch, digest) to accept it. Accepted batches replay
-     * through @p apply(JEntry&) per record, then @p batchDone() (the
-     * backend's flush + fence). Stops at the first batch failing
-     * validation -- appends are sequential, so durability is
-     * prefix-shaped. Returns the last committed epoch.
+     * through @p apply(isPut, key, value) per record, then
+     * @p batchDone() (the backend's flush + fence). Stops at the
+     * first batch failing validation -- appends are sequential, so
+     * durability is prefix-shaped. Returns the last committed epoch.
      *
      * @p repairFn is the media-repair hook: on the FIRST validation
      * failure of any kind (header tag mismatch included -- a rotted
@@ -212,8 +259,6 @@ class BatchJournal
            MatchFn &&matches, ApplyFn &&apply, DoneFn &&batchDone,
            RepairFn &&repairFn, RecoveryReport &rep)
     {
-        const std::uint64_t cost =
-            core::ChecksumAcc::updateCost(cfg.checksum);
         bool repairTried = false;
         auto tryRepair = [&]() {
             if (repairTried)
@@ -224,44 +269,23 @@ class BatchJournal
         std::uint64_t e = base + 1;
         std::size_t pos = 0;
         while (pos < cap_) {
-            JEntry &h = buf_[pos];
-            if (env.ld(&h.tag) != JEntry::makeTag(JOp::Header, e)) {
+            std::uint64_t count = 0;
+            const Check c = checkBatch(env, cfg, pos, e, matches, count);
+            if (c != Check::Valid) {
                 if (tryRepair())
                     continue;
+                if (c == Check::Invalid)
+                    ++rep.batchesDiscarded;
                 break;
             }
-            const std::uint64_t count = env.ld(&h.key);
-            if (count > std::uint64_t(cfg.batchOps) ||
-                pos + 1 + count > cap_) {
-                if (tryRepair())
-                    continue;
-                ++rep.batchesDiscarded;
-                break;
-            }
-            core::ChecksumAcc acc(cfg.checksum);
-            bool shapeOk = true;
             for (std::uint64_t i = 1; i <= count; ++i) {
                 JEntry &je = buf_[pos + i];
-                const std::uint64_t t = env.ld(&je.tag);
-                acc.addWord(t);
-                acc.addWord(env.ld(&je.key));
-                acc.addWord(env.ld(&je.value));
-                env.tick(3 * cost);
-                if (t != JEntry::makeTag(JOp::Put, e) &&
-                    t != JEntry::makeTag(JOp::Del, e))
-                    shapeOk = false;
-            }
-            acc.addWord(JEntry::makeTag(JOp::Header, e));
-            acc.addWord(count);
-            env.tick(2 * cost);
-            if (!shapeOk || !matches(e, acc.value())) {
-                if (tryRepair())
-                    continue;
-                ++rep.batchesDiscarded;
-                break;
-            }
-            for (std::uint64_t i = 1; i <= count; ++i) {
-                apply(buf_[pos + i]);
+                const std::uint64_t k = env.ld(&je.key);
+                const std::uint64_t v = env.ld(&je.value);
+                if (k == slotTombstoneKey)
+                    apply(false, v, std::uint64_t{0});
+                else
+                    apply(true, k, v);
                 ++rep.entriesReplayed;
             }
             batchDone();
@@ -270,17 +294,6 @@ class BatchJournal
             ++e;
         }
         return e - 1;
-    }
-
-    /** replay() without a media-repair hook (legacy callers). */
-    template <typename MatchFn, typename ApplyFn, typename DoneFn>
-    std::uint64_t
-    replay(Env &env, const StoreConfig &cfg, std::uint64_t base,
-           MatchFn &&matches, ApplyFn &&apply, DoneFn &&batchDone,
-           RecoveryReport &rep)
-    {
-        return replay(env, cfg, base, matches, apply, batchDone,
-                      [] { return false; }, rep);
     }
 
     /**
@@ -296,40 +309,72 @@ class BatchJournal
                    std::uint64_t base, std::uint64_t last,
                    MatchFn &&matches)
     {
-        const std::uint64_t cost =
-            core::ChecksumAcc::updateCost(cfg.checksum);
-        std::uint64_t e = base + 1;
         std::size_t pos = 0;
-        while (e <= last) {
-            if (pos >= cap_)
-                return false;
-            JEntry &h = buf_[pos];
-            if (env.ld(&h.tag) != JEntry::makeTag(JOp::Header, e))
-                return false;
-            const std::uint64_t count = env.ld(&h.key);
-            if (count > std::uint64_t(cfg.batchOps) ||
-                pos + 1 + count > cap_)
-                return false;
-            core::ChecksumAcc acc(cfg.checksum);
-            for (std::uint64_t i = 1; i <= count; ++i) {
-                JEntry &je = buf_[pos + i];
-                acc.addWord(env.ld(&je.tag));
-                acc.addWord(env.ld(&je.key));
-                acc.addWord(env.ld(&je.value));
-                env.tick(3 * cost);
-            }
-            acc.addWord(JEntry::makeTag(JOp::Header, e));
-            acc.addWord(count);
-            env.tick(2 * cost);
-            if (!matches(e, acc.value()))
+        for (std::uint64_t e = base + 1; e <= last; ++e) {
+            std::uint64_t count = 0;
+            if (pos >= cap_ ||
+                checkBatch(env, cfg, pos, e, matches, count) !=
+                    Check::Valid)
                 return false;
             pos += 1 + count;
-            ++e;
         }
         return true;
     }
 
   private:
+    /** Outcome of validating the batch expected at one position. */
+    enum class Check
+    {
+        NoHeader,  ///< no header of the expected epoch: journal end
+        Invalid,   ///< header found, but shape or digest fails
+        Valid,
+    };
+
+    static std::uint64_t
+    recordCost(std::uint64_t ckCost)
+    {
+        return 2 * (ckCost + journalSaltCost);
+    }
+
+    /**
+     * Validate the batch of epoch @p e whose header should sit at
+     * @p pos (< cap_): header tag, op count, record shape (no empty
+     * sentinel key, a Del names a user key), and the salted digest
+     * recomputed over what reached NVMM. On Valid, @p count is the
+     * batch's record count.
+     */
+    template <typename MatchFn>
+    Check
+    checkBatch(Env &env, const StoreConfig &cfg, std::size_t pos,
+               std::uint64_t e, MatchFn &matches, std::uint64_t &count)
+    {
+        const std::uint64_t ckCost =
+            core::ChecksumAcc::updateCost(cfg.checksum);
+        JEntry &h = buf_[pos];
+        const std::uint64_t tag = JEntry::makeTag(JOp::Header, e);
+        if (env.ld(&h.key) != tag)
+            return Check::NoHeader;
+        count = env.ld(&h.value);
+        if (count > std::uint64_t(cfg.batchOps) || pos + 1 + count > cap_)
+            return Check::Invalid;
+        core::ChecksumAcc acc(cfg.checksum);
+        bool shapeOk = true;
+        for (std::uint64_t i = 1; i <= count; ++i) {
+            JEntry &je = buf_[pos + i];
+            const std::uint64_t k = env.ld(&je.key);
+            const std::uint64_t v = env.ld(&je.value);
+            digestRecord(acc, e, i, k, v);
+            env.tick(recordCost(ckCost));
+            if (k == slotEmptyKey ||
+                (k == slotTombstoneKey && v > maxUserKey))
+                shapeOk = false;
+        }
+        digestRecord(acc, e, 0, tag, count);
+        env.tick(recordCost(ckCost));
+        return shapeOk && matches(e, acc.value()) ? Check::Valid
+                                                  : Check::Invalid;
+    }
+
     JEntry *buf_ = nullptr;
     std::size_t cap_ = 0;
     std::size_t tail_ = 0;

@@ -201,11 +201,12 @@ class KvStore
         return backend_->faultSurface(shard);
     }
 
-    /** Primary digest-slot address of one epoch's batch (testing). */
+    /** Digest-slot address of one epoch's batch (testing). */
     const void *
-    digestSlotAddr(int shard, std::uint64_t epoch) const
+    digestSlotAddr(int shard, std::uint64_t epoch,
+                   bool replica = false) const
     {
-        return backend_->digestSlotAddr(shard, epoch);
+        return backend_->digestSlotAddr(shard, epoch, replica);
     }
 
     /**

@@ -15,10 +15,11 @@
  *    never a crash.
  *
  * Geometry (1 shard, 8-op batches, 100 pre-ops): 12 full batches plus
- * one partial, 2712 sealed journal bytes = 42 parity-covered 64B
- * regions plus a 24-byte covered-by-digest-only tail, so every LP
- * fault site exists. foldBatches is large enough that no fold runs
- * before the injection -- the journal still carries the full stream.
+ * one partial, 113 records of 16B = 1808 sealed journal bytes = 28
+ * parity-covered 64B regions plus a 16-byte covered-by-digest-only
+ * tail, so every LP fault site exists. foldBatches is large enough
+ * that no fold runs before the injection -- the journal still carries
+ * the full stream.
  */
 
 #include <gtest/gtest.h>

@@ -74,8 +74,9 @@ TEST(SimProperties, BiggerL2NeverMissesMore)
         const auto out = runScheme(KernelId::Tmm, Scheme::Base,
                                    tmm32(),
                                    machineWith(kb, 150, 300));
-        if (prev_misses >= 0.0)
+        if (prev_misses >= 0.0) {
             EXPECT_LE(out.stat("l2_misses"), prev_misses) << kb;
+        }
         prev_misses = out.stat("l2_misses");
     }
 }
@@ -87,9 +88,10 @@ TEST(SimProperties, BiggerL2NeverWritesMoreUnderLazySchemes)
         for (unsigned kb : {8u, 32u, 128u}) {
             const auto out = runScheme(KernelId::Tmm, scheme, tmm32(),
                                        machineWith(kb, 150, 300));
-            if (prev >= 0.0)
+            if (prev >= 0.0) {
                 EXPECT_LE(out.nvmmWrites, prev)
                     << schemeName(scheme) << " " << kb;
+            }
             prev = out.nvmmWrites;
         }
     }

@@ -4,20 +4,25 @@
  * read-your-writes on every backend, golden-map equivalence after a
  * checkpoint, the SimEnv/NativeEnv identical-code guarantee, clean
  * recovery after a checkpoint, recovery idempotence (including a
- * crash injected *during* recovery), the YCSB generators, and the
- * table occupancy guard.
+ * crash injected *during* recovery), the 16-byte journal format and
+ * the LP digest-slot placement, the YCSB generators, and the table
+ * occupancy guard.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 #include <unordered_map>
 #include <vector>
 
 #include "base/rng.hh"
+#include "base/types.hh"
 #include "kernels/env.hh"
 #include "kernels/workload.hh"
 #include "store/driver.hh"
+#include "store/journal.hh"
 #include "store/kv_store.hh"
 #include "store/ycsb.hh"
 
@@ -303,6 +308,235 @@ TEST(StoreRecovery, CrashDuringRecoveryIsRecoverable)
     for (const OpRec &r : issued)
         if (r.epoch <= rep.committedEpochs[r.shard])
             golden[r.key] = r.value;
+    EXPECT_EQ(store.snapshot(), golden);
+}
+
+/** Make the block holding @p p durable, as if its line had drained. */
+void
+persistBlockOf(pmem::PersistentArena &arena, const void *p)
+{
+    arena.persistBlock(blockAlign(arena.addrOf(p)));
+}
+
+/**
+ * A journal record stores no epoch, so a stale record left by an
+ * earlier journal generation must fail the salted batch digest. Here
+ * epoch 4 = [put(k,2), put(k,1)] commits -- its header (in the first
+ * journal block) and both digest copies drain -- but the block
+ * holding its two records does not, and still carries the previous
+ * generation's [put(k,1), put(k,2)] at the same positions: a
+ * permutation of the very same records, which an unsalted Modular,
+ * Parity or ModularParity sum cannot tell apart. Recovery must
+ * discard epoch 4 under every checksum kind.
+ */
+class JournalStaleGeneration
+    : public ::testing::TestWithParam<core::ChecksumKind>
+{
+};
+
+TEST_P(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
+{
+    StoreConfig scfg;
+    scfg.capacity = 64;
+    scfg.shards = 1;
+    scfg.batchOps = 2;
+    scfg.foldBatches = 2;  // the fold after epoch 2 restarts the journal
+    scfg.checksum = GetParam();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+
+    // Both generations lay out as: header 0, records 1-2 (epoch 1 or
+    // 3), header 3, records 4-5 (epoch 2 or 4); records 4-5 sit in
+    // the journal's second block.
+    const std::uint64_t k = 77;
+    store.put(env, 10, 1);
+    store.put(env, 11, 1);
+    store.put(env, k, 1);
+    store.put(env, k, 2);  // commits epoch 2 and folds
+    ASSERT_EQ(store.committedEpoch(0), 2u);
+
+    ctx.crash.armAfterRegions(2);
+    bool crashed = false;
+    try {
+        store.put(env, 10, 2);
+        store.put(env, 11, 2);
+        store.put(env, k, 2);
+        store.put(env, k, 1);  // the power fails as epoch 4 commits
+    } catch (const pmem::CrashException &) {
+        crashed = true;
+    }
+    ctx.crash.disarm();
+    ASSERT_TRUE(crashed);
+
+    const auto *journal =
+        static_cast<const JEntry *>(store.faultSurface(0).journal);
+    persistBlockOf(ctx.arena, &journal[0]);
+    for (std::uint64_t e : {3u, 4u}) {
+        for (bool replica : {false, true}) {
+            const void *slot = store.digestSlotAddr(0, e, replica);
+            ASSERT_NE(slot, nullptr);
+            persistBlockOf(ctx.arena, slot);
+        }
+    }
+    ctx.sched.clear();
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+
+    // The durable image is exactly the scenario described above.
+    ASSERT_EQ(journal[3].key, JEntry::makeTag(JOp::Header, 4));
+    ASSERT_EQ(journal[4].key, k);
+    ASSERT_EQ(journal[4].value, 1u);
+    ASSERT_EQ(journal[5].key, k);
+    ASSERT_EQ(journal[5].value, 2u);
+
+    const RecoveryReport rep = store.recover(env);
+    const std::string kind = core::checksumKindName(GetParam());
+    EXPECT_EQ(rep.committedEpochs[0], 3u) << kind;
+    EXPECT_EQ(rep.batchesDiscarded, 1u) << kind;
+    EXPECT_EQ(store.get(env, 10), std::optional<std::uint64_t>(2));
+    EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(2))
+        << kind << ": epoch 4 replayed from stale records";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllChecksums, JournalStaleGeneration,
+    ::testing::Values(core::ChecksumKind::Parity,
+                      core::ChecksumKind::Modular,
+                      core::ChecksumKind::Adler32,
+                      core::ChecksumKind::ModularParity,
+                      core::ChecksumKind::Crc32),
+    [](const auto &info) {
+        std::string name = core::checksumKindName(info.param);
+        std::replace(name.begin(), name.end(), '+', '_');
+        return name;
+    });
+
+/**
+ * A Del is journaled as {slotTombstoneKey, key}; Del records and the
+ * largest user key must replay exactly from a journal that drained
+ * but never folded.
+ */
+TEST(StoreJournalFormat, DelAndMaxUserKeySurviveCrashReplay)
+{
+    const StoreConfig scfg = smallConfig();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    auto crashAndRecover = [&]() {
+        store.commitBatches(env);
+        ctx.arena.persistAll();
+        ctx.machine.loseVolatileState();
+        ctx.arena.crashRestore();
+        return store.recover(env);
+    };
+
+    store.put(env, maxUserKey, 7);
+    store.put(env, 5, 1);
+    store.put(env, 6, 2);
+    store.del(env, 5);
+    store.put(env, maxUserKey, 8);
+    RecoveryReport rep = crashAndRecover();
+    EXPECT_EQ(rep.entriesReplayed, 5u);
+    EXPECT_EQ(store.get(env, maxUserKey), std::optional<std::uint64_t>(8));
+    EXPECT_EQ(store.get(env, 5), std::nullopt);
+    EXPECT_EQ(store.get(env, 6), std::optional<std::uint64_t>(2));
+
+    store.del(env, maxUserKey);
+    store.del(env, 6);
+    rep = crashAndRecover();
+    EXPECT_EQ(rep.entriesReplayed, 2u);
+    EXPECT_EQ(store.get(env, maxUserKey), std::nullopt);
+    EXPECT_EQ(store.get(env, 6), std::nullopt);
+    EXPECT_EQ(store.liveKeys(), 0u);
+}
+
+/** No journal record straddles a block: the base is block-aligned. */
+TEST(StoreJournalFormat, RecordsNeverStraddleBlocks)
+{
+    const StoreConfig scfg = smallConfig();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    for (int s = 0; s < scfg.shards; ++s) {
+        const FaultSurface fs = store.faultSurface(s);
+        const Addr base = ctx.arena.addrOf(fs.journal);
+        EXPECT_EQ(blockOffset(base), 0u) << "shard " << s;
+        for (std::size_t off = 0; off < fs.journalBytes;
+             off += sizeof(JEntry)) {
+            ASSERT_EQ(blockNumber(base + off),
+                      blockNumber(base + off + sizeof(JEntry) - 1))
+                << "record at byte " << off << " straddles a block";
+        }
+    }
+}
+
+/**
+ * Epoch-ordered digest slots: consecutive epochs of a shard share a
+ * block in each checksum table, an epoch's primary and replica copies
+ * never share one, and recovery still validates after the epoch
+ * counter has wrapped the digest window several times.
+ */
+TEST(StoreDigestPlacement, EpochOrderedSlotsAndWrapRecovery)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.batchOps = 4;
+    scfg.foldBatches = 4;
+    const std::uint64_t window = epochWindowFor(scfg);
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    std::map<std::uint64_t, std::uint64_t> golden;
+    Rng rng(41);
+    for (int i = 0; i < 1000; ++i) {
+        const std::uint64_t key = keyOfRecord(rng.below(200), 9);
+        store.put(env, key, std::uint64_t(i));
+        golden[key] = std::uint64_t(i);
+    }
+
+    auto blockOf = [&](int s, std::uint64_t e, bool replica) {
+        const void *p = store.digestSlotAddr(s, e, replica);
+        EXPECT_NE(p, nullptr) << "shard " << s << " epoch " << e;
+        return p ? blockNumber(ctx.arena.addrOf(p)) : Addr{0};
+    };
+    const std::size_t slotsPerBlock = blockBytes / 16;
+    for (int s = 0; s < scfg.shards; ++s) {
+        ASSERT_GT(store.committedEpoch(s), 3 * window) << "shard " << s;
+        for (bool replica : {false, true}) {
+            std::set<Addr> blocks;
+            for (std::uint64_t e = window; e < 2 * window; ++e) {
+                blocks.insert(blockOf(s, e, replica));
+                if ((e + 1) % slotsPerBlock != 0) {
+                    EXPECT_EQ(blockOf(s, e, replica),
+                              blockOf(s, e + 1, replica))
+                        << "shard " << s << " epochs " << e << "/"
+                        << e + 1 << (replica ? " replica" : "");
+                }
+                EXPECT_EQ(store.digestSlotAddr(s, e, replica),
+                          store.digestSlotAddr(s, e + window, replica));
+            }
+            EXPECT_EQ(blocks.size(), window / slotsPerBlock);
+        }
+        for (std::uint64_t e = 1; e <= store.committedEpoch(s); ++e)
+            EXPECT_NE(blockOf(s, e, false), blockOf(s, e, true));
+    }
+
+    // Crash with the tail of the stream committed but never folded:
+    // those epochs sit past 3 windows, so their digest keys wrapped.
+    store.commitBatches(env);
+    std::vector<std::uint64_t> committed;
+    for (int s = 0; s < scfg.shards; ++s)
+        committed.push_back(store.committedEpoch(s));
+    ctx.arena.persistAll();
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_GT(rep.batchesReplayed, 0u);
+    EXPECT_EQ(rep.committedEpochs, committed);
     EXPECT_EQ(store.snapshot(), golden);
 }
 
