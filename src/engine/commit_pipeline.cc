@@ -34,7 +34,7 @@ CommitPipeline::stageOp()
 {
     LP_ASSERT(open_, "stageOp without an open epoch");
     ++stagedOps_;
-    ++counters_.opsStaged;
+    counters_.opsStaged.fetch_add(1, std::memory_order_relaxed);
     return stagedOps_ >= policy_.batchOps;
 }
 
@@ -48,7 +48,8 @@ CommitPipeline::commitEpoch()
     stagedOps_ = 0;
     openTraceId_ = 0;
     ++committedSinceFold_;
-    ++counters_.epochsCommitted;
+    counters_.epochsCommitted.fetch_add(1,
+                                        std::memory_order_relaxed);
     return true;
 }
 
@@ -64,7 +65,7 @@ CommitPipeline::noteFold()
     LP_ASSERT(!open_, "fold with an open epoch");
     foldedEpoch_ = lastCommitted_;
     committedSinceFold_ = 0;
-    ++counters_.folds;
+    counters_.folds.fetch_add(1, std::memory_order_relaxed);
 }
 
 void
@@ -111,7 +112,8 @@ CommitPipeline::commitDue(Clock::time_point now) const
 void
 CommitPipeline::noteDeadlineCommit()
 {
-    ++counters_.deadlineCommits;
+    counters_.deadlineCommits.fetch_add(1,
+                                        std::memory_order_relaxed);
 }
 
 std::size_t
@@ -122,7 +124,8 @@ CommitPipeline::releaseUpTo(std::uint64_t committed)
         pending_.pop_front();
         ++n;
     }
-    counters_.acksReleased += n;
+    counters_.acksReleased.fetch_add(n,
+                                     std::memory_order_relaxed);
     return n;
 }
 

@@ -22,12 +22,13 @@
  *
  * Threading: a pipeline belongs to its shard's single writer (the
  * env.hh single-writer-per-shard contract); nothing here is
- * synchronized.
+ * synchronized except counters(), which any thread may read.
  */
 
 #ifndef LP_ENGINE_COMMIT_PIPELINE_HH
 #define LP_ENGINE_COMMIT_PIPELINE_HH
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
@@ -58,14 +59,18 @@ struct CommitPolicy
     std::chrono::microseconds flushDeadline{2000};
 };
 
-/** Monotonic counters, keyed by engine/stat_names.hh when emitted. */
+/**
+ * Monotonic counters, keyed by engine/stat_names.hh when emitted.
+ * Written only by the shard owner; relaxed atomics so STATS/METRICS
+ * can read them from another thread while the owner runs.
+ */
 struct PipelineCounters
 {
-    std::uint64_t opsStaged = 0;
-    std::uint64_t epochsCommitted = 0;
-    std::uint64_t folds = 0;
-    std::uint64_t deadlineCommits = 0;
-    std::uint64_t acksReleased = 0;
+    std::atomic<std::uint64_t> opsStaged{0};
+    std::atomic<std::uint64_t> epochsCommitted{0};
+    std::atomic<std::uint64_t> folds{0};
+    std::atomic<std::uint64_t> deadlineCommits{0};
+    std::atomic<std::uint64_t> acksReleased{0};
 };
 
 /**

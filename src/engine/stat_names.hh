@@ -2,7 +2,7 @@
  * @file
  * Canonical stat key names for epoch/commit accounting.
  *
- * The store shards, the server's per-worker mirrors, and both JSON
+ * The store shards, the server's STATS/METRICS, and both JSON
  * benches report the same pipeline counters; before the engine layer
  * existed each site invented its own spelling ("folds" here,
  * "fold_count" there). Every emitter now names counters through these
@@ -55,7 +55,7 @@ inline constexpr const char *txnAborts = "txn_aborts";
 /** Live keys in the shard's ordered index (gauge). */
 inline constexpr const char *indexEntries = "index_entries";
 
-/** Resident bytes of the shard's ordered index, limbo included. */
+/** Resident bytes of the shard's ordered index: head + live nodes. */
 inline constexpr const char *indexBytes = "index_bytes";
 
 /// @name Latency histogram base keys (obs::Histogram, nanoseconds).

@@ -12,20 +12,16 @@ makeNode(std::uint64_t key, int height)
     auto *n = new OrderedIndexNode;
     n->key = key;
     n->height = height;
-    n->limbo = nullptr;
-    for (int i = 0; i < OrderedIndex::maxHeight; ++i)
-        n->next[i].store(nullptr, std::memory_order_relaxed);
+    for (OrderedIndexNode *&p : n->next)
+        p = nullptr;
     return n;
 }
 
 } // namespace
 
 OrderedIndex::OrderedIndex()
-    : rngState_(0x9e3779b97f4a7c15ull)
+    : head_(makeNode(0, maxHeight)), rngState_(0x9e3779b97f4a7c15ull)
 {
-    head_ = makeNode(0, maxHeight);
-    residentBytes_.store(sizeof(OrderedIndexNode),
-                         std::memory_order_relaxed);
 }
 
 OrderedIndex::~OrderedIndex()
@@ -58,18 +54,12 @@ OrderedIndex::findFrom(std::uint64_t key,
 {
     OrderedIndexNode *x = head_;
     for (int lvl = maxHeight - 1; lvl >= 0; --lvl) {
-        for (;;) {
-            OrderedIndexNode *nxt =
-                x->next[lvl].load(std::memory_order_acquire);
-            if (nxt != nullptr && nxt->key < key)
-                x = nxt;
-            else
-                break;
-        }
+        while (x->next[lvl] != nullptr && x->next[lvl]->key < key)
+            x = x->next[lvl];
         if (preds != nullptr)
             preds[lvl] = x;
     }
-    return x->next[0].load(std::memory_order_acquire);
+    return x->next[0];
 }
 
 void
@@ -81,18 +71,11 @@ OrderedIndex::insert(std::uint64_t key)
         return;
     const int h = randomHeight();
     OrderedIndexNode *n = makeNode(key, h);
-    // Wire the new node first (not yet reachable), then publish
-    // bottom-up with release stores: a reader arriving through any
-    // level sees the key and every lower link.
-    for (int lvl = 0; lvl < h; ++lvl)
-        n->next[lvl].store(
-            preds[lvl]->next[lvl].load(std::memory_order_relaxed),
-            std::memory_order_relaxed);
-    for (int lvl = 0; lvl < h; ++lvl)
-        preds[lvl]->next[lvl].store(n, std::memory_order_release);
+    for (int lvl = 0; lvl < h; ++lvl) {
+        n->next[lvl] = preds[lvl]->next[lvl];
+        preds[lvl]->next[lvl] = n;
+    }
     entries_.fetch_add(1, std::memory_order_relaxed);
-    residentBytes_.fetch_add(sizeof(OrderedIndexNode),
-                             std::memory_order_relaxed);
 }
 
 void
@@ -102,57 +85,24 @@ OrderedIndex::erase(std::uint64_t key)
     OrderedIndexNode *hit = findFrom(key, preds);
     if (hit == nullptr || hit->key != key)
         return;
-    // Unlink top-down; the node's own next-pointers stay intact so a
-    // reader standing on it can keep advancing into the live list.
-    for (int lvl = hit->height - 1; lvl >= 0; --lvl) {
-        if (preds[lvl]->next[lvl].load(std::memory_order_relaxed) ==
-            hit) {
-            preds[lvl]->next[lvl].store(
-                hit->next[lvl].load(std::memory_order_relaxed),
-                std::memory_order_release);
-        }
-    }
-    hit->limbo = limbo_;
-    limbo_ = hit;
+    for (int lvl = 0; lvl < hit->height; ++lvl)
+        preds[lvl]->next[lvl] = hit->next[lvl];
+    delete hit;
     entries_.fetch_sub(1, std::memory_order_relaxed);
-    limboNodes_.fetch_add(1, std::memory_order_relaxed);
-    // residentBytes_ unchanged: limbo nodes are still resident.
-}
-
-void
-OrderedIndex::reclaim()
-{
-    std::uint64_t freed = 0;
-    while (limbo_ != nullptr) {
-        OrderedIndexNode *n = limbo_;
-        limbo_ = n->limbo;
-        delete n;
-        ++freed;
-    }
-    if (freed > 0) {
-        limboNodes_.store(0, std::memory_order_relaxed);
-        residentBytes_.fetch_sub(freed * sizeof(OrderedIndexNode),
-                                 std::memory_order_relaxed);
-    }
 }
 
 void
 OrderedIndex::clear()
 {
-    reclaim();
-    OrderedIndexNode *n =
-        head_->next[0].load(std::memory_order_relaxed);
+    OrderedIndexNode *n = head_->next[0];
     while (n != nullptr) {
-        OrderedIndexNode *nxt =
-            n->next[0].load(std::memory_order_relaxed);
+        OrderedIndexNode *nxt = n->next[0];
         delete n;
         n = nxt;
     }
-    for (int i = 0; i < maxHeight; ++i)
-        head_->next[i].store(nullptr, std::memory_order_relaxed);
+    for (OrderedIndexNode *&p : head_->next)
+        p = nullptr;
     entries_.store(0, std::memory_order_relaxed);
-    residentBytes_.store(sizeof(OrderedIndexNode),
-                         std::memory_order_relaxed);
 }
 
 bool
@@ -166,12 +116,6 @@ OrderedIndex::Cursor
 OrderedIndex::lowerBound(std::uint64_t key) const
 {
     return Cursor(findFrom(key, nullptr));
-}
-
-OrderedIndex::Cursor
-OrderedIndex::first() const
-{
-    return Cursor(head_->next[0].load(std::memory_order_acquire));
 }
 
 } // namespace lp::index

@@ -15,31 +15,19 @@
  * through KvStore::get(), so range reads see exactly what point reads
  * see (including staged, not-yet-folded deltas) byte for byte.
  *
- * Concurrency: single writer, multiple readers, matching the store's
- * single-writer-per-shard contract (src/kernels/env.hh).
+ * Ownership: one index per shard, touched only by that shard's owning
+ * thread (the store's single-writer-per-shard contract,
+ * src/kernels/env.hh). Every method except entries()/residentBytes()
+ * is owner-only; there are no concurrent readers, so erase() frees
+ * the node at once and a Cursor is valid until the owner's next
+ * insert/erase/clear.
  *
- *  - The one owning thread calls insert/erase/clear/reclaim.
- *  - Any thread may traverse concurrently (contains, lowerBound,
- *    Cursor::advance). The writer publishes nodes with release
- *    stores on the next-pointers; readers traverse with acquire
- *    loads, so a reached node's key and lower links are always
- *    visible.
- *  - erase() unlinks a node but NEVER frees it: a concurrent reader
- *    may still be standing on it (its next-pointers keep pointing
- *    into the live list, so the reader simply walks back in).
- *    Unlinked nodes go to a limbo list and are freed only by
- *    reclaim(), which the owner must call at quiesce points -- when
- *    it knows no foreign reader is mid-traversal. KvStore calls it
- *    from checkpoint() and recover(); the destructor reclaims too.
- *
- * Memory accounting: entries() and residentBytes() are relaxed
- * atomics any thread may read (the server's acceptor exports them
- * via STATS/METRICS). residentBytes() counts the head, every live
- * node, and every limbo node -- unreclaimed garbage is still
- * resident and is reported as such. Nodes carry a fixed maxHeight
- * pointer array (no flexible-array tricks, so ASan/UBSan see plain
- * well-defined objects); the constant is sized for ~16M entries at
- * p = 1/4.
+ * Memory accounting: entries() is a relaxed atomic any thread may
+ * read (the server's acceptor exports it via STATS/METRICS), and
+ * residentBytes() derives from it: the head plus one node per live
+ * key. Nodes carry a fixed maxHeight pointer array (no flexible-array
+ * tricks, so ASan/UBSan see plain well-defined objects); the constant
+ * is sized for ~16M entries at p = 1/4.
  */
 
 #ifndef LP_INDEX_ORDERED_INDEX_HH
@@ -64,8 +52,7 @@ struct OrderedIndexNode
 {
     std::uint64_t key;
     int height;
-    OrderedIndexNode *limbo;  ///< limbo-list link (writer-only)
-    std::atomic<OrderedIndexNode *> next[orderedIndexMaxHeight];
+    OrderedIndexNode *next[orderedIndexMaxHeight];
 };
 
 class OrderedIndex
@@ -79,43 +66,26 @@ class OrderedIndex
     OrderedIndex(const OrderedIndex &) = delete;
     OrderedIndex &operator=(const OrderedIndex &) = delete;
 
-    /// @name Writer API (owning thread only)
-    /// @{
-
     /** Add @p key; a no-op if already present. */
     void insert(std::uint64_t key);
 
-    /** Unlink @p key into the limbo list; a no-op if absent. */
+    /** Unlink and free @p key's node; a no-op if absent. */
     void erase(std::uint64_t key);
 
-    /** Free the limbo list. Quiesce point only: no foreign reader
-     *  may be traversing (see the file comment). */
-    void reclaim();
-
-    /** Drop everything (live and limbo). Quiesce point only. */
+    /** Drop every key. */
     void clear();
-    /// @}
-
-    /// @name Reader API (any thread, concurrent with the writer)
-    /// @{
 
     /**
-     * A forward iterator over the bottom level. Obtained from
-     * lowerBound()/first(); remains safe to advance while the
-     * writer inserts and erases (an erased node under the cursor
-     * still links back into the live list).
+     * A forward iterator over the bottom level, obtained from
+     * lowerBound()/first(). Valid until the next insert, erase or
+     * clear.
      */
     class Cursor
     {
       public:
         bool valid() const { return node_ != nullptr; }
         std::uint64_t key() const { return node_->key; }
-
-        void
-        advance()
-        {
-            node_ = node_->next[0].load(std::memory_order_acquire);
-        }
+        void advance() { node_ = node_->next[0]; }
 
       private:
         friend class OrderedIndex;
@@ -129,7 +99,7 @@ class OrderedIndex
     Cursor lowerBound(std::uint64_t key) const;
 
     /** Cursor on the smallest key (invalid if empty). */
-    Cursor first() const;
+    Cursor first() const { return Cursor(head_->next[0]); }
 
     /** Live key count (relaxed; any thread). */
     std::uint64_t
@@ -138,20 +108,12 @@ class OrderedIndex
         return entries_.load(std::memory_order_relaxed);
     }
 
-    /** Bytes held: head + live nodes + limbo nodes (relaxed). */
+    /** Bytes held: the head plus one node per live key (any thread). */
     std::uint64_t
     residentBytes() const
     {
-        return residentBytes_.load(std::memory_order_relaxed);
+        return (entries() + 1) * sizeof(OrderedIndexNode);
     }
-
-    /** Unlinked-but-unfreed node count (relaxed; any thread). */
-    std::uint64_t
-    limboNodes() const
-    {
-        return limboNodes_.load(std::memory_order_relaxed);
-    }
-    /// @}
 
   private:
     int randomHeight();
@@ -165,12 +127,8 @@ class OrderedIndex
                                OrderedIndexNode **preds) const;
 
     OrderedIndexNode *head_ = nullptr;
-    OrderedIndexNode *limbo_ = nullptr;  ///< retired, unfreed nodes
-
     std::uint64_t rngState_;
     std::atomic<std::uint64_t> entries_{0};
-    std::atomic<std::uint64_t> residentBytes_{0};
-    std::atomic<std::uint64_t> limboNodes_{0};
 };
 
 } // namespace lp::index

@@ -73,6 +73,26 @@ statusReply(Status s, std::uint64_t id)
 }
 
 /**
+ * The last-finisher countdown of a scatter-gather request: every
+ * participant calls arrive() exactly once when its part is done, and
+ * only the last one sees true and emits the single reply. The
+ * acq_rel decrement publishes each earlier participant's writes to
+ * that last one.
+ */
+struct Countdown
+{
+    explicit Countdown(std::uint32_t n) : left(n) {}
+
+    bool
+    arrive()
+    {
+        return left.fetch_sub(1, std::memory_order_acq_rel) == 1;
+    }
+
+    std::atomic<std::uint32_t> left;
+};
+
+/**
  * One BATCH request in flight: its sub-ops scatter across workers;
  * the worker that releases the last acknowledgement emits the single
  * reply.
@@ -85,15 +105,15 @@ struct BatchCtx
     {
     }
 
-    std::atomic<std::uint32_t> remaining;
+    Countdown remaining;
     std::uint64_t connId;
     std::uint64_t reqId;
     std::uint64_t traceId;  ///< request flow id (obs::traceIdOf)
 
     /**
      * Set by any worker that refused its sub-ops because its shard is
-     * quarantined; the final reply then reports Fault. The release
-     * half of the remaining fetch_sub publishes it to the replier.
+     * quarantined; the final reply then reports Fault.
+     * remaining.arrive() publishes it to the replier.
      */
     std::atomic<bool> faulted{false};
 };
@@ -102,20 +122,19 @@ struct BatchCtx
  * One SCAN request in flight: the acceptor fans one sub-scan out to
  * every worker (each worker owns one shard of the key space), each
  * worker fills only its own partial-result slot, and the last one to
- * finish merges the sorted partials and posts the single reply. The
- * release half of the fetch_sub publishes each worker's slot to the
- * merging worker's acquire.
+ * finish merges the sorted partials and posts the single reply
+ * (remaining.arrive() publishes each worker's slot to the merger).
  */
 struct ScanCtx
 {
     ScanCtx(int shards, std::uint64_t conn, std::uint64_t req,
             std::uint32_t lim, std::uint64_t trace)
-        : remaining(shards), connId(conn), reqId(req), limit(lim),
-          traceId(trace), parts(std::size_t(shards))
+        : remaining(std::uint32_t(shards)), connId(conn), reqId(req),
+          limit(lim), traceId(trace), parts(std::size_t(shards))
     {
     }
 
-    std::atomic<int> remaining;
+    Countdown remaining;
     std::uint64_t connId;
     std::uint64_t reqId;
     std::uint32_t limit;
@@ -135,8 +154,9 @@ struct ScanCtx
  * Field ownership: the acceptor writes the routing plan before
  * fan-out; each worker writes only its own Part and the read slots
  * its gets own. Every handoff rides a mutex (worker queues, the
- * TxnEvent queue), so no field needs to be atomic except the vote
- * counter and the abort flags, which workers race on.
+ * TxnEvent queue), so no field needs to be atomic except the abort
+ * flags, which several workers may set at once. The vote counter
+ * is plain: only the acceptor counts votes (drainTxnEvents()).
  */
 struct TxnCtx
 {
@@ -169,7 +189,7 @@ struct TxnCtx
     };
     std::vector<Part> parts;
 
-    std::atomic<int> votesLeft{0};
+    int votesLeft = 0;
     std::atomic<int> abortedParts{0};
     std::atomic<bool> faulted{false};  ///< abort cause was quarantine
 };
@@ -279,18 +299,13 @@ struct Server::Impl
         std::deque<OpItem> q;
         bool stopFlag = false;
 
-        // Stats mirrors the acceptor may read (contract rule 3);
-        // the pipeline-derived ones are refreshed from the shard's
-        // CommitPipeline counters after every worker round.
+        // Stats the acceptor may read (contract rule 3); epoch,
+        // fold and ack counts are the shard pipeline's counters().
         std::atomic<std::uint64_t> statGets{0};
         std::atomic<std::uint64_t> statMuts{0};
         std::atomic<std::uint64_t> statScans{0};
-        std::atomic<std::uint64_t> statAcks{0};
         std::atomic<std::uint64_t> statCommittedEpoch{0};
         std::atomic<std::uint64_t> statQueueDepth{0};
-        std::atomic<std::uint64_t> statEpochs{0};
-        std::atomic<std::uint64_t> statFolds{0};
-        std::atomic<std::uint64_t> statDeadlineCommits{0};
         std::atomic<std::uint64_t> statTxnCommits{0};  ///< fast path
         std::atomic<std::uint64_t> statTxnAborts{0};   ///< fast path
 

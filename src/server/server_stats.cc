@@ -1,7 +1,7 @@
 /**
  * @file
  * Observability rendering: the STATS-op JSON snapshot and the
- * METRICS-op Prometheus exposition. Reads only stat mirrors,
+ * METRICS-op Prometheus exposition. Reads only worker stat atomics,
  * cross-thread-safe store atomics, and single-writer histograms
  * (the acceptor renders on its own thread; Server::statsJson()
  * callers accept the benign snapshot skew).
@@ -71,14 +71,18 @@ Server::Impl::statsJsonNow() const
             w.statMuts.load(std::memory_order_relaxed);
         const std::uint64_t sc =
             w.statScans.load(std::memory_order_relaxed);
+        // Pipeline counters: the shard's own single-writer
+        // atomics, like the media counters below.
+        const engine::PipelineCounters &pc =
+            w.kv->pipeline(0).counters();
         const std::uint64_t a =
-            w.statAcks.load(std::memory_order_relaxed);
+            pc.acksReleased.load(std::memory_order_relaxed);
         const std::uint64_t e =
-            w.statEpochs.load(std::memory_order_relaxed);
+            pc.epochsCommitted.load(std::memory_order_relaxed);
         const std::uint64_t f =
-            w.statFolds.load(std::memory_order_relaxed);
+            pc.folds.load(std::memory_order_relaxed);
         const std::uint64_t d =
-            w.statDeadlineCommits.load(std::memory_order_relaxed);
+            pc.deadlineCommits.load(std::memory_order_relaxed);
         const std::uint64_t tc =
             w.statTxnCommits.load(std::memory_order_relaxed);
         const std::uint64_t ta =
@@ -220,13 +224,15 @@ Server::Impl::metricsTextNow() const
                  double(w.kv->indexEntries(0)));
         mt.gauge(promName(sn::indexBytes), lab,
                  double(w.kv->indexBytes(0)));
+        const engine::PipelineCounters &pc =
+            w.kv->pipeline(0).counters();
         mt.counter(promName(sn::acksReleased), lab,
-                   rel(w.statAcks));
+                   rel(pc.acksReleased));
         mt.counter(promName(sn::epochsCommitted), lab,
-                   rel(w.statEpochs));
-        mt.counter(promName(sn::folds), lab, rel(w.statFolds));
+                   rel(pc.epochsCommitted));
+        mt.counter(promName(sn::folds), lab, rel(pc.folds));
         mt.counter(promName(sn::deadlineCommits), lab,
-                   rel(w.statDeadlineCommits));
+                   rel(pc.deadlineCommits));
         mt.gauge(promName(sn::committedEpoch), lab,
                  rel(w.statCommittedEpoch));
         mt.gauge(promName(sn::queueDepth), lab,

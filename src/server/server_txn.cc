@@ -387,8 +387,7 @@ Server::Impl::routeTxn(Conn &c, Request &req)
         (nWrites == 0 ||
          (cfg.backend != store::Backend::EagerPerOp &&
           nWrites <= std::size_t(cfg.batchOps)));
-    ctx->votesLeft.store(int(ctx->parts.size()),
-                         std::memory_order_relaxed);
+    ctx->votesLeft = int(ctx->parts.size());
     const std::uint64_t tEnq = obs::nowNs();
     for (std::size_t i = 0; i < ctx->parts.size(); ++i) {
         OpItem it;
@@ -413,10 +412,8 @@ Server::Impl::drainTxnEvents()
         local.swap(txnEvents);
     }
     for (TxnEvent &ev : local) {
-        if (ev.ctx->votesLeft.fetch_sub(
-                1, std::memory_order_acq_rel) != 1)
-            continue;
-        finishTxn(ev.ctx);
+        if (--ev.ctx->votesLeft == 0)
+            finishTxn(ev.ctx);
     }
 }
 

@@ -123,8 +123,7 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
         return;  // internal apply of a committed TXN: no reply
     w.commitWaitNs.record(waitDt);
     if (p.batch) {
-        if (p.batch->remaining.fetch_sub(
-                1, std::memory_order_acq_rel) != 1)
+        if (!p.batch->remaining.arrive())
             return;  // not the last sub-op yet
         Response r;
         r.status = p.batch->faulted.load(std::memory_order_acquire)
@@ -140,11 +139,7 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
     postReply(p.connId, std::move(r));
 }
 
-/**
- * Release every pending ack whose epoch has committed, and
- * refresh this worker's stat mirrors from the shard pipeline's
- * counters (the single source of truth for epoch accounting).
- */
+/** Release every pending ack whose epoch has committed. */
 void
 Server::Impl::releaseCommitted(Worker &w)
 {
@@ -161,13 +156,6 @@ Server::Impl::releaseCommitted(Worker &w)
         w.pending.pop_front();
     }
     sweepSlotFrees(w);
-    const engine::PipelineCounters &c = pl.counters();
-    w.statAcks.store(c.acksReleased, std::memory_order_relaxed);
-    w.statEpochs.store(c.epochsCommitted,
-                       std::memory_order_relaxed);
-    w.statFolds.store(c.folds, std::memory_order_relaxed);
-    w.statDeadlineCommits.store(c.deadlineCommits,
-                                std::memory_order_relaxed);
     w.statCommittedEpoch.store(ce, std::memory_order_relaxed);
     // Seal the flight recorder on the epoch-commit cadence: the
     // watermark publish is one header write, and riding commits
@@ -306,8 +294,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         slot.reserve(recs.size());
         for (const auto &[k, v] : recs)
             slot.push_back(ScanRecord{k, v});
-        if (ctx.remaining.fetch_sub(
-                1, std::memory_order_acq_rel) != 1)
+        if (!ctx.remaining.arrive())
             return;  // other shards still scanning
         // Last sub-scan: k-way merge the sorted partials (shards
         // partition the key space, so popping the minimum head
@@ -349,8 +336,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
             if (op.batch) {
                 op.batch->faulted.store(
                     true, std::memory_order_release);
-                if (op.batch->remaining.fetch_sub(
-                        1, std::memory_order_acq_rel) == 1)
+                if (op.batch->remaining.arrive())
                     postReply(op.batch->connId,
                               statusReply(Status::Fault,
                                           op.batch->reqId));

@@ -86,7 +86,7 @@ struct StoreContext
     pmem::PersistentArena *arena;
     const StoreConfig *cfg;
     SlotTable<Env> *table;
-    std::vector<engine::CommitPipeline> *pipelines;
+    std::deque<engine::CommitPipeline> *pipelines;
 };
 
 /** CommitPolicy a store pipeline runs under @p backend and @p cfg. */

@@ -58,20 +58,27 @@ mapsEqual(const std::map<std::uint64_t, std::uint64_t> &snap,
     return true;
 }
 
-/** Commit-pipeline counters summed over every shard (host-side). */
+/** The counters StoreRunResult reports, summed over every shard's
+ *  commit pipeline (host-side). */
+struct PipelineTotals
+{
+    std::uint64_t opsStaged = 0;
+    std::uint64_t epochsCommitted = 0;
+    std::uint64_t folds = 0;
+};
+
 template <typename Env>
-engine::PipelineCounters
+PipelineTotals
 sumPipelineCounters(const KvStore<Env> &store)
 {
-    engine::PipelineCounters sum;
+    PipelineTotals sum;
     for (int s = 0; s < store.config().shards; ++s) {
         const engine::PipelineCounters &c =
             store.pipeline(s).counters();
-        sum.opsStaged += c.opsStaged;
-        sum.epochsCommitted += c.epochsCommitted;
-        sum.folds += c.folds;
-        sum.deadlineCommits += c.deadlineCommits;
-        sum.acksReleased += c.acksReleased;
+        sum.opsStaged += c.opsStaged.load(std::memory_order_relaxed);
+        sum.epochsCommitted +=
+            c.epochsCommitted.load(std::memory_order_relaxed);
+        sum.folds += c.folds.load(std::memory_order_relaxed);
     }
     return sum;
 }
@@ -105,13 +112,12 @@ runStoreYcsb(Backend b, const StoreConfig &scfg, const YcsbParams &p,
                        : out.loadStats.at("nvmm_writes") /
                              double(p.records);
     ctx.machine.resetStats();
-    const engine::PipelineCounters loadCtrs =
-        sumPipelineCounters(store);
+    const PipelineTotals loadCtrs = sumPipelineCounters(store);
 
     const MixCounts c = ycsbMix(env, store, p, &golden);
     flight.seal();
 
-    const engine::PipelineCounters mixCtrs = sumPipelineCounters(store);
+    const PipelineTotals mixCtrs = sumPipelineCounters(store);
     out.opsStaged = mixCtrs.opsStaged - loadCtrs.opsStaged;
     out.epochsCommitted =
         mixCtrs.epochsCommitted - loadCtrs.epochsCommitted;

@@ -89,15 +89,13 @@ class KvStore
                   "need at least one op per batch");
         LP_ASSERT(cfg.foldBatches >= 1,
                   "need at least one batch per fold");
-        pipelines_.reserve(std::size_t(cfg.shards));
-        for (int i = 0; i < cfg.shards; ++i)
-            pipelines_.emplace_back(commitPolicyFor(backend, cfg));
-        // Per-shard observability bundles (deque: histograms are
-        // fixed-size non-copyable blocks that must never relocate).
+        // Per-shard pipelines and observability bundles (deques:
+        // their counters and histograms are atomics other threads
+        // read, so they must never relocate).
         for (int i = 0; i < cfg.shards; ++i) {
+            pipelines_.emplace_back(commitPolicyFor(backend, cfg));
             obs_.emplace_back();
-            pipelines_[std::size_t(i)].attachObs(
-                &obs_[std::size_t(i)]);
+            pipelines_.back().attachObs(&obs_.back());
         }
         owners_.resize(std::size_t(cfg.shards));
         // Per-shard ordered indexes (deque for the same stable-address
@@ -369,13 +367,8 @@ class KvStore
     checkpoint(Env &env)
     {
         commitBatches(env);
-        for (int s = 0; s < cfg_.shards; ++s) {
+        for (int s = 0; s < cfg_.shards; ++s)
             backend_->fold(env, s);
-            // A checkpoint is a quiesce point for this handle (the
-            // owner is here, not mid-scan), so retired index nodes
-            // can finally be freed.
-            index_[std::size_t(s)].reclaim();
-        }
     }
 
     /**
@@ -534,7 +527,7 @@ class KvStore
     StoreConfig cfg_;
     Backend backendKind_;
     SlotTable<Env> table_;
-    std::vector<engine::CommitPipeline> pipelines_;
+    std::deque<engine::CommitPipeline> pipelines_;
     std::deque<obs::ShardObs> obs_;  // stable addresses (attached)
     std::deque<index::OrderedIndex> index_;  // per-shard, volatile
     std::unique_ptr<PersistencyBackend<Env>> backend_;

@@ -2,20 +2,17 @@
  * @file
  * Tests for lp::index::OrderedIndex and its KvStore integration:
  * ordered-set semantics against std::set under a randomized op
- * stream, lowerBound/first cursor behavior, erase/limbo/reclaim
- * memory accounting, the single-writer/multi-reader contract under
- * a thread stress (the ThreadSanitizer target), and end-to-end
- * KvStore::scan on every backend -- cross-shard merge order,
- * staged-delete visibility, and scan/snapshot agreement.
+ * stream, lowerBound/first cursor behavior, erase-frees memory
+ * accounting, and end-to-end KvStore::scan on every backend --
+ * cross-shard merge order, staged-delete visibility, scan/snapshot
+ * agreement, and flat index memory under put/delete churn.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <map>
 #include <random>
 #include <set>
-#include <thread>
 #include <vector>
 
 #include "index/ordered_index.hh"
@@ -102,10 +99,10 @@ TEST(OrderedIndex, DuplicateInsertAndAbsentEraseAreNoops)
 
     idx.erase(123456);  // absent
     EXPECT_EQ(idx.entries(), 1u);
-    EXPECT_EQ(idx.limboNodes(), 0u);
+    EXPECT_EQ(idx.residentBytes(), bytes);
 }
 
-TEST(OrderedIndex, EraseLimboReclaimAccounting)
+TEST(OrderedIndex, EraseFreesImmediatelyAccounting)
 {
     OrderedIndex idx;
     const std::uint64_t headBytes = idx.residentBytes();
@@ -113,20 +110,17 @@ TEST(OrderedIndex, EraseLimboReclaimAccounting)
 
     for (std::uint64_t k = 0; k < 100; ++k)
         idx.insert(k);
-    const std::uint64_t fullBytes = idx.residentBytes();
-    EXPECT_EQ(fullBytes, headBytes + 100 * sizeof(OrderedIndexNode));
+    EXPECT_EQ(idx.residentBytes(),
+              headBytes + 100 * sizeof(OrderedIndexNode));
 
-    // Erase unlinks but keeps the node resident until reclaim().
+    // Erase frees the node at once: no retired memory lingers.
     for (std::uint64_t k = 0; k < 100; k += 2)
         idx.erase(k);
     EXPECT_EQ(idx.entries(), 50u);
-    EXPECT_EQ(idx.limboNodes(), 50u);
-    EXPECT_EQ(idx.residentBytes(), fullBytes);
-
-    idx.reclaim();
-    EXPECT_EQ(idx.limboNodes(), 0u);
     EXPECT_EQ(idx.residentBytes(),
               headBytes + 50 * sizeof(OrderedIndexNode));
+    for (std::uint64_t k = 0; k < 100; ++k)
+        EXPECT_EQ(idx.contains(k), k % 2 == 1) << k;
 
     idx.clear();
     EXPECT_EQ(idx.entries(), 0u);
@@ -136,60 +130,6 @@ TEST(OrderedIndex, EraseLimboReclaimAccounting)
     // The index must stay usable after clear().
     idx.insert(5);
     EXPECT_TRUE(idx.contains(5));
-}
-
-/**
- * The TSan target: one writer inserting and erasing while reader
- * threads traverse. Readers assert strictly ascending keys on every
- * walk -- a torn publish or a reader-visible free would show up here
- * (and as a data-race report under -fsanitize=thread). reclaim() only
- * runs after the readers have joined, per the quiesce contract.
- */
-TEST(OrderedIndex, ConcurrentReadersSeeOrderedKeys)
-{
-    OrderedIndex idx;
-    for (std::uint64_t k = 0; k < 512; k += 2)
-        idx.insert(k * 8);
-
-    std::atomic<bool> stop{false};
-    std::atomic<std::uint64_t> violations{0};
-    std::vector<std::thread> readers;
-    for (int t = 0; t < 4; ++t) {
-        readers.emplace_back([&idx, &stop, &violations, t] {
-            std::mt19937_64 rng(std::uint64_t(t) + 1);
-            while (!stop.load(std::memory_order_relaxed)) {
-                auto c = idx.lowerBound(rng() % 5000);
-                std::uint64_t prev = 0;
-                bool started = false;
-                for (int steps = 0; c.valid() && steps < 64;
-                     ++steps, c.advance()) {
-                    const std::uint64_t k = c.key();
-                    if (started && k <= prev)
-                        violations.fetch_add(1);
-                    prev = k;
-                    started = true;
-                }
-            }
-        });
-    }
-
-    std::mt19937_64 rng(99);
-    for (int i = 0; i < 60000; ++i) {
-        const std::uint64_t key = (rng() % 512) * 8;
-        if (rng() % 2 == 0)
-            idx.insert(key);
-        else
-            idx.erase(key);
-    }
-    stop.store(true);
-    for (auto &r : readers)
-        r.join();
-    idx.reclaim();  // quiesced: all readers joined
-
-    EXPECT_EQ(violations.load(), 0u);
-    const auto keys = allKeys(idx);
-    for (std::size_t i = 1; i < keys.size(); ++i)
-        ASSERT_LT(keys[i - 1], keys[i]);
 }
 
 } // namespace
@@ -320,6 +260,42 @@ TEST_P(ScanBackends, RecoveryRebuildAgreesWithPointGets)
     EXPECT_EQ(entries, after.size());
     for (const auto &[k, v] : after)
         EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(v));
+}
+
+/**
+ * Long put/delete churn with no checkpoint in between: every erased
+ * key's node must be freed on the spot, so each shard's index holds
+ * exactly its head plus one node per live key. 64 keys keep the slot
+ * table far from its tombstone limit.
+ */
+TEST_P(ScanBackends, PutDelChurnKeepsIndexBytesFlat)
+{
+    const StoreConfig scfg = scanConfig();
+    pmem::PersistentArena arena(storeArenaBytes(scfg));
+    KvStore<kernels::NativeEnv> store(arena, scfg, GetParam());
+    arena.persistAll();
+    kernels::NativeEnv env;
+
+    constexpr std::uint64_t kKeys = 64;
+    for (int round = 0; round < 5000; ++round) {
+        for (std::uint64_t k = 0; k < kKeys; ++k)
+            store.put(env, k, std::uint64_t(round));
+        for (std::uint64_t k = 0; k < kKeys; ++k)
+            store.del(env, k);
+    }
+    for (std::uint64_t k = 0; k < kKeys; k += 2)
+        store.put(env, k, k);
+
+    std::uint64_t entries = 0;
+    for (int s = 0; s < scfg.shards; ++s) {
+        entries += store.indexEntries(s);
+        EXPECT_EQ(store.indexBytes(s),
+                  (store.indexEntries(s) + 1) *
+                      sizeof(index::OrderedIndexNode))
+            << "shard " << s;
+    }
+    EXPECT_EQ(entries, kKeys / 2);
+    EXPECT_EQ(store.scan(env, 0, 2 * kKeys).size(), kKeys / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, ScanBackends,

@@ -699,6 +699,192 @@ TEST(ServerBasic, MetricsScrapeUnderLoad)
     std::filesystem::remove_all(dir);
 }
 
+namespace
+{
+
+/**
+ * One per-shard number from a STATS document. The per-shard objects
+ * under "shard" are flat (scalars only), so a shard's fields end at
+ * the first closing brace after its opening.
+ */
+double
+shardStat(const std::string &json, int shard, const std::string &field)
+{
+    const std::size_t shards = json.find("\"shard\":{");
+    EXPECT_NE(shards, std::string::npos);
+    const std::size_t open =
+        json.find("\"" + std::to_string(shard) + "\":{", shards);
+    EXPECT_NE(open, std::string::npos) << "shard " << shard;
+    const std::string body =
+        json.substr(open, json.find('}', open) - open);
+    const std::string tag = "\"" + field + "\":";
+    const std::size_t at = body.find(tag);
+    EXPECT_NE(at, std::string::npos) << field;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(body.substr(at + tag.size()));
+}
+
+} // namespace
+
+/**
+ * Put/delete churn must run at flat index memory: after 5000 rounds
+ * of deleting and re-inserting the same 64 keys, each shard's STATS
+ * index_bytes equals its value right after the initial load. Rounds
+ * ride pipelined BATCH requests (delete all, put all) so per-key
+ * order is the send order.
+ */
+TEST(ServerBasic, IndexBytesFlatUnderPutDelChurn)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    constexpr std::uint64_t kKeys = 64;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+        const auto r = c.put(k, k, 10000);
+        ASSERT_TRUE(r && r->status == Status::Ok);
+    }
+    const auto indexBytes = [&](int shard) {
+        const auto sr = c.stats(10000);
+        EXPECT_TRUE(sr && sr->status == Status::Ok);
+        return sr ? shardStat(sr->body, shard, "index_bytes") : -1.0;
+    };
+    std::vector<double> loaded;
+    for (int s = 0; s < cfg.shards; ++s) {
+        loaded.push_back(indexBytes(s));
+        EXPECT_GT(loaded.back(), 0.0);
+    }
+
+    constexpr int kRounds = 5000;
+    constexpr int kWindow = 50;  // BATCHes in flight per burst
+    for (int round = 0; round < kRounds; round += kWindow) {
+        for (int i = 0; i < kWindow; ++i) {
+            Request b;
+            b.op = Op::Batch;
+            b.id = c.nextId();
+            for (std::uint64_t k = 0; k < kKeys; ++k)
+                b.batch.push_back(BatchOp{false, k, 0});
+            for (std::uint64_t k = 0; k < kKeys; ++k)
+                b.batch.push_back(
+                    BatchOp{true, k, std::uint64_t(round + i)});
+            ASSERT_TRUE(c.sendRequest(b));
+        }
+        for (int i = 0; i < kWindow; ++i) {
+            const auto r = c.recvResponse(20000);
+            ASSERT_TRUE(r.has_value());
+            ASSERT_EQ(r->status, Status::Ok);
+        }
+    }
+    for (int s = 0; s < cfg.shards; ++s)
+        EXPECT_EQ(indexBytes(s), loaded[std::size_t(s)])
+            << "shard " << s;
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * STATS and METRICS read the same pipeline counters, so once a
+ * served mix has quiesced (every request acked) they must agree per
+ * shard, and acks_released must count every acknowledged mutation.
+ * A short flush deadline and fold period make every counter move.
+ */
+TEST(ServerBasic, PipelineCountersAgreeAcrossStatsAndMetrics)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.quiet = true;
+    cfg.batchOps = 8;
+    cfg.foldBatches = 2;
+    cfg.flushDeadlineUs = 200;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    std::mt19937_64 rng(17);
+    std::unordered_map<std::uint64_t, std::uint64_t> mutsOf;  // by id
+    std::uint64_t acked = 0;
+    for (int burst = 0; burst < 40; ++burst) {
+        for (int i = 0; i < 50; ++i) {
+            Request r;
+            r.id = c.nextId();
+            r.key = rng() % 512;
+            r.value = rng();
+            const unsigned pick = unsigned(rng() % 10);
+            if (pick < 4) {
+                r.op = Op::Put;
+            } else if (pick < 5) {
+                r.op = Op::Del;
+            } else if (pick < 9) {
+                r.op = Op::Get;
+            } else {
+                r.op = Op::Batch;
+                for (int j = 0; j < 8; ++j)
+                    r.batch.push_back(
+                        BatchOp{j % 4 != 0, rng() % 512, rng()});
+            }
+            mutsOf[r.id] = r.op == Op::Get     ? 0
+                           : r.op == Op::Batch ? r.batch.size()
+                                               : 1;
+            ASSERT_TRUE(c.sendRequest(r));
+        }
+        for (int i = 0; i < 50; ++i) {
+            const auto r = c.recvResponse(10000);
+            ASSERT_TRUE(r.has_value());
+            ASSERT_NE(r->status, Status::Retry);
+            if (r->status == Status::Ok)
+                acked += mutsOf.at(r->id);
+        }
+    }
+    ASSERT_GT(acked, 0u);
+
+    const auto sr = c.stats(10000);
+    ASSERT_TRUE(sr && sr->status == Status::Ok);
+    const auto mr = c.metrics(10000);
+    ASSERT_TRUE(mr && mr->status == Status::Ok);
+    stats::Snapshot snap;
+    ASSERT_TRUE(obs::parseExposition(mr->body, snap));
+
+    double acks = 0.0, epochs = 0.0, folds = 0.0, deadlines = 0.0;
+    for (int s = 0; s < cfg.shards; ++s) {
+        const std::string lab =
+            "{shard=\"" + std::to_string(s) + "\"}";
+        for (const char *name : {"epochs_committed", "folds",
+                                 "deadline_commits", "acks_released"})
+            EXPECT_EQ(shardStat(sr->body, s, name),
+                      snap.at(std::string("lp_") + name + lab))
+                << name << " shard " << s;
+        EXPECT_EQ(shardStat(sr->body, s, "acks_released"),
+                  shardStat(sr->body, s, "mutations"))
+            << "shard " << s;
+        acks += shardStat(sr->body, s, "acks_released");
+        epochs += shardStat(sr->body, s, "epochs_committed");
+        folds += shardStat(sr->body, s, "folds");
+        deadlines += shardStat(sr->body, s, "deadline_commits");
+    }
+    EXPECT_EQ(acks, double(acked));
+    EXPECT_GT(epochs, 0.0);
+    EXPECT_GT(folds, 0.0);
+    EXPECT_GT(deadlines, 0.0);
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ServerBasic, MalformedFrameClosesConnection)
 {
     const std::string dir = makeTempDir();
