@@ -111,6 +111,23 @@ class SimEnv
             crash->onStore();
     }
 
+    /**
+     * Non-allocating (streaming) store: the bytes bypass the caches
+     * and drain through the core's write-combining buffer
+     * (sim::Machine::writeStream). For append-only structures written
+     * front to back in whole lines, like the store's journal: a full
+     * line costs one NVMM write and no NVMM read.
+     */
+    template <typename T>
+    void
+    stStream(T *p, T v)
+    {
+        m->writeStream(core_, a->addrOf(p), sizeof(T),
+                       [p, v] { *p = v; });
+        if (crash)
+            crash->onStore();
+    }
+
     /** Account @p n non-memory instructions. */
     void tick(std::uint64_t n) { m->tick(core_, n); }
 
@@ -170,6 +187,13 @@ class NativeEnv
     template <typename T>
     void
     st(T *p, T v)
+    {
+        *p = v;
+    }
+
+    template <typename T>
+    void
+    stStream(T *p, T v)
     {
         *p = v;
     }

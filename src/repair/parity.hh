@@ -26,10 +26,14 @@
  * (recovery/scrub, both eager phases) store + flush and let the
  * caller fence.
  *
- * Verification reads (fingerprint checks, reconstruction, parity
- * scrub) are STREAMING loads (Env::ldStream): a cached copy is used
+ * Coverage reads nothing back: the appender hands over the words it
+ * just stored, because a journal streams its lines past the cache and
+ * a load would have to fetch each one from NVMM again. Verification
+ * reads (fingerprint checks, reconstruction, parity scrub) are
+ * STREAMING loads (Env::ldStream): a cached copy is used
  * -- required for correctness, since fingerprints cover the eventual
- * durable content and a sealed line may still be cache-dirty -- but a
+ * durable content and a repaired line may still be cache-dirty -- and
+ * a write-combined line still pending is drained first -- but a
  * miss reads NVMM without installing a line. An allocating sweep
  * would cycle the small LLC and evict exactly the dirty coalescing
  * lines Lazy Persistency's write efficiency comes from; real
@@ -128,24 +132,28 @@ class RegionParity
     /**
      * Extend coverage to the sealed prefix (@p sealedBytes) after the
      * commit of @p epoch: fingerprint and XOR-fold every newly
-     * completed region, then restate the header. Plain stores only.
+     * completed region, then restate the header. @p stored holds the
+     * new regions' words, from region coveredRegions() on, exactly as
+     * the appender stored them: the appender streams its lines past
+     * the cache, so loading them back would read NVMM. Plain stores
+     * only.
      */
     void
-    cover(Env &env, std::uint64_t epoch, std::size_t sealedBytes)
+    cover(Env &env, std::uint64_t epoch, std::size_t sealedBytes,
+          const std::uint64_t *stored)
     {
         std::size_t newCov = sealedBytes / regionBytes;
         if (newCov > regions_)
             newCov = regions_;
         for (std::size_t r = covered_; r < newCov; ++r) {
-            env.st(&hash_[r], fingerprint(env, r));
+            const std::uint64_t *w8 =
+                stored + (r - covered_) * regionWords;
+            env.st(&hash_[r], fingerprintOf(r, w8));
             std::uint64_t *par = groupParity(r / groupRegions);
             const bool first = r % groupRegions == 0;
-            for (std::size_t w = 0; w < regionWords; ++w) {
-                const std::uint64_t v =
-                    env.ld(&words_[r * regionWords + w]);
-                env.st(&par[w], first ? v : env.ld(&par[w]) ^ v);
-            }
-            env.tick(2 * regionWords);
+            for (std::size_t w = 0; w < regionWords; ++w)
+                env.st(&par[w], first ? w8[w] : env.ld(&par[w]) ^ w8[w]);
+            env.tick(4 * regionWords);
         }
         covered_ = newCov;
         lastSealed_ = epoch;
@@ -295,9 +303,7 @@ class RegionParity
 
     /**
      * Fingerprint of region @p r's current content. Streaming loads:
-     * on the cover path the region's lines are cache-hot (just
-     * written) so a hit behaves like a normal load; on the scrub path
-     * a miss must not displace workload lines.
+     * on the scrub path a miss must not displace workload lines.
      */
     std::uint64_t
     fingerprint(Env &env, std::size_t r)

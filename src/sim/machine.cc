@@ -18,6 +18,7 @@ Machine::Machine(const MachineConfig &config, PersistBackend *be)
         l1s.emplace_back(cfg.l1);
     clk.assign(cfg.numCores, 0);
     streamBuf.resize(cfg.numCores);
+    wcBuf.resize(cfg.numCores);
     flushQ.resize(cfg.numCores);
     nextCleanAt = cfg.cleanerPeriodCycles;
 }
@@ -50,13 +51,14 @@ void
 Machine::readStream(CoreId c, Addr addr, unsigned size)
 {
     if (trace)
-        trace->read(c, addr, size);
+        trace->readStream(c, addr, size);
     ++s.loads;
     ++s.streamLoads;
     const Addr first = blockAlign(addr);
     const Addr last = blockAlign(addr + size - 1);
     for (Addr blk = first; blk <= last; blk += blockBytes) {
         maybeClean(c);
+        flushWcLine(blk);
         ++s.l1Accesses;
         Cycles cost = cfg.l1.latency;
         if (Line *line = l1s[c].find(blk)) {
@@ -77,7 +79,7 @@ Machine::readStream(CoreId c, Addr addr, unsigned size)
                     // region's remaining words coalesce onto this one
                     // NVMM read, as NT fill buffers do.
                     ++s.l2Misses;
-                    ++s.nvmmReads;
+                    noteNvmmRead(blk);
                     cost += cfg.l2.latency + cfg.nvmmReadCycles();
                     if (buf.size() >= streamBufEntries)
                         buf.erase(buf.begin());
@@ -87,6 +89,89 @@ Machine::readStream(CoreId c, Addr addr, unsigned size)
         }
         clk[c] += cost;
     }
+}
+
+void
+Machine::writeStream(CoreId c, Addr addr, unsigned size,
+                     const std::function<void()> &store)
+{
+    if (trace)
+        trace->writeStream(c, addr, size);
+    ++s.stores;
+    ++s.streamStores;
+    const Addr end = addr + size;
+    const Addr first = blockAlign(addr);
+    const Addr last = blockAlign(end - 1);
+    auto &buf = wcBuf[c];
+    const auto entryOf = [&buf](Addr blk) {
+        std::size_t i = 0;
+        while (i < buf.size() && buf[i].blk != blk)
+            ++i;
+        return i;
+    };
+    // Every line the store touches gets a buffer entry before the
+    // bytes change, so a cached copy is written back as it was.
+    for (Addr blk = first; blk <= last; blk += blockBytes) {
+        maybeClean(c);
+        if (entryOf(blk) < buf.size())
+            continue;
+        if (dropCopies(blk, false))
+            sendToNvmm(c, blk, WritebackCause::Stream);
+        auto &rb = streamBuf[c];
+        rb.erase(std::remove(rb.begin(), rb.end(), blk), rb.end());
+        if (buf.size() >= wcBufEntries)
+            flushWcEntry(c, 0);  // overflow: the oldest leaves
+        buf.push_back({blk, 0});
+        ++wcLines;
+    }
+    if (store)
+        store();
+    for (Addr blk = first; blk <= last; blk += blockBytes) {
+        const std::size_t i = entryOf(blk);
+        const Addr lo = std::max(addr, blk) - blk;
+        const Addr hi = std::min(end, blk + blockBytes) - blk;
+        buf[i].mask |= hi - lo == blockBytes
+                           ? ~0ull
+                           : ((1ull << (hi - lo)) - 1) << lo;
+        if (buf[i].mask == ~0ull)
+            flushWcEntry(c, i);
+        clk[c] += cfg.l1.latency;
+    }
+}
+
+void
+Machine::flushWcEntry(CoreId c, std::size_t i)
+{
+    auto &buf = wcBuf[c];
+    const Addr blk = buf[i].blk;
+    buf.erase(buf.begin() + static_cast<std::ptrdiff_t>(i));
+    --wcLines;
+    sendToNvmm(c, blk, WritebackCause::Stream);
+}
+
+void
+Machine::flushWcLine(Addr blk)
+{
+    if (wcLines == 0)
+        return;
+    for (CoreId core = 0; core < cfg.numCores; ++core) {
+        auto &buf = wcBuf[core];
+        for (std::size_t i = 0; i < buf.size(); ++i) {
+            if (buf[i].blk == blk) {
+                flushWcEntry(core, i);
+                return;
+            }
+        }
+    }
+}
+
+void
+Machine::sendToNvmm(CoreId c, Addr blk, WritebackCause cause)
+{
+    pruneFlushQueue(c);
+    const Cycles grant = grantWritePort(clk[c] + cfg.l2.latency);
+    flushQ[c].push_back(grant + cfg.nvmmWriteCycles());
+    writebackToNvmm(c, blk, cause);
 }
 
 void
@@ -103,6 +188,7 @@ void
 Machine::accessBlock(CoreId c, Addr blk, bool is_write)
 {
     maybeClean(c);
+    flushWcLine(blk);
     ++s.l1Accesses;
     Cycles cost = cfg.l1.latency;
 
@@ -196,7 +282,7 @@ Machine::handleL1Miss(CoreId c, Addr blk, bool is_write)
         l2.touch(*l2l);
     } else {
         ++s.l2Misses;
-        ++s.nvmmReads;
+        noteNvmmRead(blk);
         cost += cfg.l2.latency + cfg.nvmmReadCycles();
         Line &victim = l2.victimFor(blk);
         if (victim.valid())
@@ -312,6 +398,7 @@ Machine::writebackToNvmm(CoreId c, Addr blk, WritebackCause cause)
       case WritebackCause::Flush:    ++s.flushWrites;    break;
       case WritebackCause::Cleaner:  ++s.cleanerWrites;  break;
       case WritebackCause::Drain:    ++s.drainWrites;    break;
+      case WritebackCause::Stream:   ++s.streamWrites;   break;
     }
     sampleVdur(blk, clk[c]);
 }
@@ -344,13 +431,9 @@ Machine::pruneFlushQueue(CoreId c)
             q.end());
 }
 
-void
-Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
+bool
+Machine::dropCopies(Addr blk, bool keep_line)
 {
-    maybeClean(c);
-    ++s.flushInstrs;
-    const Addr blk = blockAlign(addr);
-
     bool dirty = false;
 
     // All L1 copies.
@@ -380,6 +463,17 @@ Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
             dirty = true;
         l2l->state = keep_line ? LineState::Shared : LineState::Invalid;
     }
+    return dirty;
+}
+
+void
+Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
+{
+    maybeClean(c);
+    ++s.flushInstrs;
+    const Addr blk = blockAlign(addr);
+    flushWcLine(blk);
+    const bool dirty = dropCopies(blk, keep_line);
 
     pruneFlushQueue(c);
     if (flushQ[c].size() >= cfg.lsqEntries) {
@@ -397,9 +491,7 @@ Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
         ++s.mshrFullEvents;
 
     if (dirty) {
-        const Cycles grant = grantWritePort(clk[c] + cfg.l2.latency);
-        flushQ[c].push_back(grant + cfg.nvmmWriteCycles());
-        writebackToNvmm(c, blk, WritebackCause::Flush);
+        sendToNvmm(c, blk, WritebackCause::Flush);
     } else {
         ++s.cleanFlushes;
         flushQ[c].push_back(clk[c] + cfg.l2.latency);
@@ -429,6 +521,8 @@ Machine::sfence(CoreId c)
     if (trace)
         trace->fence(c);
     ++s.fences;
+    while (!wcBuf[c].empty())
+        flushWcEntry(c, 0);
     auto &q = flushQ[c];
     if (!q.empty()) {
         const Cycles done = *std::max_element(q.begin(), q.end());
@@ -505,6 +599,9 @@ Machine::loseVolatileState()
         q.clear();
     for (auto &buf : streamBuf)
         buf.clear();
+    for (auto &buf : wcBuf)
+        buf.clear();
+    wcLines = 0;
     dirtySince.clear();
 }
 
@@ -529,6 +626,12 @@ Machine::drainDirty(WritebackCause cause)
             l.state = LineState::Shared;
         }
     });
+    for (auto &buf : wcBuf) {
+        for (const WcLine &w : buf)
+            dirty_blocks.push_back(w.blk);
+        buf.clear();
+    }
+    wcLines = 0;
     std::sort(dirty_blocks.begin(), dirty_blocks.end());
     dirty_blocks.erase(
         std::unique(dirty_blocks.begin(), dirty_blocks.end()),
@@ -569,6 +672,7 @@ Machine::snapshot() const
     snap["loads"] = static_cast<double>(s.loads.value());
     snap["stream_loads"] = static_cast<double>(s.streamLoads.value());
     snap["stores"] = static_cast<double>(s.stores.value());
+    snap["stream_stores"] = static_cast<double>(s.streamStores.value());
     snap["compute_ops"] = static_cast<double>(s.computeOps.value());
     snap["l1_accesses"] = static_cast<double>(s.l1Accesses.value());
     snap["l1_misses"] = static_cast<double>(s.l1Misses.value());
@@ -582,6 +686,7 @@ Machine::snapshot() const
     snap["cleaner_writes"] =
         static_cast<double>(s.cleanerWrites.value());
     snap["drain_writes"] = static_cast<double>(s.drainWrites.value());
+    snap["stream_writes"] = static_cast<double>(s.streamWrites.value());
     snap["flush_instrs"] = static_cast<double>(s.flushInstrs.value());
     snap["clean_flushes"] = static_cast<double>(s.cleanFlushes.value());
     snap["fences"] = static_cast<double>(s.fences.value());
@@ -625,6 +730,7 @@ Machine::resetStats()
     // measurement window would otherwise inflate vdur samples.
     dirtySince.clear();
     blockWrites.clear();
+    blockReads.clear();
 }
 
 WearSummary

@@ -19,12 +19,20 @@
  * whose completion respects the memory controller's write-port
  * bandwidth; sfence stalls the core until its outstanding flushes
  * drain. Evictions use the write port but never stall the core.
+ *
+ * Streaming (non-temporal) stores bypass the caches: each core's
+ * write-combining buffer assembles them into lines, and a line whose
+ * 64 bytes are all written leaves as one NVMM write through the write
+ * port, with no NVMM read and no cache fill. A partial line leaves on
+ * sfence, buffer overflow, any cached access to it, or drainDirty();
+ * pending lines are volatile, like dirty cache lines.
  */
 
 #ifndef LP_SIM_MACHINE_HH
 #define LP_SIM_MACHINE_HH
 
 #include <cstdint>
+#include <functional>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +66,7 @@ enum class WritebackCause
     Flush,      ///< explicit clflushopt / clwb
     Cleaner,    ///< periodic background cleaner (Section VI-A)
     Drain,      ///< explicit drainDirty() at end of run
+    Stream,     ///< a write-combined line of streaming stores
 };
 
 /** All measurements the machine collects. */
@@ -66,6 +75,7 @@ struct MachineStats
     stats::Counter loads;
     stats::Counter streamLoads;   ///< non-allocating loads (readStream)
     stats::Counter stores;
+    stats::Counter streamStores;  ///< non-allocating stores (writeStream)
     stats::Counter computeOps;
 
     stats::Counter l1Accesses;
@@ -79,6 +89,8 @@ struct MachineStats
     stats::Counter flushWrites;
     stats::Counter cleanerWrites;
     stats::Counter drainWrites;
+    stats::Counter streamWrites;   ///< write-combined lines, with the
+                                   ///< cached copies they displaced
 
     stats::Counter flushInstrs;    ///< clflushopt/clwb executed
     stats::Counter cleanFlushes;   ///< flushes that found no dirty copy
@@ -162,6 +174,26 @@ class Machine
     void write(CoreId c, Addr addr, unsigned size);
 
     /**
+     * A non-allocating (streaming / non-temporal) store: the bytes
+     * enter core @p c's write-combining buffer, never the caches. A
+     * cached copy of the line is written back (if dirty) and dropped
+     * first. A line whose 64 bytes are all written leaves the buffer
+     * at once as one NVMM write -- no NVMM read, unlike a cached
+     * store's write-allocate fill. A partial line leaves as one write
+     * on sfence, on buffer overflow (oldest first), when any cached
+     * access or flush touches it, or on drainDirty(). Pending lines
+     * are lost by loseVolatileState(). sfence waits for these writes
+     * as it waits for a clflushopt's.
+     *
+     * @p store, if given, performs the store's functional effect on
+     * the backend's bytes. It runs after any cached copy was written
+     * back and before a completed line leaves, so each write carries
+     * exactly the bytes it should; trace replay passes none.
+     */
+    void writeStream(CoreId c, Addr addr, unsigned size,
+                     const std::function<void()> &store = {});
+
+    /**
      * clflushopt: flush the block of @p addr from the whole hierarchy,
      * writing it back if dirty. Weakly ordered; order with sfence.
      */
@@ -218,6 +250,9 @@ class Machine
     /** Dirty lines currently resident anywhere in the hierarchy. */
     unsigned totalDirtyLines() const;
 
+    /** Lines pending in the write-combining buffers of all cores. */
+    unsigned pendingStreamLines() const { return wcLines; }
+
     /**
      * Attach a trace recorder: every subsequent program-visible
      * operation is appended to it (see sim/trace.hh). Pass nullptr
@@ -227,6 +262,21 @@ class Machine
 
     /** Per-block NVMM wear summary for the current stats epoch. */
     WearSummary wearSummary() const;
+
+    /// NVMM writes and reads per block address for the current stats
+    /// epoch, for attributing traffic to address ranges.
+    /// @{
+    const std::unordered_map<Addr, std::uint64_t> &
+    blockWriteCounts() const
+    {
+        return blockWrites;
+    }
+    const std::unordered_map<Addr, std::uint64_t> &
+    blockReadCounts() const
+    {
+        return blockReads;
+    }
+    /// @}
     /// @}
 
   private:
@@ -266,6 +316,36 @@ class Machine
     /** Functionally persist a block and account the NVMM write. */
     void writebackToNvmm(CoreId c, Addr blk, WritebackCause cause);
 
+    /** Account one NVMM read of @p blk. */
+    void
+    noteNvmmRead(Addr blk)
+    {
+        ++s.nvmmReads;
+        ++blockReads[blk];
+    }
+
+    /**
+     * Send write-combining entry @p i of core @p c to NVMM as one
+     * write through the write port; sfence waits for it.
+     */
+    void flushWcEntry(CoreId c, std::size_t i);
+
+    /** Send the pending write-combined copy of @p blk, if any. */
+    void flushWcLine(Addr blk);
+
+    /**
+     * Hand @p blk to the MC write port as an asynchronous write of
+     * core @p c that sfence waits for (clflushopt, streaming stores).
+     */
+    void sendToNvmm(CoreId c, Addr blk, WritebackCause cause);
+
+    /**
+     * Clean every cached copy of @p blk: Shared with @p keep_line,
+     * else Invalid. Returns whether any copy was dirty; the caller
+     * writes it back.
+     */
+    bool dropCopies(Addr blk, bool keep_line);
+
     /** Record that @p blk became dirty at time @p now (if not yet). */
     void markDirty(Addr blk, Cycles now);
 
@@ -296,6 +376,23 @@ class Machine
     static constexpr unsigned streamBufEntries = 12;
     std::vector<std::vector<Addr>> streamBuf;
 
+    /** A line being assembled by streaming stores. */
+    struct WcLine
+    {
+        Addr blk;
+        std::uint64_t mask;  ///< bit i: byte i of the line written
+    };
+
+    /**
+     * Per-core write-combining buffers, oldest entry first: the
+     * store-side twin of streamBuf. Unlike streamBuf they carry
+     * state that matters -- which bytes are pending -- so a crash
+     * discards them and any cached access drains the line first.
+     */
+    static constexpr unsigned wcBufEntries = 10;
+    std::vector<std::vector<WcLine>> wcBuf;
+    unsigned wcLines = 0;  ///< entries across all cores
+
     std::vector<Cycles> clk;
     std::vector<std::vector<Cycles>> flushQ;  ///< per-core completions
     Cycles writePortFreeAt = 0;
@@ -305,6 +402,9 @@ class Machine
 
     /** NVMM writes per block (wear tracking; reset with stats). */
     std::unordered_map<Addr, std::uint64_t> blockWrites;
+
+    /** NVMM reads per block (reset with stats). */
+    std::unordered_map<Addr, std::uint64_t> blockReads;
 
     /** execCycles() at the last resetStats(); snapshot reports the
      *  cycles of the current stats epoch. */

@@ -41,6 +41,12 @@ TraceBuffer::replayInto(Machine &machine) const
           case TraceOp::Tick:
             machine.tick(c, r.arg);
             break;
+          case TraceOp::ReadStream:
+            machine.readStream(c, r.arg, r.size);
+            break;
+          case TraceOp::WriteStream:
+            machine.writeStream(c, r.arg, r.size);
+            break;
         }
     }
 }

@@ -3,13 +3,14 @@
  * Memory-trace recording and replay.
  *
  * A TraceBuffer captures the exact operation stream a workload
- * drives into the Machine (reads, writes, flushes, fences, compute
- * ticks, per core). Because the simulator's behaviour depends only
- * on that stream -- never on data values -- replaying a trace into a
- * fresh machine reproduces every statistic bit-for-bit, and
- * replaying it into machines with *different* configurations sweeps
- * the design space (cache sizes, NVMM latencies, cleaner settings)
- * without re-executing the kernel: the gem5 "trace CPU" workflow.
+ * drives into the Machine (reads, writes, their streaming variants,
+ * flushes, fences, compute ticks, per core). Because the simulator's
+ * behaviour depends only on that stream -- never on data values --
+ * replaying a trace into a fresh machine reproduces every statistic
+ * bit-for-bit, and replaying it into machines with *different*
+ * configurations sweeps the design space (cache sizes, NVMM
+ * latencies, cleaner settings) without re-executing the kernel: the
+ * gem5 "trace CPU" workflow.
  *
  * Records are fixed 16-byte entries; traces serialize to a flat file
  * with a small header.
@@ -38,6 +39,8 @@ enum class TraceOp : std::uint8_t
     Clwb,
     Fence,
     Tick,
+    ReadStream,   ///< non-allocating load
+    WriteStream,  ///< non-allocating (write-combined) store
 };
 
 /** One fixed-size trace record. */
@@ -69,6 +72,20 @@ class TraceBuffer
     write(CoreId c, Addr a, unsigned size)
     {
         append({TraceOp::Write, narrowCore(c),
+                static_cast<std::uint16_t>(size), 0, a});
+    }
+
+    void
+    readStream(CoreId c, Addr a, unsigned size)
+    {
+        append({TraceOp::ReadStream, narrowCore(c),
+                static_cast<std::uint16_t>(size), 0, a});
+    }
+
+    void
+    writeStream(CoreId c, Addr a, unsigned size)
+    {
+        append({TraceOp::WriteStream, narrowCore(c),
                 static_cast<std::uint16_t>(size), 0, a});
     }
 

@@ -108,12 +108,15 @@ struct MediaCounters
 
 /**
  * Host-pointer map of one shard's media-protected structures, for
- * fault injection (pmem/fault.hh, `lazyper_cli inject`) and the
- * corruption-matrix tests. Null / zero fields simply do not exist
- * for the backend (only LP has a journal and parity).
+ * fault injection (pmem/fault.hh, `lazyper_cli inject`), the
+ * corruption-matrix tests, and attributing NVMM traffic to structures
+ * (store/driver.hh). Null / zero fields simply do not exist for the
+ * backend (only LP has a journal and parity).
  */
 struct FaultSurface
 {
+    const void *table = nullptr;         ///< slot table (all shards)
+    std::size_t tableBytes = 0;
     const void *metaPrimary = nullptr;   ///< 64B shard superblock
     const void *metaReplica = nullptr;   ///< its 64B replica
     const void *journal = nullptr;       ///< journal record buffer
@@ -305,18 +308,21 @@ class PersistencyBackend
         }
         metas_.push_back(m);
         replicas_.push_back(r);
+        lives_.push_back(0);
         media_.emplace_back();
         return m;
     }
 
     /**
-     * Store (@p epoch, @p flags) + check word into both superblock
-     * copies and flush them; the caller's fence orders the pair.
+     * Store (@p epoch, @p flags with the shard's life) + check word
+     * into both superblock copies and flush them; the caller's fence
+     * orders the pair.
      */
     void
     persistMeta(Env &env, int shard, std::uint64_t epoch,
                 std::uint64_t flags)
     {
+        flags |= lives_[std::size_t(shard)] << shardLifeShift;
         const std::uint64_t check =
             repair::shardMetaCheck(epoch, flags);
         for (ShardMeta *c : {metas_[std::size_t(shard)],
@@ -337,6 +343,19 @@ class PersistencyBackend
         bool ok = false;     ///< at least one copy validated
     };
 
+    /** Life of @p shard as its superblock last recorded it. */
+    std::uint64_t
+    life(int shard) const
+    {
+        return lives_[std::size_t(shard)];
+    }
+
+    /**
+     * Start a new life of @p shard (LP recovery epilogue); the next
+     * persistMeta() makes it durable.
+     */
+    void beginLife(int shard) { ++lives_[std::size_t(shard)]; }
+
     /**
      * Validate the superblock pair, repairing a check-invalid copy
      * from its valid twin (a media fault by the block-atomicity
@@ -346,7 +365,9 @@ class PersistencyBackend
      * invalid is unrepairable: quarantine. Strict (clean-shutdown)
      * mode is granted only when it is provable: both copies valid
      * and flagged clean at the same epoch, or one copy rotted but
-     * the surviving valid copy is flagged clean.
+     * the surviving valid copy is flagged clean. The adopted copy's
+     * life becomes life(shard) (the higher one when the epochs
+     * tie).
      */
     MetaState
     auditMeta(Env &env, int shard, RecoveryReport *rep)
@@ -363,11 +384,22 @@ class PersistencyBackend
             env.ld(&r->check) == repair::shardMetaCheck(re, rf);
         env.tick(8);
         MetaState st;
+        const auto lifeOf = [](std::uint64_t f) {
+            return f >> shardLifeShift;
+        };
+        // Take @p f's life as the shard's; returns the other flags.
+        const auto adopt = [&](std::uint64_t f) {
+            lives_[std::size_t(shard)] = lifeOf(f);
+            return f & ((1ull << shardLifeShift) - 1);
+        };
         if (pOk && rOk) {
             st.ok = true;
             if (pe == re) {
                 st.epoch = pe;
                 st.clean = (pf & rf & shardCleanShutdown) != 0;
+                // A crash between the copies of a recovery's life
+                // advance: either life is safe, as none wrote yet.
+                adopt(lifeOf(pf) > lifeOf(rf) ? pf : rf);
             } else {
                 // Crash between the copies' drains: the fold's data
                 // fence precedes the meta store, so the higher epoch
@@ -375,6 +407,7 @@ class PersistencyBackend
                 // too -- replay is idempotent). Resync silently.
                 st.epoch = pe > re ? pe : re;
                 st.clean = false;
+                adopt(pe > re ? pf : rf);
                 persistMeta(env, shard, st.epoch, 0);
                 env.sfence();
             }
@@ -384,7 +417,7 @@ class PersistencyBackend
             // One copy rotted (an invalid check cannot come from a
             // crash): restore it from the valid twin.
             const std::uint64_t e = pOk ? pe : re;
-            const std::uint64_t f = pOk ? pf : rf;
+            const std::uint64_t f = adopt(pOk ? pf : rf);
             persistMeta(env, shard, e, f);
             env.sfence();
             noteRepaired(shard, rep, 1);
@@ -430,6 +463,8 @@ class PersistencyBackend
     StoreContext<Env> ctx_;
     std::vector<ShardMeta *> metas_;
     std::vector<ShardMeta *> replicas_;
+    /// Per shard: the life persistMeta() stores (see shardLifeShift).
+    std::vector<std::uint64_t> lives_;
     /// Deque: atomics must never relocate (acceptor threads read).
     std::deque<MediaCounters> media_;
 };

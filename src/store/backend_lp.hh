@@ -3,14 +3,20 @@
  * The Lazy Persistency backend of `lp::store`.
  *
  * Mutations append journal records and update a running checksum
- * with PLAIN STORES -- no flush, no fence. Every batchOps mutations
- * close an epoch: the batch's digest is stored (again lazily) into
- * the shared KeyedChecksumTable, exactly the Figure 8 region-commit
- * idiom. Dirty journal and digest lines drain to NVMM by natural
+ * -- no flush, no fence. Every batchOps mutations (or fewer, at a
+ * group-commit deadline) close an epoch: the journal seals the batch
+ * with a trailer record and the batch's digest is stored (with plain
+ * stores) into the shared KeyedChecksumTable, exactly the Figure 8
+ * region-commit idiom. Journal records are STREAMING stores: each
+ * journal line is written once, front to back, and leaves the core's
+ * write-combining buffer for NVMM as one write when full -- no
+ * write-allocate read, no cache pollution -- while a partial tail
+ * line waits in the buffer. Digest lines drain to NVMM by natural
  * cache evictions. Every foldBatches committed batches the shard
- * FOLDS: journal and digests are pinned with flushes + one fence,
- * the coalesced last-op-per-key effects are applied to the table
- * with Eager Persistency, and the shard's durable watermark
+ * FOLDS: digests are pinned with flushes and one fence, which also
+ * drains the journal's partial tail line; then the coalesced
+ * last-op-per-key effects are applied to the table with Eager
+ * Persistency, and the shard's durable watermark
  * (ShardMeta::foldedEpoch) advances. The fold is the Section VI-A
  * periodic flush: it bounds journal space and recovery replay
  * length.
@@ -30,9 +36,10 @@
  * only structure whose loss silently loses committed data, so it
  * gets the heaviest protection: a repair::RegionParity instance per
  * shard fingerprints and XOR-folds every sealed 64B journal region
- * at commit time (plain stores -- they drain with the lines they
- * protect). Batch digests get a full REPLICA table written beside
- * the primary; recovery accepts a batch if either copy validates.
+ * at commit time, from the words the journal just streamed out
+ * (plain stores -- they drain with the lines they protect). Batch
+ * digests get a full REPLICA table written beside the primary;
+ * recovery accepts a batch if either copy validates.
  * The shard superblock pair is the base class's. Crash tears and
  * media faults are disambiguated by the clean-shutdown flag
  * (store/layout.hh): recovery after a PROVEN clean shutdown runs
@@ -42,10 +49,11 @@
  * counts repairs the fingerprints prove.
  *
  * Recovery. Per shard, arbitrate the superblock pair for the durable
- * foldedEpoch W and walk the journal from offset 0 expecting epochs
- * W+1, W+2, ... (the BatchJournal::replay walk): check the header
- * tag, recompute the digest over the records that actually reached
- * NVMM, and compare against the checksum-table pair. On the first
+ * foldedEpoch W and the shard's life, and walk the journal from
+ * offset 0 expecting epochs W+1, W+2, ... (the BatchJournal::replay
+ * walk): find each batch's trailer and check its tag, recompute the
+ * life-salted digest over the records that actually reached NVMM,
+ * and compare against the checksum-table pair. On the first
  * validation failure the parity sweep runs once and the position is
  * retried. Accepted batches are replayed into the table with Eager
  * Persistency (Section III-E: recovery uses EP so it always makes
@@ -57,7 +65,11 @@
  * ops, (b) deletes tombstone rather than empty slots, and (c) the
  * insert probe scans the whole chain up to the first never-used slot
  * before reusing a tombstone, so a half-drained earlier apply of the
- * same key is always found and reused, never duplicated.
+ * same key is always found and reused, never duplicated. The
+ * epilogue starts a new life: epoch numbers restart at the recovered
+ * watermark, and batches the crashed life left on media past it --
+ * records, trailers and digests alike -- must never validate again,
+ * so the next life salts its digests differently.
  */
 
 #ifndef LP_STORE_BACKEND_LP_HH
@@ -119,7 +131,8 @@ class LpBackend : public PersistencyBackend<Env>
             // Fold first if the journal lacks room for a full batch.
             if (!sh.journal->roomFor(cfg().batchOps))
                 fold(env, shard);
-            sh.journal->open(env, pl.beginEpoch(), sh.acc);
+            pl.beginEpoch();
+            sh.journal->open(env, sh.acc);
         }
         const std::uint64_t epoch = pl.openEpoch();
         sh.journal->append(env, op, key, value, epoch, sh.acc,
@@ -134,11 +147,12 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
     /**
-     * Close the open batch: seal the journal header into the digest
-     * and store the digest into BOTH checksum tables, at the epoch's
-     * home slot (checksumEpochSlot: consecutive epochs share a
-     * block), then extend parity coverage over the newly sealed
-     * regions -- all with plain stores (the Figure 8 commit). No
+     * Close the open batch: append the journal trailer, fold it into
+     * the digest and store the digest into BOTH checksum tables, at
+     * the epoch's home slot (checksumEpochSlot: consecutive epochs
+     * share a block), then extend parity coverage over the newly
+     * sealed regions from the words the journal just stored -- all
+     * with plain or streaming stores (the Figure 8 commit). No
      * flush, no fence.
      */
     void
@@ -157,8 +171,7 @@ class LpBackend : public PersistencyBackend<Env>
         obs::Span span(obs::ringOf(ob), "epoch_commit", epoch,
                        pl.openTraceId());
         obs::ScopedTimer timer(ob ? &ob->commitNs : nullptr);
-        sh.journal->seal(env, std::uint64_t(pl.stagedOps()), epoch,
-                         sh.acc, ckCost());
+        sh.journal->seal(env, epoch, sh.acc, ckCost());
         const std::uint64_t ckey =
             checksumEpochKey(shard, epoch, window_);
         const std::size_t home = checksumEpochSlot(shard, epoch, window_);
@@ -168,16 +181,20 @@ class LpBackend : public PersistencyBackend<Env>
         const std::size_t s2 = ckreplica_->claimSlot(ckey, home);
         env.st(ckreplica_->keyPtr(s2), ckey);
         env.st(ckreplica_->digestPtr(s2), sh.acc.value());
-        sh.parity->cover(env, epoch, sh.journal->sealedBytes());
+        sh.parity->cover(
+            env, epoch, sh.journal->sealedBytes(),
+            sh.journal->storedWords(sh.parity->coveredRegions()));
         pl.commitEpoch();
         env.onRegionCommit();
     }
 
     /**
      * Eager checkpoint of one shard (Section VI-A periodic flush):
-     * (a) pin the journal and this window's digests (both copies) in
-     *     NVMM, so every batch the fold applies is one recovery
-     *     would accept;
+     * (a) pin this window's digests (both copies) in NVMM and fence,
+     *     which also drains the journal's partial tail line from the
+     *     write-combining buffer (its full lines were written as
+     *     they filled), so every batch the fold applies is one
+     *     recovery would accept;
      * (b) apply the coalesced last op per key to the table with
      *     Eager Persistency -- one table write per DISTINCT key in
      *     the window, which is where LP's write savings over per-op
@@ -202,7 +219,6 @@ class LpBackend : public PersistencyBackend<Env>
         obs::ShardObs *ob = pl.obs();
         obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted());
         obs::ScopedTimer timer(ob ? &ob->foldNs : nullptr);
-        sh.journal->flushAll(env);
         std::vector<std::uintptr_t> blocks;
         for (std::uint64_t e = pl.foldedEpoch() + 1;
              e <= pl.lastCommitted(); ++e) {
@@ -254,6 +270,7 @@ class LpBackend : public PersistencyBackend<Env>
         }
         const bool strict = ms.clean;
         const std::uint64_t base = ms.epoch;
+        sh.journal->setLife(this->life(shard));
         const bool hdrOk = sh.parity->loadDurable(env);
         if (strict && !hdrOk) {
             // No crash happened, so the parity header was rotted: a
@@ -480,14 +497,17 @@ class LpBackend : public PersistencyBackend<Env>
     };
 
     /**
-     * Recovery epilogue: restate the superblock pair at @p committed
-     * with the clean flag CLEARED (we are running again), restart
-     * the journal/parity generation, and rebase the pipeline.
+     * Recovery epilogue: start a new life and restate the superblock
+     * pair at @p committed with it and with the clean flag CLEARED
+     * (we are running again), restart the journal/parity generation,
+     * and rebase the pipeline.
      */
     void
     resetShard(Env &env, Shard &sh, int shard,
                std::uint64_t committed, RecoveryReport &rep)
     {
+        this->beginLife(shard);
+        sh.journal->setLife(this->life(shard));
         if (!this->quarantined(shard))
             this->persistMeta(env, shard, committed, 0);
         sh.parity->resetGeneration(env, committed);

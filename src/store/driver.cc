@@ -83,6 +83,68 @@ sumPipelineCounters(const KvStore<Env> &store)
     return sum;
 }
 
+/**
+ * Attribute @p m's per-block NVMM writes and reads to the structures
+ * of @p store and the flight ring (kNvmmStructures order), per
+ * mutation.
+ */
+std::vector<NvmmTraffic>
+nvmmByStructure(const sim::Machine &m, const pmem::PersistentArena &arena,
+                const KvStore<kernels::SimEnv> &store,
+                const obs::FlightRing &flight, std::uint64_t mutations)
+{
+    enum : std::size_t { Table, Journal, Digests, DigestReplica, Parity,
+                         Fingerprints, ParityHeader, Superblocks,
+                         Flight, Other };
+    static_assert(std::size(kNvmmStructures) == Other + 1);
+    struct Range
+    {
+        Addr lo, hi;
+        std::size_t what;
+    };
+    std::vector<Range> ranges;
+    const auto add = [&](std::size_t what, const void *p,
+                         std::size_t bytes) {
+        if (p != nullptr && bytes > 0)
+            ranges.push_back({arena.addrOf(p), arena.addrOf(p) + bytes,
+                              what});
+    };
+    for (int s = 0; s < store.config().shards; ++s) {
+        const FaultSurface fs = store.faultSurface(s);
+        if (s == 0) {
+            add(Table, fs.table, fs.tableBytes);
+            add(Digests, fs.digests, fs.digestBytes);
+            add(DigestReplica, fs.digestReplica, fs.digestReplicaBytes);
+        }
+        add(Journal, fs.journal, fs.journalBytes);
+        add(Parity, fs.parity, fs.parityBytes);
+        add(Fingerprints, fs.parityHashes, fs.parityHashBytes);
+        add(ParityHeader, fs.parityHeader,
+            fs.parityHeader ? blockBytes : 0);
+        add(Superblocks, fs.metaPrimary, sizeof(ShardMeta));
+        add(Superblocks, fs.metaReplica, sizeof(ShardMeta));
+    }
+    add(Flight, flight.raw(), obs::FlightRing::bytesFor(flight.capacity()));
+    std::sort(ranges.begin(), ranges.end(),
+              [](const Range &a, const Range &b) { return a.lo < b.lo; });
+    const auto structureOf = [&](Addr blk) {
+        auto it = std::upper_bound(
+            ranges.begin(), ranges.end(), blk,
+            [](Addr a, const Range &r) { return a < r.lo; });
+        if (it == ranges.begin() || blk >= (--it)->hi)
+            return std::size_t(Other);
+        return it->what;
+    };
+
+    std::vector<NvmmTraffic> out(std::size(kNvmmStructures));
+    const double muts = mutations == 0 ? 1.0 : double(mutations);
+    for (const auto &[blk, n] : m.blockWriteCounts())
+        out[structureOf(blk)].writesPerMut += double(n) / muts;
+    for (const auto &[blk, n] : m.blockReadCounts())
+        out[structureOf(blk)].readsPerMut += double(n) / muts;
+    return out;
+}
+
 } // namespace
 
 StoreRunResult
@@ -138,6 +200,8 @@ runStoreYcsb(Backend b, const StoreConfig &scfg, const YcsbParams &p,
     const double seconds =
         out.execCycles / (mcfg.clockGhz * 1e9);
     out.opsPerSec = seconds == 0.0 ? 0.0 : double(p.ops) / seconds;
+    out.nvmmByStructure = nvmmByStructure(ctx.machine, ctx.arena, store,
+                                          flight, c.mutations);
     out.verified =
         mapsEqual(store.snapshot(), golden) && c.scanErrors == 0;
     return out;

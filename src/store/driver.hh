@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "obs/trace.hh"
 #include "sim/config.hh"
@@ -119,6 +120,21 @@ ycsbMix(Env &env, KvStore<Env> &store, const YcsbParams &p,
     return c;
 }
 
+/** NVMM traffic of one store structure, per mix mutation. */
+struct NvmmTraffic
+{
+    double writesPerMut = 0.0;
+    double readsPerMut = 0.0;
+};
+
+/** Structure names nvmmByStructure reports, in order. */
+inline constexpr const char *kNvmmStructures[] = {
+    "table",         "journal",      "digests",
+    "digest_replica", "parity",      "fingerprints",
+    "parity_header", "superblocks",  "flight_ring",
+    "other",
+};
+
 /** Result of one simulated YCSB run (stats cover the mix only). */
 struct StoreRunResult
 {
@@ -150,6 +166,14 @@ struct StoreRunResult
     std::uint64_t opsStaged = 0;
     std::uint64_t epochsCommitted = 0;
     std::uint64_t folds = 0;
+
+    /**
+     * Mix-phase NVMM writes and reads per mutation by structure, in
+     * kNvmmStructures order: each block is attributed to the
+     * FaultSurface range (or the flight ring) holding it, "other"
+     * takes the rest (the WAL's log). Host-side bookkeeping only.
+     */
+    std::vector<NvmmTraffic> nvmmByStructure;
 
     /** Final persistent map equals the golden host-side replay. */
     bool verified = false;

@@ -5,32 +5,46 @@
  * stores), and the validated replay walk recovery runs.
  *
  * Journal records are 16B, four to a 64B block, and the journal base
- * is block-aligned, so no record ever straddles a block. A record
- * stores only what replay applies; its epoch and in-batch index are
- * not stored but folded into the batch digest as a per-word salt
- * (journalSalt). A stale record from an earlier journal generation --
- * even one sitting at the same position of a permutation of the new
- * batch -- therefore still fails validation, because it is salted as
- * the epoch and index it would have to belong to. The journal array
- * restarts at offset 0 after each fold.
+ * is block-aligned, so no record ever straddles a block. A batch is
+ * its records followed by a TRAILER {slotEmptyKey, makeTag(Seal,
+ * epoch)}; slotEmptyKey is never a record's first word, so the first
+ * one a walk meets closes the batch. Every journal byte is written
+ * exactly once, front to back, with streaming stores (Env::stStream):
+ * the lines bypass the cache and a full line reaches NVMM as one
+ * write with no read, as PM redo logs are written on x86. A partial
+ * tail line waits in the core's write-combining buffer until the
+ * line fills or the fold's fence drains it.
  *
- * The journal owns the CURSORS (tail, open-batch header index) and
- * the store/checksum mechanics; epoch numbering and batch/fold
- * accounting are the CommitPipeline's (engine/commit_pipeline.hh),
- * and which epochs a digest lookup accepts is the LP backend's
- * (backend_lp.hh). Geometry helpers shared with arena budgeting are
- * non-template and live in journal.cc.
+ * A record stores only what replay applies; its epoch and in-batch
+ * index are not stored but folded into the batch digest as a
+ * per-word salt (journalSalt), together with the shard's LIFE -- a
+ * counter kept in the superblock and advanced by every recovery. A
+ * stale record from an earlier journal generation -- even one sitting
+ * at the same position of a permutation of the new batch -- therefore
+ * still fails validation, because it is salted as the epoch and index
+ * it would have to belong to; and a batch a crashed life left behind
+ * fails under the next life's salt even though epoch numbers restart
+ * at the recovered watermark. The journal array restarts at offset 0
+ * after each fold.
+ *
+ * The journal owns the CURSORS (tail, open-batch start) and the
+ * store/checksum mechanics; epoch numbering and batch/fold accounting
+ * are the CommitPipeline's (engine/commit_pipeline.hh), and which
+ * epochs a digest lookup accepts is the LP backend's (backend_lp.hh).
+ * Geometry helpers shared with arena budgeting are non-template and
+ * live in journal.cc.
  */
 
 #ifndef LP_STORE_JOURNAL_HH
 #define LP_STORE_JOURNAL_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "ep/pmem_ops.hh"
 #include "lp/checksum.hh"
 #include "repair/repair.hh"
 #include "store/layout.hh"
@@ -39,21 +53,21 @@ namespace lp::store
 {
 
 /**
- * Journal record type. Only a header stores its type (in its tag);
+ * Journal record type. Only a trailer stores its type (in its tag);
  * Put and Del records are told apart by their first word.
  */
 enum class JOp : std::uint8_t
 {
-    Header = 0,  ///< batch header: {makeTag(Header, epoch), op count}
-    Put = 1,     ///< stored as {key, value}
-    Del = 2,     ///< stored as {slotTombstoneKey, key}
+    Seal = 0,  ///< batch trailer: {slotEmptyKey, makeTag(Seal, epoch)}
+    Put = 1,   ///< stored as {key, value}
+    Del = 2,   ///< stored as {slotTombstoneKey, key}
 };
 
 /**
  * One journal record, 16B (four per block). Put is {key, value}; Del
  * is {slotTombstoneKey, key}, unambiguous because slotTombstoneKey is
- * above maxUserKey; the batch header is {makeTag(Header, epoch),
- * op count}.
+ * above maxUserKey; the batch trailer is {slotEmptyKey,
+ * makeTag(Seal, epoch)}.
  */
 struct JEntry
 {
@@ -73,6 +87,13 @@ struct JEntry
         return op == JOp::Del ? JEntry{slotTombstoneKey, key}
                               : JEntry{key, value};
     }
+
+    /** The trailer sealing @p epoch's batch. */
+    static JEntry
+    trailer(std::uint64_t epoch)
+    {
+        return JEntry{slotEmptyKey, makeTag(JOp::Seal, epoch)};
+    }
 };
 
 static_assert(sizeof(JEntry) == 16);
@@ -83,25 +104,31 @@ static_assert(blockBytes % sizeof(JEntry) == 0,
 inline constexpr std::uint64_t journalSaltCost = 8;
 
 /**
- * Digest salt of digested word @p word (header words 0 and 1, record
- * i words 2i and 2i+1) of the batch of @p epoch. It is ADDED to the
- * word before the word enters the checksum: an XOR salt would cancel
- * out of a Parity digest for a permuted batch, an additive one
- * carries into the folded bits and does not.
+ * Digest salt of digested word @p word (trailer words 0 and 1, record
+ * i words 2i and 2i+1, i from 1) of the batch of @p epoch written in
+ * shard life @p life. It is ADDED to the word before the word enters
+ * the checksum: an XOR salt would cancel out of a Parity digest for a
+ * permuted batch, an additive one carries into the folded bits and
+ * does not.
  */
 inline std::uint64_t
-journalSalt(std::uint64_t epoch, std::uint64_t word)
+journalSalt(std::uint64_t life, std::uint64_t epoch, std::uint64_t word)
 {
-    return repair::mix64(epoch * 0x9e3779b97f4a7c15ull + word);
+    return repair::mix64((epoch ^ (life << 40)) * 0x9e3779b97f4a7c15ull +
+                         word);
 }
 
-/** Fold record @p index (0 = header) of @p epoch's batch into @p acc. */
+/**
+ * Fold record @p index (0 = the trailer, which digests as {tag,
+ * record count}) of @p epoch's batch of life @p life into @p acc.
+ */
 inline void
-digestRecord(core::ChecksumAcc &acc, std::uint64_t epoch,
-             std::uint64_t index, std::uint64_t key, std::uint64_t value)
+digestRecord(core::ChecksumAcc &acc, std::uint64_t life,
+             std::uint64_t epoch, std::uint64_t index, std::uint64_t key,
+             std::uint64_t value)
 {
-    acc.addWord(key + journalSalt(epoch, 2 * index));
-    acc.addWord(value + journalSalt(epoch, 2 * index + 1));
+    acc.addWord(key + journalSalt(life, epoch, 2 * index));
+    acc.addWord(value + journalSalt(life, epoch, 2 * index + 1));
 }
 
 /** Journal entry capacity for @p cfg: foldBatches + slack batches. */
@@ -135,9 +162,10 @@ std::size_t checksumEpochSlot(int shard, std::uint64_t epoch,
 
 /**
  * One shard's batch journal: an append cursor over a fixed arena
- * allocation of JEntry records. All stores go through the Env with
- * PLAIN STORES -- no flush, no fence -- exactly the Lazy Persistency
- * discipline; flushAll() is the fold's eager pin.
+ * allocation of JEntry records. Appends are STREAMING stores through
+ * the Env -- no flush, no fence -- so they keep the Lazy Persistency
+ * discipline while never allocating in (or reading into) the cache;
+ * the fold's fence is the only eager pin.
  */
 template <typename Env>
 class BatchJournal
@@ -164,7 +192,26 @@ class BatchJournal
     }
     /// @}
 
-    /** Room for a header plus @p batchOps records? */
+    /**
+     * The words of 64B region @p r exactly as the appender stored
+     * them, and those of every later region written so far. Parity
+     * coverage takes them from here instead of loading the streamed
+     * lines back from NVMM. Valid for any region not yet complete
+     * when the open (or last sealed) batch opened.
+     */
+    const std::uint64_t *
+    storedWords(std::size_t r) const
+    {
+        const std::size_t w = r * repair::regionWords;
+        LP_ASSERT(w >= freshBase_ && w - freshBase_ <= fresh_.size(),
+                  "region words already dropped");
+        return fresh_.data() + (w - freshBase_);
+    }
+
+    /** Shard life the digests are salted with (see journalSalt). */
+    void setLife(std::uint64_t life) { life_ = life; }
+
+    /** Room for @p batchOps records plus the trailer? */
     bool
     roomFor(int batchOps) const
     {
@@ -172,17 +219,23 @@ class BatchJournal
     }
 
     /**
-     * Open a batch for @p epoch: append the header (its op count is
-     * filled at seal time) and reset @p acc for the batch digest.
+     * Open a batch for the next epoch and reset @p acc for its
+     * digest. Nothing is stored until the first record: the trailer
+     * is written last, at seal.
      */
     void
-    open(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc)
+    open(Env &env, core::ChecksumAcc &acc)
     {
         LP_ASSERT(!batchOpen(), "batch already open");
-        batchStart_ = tail_++;
-        JEntry &h = buf_[batchStart_];
-        env.st(&h.key, JEntry::makeTag(JOp::Header, epoch));
-        env.st(&h.value, std::uint64_t{0});  // op count, filled at seal
+        batchStart_ = tail_;
+        // Regions sealed before now were handed to parity at their
+        // commit; keep only the words of the partial tail region.
+        const std::size_t keep =
+            tail_ * 2 / repair::regionWords * repair::regionWords;
+        fresh_.erase(fresh_.begin(),
+                     fresh_.begin() +
+                         static_cast<std::ptrdiff_t>(keep - freshBase_));
+        freshBase_ = keep;
         acc.reset();
         env.tick(4);
     }
@@ -194,37 +247,29 @@ class BatchJournal
            std::uint64_t ckCost)
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "append out of bounds");
-        JEntry &e = buf_[tail_];
         const JEntry rec = JEntry::encode(op, key, value);
-        env.st(&e.key, rec.key);
-        env.st(&e.value, rec.value);
-        digestRecord(acc, epoch, tail_ - batchStart_, rec.key, rec.value);
+        put(env, rec);
+        digestRecord(acc, life_, epoch, tail_ - batchStart_, rec.key,
+                     rec.value);
         env.tick(recordCost(ckCost));
-        ++tail_;
     }
 
     /**
-     * Seal the open batch: finalize the header's op count and fold
-     * the header into the digest -- still plain stores; the caller
-     * publishes the digest to commit.
+     * Seal the open batch: append its trailer and fold the trailer
+     * (as {tag, record count}) into the digest -- still streaming
+     * stores; the caller publishes the digest to commit.
      */
     void
-    seal(Env &env, std::uint64_t count, std::uint64_t epoch,
-         core::ChecksumAcc &acc, std::uint64_t ckCost)
+    seal(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc,
+         std::uint64_t ckCost)
     {
-        LP_ASSERT(batchOpen(), "no open batch");
-        env.st(&buf_[batchStart_].value, count);
-        digestRecord(acc, epoch, 0, JEntry::makeTag(JOp::Header, epoch),
-                     count);
+        LP_ASSERT(batchOpen() && tail_ < cap_, "no open batch");
+        const JEntry t = JEntry::trailer(epoch);
+        const std::uint64_t count = tail_ - batchStart_;
+        put(env, t);
+        digestRecord(acc, life_, epoch, 0, t.value, count);
         env.tick(recordCost(ckCost));
         batchStart_ = npos;
-    }
-
-    /** Eagerly flush every appended record (no fence). */
-    void
-    flushAll(Env &env)
-    {
-        ep::flushRange(env, buf_, tail_ * sizeof(JEntry));
     }
 
     /** Restart at offset 0 (after a fold or recovery). */
@@ -233,21 +278,23 @@ class BatchJournal
     {
         tail_ = 0;
         batchStart_ = npos;
+        fresh_.clear();
+        freshBase_ = 0;
     }
 
     /**
      * Recovery walk (see the recovery story in backend_lp.hh): from
-     * offset 0, expect epochs base+1, base+2, ...; recompute each
-     * batch's digest over what actually reached NVMM and ask
-     * @p matches(epoch, digest) to accept it. Accepted batches replay
-     * through @p apply(isPut, key, value) per record, then
-     * @p batchDone() (the backend's flush + fence). Stops at the
+     * offset 0, expect epochs base+1, base+2, ...; find each batch's
+     * trailer, recompute its digest over what actually reached NVMM
+     * and ask @p matches(epoch, digest) to accept it. Accepted
+     * batches replay through @p apply(isPut, key, value) per record,
+     * then @p batchDone() (the backend's flush + fence). Stops at the
      * first batch failing validation -- appends are sequential, so
      * durability is prefix-shaped. Returns the last committed epoch.
      *
      * @p repairFn is the media-repair hook: on the FIRST validation
-     * failure of any kind (header tag mismatch included -- a rotted
-     * header looks exactly like the clean end of the journal) it is
+     * failure of any kind (a missing trailer included -- a rotted
+     * trailer looks exactly like the clean end of the journal) it is
      * invoked once; if it reports that it changed anything, the
      * failing position is re-validated once before the failure is
      * made final. Pass a `[]{ return false; }` thunk to opt out.
@@ -278,7 +325,7 @@ class BatchJournal
                     ++rep.batchesDiscarded;
                 break;
             }
-            for (std::uint64_t i = 1; i <= count; ++i) {
+            for (std::uint64_t i = 0; i < count; ++i) {
                 JEntry &je = buf_[pos + i];
                 const std::uint64_t k = env.ld(&je.key);
                 const std::uint64_t v = env.ld(&je.value);
@@ -290,7 +337,7 @@ class BatchJournal
             }
             batchDone();
             ++rep.batchesReplayed;
-            pos += 1 + count;
+            pos += count + 1;
             ++e;
         }
         return e - 1;
@@ -316,7 +363,7 @@ class BatchJournal
                 checkBatch(env, cfg, pos, e, matches, count) !=
                     Check::Valid)
                 return false;
-            pos += 1 + count;
+            pos += count + 1;
         }
         return true;
     }
@@ -325,8 +372,8 @@ class BatchJournal
     /** Outcome of validating the batch expected at one position. */
     enum class Check
     {
-        NoHeader,  ///< no header of the expected epoch: journal end
-        Invalid,   ///< header found, but shape or digest fails
+        NoTrailer,  ///< no trailer of the expected epoch: journal end
+        Invalid,    ///< trailer found, but shape or digest fails
         Valid,
     };
 
@@ -336,12 +383,24 @@ class BatchJournal
         return 2 * (ckCost + journalSaltCost);
     }
 
+    /** Stream @p rec into the tail slot and keep its words. */
+    void
+    put(Env &env, const JEntry &rec)
+    {
+        JEntry &e = buf_[tail_++];
+        env.stStream(&e.key, rec.key);
+        env.stStream(&e.value, rec.value);
+        fresh_.push_back(rec.key);
+        fresh_.push_back(rec.value);
+    }
+
     /**
-     * Validate the batch of epoch @p e whose header should sit at
-     * @p pos (< cap_): header tag, op count, record shape (no empty
-     * sentinel key, a Del names a user key), and the salted digest
-     * recomputed over what reached NVMM. On Valid, @p count is the
-     * batch's record count.
+     * Validate the batch of epoch @p e that should start at @p pos
+     * (< cap_): its trailer must be the first record within
+     * batchOps + 1 whose key is slotEmptyKey and carry @p e's tag;
+     * each record must have a legal shape (a Del names a user key);
+     * and the salted digest recomputed over what reached NVMM must
+     * match. On Valid, @p count is the batch's record count.
      */
     template <typename MatchFn>
     Check
@@ -350,35 +409,43 @@ class BatchJournal
     {
         const std::uint64_t ckCost =
             core::ChecksumAcc::updateCost(cfg.checksum);
-        JEntry &h = buf_[pos];
-        const std::uint64_t tag = JEntry::makeTag(JOp::Header, e);
-        if (env.ld(&h.key) != tag)
-            return Check::NoHeader;
-        count = env.ld(&h.value);
-        if (count > std::uint64_t(cfg.batchOps) || pos + 1 + count > cap_)
-            return Check::Invalid;
+        const std::uint64_t tag = JEntry::makeTag(JOp::Seal, e);
+        const std::size_t end =
+            std::min(cap_, pos + std::size_t(cfg.batchOps) + 1);
         core::ChecksumAcc acc(cfg.checksum);
         bool shapeOk = true;
-        for (std::uint64_t i = 1; i <= count; ++i) {
-            JEntry &je = buf_[pos + i];
+        for (std::size_t i = pos; i < end; ++i) {
+            JEntry &je = buf_[i];
             const std::uint64_t k = env.ld(&je.key);
             const std::uint64_t v = env.ld(&je.value);
-            digestRecord(acc, e, i, k, v);
+            if (k == slotEmptyKey) {
+                if (v != tag)
+                    return Check::NoTrailer;
+                count = i - pos;
+                digestRecord(acc, life_, e, 0, tag, count);
+                env.tick(recordCost(ckCost));
+                return shapeOk && matches(e, acc.value())
+                           ? Check::Valid
+                           : Check::Invalid;
+            }
+            digestRecord(acc, life_, e, i - pos + 1, k, v);
             env.tick(recordCost(ckCost));
-            if (k == slotEmptyKey ||
-                (k == slotTombstoneKey && v > maxUserKey))
+            if (k == slotTombstoneKey && v > maxUserKey)
                 shapeOk = false;
         }
-        digestRecord(acc, e, 0, tag, count);
-        env.tick(recordCost(ckCost));
-        return shapeOk && matches(e, acc.value()) ? Check::Valid
-                                                  : Check::Invalid;
+        return Check::NoTrailer;
     }
 
     JEntry *buf_ = nullptr;
     std::size_t cap_ = 0;
     std::size_t tail_ = 0;
     std::size_t batchStart_ = npos;
+    std::uint64_t life_ = 0;
+
+    /// Words stored since the first region not yet complete when the
+    /// last batch opened; fresh_[0] is journal word freshBase_.
+    std::vector<std::uint64_t> fresh_;
+    std::size_t freshBase_ = 0;
 };
 
 } // namespace lp::store

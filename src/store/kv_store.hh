@@ -192,11 +192,17 @@ class KvStore
         return backend_->quarantined(shard);
     }
 
-    /** Where one shard's media-protected structures live (testing). */
+    /**
+     * Where one shard's media-protected structures, and the shared
+     * slot table, live (testing, traffic attribution).
+     */
     FaultSurface
     faultSurface(int shard) const
     {
-        return backend_->faultSurface(shard);
+        FaultSurface fs = backend_->faultSurface(shard);
+        fs.table = &table_.slot(0);
+        fs.tableBytes = table_.slotCount() * sizeof(KvSlot);
+        return fs;
     }
 
     /** Digest-slot address of one epoch's batch (testing). */

@@ -7,8 +7,8 @@
  * slots: key + value, linear probing with tombstones) fronted, per
  * shard, by a persistent batch journal (journal.hh). How those two
  * structures are made durable is the backend's choice (backend.hh):
- * the Lazy Persistency backend lets journal lines drain by natural
- * eviction and folds them into the table at periodic eager
+ * the Lazy Persistency backend streams journal lines to NVMM without
+ * flushes and folds them into the table at periodic eager
  * checkpoints; the eager backend persists every mutation in place;
  * the WAL backend wraps each batch in an undo-logged durable
  * transaction.
@@ -160,6 +160,16 @@ static_assert(sizeof(ShardMeta) == 64);
  */
 inline constexpr std::uint64_t shardCleanShutdown = 1ull << 0;
 
+/**
+ * ShardMeta::flags bits from this one up hold the shard's LIFE: a
+ * counter every LP recovery advances and the LP journal salts its
+ * batch digests with (journal.hh), so a batch a crashed life left on
+ * media never validates in a later life, even though epoch numbers
+ * restart at the recovered watermark. Eager and WAL shards stay at
+ * life 0.
+ */
+inline constexpr unsigned shardLifeShift = 8;
+
 /** What recover() found and repaired. */
 struct RecoveryReport
 {
@@ -170,7 +180,7 @@ struct RecoveryReport
     std::uint64_t entriesReplayed = 0;
 
     /**
-     * Batches whose header reached NVMM but whose body or digest
+     * Batches whose trailer reached NVMM but whose body or digest
      * failed validation -- the torn/incomplete work LP detects and
      * discards.
      */

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the simulated machine: hit/miss timing, writeback
- * and durability plumbing, flush/fence semantics, MESI-lite
- * coherence, volatility-duration tracking, and crash behaviour.
+ * and durability plumbing, flush/fence semantics, streaming loads
+ * and write-combined streaming stores, MESI-lite coherence,
+ * volatility-duration tracking, and crash behaviour.
  */
 
 #include <gtest/gtest.h>
@@ -215,6 +216,116 @@ TEST(Machine, BackToBackFlushesOverlap)
     const Cycles serialized =
         static_cast<Cycles>(n) * tinyConfig().nvmmWriteCycles();
     EXPECT_LT(overlapped, serialized / 2);
+}
+
+TEST(Machine, FullStreamedLineCostsOneWriteAndNoRead)
+{
+    Fixture f;
+    for (int i = 0; i < 8; ++i) {
+        f.data[i] = i + 1;
+        f.m.writeStream(0, f.addr(i), 8);
+    }
+    const MachineStats &st = f.m.machineStats();
+    EXPECT_EQ(st.streamStores.value(), 8u);
+    EXPECT_EQ(st.nvmmReads.value(), 0u);
+    EXPECT_EQ(st.nvmmWrites.value(), 1u);
+    EXPECT_EQ(st.streamWrites.value(), 1u);
+    EXPECT_EQ(f.m.pendingStreamLines(), 0u);
+    EXPECT_EQ(f.m.totalDirtyLines(), 0u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[7]), 8.0);
+}
+
+TEST(Machine, PartialStreamedLineDrainsAtSfence)
+{
+    Fixture f;
+    f.data[0] = 3.0;
+    f.m.writeStream(0, f.addr(0), 8);
+    f.m.writeStream(0, f.addr(1), 8);
+    EXPECT_EQ(f.m.pendingStreamLines(), 1u);
+    EXPECT_EQ(f.m.machineStats().nvmmWrites.value(), 0u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 0.0);
+    f.m.sfence(0);
+    EXPECT_EQ(f.m.pendingStreamLines(), 0u);
+    EXPECT_EQ(f.m.machineStats().streamWrites.value(), 1u);
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 0u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 3.0);
+}
+
+TEST(Machine, SfenceWaitsForStreamedLineLikeAFlush)
+{
+    // A dirty line flushed by clflushopt and a line filled by
+    // streaming stores reach the write port alike; sfence waits out
+    // the NVMM write either way.
+    const auto stall = [](bool streamed) {
+        Fixture f;
+        if (streamed) {
+            for (int i = 0; i < 8; ++i)
+                f.m.writeStream(0, f.addr(i), 8);
+        } else {
+            f.m.write(0, f.addr(0), 8);
+            f.m.clflushopt(0, f.addr(0));
+        }
+        const Cycles issued = f.m.coreCycles(0);
+        f.m.sfence(0);
+        EXPECT_GE(f.m.machineStats().fenceStallCycles.value(), 1u);
+        return f.m.coreCycles(0) - issued;
+    };
+    const Cycles flushStall = stall(false);
+    const Cycles streamStall = stall(true);
+    EXPECT_GE(streamStall, tinyConfig().nvmmWriteCycles());
+    EXPECT_GE(flushStall, tinyConfig().nvmmWriteCycles());
+    EXPECT_LE(streamStall > flushStall ? streamStall - flushStall
+                                       : flushStall - streamStall,
+              tinyConfig().l1.latency);
+}
+
+TEST(Machine, LoadOfPendingStreamedLineDrainsItFirst)
+{
+    Fixture f;
+    f.data[0] = 5.0;
+    f.m.writeStream(0, f.addr(0), 8);
+    f.m.read(1, f.addr(0), 8);  // any core's load
+    EXPECT_EQ(f.m.pendingStreamLines(), 0u);
+    EXPECT_EQ(f.m.machineStats().streamWrites.value(), 1u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 5.0);
+    // The load then misses like any uncached load.
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 1u);
+}
+
+TEST(Machine, StreamedStoreWritesBackDirtyCachedCopyFirst)
+{
+    Fixture f;
+    f.data[0] = 1.0;
+    f.m.write(0, f.addr(0), 8);
+    f.data[1] = 2.0;
+    f.m.writeStream(0, f.addr(1), 8);
+    // The dirty copy left for NVMM and the cache dropped the line.
+    EXPECT_EQ(f.m.machineStats().nvmmWrites.value(), 1u);
+    EXPECT_EQ(f.m.totalDirtyLines(), 0u);
+    EXPECT_EQ(f.m.pendingStreamLines(), 1u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 1.0);
+    const auto misses = f.m.machineStats().l1Misses.value();
+    f.m.read(0, f.addr(0), 8);
+    EXPECT_EQ(f.m.machineStats().l1Misses.value(), misses + 1);
+}
+
+TEST(Machine, StreamBufferOverflowDrainsOldestPartialLine)
+{
+    Fixture f;
+    // One word into each of eleven lines: the eleventh pushes the
+    // first out as a partial write.
+    for (int line = 0; line < 11; ++line) {
+        f.data[8 * line] = line + 1;
+        f.m.writeStream(0, f.addr(8 * line), 8);
+    }
+    EXPECT_EQ(f.m.pendingStreamLines(), 10u);
+    EXPECT_EQ(f.m.machineStats().streamWrites.value(), 1u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 1.0);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[8]), 0.0);
+    f.m.drainDirty();
+    EXPECT_EQ(f.m.pendingStreamLines(), 0u);
+    EXPECT_EQ(f.m.machineStats().drainWrites.value(), 10u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[80]), 11.0);
 }
 
 TEST(Machine, TickAccountsIssueWidth)

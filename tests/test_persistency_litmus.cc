@@ -215,6 +215,55 @@ TEST(Litmus, DrainMakesEverythingDurableInPlace)
     EXPECT_DOUBLE_EQ(*l.z, 3.0);
 }
 
+TEST(Litmus, PendingStreamedStoreIsLostAtCrash)
+{
+    // ST.NT x -- crash: a line still in the write-combining buffer
+    // is as volatile as a dirty cache line.
+    Litmus l;
+    auto e = l.env();
+    e.stStream(l.x, 1.0);
+    l.crash();
+    EXPECT_DOUBLE_EQ(*l.x, 0.0);
+    EXPECT_EQ(l.m.pendingStreamLines(), 0u);
+}
+
+TEST(Litmus, StreamedStoreSfenceIsDurable)
+{
+    // ST.NT x; SFENCE -- crash: durable, with no flush.
+    Litmus l;
+    auto e = l.env();
+    e.stStream(l.x, 1.0);
+    e.sfence();
+    l.crash();
+    EXPECT_DOUBLE_EQ(*l.x, 1.0);
+}
+
+TEST(Litmus, LoadSeesPendingStreamedStore)
+{
+    // ST.NT x; LD x: the load returns the new value; draining the
+    // line to let it do so makes it durable.
+    Litmus l;
+    auto e = l.env();
+    e.stStream(l.x, 4.0);
+    EXPECT_DOUBLE_EQ(e.ld(l.x), 4.0);
+    l.crash();
+    EXPECT_DOUBLE_EQ(*l.x, 4.0);
+}
+
+TEST(Litmus, StreamedStoreOverDirtyLineKeepsItsOtherBytes)
+{
+    // ST x[0]; ST.NT x[1] -- crash: the cached store was written
+    // back before the line went to the write-combining buffer; the
+    // pending streamed word is lost.
+    Litmus l;
+    auto e = l.env();
+    e.st(&l.x[0], 1.0);
+    e.stStream(&l.x[1], 2.0);
+    l.crash();
+    EXPECT_DOUBLE_EQ(l.x[0], 1.0);
+    EXPECT_DOUBLE_EQ(l.x[1], 0.0);
+}
+
 TEST(Litmus, CrashIsRepeatable)
 {
     // Crashing twice without intervening writes is a no-op the

@@ -4,9 +4,10 @@
  * read-your-writes on every backend, golden-map equivalence after a
  * checkpoint, the SimEnv/NativeEnv identical-code guarantee, clean
  * recovery after a checkpoint, recovery idempotence (including a
- * crash injected *during* recovery), the 16-byte journal format and
- * the LP digest-slot placement, the YCSB generators, and the table
- * occupancy guard.
+ * crash injected *during* recovery, and a rolled-back batch staying
+ * rolled back across lives), the 16-byte journal format with its
+ * batch trailer and the LP digest-slot placement, the YCSB
+ * generators, and the table occupancy guard.
  */
 
 #include <gtest/gtest.h>
@@ -321,13 +322,14 @@ persistBlockOf(pmem::PersistentArena &arena, const void *p)
 /**
  * A journal record stores no epoch, so a stale record left by an
  * earlier journal generation must fail the salted batch digest. Here
- * epoch 4 = [put(k,2), put(k,1)] commits -- its header (in the first
- * journal block) and both digest copies drain -- but the block
- * holding its two records does not, and still carries the previous
- * generation's [put(k,1), put(k,2)] at the same positions: a
- * permutation of the very same records, which an unsalted Modular,
- * Parity or ModularParity sum cannot tell apart. Recovery must
- * discard epoch 4 under every checksum kind.
+ * epoch 2 = [put(10,1), put(11,1), put(k,2), put(k,1)] commits -- its
+ * trailer (alone in the journal's second block) and both digest
+ * copies drain -- but the first block, holding all four records,
+ * still carries the previous generation's epoch 1 = [put(10,1),
+ * put(11,1), put(k,1), put(k,2)]: a permutation of the very same
+ * records, which an unsalted Modular, Parity or ModularParity sum
+ * cannot tell apart. Recovery must discard epoch 2 under every
+ * checksum kind.
  */
 class JournalStaleGeneration
     : public ::testing::TestWithParam<core::ChecksumKind>
@@ -339,65 +341,70 @@ TEST_P(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
     StoreConfig scfg;
     scfg.capacity = 64;
     scfg.shards = 1;
-    scfg.batchOps = 2;
-    scfg.foldBatches = 2;  // the fold after epoch 2 restarts the journal
+    scfg.batchOps = 4;
+    scfg.foldBatches = 1;  // the fold after epoch 1 restarts the journal
     scfg.checksum = GetParam();
     kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
     KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
     ctx.arena.persistAll();
     kernels::SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+    auto *journal = const_cast<JEntry *>(
+        static_cast<const JEntry *>(store.faultSurface(0).journal));
 
-    // Both generations lay out as: header 0, records 1-2 (epoch 1 or
-    // 3), header 3, records 4-5 (epoch 2 or 4); records 4-5 sit in
-    // the journal's second block.
+    // Both generations lay out as: records 0-3 (block 0), trailer 4
+    // (block 1).
     const std::uint64_t k = 77;
     store.put(env, 10, 1);
     store.put(env, 11, 1);
     store.put(env, k, 1);
-    store.put(env, k, 2);  // commits epoch 2 and folds
-    ASSERT_EQ(store.committedEpoch(0), 2u);
+    store.put(env, k, 2);  // commits epoch 1 and folds
+    ASSERT_EQ(store.committedEpoch(0), 1u);
+    JEntry stale[4];
+    std::copy(journal, journal + 4, stale);
 
-    ctx.crash.armAfterRegions(2);
+    ctx.crash.armAfterRegions(1);
     bool crashed = false;
     try {
-        store.put(env, 10, 2);
-        store.put(env, 11, 2);
+        store.put(env, 10, 1);
+        store.put(env, 11, 1);
         store.put(env, k, 2);
-        store.put(env, k, 1);  // the power fails as epoch 4 commits
+        store.put(env, k, 1);  // the power fails as epoch 2 commits
     } catch (const pmem::CrashException &) {
         crashed = true;
     }
     ctx.crash.disarm();
     ASSERT_TRUE(crashed);
 
-    const auto *journal =
-        static_cast<const JEntry *>(store.faultSurface(0).journal);
+    // The full record line streamed straight to NVMM; put the old
+    // generation back in its place, as if it had never left the
+    // write-combining buffer. The trailer's partial line and the
+    // digests drain.
+    std::copy(stale, stale + 4, journal);
     persistBlockOf(ctx.arena, &journal[0]);
-    for (std::uint64_t e : {3u, 4u}) {
-        for (bool replica : {false, true}) {
-            const void *slot = store.digestSlotAddr(0, e, replica);
-            ASSERT_NE(slot, nullptr);
-            persistBlockOf(ctx.arena, slot);
-        }
+    persistBlockOf(ctx.arena, &journal[4]);
+    for (bool replica : {false, true}) {
+        const void *slot = store.digestSlotAddr(0, 2, replica);
+        ASSERT_NE(slot, nullptr);
+        persistBlockOf(ctx.arena, slot);
     }
     ctx.sched.clear();
     ctx.machine.loseVolatileState();
     ctx.arena.crashRestore();
 
     // The durable image is exactly the scenario described above.
-    ASSERT_EQ(journal[3].key, JEntry::makeTag(JOp::Header, 4));
-    ASSERT_EQ(journal[4].key, k);
-    ASSERT_EQ(journal[4].value, 1u);
-    ASSERT_EQ(journal[5].key, k);
-    ASSERT_EQ(journal[5].value, 2u);
+    ASSERT_EQ(journal[4].key, slotEmptyKey);
+    ASSERT_EQ(journal[4].value, JEntry::makeTag(JOp::Seal, 2));
+    ASSERT_EQ(journal[2].key, k);
+    ASSERT_EQ(journal[2].value, 1u);
+    ASSERT_EQ(journal[3].key, k);
+    ASSERT_EQ(journal[3].value, 2u);
 
     const RecoveryReport rep = store.recover(env);
     const std::string kind = core::checksumKindName(GetParam());
-    EXPECT_EQ(rep.committedEpochs[0], 3u) << kind;
+    EXPECT_EQ(rep.committedEpochs[0], 1u) << kind;
     EXPECT_EQ(rep.batchesDiscarded, 1u) << kind;
-    EXPECT_EQ(store.get(env, 10), std::optional<std::uint64_t>(2));
-    EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(2))
-        << kind << ": epoch 4 replayed from stale records";
+    EXPECT_EQ(store.get(env, 10), std::optional<std::uint64_t>(1));
+    EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(2));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -452,6 +459,152 @@ TEST(StoreJournalFormat, DelAndMaxUserKeySurviveCrashReplay)
     EXPECT_EQ(store.get(env, maxUserKey), std::nullopt);
     EXPECT_EQ(store.get(env, 6), std::nullopt);
     EXPECT_EQ(store.liveKeys(), 0u);
+}
+
+/**
+ * A batch is committed only once its trailer is durable. Epoch 2's
+ * last record and trailer share a line that is still in the
+ * write-combining buffer when the power fails; everything else --
+ * its other records and both digest copies -- drained. Recovery ends
+ * the walk at epoch 1 without counting a discard: a missing trailer
+ * is the journal's end.
+ */
+TEST(StoreJournalFormat, LostTrailerLineEndsTheWalk)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.batchOps = 4;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    const auto *journal =
+        static_cast<const JEntry *>(store.faultSurface(0).journal);
+
+    // Epoch 1: records 0-3, trailer 4. Epoch 2: records 5-8, trailer
+    // 9. Block 1 (entries 4-7) fills at record 7 and streams out;
+    // block 2 holds record 8 and the trailer.
+    for (std::uint64_t i = 0; i < 8; ++i)
+        store.put(env, 100 + i, i);
+    ASSERT_EQ(store.committedEpoch(0), 2u);
+    for (std::uint64_t e : {1u, 2u})
+        for (bool replica : {false, true})
+            persistBlockOf(ctx.arena, store.digestSlotAddr(0, e, replica));
+    EXPECT_EQ(ctx.machine.pendingStreamLines(), 1u);
+    EXPECT_EQ(ctx.arena.peekDurable(&journal[7].key), 106u);
+    EXPECT_NE(ctx.arena.peekDurable(&journal[8].key), 107u);
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    EXPECT_NE(journal[9].key, slotEmptyKey);
+
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.committedEpochs[0], 1u);
+    EXPECT_EQ(rep.batchesDiscarded, 0u);
+    EXPECT_EQ(rep.entriesReplayed, 4u);
+    EXPECT_EQ(store.get(env, 103), std::optional<std::uint64_t>(3));
+    EXPECT_EQ(store.get(env, 104), std::nullopt);
+    EXPECT_EQ(store.get(env, 107), std::nullopt);
+}
+
+/**
+ * Underfilled batches (group-commit deadlines) carry their size only
+ * in the trailer's position: a crash after a drain must replay a
+ * 1-record, a full and a 2-record batch exactly.
+ */
+TEST(StoreJournalFormat, UnderfilledBatchesReplayAfterCrash)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.batchOps = 4;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    store.put(env, 1, 10);
+    store.commitBatches(env);  // epoch 1: one record
+    for (std::uint64_t i = 0; i < 4; ++i)
+        store.put(env, 2 + i, 20 + i);  // epoch 2: full
+    store.del(env, 1);
+    store.put(env, 3, 33);
+    store.commitBatches(env);  // epoch 3: two records
+    ASSERT_EQ(store.committedEpoch(0), 3u);
+    store.put(env, 9, 99);  // epoch 4 stays open
+
+    ctx.machine.drainDirty();
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.committedEpochs[0], 3u);
+    EXPECT_EQ(rep.batchesReplayed, 3u);
+    EXPECT_EQ(rep.entriesReplayed, 7u);
+    EXPECT_EQ(rep.batchesDiscarded, 0u);
+    const std::map<std::uint64_t, std::uint64_t> want = {
+        {2, 20}, {3, 33}, {4, 22}, {5, 23}};
+    EXPECT_EQ(store.snapshot(), want);
+}
+
+/**
+ * Epoch numbers restart at the recovered watermark, so the batches a
+ * crashed life left on media past it carry the numbers the next life
+ * reuses. Life 1 commits epochs 1 and 2; epoch 2's block and both
+ * epochs' digests drain, epoch 1's block does not, so recovery 1
+ * rolls back to 0. Life 2 commits a new epoch 1 and crashes with
+ * epoch 2 open. Life 1's epoch 2 -- right where life 2's epoch 2
+ * would go, with its digest -- must not come back.
+ */
+TEST(StoreRecovery, RolledBackBatchStaysRolledBack)
+{
+    StoreConfig scfg;
+    scfg.capacity = 64;
+    scfg.shards = 1;
+    scfg.batchOps = 3;
+    scfg.foldBatches = 8;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    auto *journal = const_cast<JEntry *>(
+        static_cast<const JEntry *>(store.faultSurface(0).journal));
+    auto persistDigests = [&](std::uint64_t e) {
+        for (bool replica : {false, true})
+            persistBlockOf(ctx.arena, store.digestSlotAddr(0, e, replica));
+    };
+    auto crash = [&]() {
+        ctx.machine.loseVolatileState();
+        ctx.arena.crashRestore();
+    };
+
+    // Life 1: each 3-op batch fills exactly one journal block.
+    for (std::uint64_t key : {1u, 2u, 3u})
+        store.put(env, key, 100);
+    for (std::uint64_t key : {7u, 8u, 9u})
+        store.put(env, key, 111);
+    ASSERT_EQ(store.committedEpoch(0), 2u);
+    std::fill(journal, journal + 4, JEntry{0, 0});
+    persistBlockOf(ctx.arena, &journal[0]);  // epoch 1 never drained
+    persistBlockOf(ctx.arena, &journal[4]);
+    persistDigests(1);
+    persistDigests(2);
+    crash();
+    RecoveryReport rep = store.recover(env);
+    ASSERT_EQ(rep.committedEpochs[0], 0u);
+    ASSERT_EQ(store.get(env, 7), std::nullopt);
+
+    // Life 2.
+    for (std::uint64_t key : {4u, 5u, 6u})
+        store.put(env, key, 200);
+    ASSERT_EQ(store.committedEpoch(0), 1u);
+    persistBlockOf(ctx.arena, &journal[0]);
+    persistDigests(1);
+    store.put(env, 10, 222);  // epoch 2 open at the crash
+    crash();
+    rep = store.recover(env);
+    EXPECT_EQ(rep.committedEpochs[0], 1u);
+    EXPECT_EQ(store.get(env, 4), std::optional<std::uint64_t>(200));
+    EXPECT_EQ(store.get(env, 7), std::nullopt)
+        << "life 1's rolled-back epoch 2 came back";
+    EXPECT_EQ(store.get(env, 10), std::nullopt);
 }
 
 /** No journal record straddles a block: the base is block-aligned. */
@@ -538,6 +691,40 @@ TEST(StoreDigestPlacement, EpochOrderedSlotsAndWrapRecovery)
     EXPECT_GT(rep.batchesReplayed, 0u);
     EXPECT_EQ(rep.committedEpochs, committed);
     EXPECT_EQ(store.snapshot(), golden);
+}
+
+/**
+ * nvmm_by_structure accounts for every NVMM write of the mix, and the
+ * LP journal, written only with streaming stores, is never read.
+ */
+TEST(StoreTraffic, ByStructureCoversAllWritesAndJournalIsNeverRead)
+{
+    StoreConfig scfg = smallConfig();
+    YcsbParams p;
+    p.records = 512;
+    p.ops = 4096;
+    for (Backend b : kBackends) {
+        const StoreRunResult r =
+            runStoreYcsb(b, scfg, p, smallMachine());
+        ASSERT_TRUE(r.verified) << backendName(b);
+        ASSERT_EQ(r.nvmmByStructure.size(), std::size(kNvmmStructures));
+        double writes = 0.0;
+        double reads = 0.0;
+        for (const NvmmTraffic &t : r.nvmmByStructure) {
+            writes += t.writesPerMut;
+            reads += t.readsPerMut;
+        }
+        const double muts = double(r.mutations);
+        EXPECT_NEAR(writes, r.writesPerMutation, 1e-9) << backendName(b);
+        EXPECT_NEAR(reads, r.stats.at("nvmm_reads") / muts, 1e-9)
+            << backendName(b);
+        EXPECT_GT(r.nvmmByStructure[0].writesPerMut, 0.0)
+            << backendName(b) << ": table";
+        if (b == Backend::Lp) {
+            EXPECT_GT(r.nvmmByStructure[1].writesPerMut, 0.0);
+            EXPECT_EQ(r.nvmmByStructure[1].readsPerMut, 0.0);
+        }
+    }
 }
 
 TEST(StoreYcsb, KeyOfRecordIsInjective)

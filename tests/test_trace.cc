@@ -95,6 +95,34 @@ TEST(Trace, ReplayReproducesStatsExactly)
     EXPECT_EQ(recorded, replayed);
 }
 
+TEST(Trace, ReplayReproducesStreamingOpsExactly)
+{
+    pmem::PersistentArena arena(1 << 20);
+    auto *buf = arena.alloc<std::uint64_t>(1024);
+    Machine m(smallConfig(), &arena);
+    TraceBuffer trace;
+    m.setTraceRecorder(&trace);
+    kernels::SimEnv env(m, arena, 1);
+    for (std::uint64_t i = 0; i < 1024; i += 3) {
+        env.stStream(&buf[i], i);
+        if (i % 7 == 0)
+            env.st(&buf[(i * 13) % 1024], i);
+        if (i % 5 == 0)
+            env.ldStream(&buf[(i * 29) % 1024]);
+        if (i % 11 == 0)
+            env.ld(&buf[(i * 31) % 1024]);
+        if (i % 64 == 0)
+            env.sfence();
+    }
+    const auto recorded = m.snapshot();
+    ASSERT_GT(recorded.at("stream_writes"), 0.0);
+    ASSERT_GT(recorded.at("stream_loads"), 0.0);
+
+    Machine replay_machine(smallConfig(), nullptr);
+    trace.replayInto(replay_machine);
+    EXPECT_EQ(recorded, replay_machine.snapshot());
+}
+
 TEST(Trace, ReplayIntoDifferentCacheChangesOnlyCacheStats)
 {
     stats::Snapshot recorded;

@@ -400,6 +400,15 @@ runStoreCommand(int argc, char **argv)
         obj.emplace("ops", double(p.ops));
         obj.emplace("writes_per_mutation", out.writesPerMutation);
         obj.emplace("ops_per_sec", out.opsPerSec);
+        stats::JsonValue::Object by;
+        for (std::size_t i = 0; i < out.nvmmByStructure.size(); ++i) {
+            const NvmmTraffic &t = out.nvmmByStructure[i];
+            by.emplace(kNvmmStructures[i],
+                       stats::JsonValue::Object{
+                           {"writes_per_mut", t.writesPerMut},
+                           {"reads_per_mut", t.readsPerMut}});
+        }
+        obj.emplace("nvmm_by_structure", std::move(by));
         obj.emplace("verified", out.verified);
         std::printf("%s\n", stats::JsonValue(obj).render().c_str());
         return out.verified ? 0 : 1;
@@ -413,6 +422,13 @@ runStoreCommand(int argc, char **argv)
     std::printf("writes/mutation: %.3f\n", out.writesPerMutation);
     std::printf("throughput:      %.3g ops/s (simulated)\n",
                 out.opsPerSec);
+    std::printf("NVMM per mutation by structure (writes / reads):\n");
+    for (std::size_t i = 0; i < out.nvmmByStructure.size(); ++i) {
+        const NvmmTraffic &t = out.nvmmByStructure[i];
+        if (t.writesPerMut > 0.0 || t.readsPerMut > 0.0)
+            std::printf("  %-15s %.4f / %.4f\n", kNvmmStructures[i],
+                        t.writesPerMut, t.readsPerMut);
+    }
     std::printf("verified:        %s\n", out.verified ? "yes" : "NO");
     return out.verified ? 0 : 1;
 }
