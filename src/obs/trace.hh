@@ -28,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "obs/histogram.hh"
 #include "obs/time.hh"
 
 namespace lp::obs
@@ -187,24 +188,30 @@ traceSpanFrom(TraceRing *ring, const char *name, std::uint64_t t0Ns,
 
 /**
  * RAII span: records [construction, destruction) as a complete event
- * on @p ring; no-op (one branch) when @p ring is null. A nonzero
- * @p flowId ties the span into its request's flow arc.
+ * on @p ring and, when @p hist is given, its duration into @p hist --
+ * both from the same two clock reads, so a span and its histogram
+ * can never disagree. No-op (one branch) when both are null. A
+ * nonzero @p flowId ties the span into its request's flow arc.
  */
 class Span
 {
   public:
     Span(TraceRing *ring, const char *name, std::uint64_t arg = 0,
-         std::uint64_t flowId = 0)
-        : ring_(ring), name_(name), arg_(arg), flowId_(flowId),
-          t0_(ring ? nowNs() : 0)
+         std::uint64_t flowId = 0, Histogram *hist = nullptr)
+        : ring_(ring), hist_(hist), name_(name), arg_(arg),
+          flowId_(flowId), t0_(ring || hist ? nowNs() : 0)
     {
     }
 
     ~Span()
     {
+        if (!ring_ && !hist_)
+            return;
+        const std::uint64_t ns = nowNs() - t0_;
         if (ring_)
-            ring_->push({name_, ring_->tid(), t0_, nowNs() - t0_,
-                         arg_, flowId_});
+            ring_->push({name_, ring_->tid(), t0_, ns, arg_, flowId_});
+        if (hist_)
+            hist_->record(ns);
     }
 
     Span(const Span &) = delete;
@@ -212,6 +219,7 @@ class Span
 
   private:
     TraceRing *ring_;
+    Histogram *hist_;
     const char *name_;
     std::uint64_t arg_;
     std::uint64_t flowId_;

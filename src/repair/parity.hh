@@ -9,9 +9,10 @@
  * properties make incremental parity cheap and crash-safe:
  *
  *  - the buffer is APPEND-ONLY within a generation (the journal
- *    restarts at offset 0 on every fold), so each 64B region is
- *    covered exactly once, when the sealed prefix first passes its
- *    end -- no read-modify-write of parity for data overwrites, ever;
+ *    restarts at offset 0 on every fold), so each group of 64B
+ *    regions is covered once, when the sealed prefix first passes
+ *    its end -- no read-modify-write of parity for data overwrites,
+ *    ever;
  *  - coverage is a strict PREFIX watermark, so "which bytes the
  *    parity vouches for" is a single counter.
  *
@@ -20,11 +21,21 @@
  * A reconstruction is accepted ONLY when it reproduces the stored
  * fingerprint, so stale parity left by a crash can never fabricate
  * data: a failed check falls back to the caller's pre-parity
- * semantics (epoch discard). All cover-time writes are PLAIN stores
- * through the Env -- they drain lazily with the journal lines they
- * protect, keeping the Lazy Persistency discipline intact; repairs
- * (recovery/scrub, both eager phases) store + flush and let the
- * caller fence.
+ * semantics (epoch discard).
+ *
+ * Coverage advances ONE WHOLE GROUP at a time. When the sealed prefix
+ * completes a group, its 8 fingerprints and its XOR parity are
+ * computed on the host and each of the two 64B lines is written with
+ * 8 back-to-back STREAMING stores (Env::stStream): a full line leaves
+ * the write-combining buffer at once as one NVMM write, with no
+ * write-allocate fill, and no parity line ever waits in the buffer.
+ * (A plain store would first fetch the line from NVMM whenever the
+ * cache had evicted it.) The header is restated with plain stores
+ * after the group's lines have left, so after a crash it can only be
+ * stale-small. The trailing partial group is covered only when the
+ * shard is marked clean (coverTail), since strict recovery assumes
+ * every whole sealed region is covered. Repairs (recovery/scrub,
+ * both eager phases) store + flush and let the caller fence.
  *
  * Coverage reads nothing back: the appender hands over the words it
  * just stored, because a journal streams its lines past the cache and
@@ -91,7 +102,10 @@ class RegionParity
           regions_(parityRegionCount(dataBytes)),
           groups_(parityGroupCount(regions_))
     {
-        hash_ = arena.alloc<std::uint64_t>(regions_ ? regions_ : 1);
+        // Whole fingerprint lines, one per group, so each is streamed
+        // out full.
+        hash_ = arena.alloc<std::uint64_t>(
+            (groups_ ? groups_ : 1) * groupRegions);
         parity_ = arena.alloc<std::uint64_t>(
             (groups_ ? groups_ : 1) * regionWords);
         hdr_ = arena.alloc<Header>(1);
@@ -130,34 +144,49 @@ class RegionParity
     }
 
     /**
-     * Extend coverage to the sealed prefix (@p sealedBytes) after the
-     * commit of @p epoch: fingerprint and XOR-fold every newly
-     * completed region, then restate the header. @p stored holds the
-     * new regions' words, from region coveredRegions() on, exactly as
-     * the appender stored them: the appender streams its lines past
-     * the cache, so loading them back would read NVMM. Plain stores
-     * only.
+     * First region of the group coverage has not completed: the
+     * words handed to cover() and coverTail() start here.
+     */
+    std::size_t
+    pendingRegion() const
+    {
+        return covered_ / groupRegions * groupRegions;
+    }
+
+    /**
+     * After the commit of @p epoch, extend coverage over every group
+     * the sealed prefix (@p sealedBytes) completes, then restate the
+     * header. @p stored holds the words from pendingRegion() on,
+     * exactly as the appender stored them: the appender streams its
+     * lines past the cache, so loading them back would read NVMM.
+     * Streaming stores for the group lines, plain ones for the header.
      */
     void
     cover(Env &env, std::uint64_t epoch, std::size_t sealedBytes,
           const std::uint64_t *stored)
     {
-        std::size_t newCov = sealedBytes / regionBytes;
-        if (newCov > regions_)
-            newCov = regions_;
-        for (std::size_t r = covered_; r < newCov; ++r) {
-            const std::uint64_t *w8 =
-                stored + (r - covered_) * regionWords;
-            env.st(&hash_[r], fingerprintOf(r, w8));
-            std::uint64_t *par = groupParity(r / groupRegions);
-            const bool first = r % groupRegions == 0;
-            for (std::size_t w = 0; w < regionWords; ++w)
-                env.st(&par[w], first ? w8[w] : env.ld(&par[w]) ^ w8[w]);
-            env.tick(4 * regionWords);
-        }
-        covered_ = newCov;
+        const std::size_t sealed = sealedRegions(sealedBytes);
+        coverTo(env, sealed == regions_
+                         ? sealed
+                         : sealed / groupRegions * groupRegions,
+                stored);
         lastSealed_ = epoch;
         storeHeader(env);
+    }
+
+    /**
+     * Clean-shutdown aid: also cover the whole sealed regions of the
+     * trailing partial group, with partial parity, and flush the
+     * header; the caller's fence makes it all durable. A later cover()
+     * that completes the group rewrites both of its lines.
+     */
+    void
+    coverTail(Env &env, std::size_t sealedBytes,
+              const std::uint64_t *stored)
+    {
+        coverTo(env, sealedRegions(sealedBytes), stored);
+        storeHeader(env);
+        env.clflushopt(hdr_);
     }
 
     /**
@@ -275,7 +304,7 @@ class RegionParity
     const void *hashes() const { return hash_; }
     std::size_t hashBytes() const
     {
-        return regions_ * sizeof(std::uint64_t);
+        return groups_ * groupRegions * sizeof(std::uint64_t);
     }
     const void *parityBlocks() const { return parity_; }
     std::size_t parityBytes() const
@@ -299,6 +328,52 @@ class RegionParity
     groupParity(std::size_t g)
     {
         return &parity_[g * regionWords];
+    }
+
+    std::size_t
+    sealedRegions(std::size_t sealedBytes) const
+    {
+        const std::size_t r = sealedBytes / regionBytes;
+        return r < regions_ ? r : regions_;
+    }
+
+    /**
+     * Cover regions [covered_, @p newCov): recompute the fingerprint
+     * line and the XOR parity line of each group they touch, from its
+     * first region on (@p stored starts at pendingRegion()), and
+     * stream both lines out whole. Unused fingerprint slots are 0.
+     */
+    void
+    coverTo(Env &env, std::size_t newCov, const std::uint64_t *stored)
+    {
+        if (newCov <= covered_)
+            return;
+        const std::size_t first = pendingRegion();
+        for (std::size_t lo = first; lo < newCov; lo += groupRegions) {
+            const std::size_t hi =
+                lo + groupRegions < newCov ? lo + groupRegions : newCov;
+            std::uint64_t fp[groupRegions] = {};
+            std::uint64_t par[regionWords] = {};
+            for (std::size_t r = lo; r < hi; ++r) {
+                const std::uint64_t *w8 =
+                    stored + (r - first) * regionWords;
+                fp[r - lo] = fingerprintOf(r, w8);
+                for (std::size_t w = 0; w < regionWords; ++w)
+                    par[w] ^= w8[w];
+                env.tick(4 * regionWords);
+            }
+            streamLine(env, &hash_[lo], fp);
+            streamLine(env, groupParity(lo / groupRegions), par);
+        }
+        covered_ = newCov;
+    }
+
+    /** Write one whole 64B line with back-to-back streaming stores. */
+    static void
+    streamLine(Env &env, std::uint64_t *dst, const std::uint64_t *src)
+    {
+        for (std::size_t w = 0; w < regionWords; ++w)
+            env.stStream(&dst[w], src[w]);
     }
 
     /**

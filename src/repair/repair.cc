@@ -28,9 +28,9 @@ std::size_t
 parityArenaBytes(std::size_t dataBytes)
 {
     const std::size_t regions = parityRegionCount(dataBytes);
-    return regions * sizeof(std::uint64_t) +          // fingerprints
-           parityGroupCount(regions) * regionBytes +  // parity blocks
-           regionBytes;                               // header block
+    // Per group one fingerprint line and one parity line, plus the
+    // header block.
+    return 2 * parityGroupCount(regions) * regionBytes + regionBytes;
 }
 
 namespace

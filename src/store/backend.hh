@@ -122,6 +122,7 @@ struct FaultSurface
     const void *journal = nullptr;       ///< journal record buffer
     std::size_t journalBytes = 0;
     std::size_t sealedBytes = 0;         ///< sealed journal prefix
+    std::size_t coveredBytes = 0;        ///< parity-covered prefix
     const void *digests = nullptr;       ///< primary checksum table
     std::size_t digestBytes = 0;
     const void *digestReplica = nullptr; ///< replica checksum table
@@ -277,8 +278,10 @@ class PersistencyBackend
      * committed byte has drained (after checkpoint + persistAll /
      * msync): the flag switches the NEXT recovery into strict mode,
      * where validation failures are media faults, not crash tears.
+     * The LP backend first completes its parity coverage, which
+     * strict recovery relies on.
      */
-    void
+    virtual void
     markClean(Env &env, int shard)
     {
         const std::uint64_t epoch =

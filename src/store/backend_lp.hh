@@ -35,9 +35,12 @@
  * Media-fault tolerance (docs/repair_design.md). The journal is the
  * only structure whose loss silently loses committed data, so it
  * gets the heaviest protection: a repair::RegionParity instance per
- * shard fingerprints and XOR-folds every sealed 64B journal region
- * at commit time, from the words the journal just streamed out
- * (plain stores -- they drain with the lines they protect). Batch
+ * shard fingerprints and XOR-folds the sealed 64B journal regions
+ * one whole 8-region group at a time, at the commit that completes
+ * the group, from the words the journal streamed out. Each group's
+ * fingerprint and parity lines are streamed whole, so they cost one
+ * NVMM write each and no read; markClean() covers the trailing
+ * partial group, which strict recovery relies on. Batch
  * digests get a full REPLICA table written beside the primary;
  * recovery accepts a batch if either copy validates.
  * The shard superblock pair is the base class's. Crash tears and
@@ -150,10 +153,10 @@ class LpBackend : public PersistencyBackend<Env>
      * Close the open batch: append the journal trailer, fold it into
      * the digest and store the digest into BOTH checksum tables, at
      * the epoch's home slot (checksumEpochSlot: consecutive epochs
-     * share a block), then extend parity coverage over the newly
-     * sealed regions from the words the journal just stored -- all
-     * with plain or streaming stores (the Figure 8 commit). No
-     * flush, no fence.
+     * share a block), then extend parity coverage over every parity
+     * group the sealed prefix completed, from the words the journal
+     * stored -- all with plain or streaming stores (the Figure 8
+     * commit). No flush, no fence.
      */
     void
     commitEpoch(Env &env, int shard) override
@@ -166,11 +169,11 @@ class LpBackend : public PersistencyBackend<Env>
         obs::ShardObs *ob = pl.obs();
         // Flow id = the latest request staged into this epoch
         // (captured before pl.commitEpoch() clears it), so one
-        // request's trace arc connects through the group commit
-        // that made it durable.
+        // request's trace arc connects through the group commit that
+        // sealed it. The commit does not make it durable: that waits
+        // for the fold's fence.
         obs::Span span(obs::ringOf(ob), "epoch_commit", epoch,
-                       pl.openTraceId());
-        obs::ScopedTimer timer(ob ? &ob->commitNs : nullptr);
+                       pl.openTraceId(), ob ? &ob->commitNs : nullptr);
         sh.journal->seal(env, epoch, sh.acc, ckCost());
         const std::uint64_t ckey =
             checksumEpochKey(shard, epoch, window_);
@@ -183,7 +186,7 @@ class LpBackend : public PersistencyBackend<Env>
         env.st(ckreplica_->digestPtr(s2), sh.acc.value());
         sh.parity->cover(
             env, epoch, sh.journal->sealedBytes(),
-            sh.journal->storedWords(sh.parity->coveredRegions()));
+            sh.journal->storedWords(sh.parity->pendingRegion()));
         pl.commitEpoch();
         env.onRegionCommit();
     }
@@ -217,8 +220,8 @@ class LpBackend : public PersistencyBackend<Env>
         if (sh.journal->tail() == 0)
             return;
         obs::ShardObs *ob = pl.obs();
-        obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted());
-        obs::ScopedTimer timer(ob ? &ob->foldNs : nullptr);
+        obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted(), 0,
+                       ob ? &ob->foldNs : nullptr);
         std::vector<std::uintptr_t> blocks;
         for (std::uint64_t e = pl.foldedEpoch() + 1;
              e <= pl.lastCommitted(); ++e) {
@@ -442,6 +445,7 @@ class LpBackend : public PersistencyBackend<Env>
         fs.journal = sh.journal->data();
         fs.journalBytes = sh.journal->dataBytes();
         fs.sealedBytes = sh.journal->sealedBytes();
+        fs.coveredBytes = sh.parity->coveredBytes();
         fs.digests = cktable_->keyPtr(0);
         fs.digestBytes = cktable_->bytes();
         fs.digestReplica = ckreplica_->keyPtr(0);
@@ -452,6 +456,21 @@ class LpBackend : public PersistencyBackend<Env>
         fs.parityHashBytes = sh.parity->hashBytes();
         fs.parityHeader = sh.parity->header();
         return fs;
+    }
+
+    /**
+     * Strict recovery treats every whole sealed region as covered, so
+     * first cover the trailing partial group too (streaming stores
+     * and a header flush that the base's fence drains).
+     */
+    void
+    markClean(Env &env, int shard) override
+    {
+        Shard &sh = shards_[std::size_t(shard)];
+        sh.parity->coverTail(
+            env, sh.journal->sealedBytes(),
+            sh.journal->storedWords(sh.parity->pendingRegion()));
+        Base::markClean(env, shard);
     }
 
     std::optional<DeltaVal>

@@ -79,8 +79,7 @@ class WalBackend : public PersistencyBackend<Env>
         const std::uint64_t epoch = pl.openEpoch();
         obs::ShardObs *ob = pl.obs();
         obs::Span span(obs::ringOf(ob), "wal_commit", epoch,
-                       pl.openTraceId());
-        obs::ScopedTimer timer(ob ? &ob->commitNs : nullptr);
+                       pl.openTraceId(), ob ? &ob->commitNs : nullptr);
         struct PlanWrite
         {
             std::uint64_t *ptr;

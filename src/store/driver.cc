@@ -447,6 +447,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     if (b != Backend::Lp) {
         switch (site) {
           case FaultSite::JournalPayload:
+          case FaultSite::JournalLastCovered:
           case FaultSite::ChecksumSlot:
             site = FaultSite::SuperblockPrimary;
             break;
@@ -549,13 +550,24 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
 
     pmem::FaultInjector inj(ctx.arena);
     const FaultSurface fs = store.faultSurface(0);
-    const std::size_t coveredBytes =
+    const std::size_t coveredBytes = fs.coveredBytes;
+    const std::size_t wholeBytes =
         fs.sealedBytes / repair::regionBytes * repair::regionBytes;
     switch (site) {
       case FaultSite::JournalPayload:
         // Byte 9 of region 0: epoch 1's batch-header count word.
         if (coveredBytes >= repair::regionBytes) {
             inj.flipBitAt(fs.journal, 9, 3);
+            out.injected = true;
+        }
+        break;
+      case FaultSite::JournalLastCovered:
+        // The last whole sealed region. Its parity group is not
+        // complete, so only the clean marking covered it; strict
+        // recovery relies on that.
+        if (wholeBytes >= repair::regionBytes) {
+            inj.flipBitAt(fs.journal,
+                          wholeBytes - repair::regionBytes + 8, 1);
             out.injected = true;
         }
         break;

@@ -296,7 +296,7 @@ StoreCrashOutcome runStoreWithCrash(Backend b, const StoreConfig &scfg,
                                         nullptr);
 
 /**
- * Where the corruption matrix places its bit flips. The first five
+ * Where the corruption matrix places its bit flips. The first six
  * sites only exist under the LP backend; runStoreWithFault() maps
  * them onto superblock faults for the eager and WAL backends (the
  * only media-protected structures those own), so the matrix stays
@@ -305,6 +305,7 @@ StoreCrashOutcome runStoreWithCrash(Backend b, const StoreConfig &scfg,
 enum class FaultSite
 {
     JournalPayload,     ///< one parity-covered sealed journal region
+    JournalLastCovered, ///< last whole sealed region (partial group)
     JournalTail,        ///< sealed bytes past parity coverage (live head)
     JournalMultiRegion, ///< two regions of one parity group
     ChecksumSlot,       ///< primary digest slot of epoch 1

@@ -196,8 +196,9 @@ class BatchJournal
      * The words of 64B region @p r exactly as the appender stored
      * them, and those of every later region written so far. Parity
      * coverage takes them from here instead of loading the streamed
-     * lines back from NVMM. Valid for any region not yet complete
-     * when the open (or last sealed) batch opened.
+     * lines back from NVMM. Valid for any region of the parity group
+     * the tail was in when the open (or last sealed) batch opened,
+     * and any later region: at most 7 whole regions plus the tail.
      */
     const std::uint64_t *
     storedWords(std::size_t r) const
@@ -228,10 +229,11 @@ class BatchJournal
     {
         LP_ASSERT(!batchOpen(), "batch already open");
         batchStart_ = tail_;
-        // Regions sealed before now were handed to parity at their
-        // commit; keep only the words of the partial tail region.
-        const std::size_t keep =
-            tail_ * 2 / repair::regionWords * repair::regionWords;
+        // Parity covers whole groups of regions: keep the words from
+        // the first region of the group the tail is in.
+        constexpr std::size_t groupWords =
+            repair::groupRegions * repair::regionWords;
+        const std::size_t keep = tail_ * 2 / groupWords * groupWords;
         fresh_.erase(fresh_.begin(),
                      fresh_.begin() +
                          static_cast<std::ptrdiff_t>(keep - freshBase_));
@@ -442,8 +444,9 @@ class BatchJournal
     std::size_t batchStart_ = npos;
     std::uint64_t life_ = 0;
 
-    /// Words stored since the first region not yet complete when the
-    /// last batch opened; fresh_[0] is journal word freshBase_.
+    /// Words stored since the first region of the parity group the
+    /// tail was in when the last batch opened; fresh_[0] is journal
+    /// word freshBase_.
     std::vector<std::uint64_t> fresh_;
     std::size_t freshBase_ = 0;
 };

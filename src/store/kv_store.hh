@@ -224,8 +224,8 @@ class KvStore
     {
         checkShardOwner(shard);
         obs::ShardObs &ob = obs_[std::size_t(shard)];
-        obs::Span span(ob.ring, "scrub", std::uint64_t(shard));
-        obs::ScopedTimer timer(ob.scrubNs);
+        obs::Span span(ob.ring, "scrub", std::uint64_t(shard), 0,
+                       &ob.scrubNs);
         return backend_->scrub(env, shard, maxRegions);
     }
 
@@ -392,9 +392,8 @@ class KvStore
         for (int s = 0; s < cfg_.shards; ++s) {
             rebindShardOwner(s);
             obs::ShardObs &ob = obs_[std::size_t(s)];
-            obs::Span span(ob.ring, "recover_shard",
-                           std::uint64_t(s));
-            obs::ScopedTimer timer(ob.recoverNs);
+            obs::Span span(ob.ring, "recover_shard", std::uint64_t(s),
+                           0, &ob.recoverNs);
             backend_->recover(env, s, rep);
         }
         table_.resyncUsed();

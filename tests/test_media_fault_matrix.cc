@@ -17,9 +17,11 @@
  * Geometry (1 shard, 8-op batches, 100 pre-ops): 12 full batches plus
  * one partial, 113 records of 16B = 1808 sealed journal bytes = 28
  * parity-covered 64B regions plus a 16-byte covered-by-digest-only
- * tail, so every LP fault site exists. foldBatches is large enough
- * that no fold runs before the injection -- the journal still carries
- * the full stream.
+ * tail, so every LP fault site exists. The commit path covers whole
+ * 8-region groups only (regions 0-23); the clean marking covers
+ * regions 24-27, where JournalLastCovered flips region 27's bits.
+ * foldBatches is large enough that no fold runs before the injection
+ * -- the journal still carries the full stream.
  */
 
 #include <gtest/gtest.h>
@@ -55,10 +57,11 @@ expectRepaired(Backend b, FaultSite site)
                site != FaultSite::SuperblockBoth;
     }
     switch (site) {
-      case FaultSite::JournalPayload:    // parity reconstructs
-      case FaultSite::ChecksumSlot:      // replica digest carries it
-      case FaultSite::ParityPage:        // scrub recomputes parity
-      case FaultSite::SuperblockPrimary: // twin carries it
+      case FaultSite::JournalPayload:     // parity reconstructs
+      case FaultSite::JournalLastCovered: // clean marking covered it
+      case FaultSite::ChecksumSlot:       // replica digest carries it
+      case FaultSite::ParityPage:         // scrub recomputes parity
+      case FaultSite::SuperblockPrimary:  // twin carries it
       case FaultSite::SuperblockReplica:
         return true;
       case FaultSite::JournalTail:        // past parity coverage
@@ -123,10 +126,11 @@ TEST_P(MediaFaultMatrix, DetectsAndRepairsOrQuarantines)
 }
 
 const FaultSite kSites[] = {
-    FaultSite::JournalPayload,    FaultSite::JournalTail,
-    FaultSite::JournalMultiRegion, FaultSite::ChecksumSlot,
-    FaultSite::ParityPage,        FaultSite::SuperblockPrimary,
-    FaultSite::SuperblockReplica, FaultSite::SuperblockBoth,
+    FaultSite::JournalPayload,    FaultSite::JournalLastCovered,
+    FaultSite::JournalTail,       FaultSite::JournalMultiRegion,
+    FaultSite::ChecksumSlot,      FaultSite::ParityPage,
+    FaultSite::SuperblockPrimary, FaultSite::SuperblockReplica,
+    FaultSite::SuperblockBoth,
 };
 
 const char *
@@ -134,6 +138,7 @@ siteName(FaultSite s)
 {
     switch (s) {
       case FaultSite::JournalPayload:     return "JournalPayload";
+      case FaultSite::JournalLastCovered: return "JournalLastCovered";
       case FaultSite::JournalTail:        return "JournalTail";
       case FaultSite::JournalMultiRegion: return "JournalMultiRegion";
       case FaultSite::ChecksumSlot:       return "ChecksumSlot";

@@ -249,6 +249,30 @@ TEST(TraceRing, PushPathDoesNotAllocate)
     EXPECT_EQ(after, before);
 }
 
+TEST(TraceRing, SpanRecordsItsOwnDurationIntoTheHistogram)
+{
+    TraceRing ring(64);
+    Histogram hist;
+    std::uint64_t spanNs = 0;
+    for (std::uint64_t i = 0; i < 32; ++i) {
+        {
+            Span span(&ring, "timed", i, 0, &hist);
+            volatile std::uint64_t spin = 0;
+            for (int j = 0; j < 1000; ++j)
+                spin = spin + std::uint64_t(j);
+        }
+        TraceEvent e;
+        ASSERT_TRUE(ring.pop(e));
+        spanNs += e.durNs;
+    }
+    EXPECT_EQ(hist.count(), 32u);
+    EXPECT_EQ(hist.sum(), spanNs);
+
+    // Tracing off: the histogram still records.
+    { Span span(nullptr, "untraced", 0, 0, &hist); }
+    EXPECT_EQ(hist.count(), 33u);
+}
+
 TEST(TraceRing, ConcurrentProducerDrainerConservesEvents)
 {
     TraceRing ring(128);

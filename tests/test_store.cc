@@ -22,6 +22,7 @@
 #include "base/types.hh"
 #include "kernels/env.hh"
 #include "kernels/workload.hh"
+#include "repair/parity.hh"
 #include "store/driver.hh"
 #include "store/journal.hh"
 #include "store/kv_store.hh"
@@ -723,8 +724,167 @@ TEST(StoreTraffic, ByStructureCoversAllWritesAndJournalIsNeverRead)
         if (b == Backend::Lp) {
             EXPECT_GT(r.nvmmByStructure[1].writesPerMut, 0.0);
             EXPECT_EQ(r.nvmmByStructure[1].readsPerMut, 0.0);
+            // Parity and fingerprints are streamed one whole line per
+            // group each: never read, written equally often.
+            const NvmmTraffic &par = r.nvmmByStructure[4];
+            const NvmmTraffic &fp = r.nvmmByStructure[5];
+            ASSERT_STREQ(kNvmmStructures[4], "parity");
+            ASSERT_STREQ(kNvmmStructures[5], "fingerprints");
+            EXPECT_GT(par.writesPerMut, 0.0);
+            EXPECT_EQ(par.readsPerMut, 0.0);
+            EXPECT_EQ(fp.readsPerMut, 0.0);
+            EXPECT_EQ(par.writesPerMut, fp.writesPerMut);
         }
     }
+}
+
+/**
+ * The commit path covers the journal one whole 8-region parity group
+ * at a time; marking the shard clean covers the trailing partial
+ * group up to the last whole sealed region.
+ */
+TEST(StoreParity, CoverStopsAtGroupBoundaryUntilMarkedClean)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.foldBatches = 64;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    const std::size_t groupBytes =
+        repair::groupRegions * repair::regionBytes;
+
+    // 3 batches of 8 records + trailer: 432 sealed bytes, 6 regions.
+    for (std::uint64_t k = 1; k <= 24; ++k)
+        store.put(env, k, k);
+    EXPECT_EQ(store.faultSurface(0).sealedBytes, 432u);
+    EXPECT_EQ(store.faultSurface(0).coveredBytes, 0u);
+
+    // 7 batches: 1008 sealed bytes, 15 whole regions, 1 whole group.
+    for (std::uint64_t k = 25; k <= 56; ++k)
+        store.put(env, k, k);
+    EXPECT_EQ(store.faultSurface(0).sealedBytes, 1008u);
+    EXPECT_EQ(store.faultSurface(0).coveredBytes, groupBytes);
+
+    store.markClean(env);
+    EXPECT_EQ(store.faultSurface(0).coveredBytes,
+              15 * repair::regionBytes);
+
+    // Coverage keeps going past the tail cover: the next batch
+    // completes group 1, whose lines are rewritten whole.
+    for (std::uint64_t k = 57; k <= 64; ++k)
+        store.put(env, k, k);
+    EXPECT_EQ(store.faultSurface(0).coveredBytes, 2 * groupBytes);
+    EXPECT_EQ(store.scrubStep(env, 0, 64), 16u);
+    EXPECT_EQ(store.mediaCounters(0).repaired.load(), 0u);
+}
+
+/**
+ * RegionParity on its own: a tail cover's partial parity repairs a
+ * region of the partial group, and the later whole-group cover that
+ * completes the group rewrites both lines so a region past the old
+ * tail repairs too.
+ */
+TEST(StoreParity, TailCoverIsRewrittenWhenTheGroupCompletes)
+{
+    constexpr std::size_t regions = 32;
+    constexpr std::size_t words = regions * repair::regionWords;
+    kernels::SimContext ctx(smallMachine(),
+                            words * sizeof(std::uint64_t) +
+                                repair::parityArenaBytes(words * 8) +
+                                8 * blockBytes);
+    auto *data = ctx.arena.alloc<std::uint64_t>(words);
+    repair::RegionParity<kernels::SimEnv> par(
+        ctx.arena, data, words * sizeof(std::uint64_t), false);
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    for (std::size_t w = 0; w < words; ++w)
+        data[w] = repair::mix64(w);
+    const auto stored = [&]() {
+        return data + par.pendingRegion() * repair::regionWords;
+    };
+    const auto rot = [&](std::size_t r) {
+        data[r * repair::regionWords + 3] ^= 0x40;
+    };
+    const std::uint64_t want10 = data[10 * repair::regionWords + 3];
+    const std::uint64_t want12 = data[12 * repair::regionWords + 3];
+
+    par.cover(env, 1, 11 * repair::regionBytes + 16, stored());
+    EXPECT_EQ(par.coveredRegions(), 8u);
+    EXPECT_EQ(par.pendingRegion(), 8u);
+    par.coverTail(env, 11 * repair::regionBytes + 16, stored());
+    EXPECT_EQ(par.coveredRegions(), 11u);
+    EXPECT_EQ(par.pendingRegion(), 8u);
+    rot(10);
+    EXPECT_EQ(par.repairRegion(env, 10), repair::RegionState::Repaired);
+    EXPECT_EQ(data[10 * repair::regionWords + 3], want10);
+
+    par.cover(env, 2, 15 * repair::regionBytes, stored());
+    EXPECT_EQ(par.coveredRegions(), 11u) << "group 1 is not complete";
+    par.cover(env, 3, 16 * repair::regionBytes, stored());
+    EXPECT_EQ(par.coveredRegions(), 16u);
+    EXPECT_EQ(par.lastSealedEpoch(), 3u);
+    rot(12);
+    EXPECT_EQ(par.repairRegion(env, 12), repair::RegionState::Repaired);
+    EXPECT_EQ(data[12 * repair::regionWords + 3], want12);
+    EXPECT_EQ(par.repairCovered(env).repaired, 0u);
+}
+
+/**
+ * A group's streamed parity and fingerprint lines leave for NVMM at
+ * the commit that completes the group, before the header that
+ * vouches for them. Crash with the lines durable but the header
+ * still cached: the durable header is stale-small (no coverage), and
+ * recovery accepts exactly the committed prefix.
+ */
+TEST(StoreParity, CrashBeforeHeaderDrainsKeepsStaleSmallCoverage)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.foldBatches = 64;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    // 4 batches of 8 records + trailer: 576 bytes, 9 whole regions,
+    // so epoch 4's commit completes group 0.
+    std::map<std::uint64_t, std::uint64_t> golden;
+    for (std::uint64_t k = 1; k <= 32; ++k) {
+        store.put(env, k, 100 + k);
+        golden[k] = 100 + k;
+    }
+    ASSERT_EQ(store.committedEpoch(0), 4u);
+    const FaultSurface fs = store.faultSurface(0);
+    ASSERT_EQ(fs.coveredBytes,
+              repair::groupRegions * repair::regionBytes);
+    for (std::uint64_t e = 1; e <= 4; ++e)
+        for (bool replica : {false, true})
+            persistBlockOf(ctx.arena, store.digestSlotAddr(0, e, replica));
+
+    const auto *parity = static_cast<const std::uint64_t *>(fs.parity);
+    const auto *hashes =
+        static_cast<const std::uint64_t *>(fs.parityHashes);
+    for (std::size_t w = 0; w < repair::regionWords; ++w) {
+        EXPECT_EQ(ctx.arena.peekDurable(&parity[w]), parity[w])
+            << "parity word " << w << " still pending";
+        EXPECT_EQ(ctx.arena.peekDurable(&hashes[w]), hashes[w])
+            << "fingerprint " << w << " still pending";
+    }
+    const auto *hdr = static_cast<const std::uint64_t *>(fs.parityHeader);
+    EXPECT_EQ(hdr[0], repair::groupRegions);
+    EXPECT_EQ(ctx.arena.peekDurable(&hdr[0]), 0u)
+        << "header drained: the crash point is gone";
+
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.committedEpochs[0], 4u);
+    EXPECT_EQ(rep.batchesReplayed, 4u);
+    EXPECT_EQ(rep.batchesDiscarded, 0u);
+    EXPECT_EQ(rep.mediaRepaired, 0u);
+    EXPECT_EQ(rep.mediaUnrepairable, 0u);
+    EXPECT_EQ(store.snapshot(), golden);
 }
 
 TEST(StoreYcsb, KeyOfRecordIsInjective)
