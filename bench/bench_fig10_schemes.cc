@@ -14,10 +14,13 @@
  * tmm+WAL 5.97/3.83.
  *
  * A full-run (non-windowed) comparison with end-to-end verification
- * is printed as a second table.
+ * is printed as a second table. Every run's raw cycles, writes and
+ * reads go to a JSON report (argv[1], default fig10.json) that
+ * tools/check_sim_gate.py --gate fig10 checks exactly.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench/common.hh"
 
@@ -30,22 +33,34 @@ namespace
 struct Row
 {
     const char *name;
+    const char *key;  ///< metric-name prefix in the JSON report
     Scheme scheme;
     double paper_time;
     double paper_writes;
 };
 
 const Row rows[] = {
-    {"base (tmm)", Scheme::Base, 1.00, 1.00},
-    {"tmm+LP", Scheme::Lp, 1.002, 1.003},
-    {"tmm+EP", Scheme::EagerRecompute, 1.12, 1.36},
-    {"tmm+WAL", Scheme::Wal, 5.97, 3.83},
+    {"base (tmm)", "base", Scheme::Base, 1.00, 1.00},
+    {"tmm+LP", "lp", Scheme::Lp, 1.002, 1.003},
+    {"tmm+EP", "ep", Scheme::EagerRecompute, 1.12, 1.36},
+    {"tmm+WAL", "wal", Scheme::Wal, 5.97, 3.83},
 };
+
+/** Record @p out's raw counts under "<phase>.<row key>.". */
+void
+record(stats::Snapshot &metrics, const char *phase, const Row &row,
+       const RunOutcome &out)
+{
+    const std::string pre = std::string(phase) + "." + row.key + ".";
+    metrics[pre + "exec_cycles"] = out.execCycles;
+    metrics[pre + "nvmm_writes"] = out.nvmmWrites;
+    metrics[pre + "nvmm_reads"] = out.stat("nvmm_reads");
+}
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::banner("Figure 10: execution time and NVMM writes (tmm)",
                   "Fig. 10 -- base 1.00/1.00, LP 1.002/1.003, "
@@ -56,11 +71,14 @@ main()
 
     std::printf("windowed measurement (warm-up 2 kk stages, "
                 "measure 2 kk stages), as in Section V-C:\n\n");
+    stats::Snapshot metrics;
+    bool verified = true;
     RunOutcome base;
     stats::Table table({"scheme", "exec time", "num writes",
                         "paper exec", "paper writes"});
     for (const Row &row : rows) {
         const auto out = runTmmWindow(row.scheme, params, cfg, 2, 2);
+        record(metrics, "window", row, out);
         if (row.scheme == Scheme::Base)
             base = out;
         table.addRow({row.name,
@@ -83,6 +101,8 @@ main()
     for (const Row &row : rows) {
         const auto out = runScheme(KernelId::Tmm, row.scheme, params,
                                    cfg);
+        record(metrics, "full", row, out);
+        verified = verified && out.verified;
         if (row.scheme == Scheme::Base)
             fbase = out;
         ftable.addRow({row.name,
@@ -101,5 +121,8 @@ main()
                 params.n, params.n, params.bsize, params.threads,
                 cfg.l2.sizeBytes / 1024, cfg.nvmmReadNs,
                 cfg.nvmmWriteNs);
-    return 0;
+    const bool ok = bench::writeJsonReport(
+        argc, argv, "fig10.json",
+        bench::gateReport("fig10", verified, metrics));
+    return ok && verified ? 0 : 1;
 }

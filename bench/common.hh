@@ -138,6 +138,25 @@ writeJsonReport(int argc, char **argv, const char *defaultPath,
     return true;
 }
 
+/**
+ * The report of a deterministic bench, in the shape perfbench
+ * prints: `{"bench", "correct", "metrics": {name: {"value": v}}}`.
+ * tools/check_sim_gate.py compares its metrics exactly with a golden
+ * file, so a simulator change that moves a paper figure is caught.
+ */
+inline stats::JsonValue::Object
+gateReport(const std::string &bench, bool correct,
+           const stats::Snapshot &metrics)
+{
+    stats::JsonValue::Object m;
+    for (const auto &[name, v] : metrics)
+        m[name] = stats::JsonValue::Object{{"value", v}};
+    return {{"bench", bench},
+            {"correct", stats::JsonValue::raw(correct ? "true"
+                                                      : "false")},
+            {"metrics", std::move(m)}};
+}
+
 } // namespace lp::bench
 
 #endif // LP_BENCH_COMMON_HH

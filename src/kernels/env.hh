@@ -128,6 +128,17 @@ class SimEnv
             crash->onStore();
     }
 
+    /**
+     * Software prefetch of @p p's line for writing
+     * (sim::Machine::prefetch): the miss overlaps with later work, up
+     * to the core's MSHR count. A hint only; it changes no byte.
+     */
+    void
+    prefetch(const void *p)
+    {
+        m->prefetch(core_, a->addrOf(p));
+    }
+
     /** Account @p n non-memory instructions. */
     void tick(std::uint64_t n) { m->tick(core_, n); }
 
@@ -198,6 +209,7 @@ class NativeEnv
         *p = v;
     }
 
+    void prefetch(const void *p) { __builtin_prefetch(p, 1); }
     void tick(std::uint64_t) {}
     void clflushopt(const void *) {}
     void clwb(const void *) {}

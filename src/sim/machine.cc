@@ -20,6 +20,7 @@ Machine::Machine(const MachineConfig &config, PersistBackend *be)
     streamBuf.resize(cfg.numCores);
     wcBuf.resize(cfg.numCores);
     flushQ.resize(cfg.numCores);
+    prefetchQ.resize(cfg.numCores);
     nextCleanAt = cfg.cleanerPeriodCycles;
 }
 
@@ -68,6 +69,7 @@ Machine::readStream(CoreId c, Addr addr, unsigned size)
             ++s.l2Accesses;
             if (Line *l2l = l2.find(blk)) {
                 cost += cfg.l2.latency;
+                cost += awaitPrefetch(blk, clk[c] + cost);
                 l2.touch(*l2l);
             } else {
                 auto &buf = streamBuf[c];
@@ -163,6 +165,60 @@ Machine::flushWcLine(Addr blk)
             }
         }
     }
+}
+
+void
+Machine::prefetch(CoreId c, Addr addr)
+{
+    if (trace)
+        trace->prefetch(c, addr);
+    ++s.prefetches;
+    maybeClean(c);
+    const Addr blk = blockAlign(addr);
+    flushWcLine(blk);
+    // The L2 is inclusive, so a line cached anywhere is in it.
+    if (!l2.find(blk)) {
+        auto &q = prefetchQ[c];
+        std::erase_if(q, [now = clk[c]](Cycles t) { return t <= now; });
+        if (q.size() >= cfg.mshrsPerCore) {
+            // Every MSHR is busy: wait for the oldest fill (arrivals
+            // are in issue order).
+            ++s.mshrFullEvents;
+            clk[c] = q.front();
+            q.erase(q.begin());
+        }
+        noteNvmmRead(blk);
+        Line &victim = l2.victimFor(blk);
+        if (victim.valid())
+            evictL2Victim(c, victim);
+        l2.install(victim, blk, LineState::Shared);
+        const Cycles arrival =
+            clk[c] + cfg.l2.latency + cfg.nvmmReadCycles();
+        q.push_back(arrival);
+        prefetched[blk] = arrival;
+    }
+    clk[c] += 1;  // issue slot of the prefetch instruction
+}
+
+Cycles
+Machine::awaitPrefetch(Addr blk, Cycles done)
+{
+    if (prefetched.empty())
+        return 0;
+    const auto it = prefetched.find(blk);
+    if (it == prefetched.end())
+        return 0;
+    const Cycles wait = it->second > done ? it->second - done : 0;
+    prefetched.erase(it);
+    s.prefetchWaitCycles += wait;
+    return wait;
+}
+
+void
+Machine::dropPrefetch(Addr blk)
+{
+    if (!prefetched.empty() && prefetched.erase(blk) != 0)
+        ++s.prefetchUnused;
 }
 
 void
@@ -279,6 +335,7 @@ Machine::handleL1Miss(CoreId c, Addr blk, bool is_write)
     Line *l2l = l2.find(blk);
     if (l2l) {
         cost += cfg.l2.latency;
+        cost += awaitPrefetch(blk, clk[c] + cfg.l1.latency + cost);
         l2.touch(*l2l);
     } else {
         ++s.l2Misses;
@@ -366,6 +423,7 @@ Machine::evictL2Victim(CoreId c, Line &victim)
         }
         dir.erase(it);
     }
+    dropPrefetch(blk);
 
     if (dirty) {
         grantWritePort(clk[c]);
@@ -462,6 +520,8 @@ Machine::dropCopies(Addr blk, bool keep_line)
         if (l2l->state == LineState::Modified)
             dirty = true;
         l2l->state = keep_line ? LineState::Shared : LineState::Invalid;
+        if (!keep_line)
+            dropPrefetch(blk);
     }
     return dirty;
 }
@@ -597,6 +657,9 @@ Machine::loseVolatileState()
     dir.clear();
     for (auto &q : flushQ)
         q.clear();
+    for (auto &q : prefetchQ)
+        q.clear();
+    prefetched.clear();
     for (auto &buf : streamBuf)
         buf.clear();
     for (auto &buf : wcBuf)
@@ -708,6 +771,11 @@ Machine::snapshot() const
         static_cast<double>(s.mcQueueFullEvents.value());
     snap["fence_stall_cycles"] =
         static_cast<double>(s.fenceStallCycles.value());
+    snap["prefetches"] = static_cast<double>(s.prefetches.value());
+    snap["prefetch_wait_cycles"] =
+        static_cast<double>(s.prefetchWaitCycles.value());
+    snap["prefetch_unused"] =
+        static_cast<double>(s.prefetchUnused.value());
     snap["max_vdur"] = static_cast<double>(s.maxVdur.value());
     snap["avg_vdur"] = s.avgVdur.mean();
     snap["exec_cycles"] =

@@ -26,6 +26,13 @@
  * port, with no NVMM read and no cache fill. A partial line leaves on
  * sfence, buffer overflow, any cached access to it, or drainDirty();
  * pending lines are volatile, like dirty cache lines.
+ *
+ * Software prefetch is the one way reads overlap in the in-order
+ * model: a prefetch of an uncached line installs it in the L2 at
+ * once but marks it in flight until its NVMM read completes, and up
+ * to mshrsPerCore prefetches per core may be in flight together. A
+ * demand access to an in-flight line waits only for the rest of its
+ * latency.
  */
 
 #ifndef LP_SIM_MACHINE_HH
@@ -110,6 +117,13 @@ struct MachineStats
 
     stats::Counter fenceStallCycles;
 
+    stats::Counter prefetches;          ///< prefetch instructions
+    stats::Counter prefetchWaitCycles;  ///< demand stalls on lines
+                                        ///< still in flight
+    stats::Counter prefetchUnused;      ///< prefetched lines evicted
+                                        ///< or flushed before any
+                                        ///< demand access
+
     stats::Maximum maxVdur;        ///< max volatility duration (cycles)
     stats::Average avgVdur;
 };
@@ -192,6 +206,20 @@ class Machine
      */
     void writeStream(CoreId c, Addr addr, unsigned size,
                      const std::function<void()> &store = {});
+
+    /**
+     * Software prefetch of the block of @p addr into the L2: one issue
+     * cycle. A line already cached costs nothing more. Otherwise the
+     * line is read from NVMM and installed in the L2 now (evicting a
+     * victim as a miss would) but arrives only l2.latency +
+     * nvmmReadCycles() later; a demand access before then waits for
+     * the rest. At most mshrsPerCore prefetches are in flight per
+     * core: another stalls until the oldest arrives. A line pending
+     * in a write-combining buffer is drained first. A prefetch changes
+     * no byte; like any access, it reaches NVMM only by that drain
+     * and by a dirty victim's writeback.
+     */
+    void prefetch(CoreId c, Addr addr);
 
     /**
      * clflushopt: flush the block of @p addr from the whole hierarchy,
@@ -288,6 +316,17 @@ class Machine
     };
 
     static std::uint32_t bit(CoreId c) { return 1u << c; }
+
+    /**
+     * Demand access to @p blk, an L2 hit that would complete at
+     * @p done: if a prefetch of @p blk is still in flight, returns
+     * the cycles it waits beyond @p done. Either way the line stops
+     * being a prefetched line.
+     */
+    Cycles awaitPrefetch(Addr blk, Cycles done);
+
+    /** @p blk left the L2: forget it, counting a prefetch unused. */
+    void dropPrefetch(Addr blk);
 
     /** Fire the periodic cleaner if its deadline passed. */
     void maybeClean(CoreId c);
@@ -395,6 +434,18 @@ class Machine
 
     std::vector<Cycles> clk;
     std::vector<std::vector<Cycles>> flushQ;  ///< per-core completions
+
+    /** Per-core arrival times of prefetches holding an MSHR. */
+    std::vector<std::vector<Cycles>> prefetchQ;
+
+    /**
+     * L2-resident lines a prefetch installed that no demand access
+     * has touched yet, with their arrival times. Only clean L2 lines
+     * with no L1 copy can be here: the first demand access takes the
+     * line out, and an L2 eviction or flush erases it.
+     */
+    std::unordered_map<Addr, Cycles> prefetched;
+
     Cycles writePortFreeAt = 0;
     Cycles nextCleanAt = 0;
 

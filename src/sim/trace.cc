@@ -47,6 +47,9 @@ TraceBuffer::replayInto(Machine &machine) const
           case TraceOp::WriteStream:
             machine.writeStream(c, r.arg, r.size);
             break;
+          case TraceOp::Prefetch:
+            machine.prefetch(c, r.arg);
+            break;
         }
     }
 }

@@ -4,13 +4,13 @@
  *
  * A TraceBuffer captures the exact operation stream a workload
  * drives into the Machine (reads, writes, their streaming variants,
- * flushes, fences, compute ticks, per core). Because the simulator's
- * behaviour depends only on that stream -- never on data values --
- * replaying a trace into a fresh machine reproduces every statistic
- * bit-for-bit, and replaying it into machines with *different*
- * configurations sweeps the design space (cache sizes, NVMM
- * latencies, cleaner settings) without re-executing the kernel: the
- * gem5 "trace CPU" workflow.
+ * prefetches, flushes, fences, compute ticks, per core). Because the
+ * simulator's behaviour depends only on that stream -- never on data
+ * values -- replaying a trace into a fresh machine reproduces every
+ * statistic bit-for-bit, and replaying it into machines with
+ * *different* configurations sweeps the design space (cache sizes,
+ * NVMM latencies, cleaner settings) without re-executing the kernel:
+ * the gem5 "trace CPU" workflow.
  *
  * Records are fixed 16-byte entries; traces serialize to a flat file
  * with a small header.
@@ -41,6 +41,7 @@ enum class TraceOp : std::uint8_t
     Tick,
     ReadStream,   ///< non-allocating load
     WriteStream,  ///< non-allocating (write-combined) store
+    Prefetch,     ///< software prefetch into the L2
 };
 
 /** One fixed-size trace record. */
@@ -87,6 +88,12 @@ class TraceBuffer
     {
         append({TraceOp::WriteStream, narrowCore(c),
                 static_cast<std::uint16_t>(size), 0, a});
+    }
+
+    void
+    prefetch(CoreId c, Addr a)
+    {
+        append({TraceOp::Prefetch, narrowCore(c), 0, 0, a});
     }
 
     void

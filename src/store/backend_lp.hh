@@ -201,9 +201,13 @@ class LpBackend : public PersistencyBackend<Env>
      * (b) apply the coalesced last op per key to the table with
      *     Eager Persistency -- one table write per DISTINCT key in
      *     the window, which is where LP's write savings over per-op
-     *     flushing comes from on skewed workloads. All of the
-     *     window's table stores execute first, then each distinct
-     *     dirty block is flushed once (ep::flushBlocksOnce);
+     *     flushing comes from on skewed workloads. The delta names
+     *     every key before the first is applied, so each key's home
+     *     line is prefetched foldPrefetchDistance keys ahead of its
+     *     apply, and those independent table misses overlap instead
+     *     of running one after another. All of the window's table
+     *     stores execute first, then each distinct dirty block is
+     *     flushed once (ep::flushBlocksOnce);
      * (c) restart the parity generation (the journal is about to
      *     restart at offset 0) and advance the durable watermark in
      *     both superblock copies.
@@ -239,11 +243,18 @@ class LpBackend : public PersistencyBackend<Env>
         }
         ep::flushBlocksOnce(env, blocks);
         env.sfence();
+        auto ahead = sh.delta.begin();
+        for (std::size_t i = 0;
+             i < foldPrefetchDistance && ahead != sh.delta.end();
+             ++i, ++ahead)
+            table().prefetchHome(env, ahead->first);
         for (const auto &[key, dv] : sh.delta) {
             KvSlot *slot =
                 table().applyOp(env, dv.isPut, key, dv.value);
             if (slot)
                 blocks.push_back(ep::blockIndexOf(slot));
+            if (ahead != sh.delta.end())
+                table().prefetchHome(env, (ahead++)->first);
         }
         ep::flushBlocksOnce(env, blocks);
         env.sfence();
@@ -498,6 +509,16 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
   private:
+    /**
+     * How many keys ahead of the fold's apply the home-line
+     * prefetches run: the modelled core's MSHR count, so one key's
+     * apply overlaps the next 16 keys' misses without ever waiting
+     * for a free MSHR.
+     */
+    static constexpr std::size_t foldPrefetchDistance = 16;
+    static_assert(foldPrefetchDistance ==
+                  sim::MachineConfig{}.mshrsPerCore);
+
     struct Shard
     {
         ShardMeta *meta = nullptr;

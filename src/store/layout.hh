@@ -258,6 +258,16 @@ class SlotTable
     KvSlot &slot(std::size_t i) { return table_[i]; }
     const KvSlot &slot(std::size_t i) const { return table_[i]; }
 
+    /**
+     * Prefetch the line of @p key's home slot, where every probe for
+     * it starts, so a later applyOp of @p key finds it on its way.
+     */
+    void
+    prefetchHome(Env &env, std::uint64_t key)
+    {
+        env.prefetch(&table_[bucketOf(key)]);
+    }
+
     /** Slot holding @p key, or npos. Probes stop at never-used slots. */
     std::size_t
     probeFind(Env &env, std::uint64_t key)

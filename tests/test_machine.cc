@@ -2,7 +2,8 @@
  * @file
  * Unit tests for the simulated machine: hit/miss timing, writeback
  * and durability plumbing, flush/fence semantics, streaming loads
- * and write-combined streaming stores, MESI-lite coherence,
+ * and write-combined streaming stores, software prefetch and its
+ * MSHR bound, MESI-lite coherence,
  * volatility-duration tracking, and crash behaviour.
  */
 
@@ -326,6 +327,166 @@ TEST(Machine, StreamBufferOverflowDrainsOldestPartialLine)
     EXPECT_EQ(f.m.pendingStreamLines(), 0u);
     EXPECT_EQ(f.m.machineStats().drainWrites.value(), 10u);
     EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[80]), 11.0);
+}
+
+TEST(Machine, LoadOfPrefetchedLineWaitsOnlyForTheRest)
+{
+    Fixture f;
+    const MachineConfig cfg = tinyConfig();
+    const Cycles issued = f.m.coreCycles(0);
+    f.m.prefetch(0, f.addr(0));
+    EXPECT_EQ(f.m.coreCycles(0) - issued, 1u);
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 1u);
+    f.m.tick(0, 400);  // 100 cycles of other work
+    const Cycles before = f.m.coreCycles(0);
+    f.m.read(0, f.addr(0), 8);
+    // The load completes when the line arrives, not a full miss
+    // after it was issued.
+    const Cycles arrival =
+        issued + cfg.l2.latency + cfg.nvmmReadCycles();
+    EXPECT_EQ(f.m.coreCycles(0), arrival);
+    EXPECT_EQ(f.m.machineStats().prefetchWaitCycles.value(),
+              arrival - (before + cfg.l1.latency + cfg.l2.latency));
+    // One NVMM read in all; the demand access is an L2 hit.
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 1u);
+    EXPECT_EQ(f.m.machineStats().l2Accesses.value(), 1u);
+    EXPECT_EQ(f.m.machineStats().l2Misses.value(), 0u);
+    EXPECT_EQ(f.m.machineStats().prefetchUnused.value(), 0u);
+}
+
+TEST(Machine, EveryL2HitPathWaitsForAnInFlightLine)
+{
+    const MachineConfig cfg = tinyConfig();
+    for (int op = 0; op < 3; ++op) {
+        Fixture f;
+        const Cycles issued = f.m.coreCycles(0);
+        f.m.prefetch(0, f.addr(0));
+        if (op == 0)
+            f.m.read(0, f.addr(0), 8);
+        else if (op == 1)
+            f.m.write(0, f.addr(0), 8);
+        else
+            f.m.readStream(0, f.addr(0), 8);
+        EXPECT_EQ(f.m.coreCycles(0),
+                  issued + cfg.l2.latency + cfg.nvmmReadCycles())
+            << "op " << op;
+        EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 1u);
+    }
+}
+
+TEST(Machine, ArrivedPrefetchIsAnOrdinaryL2Hit)
+{
+    Fixture f;
+    const MachineConfig cfg = tinyConfig();
+    f.m.prefetch(0, f.addr(0));
+    f.m.tick(0, 4 * 1000);
+    const Cycles before = f.m.coreCycles(0);
+    f.m.read(0, f.addr(0), 8);
+    EXPECT_EQ(f.m.coreCycles(0) - before,
+              cfg.l1.latency + cfg.l2.latency);
+    EXPECT_EQ(f.m.machineStats().prefetchWaitCycles.value(), 0u);
+}
+
+TEST(Machine, PrefetchBeyondTheMshrsStallsForTheOldest)
+{
+    Fixture f;
+    const MachineConfig cfg = tinyConfig();
+    const Cycles issued = f.m.coreCycles(0);
+    for (unsigned i = 0; i < cfg.mshrsPerCore; ++i)
+        f.m.prefetch(0, f.addr(8 * static_cast<int>(i)));
+    EXPECT_EQ(f.m.coreCycles(0) - issued, Cycles{cfg.mshrsPerCore});
+    EXPECT_EQ(f.m.machineStats().mshrFullEvents.value(), 0u);
+    // The 17th waits until the first prefetch's line arrives.
+    f.m.prefetch(0, f.addr(8 * static_cast<int>(cfg.mshrsPerCore)));
+    EXPECT_EQ(f.m.coreCycles(0),
+              issued + cfg.l2.latency + cfg.nvmmReadCycles() + 1);
+    EXPECT_EQ(f.m.machineStats().mshrFullEvents.value(), 1u);
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(),
+              cfg.mshrsPerCore + 1u);
+    EXPECT_EQ(f.m.machineStats().prefetches.value(),
+              cfg.mshrsPerCore + 1u);
+}
+
+TEST(Machine, PrefetchOfCachedLineCostsOneCycleAndNoRead)
+{
+    Fixture f;
+    f.m.read(0, f.addr(0), 8);
+    for (CoreId c : {0, 1}) {  // in core 0's L1; in the L2 for both
+        const Cycles before = f.m.coreCycles(c);
+        f.m.prefetch(c, f.addr(0));
+        EXPECT_EQ(f.m.coreCycles(c) - before, 1u);
+    }
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 1u);
+    EXPECT_EQ(f.m.machineStats().prefetches.value(), 2u);
+    // Nothing left in flight: core 1's load is an ordinary L2 hit.
+    const Cycles before = f.m.coreCycles(1);
+    f.m.read(1, f.addr(0), 8);
+    EXPECT_EQ(f.m.coreCycles(1) - before,
+              tinyConfig().l1.latency + tinyConfig().l2.latency);
+}
+
+TEST(Machine, PrefetchedLineEvictedBeforeUseIsReadAgain)
+{
+    Fixture f;
+    const MachineConfig cfg = tinyConfig();
+    // Four more lines of the same L2 set push the prefetched line out.
+    const int setStride = 8 * static_cast<int>(cfg.l2.numSets());
+    f.m.prefetch(0, f.addr(0));
+    for (unsigned w = 1; w <= cfg.l2.assoc; ++w)
+        f.m.read(0, f.addr(setStride * static_cast<int>(w)), 8);
+    EXPECT_EQ(f.m.machineStats().prefetchUnused.value(), 1u);
+    const auto reads = f.m.machineStats().nvmmReads.value();
+    const Cycles before = f.m.coreCycles(0);
+    f.m.read(0, f.addr(0), 8);
+    EXPECT_EQ(f.m.coreCycles(0) - before,
+              cfg.l1.latency + cfg.l2.latency + cfg.nvmmReadCycles());
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), reads + 1);
+    EXPECT_EQ(f.m.machineStats().prefetchWaitCycles.value(), 0u);
+}
+
+TEST(Machine, PrefetchedLineFlushedBeforeUseLeavesNoState)
+{
+    Fixture f;
+    const MachineConfig cfg = tinyConfig();
+    f.m.prefetch(0, f.addr(0));
+    f.m.clflushopt(0, f.addr(0));
+    EXPECT_EQ(f.m.machineStats().prefetchUnused.value(), 1u);
+    EXPECT_EQ(f.m.machineStats().nvmmWrites.value(), 0u);  // clean
+    f.m.sfence(0);
+    const Cycles before = f.m.coreCycles(0);
+    f.m.read(0, f.addr(0), 8);
+    EXPECT_EQ(f.m.coreCycles(0) - before,
+              cfg.l1.latency + cfg.l2.latency + cfg.nvmmReadCycles());
+    EXPECT_EQ(f.m.machineStats().prefetchWaitCycles.value(), 0u);
+}
+
+TEST(Machine, PrefetchOfPendingStreamedLineDrainsIt)
+{
+    Fixture f;
+    f.data[0] = 5.0;
+    f.m.writeStream(0, f.addr(0), 8);
+    f.m.prefetch(1, f.addr(0));  // any core's prefetch
+    EXPECT_EQ(f.m.pendingStreamLines(), 0u);
+    EXPECT_EQ(f.m.machineStats().streamWrites.value(), 1u);
+    EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 5.0);
+    // Then it reads the line like any other uncached prefetch.
+    EXPECT_EQ(f.m.machineStats().nvmmReads.value(), 1u);
+}
+
+TEST(Machine, CrashClearsInFlightPrefetches)
+{
+    Fixture f;
+    const MachineConfig cfg = tinyConfig();
+    for (unsigned i = 0; i < cfg.mshrsPerCore; ++i)
+        f.m.prefetch(0, f.addr(8 * static_cast<int>(i)));
+    f.m.loseVolatileState();
+    // No MSHR stays busy and no line stays in flight.
+    const Cycles before = f.m.coreCycles(0);
+    f.m.prefetch(0, f.addr(8 * static_cast<int>(cfg.mshrsPerCore)));
+    EXPECT_EQ(f.m.coreCycles(0) - before, 1u);
+    f.m.read(0, f.addr(0), 8);
+    EXPECT_EQ(f.m.machineStats().prefetchWaitCycles.value(), 0u);
+    EXPECT_EQ(f.m.machineStats().l2Misses.value(), 1u);
 }
 
 TEST(Machine, TickAccountsIssueWidth)

@@ -264,6 +264,22 @@ TEST(Litmus, StreamedStoreOverDirtyLineKeepsItsOtherBytes)
     EXPECT_DOUBLE_EQ(l.x[1], 0.0);
 }
 
+TEST(Litmus, PrefetchChangesNothingDurable)
+{
+    // ST x; PREFETCH x; PREFETCH y -- crash: the prefetches wrote
+    // nothing, so the unflushed store is lost and y is untouched.
+    Litmus l;
+    auto e = l.env();
+    e.st(l.x, 1.0);
+    e.prefetch(l.x);
+    e.prefetch(l.y);
+    EXPECT_EQ(l.m.machineStats().nvmmWrites.value(), 0u);
+    l.crash();
+    EXPECT_DOUBLE_EQ(*l.x, 0.0);
+    EXPECT_DOUBLE_EQ(*l.y, 0.0);
+    EXPECT_DOUBLE_EQ(l.arena.peekDurable(l.y), 0.0);
+}
+
 TEST(Litmus, CrashIsRepeatable)
 {
     // Crashing twice without intervening writes is a no-op the

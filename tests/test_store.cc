@@ -7,7 +7,8 @@
  * crash injected *during* recovery, and a rolled-back batch staying
  * rolled back across lives), the 16-byte journal format with its
  * batch trailer and the LP digest-slot placement, the YCSB
- * generators, and the table occupancy guard.
+ * generators, the table occupancy guard, and the LP fold's
+ * one prefetch per distinct key.
  */
 
 #include <gtest/gtest.h>
@@ -734,6 +735,56 @@ TEST(StoreTraffic, ByStructureCoversAllWritesAndJournalIsNeverRead)
             EXPECT_EQ(par.readsPerMut, 0.0);
             EXPECT_EQ(fp.readsPerMut, 0.0);
             EXPECT_EQ(par.writesPerMut, fp.writesPerMut);
+        }
+    }
+}
+
+/**
+ * The LP fold prefetches the home line of every distinct key in its
+ * window exactly once, ahead of applying it; with the window's table
+ * lines fitting in the L2 none of those lines is evicted before use.
+ * No other path prefetches.
+ */
+TEST(StoreFold, PrefetchesEachDistinctKeyOnce)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.foldBatches = 64;  // only the checkpoints fold
+    sim::MachineConfig mcfg = smallMachine();
+    mcfg.l2 = {256 * 1024, 8, 11};
+    for (Backend b : kBackends) {
+        kernels::SimContext ctx(mcfg, storeArenaBytes(scfg));
+        KvStore<kernels::SimEnv> store(ctx.arena, scfg, b);
+        ctx.arena.persistAll();
+        kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+        const auto prefetches = [&ctx] {
+            return ctx.machine.machineStats().prefetches.value();
+        };
+        Rng rng(7);
+        for (int window = 0; window < 2; ++window) {
+            std::set<std::uint64_t> keys;
+            for (int i = 0; i < 300; ++i) {
+                const std::uint64_t key =
+                    keyOfRecord(rng.below(200), 11);
+                keys.insert(key);
+                if (rng.chance(0.2))
+                    store.del(env, key);
+                else
+                    store.put(env, key, std::uint64_t(i));
+                store.get(env, keyOfRecord(rng.below(200), 11));
+            }
+            const auto before = prefetches();
+            store.checkpoint(env);
+            const auto folded = prefetches() - before;
+            EXPECT_EQ(folded, b == Backend::Lp ? keys.size() : 0u)
+                << backendName(b) << " window " << window;
+        }
+        EXPECT_EQ(ctx.machine.machineStats().prefetchUnused.value(), 0u)
+            << backendName(b);
+        if (b == Backend::Lp) {
+            EXPECT_GT(
+                ctx.machine.machineStats().prefetchWaitCycles.value(),
+                0u);
         }
     }
 }

@@ -123,6 +123,39 @@ TEST(Trace, ReplayReproducesStreamingOpsExactly)
     EXPECT_EQ(recorded, replay_machine.snapshot());
 }
 
+TEST(Trace, ReplayReproducesPrefetchesExactly)
+{
+    // A footprint four times the L2, so some prefetched lines are
+    // evicted unused and others are still in flight when loaded.
+    pmem::PersistentArena arena(1 << 20);
+    auto *buf = arena.alloc<std::uint64_t>(8192);
+    Machine m(smallConfig(), &arena);
+    TraceBuffer trace;
+    m.setTraceRecorder(&trace);
+    kernels::SimEnv env(m, arena, 2);
+    for (std::uint64_t i = 0; i < 8192; i += 5) {
+        env.prefetch(&buf[(i * 37 + 640) % 8192]);
+        env.prefetch(&buf[(i * 7919) % 8192]);
+        env.ld(&buf[(i * 37) % 8192]);
+        if (i % 3 == 0)
+            env.st(&buf[(i * 11) % 8192], i);
+        if (i % 4 == 0)
+            env.stStream(&buf[(i * 13) % 8192], i);
+        if (i % 50 == 0)
+            env.clflushopt(&buf[(i * 7919) % 8192]);
+        if (i % 64 == 0)
+            env.sfence();
+    }
+    const auto recorded = m.snapshot();
+    ASSERT_GT(recorded.at("prefetches"), 0.0);
+    ASSERT_GT(recorded.at("prefetch_wait_cycles"), 0.0);
+    ASSERT_GT(recorded.at("prefetch_unused"), 0.0);
+
+    Machine replay_machine(smallConfig(), nullptr);
+    trace.replayInto(replay_machine);
+    EXPECT_EQ(recorded, replay_machine.snapshot());
+}
+
 TEST(Trace, ReplayIntoDifferentCacheChangesOnlyCacheStats)
 {
     stats::Snapshot recorded;

@@ -1,19 +1,32 @@
 #!/usr/bin/env python3
-"""Compare the perfbench simulator gate with its committed golden values.
+"""Compare a deterministic simulator result with its committed golden.
 
     python3 perfbench/run.py --workload served_update --seed 1 \\
         --seconds 1 --trace 0 > result.json
     python3 tools/check_sim_gate.py result.json
 
-The simulator tier of perfbench is deterministic: for a given workload
-and seed, the six gate metrics (nvmm_writes_per_mut.* and
-sim_kops_per_s.* for the lp, eager and wal backends) are the same on
-every run and every machine. This script reads the result run.py
-printed (its last line) for the command the golden file records, and
-requires each gate metric to equal the golden value exactly. Any
-drift, better or worse, fails: a change to the simulated NVMM traffic
-has to be deliberate, and re-recording tools/sim_gate_golden.json
-from that command's result is how a change declares it.
+    build/bench/bench_fig10_schemes fig10.json
+    python3 tools/check_sim_gate.py fig10.json --gate fig10
+
+Each gate has one golden file, tools/<gate>_golden.json, holding the
+command that produces its result and the metric values that result
+must carry:
+
+    sim_gate  perfbench's simulator tier (nvmm_writes_per_mut.* and
+              sim_kops_per_s.* for the lp, eager and wal backends)
+    fig10     bench_fig10_schemes: Figure 10's cycles, NVMM writes and
+              reads per scheme, windowed and full-run
+    table6    bench_table6_hazards: Table VI's hazard counters, L2
+              traffic and volatility durations per scheme
+
+Every gate is deterministic: for a given command the values are the
+same on every run and every machine. The result is the JSON object on
+the last line of the file, in the shape perfbench prints
+({"correct": ..., "metrics": {name: {"value": v}}}). It must report
+correct, and each golden metric must equal the golden value exactly.
+Any drift, better or worse, fails: a change to the simulated machine
+has to be deliberate, and re-recording the gate's golden file from
+its command's result is how a change declares it.
 
 Exit status: 0 when every value matches, 1 otherwise (with one line per
 mismatch on stderr).
@@ -29,14 +42,16 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    ap.add_argument("result", help="run.py output ('-' for stdin)")
-    ap.add_argument("--golden",
-                    default=os.path.join(HERE, "sim_gate_golden.json"))
+    ap.add_argument("result", help="result file ('-' for stdin)")
+    ap.add_argument("--gate", default="sim_gate",
+                    choices=("sim_gate", "fig10", "table6"),
+                    help="compare with tools/<gate>_golden.json")
     args = ap.parse_args()
+    golden_path = os.path.join(HERE, args.gate + "_golden.json")
 
     with (sys.stdin if args.result == "-" else open(args.result)) as f:
         lines = f.read().splitlines()
-    with open(args.golden) as f:
+    with open(golden_path) as f:
         golden = json.load(f)
     try:
         result = json.loads(lines[-1])
@@ -58,7 +73,7 @@ def main():
         print("check_sim_gate: " + p, file=sys.stderr)
     if not problems:
         print("check_sim_gate: %d gate metrics match %s"
-              % (len(golden["metrics"]), os.path.relpath(args.golden)))
+              % (len(golden["metrics"]), os.path.relpath(golden_path)))
     return 1 if problems else 0
 
 

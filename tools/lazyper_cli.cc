@@ -422,6 +422,11 @@ runStoreCommand(int argc, char **argv)
     std::printf("writes/mutation: %.3f\n", out.writesPerMutation);
     std::printf("throughput:      %.3g ops/s (simulated)\n",
                 out.opsPerSec);
+    std::printf("prefetches:      %.0f (waited %.0f cycles, "
+                "%.0f unused)\n",
+                out.stats.at("prefetches"),
+                out.stats.at("prefetch_wait_cycles"),
+                out.stats.at("prefetch_unused"));
     std::printf("NVMM per mutation by structure (writes / reads):\n");
     for (std::size_t i = 0; i < out.nvmmByStructure.size(); ++i) {
         const NvmmTraffic &t = out.nvmmByStructure[i];
