@@ -2,11 +2,18 @@
  * @file
  * Eager Persistency primitives in the Intel PMEM style (Section II-A).
  *
- * These helpers wrap the environment's clflushopt/sfence to persist
- * ranges of memory. clflushopt is weakly ordered, so a range persist
- * issues all flushes back-to-back and orders them with a single
- * sfence -- the cheapest correct PMEM idiom, which both Eager baseline
- * schemes use.
+ * These helpers wrap the environment's clflushopt/clwb/sfence to
+ * persist ranges of memory. Both write-back instructions are weakly
+ * ordered, so a range persist issues all of them back-to-back and
+ * orders them with a single sfence -- the cheapest correct PMEM idiom,
+ * which both Eager baseline schemes use.
+ *
+ * clflushopt writes a dirty line back and invalidates it; clwb writes
+ * it back and keeps it cached clean. The paper's kernels persist with
+ * clflushopt (what Figure 10 measured), so the range helpers default
+ * to it. The KV store persists with clwb: it reads again what it has
+ * just persisted (the next GET of a key, the next batch's log lines),
+ * and a flush that invalidates makes every such read an NVMM miss.
  */
 
 #ifndef LP_EP_PMEM_OPS_HH
@@ -22,20 +29,39 @@
 namespace lp::ep
 {
 
+/** The write-back instruction a persist helper issues. */
+enum class WriteBack
+{
+    Clflushopt,  ///< write back and invalidate
+    Clwb,        ///< write back, keep the line cached clean
+};
+
+/** Write back the block of @p p with @p wb. Does not fence. */
+template <typename Env>
+void
+writeBack(Env &env, const void *p, WriteBack wb)
+{
+    if (wb == WriteBack::Clwb)
+        env.clwb(p);
+    else
+        env.clflushopt(p);
+}
+
 /**
- * Issue clflushopt for every cache block overlapping
+ * Issue @p wb for every cache block overlapping
  * [@p p, @p p + @p bytes). Does not fence.
  */
 template <typename Env>
 void
-flushRange(Env &env, const void *p, std::size_t bytes)
+flushRange(Env &env, const void *p, std::size_t bytes,
+           WriteBack wb = WriteBack::Clflushopt)
 {
     auto addr = reinterpret_cast<std::uintptr_t>(p);
     const std::uintptr_t first = addr & ~std::uintptr_t(blockBytes - 1);
     const std::uintptr_t last =
         (addr + (bytes ? bytes - 1 : 0)) & ~std::uintptr_t(blockBytes - 1);
     for (std::uintptr_t b = first; b <= last; b += blockBytes)
-        env.clflushopt(reinterpret_cast<const void *>(b));
+        writeBack(env, reinterpret_cast<const void *>(b), wb);
 }
 
 /** Flush a range and fence: on return the range is durable. */
@@ -63,24 +89,25 @@ blockIndexOf(const void *p)
 }
 
 /**
- * Flush every distinct cache block in @p blocks once (no fence) and
- * clear the vector. Bulk phases (the LP fold, recovery replay) touch
- * many words that share blocks (4 table slots or checksum slots per
- * block); interleaving store and flush per word re-dirties a block
- * right after flushing it and pays a second NVMM write for the same
- * line. Batching all of a phase's stores before one deduplicated
- * flush pass is equally crash-safe -- the phase's trailing sfence is
- * the only ordering point -- and strictly write-cheaper.
+ * clwb every distinct cache block in @p blocks once (no fence) and
+ * clear the vector; the blocks stay cached clean. Bulk phases (the LP
+ * fold, recovery replay) touch many words that share blocks (4 table
+ * slots or checksum slots per block); interleaving store and
+ * write-back per word re-dirties a block right after writing it back
+ * and pays a second NVMM write for the same line. Batching all of a
+ * phase's stores before one deduplicated write-back pass is equally
+ * crash-safe -- the phase's trailing sfence is the only ordering
+ * point -- and strictly write-cheaper.
  */
 template <typename Env>
 void
-flushBlocksOnce(Env &env, std::vector<std::uintptr_t> &blocks)
+writeBackBlocksOnce(Env &env, std::vector<std::uintptr_t> &blocks)
 {
     std::sort(blocks.begin(), blocks.end());
     blocks.erase(std::unique(blocks.begin(), blocks.end()),
                  blocks.end());
     for (const std::uintptr_t b : blocks)
-        env.clflushopt(reinterpret_cast<const void *>(b * blockBytes));
+        env.clwb(reinterpret_cast<const void *>(b * blockBytes));
     blocks.clear();
 }
 

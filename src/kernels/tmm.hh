@@ -160,7 +160,7 @@ void
 tmmRegionWal(Env &env, const TmmView &v, int kk, int ii,
              ep::WalArea &log)
 {
-    ep::WalTx<Env> tx(env, log);
+    ep::WalTx<Env> tx(env, log, ep::WriteBack::Clflushopt);
     for (int i = ii; i < ii + v.bsize; ++i)
         for (int j = 0; j < v.n; ++j)
             tx.logWord(&v.c[i * v.n + j]);

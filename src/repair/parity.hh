@@ -35,7 +35,9 @@
  * stale-small. The trailing partial group is covered only when the
  * shard is marked clean (coverTail), since strict recovery assumes
  * every whole sealed region is covered. Repairs (recovery/scrub,
- * both eager phases) store + flush and let the caller fence.
+ * both eager phases) and the header store + clwb and let the caller
+ * fence: clwb keeps the line cached clean for the next header update
+ * or verification read.
  *
  * Coverage reads nothing back: the appender hands over the words it
  * just stored, because a journal streams its lines past the cache and
@@ -186,7 +188,7 @@ class RegionParity
     {
         coverTo(env, sealedRegions(sealedBytes), stored);
         storeHeader(env);
-        env.clflushopt(hdr_);
+        env.clwb(hdr_);
     }
 
     /**
@@ -200,7 +202,7 @@ class RegionParity
         covered_ = 0;
         lastSealed_ = epoch;
         storeHeader(env);
-        env.clflushopt(hdr_);
+        env.clwb(hdr_);
     }
 
     /** Does region @p r's content still match its fingerprint? */
@@ -242,7 +244,7 @@ class RegionParity
             &words_[r * regionWords]);
         for (std::size_t w = 0; w < regionWords; ++w)
             env.st(&dst[w], rec[w]);
-        env.clflushopt(dst);
+        env.clwb(dst);
         return RegionState::Repaired;
     }
 
@@ -295,7 +297,7 @@ class RegionParity
             return false;
         for (std::size_t w = 0; w < regionWords; ++w)
             env.st(&par[w], want[w]);
-        env.clflushopt(par);
+        env.clwb(par);
         return true;
     }
 

@@ -333,7 +333,7 @@ class PersistencyBackend
             env.st(&c->foldedEpoch, epoch);
             env.st(&c->flags, flags);
             env.st(&c->check, check);
-            env.clflushopt(c);
+            env.clwb(c);
         }
         env.tick(6);
     }

@@ -1,8 +1,10 @@
 /**
  * @file
  * The eager per-op baseline backend of `lp::store`: every mutation
- * is applied to the table and persisted in place with clflushopt +
- * sfence (the Intel PMEM idiom, Section II-A). There is nothing to
+ * is applied to the table and persisted in place with clwb + sfence
+ * (the Intel PMEM idiom, Section II-A). clwb, not clflushopt, so the
+ * slot's line stays cached clean and a GET of a hot key after its PUT
+ * hits instead of reading NVMM again. There is nothing to
  * batch, fold, or replay -- each op is its own durably-committed
  * epoch, which the pipeline models as batchOps = 1 (so the epoch a
  * stage() returns doubles as the shard's op sequence number, and
@@ -39,7 +41,7 @@ class EagerBackend : public PersistencyBackend<Env>
         KvSlot *slot =
             table().applyOp(env, op == JOp::Put, key, value);
         if (slot) {
-            env.clflushopt(slot);
+            env.clwb(slot);
             env.sfence();
         }
         env.onRegionCommit();

@@ -13,10 +13,11 @@
  * write-allocate read, no cache pollution -- while a partial tail
  * line waits in the buffer. Digest lines drain to NVMM by natural
  * cache evictions. Every foldBatches committed batches the shard
- * FOLDS: digests are pinned with flushes and one fence, which also
+ * FOLDS: digests are pinned with clwb and one fence, which also
  * drains the journal's partial tail line; then the coalesced
  * last-op-per-key effects are applied to the table with Eager
- * Persistency, and the shard's durable watermark
+ * Persistency (store + clwb, so the applied lines stay cached for
+ * the GETs that follow), and the shard's durable watermark
  * (ShardMeta::foldedEpoch) advances. The fold is the Section VI-A
  * periodic flush: it bounds journal space and recovery replay
  * length.
@@ -193,21 +194,23 @@ class LpBackend : public PersistencyBackend<Env>
 
     /**
      * Eager checkpoint of one shard (Section VI-A periodic flush):
-     * (a) pin this window's digests (both copies) in NVMM and fence,
-     *     which also drains the journal's partial tail line from the
-     *     write-combining buffer (its full lines were written as
-     *     they filled), so every batch the fold applies is one
-     *     recovery would accept;
+     * (a) pin this window's digests (both copies) in NVMM with clwb
+     *     and fence, which also drains the journal's partial tail
+     *     line from the write-combining buffer (its full lines were
+     *     written as they filled), so every batch the fold applies
+     *     is one recovery would accept;
      * (b) apply the coalesced last op per key to the table with
      *     Eager Persistency -- one table write per DISTINCT key in
      *     the window, which is where LP's write savings over per-op
      *     flushing comes from on skewed workloads. The delta names
      *     every key before the first is applied, so each key's home
-     *     line is prefetched foldPrefetchDistance keys ahead of its
-     *     apply, and those independent table misses overlap instead
-     *     of running one after another. All of the window's table
-     *     stores execute first, then each distinct dirty block is
-     *     flushed once (ep::flushBlocksOnce);
+     *     line is prefetched SlotTable::prefetchDistance keys ahead
+     *     of its apply (SlotTable::walkPrefetched), and those
+     *     independent table misses overlap instead of running one
+     *     after another. All of the window's table stores execute
+     *     first, then each distinct dirty block is written back once
+     *     with clwb (ep::writeBackBlocksOnce), which leaves it cached
+     *     clean for later GETs;
      * (c) restart the parity generation (the journal is about to
      *     restart at offset 0) and advance the durable watermark in
      *     both superblock copies.
@@ -241,22 +244,18 @@ class LpBackend : public PersistencyBackend<Env>
                 blocks.push_back(
                     ep::blockIndexOf(ckreplica_->keyPtr(s2)));
         }
-        ep::flushBlocksOnce(env, blocks);
+        ep::writeBackBlocksOnce(env, blocks);
         env.sfence();
-        auto ahead = sh.delta.begin();
-        for (std::size_t i = 0;
-             i < foldPrefetchDistance && ahead != sh.delta.end();
-             ++i, ++ahead)
-            table().prefetchHome(env, ahead->first);
-        for (const auto &[key, dv] : sh.delta) {
-            KvSlot *slot =
-                table().applyOp(env, dv.isPut, key, dv.value);
-            if (slot)
-                blocks.push_back(ep::blockIndexOf(slot));
-            if (ahead != sh.delta.end())
-                table().prefetchHome(env, (ahead++)->first);
-        }
-        ep::flushBlocksOnce(env, blocks);
+        table().walkPrefetched(
+            env, sh.delta, [](const auto &kv) { return kv.first; },
+            [&](const auto &kv) {
+                const auto &[key, dv] = kv;
+                KvSlot *slot =
+                    table().applyOp(env, dv.isPut, key, dv.value);
+                if (slot)
+                    blocks.push_back(ep::blockIndexOf(slot));
+            });
+        ep::writeBackBlocksOnce(env, blocks);
         env.sfence();
         sh.parity->resetGeneration(env, pl.lastCommitted());
         this->persistMeta(env, shard, pl.lastCommitted(), 0);
@@ -324,7 +323,7 @@ class LpBackend : public PersistencyBackend<Env>
         };
         // Committed batches repair the table with Eager Persistency
         // (Section III-E); like the fold, all of a batch's stores
-        // execute first, then one flush per distinct block.
+        // execute first, then one clwb per distinct block.
         std::vector<std::uintptr_t> blocks;
         const std::uint64_t committed = sh.journal->replay(
             env, cfg(), base, matches,
@@ -334,7 +333,7 @@ class LpBackend : public PersistencyBackend<Env>
                     blocks.push_back(ep::blockIndexOf(slot));
             },
             [&]() {
-                ep::flushBlocksOnce(env, blocks);
+                ep::writeBackBlocksOnce(env, blocks);
                 env.sfence();
             },
             repairFn, rep);
@@ -509,16 +508,6 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
   private:
-    /**
-     * How many keys ahead of the fold's apply the home-line
-     * prefetches run: the modelled core's MSHR count, so one key's
-     * apply overlaps the next 16 keys' misses without ever waiting
-     * for a free MSHR.
-     */
-    static constexpr std::size_t foldPrefetchDistance = 16;
-    static_assert(foldPrefetchDistance ==
-                  sim::MachineConfig{}.mshrsPerCore);
-
     struct Shard
     {
         ShardMeta *meta = nullptr;

@@ -8,8 +8,15 @@
  * is first PLANNED: each op is resolved against a scratch view of
  * the table (raw host writes, recording pre- and post-images), then
  * the scratch writes are reverted and the real mutation runs under a
- * WalTx. The shard's durable epoch watermark joins the transaction,
- * making "which batches committed" exact for recovery verification.
+ * WalTx. The batch names every key before the plan touches the
+ * first, so each op's home line is prefetched
+ * SlotTable::prefetchDistance ops ahead of planning it, as the LP
+ * fold does, and the batch's independent table misses overlap. The
+ * transaction persists with clwb: the log, status, superblock and
+ * table lines stay cached clean, so the next batch's log appends
+ * and the GETs that follow hit instead of reading NVMM again. The
+ * shard's durable epoch watermark joins the transaction, making
+ * "which batches committed" exact for recovery verification.
  */
 
 #ifndef LP_STORE_BACKEND_WAL_HH
@@ -92,12 +99,14 @@ class WalBackend : public PersistencyBackend<Env>
             plan.push_back(PlanWrite{p, *p, v});
             *p = v;
         };
-        for (const PendingOp &op : sh.pending) {
-            const auto r = table().applyOpWith(
-                env, op.op == JOp::Put, op.key, op.value, planStore);
-            if (r.claimedEmpty)
-                ++claims;
-        }
+        table().walkPrefetched(
+            env, sh.pending, [](const PendingOp &op) { return op.key; },
+            [&](const PendingOp &op) {
+                const auto r = table().applyOpWith(
+                    env, op.op == JOp::Put, op.key, op.value, planStore);
+                if (r.claimedEmpty)
+                    ++claims;
+            });
         // The watermark advance joins the transaction -- on BOTH
         // superblock copies, check words restated so the pair stays
         // valid at every durable point.
@@ -110,7 +119,7 @@ class WalBackend : public PersistencyBackend<Env>
         for (auto it = plan.rbegin(); it != plan.rend(); ++it)
             *(it->ptr) = it->old;
 
-        ep::WalTx<Env> tx(env, *sh.wal);
+        ep::WalTx<Env> tx(env, *sh.wal, ep::WriteBack::Clwb);
         // Log only the first pre-image of each word: applyUndo()
         // replays the log forward, so a later duplicate would win and
         // restore an intra-batch intermediate value.

@@ -32,6 +32,7 @@
 #include "base/logging.hh"
 #include "lp/checksum.hh"
 #include "pmem/arena.hh"
+#include "sim/config.hh"
 
 namespace lp::store
 {
@@ -40,7 +41,7 @@ namespace lp::store
 enum class Backend
 {
     Lp,          ///< Lazy Persistency: lazy journal + checksum epochs
-    EagerPerOp,  ///< clflushopt + sfence per mutation (PMEM idiom)
+    EagerPerOp,  ///< clwb + sfence per mutation (PMEM idiom)
     Wal,         ///< per-batch undo-logged durable transactions
 };
 
@@ -228,6 +229,14 @@ class SlotTable
     static constexpr std::size_t maxLoadNum = 7;
     static constexpr std::size_t maxLoadDen = 8;
 
+    /**
+     * How many keys ahead of a batched walk its home-line prefetches
+     * run: the modelled core's MSHR count, so one key's apply overlaps
+     * the next 16 keys' misses without ever waiting for a free MSHR.
+     */
+    static constexpr std::size_t prefetchDistance = 16;
+    static_assert(prefetchDistance == sim::MachineConfig{}.mshrsPerCore);
+
     /** What applying one op touched. */
     struct ApplyResult
     {
@@ -259,13 +268,25 @@ class SlotTable
     const KvSlot &slot(std::size_t i) const { return table_[i]; }
 
     /**
-     * Prefetch the line of @p key's home slot, where every probe for
-     * it starts, so a later applyOp of @p key finds it on its way.
+     * Call @p fn on every item of @p items in order, keeping the home
+     * line of keyOf(item) prefetched prefetchDistance items ahead of
+     * the call, so a batch's independent table misses overlap instead
+     * of running one after another. For walks that know every key
+     * before touching the first (the LP fold, the WAL plan phase).
      */
+    template <typename Items, typename KeyOf, typename Fn>
     void
-    prefetchHome(Env &env, std::uint64_t key)
+    walkPrefetched(Env &env, const Items &items, KeyOf keyOf, Fn fn)
     {
-        env.prefetch(&table_[bucketOf(key)]);
+        auto ahead = items.begin();
+        for (std::size_t i = 0;
+             i < prefetchDistance && ahead != items.end(); ++i, ++ahead)
+            prefetchHome(env, keyOf(*ahead));
+        for (const auto &item : items) {
+            fn(item);
+            if (ahead != items.end())
+                prefetchHome(env, keyOf(*ahead++));
+        }
     }
 
     /** Slot holding @p key, or npos. Probes stop at never-used slots. */
@@ -390,6 +411,16 @@ class SlotTable
     }
 
   private:
+    /**
+     * Prefetch the line of @p key's home slot, where every probe for
+     * it starts, so a later applyOp of @p key finds it on its way.
+     */
+    void
+    prefetchHome(Env &env, std::uint64_t key)
+    {
+        env.prefetch(&table_[bucketOf(key)]);
+    }
+
     std::size_t
     bucketOf(std::uint64_t key) const
     {

@@ -7,8 +7,9 @@
  * crash injected *during* recovery, and a rolled-back batch staying
  * rolled back across lives), the 16-byte journal format with its
  * batch trailer and the LP digest-slot placement, the YCSB
- * generators, the table occupancy guard, and the LP fold's
- * one prefetch per distinct key.
+ * generators, the table occupancy guard, the LP fold's one prefetch
+ * per distinct key and the WAL plan phase's one per op, and GETs of
+ * persisted keys that hit in the cache.
  */
 
 #include <gtest/gtest.h>
@@ -188,6 +189,40 @@ TEST_P(StoreBackends, RecoverAfterCheckpointFindsNothing)
     store.checkpoint(env);
     EXPECT_EQ(store.get(env, keyOfRecord(0, 1)),
               std::optional<std::uint64_t>(0xabc));
+}
+
+/**
+ * Persisting writes a line back and keeps it cached clean, so once a
+ * PUT is persisted -- by the PUT itself (eager), by its batch commit
+ * (WAL) or by its fold (LP) -- a GET of that key hits in the cache
+ * and reads nothing from NVMM.
+ */
+TEST_P(StoreBackends, GetAfterPersistReadsNoNvmm)
+{
+    const StoreConfig scfg = smallConfig();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, GetParam());
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    constexpr std::uint64_t kKeys = 16;
+    for (std::uint64_t r = 0; r < kKeys; ++r)
+        store.put(env, keyOfRecord(r, 4), r + 1);
+    switch (GetParam()) {
+      case Backend::EagerPerOp:
+        break;
+      case Backend::Wal:
+        store.commitBatches(env);
+        break;
+      case Backend::Lp:
+        store.checkpoint(env);
+        break;
+    }
+    const auto reads = ctx.machine.machineStats().nvmmReads.value();
+    for (std::uint64_t r = 0; r < kKeys; ++r)
+        EXPECT_EQ(store.get(env, keyOfRecord(r, 4)),
+                  std::optional<std::uint64_t>(r + 1));
+    EXPECT_EQ(ctx.machine.machineStats().nvmmReads.value(), reads);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBackends, StoreBackends,
@@ -741,9 +776,10 @@ TEST(StoreTraffic, ByStructureCoversAllWritesAndJournalIsNeverRead)
 
 /**
  * The LP fold prefetches the home line of every distinct key in its
- * window exactly once, ahead of applying it; with the window's table
- * lines fitting in the L2 none of those lines is evicted before use.
- * No other path prefetches.
+ * window exactly once, ahead of applying it; WAL's plan phase
+ * prefetches the home line of every op in the batch it commits. With
+ * the table lines fitting in the L2 none of those lines is evicted
+ * before use. The eager backend never prefetches.
  */
 TEST(StoreFold, PrefetchesEachDistinctKeyOnce)
 {
@@ -752,6 +788,11 @@ TEST(StoreFold, PrefetchesEachDistinctKeyOnce)
     scfg.foldBatches = 64;  // only the checkpoints fold
     sim::MachineConfig mcfg = smallMachine();
     mcfg.l2 = {256 * 1024, 8, 11};
+    constexpr int kOps = 300;
+    // The checkpoint commits the open batch: the ops past the last
+    // full batch (300 % 8 = 4), since each window starts with no
+    // batch open.
+    const std::size_t openOps = std::size_t(kOps % scfg.batchOps);
     for (Backend b : kBackends) {
         kernels::SimContext ctx(mcfg, storeArenaBytes(scfg));
         KvStore<kernels::SimEnv> store(ctx.arena, scfg, b);
@@ -763,7 +804,7 @@ TEST(StoreFold, PrefetchesEachDistinctKeyOnce)
         Rng rng(7);
         for (int window = 0; window < 2; ++window) {
             std::set<std::uint64_t> keys;
-            for (int i = 0; i < 300; ++i) {
+            for (int i = 0; i < kOps; ++i) {
                 const std::uint64_t key =
                     keyOfRecord(rng.below(200), 11);
                 keys.insert(key);
@@ -776,7 +817,10 @@ TEST(StoreFold, PrefetchesEachDistinctKeyOnce)
             const auto before = prefetches();
             store.checkpoint(env);
             const auto folded = prefetches() - before;
-            EXPECT_EQ(folded, b == Backend::Lp ? keys.size() : 0u)
+            const std::size_t want = b == Backend::Lp    ? keys.size()
+                                     : b == Backend::Wal ? openOps
+                                                         : 0u;
+            EXPECT_EQ(folded, want)
                 << backendName(b) << " window " << window;
         }
         EXPECT_EQ(ctx.machine.machineStats().prefetchUnused.value(), 0u)
@@ -787,6 +831,33 @@ TEST(StoreFold, PrefetchesEachDistinctKeyOnce)
                 0u);
         }
     }
+}
+
+/**
+ * One WAL batch commit over N distinct cold keys prefetches each
+ * key's home line once, ahead of planning it, and uses every line.
+ */
+TEST(StoreWal, BatchCommitPrefetchesEachColdKeyOnce)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.batchOps = 32;  // past prefetchDistance: the walk runs ahead
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Wal);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    const sim::MachineStats &ms = ctx.machine.machineStats();
+
+    // Staging touches no table line: every key is still cold when
+    // the last put fills the batch and commits it.
+    for (int r = 0; r + 1 < scfg.batchOps; ++r)
+        store.put(env, keyOfRecord(std::uint64_t(r), 9), 1);
+    ASSERT_EQ(ms.prefetches.value(), 0u);
+    store.put(env, keyOfRecord(std::uint64_t(scfg.batchOps - 1), 9), 1);
+    EXPECT_EQ(store.committedEpoch(0), 1u);
+    EXPECT_EQ(ms.prefetches.value(), std::uint64_t(scfg.batchOps));
+    EXPECT_EQ(ms.prefetchUnused.value(), 0u);
+    EXPECT_GT(ms.prefetchWaitCycles.value(), 0u);
 }
 
 /**

@@ -2,13 +2,19 @@
  * @file
  * Tests for write-ahead-logging durable transactions (Figure 2):
  * commit durability, abort/undo after a crash at every protocol step.
+ * A WalTx built with clwb leaves its log and status lines cached, and
+ * a crash after any of its stores recovers the same image as one
+ * built with clflushopt.
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "ep/wal.hh"
 #include "kernels/env.hh"
 #include "pmem/arena.hh"
+#include "pmem/crash.hh"
 #include "sim/machine.hh"
 
 namespace lp::ep
@@ -17,6 +23,14 @@ namespace
 {
 
 using kernels::SimEnv;
+
+const WriteBack kWriteBacks[] = {WriteBack::Clflushopt, WriteBack::Clwb};
+
+const char *
+name(WriteBack wb)
+{
+    return wb == WriteBack::Clwb ? "clwb" : "clflushopt";
+}
 
 struct Fixture
 {
@@ -41,9 +55,9 @@ struct Fixture
     }
 
     SimEnv
-    env()
+    env(pmem::CrashController *crash = nullptr)
     {
-        return SimEnv(machine, arena, 0);
+        return SimEnv(machine, arena, 0, crash);
     }
 
     void
@@ -61,27 +75,43 @@ struct Fixture
 
 TEST(Wal, CommittedTransactionIsDurable)
 {
-    Fixture f;
-    auto env = f.env();
-    WalTx<SimEnv> tx(env, f.log);
-    tx.logWord(&f.data[0]);
-    tx.logWord(&f.data[1]);
-    tx.seal();
-    env.st(&f.data[0], 100.0);
-    env.st(&f.data[1], 101.0);
-    tx.commit();
+    for (const WriteBack wb : kWriteBacks) {
+        SCOPED_TRACE(name(wb));
+        Fixture f;
+        auto env = f.env();
+        WalTx<SimEnv> tx(env, f.log, wb);
+        tx.logWord(&f.data[0]);
+        tx.logWord(&f.data[1]);
+        tx.seal();
+        env.st(&f.data[0], 100.0);
+        env.st(&f.data[1], 101.0);
+        tx.commit();
 
-    f.crash();
-    EXPECT_DOUBLE_EQ(f.data[0], 100.0);
-    EXPECT_DOUBLE_EQ(f.data[1], 101.0);
-    EXPECT_FALSE(f.log.interrupted());
+        // clwb keeps the log, count and status lines cached clean;
+        // clflushopt dropped them, so reading them back misses.
+        const auto reads = f.machine.machineStats().nvmmReads.value();
+        env.ld(&f.log.entries()[0].addr);
+        env.ld(f.log.count());
+        env.ld(f.log.status());
+        const auto reread =
+            f.machine.machineStats().nvmmReads.value() - reads;
+        if (wb == WriteBack::Clwb)
+            EXPECT_EQ(reread, 0u);
+        else
+            EXPECT_GT(reread, 0u);
+
+        f.crash();
+        EXPECT_DOUBLE_EQ(f.data[0], 100.0);
+        EXPECT_DOUBLE_EQ(f.data[1], 101.0);
+        EXPECT_FALSE(f.log.interrupted());
+    }
 }
 
 TEST(Wal, CrashBeforeSealLeavesOldData)
 {
     Fixture f;
     auto env = f.env();
-    WalTx<SimEnv> tx(env, f.log);
+    WalTx<SimEnv> tx(env, f.log, WriteBack::Clflushopt);
     tx.logWord(&f.data[0]);
     // Crash before seal: no data was modified yet, status is idle.
     f.crash();
@@ -93,7 +123,7 @@ TEST(Wal, CrashAfterSealUndoRestoresPreImages)
 {
     Fixture f;
     auto env = f.env();
-    WalTx<SimEnv> tx(env, f.log);
+    WalTx<SimEnv> tx(env, f.log, WriteBack::Clflushopt);
     // data[0] and data[8] live in different cache blocks, so the
     // flush below persists only the first.
     tx.logWord(&f.data[0]);
@@ -123,6 +153,54 @@ TEST(Wal, CrashAfterSealUndoRestoresPreImages)
     EXPECT_FALSE(f.log.interrupted());
 }
 
+/**
+ * A crash after every store of a transaction, then undo: the
+ * recovered image is all-old or all-new, and the same whichever
+ * write-back instruction the transaction used.
+ */
+TEST(Wal, CrashAtEveryStoreRecoversTheSameImageWithEitherWriteBack)
+{
+    // The constructor's store, three per logged word, the two status
+    // stores and the four data stores, plus one run that completes.
+    constexpr std::uint64_t kStores = 1 + 3 * 4 + 2 + 4;
+    for (std::uint64_t at = 1; at <= kStores + 1; ++at) {
+        SCOPED_TRACE(at);
+        std::vector<std::vector<double>> images;
+        for (const WriteBack wb : kWriteBacks) {
+            SCOPED_TRACE(name(wb));
+            Fixture f;
+            pmem::CrashController crash;
+            crash.armAfterStores(at);
+            auto env = f.env(&crash);
+            bool crashed = false;
+            try {
+                WalTx<SimEnv> tx(env, f.log, wb);
+                for (int i : {0, 8, 16, 24})
+                    tx.logWord(&f.data[i]);
+                tx.seal();
+                for (int i : {0, 8, 16, 24})
+                    env.st(&f.data[i], 100.0 + i);
+                tx.commit();
+            } catch (const pmem::CrashException &) {
+                crashed = true;
+            }
+            EXPECT_EQ(crashed, at <= kStores);
+            crash.disarm();
+            f.crash();
+            auto env2 = f.env();
+            applyUndo(env2, f.log);
+            f.crash();
+            EXPECT_FALSE(f.log.interrupted());
+            std::vector<double> image(f.data, f.data + 32);
+            const bool old = image[8] == 8.0;
+            for (int i : {0, 8, 16, 24})
+                EXPECT_DOUBLE_EQ(image[i], old ? double(i) : 100.0 + i);
+            images.push_back(std::move(image));
+        }
+        EXPECT_EQ(images[0], images[1]);
+    }
+}
+
 TEST(Wal, ApplyUndoOnIdleLogIsNoOp)
 {
     Fixture f;
@@ -135,14 +213,14 @@ TEST(Wal, TransactionReuseResetsCount)
     Fixture f;
     auto env = f.env();
     {
-        WalTx<SimEnv> tx(env, f.log);
+        WalTx<SimEnv> tx(env, f.log, WriteBack::Clflushopt);
         tx.logWord(&f.data[0]);
         tx.seal();
         env.st(&f.data[0], 5.0);
         tx.commit();
     }
     {
-        WalTx<SimEnv> tx(env, f.log);
+        WalTx<SimEnv> tx(env, f.log, WriteBack::Clflushopt);
         tx.logWord(&f.data[1]);
         tx.seal();
         env.st(&f.data[1], 6.0);
@@ -160,7 +238,7 @@ TEST(Wal, FourFencesPerTransaction)
     auto env = f.env();
     const auto fences_before =
         f.machine.machineStats().fences.value();
-    WalTx<SimEnv> tx(env, f.log);
+    WalTx<SimEnv> tx(env, f.log, WriteBack::Clflushopt);
     tx.logWord(&f.data[0]);
     tx.seal();
     env.st(&f.data[0], 9.0);
@@ -173,7 +251,7 @@ TEST(WalDeathTest, OverflowPanics)
 {
     Fixture f;
     auto env = f.env();
-    WalTx<SimEnv> tx(env, f.log);
+    WalTx<SimEnv> tx(env, f.log, WriteBack::Clflushopt);
     for (int i = 0; i < 64; ++i)
         tx.logWord(&f.data[i]);
     EXPECT_DEATH(tx.logWord(&f.data[0]), "overflow");

@@ -416,7 +416,8 @@ runStoreCommand(int argc, char **argv)
     std::printf("exec cycles:     %.0f\n", out.execCycles);
     std::printf("NVMM writes:     %llu\n",
                 static_cast<unsigned long long>(out.nvmmWrites));
-    std::printf("reads/mutations: %llu / %llu\n",
+    std::printf("NVMM reads:      %.0f\n", out.stats.at("nvmm_reads"));
+    std::printf("read/mutate ops: %llu / %llu\n",
                 static_cast<unsigned long long>(out.reads),
                 static_cast<unsigned long long>(out.mutations));
     std::printf("writes/mutation: %.3f\n", out.writesPerMutation);
