@@ -124,16 +124,16 @@ inline constexpr const char *recoveryAttached = "recovery_attached";
 /// @}
 
 /// @name Media-fault counters (store::MediaCounters, lp::repair).
-/// Prometheus exposition spells the first two with a "_total" tail
-/// (lp_media_repaired_total / lp_media_unrepairable_total), the
-/// conventional counter suffix operators alert on.
+/// The first two carry the conventional "_total" counter suffix
+/// operators alert on, in STATS and METRICS alike.
 /// @{
 
 /** Corrupted structures detected and repaired (parity/replica). */
-inline constexpr const char *mediaRepaired = "media_repaired";
+inline constexpr const char *mediaRepaired = "media_repaired_total";
 
 /** Proven corruptions with no redundant copy left (quarantine). */
-inline constexpr const char *mediaUnrepairable = "media_unrepairable";
+inline constexpr const char *mediaUnrepairable =
+    "media_unrepairable_total";
 
 /** Journal regions examined by the online scrubber. */
 inline constexpr const char *scrubRegions = "scrub_regions";
@@ -172,9 +172,8 @@ inline constexpr const char *eagainTotal = "eagain_total";
 
 /**
  * Trace events dropped because a thread's volatile ring filled
- * before the collector drained it. Spelled with the "_total"
- * counter suffix directly: the key only ever appears in Prometheus
- * exposition (there is no JSON mirror to keep suffix-free).
+ * before the collector drained it, with the "_total" counter suffix
+ * like the media counters.
  */
 inline constexpr const char *traceDrops = "trace_drops_total";
 /// @}

@@ -319,7 +319,7 @@ struct Server::Impl
         obs::Histogram txnCommitNs;   ///< fast-path TXN accept -> ack
         obs::Histogram txnAbortNs;    ///< fast-path TXN accept -> abort
 
-        /** This worker's trace ring; null when tracing is off. */
+        /** This worker's trace ring (start() always creates it). */
         obs::TraceRing *ring = nullptr;
 
         /**
@@ -496,8 +496,8 @@ struct Server::Impl
     std::uint64_t nextTxnId = 1;     ///< acceptor-thread only
     /// @}
 
-    // Tracing (cfg.traceOut non-empty): the collector owns every
-    // ring; workers and the acceptor hold borrowed pointers.
+    // Tracing, always on (start()): the collector owns every ring;
+    // workers and the acceptor hold borrowed pointers.
     std::unique_ptr<obs::TraceCollector> trace;
     obs::TraceRing *acceptRing = nullptr;
     /// @}
@@ -544,7 +544,10 @@ struct Server::Impl
     void finishTxn(const std::shared_ptr<TxnCtx> &ctx);
     void openTxnLog();
 
-    // server_stats.cc -- observability rendering.
+    // server_stats.cc -- observability rendering from one table.
+    struct StatRow;
+    static const StatRow statRows[];
+    template <class Emit> void forEachStat(Emit &&emit) const;
     std::string statsJsonNow() const;
     std::string metricsTextNow() const;
 

@@ -1,13 +1,31 @@
 /**
  * @file
- * Observability rendering: the STATS-op JSON snapshot and the
- * METRICS-op Prometheus exposition. Reads only worker stat atomics,
- * cross-thread-safe store atomics, and single-writer histograms
- * (the acceptor renders on its own thread; Server::statsJson()
- * callers accept the benign snapshot skew).
+ * Observability rendering: one table of stat rows, rendered twice --
+ * as the STATS-op JSON snapshot and as the METRICS-op Prometheus
+ * exposition -- so the two cannot drift apart.
+ *
+ * A row names one stat once (engine/stat_names.hh), says whether it
+ * is a counter, gauge or histogram, who owns it, and how to read it.
+ * Rows read only worker stat atomics, cross-thread-safe store atomics,
+ * and single-writer histograms (the acceptor renders on its own
+ * thread; Server::statsJson() callers accept the benign snapshot
+ * skew). Where a row is published:
+ *  - a shard part: STATS "shard" -> "<i>" (a flat object), METRICS
+ *    labelled shard="<i>";
+ *  - a total: a top-level STATS key, an unlabelled METRICS series.
+ *    A row with an acceptor part has one: the acceptor's value plus
+ *    every shard's. STATS also sums each shard-only counter at top
+ *    level; METRICS does not, so a scraper that sums every label set
+ *    of a metric counts each event once.
+ * A histogram is `<name>_count` plus percentiles in STATS and full
+ * bucket series in METRICS, where a "_ns" name tail becomes
+ * "_seconds" and the samples seconds (other histograms keep their
+ * units).
  */
 
 #include "server/server_impl.hh"
+
+#include <optional>
 
 #include "engine/stat_names.hh"
 #include "obs/metrics.hh"
@@ -16,297 +34,265 @@
 namespace lp::server
 {
 
+namespace
+{
+
+enum class Kind { Counter, Gauge, Histogram };
+
+/** Who owns a row's value, and which parts are published. */
+enum class Scope {
+    Server,  ///< the acceptor: a total only
+    Shard,   ///< each shard worker: per-shard parts
+    Both,    ///< acceptor and shards: the total and per-shard parts
+    Pooled,  ///< acceptor and shards: the total only
+};
+
+/** One read: a counter or gauge value, or a live histogram. */
+struct Stat
+{
+    std::uint64_t n = 0;
+    const obs::Histogram *h = nullptr;
+};
+
+Stat
+num(std::uint64_t v)
+{
+    return {v, nullptr};
+}
+
+Stat
+num(const std::atomic<std::uint64_t> &a)
+{
+    return num(a.load(std::memory_order_relaxed));
+}
+
+Stat
+hist(const obs::Histogram &h)
+{
+    return {0, &h};
+}
+
+} // namespace
+
+struct Server::Impl::StatRow
+{
+    const char *name;
+    Kind kind;
+    Scope scope;
+    /** Reads the acceptor's part when @p w is null, else shard w's. */
+    Stat (*read)(const Impl &s, const Worker *w);
+};
+
+namespace sn = engine::statname;
+
+// Recovery counters are written once by the worker before the
+// readiness latch, so the acceptor's reads are ordered-after by
+// start()'s latch acquire. Pipeline, media and index values are the
+// shard store's own single-writer atomics.
+const Server::Impl::StatRow Server::Impl::statRows[] = {
+    {"accepted", Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statAccepted); }},
+    {"retries", Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statRetries); }},
+    {"errors", Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statErrs); }},
+    {"faults", Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statFaults); }},
+    {"malformed", Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statMalformed); }},
+    // Connection datapath (lp::net): what the acceptor's event loop
+    // sees right now.
+    {sn::connActive, Kind::Gauge, Scope::Server,
+     [](auto &s, auto *) { return num(s.statConns); }},
+    {sn::outbufBytes, Kind::Gauge, Scope::Server,
+     [](auto &s, auto *) { return num(s.netStats.outbufBytes); }},
+    {sn::eagainTotal, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.netStats.eagainTotal); }},
+    {sn::writevBatch, Kind::Histogram, Scope::Server,
+     [](auto &s, auto *) { return hist(s.netStats.writevBatch); }},
+    {sn::reqParseNs, Kind::Histogram, Scope::Server,
+     [](auto &s, auto *) { return hist(s.parseNs); }},
+    {sn::reqAckNs, Kind::Histogram, Scope::Server,
+     [](auto &s, auto *) { return hist(s.ackNs); }},
+    // Transactions commit on the acceptor (the general path) or on a
+    // shard worker (the single-shard fast path).
+    {sn::txnCommits, Kind::Counter, Scope::Both,
+     [](auto &s, auto *w) {
+         return num(w ? w->statTxnCommits : s.statTxnCommits);
+     }},
+    {sn::txnAborts, Kind::Counter, Scope::Both,
+     [](auto &s, auto *w) {
+         return num(w ? w->statTxnAborts : s.statTxnAborts);
+     }},
+    {sn::txnCommitLatNs, Kind::Histogram, Scope::Pooled,
+     [](auto &s, auto *w) {
+         return hist(w ? w->txnCommitNs : s.txnCommitNs);
+     }},
+    {sn::txnAbortLatNs, Kind::Histogram, Scope::Pooled,
+     [](auto &s, auto *w) { return hist(w ? w->txnAbortNs : s.txnAbortNs); }},
+    // Events a thread's trace ring refused because it was full. The
+    // flight recorder tees BEFORE the full-check, so drops mean lost
+    // Chrome-trace detail, not lost flight coverage.
+    {sn::traceDrops, Kind::Counter, Scope::Both,
+     [](auto &s, auto *w) {
+         return num((w ? w->ring : s.acceptRing)->dropped());
+     }},
+    {sn::gets, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statGets); }},
+    {sn::mutations, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statMuts); }},
+    {sn::scans, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statScans); }},
+    {sn::indexEntries, Kind::Gauge, Scope::Shard,
+     [](auto &, auto *w) { return num(w->kv->indexEntries(0)); }},
+    {sn::indexBytes, Kind::Gauge, Scope::Shard,
+     [](auto &, auto *w) { return num(w->kv->indexBytes(0)); }},
+    {sn::acksReleased, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) {
+         return num(w->kv->pipeline(0).counters().acksReleased);
+     }},
+    {sn::epochsCommitted, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) {
+         return num(w->kv->pipeline(0).counters().epochsCommitted);
+     }},
+    {sn::folds, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->kv->pipeline(0).counters().folds); }},
+    {sn::deadlineCommits, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) {
+         return num(w->kv->pipeline(0).counters().deadlineCommits);
+     }},
+    {sn::committedEpoch, Kind::Gauge, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statCommittedEpoch); }},
+    {sn::queueDepth, Kind::Gauge, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statQueueDepth); }},
+    {sn::recoveryAttached, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->attached); }},
+    {sn::batchesReplayed, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->report.batchesReplayed); }},
+    {sn::entriesReplayed, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->report.entriesReplayed); }},
+    {sn::batchesDiscarded, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->report.batchesDiscarded); }},
+    {sn::walUndone, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->report.walUndone); }},
+    {sn::mediaRepaired, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->kv->mediaCounters(0).repaired); }},
+    {sn::mediaUnrepairable, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) {
+         return num(w->kv->mediaCounters(0).unrepairable);
+     }},
+    {sn::scrubRegions, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) {
+         return num(w->kv->mediaCounters(0).scrubRegions);
+     }},
+    {sn::scrubPasses, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->kv->mediaCounters(0).scrubPasses); }},
+    {sn::quarantined, Kind::Gauge, Scope::Shard,
+     [](auto &, auto *w) { return num(w->kv->quarantined(0)); }},
+    {sn::stageLatNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).stageNs); }},
+    {sn::commitLatNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).commitNs); }},
+    {sn::foldLatNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).foldNs); }},
+    {sn::recoverLatNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).recoverNs); }},
+    {sn::scanLatNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).scanNs); }},
+    {sn::scanLen, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).scanLen); }},
+    {sn::scrubLatNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->kv->shardObs(0).scrubNs); }},
+    {sn::reqQueueNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->queueNs); }},
+    {sn::reqCommitWaitNs, Kind::Histogram, Scope::Shard,
+     [](auto &, auto *w) { return hist(w->commitWaitNs); }},
+};
+
+/**
+ * Walk the table: emit(row, shard, stat) once per published part,
+ * shard -1 for a total. A total comes after its row's shard parts.
+ */
+template <class Emit>
+void
+Server::Impl::forEachStat(Emit &&emit) const
+{
+    for (const StatRow &r : statRows) {
+        const bool own = r.scope != Scope::Shard;
+        Stat total = own ? r.read(*this, nullptr) : Stat{};
+        std::optional<obs::Histogram> pool;
+        if (r.scope != Scope::Server) {
+            if (own && total.h) {
+                pool.emplace().merge(*total.h);
+                total.h = &*pool;
+            }
+            for (const auto &w : workers) {
+                const Stat v = r.read(*this, w.get());
+                if (r.scope != Scope::Pooled)
+                    emit(r, w->index, v);
+                total.n += v.n;
+                if (pool)
+                    pool->merge(*v.h);
+            }
+        }
+        if (own || r.kind == Kind::Counter)
+            emit(r, -1, total);
+    }
+}
+
 std::string
 Server::Impl::statsJsonNow() const
 {
     using stats::JsonValue;
-    JsonValue::Object o;
-    o["backend"] = store::backendName(cfg.backend);
-    o["shards"] = std::uint64_t(cfg.shards);
-    o["connections"] = statConns.load(std::memory_order_relaxed);
-    o["accepted"] = statAccepted.load(std::memory_order_relaxed);
-    o["retries"] = statRetries.load(std::memory_order_relaxed);
-    o["errors"] = statErrs.load(std::memory_order_relaxed);
-    o["faults"] = statFaults.load(std::memory_order_relaxed);
-    namespace sn = engine::statname;
-    // Latency keys carry the canonical "_ns" base plus percentile
-    // suffixes; values are nanoseconds (bucket midpoints).
-    const auto addLat = [](JsonValue::Object &dst, const char *base,
-                           const obs::Histogram &h) {
-        const obs::Histogram::Summary m = h.summary();
-        const std::string b(base);
-        dst[b + "_count"] = m.count;
-        dst[b + "_p50"] = m.p50Ns;
-        dst[b + "_p90"] = m.p90Ns;
-        dst[b + "_p99"] = m.p99Ns;
-        dst[b + "_p999"] = m.p999Ns;
-    };
-    // Connection-datapath stats (lp::net): the gauge pair mirrors
-    // what the acceptor's event loop sees right now.
-    o[sn::connActive] = statConns.load(std::memory_order_relaxed);
-    o[sn::outbufBytes] =
-        netStats.outbufBytes.load(std::memory_order_relaxed);
-    o[sn::eagainTotal] =
-        netStats.eagainTotal.load(std::memory_order_relaxed);
-    addLat(o, sn::writevBatch, netStats.writevBatch);
-    std::uint64_t gets = 0, muts = 0, acks = 0, scans = 0;
-    std::uint64_t epochs = 0, folds = 0, deadlines = 0;
-    std::uint64_t mediaRepaired = 0, mediaUnrepairable = 0;
-    // Txn commits/aborts split across owners: fast path on the
-    // shard worker, general path on the acceptor (coordinator).
-    std::uint64_t txnC =
-        statTxnCommits.load(std::memory_order_relaxed);
-    std::uint64_t txnA =
-        statTxnAborts.load(std::memory_order_relaxed);
-    obs::Histogram txnCommitAll, txnAbortAll;
-    txnCommitAll.merge(txnCommitNs);
-    txnAbortAll.merge(txnAbortNs);
+    JsonValue::Object top;
+    std::vector<JsonValue::Object> shard(workers.size());
+    // Configuration, not stats: the header of the snapshot.
+    top["backend"] = store::backendName(cfg.backend);
+    top["shards"] = std::uint64_t(cfg.shards);
+    forEachStat([&](const StatRow &r, int i, const Stat &v) {
+        JsonValue::Object &o = i < 0 ? top : shard[std::size_t(i)];
+        const std::string b(r.name);
+        if (r.kind != Kind::Histogram) {
+            o[b] = v.n;
+            return;
+        }
+        // Values are bucket midpoints, in nanoseconds for "_ns" rows.
+        const obs::Histogram::Summary m = v.h->summary();
+        o[b + "_count"] = m.count;
+        o[b + "_p50"] = m.p50Ns;
+        o[b + "_p90"] = m.p90Ns;
+        o[b + "_p99"] = m.p99Ns;
+        o[b + "_p999"] = m.p999Ns;
+    });
     JsonValue::Object shards;
-    for (const auto &wp : workers) {
-        const auto &w = *wp;
-        JsonValue::Object s;
-        const std::uint64_t g =
-            w.statGets.load(std::memory_order_relaxed);
-        const std::uint64_t m =
-            w.statMuts.load(std::memory_order_relaxed);
-        const std::uint64_t sc =
-            w.statScans.load(std::memory_order_relaxed);
-        // Pipeline counters: the shard's own single-writer
-        // atomics, like the media counters below.
-        const engine::PipelineCounters &pc =
-            w.kv->pipeline(0).counters();
-        const std::uint64_t a =
-            pc.acksReleased.load(std::memory_order_relaxed);
-        const std::uint64_t e =
-            pc.epochsCommitted.load(std::memory_order_relaxed);
-        const std::uint64_t f =
-            pc.folds.load(std::memory_order_relaxed);
-        const std::uint64_t d =
-            pc.deadlineCommits.load(std::memory_order_relaxed);
-        const std::uint64_t tc =
-            w.statTxnCommits.load(std::memory_order_relaxed);
-        const std::uint64_t ta =
-            w.statTxnAborts.load(std::memory_order_relaxed);
-        s[sn::gets] = g;
-        s[sn::mutations] = m;
-        s[sn::scans] = sc;
-        s[sn::txnCommits] = tc;
-        s[sn::txnAborts] = ta;
-        s[sn::acksReleased] = a;
-        s[sn::epochsCommitted] = e;
-        s[sn::folds] = f;
-        s[sn::deadlineCommits] = d;
-        s[sn::committedEpoch] =
-            w.statCommittedEpoch.load(std::memory_order_relaxed);
-        s[sn::queueDepth] =
-            w.statQueueDepth.load(std::memory_order_relaxed);
-        // Recovery counters: written once by the worker before
-        // the readiness latch, so the acceptor's reads are
-        // ordered-after by start()'s latch acquire.
-        s[sn::recoveryAttached] =
-            std::uint64_t(w.attached ? 1 : 0);
-        s[sn::batchesReplayed] = w.report.batchesReplayed;
-        s[sn::entriesReplayed] = w.report.entriesReplayed;
-        s[sn::batchesDiscarded] = w.report.batchesDiscarded;
-        s[sn::walUndone] =
-            std::uint64_t(w.report.walUndone ? 1 : 0);
-        // Media-fault counters: the store's own atomics, safe to
-        // read cross-thread like the histogram mirrors.
-        const store::MediaCounters &mc = w.kv->mediaCounters(0);
-        const std::uint64_t mr =
-            mc.repaired.load(std::memory_order_relaxed);
-        const std::uint64_t mu =
-            mc.unrepairable.load(std::memory_order_relaxed);
-        s[sn::mediaRepaired] = mr;
-        s[sn::mediaUnrepairable] = mu;
-        s[sn::scrubRegions] =
-            mc.scrubRegions.load(std::memory_order_relaxed);
-        s[sn::scrubPasses] =
-            mc.scrubPasses.load(std::memory_order_relaxed);
-        s[sn::quarantined] =
-            std::uint64_t(w.kv->quarantined(0) ? 1 : 0);
-        mediaRepaired += mr;
-        mediaUnrepairable += mu;
-        // Ordered-index gauges: the worker's kv atomics, safe to
-        // read cross-thread like the histogram mirrors.
-        s[sn::indexEntries] = w.kv->indexEntries(0);
-        s[sn::indexBytes] = w.kv->indexBytes(0);
-        const obs::ShardObs &ob = w.kv->shardObs(0);
-        addLat(s, sn::stageLatNs, ob.stageNs);
-        addLat(s, sn::commitLatNs, ob.commitNs);
-        addLat(s, sn::foldLatNs, ob.foldNs);
-        addLat(s, sn::recoverLatNs, ob.recoverNs);
-        addLat(s, sn::scanLatNs, ob.scanNs);
-        addLat(s, sn::scanLen, ob.scanLen);
-        addLat(s, sn::scrubLatNs, ob.scrubNs);
-        addLat(s, sn::reqQueueNs, w.queueNs);
-        addLat(s, sn::reqCommitWaitNs, w.commitWaitNs);
-        shards[std::to_string(w.index)] = std::move(s);
-        gets += g;
-        muts += m;
-        scans += sc;
-        txnC += tc;
-        txnA += ta;
-        acks += a;
-        epochs += e;
-        folds += f;
-        deadlines += d;
-        txnCommitAll.merge(w.txnCommitNs);
-        txnAbortAll.merge(w.txnAbortNs);
-    }
-    o[sn::gets] = gets;
-    o[sn::mutations] = muts;
-    o[sn::scans] = scans;
-    o[sn::acksReleased] = acks;
-    o[sn::epochsCommitted] = epochs;
-    o[sn::folds] = folds;
-    o[sn::deadlineCommits] = deadlines;
-    o[sn::mediaRepaired] = mediaRepaired;
-    o[sn::mediaUnrepairable] = mediaUnrepairable;
-    o[sn::txnCommits] = txnC;
-    o[sn::txnAborts] = txnA;
-    addLat(o, sn::reqParseNs, parseNs);
-    addLat(o, sn::reqAckNs, ackNs);
-    addLat(o, sn::txnCommitLatNs, txnCommitAll);
-    addLat(o, sn::txnAbortLatNs, txnAbortAll);
-    o["shard"] = std::move(shards);
-    return JsonValue(std::move(o)).render();
+    for (std::size_t i = 0; i < shard.size(); ++i)
+        shards[std::to_string(i)] = std::move(shard[i]);
+    top["shard"] = std::move(shards);
+    return JsonValue(std::move(top)).render();
 }
 
-/**
- * The METRICS-op body: Prometheus text exposition of the same
- * counters plus full latency histogram bucket series, labelled
- * shard="i". Latency metric names rewrite the canonical "_ns"
- * tail to "_seconds" (Prometheus base units).
- */
 std::string
 Server::Impl::metricsTextNow() const
 {
-    namespace sn = engine::statname;
-    const auto rel = [](const std::atomic<std::uint64_t> &a) {
-        return double(a.load(std::memory_order_relaxed));
-    };
-    const auto promName = [](const char *base) {
-        std::string n = std::string("lp_") + base;
-        if (n.size() >= 3 && n.compare(n.size() - 3, 3, "_ns") == 0)
-            n.replace(n.size() - 3, 3, "_seconds");
-        return n;
-    };
     obs::MetricsText mt;
-    mt.gauge("lp_connections", "", rel(statConns));
-    mt.counter("lp_accepted", "", rel(statAccepted));
-    mt.counter("lp_retries", "", rel(statRetries));
-    mt.counter("lp_errors", "", rel(statErrs));
-    mt.counter("lp_faults", "", rel(statFaults));
-    mt.counter("lp_malformed", "", rel(statMalformed));
-    // Connection-datapath stats (lp::net). lp_conn_active doubles
-    // as the vintage gate for the `top` net line, like
-    // lp_txn_commits does for the txn line.
-    mt.gauge(promName(sn::connActive), "", rel(statConns));
-    mt.gauge(promName(sn::outbufBytes), "",
-             rel(netStats.outbufBytes));
-    mt.counter(promName(sn::eagainTotal), "",
-               rel(netStats.eagainTotal));
-    mt.histogramRaw(promName(sn::writevBatch), "",
-                    netStats.writevBatch);
-    for (const auto &wp : workers) {
-        const auto &w = *wp;
+    forEachStat([&](const StatRow &r, int i, const Stat &v) {
+        if (i < 0 && r.scope == Scope::Shard)
+            return;  // STATS-only sum: see the file comment
+        std::string name = std::string("lp_") + r.name;
+        const bool ns = name.ends_with("_ns");
+        if (ns)
+            name.replace(name.size() - 3, 3, "_seconds");
         const std::string lab =
-            "shard=\"" + std::to_string(w.index) + "\"";
-        mt.counter(promName(sn::gets), lab, rel(w.statGets));
-        mt.counter(promName(sn::mutations), lab, rel(w.statMuts));
-        mt.counter(promName(sn::scans), lab, rel(w.statScans));
-        mt.counter(promName(sn::txnCommits), lab,
-                   rel(w.statTxnCommits));
-        mt.counter(promName(sn::txnAborts), lab,
-                   rel(w.statTxnAborts));
-        mt.gauge(promName(sn::indexEntries), lab,
-                 double(w.kv->indexEntries(0)));
-        mt.gauge(promName(sn::indexBytes), lab,
-                 double(w.kv->indexBytes(0)));
-        const engine::PipelineCounters &pc =
-            w.kv->pipeline(0).counters();
-        mt.counter(promName(sn::acksReleased), lab,
-                   rel(pc.acksReleased));
-        mt.counter(promName(sn::epochsCommitted), lab,
-                   rel(pc.epochsCommitted));
-        mt.counter(promName(sn::folds), lab, rel(pc.folds));
-        mt.counter(promName(sn::deadlineCommits), lab,
-                   rel(pc.deadlineCommits));
-        mt.gauge(promName(sn::committedEpoch), lab,
-                 rel(w.statCommittedEpoch));
-        mt.gauge(promName(sn::queueDepth), lab,
-                 rel(w.statQueueDepth));
-        mt.counter(promName(sn::recoveryAttached), lab,
-                   w.attached ? 1.0 : 0.0);
-        mt.counter(promName(sn::batchesReplayed), lab,
-                   double(w.report.batchesReplayed));
-        mt.counter(promName(sn::entriesReplayed), lab,
-                   double(w.report.entriesReplayed));
-        mt.counter(promName(sn::batchesDiscarded), lab,
-                   double(w.report.batchesDiscarded));
-        mt.counter(promName(sn::walUndone), lab,
-                   w.report.walUndone ? 1.0 : 0.0);
-        const store::MediaCounters &mc = w.kv->mediaCounters(0);
-        const auto mcrel = [](const std::atomic<std::uint64_t> &a) {
-            return double(a.load(std::memory_order_relaxed));
-        };
-        mt.counter("lp_media_repaired_total", lab,
-                   mcrel(mc.repaired));
-        mt.counter("lp_media_unrepairable_total", lab,
-                   mcrel(mc.unrepairable));
-        mt.counter(promName(sn::scrubRegions), lab,
-                   mcrel(mc.scrubRegions));
-        mt.counter(promName(sn::scrubPasses), lab,
-                   mcrel(mc.scrubPasses));
-        mt.gauge(promName(sn::quarantined), lab,
-                 w.kv->quarantined(0) ? 1.0 : 0.0);
-        const obs::ShardObs &ob = w.kv->shardObs(0);
-        mt.histogramNs(promName(sn::stageLatNs), lab, ob.stageNs);
-        mt.histogramNs(promName(sn::commitLatNs), lab,
-                       ob.commitNs);
-        mt.histogramNs(promName(sn::foldLatNs), lab, ob.foldNs);
-        mt.histogramNs(promName(sn::recoverLatNs), lab,
-                       ob.recoverNs);
-        mt.histogramNs(promName(sn::scanLatNs), lab, ob.scanNs);
-        mt.histogramNs(promName(sn::scrubLatNs), lab, ob.scrubNs);
-        mt.histogramNs(promName(sn::reqQueueNs), lab, w.queueNs);
-        mt.histogramNs(promName(sn::reqCommitWaitNs), lab,
-                       w.commitWaitNs);
-        // Events the shard's trace ring refused because it was full.
-        // The flight recorder tees BEFORE the full-check, so drops
-        // mean lost Chrome-trace detail, not lost flight coverage.
-        // Doubles as the vintage gate for lazyper_cli top's `drops`
-        // column (shard="0" is always present when this vintage
-        // serves METRICS).
-        if (w.ring)
-            mt.counter(promName(sn::traceDrops), lab,
-                       double(w.ring->dropped()));
-    }
-    if (acceptRing)
-        mt.counter(promName(sn::traceDrops), "thread=\"acceptor\"",
-                   double(acceptRing->dropped()));
-    mt.histogramNs(promName(sn::reqParseNs), "", parseNs);
-    mt.histogramNs(promName(sn::reqAckNs), "", ackNs);
-    // Unlabelled totals: both commit paths summed. Scrapers (and
-    // lazyper_cli top's vintage gate) key on lp_txn_commits.
-    std::uint64_t txnC =
-        statTxnCommits.load(std::memory_order_relaxed);
-    std::uint64_t txnA =
-        statTxnAborts.load(std::memory_order_relaxed);
-    obs::Histogram txnCommitAll, txnAbortAll;
-    txnCommitAll.merge(txnCommitNs);
-    txnAbortAll.merge(txnAbortNs);
-    for (const auto &wp : workers) {
-        txnC += wp->statTxnCommits.load(std::memory_order_relaxed);
-        txnA += wp->statTxnAborts.load(std::memory_order_relaxed);
-        txnCommitAll.merge(wp->txnCommitNs);
-        txnAbortAll.merge(wp->txnAbortNs);
-    }
-    mt.counter(promName(sn::txnCommits), "", double(txnC));
-    mt.counter(promName(sn::txnAborts), "", double(txnA));
-    mt.histogramNs(promName(sn::txnCommitLatNs), "", txnCommitAll);
-    mt.histogramNs(promName(sn::txnAbortLatNs), "", txnAbortAll);
+            i < 0 ? "" : "shard=\"" + std::to_string(i) + "\"";
+        if (r.kind == Kind::Counter)
+            mt.counter(name, lab, double(v.n));
+        else if (r.kind == Kind::Gauge)
+            mt.gauge(name, lab, double(v.n));
+        else if (ns)
+            mt.histogramNs(name, lab, *v.h);
+        else
+            mt.histogramRaw(name, lab, *v.h);
+    });
     return mt.str();
 }
 

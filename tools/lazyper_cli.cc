@@ -455,7 +455,8 @@ topUsage(const char *argv0)
         "Scrapes the METRICS op each interval and shows per-shard op\n"
         "rates plus latency percentiles computed from the interval's\n"
         "histogram bucket deltas. The first frame shows totals since\n"
-        "server start.\n",
+        "server start. Exits 1, naming the series, when a scrape\n"
+        "lacks one that top shows.\n",
         argv0);
     std::exit(2);
 }
@@ -533,12 +534,6 @@ runTopCommand(int argc, char **argv)
         fatal("cannot connect to " + host + ":" +
               std::to_string(port));
 
-    const auto scalar = [](const stats::Snapshot &s,
-                           const std::string &key) {
-        const auto it = s.find(key);
-        return it == s.end() ? 0.0 : it->second;
-    };
-
     stats::Snapshot prev;
     for (int frame = 0; count == 0 || frame < count; ++frame) {
         if (frame > 0)
@@ -559,168 +554,94 @@ runTopCommand(int argc, char **argv)
         const double secs =
             frame == 0 ? 1.0 : double(intervalMs) / 1000.0;
 
+        // Every series shown must be in the scrape: a missing one
+        // means the server renamed it, so fail rather than print 0.
+        // A key missing only from the delta reads 0: snapshotDelta
+        // drops counters that went backwards across a restart.
+        const auto now = [&](const std::string &key) {
+            const auto it = snap.find(key);
+            if (it == snap.end())
+                fatal("METRICS has no series " + key);
+            return it->second;
+        };
+        const auto rate = [&](const std::string &key) {
+            now(key);
+            const auto it = d.find(key);
+            return it == d.end() ? 0.0 : it->second / secs;
+        };
+        // Interval quantile of a histogram; @p sh empty selects the
+        // unlabelled series.
+        const auto pct = [&](const std::string &name,
+                             const std::string &sh, double p) {
+            now(name + "_count" +
+                (sh.empty() ? "" : "{shard=\"" + sh + "\"}"));
+            return obs::quantileFromBuckets(bucketSeries(d, name, sh),
+                                            p);
+        };
+        const auto us = [](double seconds) {
+            return stats::Table::num(seconds * 1e6, 1) + "us";
+        };
+
         if (!noClear)
             std::printf("\033[H\033[2J");
         std::printf("lp top -- %s:%d   conns=%g accepted=%g "
                     "retries=%g errors=%g   (%s)\n",
-                    host.c_str(), port,
-                    scalar(snap, "lp_connections"),
-                    scalar(snap, "lp_accepted"),
-                    scalar(snap, "lp_retries"),
-                    scalar(snap, "lp_errors"),
+                    host.c_str(), port, now("lp_conn_active"),
+                    now("lp_accepted"), now("lp_retries"),
+                    now("lp_errors"),
                     frame == 0 ? "totals since start"
                                : "per-second rates");
-        // Transaction line only when the server exports the TXN
-        // counters (same vintage discipline as the scan/repair
-        // columns below; the gate keys on lp_txn_commits). The
-        // counters are unlabelled totals -- a transaction spans
-        // shards -- so they get a summary line, not per-shard
-        // columns. Abort rate is per interval: aborts over decided
-        // transactions, the wait-die pressure gauge.
-        if (snap.find("lp_txn_commits") != snap.end()) {
-            const double tc = scalar(d, "lp_txn_commits");
-            const double ta = scalar(d, "lp_txn_aborts");
-            const double decided = tc + ta;
-            std::printf("txn: commit/s=%.0f abort/s=%.0f "
-                        "abort-rate=%.1f%% commit p99=%.1fus\n",
-                        tc / secs, ta / secs,
-                        decided == 0.0 ? 0.0
-                                       : 100.0 * ta / decided,
-                        obs::quantileFromBuckets(
-                            bucketSeries(d,
-                                         "lp_txn_commit_lat_seconds",
-                                         ""),
-                            0.99) *
-                            1e6);
-        }
-        // Datapath line only when the server exports the lp::net
-        // gauges (same vintage discipline: an older server simply
-        // lacks lp_conn_active). writev batch depth comes from the
-        // unitless histogram's interval delta -- the live measure of
-        // how well replies coalesce into gathered writes.
-        if (snap.find("lp_conn_active") != snap.end()) {
-            std::printf("net: active=%g outbuf=%gB eagain/s=%.0f "
-                        "writev-batch p50=%.0f p99=%.0f\n",
-                        scalar(snap, "lp_conn_active"),
-                        scalar(snap, "lp_outbuf_bytes"),
-                        scalar(d, "lp_eagain_total") / secs,
-                        obs::quantileFromBuckets(
-                            bucketSeries(d, "lp_writev_batch", ""),
-                            0.5),
-                        obs::quantileFromBuckets(
-                            bucketSeries(d, "lp_writev_batch", ""),
-                            0.99));
-        }
-        // Scan/index columns only when the server exports them:
-        // against an older server without SCAN support the keys are
-        // simply absent and the table keeps its classic shape (no
-        // blank columns), so one `top` build monitors both vintages.
-        const bool hasScans =
-            snap.find("lp_scans{shard=\"0\"}") != snap.end();
-        // Same vintage guard for the media-fault columns: an older
-        // server never exports lp_media_repaired_total, so the
-        // columns are skipped entirely rather than rendered blank.
-        const bool hasMedia =
-            snap.find("lp_media_repaired_total{shard=\"0\"}") !=
-            snap.end();
-        // Trace-drop column, gated the same way: an older server
-        // never exports lp_trace_drops_total.
-        const bool hasDrops =
-            snap.find("lp_trace_drops_total{shard=\"0\"}") !=
-            snap.end();
-        std::vector<std::string> hdr = {
-            "shard", "get/s", "mut/s", "epoch/s", "fold/s", "dlc/s",
-            "qdepth", "epoch", "commit p99", "qwait p99",
-            "cwait p99"};
-        if (hasScans) {
-            hdr.push_back("scan/s");
-            hdr.push_back("scan p99");
-            hdr.push_back("idx keys");
-            hdr.push_back("idx KB");
-        }
-        if (hasMedia) {
-            hdr.push_back("scrub/s");
-            hdr.push_back("repair");
-            hdr.push_back("unrep");
-            hdr.push_back("quar");
-        }
-        if (hasDrops)
-            hdr.push_back("drops");
-        stats::Table t(hdr);
-        const auto us = [](double seconds) {
-            return stats::Table::num(seconds * 1e6, 1) + "us";
-        };
+        // Transactions span shards, so their counters are unlabelled
+        // totals and get a summary line, not per-shard columns. Abort
+        // rate is per interval: aborts over decided transactions, the
+        // wait-die pressure gauge.
+        const double tc = rate("lp_txn_commits");
+        const double ta = rate("lp_txn_aborts");
+        std::printf("txn: commit/s=%.0f abort/s=%.0f "
+                    "abort-rate=%.1f%% commit p99=%.1fus\n",
+                    tc, ta, tc + ta == 0.0 ? 0.0 : 100.0 * ta / (tc + ta),
+                    pct("lp_txn_commit_lat_seconds", "", 0.99) * 1e6);
+        // writev batch depth from the unitless histogram's interval
+        // delta: how well replies coalesce into gathered writes.
+        std::printf("net: outbuf=%gB eagain/s=%.0f "
+                    "writev-batch p50=%.0f p99=%.0f\n",
+                    now("lp_outbuf_bytes"), rate("lp_eagain_total"),
+                    pct("lp_writev_batch", "", 0.5),
+                    pct("lp_writev_batch", "", 0.99));
+        stats::Table t({"shard", "get/s", "mut/s", "epoch/s", "fold/s",
+                        "dlc/s", "qdepth", "epoch", "commit p99",
+                        "qwait p99", "cwait p99", "scan/s", "scan p99",
+                        "idx keys", "idx KB", "scrub/s", "repair",
+                        "unrep", "quar", "drops"});
+        const auto n0 = [](double v) { return stats::Table::num(v, 0); };
         for (int sIdx = 0;; ++sIdx) {
             const std::string sh = std::to_string(sIdx);
             const std::string lab = "{shard=\"" + sh + "\"}";
             if (snap.find("lp_gets" + lab) == snap.end())
                 break;
-            std::vector<std::string> row = {
-                sh,
-                stats::Table::num(scalar(d, "lp_gets" + lab) / secs,
-                                  0),
-                stats::Table::num(
-                    scalar(d, "lp_mutations" + lab) / secs, 0),
-                stats::Table::num(
-                    scalar(d, "lp_epochs_committed" + lab) / secs,
-                    0),
-                stats::Table::num(scalar(d, "lp_folds" + lab) / secs,
-                                  0),
-                stats::Table::num(
-                    scalar(d, "lp_deadline_commits" + lab) / secs,
-                    0),
-                stats::Table::num(
-                    scalar(snap, "lp_queue_depth" + lab), 0),
-                stats::Table::num(
-                    scalar(snap, "lp_committed_epoch" + lab), 0),
-                us(obs::quantileFromBuckets(
-                    bucketSeries(d, "lp_commit_lat_seconds", sh),
-                    0.99)),
-                us(obs::quantileFromBuckets(
-                    bucketSeries(d, "lp_req_queue_seconds", sh),
-                    0.99)),
-                us(obs::quantileFromBuckets(
-                    bucketSeries(d, "lp_req_commit_wait_seconds",
-                                 sh),
-                    0.99))};
-            if (hasScans) {
-                row.push_back(stats::Table::num(
-                    scalar(d, "lp_scans" + lab) / secs, 0));
-                row.push_back(us(obs::quantileFromBuckets(
-                    bucketSeries(d, "lp_scan_lat_seconds", sh),
-                    0.99)));
-                row.push_back(stats::Table::num(
-                    scalar(snap, "lp_index_entries" + lab), 0));
-                row.push_back(stats::Table::num(
-                    scalar(snap, "lp_index_bytes" + lab) / 1024.0,
-                    1));
-            }
-            if (hasMedia) {
-                // Repair counters are lifetime totals, not rates: a
-                // single repaired region is the whole story, and it
-                // must not fade out after one refresh interval.
-                row.push_back(stats::Table::num(
-                    scalar(d, "lp_scrub_regions" + lab) / secs, 0));
-                row.push_back(stats::Table::num(
-                    scalar(snap, "lp_media_repaired_total" + lab),
-                    0));
-                row.push_back(stats::Table::num(
-                    scalar(snap,
-                           "lp_media_unrepairable_total" + lab),
-                    0));
-                row.push_back(
-                    scalar(snap, "lp_quarantined" + lab) > 0
-                        ? "YES"
-                        : "-");
-            }
-            if (hasDrops) {
-                // Lifetime total, like the repair counters: a ring
-                // that ever overflowed is worth knowing about long
-                // after the burst that did it.
-                row.push_back(stats::Table::num(
-                    scalar(snap, "lp_trace_drops_total" + lab), 0));
-            }
-            t.addRow(std::move(row));
+            // Repair and drop counters are lifetime totals, not
+            // rates: one repaired region or one overflowed ring is
+            // worth knowing about long after the interval it was in.
+            t.addRow({sh, n0(rate("lp_gets" + lab)),
+                      n0(rate("lp_mutations" + lab)),
+                      n0(rate("lp_epochs_committed" + lab)),
+                      n0(rate("lp_folds" + lab)),
+                      n0(rate("lp_deadline_commits" + lab)),
+                      n0(now("lp_queue_depth" + lab)),
+                      n0(now("lp_committed_epoch" + lab)),
+                      us(pct("lp_commit_lat_seconds", sh, 0.99)),
+                      us(pct("lp_req_queue_seconds", sh, 0.99)),
+                      us(pct("lp_req_commit_wait_seconds", sh, 0.99)),
+                      n0(rate("lp_scans" + lab)),
+                      us(pct("lp_scan_lat_seconds", sh, 0.99)),
+                      n0(now("lp_index_entries" + lab)),
+                      stats::Table::num(
+                          now("lp_index_bytes" + lab) / 1024.0, 1),
+                      n0(rate("lp_scrub_regions" + lab)),
+                      n0(now("lp_media_repaired_total" + lab)),
+                      n0(now("lp_media_unrepairable_total" + lab)),
+                      now("lp_quarantined" + lab) > 0 ? "YES" : "-",
+                      n0(now("lp_trace_drops_total" + lab))});
         }
         t.print();
         std::fflush(stdout);

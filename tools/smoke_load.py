@@ -282,6 +282,9 @@ def scrape(sock) -> dict:
     snap = {}
     for line in body.decode("utf-8").splitlines():
         line = line.strip()
+        words = line.split()
+        if words[:2] == ["#", "TYPE"] and words[3:] == ["gauge"]:
+            GAUGES.add(words[2])
         if not line or line.startswith("#"):
             continue
         # OpenMetrics exemplar suffix (` # {trace_id="..."} v`) rides
@@ -300,12 +303,14 @@ def scrape(sock) -> dict:
     return snap
 
 
-GAUGES = ("lp_connections", "lp_queue_depth", "lp_committed_epoch")
+# Metric names whose `# TYPE` line says gauge (filled by scrape()):
+# point-in-time values, exempt from the monotonic check.
+GAUGES = set()
 
 
 def check_monotonic(s1: dict, s2: dict) -> None:
     for key, v1 in s1.items():
-        if key.startswith(GAUGES):
+        if key.partition("{")[0] in GAUGES:
             continue
         if key not in s2:
             fail(f"{key} vanished between scrapes")
