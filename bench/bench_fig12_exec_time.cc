@@ -5,18 +5,39 @@
  *
  * Paper shape: LP overhead 0.1%-3.5% (avg 1.1%); EagerRecompute
  * 4.4%-17.9% (avg 9%).
+ *
+ * Every run's raw cycles and NVMM writes go to a JSON report
+ * (argv[1], default fig12.json) that tools/check_sim_gate.py
+ * --gate fig12 checks exactly. The exit status is 1 when any run
+ * fails verification.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench/common.hh"
 
 using namespace lp;
 using namespace lp::kernels;
 
+namespace
+{
+
+/** Record @p out's raw counts under "<kernel>.<scheme>.". */
+void
+record(stats::Snapshot &metrics, KernelId id, const char *scheme,
+       const RunOutcome &out)
+{
+    const std::string pre = kernelName(id) + "." + scheme + ".";
+    metrics[pre + "exec_cycles"] = out.execCycles;
+    metrics[pre + "nvmm_writes"] = out.nvmmWrites;
+}
+
+} // namespace
+
 int
-main()
+main(int argc, char **argv)
 {
     bench::banner("Figure 12: normalized execution time, all kernels",
                   "Fig. 12 -- LP 0.1-3.5% overhead (avg 1.1%); "
@@ -32,12 +53,19 @@ main()
     double lp_gmean = 1.0;
     double ep_gmean = 1.0;
     int count = 0;
+    stats::Snapshot metrics;
+    bool verified = true;
     for (KernelId id : ids) {
         const auto params = bench::paperParams(id);
         const auto base = runScheme(id, Scheme::Base, params, cfg);
         const auto lp = runScheme(id, Scheme::Lp, params, cfg);
         const auto ep = runScheme(id, Scheme::EagerRecompute, params,
                                   cfg);
+        record(metrics, id, "base", base);
+        record(metrics, id, "lp", lp);
+        record(metrics, id, "ep", ep);
+        verified = verified && base.verified && lp.verified &&
+                   ep.verified;
         const double lp_rel = bench::ratio(lp.execCycles,
                                            base.execCycles);
         const double ep_rel = bench::ratio(ep.execCycles,
@@ -58,5 +86,10 @@ main()
                   stats::Table::percent(lp_gmean - 1.0),
                   stats::Table::percent(ep_gmean - 1.0)});
     table.print();
-    return 0;
+    if (!verified)
+        std::printf("\nA run FAILED verification.\n");
+    const bool ok = bench::writeJsonReport(
+        argc, argv, "fig12.json",
+        bench::gateReport("fig12", verified, metrics));
+    return ok && verified ? 0 : 1;
 }

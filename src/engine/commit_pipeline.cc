@@ -85,48 +85,6 @@ CommitPipeline::rebase(std::uint64_t committed)
     committedSinceFold_ = 0;
     lastCommitted_ = committed;
     foldedEpoch_ = committed;
-    pending_.clear();
-}
-
-void
-CommitPipeline::notePending(std::uint64_t epoch, Clock::time_point at)
-{
-    LP_ASSERT(pending_.empty() || pending_.back().epoch <= epoch,
-              "pending acks must arrive in epoch order");
-    pending_.push_back(PendingAck{epoch, at});
-}
-
-CommitPipeline::Clock::time_point
-CommitPipeline::ackDeadline() const
-{
-    LP_ASSERT(hasPending(), "no pending ack to bound");
-    return pending_.front().at + policy_.flushDeadline;
-}
-
-bool
-CommitPipeline::commitDue(Clock::time_point now) const
-{
-    return hasPending() && now >= ackDeadline();
-}
-
-void
-CommitPipeline::noteDeadlineCommit()
-{
-    counters_.deadlineCommits.fetch_add(1,
-                                        std::memory_order_relaxed);
-}
-
-std::size_t
-CommitPipeline::releaseUpTo(std::uint64_t committed)
-{
-    std::size_t n = 0;
-    while (!pending_.empty() && pending_.front().epoch <= committed) {
-        pending_.pop_front();
-        ++n;
-    }
-    counters_.acksReleased.fetch_add(n,
-                                     std::memory_order_relaxed);
-    return n;
 }
 
 } // namespace lp::engine

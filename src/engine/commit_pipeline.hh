@@ -7,18 +7,17 @@
  * accumulation (stage until batchOps ops), commit bookkeeping (the
  * open epoch is always lastCommitted + 1), fold-period accounting
  * (an eager checkpoint is due every foldBatches committed epochs),
- * flush-deadline scheduling for services that must not hold
- * acknowledgements hostage to future traffic, and per-epoch stats
- * under the canonical names of engine/stat_names.hh.
+ * and per-epoch stats under the canonical names of
+ * engine/stat_names.hh. Acknowledgement scheduling is not here: a
+ * service that holds replies until their epoch commits (lp::server)
+ * keeps its own queue of them and reads lastCommitted().
  *
  * The pipeline is pure volatile bookkeeping: it never touches
  * persistent memory and never looks at a clock. The persistency
  * backend (store/backend_*.hh) performs the actual journal/table
- * writes and tells the pipeline what happened; callers that need
- * deadline behavior pass their own time points in. That split keeps
- * the scheduling logic deterministic and unit-testable (no sleeps)
- * and lets the instrumented simulator and the native server share it
- * unchanged.
+ * writes and tells the pipeline what happened. That split keeps the
+ * scheduling logic deterministic and unit-testable and lets the
+ * instrumented simulator and the native server share it unchanged.
  *
  * Threading: a pipeline belongs to its shard's single writer (the
  * env.hh single-writer-per-shard contract); nothing here is
@@ -29,10 +28,7 @@
 #define LP_ENGINE_COMMIT_PIPELINE_HH
 
 #include <atomic>
-#include <chrono>
-#include <cstddef>
 #include <cstdint>
-#include <deque>
 
 namespace lp::obs
 {
@@ -50,13 +46,6 @@ struct CommitPolicy
 
     /** Fold (eager checkpoint) every this many committed epochs. */
     int foldBatches = 64;
-
-    /**
-     * Commit an underfilled epoch once its oldest pending
-     * acknowledgement has waited this long (services only; callers
-     * without ack scheduling never consult it).
-     */
-    std::chrono::microseconds flushDeadline{2000};
 };
 
 /**
@@ -69,21 +58,17 @@ struct PipelineCounters
     std::atomic<std::uint64_t> opsStaged{0};
     std::atomic<std::uint64_t> epochsCommitted{0};
     std::atomic<std::uint64_t> folds{0};
-    std::atomic<std::uint64_t> deadlineCommits{0};
-    std::atomic<std::uint64_t> acksReleased{0};
 };
 
 /**
- * Epoch sequencing + fold accounting + deadline-bounded ack release
- * for one shard. Invariant throughout: the open epoch (when one is
- * open) is exactly lastCommitted() + 1, and foldedEpoch() trails
- * lastCommitted() by at most foldBatches epochs.
+ * Epoch sequencing + fold accounting for one shard. Invariant
+ * throughout: the open epoch (when one is open) is exactly
+ * lastCommitted() + 1, and foldedEpoch() trails lastCommitted() by
+ * at most foldBatches epochs.
  */
 class CommitPipeline
 {
   public:
-    using Clock = std::chrono::steady_clock;
-
     explicit CommitPipeline(const CommitPolicy &policy);
 
     const CommitPolicy &policy() const { return policy_; }
@@ -129,41 +114,13 @@ class CommitPipeline
 
     /**
      * Rebase onto a recovered/attached image: epoch @p committed is
-     * durable, nothing is open or pending.
+     * durable, nothing is open.
      */
     void rebase(std::uint64_t committed);
 
     std::uint64_t lastCommitted() const { return lastCommitted_; }
     std::uint64_t foldedEpoch() const { return foldedEpoch_; }
     int committedSinceFold() const { return committedSinceFold_; }
-    /// @}
-
-    /// @name Recoverable-ack scheduling (flush-deadline-bounded)
-    /// @{
-
-    /** An ack for @p epoch entered service at @p at. */
-    void notePending(std::uint64_t epoch, Clock::time_point at);
-
-    bool hasPending() const { return !pending_.empty(); }
-    std::size_t pendingCount() const { return pending_.size(); }
-
-    /**
-     * When the oldest pending ack's deadline expires; requires
-     * hasPending(). Sleep until here, then commitDue() fires.
-     */
-    Clock::time_point ackDeadline() const;
-
-    /** True when the oldest pending ack has outwaited the deadline. */
-    bool commitDue(Clock::time_point now) const;
-
-    /** The caller committed because commitDue() fired. */
-    void noteDeadlineCommit();
-
-    /**
-     * Pop every pending ack with epoch <= @p committed and return how
-     * many were released.
-     */
-    std::size_t releaseUpTo(std::uint64_t committed);
     /// @}
 
     const PipelineCounters &counters() const { return counters_; }
@@ -201,12 +158,6 @@ class CommitPipeline
     /// @}
 
   private:
-    struct PendingAck
-    {
-        std::uint64_t epoch;
-        Clock::time_point at;
-    };
-
     CommitPolicy policy_;
     bool open_ = false;
     int stagedOps_ = 0;
@@ -214,7 +165,6 @@ class CommitPipeline
     std::uint64_t lastCommitted_ = 0;
     std::uint64_t foldedEpoch_ = 0;
     std::uint64_t openTraceId_ = 0;
-    std::deque<PendingAck> pending_;
     PipelineCounters counters_;
     obs::ShardObs *obs_ = nullptr;
 };

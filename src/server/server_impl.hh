@@ -299,8 +299,8 @@ struct Server::Impl
         std::deque<OpItem> q;
         bool stopFlag = false;
 
-        // Stats the acceptor may read (contract rule 3); epoch,
-        // fold and ack counts are the shard pipeline's counters().
+        // Stats the acceptor may read (contract rule 3); epoch and
+        // fold counts are the shard pipeline's counters().
         std::atomic<std::uint64_t> statGets{0};
         std::atomic<std::uint64_t> statMuts{0};
         std::atomic<std::uint64_t> statScans{0};
@@ -308,6 +308,8 @@ struct Server::Impl
         std::atomic<std::uint64_t> statQueueDepth{0};
         std::atomic<std::uint64_t> statTxnCommits{0};  ///< fast path
         std::atomic<std::uint64_t> statTxnAborts{0};   ///< fast path
+        std::atomic<std::uint64_t> statAcksReleased{0};
+        std::atomic<std::uint64_t> statDeadlineCommits{0};
 
         // Request-lifecycle histograms, recorded by this worker;
         // the acceptor reads them for STATS/METRICS under the
@@ -404,10 +406,11 @@ struct Server::Impl
         std::vector<SlotFree> slotFrees;
 
         /**
-         * Reply payloads awaiting epoch commit. Runs in lockstep
-         * with the shard CommitPipeline's pending-ack queue, which
-         * owns the epochs and deadlines; this deque only carries
-         * what the pipeline doesn't know (who to reply to).
+         * Acks awaiting their epoch's commit, in staging order (so
+         * in epoch order): the shard's whole ack schedule. The
+         * front entry's tStagedNs + cfg.flushDeadlineUs is when the
+         * worker commits an underfilled epoch; releaseCommitted()
+         * pops every entry whose epoch <= the committed epoch.
          */
         struct Pending
         {
@@ -512,6 +515,7 @@ struct Server::Impl
     void openStore(Worker &w);
     void releaseAck(Worker &w, Worker::Pending &p);
     void releaseCommitted(Worker &w);
+    std::int64_t nsToAckDeadline(const Worker &w) const;
     void sweepSlotFrees(Worker &w);
     static bool deferrable(OpItem::Kind k);
     bool deferNow(Worker &w, const OpItem &op) const;

@@ -148,9 +148,7 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
     {sn::indexBytes, Kind::Gauge, Scope::Shard,
      [](auto &, auto *w) { return num(w->kv->indexBytes(0)); }},
     {sn::acksReleased, Kind::Counter, Scope::Shard,
-     [](auto &, auto *w) {
-         return num(w->kv->pipeline(0).counters().acksReleased);
-     }},
+     [](auto &, auto *w) { return num(w->statAcksReleased); }},
     {sn::epochsCommitted, Kind::Counter, Scope::Shard,
      [](auto &, auto *w) {
          return num(w->kv->pipeline(0).counters().epochsCommitted);
@@ -158,9 +156,7 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
     {sn::folds, Kind::Counter, Scope::Shard,
      [](auto &, auto *w) { return num(w->kv->pipeline(0).counters().folds); }},
     {sn::deadlineCommits, Kind::Counter, Scope::Shard,
-     [](auto &, auto *w) {
-         return num(w->kv->pipeline(0).counters().deadlineCommits);
-     }},
+     [](auto &, auto *w) { return num(w->statDeadlineCommits); }},
     {sn::committedEpoch, Kind::Gauge, Scope::Shard,
      [](auto &, auto *w) { return num(w->statCommittedEpoch); }},
     {sn::queueDepth, Kind::Gauge, Scope::Shard,

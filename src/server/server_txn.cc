@@ -297,7 +297,6 @@ Server::Impl::commitTxnFast(Worker &w,
     p.txn = ctx;
     p.txnBody = std::move(body);
     w.pending.push_back(std::move(p));
-    w.kv->pipeline(0).notePending(epoch, Clock::now());
 }
 
 /**

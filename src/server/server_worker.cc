@@ -2,8 +2,9 @@
  * @file
  * The shared-nothing shard worker: store open/recovery, the
  * dequeue-dispatch-commit-release round, strict-FIFO deferral, and
- * the ack pipeline glue. One thread per shard; see server_impl.hh
- * for the ownership contract.
+ * the ack schedule (a reply waits for its epoch's commit, bounded by
+ * the flush deadline). One thread per shard; see server_impl.hh for
+ * the ownership contract.
  */
 
 #include "server/server_impl.hh"
@@ -32,7 +33,6 @@ Server::Impl::openStore(Worker &w)
     scfg.batchOps = cfg.batchOps;
     scfg.foldBatches = cfg.foldBatches;
     scfg.checksum = cfg.checksum;
-    scfg.flushDeadlineUs = cfg.flushDeadlineUs;
     const std::string path = shardPath(w.index);
     struct stat st{};
     const bool attach = ::stat(path.c_str(), &st) == 0 &&
@@ -139,19 +139,20 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
     postReply(p.connId, std::move(r));
 }
 
-/** Release every pending ack whose epoch has committed. */
+/**
+ * Release every pending ack whose epoch has committed. An ack that
+ * releaseAck() itself stages (a lock grant running a parked
+ * transaction) carries an epoch past the watermark read on entry,
+ * so it waits for a later round.
+ */
 void
 Server::Impl::releaseCommitted(Worker &w)
 {
-    engine::CommitPipeline &pl = w.kv->pipeline(0);
     const std::uint64_t ce = w.kv->committedEpoch(0);
     const std::uint64_t prevCe =
         w.statCommittedEpoch.load(std::memory_order_relaxed);
-    const std::size_t n = pl.releaseUpTo(ce);
-    for (std::size_t i = 0; i < n; ++i) {
-        LP_ASSERT(!w.pending.empty() &&
-                      w.pending.front().epoch <= ce,
-                  "reply queue out of sync with pipeline acks");
+    while (!w.pending.empty() && w.pending.front().epoch <= ce) {
+        w.statAcksReleased.fetch_add(1, std::memory_order_relaxed);
         releaseAck(w, w.pending.front());
         w.pending.pop_front();
     }
@@ -163,6 +164,16 @@ Server::Impl::releaseCommitted(Worker &w)
     // recoverable by postmortem after a SIGKILL.
     if (w.flight && ce != prevCe)
         w.flight->seal();
+}
+
+/** Nanoseconds until the oldest pending ack's flush deadline,
+ *  its tStagedNs + cfg.flushDeadlineUs; negative once that has
+ *  passed. Requires a pending ack. */
+std::int64_t
+Server::Impl::nsToAckDeadline(const Worker &w) const
+{
+    return std::int64_t(w.pending.front().tStagedNs +
+                        cfg.flushDeadlineUs * 1000 - obs::nowNs());
 }
 
 /** Free applied slots whose marker epoch the shard has made
@@ -358,7 +369,6 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         w.pending.push_back(Worker::Pending{
             op.connId, op.reqId, epoch, obs::nowNs(), op.traceId,
             op.batch, nullptr, {}});
-        w.kv->pipeline(0).notePending(epoch, Clock::now());
         return;
       }
       case OpItem::Kind::Txn: {
@@ -383,7 +393,6 @@ Server::Impl::processOp(Worker &w, OpItem &op)
             w.pending.push_back(Worker::Pending{
                 0, 0, epoch, obs::nowNs(), op.txn->traceId,
                 nullptr, nullptr, {}});
-            w.kv->pipeline(0).notePending(epoch, Clock::now());
         }
         if (!part.writes.empty()) {
             w.plog->markApplied(w.env, part.slot, epoch);
@@ -451,9 +460,10 @@ Server::Impl::workerMain(Worker &w)
                 return w.stopFlag || !w.q.empty();
             };
             if (w.q.empty() && !w.stopFlag) {
-                engine::CommitPipeline &pl = w.kv->pipeline(0);
-                if (pl.hasPending())
-                    w.cv.wait_until(lk, pl.ackDeadline(), woken);
+                if (!w.pending.empty())
+                    w.cv.wait_for(
+                        lk, std::chrono::nanoseconds(nsToAckDeadline(w)),
+                        woken);
                 else if (cfg.scrubIntervalMs > 0)
                     // Wake for the next scrub step even with no
                     // traffic: an idle server still patrols.
@@ -478,16 +488,16 @@ Server::Impl::workerMain(Worker &w)
             dispatchOp(w, op);
 
         // Deadline flush: commit an underfilled batch rather than
-        // keep its acks hostage to future traffic. The pipeline
-        // owns the deadline bookkeeping (engine/commit_pipeline.hh).
-        {
-            engine::CommitPipeline &pl = w.kv->pipeline(0);
-            const bool due = pl.commitDue(Clock::now());
-            if (pl.hasPending() && (stopping || due)) {
+        // keep its acks hostage to future traffic.
+        if (!w.pending.empty()) {
+            const bool due = nsToAckDeadline(w) <= 0;
+            if (stopping || due) {
                 if (due) {
-                    pl.noteDeadlineCommit();
-                    obs::traceInstant(w.ring, "deadline_commit",
-                                      pl.lastCommitted() + 1);
+                    w.statDeadlineCommits.fetch_add(
+                        1, std::memory_order_relaxed);
+                    obs::traceInstant(
+                        w.ring, "deadline_commit",
+                        w.kv->pipeline(0).lastCommitted() + 1);
                 }
                 w.kv->commitBatches(w.env);
             }

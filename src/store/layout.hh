@@ -76,13 +76,6 @@ struct StoreConfig
 
     /** Checksum kind protecting LP batches. */
     core::ChecksumKind checksum = core::ChecksumKind::Modular;
-
-    /**
-     * Commit an underfilled batch once its oldest pending
-     * acknowledgement has waited this long (engine CommitPolicy;
-     * consulted only by callers that schedule acks, like lp::server).
-     */
-    std::uint64_t flushDeadlineUs = 2000;
 };
 
 /**

@@ -42,7 +42,6 @@ commitPolicyFor(Backend backend, const StoreConfig &cfg)
     // one-op batches and the epoch number doubles as an op sequence.
     pol.batchOps = backend == Backend::EagerPerOp ? 1 : cfg.batchOps;
     pol.foldBatches = cfg.foldBatches;
-    pol.flushDeadline = std::chrono::microseconds(cfg.flushDeadlineUs);
     return pol;
 }
 

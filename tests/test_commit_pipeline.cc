@@ -1,13 +1,11 @@
 /**
  * @file
  * Unit tests for lp::engine::CommitPipeline: epoch sequencing, the
- * underfilled-batch flush, fold-period accounting, and the
- * deadline-bounded recoverable-ack schedule. The pipeline never
- * reads a clock itself, so the deadline tests drive it with
- * synthetic time points.
+ * underfilled-batch flush, and fold-period accounting. The server's
+ * ack schedule (release at epoch commit or at the flush deadline) is
+ * covered by ServerBasic.AcksReleaseAtEpochCommitOrFlushDeadline in
+ * test_server_integration.cc.
  */
-
-#include <chrono>
 
 #include <gtest/gtest.h>
 
@@ -21,12 +19,11 @@ namespace
 {
 
 CommitPolicy
-policyOf(int batchOps, int foldBatches, int deadlineUs = 2000)
+policyOf(int batchOps, int foldBatches)
 {
     CommitPolicy p;
     p.batchOps = batchOps;
     p.foldBatches = foldBatches;
-    p.flushDeadline = std::chrono::microseconds(deadlineUs);
     return p;
 }
 
@@ -138,54 +135,11 @@ TEST(CommitPipeline, EagerStylePolicyMakesEveryOpAnEpoch)
     EXPECT_EQ(pl.counters().opsStaged, 5u);
 }
 
-TEST(CommitPipeline, DeadlineBoundsTheOldestPendingAck)
-{
-    using Clock = CommitPipeline::Clock;
-    CommitPipeline pl(policyOf(32, 8, 2000));
-    const Clock::time_point t0{};
-
-    EXPECT_FALSE(pl.commitDue(t0));  // nothing pending
-
-    pl.notePending(1, t0);
-    pl.notePending(1, t0 + std::chrono::microseconds(500));
-    EXPECT_EQ(pl.pendingCount(), 2u);
-    EXPECT_EQ(pl.ackDeadline(),
-              t0 + std::chrono::microseconds(2000));
-
-    EXPECT_FALSE(pl.commitDue(t0 + std::chrono::microseconds(1999)));
-    EXPECT_TRUE(pl.commitDue(t0 + std::chrono::microseconds(2000)));
-
-    pl.noteDeadlineCommit();
-    EXPECT_EQ(pl.counters().deadlineCommits, 1u);
-}
-
-TEST(CommitPipeline, ReleaseUpToPopsOnlyCommittedEpochs)
-{
-    using Clock = CommitPipeline::Clock;
-    CommitPipeline pl(policyOf(2, 8));
-    const Clock::time_point t0{};
-    pl.notePending(1, t0);
-    pl.notePending(1, t0);
-    pl.notePending(2, t0);
-    pl.notePending(3, t0);
-
-    EXPECT_EQ(pl.releaseUpTo(0), 0u);
-    EXPECT_EQ(pl.releaseUpTo(1), 2u);
-    EXPECT_EQ(pl.pendingCount(), 2u);
-    // The next deadline now belongs to epoch 2's ack.
-    EXPECT_TRUE(pl.hasPending());
-    EXPECT_EQ(pl.releaseUpTo(3), 2u);
-    EXPECT_FALSE(pl.hasPending());
-    EXPECT_EQ(pl.counters().acksReleased, 4u);
-}
-
 TEST(CommitPipeline, RebaseResetsOntoTheRecoveredWatermark)
 {
-    using Clock = CommitPipeline::Clock;
     CommitPipeline pl(policyOf(2, 2));
     pl.beginEpoch();
     pl.stageOp();
-    pl.notePending(1, Clock::time_point{});
 
     pl.rebase(7);
     EXPECT_FALSE(pl.epochOpen());
@@ -193,7 +147,6 @@ TEST(CommitPipeline, RebaseResetsOntoTheRecoveredWatermark)
     EXPECT_EQ(pl.lastCommitted(), 7u);
     EXPECT_EQ(pl.foldedEpoch(), 7u);
     EXPECT_EQ(pl.committedSinceFold(), 0);
-    EXPECT_FALSE(pl.hasPending());
     EXPECT_EQ(pl.beginEpoch(), 8u);
 }
 

@@ -30,6 +30,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <map>
@@ -1004,6 +1005,187 @@ TEST(ServerBasic, PipelineCountersAgreeAcrossStatsAndMetrics)
 
     c.close();
     srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * The worker's ack schedule: a reply waits for its epoch to commit,
+ * which happens when the batch fills or, for an underfilled batch,
+ * once the oldest waiting reply has aged cfg.flushDeadlineUs. Four
+ * pipelined PUTs fill a 4-op batch and are acked without a deadline
+ * commit; a fifth lone PUT is acked only by the deadline, no sooner
+ * than 100 ms after it was sent.
+ */
+TEST(ServerBasic, AcksReleaseAtEpochCommitOrFlushDeadline)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 1;
+    cfg.backend = store::Backend::Lp;
+    cfg.quiet = true;
+    cfg.batchOps = 4;
+    cfg.flushDeadlineUs = 100000;
+    cfg.scrubIntervalMs = 0;
+    Server srv(cfg);
+    srv.start();
+    const auto stat = [&](const std::string &key) {
+        const std::string json = srv.statsJson();
+        std::map<std::string, double> st;
+        std::size_t at = 0;
+        flattenStats(json, at, "", st);
+        return st.at(key);
+    };
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    for (std::uint64_t k = 0; k < 4; ++k) {
+        Request r;
+        r.op = Op::Put;
+        r.id = c.nextId();
+        r.key = k;
+        r.value = k + 100;
+        ASSERT_TRUE(c.sendRequest(r));
+    }
+    for (int i = 0; i < 4; ++i) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, Status::Ok);
+    }
+    EXPECT_EQ(stat("deadline_commits"), 0.0);
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto lone = c.put(4, 104, 10000);
+    const auto waited = std::chrono::steady_clock::now() - t0;
+    ASSERT_TRUE(lone && lone->status == Status::Ok);
+    EXPECT_GE(waited, std::chrono::milliseconds(100));
+    EXPECT_EQ(stat("deadline_commits"), 1.0);
+    EXPECT_EQ(stat("acks_released"), 5.0);
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Acks leave the worker's queue in staging order across several
+ * epochs: eight pipelined PUTs fill four 2-op epochs, and the eight
+ * replies come back in request order, all released by batch commits
+ * (the flush deadline is a minute away).
+ */
+TEST(ServerBasic, AcksReleaseInRequestOrderAcrossEpochs)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 1;
+    cfg.backend = store::Backend::Lp;
+    cfg.quiet = true;
+    cfg.batchOps = 2;
+    cfg.flushDeadlineUs = 60000000;
+    cfg.scrubIntervalMs = 0;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    std::vector<std::uint64_t> ids;
+    for (std::uint64_t k = 0; k < 8; ++k) {
+        Request r;
+        r.op = Op::Put;
+        r.id = c.nextId();
+        r.key = k;
+        r.value = k + 100;
+        ids.push_back(r.id);
+        ASSERT_TRUE(c.sendRequest(r));
+    }
+    for (const std::uint64_t id : ids) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, Status::Ok);
+        EXPECT_EQ(r->id, id);
+    }
+
+    std::map<std::string, double> st;
+    std::size_t at = 0;
+    flattenStats(srv.statsJson(), at, "", st);
+    EXPECT_EQ(st.at("acks_released"), 8.0);
+    EXPECT_EQ(st.at("deadline_commits"), 0.0);
+    EXPECT_GE(st.at("epochs_committed"), 4.0);
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Shutdown releases what the deadline has not: a lone PUT in an
+ * underfilled epoch, with the flush deadline a minute away, is
+ * acked by the stopping worker's final commit and is durable in
+ * the next run.
+ */
+TEST(ServerBasic, StopReleasesAnAckBeforeItsFlushDeadline)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 1;
+    cfg.backend = store::Backend::Lp;
+    cfg.quiet = true;
+    cfg.batchOps = 4;
+    cfg.flushDeadlineUs = 60000000;
+    cfg.scrubIntervalMs = 0;
+    {
+        Server srv(cfg);
+        srv.start();
+        Client c;
+        ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+        Request r;
+        r.op = Op::Put;
+        r.id = c.nextId();
+        r.key = 7;
+        r.value = 707;
+        ASSERT_TRUE(c.sendRequest(r));
+
+        // Stop only once the worker has staged the PUT; a frame the
+        // acceptor has not read yet is not part of the drain.
+        const auto until =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        for (;;) {
+            std::map<std::string, double> st;
+            std::size_t at = 0;
+            flattenStats(srv.statsJson(), at, "", st);
+            if (st.at("mutations") == 1.0)
+                break;
+            ASSERT_LT(std::chrono::steady_clock::now(), until);
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+
+        const auto t0 = std::chrono::steady_clock::now();
+        srv.stop();
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::seconds(30));
+        const auto ack = c.recvResponse(10000);
+        ASSERT_TRUE(ack.has_value());
+        EXPECT_EQ(ack->status, Status::Ok);
+        EXPECT_EQ(ack->id, r.id);
+        c.close();
+    }
+    {
+        Server srv(cfg);
+        srv.start();
+        Client c;
+        ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+        const auto g = c.get(7, 10000);
+        ASSERT_TRUE(g.has_value());
+        EXPECT_EQ(g->status, Status::Ok);
+        EXPECT_EQ(g->value, 707u);
+        c.close();
+        srv.stop();
+    }
     std::filesystem::remove_all(dir);
 }
 
