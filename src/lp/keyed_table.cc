@@ -35,12 +35,11 @@ KeyedChecksumTable::occupancy() const
 }
 
 std::size_t
-KeyedChecksumTable::claimSlot(std::uint64_t key, std::size_t home)
+KeyedChecksumTable::claimSlot(std::uint64_t key)
 {
     LP_ASSERT(key != emptyKey, "reserved key");
-    LP_ASSERT(home < slots, "home slot out of range");
     const std::size_t limit = slots * maxLoadNum / maxLoadDen;
-    std::size_t i = home;
+    std::size_t i = bucketOf(key);
     for (std::size_t probes = 0; probes < slots; ++probes) {
         if (data[i].key == key)
             return i;
@@ -71,10 +70,9 @@ KeyedChecksumTable::claimSlot(std::uint64_t key, std::size_t home)
 }
 
 std::size_t
-KeyedChecksumTable::findSlot(std::uint64_t key, std::size_t home) const
+KeyedChecksumTable::findSlot(std::uint64_t key) const
 {
-    LP_ASSERT(home < slots, "home slot out of range");
-    std::size_t i = home;
+    std::size_t i = bucketOf(key);
     for (std::size_t probes = 0; probes < slots; ++probes) {
         if (data[i].key == key)
             return i;

@@ -87,33 +87,14 @@ class KeyedChecksumTable
      * Idempotent: the same key always maps to the same slot within
      * one durable lifetime of the table.
      */
-    std::size_t claimSlot(std::uint64_t key)
-    {
-        return claimSlot(key, bucketOf(key));
-    }
-
-    /**
-     * claimSlot() with the probe starting at @p home (< size())
-     * instead of the key's hash bucket. A caller whose keys map to
-     * distinct homes by construction gets collision-free placement
-     * with whatever locality its home mapping has -- the store's LP
-     * backend puts consecutive epochs in adjacent slots so they share
-     * cache blocks. Every lookup of the key must pass the same home.
-     */
-    std::size_t claimSlot(std::uint64_t key, std::size_t home);
+    std::size_t claimSlot(std::uint64_t key);
 
     /**
      * Slot for @p key if it is already claimed *in the durable /
      * current image*, or npos. Recovery uses this: an unclaimed key
      * means the region never committed.
      */
-    std::size_t findSlot(std::uint64_t key) const
-    {
-        return findSlot(key, bucketOf(key));
-    }
-
-    /** findSlot() probing from @p home (see claimSlot(key, home)). */
-    std::size_t findSlot(std::uint64_t key, std::size_t home) const;
+    std::size_t findSlot(std::uint64_t key) const;
 
     static constexpr std::size_t npos = ~static_cast<std::size_t>(0);
 
@@ -132,15 +113,7 @@ class KeyedChecksumTable
     bool
     matches(std::uint64_t key, std::uint64_t digest) const
     {
-        return matches(key, digest, bucketOf(key));
-    }
-
-    /** matches() for a key placed at @p home. */
-    bool
-    matches(std::uint64_t key, std::uint64_t digest,
-            std::size_t home) const
-    {
-        const std::size_t s = findSlot(key, home);
+        const std::size_t s = findSlot(key);
         return s != npos && storedDigest(s) == digest;
     }
 

@@ -5,7 +5,7 @@
  *
  * A backend is the policy that makes mutations durable. It owns the
  * per-shard persistent structures its discipline needs (journal,
- * checksum digests, WAL, metadata blocks) and mutates the shared
+ * parity, WAL, metadata blocks) and mutates the shared
  * SlotTable through the StoreContext; epoch numbering and
  * batch/fold/deadline accounting are delegated to the per-shard
  * engine::CommitPipeline so the same scheduling drives the store and
@@ -28,7 +28,7 @@
  *    back to epoch discard, and quarantines on provable-but-
  *    unrepairable corruption (docs/repair_design.md).
  *  - verify(): non-mutating audit of the backend's own invariants
- *    (committed digests still validate; no armed WAL). A debugging /
+ *    (committed batches still validate; no armed WAL). A debugging /
  *    test aid: it reads through the Env and thus perturbs the
  *    simulated caches like any other access.
  *  - scrub(): incremental online validate-and-repair walk over the
@@ -123,10 +123,6 @@ struct FaultSurface
     std::size_t journalBytes = 0;
     std::size_t sealedBytes = 0;         ///< sealed journal prefix
     std::size_t coveredBytes = 0;        ///< parity-covered prefix
-    const void *digests = nullptr;       ///< primary checksum table
-    std::size_t digestBytes = 0;
-    const void *digestReplica = nullptr; ///< replica checksum table
-    std::size_t digestReplicaBytes = 0;
     const void *parity = nullptr;        ///< XOR parity blocks
     std::size_t parityBytes = 0;
     const void *parityHashes = nullptr;  ///< region fingerprints
@@ -219,22 +215,6 @@ class PersistencyBackend
     {
         (void)shard;
         (void)out;
-    }
-
-    /**
-     * Address of the digest slot holding (@p shard, @p epoch)'s batch
-     * checksum in the primary table (or, with @p replica, the replica
-     * table), or null for backends without one. Fault-injection and
-     * layout-test aid: lets the corruption matrix rot exactly one
-     * epoch's digest instead of spraying the table.
-     */
-    virtual const void *
-    digestSlotAddr(int shard, std::uint64_t epoch, bool replica) const
-    {
-        (void)shard;
-        (void)epoch;
-        (void)replica;
-        return nullptr;
     }
 
     /** Where this shard's media-protected structures live. */

@@ -5,29 +5,27 @@
  * Mutations append journal records and update a running checksum
  * -- no flush, no fence. Every batchOps mutations (or fewer, at a
  * group-commit deadline) close an epoch: the journal seals the batch
- * with a trailer record and the batch's digest is stored (with plain
- * stores) into the shared KeyedChecksumTable, exactly the Figure 8
- * region-commit idiom. Journal records are STREAMING stores: each
- * journal line is written once, front to back, and leaves the core's
- * write-combining buffer for NVMM as one write when full -- no
- * write-allocate read, no cache pollution -- while a partial tail
- * line waits in the buffer. Digest lines drain to NVMM by natural
- * cache evictions. Every foldBatches committed batches the shard
- * FOLDS: digests are pinned with clwb and one fence, which also
- * drains the journal's partial tail line; then the coalesced
- * last-op-per-key effects are applied to the table with Eager
- * Persistency (store + clwb, so the applied lines stay cached for
- * the GETs that follow), and the shard's durable watermark
- * (ShardMeta::foldedEpoch) advances. The fold is the Section VI-A
- * periodic flush: it bounds journal space and recovery replay
- * length.
+ * with a trailer record that carries the batch's salted digest
+ * (journal.hh), the Figure 8 region-commit idiom with the checksum
+ * kept beside its region instead of in a table. Journal records are
+ * STREAMING stores: each journal line is written once, front to
+ * back, and leaves the core's write-combining buffer for NVMM as one
+ * write when full -- no write-allocate read, no cache pollution --
+ * while a partial tail line waits in the buffer. Every foldBatches
+ * committed batches the shard FOLDS: one fence drains the journal's
+ * partial tail line; then the coalesced last-op-per-key effects are
+ * applied to the table with Eager Persistency (store + clwb, so the
+ * applied lines stay cached for the GETs that follow), and the
+ * shard's durable watermark (ShardMeta::foldedEpoch) advances. The
+ * fold is the Section VI-A periodic flush: it bounds journal space
+ * and recovery replay length.
  *
  * Why a journal at all? In-place lazy mutation of live table slots
  * is unsound: a plain store from an UNCOMMITTED batch may drain over
  * the only copy of committed data, and recovery -- which discards
  * the failed batch -- would have nothing to restore the slot from.
  * Lazy Persistency therefore only ever lazily writes APPEND-ONLY
- * bytes (journal records, digest slots) whose corruption is detected
+ * bytes (journal records and trailers) whose corruption is detected
  * by the checksum and repaired by replay; the table itself is
  * written solely inside eager phases (fold, recovery), so a
  * committed table byte can never be clobbered by an uncommitted lazy
@@ -41,9 +39,9 @@
  * the group, from the words the journal streamed out. Each group's
  * fingerprint and parity lines are streamed whole, so they cost one
  * NVMM write each and no read; markClean() covers the trailing
- * partial group, which strict recovery relies on. Batch
- * digests get a full REPLICA table written beside the primary;
- * recovery accepts a batch if either copy validates.
+ * partial group, which strict recovery relies on. A batch's digest
+ * lives in its trailer, a journal word like any other, so the same
+ * parity repairs a rotted trailer; no digest replica is needed.
  * The shard superblock pair is the base class's. Crash tears and
  * media faults are disambiguated by the clean-shutdown flag
  * (store/layout.hh): recovery after a PROVEN clean shutdown runs
@@ -57,7 +55,7 @@
  * offset 0 expecting epochs W+1, W+2, ... (the BatchJournal::replay
  * walk): find each batch's trailer and check its tag, recompute the
  * life-salted digest over the records that actually reached NVMM,
- * and compare against the checksum-table pair. On the first
+ * and compare it with the digest the trailer carries. On the first
  * validation failure the parity sweep runs once and the position is
  * retried. Accepted batches are replayed into the table with Eager
  * Persistency (Section III-E: recovery uses EP so it always makes
@@ -72,7 +70,7 @@
  * same key is always found and reused, never duplicated. The
  * epilogue starts a new life: epoch numbers restart at the recovered
  * watermark, and batches the crashed life left on media past it --
- * records, trailers and digests alike -- must never validate again,
+ * records and trailers alike -- must never validate again,
  * so the next life salts its digests differently.
  */
 
@@ -84,7 +82,6 @@
 #include <vector>
 
 #include "ep/pmem_ops.hh"
-#include "lp/keyed_table.hh"
 #include "obs/shard_obs.hh"
 #include "repair/parity.hh"
 #include "store/backend.hh"
@@ -103,13 +100,6 @@ class LpBackend : public PersistencyBackend<Env>
   public:
     LpBackend(const StoreContext<Env> &ctx, bool attach) : Base(ctx)
     {
-        window_ = epochWindowFor(cfg());
-        const std::size_t ckslots =
-            std::size_t(cfg().shards) * window_ * 2;
-        cktable_ = std::make_unique<core::KeyedChecksumTable>(
-            *ctx.arena, ckslots, attach);
-        ckreplica_ = std::make_unique<core::KeyedChecksumTable>(
-            *ctx.arena, ckslots, attach);
         const std::size_t jcap = journalCapacity(cfg());
         shards_.reserve(std::size_t(cfg().shards));
         for (int i = 0; i < cfg().shards; ++i) {
@@ -151,13 +141,11 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
     /**
-     * Close the open batch: append the journal trailer, fold it into
-     * the digest and store the digest into BOTH checksum tables, at
-     * the epoch's home slot (checksumEpochSlot: consecutive epochs
-     * share a block), then extend parity coverage over every parity
+     * Close the open batch: append the journal trailer carrying the
+     * batch digest, then extend parity coverage over every parity
      * group the sealed prefix completed, from the words the journal
-     * stored -- all with plain or streaming stores (the Figure 8
-     * commit). No flush, no fence.
+     * stored -- all with streaming stores (the Figure 8 commit). No
+     * flush, no fence.
      */
     void
     commitEpoch(Env &env, int shard) override
@@ -176,15 +164,6 @@ class LpBackend : public PersistencyBackend<Env>
         obs::Span span(obs::ringOf(ob), "epoch_commit", epoch,
                        pl.openTraceId(), ob ? &ob->commitNs : nullptr);
         sh.journal->seal(env, epoch, sh.acc, ckCost());
-        const std::uint64_t ckey =
-            checksumEpochKey(shard, epoch, window_);
-        const std::size_t home = checksumEpochSlot(shard, epoch, window_);
-        const std::size_t s = cktable_->claimSlot(ckey, home);
-        env.st(cktable_->keyPtr(s), ckey);
-        env.st(cktable_->digestPtr(s), sh.acc.value());
-        const std::size_t s2 = ckreplica_->claimSlot(ckey, home);
-        env.st(ckreplica_->keyPtr(s2), ckey);
-        env.st(ckreplica_->digestPtr(s2), sh.acc.value());
         sh.parity->cover(
             env, epoch, sh.journal->sealedBytes(),
             sh.journal->storedWords(sh.parity->pendingRegion()));
@@ -194,11 +173,10 @@ class LpBackend : public PersistencyBackend<Env>
 
     /**
      * Eager checkpoint of one shard (Section VI-A periodic flush):
-     * (a) pin this window's digests (both copies) in NVMM with clwb
-     *     and fence, which also drains the journal's partial tail
-     *     line from the write-combining buffer (its full lines were
-     *     written as they filled), so every batch the fold applies
-     *     is one recovery would accept;
+     * (a) fence, which drains the journal's partial tail line from
+     *     the write-combining buffer (its full lines were written as
+     *     they filled), so every batch the fold applies is one
+     *     recovery would accept;
      * (b) apply the coalesced last op per key to the table with
      *     Eager Persistency -- one table write per DISTINCT key in
      *     the window, which is where LP's write savings over per-op
@@ -229,23 +207,8 @@ class LpBackend : public PersistencyBackend<Env>
         obs::ShardObs *ob = pl.obs();
         obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted(), 0,
                        ob ? &ob->foldNs : nullptr);
-        std::vector<std::uintptr_t> blocks;
-        for (std::uint64_t e = pl.foldedEpoch() + 1;
-             e <= pl.lastCommitted(); ++e) {
-            const std::uint64_t ckey =
-                checksumEpochKey(shard, e, window_);
-            const std::size_t home = checksumEpochSlot(shard, e, window_);
-            const std::size_t s = cktable_->findSlot(ckey, home);
-            LP_ASSERT(s != core::KeyedChecksumTable::npos,
-                      "committed digest missing");
-            blocks.push_back(ep::blockIndexOf(cktable_->keyPtr(s)));
-            const std::size_t s2 = ckreplica_->findSlot(ckey, home);
-            if (s2 != core::KeyedChecksumTable::npos)
-                blocks.push_back(
-                    ep::blockIndexOf(ckreplica_->keyPtr(s2)));
-        }
-        ep::writeBackBlocksOnce(env, blocks);
         env.sfence();
+        std::vector<std::uintptr_t> blocks;
         table().walkPrefetched(
             env, sh.delta, [](const auto &kv) { return kv.first; },
             [&](const auto &kv) {
@@ -304,29 +267,12 @@ class LpBackend : public PersistencyBackend<Env>
             }
             return res.repaired > 0;
         };
-        // A batch is committed if EITHER digest copy validates; a
-        // primary miss with a replica hit is only provably a media
-        // fault in strict mode (after a crash it is just a line that
-        // had not drained yet).
-        auto matches = [&](std::uint64_t e, std::uint64_t digest) {
-            const std::uint64_t ckey =
-                checksumEpochKey(shard, e, window_);
-            const std::size_t home = checksumEpochSlot(shard, e, window_);
-            if (cktable_->matches(ckey, digest, home))
-                return true;
-            if (ckreplica_->matches(ckey, digest, home)) {
-                if (strict)
-                    this->noteRepaired(shard, &rep, 1);
-                return true;
-            }
-            return false;
-        };
         // Committed batches repair the table with Eager Persistency
         // (Section III-E); like the fold, all of a batch's stores
         // execute first, then one clwb per distinct block.
         std::vector<std::uintptr_t> blocks;
         const std::uint64_t committed = sh.journal->replay(
-            env, cfg(), base, matches,
+            env, cfg(), base,
             [&](bool isPut, std::uint64_t key, std::uint64_t value) {
                 KvSlot *slot = table().applyOp(env, isPut, key, value);
                 if (slot)
@@ -355,16 +301,8 @@ class LpBackend : public PersistencyBackend<Env>
         auto &pl = pipeline(shard);
         if (pl.epochOpen())
             return false;  // commit or checkpoint before auditing
-        return sh.journal->auditCommitted(
-            env, cfg(), pl.foldedEpoch(), pl.lastCommitted(),
-            [&](std::uint64_t e, std::uint64_t digest) {
-                const std::uint64_t ckey =
-                    checksumEpochKey(shard, e, window_);
-                const std::size_t home =
-                    checksumEpochSlot(shard, e, window_);
-                return cktable_->matches(ckey, digest, home) ||
-                       ckreplica_->matches(ckey, digest, home);
-            });
+        return sh.journal->auditCommitted(env, cfg(), pl.foldedEpoch(),
+                                          pl.lastCommitted());
     }
 
     /**
@@ -434,19 +372,6 @@ class LpBackend : public PersistencyBackend<Env>
         return done;
     }
 
-    const void *
-    digestSlotAddr(int shard, std::uint64_t epoch,
-                   bool replica) const override
-    {
-        core::KeyedChecksumTable &t = replica ? *ckreplica_ : *cktable_;
-        const std::size_t s =
-            t.findSlot(checksumEpochKey(shard, epoch, window_),
-                       checksumEpochSlot(shard, epoch, window_));
-        if (s == core::KeyedChecksumTable::npos)
-            return nullptr;
-        return t.keyPtr(s);
-    }
-
     FaultSurface
     faultSurface(int shard) const override
     {
@@ -456,10 +381,6 @@ class LpBackend : public PersistencyBackend<Env>
         fs.journalBytes = sh.journal->dataBytes();
         fs.sealedBytes = sh.journal->sealedBytes();
         fs.coveredBytes = sh.parity->coveredBytes();
-        fs.digests = cktable_->keyPtr(0);
-        fs.digestBytes = cktable_->bytes();
-        fs.digestReplica = ckreplica_->keyPtr(0);
-        fs.digestReplicaBytes = ckreplica_->bytes();
         fs.parity = sh.parity->parityBlocks();
         fs.parityBytes = sh.parity->parityBytes();
         fs.parityHashes = sh.parity->hashes();
@@ -556,9 +477,6 @@ class LpBackend : public PersistencyBackend<Env>
         return core::ChecksumAcc::updateCost(cfg().checksum);
     }
 
-    std::uint64_t window_ = 0;
-    std::unique_ptr<core::KeyedChecksumTable> cktable_;
-    std::unique_ptr<core::KeyedChecksumTable> ckreplica_;
     std::vector<Shard> shards_;
 };
 

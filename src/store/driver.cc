@@ -93,9 +93,8 @@ nvmmByStructure(const sim::Machine &m, const pmem::PersistentArena &arena,
                 const KvStore<kernels::SimEnv> &store,
                 const obs::FlightRing &flight, std::uint64_t mutations)
 {
-    enum : std::size_t { Table, Journal, Digests, DigestReplica, Parity,
-                         Fingerprints, ParityHeader, Superblocks,
-                         Flight, Other };
+    enum : std::size_t { Table, Journal, Parity, Fingerprints,
+                         ParityHeader, Superblocks, Flight, Other };
     static_assert(std::size(kNvmmStructures) == Other + 1);
     struct Range
     {
@@ -111,11 +110,8 @@ nvmmByStructure(const sim::Machine &m, const pmem::PersistentArena &arena,
     };
     for (int s = 0; s < store.config().shards; ++s) {
         const FaultSurface fs = store.faultSurface(s);
-        if (s == 0) {
+        if (s == 0)
             add(Table, fs.table, fs.tableBytes);
-            add(Digests, fs.digests, fs.digestBytes);
-            add(DigestReplica, fs.digestReplica, fs.digestReplicaBytes);
-        }
         add(Journal, fs.journal, fs.journalBytes);
         add(Parity, fs.parity, fs.parityBytes);
         add(Fingerprints, fs.parityHashes, fs.parityHashBytes);
@@ -440,7 +436,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
 {
     using kernels::SimEnv;
 
-    // The eager and WAL backends own no journal, digests, or parity;
+    // The eager and WAL backends own no journal or parity;
     // their media-protected structure is the superblock pair, so the
     // LP-specific sites degrade onto it -- keeping the matrix total.
     FaultSite site = spec.site;
@@ -448,7 +444,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
         switch (site) {
           case FaultSite::JournalPayload:
           case FaultSite::JournalLastCovered:
-          case FaultSite::ChecksumSlot:
+          case FaultSite::JournalTrailer:
             site = FaultSite::SuperblockPrimary;
             break;
           case FaultSite::JournalTail:
@@ -589,14 +585,21 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
             out.injected = true;
         }
         break;
-      case FaultSite::ChecksumSlot:
-        // Digest word of epoch 1's PRIMARY slot; the replica slot
-        // must carry the batch.
-        if (const void *slot = store.digestSlotAddr(0, 1)) {
-            inj.flipBitAt(slot, 8, 5);
+      case FaultSite::JournalTrailer: {
+        // Epoch 1's trailer is the journal's first record keyed
+        // slotEmptyKey; byte 5 of its second word is digest, not tag.
+        // Parity must restore it.
+        const auto *j = static_cast<const JEntry *>(fs.journal);
+        const std::size_t n = coveredBytes / sizeof(JEntry);
+        std::size_t i = 0;
+        while (i < n && j[i].key != slotEmptyKey)
+            ++i;
+        if (i < n) {
+            inj.flipBitAt(&j[i].value, 5, 5);
             out.injected = true;
         }
         break;
+      }
       case FaultSite::ParityPage:
         if (fs.parityBytes > 0 &&
             coveredBytes >= repair::regionBytes) {
@@ -620,7 +623,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     }
 
     if (out.viaScrub) {
-        // The journal and digests still validate, so recovery would
+        // The journal still validates, so recovery would
         // never look at the parity blocks; the online scrub is what
         // finds and rewrites them. Walk one full pass.
         while (store.scrubStep(env, 0, 64) > 0) {

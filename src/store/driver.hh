@@ -129,10 +129,8 @@ struct NvmmTraffic
 
 /** Structure names nvmmByStructure reports, in order. */
 inline constexpr const char *kNvmmStructures[] = {
-    "table",         "journal",      "digests",
-    "digest_replica", "parity",      "fingerprints",
-    "parity_header", "superblocks",  "flight_ring",
-    "other",
+    "table",         "journal",     "parity",      "fingerprints",
+    "parity_header", "superblocks", "flight_ring", "other",
 };
 
 /** Result of one simulated YCSB run (stats cover the mix only). */
@@ -308,7 +306,7 @@ enum class FaultSite
     JournalLastCovered, ///< last whole sealed region (partial group)
     JournalTail,        ///< sealed bytes past parity coverage (live head)
     JournalMultiRegion, ///< two regions of one parity group
-    ChecksumSlot,       ///< primary digest slot of epoch 1
+    JournalTrailer,     ///< digest bits of epoch 1's batch trailer
     ParityPage,         ///< a parity block itself (found by scrub)
     SuperblockPrimary,
     SuperblockReplica,

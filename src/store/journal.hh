@@ -6,14 +6,23 @@
  *
  * Journal records are 16B, four to a 64B block, and the journal base
  * is block-aligned, so no record ever straddles a block. A batch is
- * its records followed by a TRAILER {slotEmptyKey, makeTag(Seal,
- * epoch)}; slotEmptyKey is never a record's first word, so the first
+ * its records followed by a TRAILER {slotEmptyKey, digest | epoch
+ * tag}; slotEmptyKey is never a record's first word, so the first
  * one a walk meets closes the batch. Every journal byte is written
  * exactly once, front to back, with streaming stores (Env::stStream):
  * the lines bypass the cache and a full line reaches NVMM as one
  * write with no read, as PM redo logs are written on x86. A partial
  * tail line waits in the core's write-combining buffer until the
  * line fills or the fold's fence drains it.
+ *
+ * The journal is SELF-VALIDATING: the trailer carries the batch's
+ * salted digest, so a batch is committed exactly when its trailer
+ * line is durable and the digest recomputed over what reached NVMM
+ * matches it. No separate checksum table exists. The paper keeps its
+ * checksums in a table because its regions update data in place; a
+ * journal batch is append-only and already ends in a record of its
+ * own, so the check rides there, and the journal parity that covers
+ * every record covers the trailer too.
  *
  * A record stores only what replay applies; its epoch and in-batch
  * index are not stored but folded into the batch digest as a
@@ -29,10 +38,9 @@
  *
  * The journal owns the CURSORS (tail, open-batch start) and the
  * store/checksum mechanics; epoch numbering and batch/fold accounting
- * are the CommitPipeline's (engine/commit_pipeline.hh), and which
- * epochs a digest lookup accepts is the LP backend's (backend_lp.hh).
- * Geometry helpers shared with arena budgeting are non-template and
- * live in journal.cc.
+ * are the CommitPipeline's (engine/commit_pipeline.hh). The geometry
+ * helper shared with arena budgeting is non-template and lives in
+ * journal.cc.
  */
 
 #ifndef LP_STORE_JOURNAL_HH
@@ -52,33 +60,36 @@
 namespace lp::store
 {
 
-/**
- * Journal record type. Only a trailer stores its type (in its tag);
- * Put and Del records are told apart by their first word.
- */
+/** Journal record type; Put and Del are told apart by their first word. */
 enum class JOp : std::uint8_t
 {
-    Seal = 0,  ///< batch trailer: {slotEmptyKey, makeTag(Seal, epoch)}
     Put = 1,   ///< stored as {key, value}
     Del = 2,   ///< stored as {slotTombstoneKey, key}
 };
 
 /**
+ * Low epoch bits a batch trailer keeps as its TAG; the other 48 bits
+ * of its second word hold the digest. The tag tells a trailer the
+ * walk expects from one an earlier generation left at the same
+ * position: a trailer of another epoch is the journal's end, not a
+ * discarded batch. Only an epoch a multiple of 2^16 away aliases the
+ * tag; its digest then fails (the salt binds the full epoch), so the
+ * worst case is one batch counted as discarded, never a wrong accept.
+ */
+inline constexpr unsigned trailerTagBits = 16;
+inline constexpr std::uint64_t trailerTagMask =
+    (1ull << trailerTagBits) - 1;
+
+/**
  * One journal record, 16B (four per block). Put is {key, value}; Del
  * is {slotTombstoneKey, key}, unambiguous because slotTombstoneKey is
- * above maxUserKey; the batch trailer is {slotEmptyKey,
- * makeTag(Seal, epoch)}.
+ * above maxUserKey; the batch trailer is {slotEmptyKey, digest48 <<
+ * 16 | epoch tag}.
  */
 struct JEntry
 {
     std::uint64_t key;
     std::uint64_t value;
-
-    static std::uint64_t
-    makeTag(JOp op, std::uint64_t epoch)
-    {
-        return (epoch << 8) | static_cast<std::uint64_t>(op);
-    }
 
     /** The stored form of a Put or Del. */
     static JEntry
@@ -88,11 +99,17 @@ struct JEntry
                               : JEntry{key, value};
     }
 
-    /** The trailer sealing @p epoch's batch. */
+    /**
+     * The trailer sealing @p epoch's batch of salted digest
+     * @p digest: the digest's top 16 bits are XOR-folded into its
+     * low 48, which sit above the epoch tag.
+     */
     static JEntry
-    trailer(std::uint64_t epoch)
+    trailer(std::uint64_t epoch, std::uint64_t digest)
     {
-        return JEntry{slotEmptyKey, makeTag(JOp::Seal, epoch)};
+        return JEntry{slotEmptyKey,
+                      ((digest ^ (digest >> 48)) << trailerTagBits) |
+                          (epoch & trailerTagMask)};
     }
 };
 
@@ -119,8 +136,9 @@ journalSalt(std::uint64_t life, std::uint64_t epoch, std::uint64_t word)
 }
 
 /**
- * Fold record @p index (0 = the trailer, which digests as {tag,
- * record count}) of @p epoch's batch of life @p life into @p acc.
+ * Fold record @p index (0 = the trailer, which digests as
+ * {slotEmptyKey, record count}) of @p epoch's batch of life @p life
+ * into @p acc.
  */
 inline void
 digestRecord(core::ChecksumAcc &acc, std::uint64_t life,
@@ -133,32 +151,6 @@ digestRecord(core::ChecksumAcc &acc, std::uint64_t life,
 
 /** Journal entry capacity for @p cfg: foldBatches + slack batches. */
 std::size_t journalCapacity(const StoreConfig &cfg);
-
-/**
- * Epoch-key wrap window of the LP checksum table for @p cfg: 4x the
- * fold period, far wider than the <= foldBatches + 2 epochs ever
- * live at once, so no two live epochs share a digest slot while the
- * table's occupancy stays bounded.
- */
-std::uint64_t epochWindowFor(const StoreConfig &cfg);
-
-/**
- * Checksum-table key of (@p shard, @p epoch) under wrap window
- * @p window (a power of two).
- */
-std::uint64_t checksumEpochKey(int shard, std::uint64_t epoch,
-                               std::uint64_t window);
-
-/**
- * Home slot of (@p shard, @p epoch)'s digest in an LP checksum table
- * of at least shards * @p window slots: shard * window + (epoch mod
- * window). Distinct live keys get distinct homes, so placement never
- * collides, and consecutive epochs of a shard fill adjacent slots --
- * four to a block -- so a fold flushes a quarter as many digest
- * blocks as hashed placement would.
- */
-std::size_t checksumEpochSlot(int shard, std::uint64_t epoch,
-                              std::uint64_t window);
 
 /**
  * One shard's batch journal: an append cursor over a fixed arena
@@ -257,19 +249,19 @@ class BatchJournal
     }
 
     /**
-     * Seal the open batch: append its trailer and fold the trailer
-     * (as {tag, record count}) into the digest -- still streaming
-     * stores; the caller publishes the digest to commit.
+     * Seal the open batch: fold the trailer (as {slotEmptyKey, record
+     * count}) into the digest and append the trailer carrying it --
+     * still a streaming store. Once the trailer's line is durable the
+     * batch is committed; nothing else is written.
      */
     void
     seal(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc,
          std::uint64_t ckCost)
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "no open batch");
-        const JEntry t = JEntry::trailer(epoch);
-        const std::uint64_t count = tail_ - batchStart_;
-        put(env, t);
-        digestRecord(acc, life_, epoch, 0, t.value, count);
+        digestRecord(acc, life_, epoch, 0, slotEmptyKey,
+                     tail_ - batchStart_);
+        put(env, JEntry::trailer(epoch, acc.value()));
         env.tick(recordCost(ckCost));
         batchStart_ = npos;
     }
@@ -288,7 +280,7 @@ class BatchJournal
      * Recovery walk (see the recovery story in backend_lp.hh): from
      * offset 0, expect epochs base+1, base+2, ...; find each batch's
      * trailer, recompute its digest over what actually reached NVMM
-     * and ask @p matches(epoch, digest) to accept it. Accepted
+     * and accept it iff the trailer carries that digest. Accepted
      * batches replay through @p apply(isPut, key, value) per record,
      * then @p batchDone() (the backend's flush + fence). Stops at the
      * first batch failing validation -- appends are sequential, so
@@ -301,11 +293,10 @@ class BatchJournal
      * failing position is re-validated once before the failure is
      * made final. Pass a `[]{ return false; }` thunk to opt out.
      */
-    template <typename MatchFn, typename ApplyFn, typename DoneFn,
-              typename RepairFn>
+    template <typename ApplyFn, typename DoneFn, typename RepairFn>
     std::uint64_t
     replay(Env &env, const StoreConfig &cfg, std::uint64_t base,
-           MatchFn &&matches, ApplyFn &&apply, DoneFn &&batchDone,
+           ApplyFn &&apply, DoneFn &&batchDone,
            RepairFn &&repairFn, RecoveryReport &rep)
     {
         bool repairTried = false;
@@ -319,7 +310,7 @@ class BatchJournal
         std::size_t pos = 0;
         while (pos < cap_) {
             std::uint64_t count = 0;
-            const Check c = checkBatch(env, cfg, pos, e, matches, count);
+            const Check c = checkBatch(env, cfg, pos, e, count);
             if (c != Check::Valid) {
                 if (tryRepair())
                     continue;
@@ -349,20 +340,17 @@ class BatchJournal
      * Non-mutating audit of committed-but-unfolded batches (the
      * verify() hook): re-walk epochs base+1 .. last through the same
      * validation as replay(), without applying anything. True iff
-     * every committed batch's digest still checks out against
-     * @p matches.
+     * every committed batch still matches its trailer's digest.
      */
-    template <typename MatchFn>
     bool
     auditCommitted(Env &env, const StoreConfig &cfg,
-                   std::uint64_t base, std::uint64_t last,
-                   MatchFn &&matches)
+                   std::uint64_t base, std::uint64_t last)
     {
         std::size_t pos = 0;
         for (std::uint64_t e = base + 1; e <= last; ++e) {
             std::uint64_t count = 0;
             if (pos >= cap_ ||
-                checkBatch(env, cfg, pos, e, matches, count) !=
+                checkBatch(env, cfg, pos, e, count) !=
                     Check::Valid)
                 return false;
             pos += count + 1;
@@ -374,8 +362,8 @@ class BatchJournal
     /** Outcome of validating the batch expected at one position. */
     enum class Check
     {
-        NoTrailer,  ///< no trailer of the expected epoch: journal end
-        Invalid,    ///< trailer found, but shape or digest fails
+        NoTrailer,  ///< no trailer with the expected tag: journal end
+        Invalid,    ///< tagged trailer found; shape or digest fails
         Valid,
     };
 
@@ -401,17 +389,16 @@ class BatchJournal
      * (< cap_): its trailer must be the first record within
      * batchOps + 1 whose key is slotEmptyKey and carry @p e's tag;
      * each record must have a legal shape (a Del names a user key);
-     * and the salted digest recomputed over what reached NVMM must
-     * match. On Valid, @p count is the batch's record count.
+     * and the salted digest recomputed over what reached NVMM must be
+     * the one the trailer carries. On Valid, @p count is the batch's
+     * record count.
      */
-    template <typename MatchFn>
     Check
     checkBatch(Env &env, const StoreConfig &cfg, std::size_t pos,
-               std::uint64_t e, MatchFn &matches, std::uint64_t &count)
+               std::uint64_t e, std::uint64_t &count)
     {
         const std::uint64_t ckCost =
             core::ChecksumAcc::updateCost(cfg.checksum);
-        const std::uint64_t tag = JEntry::makeTag(JOp::Seal, e);
         const std::size_t end =
             std::min(cap_, pos + std::size_t(cfg.batchOps) + 1);
         core::ChecksumAcc acc(cfg.checksum);
@@ -421,12 +408,13 @@ class BatchJournal
             const std::uint64_t k = env.ld(&je.key);
             const std::uint64_t v = env.ld(&je.value);
             if (k == slotEmptyKey) {
-                if (v != tag)
+                if ((v & trailerTagMask) != (e & trailerTagMask))
                     return Check::NoTrailer;
                 count = i - pos;
-                digestRecord(acc, life_, e, 0, tag, count);
+                digestRecord(acc, life_, e, 0, k, count);
                 env.tick(recordCost(ckCost));
-                return shapeOk && matches(e, acc.value())
+                return shapeOk &&
+                               JEntry::trailer(e, acc.value()).value == v
                            ? Check::Valid
                            : Check::Invalid;
             }

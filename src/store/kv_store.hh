@@ -205,14 +205,6 @@ class KvStore
         return fs;
     }
 
-    /** Digest-slot address of one epoch's batch (testing). */
-    const void *
-    digestSlotAddr(int shard, std::uint64_t epoch,
-                   bool replica = false) const
-    {
-        return backend_->digestSlotAddr(shard, epoch, replica);
-    }
-
     /**
      * One online-scrub step of @p shard: validate up to
      * @p maxRegions protected regions, repairing from parity where
@@ -415,7 +407,7 @@ class KvStore
     }
 
     /**
-     * Audit the backend's durability invariants (committed LP digests
+     * Audit the backend's durability invariants (committed LP batches
      * still validate, no armed WAL transaction). A test/debug aid: it
      * reads through the Env, so it perturbs simulated caches like any
      * other access; do not call inside a measured phase.

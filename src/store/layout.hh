@@ -174,9 +174,9 @@ struct RecoveryReport
     std::uint64_t entriesReplayed = 0;
 
     /**
-     * Batches whose trailer reached NVMM but whose body or digest
-     * failed validation -- the torn/incomplete work LP detects and
-     * discards.
+     * Batches whose trailer (with the expected epoch tag) reached
+     * NVMM but whose body failed the trailer's digest -- the
+     * torn/incomplete work LP detects and discards.
      */
     std::uint64_t batchesDiscarded = 0;
 
@@ -185,9 +185,9 @@ struct RecoveryReport
 
     /**
      * Media faults detected AND repaired during recovery: journal
-     * regions reconstructed from parity (fingerprint-verified),
-     * superblock copies restored from their replica, digests
-     * recomputed from fingerprint-verified journal bytes.
+     * regions (trailers included) reconstructed from parity
+     * (fingerprint-verified), superblock copies restored from their
+     * replica, a rotted parity header restarted.
      */
     std::uint64_t mediaRepaired = 0;
 

@@ -54,15 +54,10 @@ storeArenaBytes(const StoreConfig &cfg)
     // per-allocation block alignment and arena slack.
     const std::size_t slots = std::bit_ceil(
         cfg.capacity * 2 < 64 ? std::size_t{64} : cfg.capacity * 2);
-    const std::size_t window = epochWindowFor(cfg);
-    const std::size_t ckslots =
-        std::bit_ceil(std::size_t(cfg.shards) * window * 2);
     const std::size_t jcap = journalCapacity(cfg);
     const std::size_t walEntries = 2 * std::size_t(cfg.batchOps) + 8;
 
-    // Two checksum tables (primary + media replica).
-    std::size_t bytes = slots * 16 + 2 * ckslots * 16;
-    bytes += std::size_t(cfg.shards) *
+    std::size_t bytes = slots * 16 + std::size_t(cfg.shards) *
              (2 * sizeof(ShardMeta) +       // superblock pair
               jcap * sizeof(JEntry) +       // journal
               repair::parityArenaBytes(     // fingerprints + parity

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the keyed (collision-handling) checksum table: claiming,
- * probing, caller-chosen home slots, collision separation,
+ * probing, collision separation,
  * idempotence, durability, and the full-table failure mode.
  */
 
@@ -55,22 +55,6 @@ TEST(KeyedTable, FindBeforeClaimIsNpos)
     EXPECT_EQ(t.findSlot(7), KeyedChecksumTable::npos);
     t.claimSlot(7);
     EXPECT_NE(t.findSlot(7), KeyedChecksumTable::npos);
-}
-
-TEST(KeyedTable, HomePlacementClaimsTheHomeAndProbesOnCollision)
-{
-    pmem::PersistentArena arena(1 << 16);
-    KeyedChecksumTable t(arena, 16);
-    EXPECT_EQ(t.claimSlot(100, 5), 5u);
-    EXPECT_EQ(t.claimSlot(100, 5), 5u);  // idempotent
-    EXPECT_EQ(t.findSlot(100, 5), 5u);
-    *t.digestPtr(5) = 0x77;
-    EXPECT_TRUE(t.matches(100, 0x77, 5));
-    // A second key with the same home is detected and probes on.
-    EXPECT_EQ(t.claimSlot(200, 5), 6u);
-    EXPECT_EQ(t.findSlot(200, 5), 6u);
-    EXPECT_EQ(t.findSlot(300, 5), KeyedChecksumTable::npos);
-    EXPECT_EQ(t.occupancy(), 2u);
 }
 
 TEST(KeyedTable, CollidingKeysProbeApart)

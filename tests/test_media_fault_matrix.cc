@@ -5,9 +5,9 @@
  * workload, clean shutdown, targeted bit flips, then recovery or an
  * online scrub pass -- and asserts the contract:
  *
- *  - single-region faults with a surviving redundant copy (parity,
- *    digest replica, superblock twin) are detected AND repaired with
- *    zero data loss;
+ *  - single-region faults with a surviving redundant copy (journal
+ *    parity, which covers batch trailers too, or the superblock
+ *    twin) are detected AND repaired with zero data loss;
  *  - provably-lost data (both superblock copies, two regions of one
  *    parity group, a sealed epoch past parity coverage) quarantines
  *    the shard: detected, counted unrepairable, and the surviving
@@ -59,7 +59,7 @@ expectRepaired(Backend b, FaultSite site)
     switch (site) {
       case FaultSite::JournalPayload:     // parity reconstructs
       case FaultSite::JournalLastCovered: // clean marking covered it
-      case FaultSite::ChecksumSlot:       // replica digest carries it
+      case FaultSite::JournalTrailer:     // parity restores the digest
       case FaultSite::ParityPage:         // scrub recomputes parity
       case FaultSite::SuperblockPrimary:  // twin carries it
       case FaultSite::SuperblockReplica:
@@ -128,7 +128,7 @@ TEST_P(MediaFaultMatrix, DetectsAndRepairsOrQuarantines)
 const FaultSite kSites[] = {
     FaultSite::JournalPayload,    FaultSite::JournalLastCovered,
     FaultSite::JournalTail,       FaultSite::JournalMultiRegion,
-    FaultSite::ChecksumSlot,      FaultSite::ParityPage,
+    FaultSite::JournalTrailer,    FaultSite::ParityPage,
     FaultSite::SuperblockPrimary, FaultSite::SuperblockReplica,
     FaultSite::SuperblockBoth,
 };
@@ -141,7 +141,7 @@ siteName(FaultSite s)
       case FaultSite::JournalLastCovered: return "JournalLastCovered";
       case FaultSite::JournalTail:        return "JournalTail";
       case FaultSite::JournalMultiRegion: return "JournalMultiRegion";
-      case FaultSite::ChecksumSlot:       return "ChecksumSlot";
+      case FaultSite::JournalTrailer:     return "JournalTrailer";
       case FaultSite::ParityPage:         return "ParityPage";
       case FaultSite::SuperblockPrimary:  return "SuperblockPrimary";
       case FaultSite::SuperblockReplica:  return "SuperblockReplica";

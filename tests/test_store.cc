@@ -5,8 +5,9 @@
  * checkpoint, the SimEnv/NativeEnv identical-code guarantee, clean
  * recovery after a checkpoint, recovery idempotence (including a
  * crash injected *during* recovery, and a rolled-back batch staying
- * rolled back across lives), the 16-byte journal format with its
- * batch trailer and the LP digest-slot placement, the YCSB
+ * rolled back across lives, a clean restart replaying nothing, the
+ * trailer's epoch tag wrapping), the 16-byte journal format with its
+ * self-validating batch trailer, the YCSB
  * generators, the table occupancy guard, the LP fold's one prefetch
  * per distinct key and the WAL plan phase's one per op, and GETs of
  * persisted keys that hit in the cache.
@@ -360,8 +361,8 @@ persistBlockOf(pmem::PersistentArena &arena, const void *p)
  * A journal record stores no epoch, so a stale record left by an
  * earlier journal generation must fail the salted batch digest. Here
  * epoch 2 = [put(10,1), put(11,1), put(k,2), put(k,1)] commits -- its
- * trailer (alone in the journal's second block) and both digest
- * copies drain -- but the first block, holding all four records,
+ * trailer, with the digest, drains alone in the journal's second
+ * block -- but the first block, holding all four records,
  * still carries the previous generation's epoch 1 = [put(10,1),
  * put(11,1), put(k,1), put(k,2)]: a permutation of the very same
  * records, which an unsalted Modular, Parity or ModularParity sum
@@ -414,23 +415,17 @@ TEST_P(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
 
     // The full record line streamed straight to NVMM; put the old
     // generation back in its place, as if it had never left the
-    // write-combining buffer. The trailer's partial line and the
-    // digests drain.
+    // write-combining buffer. The trailer's partial line drains.
     std::copy(stale, stale + 4, journal);
     persistBlockOf(ctx.arena, &journal[0]);
     persistBlockOf(ctx.arena, &journal[4]);
-    for (bool replica : {false, true}) {
-        const void *slot = store.digestSlotAddr(0, 2, replica);
-        ASSERT_NE(slot, nullptr);
-        persistBlockOf(ctx.arena, slot);
-    }
     ctx.sched.clear();
     ctx.machine.loseVolatileState();
     ctx.arena.crashRestore();
 
     // The durable image is exactly the scenario described above.
     ASSERT_EQ(journal[4].key, slotEmptyKey);
-    ASSERT_EQ(journal[4].value, JEntry::makeTag(JOp::Seal, 2));
+    ASSERT_EQ(journal[4].value & trailerTagMask, 2u);
     ASSERT_EQ(journal[2].key, k);
     ASSERT_EQ(journal[2].value, 1u);
     ASSERT_EQ(journal[3].key, k);
@@ -501,8 +496,8 @@ TEST(StoreJournalFormat, DelAndMaxUserKeySurviveCrashReplay)
 /**
  * A batch is committed only once its trailer is durable. Epoch 2's
  * last record and trailer share a line that is still in the
- * write-combining buffer when the power fails; everything else --
- * its other records and both digest copies -- drained. Recovery ends
+ * write-combining buffer when the power fails; its other records
+ * drained. Recovery ends
  * the walk at epoch 1 without counting a discard: a missing trailer
  * is the journal's end.
  */
@@ -524,9 +519,6 @@ TEST(StoreJournalFormat, LostTrailerLineEndsTheWalk)
     for (std::uint64_t i = 0; i < 8; ++i)
         store.put(env, 100 + i, i);
     ASSERT_EQ(store.committedEpoch(0), 2u);
-    for (std::uint64_t e : {1u, 2u})
-        for (bool replica : {false, true})
-            persistBlockOf(ctx.arena, store.digestSlotAddr(0, e, replica));
     EXPECT_EQ(ctx.machine.pendingStreamLines(), 1u);
     EXPECT_EQ(ctx.arena.peekDurable(&journal[7].key), 106u);
     EXPECT_NE(ctx.arena.peekDurable(&journal[8].key), 107u);
@@ -584,11 +576,11 @@ TEST(StoreJournalFormat, UnderfilledBatchesReplayAfterCrash)
 /**
  * Epoch numbers restart at the recovered watermark, so the batches a
  * crashed life left on media past it carry the numbers the next life
- * reuses. Life 1 commits epochs 1 and 2; epoch 2's block and both
- * epochs' digests drain, epoch 1's block does not, so recovery 1
- * rolls back to 0. Life 2 commits a new epoch 1 and crashes with
- * epoch 2 open. Life 1's epoch 2 -- right where life 2's epoch 2
- * would go, with its digest -- must not come back.
+ * reuses. Life 1 commits epochs 1 and 2; epoch 2's block drains,
+ * epoch 1's block does not, so recovery 1 rolls back to 0. Life 2
+ * commits a new epoch 1 and crashes with epoch 2 open. Life 1's
+ * epoch 2 -- right where life 2's epoch 2 would go, its trailer
+ * tagged 2 and carrying its digest -- must not come back.
  */
 TEST(StoreRecovery, RolledBackBatchStaysRolledBack)
 {
@@ -603,10 +595,6 @@ TEST(StoreRecovery, RolledBackBatchStaysRolledBack)
     kernels::SimEnv env(ctx.machine, ctx.arena, 0);
     auto *journal = const_cast<JEntry *>(
         static_cast<const JEntry *>(store.faultSurface(0).journal));
-    auto persistDigests = [&](std::uint64_t e) {
-        for (bool replica : {false, true})
-            persistBlockOf(ctx.arena, store.digestSlotAddr(0, e, replica));
-    };
     auto crash = [&]() {
         ctx.machine.loseVolatileState();
         ctx.arena.crashRestore();
@@ -621,8 +609,6 @@ TEST(StoreRecovery, RolledBackBatchStaysRolledBack)
     std::fill(journal, journal + 4, JEntry{0, 0});
     persistBlockOf(ctx.arena, &journal[0]);  // epoch 1 never drained
     persistBlockOf(ctx.arena, &journal[4]);
-    persistDigests(1);
-    persistDigests(2);
     crash();
     RecoveryReport rep = store.recover(env);
     ASSERT_EQ(rep.committedEpochs[0], 0u);
@@ -633,7 +619,6 @@ TEST(StoreRecovery, RolledBackBatchStaysRolledBack)
         store.put(env, key, 200);
     ASSERT_EQ(store.committedEpoch(0), 1u);
     persistBlockOf(ctx.arena, &journal[0]);
-    persistDigests(1);
     store.put(env, 10, 222);  // epoch 2 open at the crash
     crash();
     rep = store.recover(env);
@@ -664,17 +649,16 @@ TEST(StoreJournalFormat, RecordsNeverStraddleBlocks)
 }
 
 /**
- * Epoch-ordered digest slots: consecutive epochs of a shard share a
- * block in each checksum table, an epoch's primary and replica copies
- * never share one, and recovery still validates after the epoch
- * counter has wrapped the digest window several times.
+ * Many folds, then a crash with the tail of the stream committed but
+ * never folded: every journal position holds stale trailers of
+ * earlier generations, and recovery replays exactly the unfolded
+ * tail.
  */
-TEST(StoreDigestPlacement, EpochOrderedSlotsAndWrapRecovery)
+TEST(StoreRecovery, ManyFoldsThenCrashReplaysTheUnfoldedTail)
 {
     StoreConfig scfg = smallConfig();
     scfg.batchOps = 4;
     scfg.foldBatches = 4;
-    const std::uint64_t window = epochWindowFor(scfg);
     kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
     KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
     ctx.arena.persistAll();
@@ -687,36 +671,10 @@ TEST(StoreDigestPlacement, EpochOrderedSlotsAndWrapRecovery)
         store.put(env, key, std::uint64_t(i));
         golden[key] = std::uint64_t(i);
     }
+    for (int s = 0; s < scfg.shards; ++s)
+        ASSERT_GT(store.committedEpoch(s), 12u * scfg.foldBatches)
+            << "shard " << s;
 
-    auto blockOf = [&](int s, std::uint64_t e, bool replica) {
-        const void *p = store.digestSlotAddr(s, e, replica);
-        EXPECT_NE(p, nullptr) << "shard " << s << " epoch " << e;
-        return p ? blockNumber(ctx.arena.addrOf(p)) : Addr{0};
-    };
-    const std::size_t slotsPerBlock = blockBytes / 16;
-    for (int s = 0; s < scfg.shards; ++s) {
-        ASSERT_GT(store.committedEpoch(s), 3 * window) << "shard " << s;
-        for (bool replica : {false, true}) {
-            std::set<Addr> blocks;
-            for (std::uint64_t e = window; e < 2 * window; ++e) {
-                blocks.insert(blockOf(s, e, replica));
-                if ((e + 1) % slotsPerBlock != 0) {
-                    EXPECT_EQ(blockOf(s, e, replica),
-                              blockOf(s, e + 1, replica))
-                        << "shard " << s << " epochs " << e << "/"
-                        << e + 1 << (replica ? " replica" : "");
-                }
-                EXPECT_EQ(store.digestSlotAddr(s, e, replica),
-                          store.digestSlotAddr(s, e + window, replica));
-            }
-            EXPECT_EQ(blocks.size(), window / slotsPerBlock);
-        }
-        for (std::uint64_t e = 1; e <= store.committedEpoch(s); ++e)
-            EXPECT_NE(blockOf(s, e, false), blockOf(s, e, true));
-    }
-
-    // Crash with the tail of the stream committed but never folded:
-    // those epochs sit past 3 windows, so their digest keys wrapped.
     store.commitBatches(env);
     std::vector<std::uint64_t> committed;
     for (int s = 0; s < scfg.shards; ++s)
@@ -728,6 +686,93 @@ TEST(StoreDigestPlacement, EpochOrderedSlotsAndWrapRecovery)
     EXPECT_GT(rep.batchesReplayed, 0u);
     EXPECT_EQ(rep.committedEpochs, committed);
     EXPECT_EQ(store.snapshot(), golden);
+}
+
+/**
+ * A clean restart: after a checkpoint and markClean the journal is
+ * empty but the media under it still holds the last generation's
+ * batches and trailers. Strict recovery must find nothing to replay,
+ * discard or repair: a stale trailer is the journal's end.
+ */
+TEST(StoreRecovery, CleanRestartReplaysAndDiscardsNothing)
+{
+    const StoreConfig scfg = smallConfig();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    Rng rng(23);
+    for (int i = 0; i < 1500; ++i) {
+        const std::uint64_t key = keyOfRecord(rng.below(300), 5);
+        if (rng.chance(0.2))
+            store.del(env, key);
+        else
+            store.put(env, key, std::uint64_t(i));
+    }
+    store.checkpoint(env);
+    store.markClean(env);
+    const auto before = store.snapshot();
+
+    ctx.sched.clear();
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.batchesReplayed, 0u);
+    EXPECT_EQ(rep.batchesDiscarded, 0u);
+    EXPECT_EQ(rep.mediaRepaired, 0u);
+    EXPECT_EQ(rep.mediaUnrepairable, 0u);
+    EXPECT_EQ(store.snapshot(), before);
+}
+
+/**
+ * A trailer keeps only the low trailerTagBits of its epoch. Drive a
+ * shard past the tag's wrap with one-op batches and a fold period
+ * that does not divide 2^16, so the unfolded tail at the crash holds
+ * epochs on both sides of the wrap (tags 0xfff0.. and 0..), then
+ * recover exactly that tail.
+ */
+TEST(StoreRecovery, EpochTagWrapRecoversExactly)
+{
+    StoreConfig scfg;
+    scfg.capacity = 256;
+    scfg.shards = 1;
+    scfg.batchOps = 1;
+    scfg.foldBatches = 48;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    const std::uint64_t wrap = 1ull << trailerTagBits;
+    const std::uint64_t epochs = wrap + 24;
+    std::map<std::uint64_t, std::uint64_t> golden;
+    Rng rng(5);
+    for (std::uint64_t i = 0; i < epochs; ++i) {
+        const std::uint64_t key = keyOfRecord(rng.below(100), 3);
+        store.put(env, key, i);
+        golden[key] = i;
+    }
+    ASSERT_EQ(store.committedEpoch(0), epochs);
+    const std::uint64_t folded = epochs / scfg.foldBatches *
+                                 std::uint64_t(scfg.foldBatches);
+    ASSERT_LT(folded, wrap) << "the unfolded tail must straddle the wrap";
+
+    ctx.arena.persistAll();
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.committedEpochs[0], epochs);
+    EXPECT_EQ(rep.batchesReplayed, epochs - folded);
+    EXPECT_EQ(rep.batchesDiscarded, 0u);
+    EXPECT_EQ(store.snapshot(), golden);
+
+    // The next life keeps committing past the wrap.
+    store.put(env, 1, 7);
+    store.checkpoint(env);
+    golden[1] = 7;
+    EXPECT_EQ(store.snapshot(), golden);
+    EXPECT_EQ(store.committedEpoch(0), epochs + 1);
 }
 
 /**
@@ -762,10 +807,10 @@ TEST(StoreTraffic, ByStructureCoversAllWritesAndJournalIsNeverRead)
             EXPECT_EQ(r.nvmmByStructure[1].readsPerMut, 0.0);
             // Parity and fingerprints are streamed one whole line per
             // group each: never read, written equally often.
-            const NvmmTraffic &par = r.nvmmByStructure[4];
-            const NvmmTraffic &fp = r.nvmmByStructure[5];
-            ASSERT_STREQ(kNvmmStructures[4], "parity");
-            ASSERT_STREQ(kNvmmStructures[5], "fingerprints");
+            const NvmmTraffic &par = r.nvmmByStructure[2];
+            const NvmmTraffic &fp = r.nvmmByStructure[3];
+            ASSERT_STREQ(kNvmmStructures[2], "parity");
+            ASSERT_STREQ(kNvmmStructures[3], "fingerprints");
             EXPECT_GT(par.writesPerMut, 0.0);
             EXPECT_EQ(par.readsPerMut, 0.0);
             EXPECT_EQ(fp.readsPerMut, 0.0);
@@ -980,9 +1025,6 @@ TEST(StoreParity, CrashBeforeHeaderDrainsKeepsStaleSmallCoverage)
     const FaultSurface fs = store.faultSurface(0);
     ASSERT_EQ(fs.coveredBytes,
               repair::groupRegions * repair::regionBytes);
-    for (std::uint64_t e = 1; e <= 4; ++e)
-        for (bool replica : {false, true})
-            persistBlockOf(ctx.arena, store.digestSlotAddr(0, e, replica));
 
     const auto *parity = static_cast<const std::uint64_t *>(fs.parity);
     const auto *hashes =

@@ -658,8 +658,10 @@ injectUsage(const char *argv0)
         "usage: %s inject [options]\n"
         "  --data-dir D    server data directory     (default ./lpdb)\n"
         "  --shard N       shard file to corrupt     (default 0)\n"
-        "  --site superblock|superblock-replica|journal|digest|parity\n"
-        "                  what to corrupt           (default superblock)\n"
+        "  --site superblock|superblock-replica|journal|parity\n"
+        "                  what to corrupt           (default superblock);\n"
+        "                  LP batch trailers, which carry the batch\n"
+        "                  digests, are journal bytes: --site journal\n"
         "  --offset O      byte offset within site   (default 0)\n"
         "  --bit B         bit 0-7 to flip           (default 3)\n"
         "  --bytes N       corrupt N bytes from offset instead of a\n"
@@ -779,9 +781,6 @@ runInjectCommand(int argc, char **argv)
     } else if (site == "journal") {
         base = fs.journal;
         limit = fs.sealedBytes ? fs.sealedBytes : fs.journalBytes;
-    } else if (site == "digest") {
-        base = fs.digests;
-        limit = fs.digestBytes;
     } else if (site == "parity") {
         base = fs.parity;
         limit = fs.parityBytes;
