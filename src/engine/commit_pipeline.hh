@@ -19,8 +19,8 @@
  * scheduling logic deterministic and unit-testable and lets the
  * instrumented simulator and the native server share it unchanged.
  *
- * Threading: a pipeline belongs to its shard's single writer (the
- * env.hh single-writer-per-shard contract); nothing here is
+ * Threading: a pipeline belongs to its shard's current owner (the
+ * env.hh one-thread-at-a-time contract); nothing here is
  * synchronized except counters(), which any thread may read.
  */
 

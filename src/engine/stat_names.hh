@@ -46,6 +46,22 @@ inline constexpr const char *mutations = "mutations";
 /** Range scans served (SCAN protocol op / KvStore::scan). */
 inline constexpr const char *scans = "scans";
 
+/// @name Server hops: which thread hand-offs a request paid for.
+/// @{
+
+/** GETs the acceptor served itself (the shard was idle). */
+inline constexpr const char *getsInline = "gets_inline";
+
+/** SCANs the acceptor served itself (every shard was idle). */
+inline constexpr const char *scansInline = "scans_inline";
+
+/** Worker rounds that began with a condvar wait (a wake-up). */
+inline constexpr const char *workerWakeups = "worker_wakeups";
+
+/** Reply doorbells: eventfd rings that wake the acceptor. */
+inline constexpr const char *replyDoorbells = "reply_doorbells";
+/// @}
+
 /** Transactions committed (TXN protocol op, both commit paths). */
 inline constexpr const char *txnCommits = "txn_commits";
 

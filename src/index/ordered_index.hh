@@ -15,8 +15,8 @@
  * through KvStore::get(), so range reads see exactly what point reads
  * see (including staged, not-yet-folded deltas) byte for byte.
  *
- * Ownership: one index per shard, touched only by that shard's owning
- * thread (the store's single-writer-per-shard contract,
+ * Ownership: one index per shard, touched only by the thread that
+ * owns that shard now (the store's one-thread-at-a-time contract,
  * src/kernels/env.hh). Every method except entries()/residentBytes()
  * is owner-only; there are no concurrent readers, so erase() frees
  * the node at once and a Cursor is valid until the owner's next

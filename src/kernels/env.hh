@@ -18,20 +18,27 @@
  * Both are final concrete types: kernels instantiate per-Env, so the
  * abstraction costs nothing at runtime.
  *
- * CONCURRENCY CONTRACT -- single writer per shard. An Env instance,
- * and every structure driven through it (an LpRegion, a KvStore and
- * each shard inside it), is single-threaded state: neither SimEnv
- * nor NativeEnv performs any synchronization, and NativeEnv's plain
- * loads/stores are NOT atomic. The rules every caller must follow:
+ * CONCURRENCY CONTRACT -- one thread at a time per shard. An Env
+ * instance, and every structure driven through it (an LpRegion, a
+ * KvStore and each shard inside it), is unsynchronized state:
+ * neither SimEnv nor NativeEnv performs any synchronization, and
+ * NativeEnv's plain loads/stores are NOT atomic. The rules every
+ * caller must follow:
  *
- *  1. One owning thread per Env and per shard. Concurrent software
- *     threads each get their own Env (SimEnv: own core id; NativeEnv:
- *     own instance) over disjoint persistent data. The simulator
- *     emulates parallelism by interleaving single-threaded region
- *     work items (RegionScheduler); a native service shards at the
- *     process level -- one single-shard KvStore per worker thread,
- *     as lp::server does -- so no shard is ever touched by two
- *     threads. Debug builds of KvStore assert this on every access.
+ *  1. One thread at a time per Env and per shard, handed over under
+ *     the shard's mutex. Concurrent software threads each get their
+ *     own Env (SimEnv: own core id; NativeEnv: own instance) over
+ *     disjoint persistent data. The simulator emulates parallelism
+ *     by interleaving single-threaded region work items
+ *     (RegionScheduler). A native service shards at the process
+ *     level -- one single-shard KvStore per worker, as lp::server
+ *     does -- and a shard may change threads only through the
+ *     worker's shard mutex: the worker holds it for each round of
+ *     work, and another thread (lp::server's acceptor serving a
+ *     read of an idle shard) may take it between rounds. Whoever
+ *     takes the mutex claims the shard (KvStore::claimShards); debug
+ *     builds of KvStore assert on every access that the accessing
+ *     thread is the one that claimed it last.
  *  2. Ownership transfer must synchronize. Handing work or results
  *     between a shard owner and another thread (e.g. lp::server's
  *     acceptor <-> worker queues) must go through a synchronizing
@@ -90,7 +97,7 @@ class SimEnv
      * miss does not install a line. For bulk verification sweeps
      * (media scrub, recovery validation) that must not displace the
      * workload's dirty coalescing lines. Only valid from the core
-     * that owns the data (single-writer-per-shard contract).
+     * that owns the data (rule 1 of the contract above).
      */
     template <typename T>
     T

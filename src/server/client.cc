@@ -134,10 +134,17 @@ Client::close()
 bool
 Client::sendRequest(const Request &r)
 {
+    return sendRequests({&r, 1});
+}
+
+bool
+Client::sendRequests(std::span<const Request> rs)
+{
     if (fd_ < 0)
         return false;
     std::vector<std::uint8_t> buf;
-    encodeRequest(r, buf);
+    for (const Request &r : rs)
+        encodeRequest(r, buf);
     std::size_t at = 0;
     while (at < buf.size()) {
         const ssize_t n = ::write(fd_, buf.data() + at,

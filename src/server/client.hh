@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -110,6 +111,9 @@ class Client
      * broke (the peer closed it, e.g. after a malformed frame).
      */
     bool sendRequest(const Request &r);
+
+    /** Encode @p rs back to back and send them with one write. */
+    bool sendRequests(std::span<const Request> rs);
 
     /**
      * Receive the next response frame, waiting up to @p timeoutMs

@@ -56,8 +56,10 @@ Server::Impl::postReply(std::uint64_t connId, Response r)
     }
     // Ring the acceptor only on the empty->nonempty edge: one wake
     // drains the whole queue, so followers piggyback for free.
-    if (wasEmpty)
+    if (wasEmpty) {
+        statDoorbells.fetch_add(1, std::memory_order_relaxed);
         wakeFd.signal();
+    }
 }
 
 void
@@ -111,17 +113,87 @@ Server::Impl::localReply(Conn &c, Response r)
     c.nc.queueFrame();
 }
 
+/** Has every request routed to @p w run? Caller holds w.storeMu. */
+bool
+Server::Impl::idle(Worker &w)
+{
+    std::lock_guard<std::mutex> g(w.mu);
+    return w.q.empty() && !w.stopFlag;
+}
+
+/**
+ * Serve a GET on the acceptor when its shard is idle: the worker is
+ * between rounds (its shard lock is free) and nothing routed to the
+ * shard is still queued, so every earlier request of this connection
+ * has run and the read sees exactly what the worker would. Skips the
+ * worker wake-up and the reply doorbell. A busy shard returns false
+ * at once -- no blocking, no spinning -- and the GET queues.
+ */
+bool
+Server::Impl::inlineGet(Conn &c, const Request &req,
+                        std::uint64_t traceId)
+{
+    Worker &w = *workers[std::size_t(routeShard(req.key, cfg.shards))];
+    const std::uint64_t t0 = obs::nowNs();
+    Response r;
+    {
+        std::unique_lock<std::mutex> shard(w.storeMu, std::try_to_lock);
+        if (!shard.owns_lock() || !idle(w))
+            return false;
+        w.kv->claimShards();
+        r = readKey(w, req.key, req.id);
+    }
+    localReply(c, std::move(r));
+    statGetsInline.fetch_add(1, std::memory_order_relaxed);
+    obs::traceSpanFrom(acceptRing, "read", t0, req.id, traceId);
+    return true;
+}
+
+/**
+ * Serve a SCAN on the acceptor when every shard is idle. Holding
+ * every shard lock with every queue empty, nothing deferred and no
+ * transaction part between PREPARE and apply is a consistent cut:
+ * no request routed anywhere is half done. Any busy shard returns
+ * false and the SCAN fans out as usual.
+ */
+bool
+Server::Impl::inlineScan(Conn &c, const Request &req,
+                         std::uint64_t traceId)
+{
+    const std::uint64_t t0 = obs::nowNs();
+    std::vector<std::unique_lock<std::mutex>> held;
+    held.reserve(workers.size());
+    for (const auto &wp : workers) {
+        std::unique_lock<std::mutex> shard(wp->storeMu, std::try_to_lock);
+        if (!shard.owns_lock() || !idle(*wp) || !wp->deferred.empty() ||
+            wp->unappliedTxns > 0)
+            return false;
+        held.push_back(std::move(shard));
+    }
+    std::vector<std::vector<ScanRecord>> parts(workers.size());
+    for (const auto &wp : workers) {
+        wp->kv->claimShards();
+        scanShard(*wp, req.key, req.limit, parts[std::size_t(wp->index)]);
+    }
+    held.clear();
+    localReply(c, mergedScanReply(parts, req.limit, req.id));
+    statScansInline.fetch_add(1, std::memory_order_relaxed);
+    obs::traceSpanFrom(acceptRing, "read", t0, req.id, traceId);
+    return true;
+}
+
 /** Dispatch one decoded request (may close the connection). */
 void
 Server::Impl::handleRequest(Conn &c, Request &req)
 {
-    // Every worker-routed request gets a trace id derived from what
-    // is already on the wire (connection id + request id), so the
-    // same id is re-derivable at every hop -- including the ack path,
-    // which only sees the reply -- without widening any queue entry
+    // Every request gets a trace id derived from what is already on
+    // the wire (connection id + request id), so the same id is
+    // re-derivable at every hop -- including the ack path, which
+    // only sees the reply -- without widening any queue entry
     // beyond one word. It threads parse/queue/stage/commit-wait/ack
-    // spans (and the epoch commit that made the op durable) into one
-    // flow arc in the Chrome trace, and feeds latency exemplars.
+    // spans (and the epoch commit that made the op durable), or the
+    // parse/read spans of a read served inline, into one flow arc in
+    // the Chrome trace, and feeds latency exemplars.
     const std::uint64_t traceId = obs::traceIdOf(c.id, req.id);
     switch (req.op) {
       case Op::Get:
@@ -147,6 +219,8 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             localReply(c, statusReply(Status::Retry, req.id));
             return;
         }
+        if (req.op == Op::Get && inlineGet(c, req, traceId))
+            return;
         ++c.inflight;
         OpItem it;
         it.kind = req.op == Op::Get   ? OpItem::Kind::Get
@@ -170,6 +244,8 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             localReply(c, statusReply(Status::Retry, req.id));
             return;
         }
+        if (inlineScan(c, req, traceId))
+            return;
         ++c.inflight;
         auto ctx = std::make_shared<ScanCtx>(cfg.shards, c.id,
                                              req.id, req.limit,
@@ -181,7 +257,6 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             it.connId = c.id;
             it.reqId = req.id;
             it.key = req.key;
-            it.value = req.limit;
             it.tEnqNs = tEnq;
             it.traceId = traceId;
             it.scan = ctx;

@@ -12,13 +12,16 @@
  *    frames (server/protocol.hh) and routes each operation by key
  *    hash to a worker. docs/net_design.md covers the datapath.
  *
- *  - N shared-nothing worker threads. Each worker exclusively owns
- *    one single-shard KvStore<NativeEnv> over its own file-backed
- *    PersistentArena (dataDir/shard-<i>.lpdb), honoring the
- *    single-writer-per-shard contract of src/kernels/env.hh. Workers
+ *  - N shared-nothing worker threads. Each worker owns one
+ *    single-shard KvStore<NativeEnv> over its own file-backed
+ *    PersistentArena (dataDir/shard-<i>.lpdb) and runs each round of
+ *    work under its shard mutex, the hand-over point of the
+ *    one-thread-at-a-time contract of src/kernels/env.hh. Workers
  *    coalesce mutations into the store's LP batches and commit on
  *    batch-full or when the oldest unacknowledged mutation exceeds
- *    the flush deadline.
+ *    the flush deadline. A GET or SCAN whose shards are idle (lock
+ *    free, queue empty) runs on the acceptor under that mutex
+ *    instead, skipping the worker wake-up and the reply doorbell.
  *
  *  - Acknowledgement = recoverability. A mutation's reply is held
  *    until its batch's epoch commits (LP/WAL); the eager backend

@@ -119,11 +119,22 @@ struct BatchCtx
 };
 
 /**
- * One SCAN request in flight: the acceptor fans one sub-scan out to
- * every worker (each worker owns one shard of the key space), each
- * worker fills only its own partial-result slot, and the last one to
- * finish merges the sorted partials and posts the single reply
- * (remaining.arrive() publishes each worker's slot to the merger).
+ * The single reply of a SCAN: the k-way merge of every shard's
+ * sorted partial result (shards partition the key space, so popping
+ * the minimum head yields global order), cut at @p limit records.
+ * The acceptor's inline scan and the last sub-scan worker both
+ * reply through it.
+ */
+Response mergedScanReply(const std::vector<std::vector<ScanRecord>> &parts,
+                         std::uint32_t limit, std::uint64_t reqId);
+
+/**
+ * One SCAN request in flight on the queued path: the acceptor fans
+ * one sub-scan out to every worker (each worker owns one shard of
+ * the key space), each worker fills only its own partial-result
+ * slot, and the last one to finish merges the sorted partials and
+ * posts the single reply (remaining.arrive() publishes each worker's
+ * slot to the merger).
  */
 struct ScanCtx
 {
@@ -223,7 +234,7 @@ struct OpItem
     std::uint64_t connId = 0;
     std::uint64_t reqId = 0;
     std::uint64_t key = 0;    ///< SCAN: start_key
-    std::uint64_t value = 0;  ///< SCAN: limit
+    std::uint64_t value = 0;  ///< PUT: value
     std::uint64_t tEnqNs = 0;  ///< enqueue time (queue-wait latency)
     std::uint64_t traceId = 0; ///< request flow id (obs::traceIdOf)
     std::shared_ptr<BatchCtx> batch;  ///< set for BATCH sub-ops
@@ -299,6 +310,17 @@ struct Server::Impl
         std::deque<OpItem> q;
         bool stopFlag = false;
 
+        /**
+         * The shard lock (rule 1 of the env.hh contract): its holder
+         * owns the store and the state marked storeMu-only below,
+         * and claims the store for its thread. The worker holds it
+         * from its dequeue to the end of the round, never while it
+         * sleeps; the acceptor try-locks it to serve a read of an
+         * idle shard itself (inlineGet, inlineScan). Lock order:
+         * storeMu, then mu.
+         */
+        std::mutex storeMu;
+
         // Stats the acceptor may read (contract rule 3); epoch and
         // fold counts are the shard pipeline's counters().
         std::atomic<std::uint64_t> statGets{0};
@@ -310,6 +332,7 @@ struct Server::Impl
         std::atomic<std::uint64_t> statTxnAborts{0};   ///< fast path
         std::atomic<std::uint64_t> statAcksReleased{0};
         std::atomic<std::uint64_t> statDeadlineCommits{0};
+        std::atomic<std::uint64_t> statWakeups{0};  ///< rounds after a wait
 
         // Request-lifecycle histograms, recorded by this worker;
         // the acceptor reads them for STATS/METRICS under the
@@ -337,7 +360,10 @@ struct Server::Impl
         Clock::time_point lastScrub{};
         bool quarantineLogged = false;
 
-        // Everything below is touched only by the worker thread.
+        // Everything below is storeMu-only: the worker's rounds
+        // touch it, and so do the acceptor's inline reads (the store
+        // and env, and deferred/unappliedTxns read-only). The worker
+        // alone also reads its ack schedule while it waits.
         kernels::NativeEnv env;
         std::unique_ptr<pmem::PersistentArena> arena;
         std::unique_ptr<store::KvStore<kernels::NativeEnv>> kv;
@@ -345,8 +371,8 @@ struct Server::Impl
         bool attached = false;
 
         // Cross-shard transaction state (docs/txn_design.md). All of
-        // it is worker-thread-only except txnReport, which start()
-        // reads after the txn-recovery latch.
+        // it is storeMu-only except txnReport, which start() reads
+        // after the txn-recovery latch.
         std::unique_ptr<txn::PrepareLog<kernels::NativeEnv>> plog;
         txn::LockTable lockTable;
         txn::TxnRecoveryReport txnReport;
@@ -474,6 +500,9 @@ struct Server::Impl
     std::atomic<std::uint64_t> statMalformed{0};
     std::atomic<std::uint64_t> statTxnCommits{0};  ///< general path
     std::atomic<std::uint64_t> statTxnAborts{0};   ///< general path
+    std::atomic<std::uint64_t> statGetsInline{0};   ///< inlineGet hits
+    std::atomic<std::uint64_t> statScansInline{0};  ///< inlineScan hits
+    std::atomic<std::uint64_t> statDoorbells{0};    ///< wakeFd rings
 
     // Acceptor-recorded request-lifecycle histograms (single writer:
     // the acceptor thread; STATS/METRICS render on the same thread).
@@ -521,6 +550,9 @@ struct Server::Impl
     bool deferNow(Worker &w, const OpItem &op) const;
     void dispatchOp(Worker &w, OpItem &op);
     void retryDeferred(Worker &w);
+    Response readKey(Worker &w, std::uint64_t key, std::uint64_t reqId);
+    void scanShard(Worker &w, std::uint64_t start, std::uint32_t limit,
+                   std::vector<ScanRecord> &out);
     void processOp(Worker &w, OpItem &op);
     void workerMain(Worker &w);
     void enqueue(int shard, OpItem &&op);
@@ -560,6 +592,9 @@ struct Server::Impl
     void closeConn(std::uint64_t id);
     bool flushDatapath(Conn &c);
     void localReply(Conn &c, Response r);
+    static bool idle(Worker &w);
+    bool inlineGet(Conn &c, const Request &req, std::uint64_t traceId);
+    bool inlineScan(Conn &c, const Request &req, std::uint64_t traceId);
     void handleRequest(Conn &c, Request &req);
     void readable(std::uint64_t connId);
     void writable(std::uint64_t connId);

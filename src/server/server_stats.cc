@@ -143,6 +143,17 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
      [](auto &, auto *w) { return num(w->statMuts); }},
     {sn::scans, Kind::Counter, Scope::Shard,
      [](auto &, auto *w) { return num(w->statScans); }},
+    // Hops: a read the acceptor served itself skips the worker
+    // wake-up and the reply doorbell; the two counters below count
+    // the wake-ups and doorbells that still happen.
+    {sn::getsInline, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statGetsInline); }},
+    {sn::scansInline, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statScansInline); }},
+    {sn::workerWakeups, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statWakeups); }},
+    {sn::replyDoorbells, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statDoorbells); }},
     {sn::indexEntries, Kind::Gauge, Scope::Shard,
      [](auto &, auto *w) { return num(w->kv->indexEntries(0)); }},
     {sn::indexBytes, Kind::Gauge, Scope::Shard,

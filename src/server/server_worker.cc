@@ -1,10 +1,12 @@
 /**
  * @file
- * The shared-nothing shard worker: store open/recovery, the
- * dequeue-dispatch-commit-release round, strict-FIFO deferral, and
- * the ack schedule (a reply waits for its epoch's commit, bounded by
- * the flush deadline). One thread per shard; see server_impl.hh for
- * the ownership contract.
+ * The shard worker: store open/recovery, the dequeue-dispatch-
+ * commit-release round, strict-FIFO deferral, and the ack schedule
+ * (a reply waits for its epoch's commit, bounded by the flush
+ * deadline). One thread per shard; each round runs under the shard
+ * lock (Worker::storeMu), which the acceptor also takes to serve a
+ * read of an idle shard. See server_impl.hh for the ownership
+ * contract.
  */
 
 #include "server/server_impl.hh"
@@ -267,6 +269,65 @@ Server::Impl::retryDeferred(Worker &w)
     }
 }
 
+/** GET @p key on @p w's shard; the caller holds w.storeMu. */
+Response
+Server::Impl::readKey(Worker &w, std::uint64_t key, std::uint64_t reqId)
+{
+    const auto v = w.kv->get(w.env, key);
+    w.statGets.fetch_add(1, std::memory_order_relaxed);
+    Response r;
+    r.status = v ? Status::Ok : Status::NotFound;
+    r.id = reqId;
+    r.hasValue = v.has_value();
+    r.value = v.value_or(0);
+    return r;
+}
+
+/**
+ * Sub-scan of @p w's shard into @p out; the caller holds w.storeMu.
+ * KvStore::scan records the per-shard scan latency/length histograms
+ * itself (single-shard store: shard 0 is exactly this shard).
+ */
+void
+Server::Impl::scanShard(Worker &w, std::uint64_t start,
+                        std::uint32_t limit, std::vector<ScanRecord> &out)
+{
+    const auto recs = w.kv->scan(w.env, start, std::size_t(limit));
+    w.statScans.fetch_add(1, std::memory_order_relaxed);
+    out.reserve(recs.size());
+    for (const auto &[k, v] : recs)
+        out.push_back(ScanRecord{k, v});
+}
+
+Response
+mergedScanReply(const std::vector<std::vector<ScanRecord>> &parts,
+                std::uint32_t limit, std::uint64_t reqId)
+{
+    std::vector<ScanRecord> merged;
+    merged.reserve(limit);
+    std::vector<std::size_t> at(parts.size(), 0);
+    while (merged.size() < limit) {
+        const ScanRecord *best = nullptr;
+        std::size_t bestShard = 0;
+        for (std::size_t s = 0; s < parts.size(); ++s) {
+            if (at[s] < parts[s].size() &&
+                (!best || parts[s][at[s]].key < best->key)) {
+                best = &parts[s][at[s]];
+                bestShard = s;
+            }
+        }
+        if (!best)
+            break;
+        merged.push_back(*best);
+        ++at[bestShard];
+    }
+    Response r;
+    r.status = Status::Ok;
+    r.id = reqId;
+    r.body = encodeScanBody(merged);
+    return r;
+}
+
 void
 Server::Impl::processOp(Worker &w, OpItem &op)
 {
@@ -278,63 +339,20 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         w.queueNs.recordExemplar(queueDt, op.traceId);
     }
     switch (op.kind) {
-      case OpItem::Kind::Get: {
-        const auto v = w.kv->get(w.env, op.key);
-        w.statGets.fetch_add(1, std::memory_order_relaxed);
-        Response r;
-        r.status = v ? Status::Ok : Status::NotFound;
-        r.id = op.reqId;
-        r.hasValue = v.has_value();
-        r.value = v.value_or(0);
-        postReply(op.connId, std::move(r));
+      case OpItem::Kind::Get:
+        postReply(op.connId, readKey(w, op.key, op.reqId));
         return;
-      }
       case OpItem::Kind::Scan: {
         // Defer conditions were checked by dispatchOp /
         // retryDeferred; by the time a sub-scan runs here, no
         // prepared-but-unapplied transaction write can be under
         // its range.
-        // Sub-scan of this worker's shard. KvStore::scan records
-        // the per-shard scan latency/length histograms itself
-        // (single-shard store: shard 0 is exactly this shard).
-        const auto recs = w.kv->scan(w.env, op.key,
-                                     std::size_t(op.value));
-        w.statScans.fetch_add(1, std::memory_order_relaxed);
         ScanCtx &ctx = *op.scan;
-        auto &slot = ctx.parts[std::size_t(w.index)];
-        slot.reserve(recs.size());
-        for (const auto &[k, v] : recs)
-            slot.push_back(ScanRecord{k, v});
+        scanShard(w, op.key, ctx.limit, ctx.parts[std::size_t(w.index)]);
         if (!ctx.remaining.arrive())
             return;  // other shards still scanning
-        // Last sub-scan: k-way merge the sorted partials (shards
-        // partition the key space, so popping the minimum head
-        // yields global order) and post the single reply.
-        std::vector<ScanRecord> merged;
-        merged.reserve(ctx.limit);
-        std::vector<std::size_t> at(ctx.parts.size(), 0);
-        while (merged.size() < ctx.limit) {
-            int best = -1;
-            for (std::size_t s = 0; s < ctx.parts.size(); ++s) {
-                if (at[s] >= ctx.parts[s].size())
-                    continue;
-                if (best < 0 ||
-                    ctx.parts[s][at[s]].key <
-                        ctx.parts[std::size_t(best)]
-                                 [at[std::size_t(best)]].key)
-                    best = int(s);
-            }
-            if (best < 0)
-                break;
-            merged.push_back(
-                ctx.parts[std::size_t(best)]
-                         [at[std::size_t(best)]++]);
-        }
-        Response r;
-        r.status = Status::Ok;
-        r.id = ctx.reqId;
-        r.body = encodeScanBody(merged);
-        postReply(ctx.connId, std::move(r));
+        postReply(ctx.connId,
+                  mergedScanReply(ctx.parts, ctx.limit, ctx.reqId));
         return;
       }
       case OpItem::Kind::Put:
@@ -460,6 +478,7 @@ Server::Impl::workerMain(Worker &w)
                 return w.stopFlag || !w.q.empty();
             };
             if (w.q.empty() && !w.stopFlag) {
+                w.statWakeups.fetch_add(1, std::memory_order_relaxed);
                 if (!w.pending.empty())
                     w.cv.wait_for(
                         lk, std::chrono::nanoseconds(nsToAckDeadline(w)),
@@ -475,6 +494,17 @@ Server::Impl::workerMain(Worker &w)
                 else
                     w.cv.wait(lk, woken);
             }
+        }
+
+        // The round runs under the shard lock, taken with w.mu
+        // released (lock order: storeMu, then mu). Dequeuing under
+        // it is what lets the acceptor read inline: while it holds
+        // storeMu, an empty queue means every request routed here
+        // so far has run.
+        std::lock_guard<std::mutex> shard(w.storeMu);
+        w.kv->claimShards();
+        {
+            std::lock_guard<std::mutex> g(w.mu);
             while (!w.q.empty() && local.size() < 128) {
                 local.push_back(std::move(w.q.front()));
                 w.q.pop_front();

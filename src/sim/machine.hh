@@ -179,7 +179,7 @@ class Machine
      * media scrub) cannot evict the workload's dirty coalescing
      * lines. Coherence caveat: a peer core's Modified copy is not
      * transferred -- callers must issue streaming reads only from the
-     * core that owns the data (the single-writer-per-shard contract
+     * core that owns the data (the env.hh ownership contract
      * already guarantees this for every store structure).
      */
     void readStream(CoreId c, Addr addr, unsigned size);

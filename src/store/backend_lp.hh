@@ -255,10 +255,16 @@ class LpBackend : public PersistencyBackend<Env>
             // watermark, so the lost-batch check cannot run.
             this->noteRepaired(shard, &rep, 1);
         }
-        // Media-repair hook for the replay walk: sweep the covered
-        // journal prefix once, restoring every region whose parity
-        // reconstruction reproduces its fingerprint.
-        auto repairFn = [&]() {
+        // Media-repair hook for the replay walk: when the batch that
+        // failed starts inside the parity-covered journal prefix,
+        // sweep that prefix once, restoring every region whose parity
+        // reconstruction reproduces its fingerprint. A batch starting
+        // past it has no covered byte -- at the journal's natural end
+        // there is nothing to repair, and the digest check alone
+        // decides.
+        auto repairFn = [&](std::size_t failedAt) {
+            if (failedAt >= sh.parity->coveredBytes())
+                return false;
             const repair::SweepResult res =
                 sh.parity->repairCovered(env);
             if (res.repaired) {

@@ -286,12 +286,15 @@ class BatchJournal
      * first batch failing validation -- appends are sequential, so
      * durability is prefix-shaped. Returns the last committed epoch.
      *
-     * @p repairFn is the media-repair hook: on the FIRST validation
-     * failure of any kind (a missing trailer included -- a rotted
-     * trailer looks exactly like the clean end of the journal) it is
-     * invoked once; if it reports that it changed anything, the
-     * failing position is re-validated once before the failure is
-     * made final. Pass a `[]{ return false; }` thunk to opt out.
+     * @p repairFn(offset) is the media-repair hook: on the FIRST
+     * validation failure of any kind (a missing trailer included --
+     * a rotted trailer looks exactly like the clean end of the
+     * journal) it is invoked once with the failing batch's byte
+     * offset in the journal; if it reports that it changed anything,
+     * the failing position is re-validated once before the failure
+     * is made final. The offset lets the hook tell a batch that media
+     * protection covers from the journal's natural end. Pass a
+     * `[](std::size_t) { return false; }` thunk to opt out.
      */
     template <typename ApplyFn, typename DoneFn, typename RepairFn>
     std::uint64_t
@@ -300,11 +303,11 @@ class BatchJournal
            RepairFn &&repairFn, RecoveryReport &rep)
     {
         bool repairTried = false;
-        auto tryRepair = [&]() {
+        auto tryRepair = [&](std::size_t pos) {
             if (repairTried)
                 return false;
             repairTried = true;
-            return repairFn();
+            return repairFn(pos * sizeof(JEntry));
         };
         std::uint64_t e = base + 1;
         std::size_t pos = 0;
@@ -312,7 +315,7 @@ class BatchJournal
             std::uint64_t count = 0;
             const Check c = checkBatch(env, cfg, pos, e, count);
             if (c != Check::Valid) {
-                if (tryRepair())
+                if (tryRepair(pos))
                     continue;
                 if (c == Check::Invalid)
                     ++rep.batchesDiscarded;

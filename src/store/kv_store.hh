@@ -16,7 +16,7 @@
  * Keys are partitioned across shards; each shard owns its own epoch
  * sequence (a CommitPipeline) and whatever persistent structures its
  * backend needs. All shards share one open-addressing persistent
- * table. The KvStore routes, enforces the single-writer-per-shard
+ * table. The KvStore routes, enforces the shard ownership
  * contract, and delegates durability entirely to the backend; the
  * full persistency story lives in backend_lp.hh and
  * docs/engine_design.md.
@@ -25,14 +25,16 @@
  * over Env: the identical source instantiates against SimEnv
  * (measured) and NativeEnv (native).
  *
- * Concurrency: single writer per shard. A KvStore instance and every
- * shard inside it are single-threaded: all calls on one instance
- * must come from the thread that owns it (see the contract block in
- * src/kernels/env.hh). A concurrent service shards at the process
- * level instead -- one single-shard KvStore per worker thread over
- * its own arena, as lp::server does. Debug builds assert the
- * owning-thread contract on every shard access; recover() rebinds
- * ownership to the recovering thread.
+ * Concurrency: one thread at a time per shard. A KvStore instance and
+ * every shard inside it are unsynchronized: all calls on one
+ * instance must come from the thread that currently owns it (see the
+ * contract block in src/kernels/env.hh). A concurrent service shards
+ * at the process level -- one single-shard KvStore per worker over
+ * its own arena, as lp::server does -- and hands a store between
+ * threads only under a lock, calling claimShards() once it holds it.
+ * Debug builds assert the owning-thread contract on every shard
+ * access; recover() and claimShards() rebind ownership to the
+ * calling thread.
  */
 
 #ifndef LP_STORE_KV_STORE_HH
@@ -331,6 +333,20 @@ class KvStore
         return out;
     }
 
+    /**
+     * Make the calling thread the owner of every shard. A service
+     * that hands the store between threads under a lock calls this
+     * right after taking it (rule 1 of the contract in
+     * src/kernels/env.hh); debug builds then fail any access from a
+     * thread that skipped the lock.
+     */
+    void
+    claimShards()
+    {
+        for (int s = 0; s < cfg_.shards; ++s)
+            rebindShardOwner(s);
+    }
+
     /** Live keys in one shard's ordered index (any thread). */
     std::uint64_t
     indexEntries(int shard) const
@@ -450,12 +466,13 @@ class KvStore
     }
 
     /**
-     * Enforce (debug builds) the single-writer-per-shard contract
+     * Enforce (debug builds) the one-thread-at-a-time contract
      * documented in src/kernels/env.hh: every access to a shard must
-     * come from the one thread that owns it. Binding is lazy -- the
-     * first toucher owns the shard -- so single-threaded callers are
-     * unaffected and a service binds each shard to its worker thread
-     * on the worker's first operation.
+     * come from the thread that owns it now. The first toucher owns
+     * an unclaimed shard, so single-threaded callers are unaffected;
+     * recover() and claimShards() hand it to the calling thread, so
+     * a thread that touches a shard without having taken it over
+     * fails here.
      */
     void
     checkShardOwner(int shard)
@@ -466,16 +483,16 @@ class KvStore
         if (owner == std::thread::id{})
             owner = self;
         LP_ASSERT(owner == self,
-                  "lp::store single-writer-per-shard contract violated:"
+                  "lp::store shard ownership contract violated:"
                   " shard " + std::to_string(shard) +
-                  " accessed by a second thread (see the concurrency "
-                  "contract in src/kernels/env.hh)");
+                  " accessed by a thread that did not claim it (see "
+                  "the concurrency contract in src/kernels/env.hh)");
 #else
         (void)shard;
 #endif
     }
 
-    /** Recovery hands the shard to whichever thread recovered it. */
+    /** Hand the shard to the calling thread (recover, claimShards). */
     void
     rebindShardOwner(int shard)
     {

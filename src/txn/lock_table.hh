@@ -28,8 +28,8 @@
  * wait-die exists to prevent (the older waiter would then be waiting
  * on a younger holder).
  *
- * Concurrency: none. A LockTable is owned by exactly one shard worker
- * (single-writer-per-shard contract, kernels/env.hh); cross-shard
+ * Concurrency: none. A LockTable belongs to one shard worker (the
+ * one-thread-at-a-time contract, kernels/env.hh); cross-shard
  * transactions reach it only via the owning worker's queue.
  */
 

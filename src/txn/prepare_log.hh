@@ -29,8 +29,8 @@
  * Callers keep a pending-free list gated on durableEpoch() and use
  * checkpoint() as the pressure valve when the table fills.
  *
- * Concurrency: single-writer-per-shard, like everything behind an
- * Env. Allocation is a linear scan (tables are small, <= a few
+ * Concurrency: one thread at a time per shard, like everything
+ * behind an Env. Allocation is a linear scan (tables are small, <= a few
  * hundred slots).
  */
 

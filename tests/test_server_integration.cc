@@ -30,6 +30,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
@@ -1186,6 +1188,257 @@ TEST(ServerBasic, StopReleasesAnAckBeforeItsFlushDeadline)
         c.close();
         srv.stop();
     }
+    std::filesystem::remove_all(dir);
+}
+
+namespace
+{
+
+/** One STATS key (flattenStats path) of a live in-process server. */
+double
+statOf(Server &srv, const std::string &key)
+{
+    std::map<std::string, double> st;
+    std::size_t at = 0;
+    flattenStats(srv.statsJson(), at, "", st);
+    return st.at(key);
+}
+
+} // namespace
+
+/**
+ * Read-your-writes whichever thread serves the read: each PUT k=v_i
+ * and the GET k behind it go out in one send, so the GET reaches the
+ * acceptor while its PUT may be queued, running or done. Every GET
+ * returns v_i, and each is counted once, inline or queued.
+ */
+TEST(ServerBasic, PipelinedPutThenGetReadsItsWrite)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    constexpr int kPairs = 1000;
+    constexpr int kWindow = 50;  // pairs in flight per burst
+    std::unordered_map<std::uint64_t, std::uint64_t> want;  // GET id
+    for (int i = 0; i < kPairs; i += kWindow) {
+        for (int j = i; j < i + kWindow; ++j) {
+            Request pair[2];
+            pair[0].op = Op::Put;
+            pair[0].id = c.nextId();
+            pair[0].key = std::uint64_t(j % 8);
+            pair[0].value = std::uint64_t(j + 1);
+            pair[1].op = Op::Get;
+            pair[1].id = c.nextId();
+            pair[1].key = pair[0].key;
+            want[pair[1].id] = pair[0].value;
+            ASSERT_TRUE(c.sendRequests(pair));
+        }
+        for (int k = 0; k < 2 * kWindow; ++k) {
+            const auto r = c.recvResponse(10000);
+            ASSERT_TRUE(r.has_value());
+            ASSERT_EQ(r->status, Status::Ok);
+            const auto it = want.find(r->id);
+            if (it != want.end()) {
+                EXPECT_EQ(r->value, it->second) << "GET id " << r->id;
+            }
+        }
+    }
+    EXPECT_EQ(statOf(srv, "gets"), double(kPairs));
+    EXPECT_LE(statOf(srv, "gets_inline"), double(kPairs));
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * A SCAN sent in the same write as the PUTs before it sees all of
+ * them, whether it fans out behind them or runs on the acceptor once
+ * every shard drained.
+ */
+TEST(ServerBasic, ScanSeesThePipelinedPutsBeforeIt)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 3;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    constexpr std::uint64_t kKeys = 16;
+    for (std::uint64_t round = 1; round <= 50; ++round) {
+        std::vector<Request> reqs(kKeys + 1);
+        for (std::uint64_t k = 0; k < kKeys; ++k) {
+            reqs[k].op = Op::Put;
+            reqs[k].id = c.nextId();
+            reqs[k].key = k;
+            reqs[k].value = round * 1000 + k;
+        }
+        Request &scan = reqs[kKeys];
+        scan.op = Op::Scan;
+        scan.id = c.nextId();
+        scan.key = 0;
+        scan.limit = 100;
+        ASSERT_TRUE(c.sendRequests(reqs));
+        for (std::uint64_t i = 0; i <= kKeys; ++i) {
+            const auto r = c.recvResponse(10000);
+            ASSERT_TRUE(r.has_value());
+            ASSERT_EQ(r->status, Status::Ok);
+            if (r->id != scan.id)
+                continue;
+            std::vector<ScanRecord> recs;
+            ASSERT_TRUE(decodeScanBody(r->body, recs));
+            ASSERT_EQ(recs.size(), kKeys) << "round " << round;
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                EXPECT_EQ(recs[k].key, k);
+                EXPECT_EQ(recs[k].value, round * 1000 + k)
+                    << "round " << round;
+            }
+        }
+    }
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * Readers race a writer while folds and the online scrub run every
+ * few milliseconds, so reads land both on the acceptor and behind
+ * queued work. The writer only ever raises a key's version, so each
+ * reader must see every key's version never go backwards, in GETs
+ * and SCANs alike.
+ */
+TEST(ServerBasic, ReadersSeeNonDecreasingVersionsUnderWrites)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.quiet = true;
+    cfg.foldBatches = 2;
+    cfg.scrubIntervalMs = 1;
+    Server srv(cfg);
+    srv.start();
+
+    constexpr std::uint64_t kKeys = 32;
+    constexpr std::uint64_t kVersions = 200;
+    std::atomic<bool> writing{true};
+    std::thread writer([&] {
+        Client w;
+        ASSERT_TRUE(w.connectTo("127.0.0.1", srv.port()));
+        for (std::uint64_t v = 1; v <= kVersions; ++v) {
+            std::vector<Request> reqs(kKeys);
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                reqs[k].op = Op::Put;
+                reqs[k].id = w.nextId();
+                reqs[k].key = k;
+                reqs[k].value = v;
+            }
+            ASSERT_TRUE(w.sendRequests(reqs));
+            for (std::uint64_t k = 0; k < kKeys; ++k) {
+                const auto r = w.recvResponse(10000);
+                ASSERT_TRUE(r && r->status == Status::Ok);
+            }
+        }
+        writing.store(false);
+    });
+    const auto reader = [&](std::uint64_t seed, int &reads) {
+        Client c;
+        ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+        std::mt19937_64 rng(seed);
+        std::vector<std::uint64_t> seen(kKeys, 0);
+        const auto saw = [&](std::uint64_t k, std::uint64_t v) {
+            ASSERT_LT(k, kKeys);
+            EXPECT_GE(v, seen[k]) << "key " << k << " went backwards";
+            seen[k] = std::max(seen[k], v);
+        };
+        while (writing.load()) {
+            if (rng() % 4 == 0) {
+                const auto recs = c.scan(0, 64, 10000);
+                ASSERT_TRUE(recs.has_value());
+                for (const ScanRecord &rec : *recs)
+                    saw(rec.key, rec.value);
+            } else {
+                const std::uint64_t k = rng() % kKeys;
+                const auto r = c.get(k, 10000);
+                ASSERT_TRUE(r.has_value());
+                if (r->status == Status::Ok)
+                    saw(k, r->value);
+            }
+            ++reads;
+        }
+    };
+    int reads[2] = {0, 0};
+    std::thread r0([&] { reader(1, reads[0]); });
+    std::thread r1([&] { reader(2, reads[1]); });
+    writer.join();
+    r0.join();
+    r1.join();
+    EXPECT_GT(reads[0] + reads[1], 0);
+
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * On an idle shard the acceptor serves reads itself: N GETs and N
+ * SCANs raise gets_inline and scans_inline by N each, while the
+ * worker stays asleep (worker_wakeups barely moves) and no reply
+ * doorbell rings.
+ */
+TEST(ServerBasic, IdleShardServesReadsOnTheAcceptor)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 1;
+    cfg.quiet = true;
+    cfg.scrubIntervalMs = 0;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    const auto put = c.put(5, 55, 10000);
+    ASSERT_TRUE(put && put->status == Status::Ok);
+    // Let the worker finish the round that released the ack.
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    const double gets0 = statOf(srv, "gets_inline");
+    const double scans0 = statOf(srv, "scans_inline");
+    const double wakes0 = statOf(srv, "worker_wakeups");
+    const double bells0 = statOf(srv, "reply_doorbells");
+    constexpr int kReads = 200;
+    for (int i = 0; i < kReads; ++i) {
+        const auto g = c.get(5, 10000);
+        ASSERT_TRUE(g && g->status == Status::Ok);
+        EXPECT_EQ(g->value, 55u);
+        const auto s = c.scan(0, 8, 10000);
+        ASSERT_TRUE(s.has_value());
+        ASSERT_EQ(s->size(), 1u);
+    }
+    EXPECT_EQ(statOf(srv, "gets_inline") - gets0, double(kReads));
+    EXPECT_EQ(statOf(srv, "scans_inline") - scans0, double(kReads));
+    EXPECT_LT(statOf(srv, "worker_wakeups") - wakes0, kReads / 10.0);
+    EXPECT_EQ(statOf(srv, "reply_doorbells") - bells0, 0.0);
+
+    c.close();
+    srv.stop();
     std::filesystem::remove_all(dir);
 }
 

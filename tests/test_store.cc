@@ -17,7 +17,9 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 #include <set>
+#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -1091,6 +1093,33 @@ TEST(StoreConfigTest, ParseBackendRoundTrips)
     for (Backend b : kBackends)
         EXPECT_EQ(parseBackend(backendName(b)), b);
 }
+
+#ifndef NDEBUG
+/**
+ * The shard hand-over contract (rule 1 of src/kernels/env.hh): a
+ * thread that claims the store may use it, and the thread it was
+ * taken from may not touch it again until it claims it back. The
+ * owner check is compiled into debug builds only, and so is this.
+ */
+TEST(StoreDeathTest, ShardAccessNeedsTheLatestClaim)
+{
+    StoreConfig scfg;
+    scfg.capacity = 256;
+    scfg.shards = 1;
+    pmem::PersistentArena arena(storeArenaBytes(scfg));
+    KvStore<kernels::NativeEnv> store(arena, scfg, Backend::Lp);
+    arena.persistAll();
+    kernels::NativeEnv env;
+    store.put(env, 1, 10);  // the first toucher owns the shard
+    std::thread([&] {
+        store.claimShards();
+        store.put(env, 2, 20);
+    }).join();
+    EXPECT_DEATH((void)store.get(env, 1), "did not claim it");
+    store.claimShards();
+    EXPECT_EQ(store.get(env, 2), std::optional<std::uint64_t>(20));
+}
+#endif
 
 TEST(StoreDeathTest, OverCapacityIsFatal)
 {
