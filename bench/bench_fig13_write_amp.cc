@@ -6,18 +6,39 @@
  * Paper shape: LP 0.1%-4.4% extra writes (avg 3%); EagerRecompute
  * 0.2%-55% (avg 20.6%); the gap is largest for store-coalescing
  * workloads and smallest for large-footprint ones (Gauss).
+ *
+ * Every run's raw NVMM writes and reads go to a JSON report (argv[1],
+ * default fig13.json) that tools/check_sim_gate.py --gate fig13
+ * checks exactly. The exit status is 1 when any run fails
+ * verification.
  */
 
 #include <cmath>
 #include <cstdio>
+#include <string>
 
 #include "bench/common.hh"
 
 using namespace lp;
 using namespace lp::kernels;
 
+namespace
+{
+
+/** Record @p out's raw counts under "<kernel>.<scheme>.". */
+void
+record(stats::Snapshot &metrics, KernelId id, const char *scheme,
+       const RunOutcome &out)
+{
+    const std::string pre = kernelName(id) + "." + scheme + ".";
+    metrics[pre + "nvmm_writes"] = out.nvmmWrites;
+    metrics[pre + "nvmm_reads"] = out.stat("nvmm_reads");
+}
+
+} // namespace
+
 int
-main()
+main(int argc, char **argv)
 {
     bench::banner("Figure 13: normalized write amplification",
                   "Fig. 13 -- LP 0.1-4.4% extra writes (avg 3%); "
@@ -33,12 +54,19 @@ main()
     double lp_gmean = 1.0;
     double ep_gmean = 1.0;
     int count = 0;
+    stats::Snapshot metrics;
+    bool verified = true;
     for (KernelId id : ids) {
         const auto params = bench::paperParams(id);
         const auto base = runScheme(id, Scheme::Base, params, cfg);
         const auto lp = runScheme(id, Scheme::Lp, params, cfg);
         const auto ep = runScheme(id, Scheme::EagerRecompute, params,
                                   cfg);
+        record(metrics, id, "base", base);
+        record(metrics, id, "lp", lp);
+        record(metrics, id, "ep", ep);
+        verified = verified && base.verified && lp.verified &&
+                   ep.verified;
         const double lp_rel = bench::ratio(lp.nvmmWrites,
                                            base.nvmmWrites);
         const double ep_rel = bench::ratio(ep.nvmmWrites,
@@ -60,5 +88,10 @@ main()
                   stats::Table::percent(lp_gmean - 1.0),
                   stats::Table::percent(ep_gmean - 1.0)});
     table.print();
-    return 0;
+    if (!verified)
+        std::printf("\nA run FAILED verification.\n");
+    const bool ok = bench::writeJsonReport(
+        argc, argv, "fig13.json",
+        bench::gateReport("fig13", verified, metrics));
+    return ok && verified ? 0 : 1;
 }

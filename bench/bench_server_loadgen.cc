@@ -418,7 +418,7 @@ olThread(const OlParams &p, std::vector<int> fds, std::uint64_t seed,
         conns.back()->dueNs =
             std::uint64_t(rng.uniform() * meanGapNs);
         loop.add(fds[i], std::uint64_t(i),
-                 net::kReadable | net::kEdge);
+                 net::kReadable | net::kEdge | net::kPeerClosed);
     }
 
     const auto t0 = Clock::now();
@@ -454,7 +454,7 @@ olThread(const OlParams &p, std::vector<int> fds, std::uint64_t seed,
         const bool ww = fr == net::Connection::Flush::Blocked;
         if (ww != c.wantWrite &&
             loop.mod(c.nc.fd(), std::uint64_t(i),
-                     net::kReadable | net::kEdge |
+                     net::kReadable | net::kEdge | net::kPeerClosed |
                          (ww ? net::kWritable : 0)))
             c.wantWrite = ww;
     };
@@ -597,6 +597,10 @@ olThread(const OlParams &p, std::vector<int> fds, std::uint64_t seed,
             }
             if (ev & net::kReadable)
                 readable(i);
+            // The server closed: a fill that ended on a short read
+            // never reads the 0 that says so.
+            if ((ev & net::kPeerClosed) && conns[i])
+                closeConn(i, true);
         }
         if (open == 0)
             break;

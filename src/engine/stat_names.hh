@@ -52,6 +52,10 @@ inline constexpr const char *scans = "scans";
 /** GETs the acceptor served itself (the shard was idle). */
 inline constexpr const char *getsInline = "gets_inline";
 
+/** PUTs/DELs the acceptor staged itself into an idle shard's open
+ *  epoch. */
+inline constexpr const char *mutsInline = "muts_inline";
+
 /** SCANs the acceptor served itself (every shard was idle). */
 inline constexpr const char *scansInline = "scans_inline";
 

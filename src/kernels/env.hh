@@ -35,7 +35,8 @@
  *     does -- and a shard may change threads only through the
  *     worker's shard mutex: the worker holds it for each round of
  *     work, and another thread (lp::server's acceptor serving a
- *     read of an idle shard) may take it between rounds. Whoever
+ *     read or staging a mutation of an idle shard) may take it
+ *     between rounds. Whoever
  *     takes the mutex claims the shard (KvStore::claimShards); debug
  *     builds of KvStore assert on every access that the accessing
  *     thread is the one that claimed it last.

@@ -37,6 +37,11 @@ Connection::fill(std::size_t budget)
                 lastFillNs_ = obs::nowNs();
             in_.commit(std::size_t(n));
             got += std::size_t(n);
+            // A short read emptied the receive queue (epoll(7)): the
+            // next byte to arrive raises a new edge, so the read that
+            // would only return EAGAIN is skipped.
+            if (std::size_t(n) < kReadChunk)
+                return Io::Drained;
             if (budget != 0 && got >= budget)
                 return Io::HasMore;
             continue;

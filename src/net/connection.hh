@@ -4,10 +4,10 @@
  * machine: buffered edge-triggered reads on one side, gathered
  * writev of queued reply frames on the other.
  *
- * Read half: fill() drains the socket into a FrameCursor until
- * EAGAIN (or a byte budget), so the edge-triggered contract of
- * net::EventLoop is honored by construction. The caller decodes
- * frames from in() between fill() calls.
+ * Read half: fill() drains the socket into a FrameCursor until a
+ * short read or EAGAIN (or a byte budget), so the edge-triggered
+ * contract of net::EventLoop is honored by construction. The caller
+ * decodes frames from in() between fill() calls.
  *
  * Write half: replies are encoded into frameBuf() -- a recycled
  * scratch buffer -- then sealed with queueFrame(). flush() gathers
@@ -63,7 +63,7 @@ class Connection
   public:
     /** Result of draining one direction of the socket. */
     enum class Io {
-        Drained,  ///< hit EAGAIN; no more until the next edge
+        Drained,  ///< short read or EAGAIN; no more until the next edge
         HasMore,  ///< stopped early (budget); more bytes are ready
         Closed,   ///< peer closed or hard error
     };
@@ -87,9 +87,12 @@ class Connection
     int fd() const { return fd_; }
 
     /**
-     * Read until EAGAIN or until about @p budget bytes have been
-     * consumed this call (0 = unlimited). Budgeting keeps one
-     * fire-hosing connection from starving the rest of a ready set.
+     * Read until a read returns less than it asked for (the socket is
+     * empty), EAGAIN, or about @p budget bytes have been consumed this
+     * call (0 = unlimited). Budgeting keeps one fire-hosing connection
+     * from starving the rest of a ready set. A short read does not
+     * see a FIN that came with the last bytes: register for
+     * kPeerClosed to learn of it.
      */
     Io fill(std::size_t budget);
 

@@ -131,8 +131,7 @@ void
 WakeFd::drain() const
 {
     std::uint64_t v;
-    while (::read(fd_, &v, sizeof(v)) > 0) {
-    }
+    [[maybe_unused]] const ssize_t n = ::read(fd_, &v, sizeof(v));
 }
 
 } // namespace lp::net

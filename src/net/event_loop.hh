@@ -13,10 +13,15 @@
  * instead of dozens.
  *
  * Edge-triggered contract: callers that register with kEdge MUST
- * consume readiness to exhaustion (read/write until EAGAIN) before
- * the next wait(), and must re-run a read handler themselves after
- * un-pausing a connection -- a level change that already happened is
- * never re-reported. net::Connection implements both halves.
+ * consume readiness to exhaustion before the next wait() -- write
+ * until EAGAIN, read until EAGAIN or a short read (a read that
+ * returns less than it asked for emptied the receive queue, and the
+ * next byte to arrive raises a new edge; epoll(7)) -- and must re-run
+ * a read handler themselves after un-pausing a connection: a level
+ * change that already happened is never re-reported. A short read
+ * cannot see a FIN that arrived with the last bytes, so a reader that
+ * stops at one registers kPeerClosed, which reports the FIN in the
+ * same event. net::Connection implements the read and write halves.
  *
  * io_uring seam: this class is the single point where the datapath
  * touches the readiness syscall API. A future UringLoop exposing the
@@ -41,6 +46,7 @@ inline constexpr std::uint32_t kReadable = EPOLLIN;
 inline constexpr std::uint32_t kWritable = EPOLLOUT;
 inline constexpr std::uint32_t kEdge = EPOLLET;
 inline constexpr std::uint32_t kHangup = EPOLLHUP | EPOLLERR;
+inline constexpr std::uint32_t kPeerClosed = EPOLLRDHUP;  ///< peer's FIN
 
 /** Set O_NONBLOCK on @p fd (asserts on failure). */
 void setNonBlocking(int fd);
@@ -111,7 +117,8 @@ class EventLoop
  * An eventfd doorbell: any thread (or signal handler) rings it with
  * signal(), the owning EventLoop sees kReadable on its fd(). signal()
  * is async-signal-safe (one write(2), EAGAIN ignored -- a saturated
- * counter still wakes the reader). drain() resets the counter.
+ * counter still wakes the reader). drain() resets the counter with
+ * one read(2), which returns and zeroes the whole count.
  */
 class WakeFd
 {

@@ -96,7 +96,7 @@ Server::Impl::flushDatapath(Conn &c)
     const bool ww = (fr == net::Connection::Flush::Blocked);
     if (ww != c.wantWrite &&
         loop.mod(c.nc.fd(), c.id,
-                 net::kReadable | net::kEdge |
+                 net::kReadable | net::kEdge | net::kPeerClosed |
                      (ww ? net::kWritable : 0u)))
         c.wantWrite = ww;
     if (c.readPaused &&
@@ -113,39 +113,80 @@ Server::Impl::localReply(Conn &c, Response r)
     c.nc.queueFrame();
 }
 
-/** Has every request routed to @p w run? Caller holds w.storeMu. */
-bool
-Server::Impl::idle(Worker &w)
+/**
+ * Take @p w's shard for the acceptor if it is idle: the worker is
+ * between rounds (its shard lock is free), nothing routed to the
+ * shard is still queued, and the worker is not stopping. Every
+ * request routed here so far has then run, so whatever the acceptor
+ * does next lands exactly where the worker would have put it. A busy
+ * shard fails at once -- no blocking, no spinning -- and the request
+ * queues.
+ */
+Server::Impl::IdleHold
+Server::Impl::holdIdle(Worker &w)
 {
-    std::lock_guard<std::mutex> g(w.mu);
-    return w.q.empty() && !w.stopFlag;
+    IdleHold h;
+    h.shard = std::unique_lock<std::mutex>(w.storeMu, std::try_to_lock);
+    if (!h.shard.owns_lock())
+        return h;
+    std::unique_lock<std::mutex> queue(w.mu);
+    if (!w.q.empty() || w.stopFlag)
+        return IdleHold{};
+    w.kv->claimShards();
+    h.queue = std::move(queue);
+    return h;
 }
 
 /**
- * Serve a GET on the acceptor when its shard is idle: the worker is
- * between rounds (its shard lock is free) and nothing routed to the
- * shard is still queued, so every earlier request of this connection
- * has run and the read sees exactly what the worker would. Skips the
- * worker wake-up and the reply doorbell. A busy shard returns false
- * at once -- no blocking, no spinning -- and the GET queues.
+ * Serve a GET on the acceptor when its shard is idle, skipping the
+ * worker wake-up and the reply doorbell.
  */
 bool
-Server::Impl::inlineGet(Conn &c, const Request &req,
+Server::Impl::inlineGet(Conn &c, Worker &w, const Request &req,
                         std::uint64_t traceId)
 {
-    Worker &w = *workers[std::size_t(routeShard(req.key, cfg.shards))];
     const std::uint64_t t0 = obs::nowNs();
     Response r;
     {
-        std::unique_lock<std::mutex> shard(w.storeMu, std::try_to_lock);
-        if (!shard.owns_lock() || !idle(w))
+        const IdleHold hold = holdIdle(w);
+        if (!hold)
             return false;
-        w.kv->claimShards();
         r = readKey(w, req.key, req.id);
     }
     localReply(c, std::move(r));
     statGetsInline.fetch_add(1, std::memory_order_relaxed);
     obs::traceSpanFrom(acceptRing, "read", t0, req.id, traceId);
+    return true;
+}
+
+/**
+ * Stage a PUT or DEL into its idle shard's open epoch on the
+ * acceptor, skipping the worker wake-up. Only when the epoch is
+ * already open with a pending ack -- so the worker sleeps on that
+ * ack's deadline, which an entry appended behind it cannot move --
+ * and the op does not fill it. The op that opens an epoch and the op
+ * that fills one queue, so the worker alone commits, folds, releases
+ * acks and writes its trace ring. Nothing deferred, no transaction
+ * part between PREPARE and apply (a plain store under it would be
+ * clobbered by the apply) and no quarantine, or the op queues and
+ * the worker sorts it out. Eager commits every op inside its stage,
+ * so it never has an epoch open here.
+ */
+bool
+Server::Impl::inlineStage(Worker &w, const OpItem &op)
+{
+    const IdleHold hold = holdIdle(w);
+    if (!hold)
+        return false;
+    const engine::CommitPipeline &pl = w.kv->pipeline(0);
+    if (!w.deferred.empty() || w.unappliedTxns > 0 ||
+        w.kv->quarantined(0) || !pl.epochOpen() || w.pending.empty() ||
+        pl.stagedOps() + 1 >= pl.policy().batchOps)
+        return false;
+    stageMutation(w, op);
+    statMutsInline.fetch_add(1, std::memory_order_relaxed);
+    obs::traceSpanFrom(acceptRing, "stage", op.tEnqNs, op.reqId,
+                       op.traceId);
     return true;
 }
 
@@ -161,20 +202,17 @@ Server::Impl::inlineScan(Conn &c, const Request &req,
                          std::uint64_t traceId)
 {
     const std::uint64_t t0 = obs::nowNs();
-    std::vector<std::unique_lock<std::mutex>> held;
+    std::vector<IdleHold> held;
     held.reserve(workers.size());
     for (const auto &wp : workers) {
-        std::unique_lock<std::mutex> shard(wp->storeMu, std::try_to_lock);
-        if (!shard.owns_lock() || !idle(*wp) || !wp->deferred.empty() ||
-            wp->unappliedTxns > 0)
+        IdleHold hold = holdIdle(*wp);
+        if (!hold || !wp->deferred.empty() || wp->unappliedTxns > 0)
             return false;
-        held.push_back(std::move(shard));
+        held.push_back(std::move(hold));
     }
     std::vector<std::vector<ScanRecord>> parts(workers.size());
-    for (const auto &wp : workers) {
-        wp->kv->claimShards();
+    for (const auto &wp : workers)
         scanShard(*wp, req.key, req.limit, parts[std::size_t(wp->index)]);
-    }
     held.clear();
     localReply(c, mergedScanReply(parts, req.limit, req.id));
     statScansInline.fetch_add(1, std::memory_order_relaxed);
@@ -193,7 +231,9 @@ Server::Impl::handleRequest(Conn &c, Request &req)
     // beyond one word. It threads parse/queue/stage/commit-wait/ack
     // spans (and the epoch commit that made the op durable), or the
     // parse/read spans of a read served inline, into one flow arc in
-    // the Chrome trace, and feeds latency exemplars.
+    // the Chrome trace, and feeds latency exemplars. A mutation
+    // staged inline has a stage span on the acceptor in place of
+    // its queue span.
     const std::uint64_t traceId = obs::traceIdOf(c.id, req.id);
     switch (req.op) {
       case Op::Get:
@@ -204,12 +244,11 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             localReply(c, statusReply(Status::Err, req.id));
             return;
         }
+        Worker &w = *workers[std::size_t(routeShard(req.key, cfg.shards))];
         // Quarantine fast path: refuse mutations to a read-only
         // shard before they queue (the worker re-checks; this
         // mirror read just saves the round trip). GETs pass.
-        if (req.op != Op::Get &&
-            workers[std::size_t(routeShard(
-                       req.key, cfg.shards))]->kv->quarantined(0)) {
+        if (req.op != Op::Get && w.kv->quarantined(0)) {
             statFaults.fetch_add(1, std::memory_order_relaxed);
             localReply(c, statusReply(Status::Fault, req.id));
             return;
@@ -219,7 +258,7 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             localReply(c, statusReply(Status::Retry, req.id));
             return;
         }
-        if (req.op == Op::Get && inlineGet(c, req, traceId))
+        if (req.op == Op::Get && inlineGet(c, w, req, traceId))
             return;
         ++c.inflight;
         OpItem it;
@@ -232,7 +271,9 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         it.value = req.value;
         it.tEnqNs = obs::nowNs();
         it.traceId = traceId;
-        enqueue(routeShard(req.key, cfg.shards), std::move(it));
+        if (req.op != Op::Get && inlineStage(w, it))
+            return;  // the worker posts its ack after the commit
+        enqueue(w.index, std::move(it));
         return;
       }
       case Op::Scan: {
@@ -438,7 +479,8 @@ Server::Impl::acceptPending()
         auto c = std::make_unique<Conn>(fd, &netStats);
         c->id = nextConnId++;
         c->tOpenNs = obs::nowNs();
-        loop.add(fd, c->id, net::kReadable | net::kEdge);
+        loop.add(fd, c->id,
+                 net::kReadable | net::kEdge | net::kPeerClosed);
         conns.emplace(c->id, std::move(c));
         statAccepted.fetch_add(1, std::memory_order_relaxed);
         statConns.store(conns.size(), std::memory_order_relaxed);
@@ -517,6 +559,14 @@ Server::Impl::acceptorMain()
                 }
                 if (ev & net::kReadable)
                     readable(ud);
+                // The peer's FIN: a fill that ended on a short read
+                // never reads the 0 that reports it, and the edge
+                // will not come again, so close once the bytes that
+                // came before it are served.
+                if (ev & net::kPeerClosed) {
+                    closeConn(ud);
+                    continue;
+                }
                 if (ev & net::kWritable)
                     writable(ud);
             }

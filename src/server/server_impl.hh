@@ -315,8 +315,8 @@ struct Server::Impl
          * owns the store and the state marked storeMu-only below,
          * and claims the store for its thread. The worker holds it
          * from its dequeue to the end of the round, never while it
-         * sleeps; the acceptor try-locks it to serve a read of an
-         * idle shard itself (inlineGet, inlineScan). Lock order:
+         * sleeps; the acceptor try-locks it to serve a read or stage
+         * a mutation of an idle shard itself (holdIdle). Lock order:
          * storeMu, then mu.
          */
         std::mutex storeMu;
@@ -361,9 +361,9 @@ struct Server::Impl
         bool quarantineLogged = false;
 
         // Everything below is storeMu-only: the worker's rounds
-        // touch it, and so do the acceptor's inline reads (the store
-        // and env, and deferred/unappliedTxns read-only). The worker
-        // alone also reads its ack schedule while it waits.
+        // touch it, and so do the acceptor's inline requests (the
+        // store and env; deferred and unappliedTxns read-only;
+        // pending, see there).
         kernels::NativeEnv env;
         std::unique_ptr<pmem::PersistentArena> arena;
         std::unique_ptr<store::KvStore<kernels::NativeEnv>> kv;
@@ -437,6 +437,12 @@ struct Server::Impl
          * front entry's tStagedNs + cfg.flushDeadlineUs is when the
          * worker commits an underfilled epoch; releaseCommitted()
          * pops every entry whose epoch <= the committed epoch.
+         *
+         * Who writes it: the worker, under storeMu, in its rounds;
+         * and the acceptor's inline stage (inlineStage), which
+         * appends to the back under storeMu AND mu, because the
+         * worker reads the front under mu alone while it sleeps on
+         * the deadline. Only the worker pops it.
          */
         struct Pending
         {
@@ -502,6 +508,7 @@ struct Server::Impl
     std::atomic<std::uint64_t> statTxnAborts{0};   ///< general path
     std::atomic<std::uint64_t> statGetsInline{0};   ///< inlineGet hits
     std::atomic<std::uint64_t> statScansInline{0};  ///< inlineScan hits
+    std::atomic<std::uint64_t> statMutsInline{0};   ///< inlineStage hits
     std::atomic<std::uint64_t> statDoorbells{0};    ///< wakeFd rings
 
     // Acceptor-recorded request-lifecycle histograms (single writer:
@@ -551,6 +558,7 @@ struct Server::Impl
     void dispatchOp(Worker &w, OpItem &op);
     void retryDeferred(Worker &w);
     Response readKey(Worker &w, std::uint64_t key, std::uint64_t reqId);
+    void stageMutation(Worker &w, const OpItem &op);
     void scanShard(Worker &w, std::uint64_t start, std::uint32_t limit,
                    std::vector<ScanRecord> &out);
     void processOp(Worker &w, OpItem &op);
@@ -592,8 +600,23 @@ struct Server::Impl
     void closeConn(std::uint64_t id);
     bool flushDatapath(Conn &c);
     void localReply(Conn &c, Response r);
-    static bool idle(Worker &w);
-    bool inlineGet(Conn &c, const Request &req, std::uint64_t traceId);
+
+    /**
+     * The acceptor's hold on an idle shard (holdIdle): the shard
+     * lock, then the queue lock. True when both are held; releases
+     * them in reverse order.
+     */
+    struct IdleHold
+    {
+        std::unique_lock<std::mutex> shard;  ///< Worker::storeMu
+        std::unique_lock<std::mutex> queue;  ///< Worker::mu
+
+        explicit operator bool() const { return queue.owns_lock(); }
+    };
+    static IdleHold holdIdle(Worker &w);
+    bool inlineGet(Conn &c, Worker &w, const Request &req,
+                   std::uint64_t traceId);
+    bool inlineStage(Worker &w, const OpItem &op);
     bool inlineScan(Conn &c, const Request &req, std::uint64_t traceId);
     void handleRequest(Conn &c, Request &req);
     void readable(std::uint64_t connId);

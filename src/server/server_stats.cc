@@ -144,10 +144,13 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
     {sn::scans, Kind::Counter, Scope::Shard,
      [](auto &, auto *w) { return num(w->statScans); }},
     // Hops: a read the acceptor served itself skips the worker
-    // wake-up and the reply doorbell; the two counters below count
-    // the wake-ups and doorbells that still happen.
+    // wake-up and the reply doorbell, a mutation it staged itself the
+    // wake-up; the two counters below count the wake-ups and
+    // doorbells that still happen.
     {sn::getsInline, Kind::Counter, Scope::Server,
      [](auto &s, auto *) { return num(s.statGetsInline); }},
+    {sn::mutsInline, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statMutsInline); }},
     {sn::scansInline, Kind::Counter, Scope::Server,
      [](auto &s, auto *) { return num(s.statScansInline); }},
     {sn::workerWakeups, Kind::Counter, Scope::Shard,

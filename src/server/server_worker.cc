@@ -5,8 +5,8 @@
  * (a reply waits for its epoch's commit, bounded by the flush
  * deadline). One thread per shard; each round runs under the shard
  * lock (Worker::storeMu), which the acceptor also takes to serve a
- * read of an idle shard. See server_impl.hh for the ownership
- * contract.
+ * read or stage a mutation of an idle shard. See server_impl.hh for
+ * the ownership contract.
  */
 
 #include "server/server_impl.hh"
@@ -284,6 +284,42 @@ Server::Impl::readKey(Worker &w, std::uint64_t key, std::uint64_t reqId)
 }
 
 /**
+ * Stage one PUT or DEL (a request or a BATCH sub-op) on @p w's shard
+ * and queue its ack. The caller holds w.storeMu; the acceptor's
+ * inline stage also holds w.mu (see Worker::pending).
+ */
+void
+Server::Impl::stageMutation(Worker &w, const OpItem &op)
+{
+    // Quarantine backstop: the acceptor's fast-path check can race
+    // with a scrub discovering corruption, so the authoritative
+    // refusal lives here, under the shard lock.
+    if (w.kv->quarantined(0)) {
+        if (op.batch) {
+            op.batch->faulted.store(true, std::memory_order_release);
+            if (op.batch->remaining.arrive())
+                postReply(op.batch->connId,
+                          statusReply(Status::Fault, op.batch->reqId));
+            return;
+        }
+        postReply(op.connId, statusReply(Status::Fault, op.reqId));
+        return;
+    }
+    const std::uint64_t epoch =
+        op.kind == OpItem::Kind::Put
+            ? w.kv->put(w.env, op.key, op.value, op.traceId)
+            : w.kv->del(w.env, op.key, op.traceId);
+    w.statMuts.fetch_add(1, std::memory_order_relaxed);
+    // Every mutation waits for its epoch to commit; the worker's
+    // next releaseCommitted() releases it the same round for
+    // backends that commit per op (eager, and WAL when the op
+    // filled its batch).
+    w.pending.push_back(Worker::Pending{op.connId, op.reqId, epoch,
+                                        obs::nowNs(), op.traceId,
+                                        op.batch, nullptr, {}});
+}
+
+/**
  * Sub-scan of @p w's shard into @p out; the caller holds w.storeMu.
  * KvStore::scan records the per-shard scan latency/length histograms
  * itself (single-shard store: shard 0 is exactly this shard).
@@ -356,39 +392,9 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         return;
       }
       case OpItem::Kind::Put:
-      case OpItem::Kind::Del: {
-        // Worker-side quarantine backstop: the acceptor's
-        // fast-path check can race with a scrub discovering
-        // corruption, so the authoritative refusal lives here,
-        // on the thread that owns the shard.
-        if (w.kv->quarantined(0)) {
-            if (op.batch) {
-                op.batch->faulted.store(
-                    true, std::memory_order_release);
-                if (op.batch->remaining.arrive())
-                    postReply(op.batch->connId,
-                              statusReply(Status::Fault,
-                                          op.batch->reqId));
-                return;
-            }
-            postReply(op.connId,
-                      statusReply(Status::Fault, op.reqId));
-            return;
-        }
-        const std::uint64_t epoch =
-            op.kind == OpItem::Kind::Put
-                ? w.kv->put(w.env, op.key, op.value, op.traceId)
-                : w.kv->del(w.env, op.key, op.traceId);
-        w.statMuts.fetch_add(1, std::memory_order_relaxed);
-        // Every mutation waits for its epoch to commit; the
-        // following releaseCommitted() releases it the same round
-        // for backends that commit per op (eager, and WAL when the
-        // op filled its batch).
-        w.pending.push_back(Worker::Pending{
-            op.connId, op.reqId, epoch, obs::nowNs(), op.traceId,
-            op.batch, nullptr, {}});
+      case OpItem::Kind::Del:
+        stageMutation(w, op);
         return;
-      }
       case OpItem::Kind::Txn: {
         txn::LockTable::Events ev;
         if (acquireTxnLocks(w, op.txn, op.part, 0, ev))

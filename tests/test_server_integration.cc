@@ -112,6 +112,35 @@ connectToServer(Client &c, const std::string &dataDir)
 }
 
 /**
+ * Every number of a STATS document, keyed by its path ("gets",
+ * "shard.0.gets"); string values (backend) are skipped. @p i is at
+ * the object's '{' and ends past its '}'.
+ */
+void
+flattenStats(const std::string &j, std::size_t &i,
+             const std::string &path, std::map<std::string, double> &out)
+{
+    ++i;
+    while (j[i] != '}') {
+        if (j[i] == ',')
+            ++i;
+        const std::size_t q = j.find('"', i + 1);
+        const std::string key = path + j.substr(i + 1, q - i - 1);
+        i = q + 2;  // past the closing quote and the ':'
+        if (j[i] == '{') {
+            flattenStats(j, i, key + ".", out);
+        } else if (j[i] == '"') {
+            i = j.find('"', i + 1) + 1;
+        } else {
+            char *end = nullptr;
+            out[key] = std::strtod(j.c_str() + i, &end);
+            i = std::size_t(end - j.c_str());
+        }
+    }
+    ++i;
+}
+
+/**
  * Per-key value history: states[0] is "absent"; states[j] is the
  * value (nullopt = deleted) after the j-th issued operation. `acked`
  * is the highest state index whose operation was acknowledged.
@@ -309,6 +338,21 @@ TEST_P(ServerCrash, AckedMutationsSurviveSigkill)
     }
     waitForAcks(c1, ls1, 400);
     waitForAcks(c2, ls2, 400);
+
+    // With two pipelines the shards are often idle with an epoch
+    // open, so some mutations were staged on the acceptor: the acks
+    // checked below cover that path too.
+    {
+        Client cs;
+        ASSERT_TRUE(cs.connectTo("127.0.0.1",
+                                 waitForPortFile(dir, 1000)));
+        const auto sr = cs.stats(20000);
+        ASSERT_TRUE(sr && sr->status == Status::Ok);
+        std::map<std::string, double> st;
+        std::size_t at = 0;
+        flattenStats(sr->body, at, "", st);
+        EXPECT_GT(st.at("muts_inline"), 0.0);
+    }
 
     // A final unread burst guarantees genuinely in-flight operations
     // at the moment of death.
@@ -746,35 +790,6 @@ shardStat(const std::string &json, int shard, const std::string &field)
     return at == std::string::npos
                ? -1.0
                : std::stod(body.substr(at + tag.size()));
-}
-
-/**
- * Every number of a STATS document, keyed by its path ("gets",
- * "shard.0.gets"); string values (backend) are skipped. @p i is at
- * the object's '{' and ends past its '}'.
- */
-void
-flattenStats(const std::string &j, std::size_t &i,
-             const std::string &path, std::map<std::string, double> &out)
-{
-    ++i;
-    while (j[i] != '}') {
-        if (j[i] == ',')
-            ++i;
-        const std::size_t q = j.find('"', i + 1);
-        const std::string key = path + j.substr(i + 1, q - i - 1);
-        i = q + 2;  // past the closing quote and the ':'
-        if (j[i] == '{') {
-            flattenStats(j, i, key + ".", out);
-        } else if (j[i] == '"') {
-            i = j.find('"', i + 1) + 1;
-        } else {
-            char *end = nullptr;
-            out[key] = std::strtod(j.c_str() + i, &end);
-            i = std::size_t(end - j.c_str());
-        }
-    }
-    ++i;
 }
 
 } // namespace
@@ -1436,6 +1451,207 @@ TEST(ServerBasic, IdleShardServesReadsOnTheAcceptor)
     EXPECT_EQ(statOf(srv, "scans_inline") - scans0, double(kReads));
     EXPECT_LT(statOf(srv, "worker_wakeups") - wakes0, kReads / 10.0);
     EXPECT_EQ(statOf(srv, "reply_doorbells") - bells0, 0.0);
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+namespace
+{
+
+/** Poll @p srv's STATS until @p key reaches @p want (bounded). */
+void
+awaitStat(Server &srv, const std::string &key, double want)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (statOf(srv, key) < want) {
+        ASSERT_LT(std::chrono::steady_clock::now(), until)
+            << key << " never reached " << want;
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+}
+
+/**
+ * Send a lone PUT to an idle server and return once the worker has
+ * staged it and gone back to sleep on its ack's deadline (its shard
+ * lock free).
+ */
+std::uint64_t
+openEpochWithOnePut(Server &srv, Client &c, std::uint64_t key)
+{
+    const double wakes0 = statOf(srv, "worker_wakeups");
+    Request r;
+    r.op = Op::Put;
+    r.id = c.nextId();
+    r.key = key;
+    r.value = key + 100;
+    EXPECT_TRUE(c.sendRequest(r));
+    awaitStat(srv, "mutations", 1.0);
+    awaitStat(srv, "worker_wakeups", wakes0 + 1.0);
+    return r.id;
+}
+
+/** Send a PUT of @p key and wait for the acceptor to stage it. */
+std::uint64_t
+putInline(Server &srv, Client &c, std::uint64_t key)
+{
+    const double inline0 = statOf(srv, "muts_inline");
+    Request r;
+    r.op = Op::Put;
+    r.id = c.nextId();
+    r.key = key;
+    r.value = key + 100;
+    EXPECT_TRUE(c.sendRequest(r));
+    awaitStat(srv, "muts_inline", inline0 + 1.0);
+    return r.id;
+}
+
+ServerConfig
+oneShardConfig(const std::string &dir, store::Backend b, int batchOps,
+               std::uint64_t flushDeadlineUs)
+{
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 1;
+    cfg.backend = b;
+    cfg.quiet = true;
+    cfg.batchOps = batchOps;
+    cfg.flushDeadlineUs = flushDeadlineUs;
+    cfg.scrubIntervalMs = 0;
+    return cfg;
+}
+
+} // namespace
+
+/**
+ * A PUT that finds its shard idle with an epoch open joins that epoch
+ * on the acceptor: after a lone PUT opens an 8-op epoch, five more
+ * PUTs sent one at a time are staged inline, the worker sleeps
+ * through them, and all six acks wait for the 100 ms flush deadline
+ * and arrive in request order.
+ */
+TEST(ServerBasic, IdleShardStagesMutationsOnTheAcceptor)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    Server srv(oneShardConfig(dir, store::Backend::Lp, 8, 100000));
+    srv.start();
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    // Let the worker reach its first sleep before counting wake-ups.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::uint64_t> ids{openEpochWithOnePut(srv, c, 1)};
+    const double wakes0 = statOf(srv, "worker_wakeups") - 1.0;
+    for (std::uint64_t k = 2; k <= 6; ++k)
+        ids.push_back(putInline(srv, c, k));
+    EXPECT_EQ(statOf(srv, "muts_inline"), 5.0);
+
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        if (i == 0) {
+            EXPECT_GE(std::chrono::steady_clock::now() - t0,
+                      std::chrono::milliseconds(100));
+        }
+        EXPECT_EQ(r->status, Status::Ok);
+        EXPECT_EQ(r->id, ids[i]);
+    }
+    EXPECT_EQ(statOf(srv, "acks_released"), 6.0);
+    EXPECT_EQ(statOf(srv, "deadline_commits"), 1.0);
+    EXPECT_LE(statOf(srv, "worker_wakeups") - wakes0, 3.0);
+    for (std::uint64_t k = 1; k <= 6; ++k) {
+        const auto g = c.get(k, 10000);
+        ASSERT_TRUE(g && g->status == Status::Ok);
+        EXPECT_EQ(g->value, k + 100);
+    }
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * The op that fills an epoch still goes to the worker, which commits
+ * at once: with a 4-op epoch and the flush deadline a minute away,
+ * PUTs 2 and 3 are staged inline, PUT 4 queues and fills the epoch,
+ * and all four acks arrive without a deadline commit.
+ */
+TEST(ServerBasic, MutationThatFillsAnEpochQueuesAndCommitsAtOnce)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    Server srv(oneShardConfig(dir, store::Backend::Lp, 4, 60000000));
+    srv.start();
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    // Let the worker reach its first sleep before counting wake-ups.
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+
+    const auto t0 = std::chrono::steady_clock::now();
+    std::vector<std::uint64_t> ids{openEpochWithOnePut(srv, c, 1)};
+    ids.push_back(putInline(srv, c, 2));
+    ids.push_back(putInline(srv, c, 3));
+    Request fill;
+    fill.op = Op::Put;
+    fill.id = c.nextId();
+    fill.key = 4;
+    fill.value = 104;
+    ids.push_back(fill.id);
+    ASSERT_TRUE(c.sendRequest(fill));
+    for (const std::uint64_t id : ids) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, Status::Ok);
+        EXPECT_EQ(r->id, id);
+    }
+    EXPECT_LT(std::chrono::steady_clock::now() - t0,
+              std::chrono::seconds(20));
+    EXPECT_EQ(statOf(srv, "muts_inline"), 2.0);
+    EXPECT_EQ(statOf(srv, "deadline_commits"), 0.0);
+    EXPECT_EQ(statOf(srv, "epochs_committed"), 1.0);
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
+/**
+ * The eager backend commits every op inside its stage, so no epoch is
+ * ever open between requests and the acceptor never stages one.
+ */
+TEST(ServerBasic, EagerNeverStagesMutationsInline)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    Server srv(oneShardConfig(dir, store::Backend::EagerPerOp, 32, 100000));
+    srv.start();
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+
+    for (std::uint64_t k = 0; k < 50; ++k) {
+        const auto p = c.put(k, k + 1, 10000);
+        ASSERT_TRUE(p && p->status == Status::Ok);
+    }
+    std::vector<Request> burst;
+    for (std::uint64_t k = 0; k < 50; ++k) {
+        Request r;
+        r.op = k % 5 == 0 ? Op::Del : Op::Put;
+        r.id = c.nextId();
+        r.key = k;
+        r.value = k + 2;
+        burst.push_back(r);
+    }
+    ASSERT_TRUE(c.sendRequests(burst));
+    for (std::size_t i = 0; i < burst.size(); ++i) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r && r->status == Status::Ok);
+    }
+    EXPECT_EQ(statOf(srv, "mutations"), 100.0);
+    EXPECT_EQ(statOf(srv, "muts_inline"), 0.0);
 
     c.close();
     srv.stop();

@@ -499,6 +499,53 @@ TEST_F(ServerNet, PartialWriteLargeScanBurst)
 }
 
 /**
+ * A client that writes one frame and closes at once: its FIN can
+ * arrive with the frame, so the read that drains the frame is short
+ * and never sees the close. The server still runs the request -- a
+ * later client reads the PUT back -- and reaps the connection from
+ * the same event (EPOLLRDHUP): conn_active returns to 0.
+ */
+TEST_F(ServerNet, WriteThenCloseIsServedAndReaped)
+{
+    const auto connActive = [&] {
+        const std::string text = srv_->metricsText();
+        const std::size_t at = text.find("lp_conn_active ");
+        EXPECT_NE(at, std::string::npos);
+        return std::atoll(text.c_str() + at +
+                          std::strlen("lp_conn_active "));
+    };
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        const int fd = rawConnect();
+        Request q;
+        q.op = Op::Put;
+        q.id = 1;
+        q.key = 300 + i;
+        q.value = 3000 + i;
+        const std::vector<std::uint8_t> frame = enc(q);
+        ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
+                  ssize_t(frame.size()));
+        ::close(fd);
+    }
+    while (connActive() != 0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), until)
+            << "a closed connection was never reaped";
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+
+    Client c;
+    ASSERT_TRUE(c.connectTo(cfg_.host, srv_->port()));
+    for (std::uint64_t i = 0; i < 20; ++i) {
+        const auto g = c.get(300 + i, 10000);
+        ASSERT_TRUE(g.has_value());
+        ASSERT_EQ(g->status, Status::Ok) << "PUT " << i << " was lost";
+        EXPECT_EQ(g->value, 3000 + i);
+    }
+    c.close();
+}
+
+/**
  * connectTo's timeout also arms the read deadline (SO_RCVTIMEO): a
  * peer that accepts and then goes silent cannot wedge a blocking
  * recvResponse(-1) forever.

@@ -15,13 +15,17 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <filesystem>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "server/client.hh"
 #include "server/server.hh"
+#include "store/layout.hh"
 
 using namespace lp;
 using namespace lp::server;
@@ -368,6 +372,146 @@ TEST(ServerTxnIsolation, ScansNeverSeePartialTransfers)
         ASSERT_TRUE(res && res->status == Status::Ok);
         srv.stop();
     }
+}
+
+/**
+ * One number of @p srv's STATS document: a top-level key, or (with
+ * @p shard >= 0) a key of that shard's flat object.
+ */
+double
+statOf(Server &srv, const std::string &field, int shard = -1)
+{
+    const std::string json = srv.statsJson();
+    std::size_t from = 0;
+    if (shard >= 0)
+        from = json.find("\"" + std::to_string(shard) + "\":{",
+                         json.find("\"shard\":{"));
+    const std::string tag = "\"" + field + "\":";
+    const std::size_t at = json.find(tag, from);
+    EXPECT_NE(at, std::string::npos) << field;
+    return at == std::string::npos
+               ? -1.0
+               : std::stod(json.substr(at + tag.size()));
+}
+
+/**
+ * A plain PUT to a key under a prepared but unapplied transaction
+ * part must wait for the apply: staged before it, the apply of the
+ * already-resolved write-set would overwrite it. So the acceptor
+ * does not stage it inline either, although the shard is idle with
+ * an epoch open. A two-shard TXN writes a (shard 0) and b (shard 1);
+ * its shard-1 part sits behind a deep BATCH backlog, so its shard-0
+ * part stays prepared while PUT a arrives. PUT a queues, defers
+ * behind the apply, and is the value that stays.
+ */
+TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
+{
+    const std::string dir = makeTempDir();
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 2;
+    cfg.backend = store::Backend::Lp;
+    cfg.batchOps = 64;
+    cfg.flushDeadlineUs = 1000000;
+    cfg.scrubIntervalMs = 0;
+    cfg.quiet = true;
+    Server srv(cfg);
+    srv.start();
+
+    std::vector<std::uint64_t> onShard[2];
+    for (std::uint64_t k = 1; onShard[0].size() < 2 || onShard[1].size() < 65;
+         ++k)
+        onShard[store::shardOfKey(k, 2)].push_back(k);
+    const std::uint64_t opener = onShard[0][0];
+    const std::uint64_t a = onShard[0][1];
+    const std::uint64_t b = onShard[1][0];
+
+    Client c;
+    connectToServer(c, dir);
+    std::vector<std::uint64_t> ids;
+    // Open an epoch on shard 0 and let its worker go back to sleep.
+    Request open;
+    open.op = Op::Put;
+    open.id = c.nextId();
+    open.key = opener;
+    open.value = 7;
+    ids.push_back(open.id);
+    ASSERT_TRUE(c.sendRequest(open));
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (statOf(srv, "mutations", 0) < 1.0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), until);
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const double wakes0 = statOf(srv, "worker_wakeups", 0);
+
+    // The backlog on shard 1, then the TXN, in one write.
+    std::vector<Request> burst;
+    for (int i = 0; i < 16; ++i) {
+        Request r;
+        r.op = Op::Batch;
+        r.id = c.nextId();
+        for (std::size_t j = 0; j < maxBatchOps; ++j)
+            r.batch.push_back(BatchOp{true, onShard[1][1 + j % 64], j});
+        burst.push_back(std::move(r));
+    }
+    Request t;
+    t.op = Op::Txn;
+    t.id = c.nextId();
+    t.txn = {top(TxnOp::Kind::Put, a, 1), top(TxnOp::Kind::Put, b, 1)};
+    burst.push_back(t);
+    for (const Request &r : burst)
+        ids.push_back(r.id);
+    ASSERT_TRUE(c.sendRequests(burst));
+
+    // Shard 0's worker prepared its part and went back to sleep.
+    while (statOf(srv, "worker_wakeups", 0) < wakes0 + 1.0) {
+        ASSERT_LT(std::chrono::steady_clock::now(), until);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    Request put;
+    put.op = Op::Put;
+    put.id = c.nextId();
+    put.key = a;
+    put.value = 2;
+    ids.push_back(put.id);
+    ASSERT_TRUE(c.sendRequest(put));
+    // A GET behind it: once it is answered, PUT a has been routed,
+    // and a non-empty shard-1 queue then says the TXN was undecided.
+    Request probe;
+    probe.op = Op::Get;
+    probe.id = c.nextId();
+    probe.key = opener;
+    ASSERT_TRUE(c.sendRequest(probe));
+    std::set<std::uint64_t> left(ids.begin(), ids.end());
+    for (;;) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        if (r->id == probe.id)
+            break;
+        EXPECT_EQ(r->status, Status::Ok) << "request " << r->id;
+        left.erase(r->id);
+    }
+    EXPECT_GT(statOf(srv, "queue_depth", 1), 0.0)
+        << "the backlog drained before PUT a arrived";
+    while (!left.empty()) {
+        const auto r = c.recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->status, Status::Ok) << "request " << r->id;
+        left.erase(r->id);
+    }
+
+    EXPECT_EQ(statOf(srv, "muts_inline"), 0.0);
+    const auto ga = c.get(a, 10000);
+    ASSERT_TRUE(ga && ga->status == Status::Ok);
+    EXPECT_EQ(ga->value, 2u) << "the TXN apply overwrote a later PUT";
+    const auto gb = c.get(b, 10000);
+    ASSERT_TRUE(gb && gb->status == Status::Ok);
+    EXPECT_EQ(gb->value, 1u);
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

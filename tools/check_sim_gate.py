@@ -18,8 +18,13 @@ must carry:
               reads per scheme, windowed and full-run
     table6    bench_table6_hazards: Table VI's hazard counters, L2
               traffic and volatility durations per scheme
+    fig11     bench_fig11_periodic_flush: Figure 11's windowed tmm
+              cycles and NVMM writes without a cleaner (base, LP,
+              EagerRecompute) and for LP at each cleaner period
     fig12     bench_fig12_exec_time: Figure 12's cycles and NVMM
               writes per kernel for base, LP and EagerRecompute
+    fig13     bench_fig13_write_amp: Figure 13's NVMM writes and
+              reads per kernel for base, LP and EagerRecompute
 
 Every gate is deterministic: for a given command the values are the
 same on every run and every machine. The result is the JSON object on
@@ -46,7 +51,8 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("result", help="result file ('-' for stdin)")
     ap.add_argument("--gate", default="sim_gate",
-                    choices=("sim_gate", "fig10", "table6", "fig12"),
+                    choices=("sim_gate", "fig10", "table6", "fig11",
+                             "fig12", "fig13"),
                     help="compare with tools/<gate>_golden.json")
     args = ap.parse_args()
     golden_path = os.path.join(HERE, args.gate + "_golden.json")
