@@ -8,17 +8,39 @@
  *  2. Region-granularity tradeoff: smaller LP regions cost more
  *     checksum overhead in normal execution but lose less work on a
  *     crash (Section III-C's granularity discussion).
+ *
+ * Every row's raw counts go to a JSON report (argv[1], default
+ * recovery_time.json) that tools/check_sim_gate.py --gate
+ * recovery_time checks exactly. The exit status is 1 when any run
+ * fails verification.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench/common.hh"
 
 using namespace lp;
 using namespace lp::kernels;
 
+namespace
+{
+
+/** Record @p out's recovery counts under "<pre>.". */
+void
+record(stats::Snapshot &metrics, const std::string &pre,
+       const CrashOutcome &out)
+{
+    metrics[pre + ".resume_stage"] = out.recovery.resumeStage;
+    metrics[pre + ".regions_matched"] = double(out.recovery.matched);
+    metrics[pre + ".regions_repaired"] = double(out.recovery.repaired);
+    metrics[pre + ".recovery_cycles"] = out.recoveryCycles;
+}
+
+} // namespace
+
 int
-main()
+main(int argc, char **argv)
 {
     bench::banner("Recovery-time ablations (tmm+LP)",
                   "Sections III-C / III-E.1 / VI-A -- periodic "
@@ -41,6 +63,9 @@ main()
                                 cfg);
     const auto total =
         static_cast<std::uint64_t>(full.stat("stores"));
+    stats::Snapshot metrics;
+    metrics["full.stores"] = double(total);
+    bool verified = full.verified;
 
     std::printf("1) Crash at 50%% of the store stream; recovery + "
                 "resume cost vs. cleaner period (1MB L2: nothing "
@@ -54,8 +79,11 @@ main()
         c.cleanerPeriodCycles = period;
         const auto out = runLpWithCrash(KernelId::Tmm, params, c,
                                         total / 2);
-        t1.addRow({period == 0 ? "off" : std::to_string(period),
-                   std::to_string(out.recovery.resumeStage),
+        const std::string name =
+            period == 0 ? "off" : std::to_string(period);
+        record(metrics, "period_" + name, out);
+        verified = verified && out.verified;
+        t1.addRow({name, std::to_string(out.recovery.resumeStage),
                    std::to_string(out.recovery.matched),
                    std::to_string(out.recovery.repaired),
                    stats::Table::num(out.recoveryCycles / 1e6, 2),
@@ -78,6 +106,12 @@ main()
             static_cast<std::uint64_t>(lp.stat("stores"));
         const auto crash = runLpWithCrash(KernelId::Tmm, p, gcfg,
                                           stores / 2);
+        const std::string pre = "bsize_" + std::to_string(bs);
+        metrics[pre + ".base.exec_cycles"] = base.execCycles;
+        metrics[pre + ".lp.exec_cycles"] = lp.execCycles;
+        record(metrics, pre, crash);
+        verified = verified && base.verified && lp.verified &&
+                   crash.verified;
         const int bands = p.n / bs;
         t2.addRow({std::to_string(bs),
                    std::to_string(bands * bands),
@@ -88,5 +122,10 @@ main()
                    crash.verified ? "yes" : "NO"});
     }
     t2.print();
-    return 0;
+    if (!verified)
+        std::printf("\nA run FAILED verification.\n");
+    const bool ok = bench::writeJsonReport(
+        argc, argv, "recovery_time.json",
+        bench::gateReport("recovery_time", verified, metrics));
+    return ok && verified ? 0 : 1;
 }

@@ -133,7 +133,7 @@ main(int argc, char **argv)
     }
 
     // YCSB-E: 95% short range scans / 5% inserts, served by the
-    // lp::index ordered skiplist over the journal backends. Scans
+    // lp::index ordered key set over the journal backends. Scans
     // resolve every key through get(), so the simulated cost scales
     // with records touched; the op count is kept below the A/B/C
     // grid's to bound run time. Every scan is verified inline against
@@ -389,7 +389,7 @@ main(int argc, char **argv)
 
     // Scan-length sensitivity (LP backend, native): scan latency is
     // expected to grow linearly in the records resolved -- the
-    // skiplist walk is O(log n) to seek, then O(len) gets -- so p50
+    // index walk is O(log n) to seek, then O(len) gets -- so p50
     // should track maxScanLen/2 and p99 close to maxScanLen.
     {
         stats::Table table({"lp scan-len sweep", "len mean",

@@ -109,18 +109,18 @@ argFlag(int argc, char **argv, const std::string &name)
 }
 
 /**
- * Write a bench's JSON report to the first non-flag argument (or
- * @p defaultPath), the shared tail of every bench main(). Returns
- * false (after printing to stderr) when the file cannot be written,
- * so callers can `return ok ? 0 : 1`.
+ * Write a bench's JSON report to the @p nth (0-based) non-flag
+ * argument (or @p defaultPath), the shared tail of every bench
+ * main(). Returns false (after printing to stderr) when the file
+ * cannot be written, so callers can `return ok ? 0 : 1`.
  */
 inline bool
 writeJsonReport(int argc, char **argv, const char *defaultPath,
-                const stats::JsonValue::Object &root)
+                const stats::JsonValue::Object &root, int nth = 0)
 {
     const char *path = defaultPath;
     for (int i = 1; i < argc; ++i) {
-        if (argv[i][0] != '-') {
+        if (argv[i][0] != '-' && nth-- == 0) {
             path = argv[i];
             break;
         }

@@ -2,32 +2,23 @@
  * @file
  * lp::index -- an ordered in-memory index over the KV store's keys.
  *
- * The store's persistent layout is a flat open-addressing table plus
- * per-shard journals: perfect for point ops, useless for range
- * queries. OrderedIndex adds ordering the ListDB way: the
- * LP-checksummed journal stays the persistent truth, and the ordered
- * structure is pure DRAM, rebuilt from the recovered table after
- * crash recovery. Nothing here is ever flushed; crash consistency
- * comes entirely from the store's checksums, never from this index.
+ * The store's persistent layout is a flat open-addressing table:
+ * perfect for point ops, useless for range queries. OrderedIndex adds
+ * ordering the ListDB way: the LP-checksummed journal stays the
+ * persistent truth, and this pure-DRAM index is rebuilt from the
+ * recovered table after a crash. Nothing here is ever flushed.
  *
- * Structure: a classic skiplist (p = 1/4, capped height) holding
- * KEYS ONLY. Values are not cached here -- a scan resolves each key
- * through KvStore::get(), so range reads see exactly what point reads
- * see (including staged, not-yet-folded deltas) byte for byte.
+ * Structure: a dense sorted set of KEYS ONLY (a scan resolves values
+ * through KvStore::get(), so range reads see what point reads see).
+ * Keys sit in sorted 64-key (512 B) leaves under one sorted array of
+ * leaf references, each holding its leaf's lower fence and key count;
+ * two levels suffice because a shard's table bounds its key count.
  *
  * Ownership: one index per shard, touched only by the thread that
- * owns that shard now (the store's one-thread-at-a-time contract,
- * src/kernels/env.hh). Every method except entries()/residentBytes()
- * is owner-only; there are no concurrent readers, so erase() frees
- * the node at once and a Cursor is valid until the owner's next
- * insert/erase/clear.
- *
- * Memory accounting: entries() is a relaxed atomic any thread may
- * read (the server's acceptor exports it via STATS/METRICS), and
- * residentBytes() derives from it: the head plus one node per live
- * key. Nodes carry a fixed maxHeight pointer array (no flexible-array
- * tricks, so ASan/UBSan see plain well-defined objects); the constant
- * is sized for ~16M entries at p = 1/4.
+ * owns that shard now (src/kernels/env.hh), so it needs no locks and
+ * erase() frees at once. entries() and residentBytes() (live leaves
+ * plus the reference array; 0 when empty) are relaxed atomics any
+ * thread may read, for STATS/METRICS.
  */
 
 #ifndef LP_INDEX_ORDERED_INDEX_HH
@@ -36,70 +27,63 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <vector>
 
 namespace lp::index
 {
 
-/** Skiplist levels: 4^12 expected entries at the height cap. */
-inline constexpr int orderedIndexMaxHeight = 12;
-
-/**
- * One skiplist node. Namespace scope (not nested) so the Cursor's
- * hot-path advance() stays inline in this header while allocation
- * and list surgery live in the .cc.
- */
-struct OrderedIndexNode
-{
-    std::uint64_t key;
-    int height;
-    OrderedIndexNode *next[orderedIndexMaxHeight];
-};
-
 class OrderedIndex
 {
+    struct LeafRef
+    {
+        std::uint64_t min;  ///< lower fence (leaf 0: 0, takes any key)
+        std::uint32_t size;
+        std::unique_ptr<std::uint64_t[]> keys;  ///< leafKeys, sorted
+    };
+
   public:
-    static constexpr int maxHeight = orderedIndexMaxHeight;
-
-    OrderedIndex();
-    ~OrderedIndex();
-
-    OrderedIndex(const OrderedIndex &) = delete;
-    OrderedIndex &operator=(const OrderedIndex &) = delete;
+    /** Keys per leaf: one 512 B sorted run. */
+    static constexpr std::uint32_t leafKeys = 64;
 
     /** Add @p key; a no-op if already present. */
     void insert(std::uint64_t key);
 
-    /** Unlink and free @p key's node; a no-op if absent. */
+    /** Remove @p key; a no-op if absent. */
     void erase(std::uint64_t key);
 
-    /** Drop every key. */
+    /** Drop every key and free every leaf. */
     void clear();
 
-    /**
-     * A forward iterator over the bottom level, obtained from
-     * lowerBound()/first(). Valid until the next insert, erase or
-     * clear.
-     */
+    /** In-order iterator from lowerBound(); valid until a mutation. */
     class Cursor
     {
       public:
-        bool valid() const { return node_ != nullptr; }
-        std::uint64_t key() const { return node_->key; }
-        void advance() { node_ = node_->next[0]; }
+        bool valid() const { return ref_ != end_; }
+        std::uint64_t key() const { return ref_->keys[pos_]; }
+
+        void
+        advance()
+        {
+            if (++pos_ == ref_->size) {
+                ++ref_;
+                pos_ = 0;
+            }
+        }
 
       private:
         friend class OrderedIndex;
-        explicit Cursor(const OrderedIndexNode *n) : node_(n) {}
-        const OrderedIndexNode *node_;
+        Cursor(const LeafRef *ref, const LeafRef *end, std::uint32_t pos)
+            : ref_(ref), end_(end), pos_(pos)
+        {
+        }
+        const LeafRef *ref_;
+        const LeafRef *end_;
+        std::uint32_t pos_;
     };
-
-    bool contains(std::uint64_t key) const;
 
     /** Cursor on the first key >= @p key (invalid if none). */
     Cursor lowerBound(std::uint64_t key) const;
-
-    /** Cursor on the smallest key (invalid if empty). */
-    Cursor first() const { return Cursor(head_->next[0]); }
 
     /** Live key count (relaxed; any thread). */
     std::uint64_t
@@ -108,28 +92,47 @@ class OrderedIndex
         return entries_.load(std::memory_order_relaxed);
     }
 
-    /** Bytes held: the head plus one node per live key (any thread). */
+    /** Bytes held: live leaves plus the leaf array (any thread). */
     std::uint64_t
     residentBytes() const
     {
-        return (entries() + 1) * sizeof(OrderedIndexNode);
+        return bytes_.load(std::memory_order_relaxed);
     }
 
   private:
-    int randomHeight();
+    /** The leaf @p key belongs in; refs_ must be non-empty. */
+    std::size_t leafFor(std::uint64_t key) const;
 
-    /**
-     * Walk toward @p key: fills @p preds (when non-null) with the
-     * last node strictly below @p key per level, returns the first
-     * node with key >= @p key (null if none).
-     */
-    OrderedIndexNode *findFrom(std::uint64_t key,
-                               OrderedIndexNode **preds) const;
+    /** Republish residentBytes() after the leaf set changed. */
+    void account();
 
-    OrderedIndexNode *head_ = nullptr;
-    std::uint64_t rngState_;
+    std::vector<LeafRef> refs_;
     std::atomic<std::uint64_t> entries_{0};
+    std::atomic<std::uint64_t> bytes_{0};
 };
+
+/**
+ * K-way merge over cursors on disjoint key sets (any type with
+ * valid(), key(), advance()): offers keys in ascending order to
+ * take(cursor index, key) until it kept @p limit of them or the
+ * cursors run out, so a caller resolves values only for kept keys.
+ */
+template <typename Cursor, typename Take>
+void
+mergeCursors(std::vector<Cursor> &cur, std::size_t limit, Take &&take)
+{
+    for (std::size_t kept = 0; kept < limit;) {
+        std::size_t best = cur.size();
+        for (std::size_t s = 0; s < cur.size(); ++s)
+            if (cur[s].valid() &&
+                (best == cur.size() || cur[s].key() < cur[best].key()))
+                best = s;
+        if (best == cur.size())
+            return;
+        kept += take(best, cur[best].key()) ? 1 : 0;
+        cur[best].advance();
+    }
+}
 
 } // namespace lp::index
 

@@ -15,6 +15,8 @@
  *
  * Tracing is opt-in per shard/thread by handing out a ring pointer;
  * every emit helper is null-safe, so "tracing off" costs one branch.
+ * A ring built with capacity 0 stores nothing and only feeds its
+ * sink: the shape a server uses when no trace file will be written.
  */
 
 #ifndef LP_OBS_TRACE_HH
@@ -88,9 +90,16 @@ class TraceSink
 class TraceRing
 {
   public:
-    /** @p capacity is rounded up to a power of two, minimum 8. */
+    /**
+     * @p capacity is rounded up to a power of two, minimum 8. A
+     * capacity of 0 makes a ring that stores nothing: push() only
+     * tees to the sink, and nothing is dropped (no trace will read
+     * the events).
+     */
     explicit TraceRing(std::size_t capacity = 4096)
     {
+        if (capacity == 0)
+            return;
         std::size_t cap = 8;
         while (cap < capacity)
             cap <<= 1;
@@ -115,13 +124,16 @@ class TraceRing
 
     /**
      * Producer side: enqueue @p e; false (and a drop is counted)
-     * when the ring is full. Never allocates.
+     * when the ring is full, false without a drop when it stores
+     * nothing. Never allocates.
      */
     bool
     push(const TraceEvent &e)
     {
         if (sink_)
             sink_->record(e);
+        if (buf_.empty())
+            return false;
         const auto head = head_.load(std::memory_order_relaxed);
         const auto tail = tail_.load(std::memory_order_acquire);
         if (head - tail >= buf_.size()) {

@@ -195,7 +195,10 @@ Server::Impl::inlineStage(Worker &w, const OpItem &op)
  * every shard lock with every queue empty, nothing deferred and no
  * transaction part between PREPARE and apply is a consistent cut:
  * no request routed anywhere is half done. Any busy shard returns
- * false and the SCAN fans out as usual.
+ * false and the SCAN fans out as usual. The held shards' index
+ * cursors merge on keys, so only the keys the reply carries are
+ * resolved; each shard counts the scan (the whole scan's time, and
+ * the records it contributed).
  */
 bool
 Server::Impl::inlineScan(Conn &c, const Request &req,
@@ -210,11 +213,31 @@ Server::Impl::inlineScan(Conn &c, const Request &req,
             return false;
         held.push_back(std::move(hold));
     }
-    std::vector<std::vector<ScanRecord>> parts(workers.size());
+    std::vector<index::OrderedIndex::Cursor> cur;
+    cur.reserve(workers.size());
     for (const auto &wp : workers)
-        scanShard(*wp, req.key, req.limit, parts[std::size_t(wp->index)]);
+        cur.push_back(wp->kv->indexFrom(0, req.key));
+    std::vector<ScanRecord> recs;
+    std::vector<std::uint64_t> fromShard(workers.size(), 0);
+    index::mergeCursors(cur, req.limit,
+                        [&](std::size_t s, std::uint64_t k) {
+                            Worker &w = *workers[s];
+                            const auto v = w.kv->get(w.env, k);
+                            if (v) {
+                                recs.push_back(ScanRecord{k, *v});
+                                ++fromShard[s];
+                            }
+                            return v.has_value();
+                        });
+    const std::uint64_t ns = obs::nowNs() - t0;
+    for (const auto &wp : workers) {
+        obs::ShardObs &ob = wp->kv->shardObs(0);
+        ob.scanNs.record(ns);
+        ob.scanLen.record(fromShard[std::size_t(wp->index)]);
+        wp->statScans.fetch_add(1, std::memory_order_relaxed);
+    }
     held.clear();
-    localReply(c, mergedScanReply(parts, req.limit, req.id));
+    localReply(c, scanReply(recs, req.id));
     statScansInline.fetch_add(1, std::memory_order_relaxed);
     obs::traceSpanFrom(acceptRing, "read", t0, req.id, traceId);
     return true;
@@ -676,14 +699,15 @@ Server::Impl::start()
 
     // Trace rings must exist before worker threads spawn so the
     // pointers are published by the thread-creation fence. The
-    // collector is ALWAYS created now, not only under cfg.traceOut:
-    // the rings feed each worker's crash-persistent flight recorder
-    // (teed in openStore) and the lp_trace_drops_total counters, and
-    // recording is allocation-free relaxed stores. The Chrome trace
-    // JSON itself is still written only when traceOut names a file.
+    // collector is ALWAYS created, not only under cfg.traceOut: each
+    // worker ring tees every span into the worker's crash-persistent
+    // flight recorder (attached in openStore). Only a trace file
+    // reads what a ring stores, so without traceOut the rings store
+    // nothing (capacity 0) and count no drops.
     trace = std::make_unique<obs::TraceCollector>();
-    acceptRing = trace->ring("acceptor", 1000,
-                             cfg.traceRingCapacity);
+    const std::size_t ringEvents =
+        cfg.traceOut.empty() ? 0 : cfg.traceRingCapacity;
+    acceptRing = trace->ring("acceptor", 1000, ringEvents);
 
     // Recovery happens on the worker threads, before the port
     // binds: no request can ever observe pre-recovery state.
@@ -693,8 +717,7 @@ Server::Impl::start()
         w->index = i;
         w->srv = this;
         w->ring = trace->ring("shard-" + std::to_string(i),
-                              std::uint32_t(i),
-                              cfg.traceRingCapacity);
+                              std::uint32_t(i), ringEvents);
         workers.push_back(std::move(w));
     }
     for (auto &wp : workers) {

@@ -134,7 +134,11 @@ struct ServerConfig
      */
     std::string traceOut;
 
-    /** Trace ring capacity per traced thread (events; power of 2). */
+    /**
+     * Trace ring capacity per traced thread (events; rounded up to a
+     * power of 2). Used only when traceOut names a file: otherwise
+     * the rings store nothing and only feed the flight recorder.
+     */
     std::size_t traceRingCapacity = 1 << 14;
 
     /**

@@ -118,12 +118,14 @@ struct BatchCtx
     std::atomic<bool> faulted{false};
 };
 
+/** The Ok reply of a SCAN carrying @p records. */
+Response scanReply(const std::vector<ScanRecord> &records,
+                   std::uint64_t reqId);
+
 /**
- * The single reply of a SCAN: the k-way merge of every shard's
- * sorted partial result (shards partition the key space, so popping
- * the minimum head yields global order), cut at @p limit records.
- * The acceptor's inline scan and the last sub-scan worker both
- * reply through it.
+ * The single reply of a fanned-out SCAN: the k-way merge
+ * (index::mergeCursors) of every shard's sorted partial result, cut
+ * at @p limit records. The last sub-scan worker replies through it.
  */
 Response mergedScanReply(const std::vector<std::vector<ScanRecord>> &parts,
                          std::uint32_t limit, std::uint64_t reqId);

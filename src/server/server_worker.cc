@@ -62,8 +62,9 @@ Server::Impl::openStore(Worker &w)
     // Attach the trace ring before recovery so the replay's
     // "recover_shard" span lands in the collector -- and tee it
     // into the flight recorder, which persists every span this
-    // worker emits (the volatile ring stops at capacity; the
-    // flight copy keeps wrapping).
+    // worker emits (the volatile ring stops at capacity, and stores
+    // nothing unless a trace file will be written; the flight copy
+    // keeps wrapping).
     if (w.ring) {
         w.kv->attachTraceRing(0, w.ring);
         if (w.flight)
@@ -336,32 +337,38 @@ Server::Impl::scanShard(Worker &w, std::uint64_t start,
 }
 
 Response
-mergedScanReply(const std::vector<std::vector<ScanRecord>> &parts,
-                std::uint32_t limit, std::uint64_t reqId)
+scanReply(const std::vector<ScanRecord> &records, std::uint64_t reqId)
 {
-    std::vector<ScanRecord> merged;
-    merged.reserve(limit);
-    std::vector<std::size_t> at(parts.size(), 0);
-    while (merged.size() < limit) {
-        const ScanRecord *best = nullptr;
-        std::size_t bestShard = 0;
-        for (std::size_t s = 0; s < parts.size(); ++s) {
-            if (at[s] < parts[s].size() &&
-                (!best || parts[s][at[s]].key < best->key)) {
-                best = &parts[s][at[s]];
-                bestShard = s;
-            }
-        }
-        if (!best)
-            break;
-        merged.push_back(*best);
-        ++at[bestShard];
-    }
     Response r;
     r.status = Status::Ok;
     r.id = reqId;
-    r.body = encodeScanBody(merged);
+    r.body = encodeScanBody(records);
     return r;
+}
+
+Response
+mergedScanReply(const std::vector<std::vector<ScanRecord>> &parts,
+                std::uint32_t limit, std::uint64_t reqId)
+{
+    struct Part
+    {
+        const ScanRecord *at;
+        const ScanRecord *end;
+        bool valid() const { return at != end; }
+        std::uint64_t key() const { return at->key; }
+        void advance() { ++at; }
+    };
+    std::vector<Part> cur;
+    cur.reserve(parts.size());
+    for (const auto &p : parts)
+        cur.push_back(Part{p.data(), p.data() + p.size()});
+    std::vector<ScanRecord> merged;
+    merged.reserve(limit);
+    index::mergeCursors(cur, limit, [&](std::size_t s, std::uint64_t) {
+        merged.push_back(*cur[s].at);
+        return true;
+    });
+    return scanReply(merged, reqId);
 }
 
 void

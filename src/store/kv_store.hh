@@ -304,33 +304,31 @@ class KvStore
         std::vector<index::OrderedIndex::Cursor> cur;
         cur.reserve(std::size_t(cfg_.shards));
         for (int s = 0; s < cfg_.shards; ++s)
-            cur.push_back(index_[std::size_t(s)].lowerBound(start));
-        // K-way merge over the per-shard cursors; shards partition
-        // the key space, so every key appears under exactly one
-        // cursor and popping the minimum yields global order.
-        while (out.size() < limit) {
-            int best = -1;
-            std::uint64_t bestKey = 0;
-            for (int s = 0; s < cfg_.shards; ++s) {
-                const auto &c = cur[std::size_t(s)];
-                if (!c.valid())
-                    continue;
-                if (best < 0 || c.key() < bestKey) {
-                    best = s;
-                    bestKey = c.key();
-                }
-            }
-            if (best < 0)
-                break;
-            cur[std::size_t(best)].advance();
-            // The index tracks staged deletes eagerly, so a key it
-            // yields should always resolve; skip defensively if the
-            // backend disagrees rather than emit a phantom.
-            if (const auto v = get(env, bestKey))
-                out.emplace_back(bestKey, *v);
-        }
+            cur.push_back(indexFrom(s, start));
+        // The index tracks staged deletes eagerly, so a key it yields
+        // should always resolve; skip defensively if the backend
+        // disagrees rather than emit a phantom.
+        index::mergeCursors(cur, limit, [&](std::size_t, std::uint64_t k) {
+            const auto v = get(env, k);
+            if (v)
+                out.emplace_back(k, *v);
+            return v.has_value();
+        });
         obs_[0].scanLen.record(out.size());
         return out;
+    }
+
+    /**
+     * Cursor on shard @p shard's first indexed key >= @p start, for a
+     * caller that merges shards itself (index::mergeCursors). Owner
+     * only; valid until the shard's next mutation. get() never
+     * touches the index, so values may be resolved between advances.
+     */
+    index::OrderedIndex::Cursor
+    indexFrom(int shard, std::uint64_t start)
+    {
+        checkShardOwner(shard);
+        return index_[std::size_t(shard)].lowerBound(start);
     }
 
     /**

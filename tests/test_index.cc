@@ -2,8 +2,10 @@
  * @file
  * Tests for lp::index::OrderedIndex and its KvStore integration:
  * ordered-set semantics against std::set under a randomized op
- * stream, lowerBound/first cursor behavior, erase-frees memory
- * accounting, and end-to-end KvStore::scan on every backend --
+ * stream, lowerBound cursor behavior across leaf boundaries,
+ * leaf splits and emptied leaves, erase-frees memory accounting and
+ * the dense layout's bytes per key, the shared cursor merge, and
+ * end-to-end KvStore::scan on every backend --
  * cross-shard merge order, staged-delete visibility, scan/snapshot
  * agreement, and flat index memory under put/delete churn.
  */
@@ -25,16 +27,24 @@ namespace
 {
 
 using index::OrderedIndex;
-using index::OrderedIndexNode;
+constexpr std::uint64_t kLeaf = OrderedIndex::leafKeys;
 
-/** Collect every key by walking the bottom level. */
+/** Collect every key by walking a cursor from the smallest. */
 std::vector<std::uint64_t>
 allKeys(const OrderedIndex &idx)
 {
     std::vector<std::uint64_t> out;
-    for (auto c = idx.first(); c.valid(); c.advance())
+    for (auto c = idx.lowerBound(0); c.valid(); c.advance())
         out.push_back(c.key());
     return out;
+}
+
+/** Whether @p key is in @p idx. */
+bool
+has(const OrderedIndex &idx, std::uint64_t key)
+{
+    const auto c = idx.lowerBound(key);
+    return c.valid() && c.key() == key;
 }
 
 TEST(OrderedIndex, MatchesStdSetUnderRandomOps)
@@ -63,7 +73,7 @@ TEST(OrderedIndex, MatchesStdSetUnderRandomOps)
         ++it;
     }
     for (std::uint64_t k = 0; k < 4096; k += 17)
-        EXPECT_EQ(idx.contains(k), model.count(k) == 1) << k;
+        EXPECT_EQ(has(idx, k), model.count(k) == 1) << k;
 }
 
 TEST(OrderedIndex, LowerBoundSemantics)
@@ -72,9 +82,7 @@ TEST(OrderedIndex, LowerBoundSemantics)
     for (const std::uint64_t k : {10u, 20u, 30u, 40u})
         idx.insert(k);
 
-    ASSERT_TRUE(idx.first().valid());
-    EXPECT_EQ(idx.first().key(), 10u);
-
+    ASSERT_TRUE(idx.lowerBound(0).valid());
     EXPECT_EQ(idx.lowerBound(0).key(), 10u);    // before everything
     EXPECT_EQ(idx.lowerBound(10).key(), 10u);   // exact hit
     EXPECT_EQ(idx.lowerBound(11).key(), 20u);   // between keys
@@ -105,31 +113,200 @@ TEST(OrderedIndex, DuplicateInsertAndAbsentEraseAreNoops)
 TEST(OrderedIndex, EraseFreesImmediatelyAccounting)
 {
     OrderedIndex idx;
-    const std::uint64_t headBytes = idx.residentBytes();
-    EXPECT_EQ(headBytes, sizeof(OrderedIndexNode));
+    EXPECT_EQ(idx.residentBytes(), 0u);  // no leaf, no leaf array
 
-    for (std::uint64_t k = 0; k < 100; ++k)
+    // Ascending keys pack whole leaves: 2 * kLeaf + 1 keys take three
+    // of them, so the bytes pin one leaf's size.
+    for (std::uint64_t k = 0; k < 2 * kLeaf; ++k)
         idx.insert(k);
-    EXPECT_EQ(idx.residentBytes(),
-              headBytes + 100 * sizeof(OrderedIndexNode));
+    const std::uint64_t twoLeaves = idx.residentBytes();
+    idx.insert(2 * kLeaf);
+    const std::uint64_t threeLeaves = idx.residentBytes();
+    const std::uint64_t leafBytes = kLeaf * sizeof(std::uint64_t);
+    EXPECT_GE(threeLeaves, twoLeaves + leafBytes);
 
-    // Erase frees the node at once: no retired memory lingers.
-    for (std::uint64_t k = 0; k < 100; k += 2)
+    // Erasing the last leaf's only key frees that leaf at once.
+    idx.erase(2 * kLeaf);
+    EXPECT_EQ(idx.residentBytes(), threeLeaves - leafBytes);
+
+    // Erase frees as it goes: three keys in four out folds the two
+    // quarter-full leaves into one, then the rest frees it.
+    for (std::uint64_t k = 0; k < 2 * kLeaf; ++k)
+        if (k % 4 != 3)
+            idx.erase(k);
+    EXPECT_EQ(idx.entries(), kLeaf / 2);
+    EXPECT_EQ(idx.residentBytes(), threeLeaves - 2 * leafBytes);
+    for (std::uint64_t k = 0; k < 2 * kLeaf; ++k)
+        EXPECT_EQ(has(idx, k), k % 4 == 3) << k;
+    for (std::uint64_t k = 3; k < 2 * kLeaf; k += 4)
         idx.erase(k);
-    EXPECT_EQ(idx.entries(), 50u);
-    EXPECT_EQ(idx.residentBytes(),
-              headBytes + 50 * sizeof(OrderedIndexNode));
-    for (std::uint64_t k = 0; k < 100; ++k)
-        EXPECT_EQ(idx.contains(k), k % 2 == 1) << k;
+    EXPECT_EQ(idx.entries(), 0u);
+    EXPECT_EQ(idx.residentBytes(), 0u);
 
+    // clear() returns to the empty base, and the index stays usable.
+    for (std::uint64_t k = 0; k < 100; ++k)
+        idx.insert(k * 7);
     idx.clear();
     EXPECT_EQ(idx.entries(), 0u);
-    EXPECT_EQ(idx.residentBytes(), headBytes);
-    EXPECT_FALSE(idx.first().valid());
-
-    // The index must stay usable after clear().
+    EXPECT_EQ(idx.residentBytes(), 0u);
+    EXPECT_FALSE(idx.lowerBound(0).valid());
     idx.insert(5);
-    EXPECT_TRUE(idx.contains(5));
+    EXPECT_TRUE(has(idx, 5));
+}
+
+/**
+ * A full leaf splits on the next insert wherever the key lands (its
+ * front, its middle, past its end), and a leaf emptied by erase goes
+ * away -- the first, a middle and the last -- without losing order.
+ */
+TEST(OrderedIndex, LeafSplitAndEmptyLeafBoundaries)
+{
+    for (const std::uint64_t extra : {std::uint64_t(0), kLeaf + 1,
+                                      2 * kLeaf + 1}) {
+        OrderedIndex idx;
+        std::set<std::uint64_t> model;
+        for (std::uint64_t k = 1; k <= kLeaf; ++k) {
+            idx.insert(2 * k);  // exactly one full leaf: 2..2*kLeaf
+            model.insert(2 * k);
+        }
+        const std::uint64_t oneLeaf = idx.residentBytes();
+        idx.insert(extra);
+        model.insert(extra);
+        EXPECT_GT(idx.residentBytes(), oneLeaf) << "no split at " << extra;
+        EXPECT_EQ(allKeys(idx),
+                  std::vector<std::uint64_t>(model.begin(), model.end()));
+        for (const std::uint64_t k : model)
+            EXPECT_TRUE(has(idx, k)) << k;
+        EXPECT_FALSE(has(idx, 3));
+    }
+
+    // Three full leaves from an ascending load, then empty each one.
+    OrderedIndex idx;
+    for (std::uint64_t k = 0; k < 3 * kLeaf; ++k)
+        idx.insert(k);
+    const auto eraseLeaf = [&](std::uint64_t leaf) {
+        for (std::uint64_t k = leaf * kLeaf; k < (leaf + 1) * kLeaf; ++k)
+            idx.erase(k);
+    };
+    eraseLeaf(1);  // a middle leaf
+    EXPECT_EQ(idx.lowerBound(kLeaf).key(), 2 * kLeaf);
+    eraseLeaf(0);  // the first leaf: the next one takes every low key
+    EXPECT_EQ(idx.lowerBound(0).key(), 2 * kLeaf);
+    idx.insert(7);
+    idx.insert(kLeaf + 3);
+    EXPECT_EQ(idx.lowerBound(0).key(), 7u);
+    EXPECT_EQ(idx.lowerBound(8).key(), kLeaf + 3);
+    idx.erase(7);
+    idx.erase(kLeaf + 3);
+    eraseLeaf(2);  // the last leaf: nothing left
+    EXPECT_EQ(idx.entries(), 0u);
+    EXPECT_FALSE(idx.lowerBound(0).valid());
+    EXPECT_EQ(idx.residentBytes(), 0u);
+}
+
+/**
+ * Thinning leaves out must fold them together: rounds of 256 random
+ * inserts, each thinned back to 16 keys, would otherwise leave one
+ * sparse leaf per split behind. Neighbours always hold more than half
+ * a leaf, so 16 keys sit in one leaf.
+ */
+TEST(OrderedIndex, ThinnedLeavesFoldTogether)
+{
+    OrderedIndex idx;
+    std::set<std::uint64_t> model;
+    std::mt19937_64 rng(3);
+    for (int round = 0; round < 200; ++round) {
+        for (int j = 0; j < 256; ++j) {
+            const std::uint64_t k = rng() % 1000000;
+            idx.insert(k);
+            model.insert(k);
+        }
+        while (model.size() > 16) {
+            auto it = model.begin();
+            std::advance(it, std::ptrdiff_t(rng() % model.size()));
+            idx.erase(*it);
+            model.erase(it);
+        }
+        // One leaf, plus the reference array sized for the peak.
+        ASSERT_LE(idx.residentBytes(), kLeaf * 8 + 32 * 24)
+            << "round " << round;
+    }
+    EXPECT_EQ(allKeys(idx),
+              std::vector<std::uint64_t>(model.begin(), model.end()));
+}
+
+/** A cursor walks on from one leaf into the next, and off the end. */
+TEST(OrderedIndex, CursorCrossesLeaves)
+{
+    OrderedIndex idx;
+    std::set<std::uint64_t> model;
+    std::mt19937_64 rng(29);
+    while (model.size() < 10 * kLeaf) {
+        const std::uint64_t k = rng() % 100000;
+        idx.insert(k);
+        model.insert(k);
+    }
+    // Past the last key of whatever leaf lowerBound lands in.
+    for (const std::uint64_t start : {0ull, 33333ull, 99000ull}) {
+        std::vector<std::uint64_t> walked;
+        for (auto c = idx.lowerBound(start); c.valid(); c.advance())
+            walked.push_back(c.key());
+        EXPECT_EQ(walked, std::vector<std::uint64_t>(
+                              model.lower_bound(start), model.end()))
+            << "from " << start;
+    }
+    // lowerBound between the last key of one leaf and the first of
+    // the next resolves to the next leaf's first key.
+    const std::uint64_t last = *model.rbegin();
+    EXPECT_FALSE(idx.lowerBound(last + 1).valid());
+    for (auto it = model.begin(); std::next(it) != model.end(); ++it) {
+        if (*std::next(it) > *it + 1) {
+            ASSERT_EQ(idx.lowerBound(*it + 1).key(), *std::next(it));
+        }
+    }
+}
+
+/** 8192 random keys (a loaded perfbench shard) cost at most 16 B each. */
+TEST(OrderedIndex, RandomKeysCostAtMostSixteenBytesEach)
+{
+    OrderedIndex idx;
+    std::mt19937_64 rng(8192);
+    while (idx.entries() < 8192)
+        idx.insert(rng());
+    EXPECT_LE(idx.residentBytes(), 16 * idx.entries());
+    EXPECT_GE(idx.residentBytes(), 8 * idx.entries());
+}
+
+/**
+ * mergeCursors yields the union of disjoint sorted runs in order,
+ * stops after the limit of accepted keys, and does not count the
+ * keys its taker refuses.
+ */
+TEST(OrderedIndex, MergeCursorsTakesOnlyAcceptedKeys)
+{
+    OrderedIndex a, b;
+    for (std::uint64_t k = 0; k < 3 * kLeaf; ++k)
+        (k % 3 == 0 ? a : b).insert(k);
+    std::vector<OrderedIndex::Cursor> cur{a.lowerBound(10),
+                                          b.lowerBound(10)};
+    std::vector<std::uint64_t> kept;
+    std::size_t offered = 0;
+    index::mergeCursors(cur, 50, [&](std::size_t from, std::uint64_t k) {
+        EXPECT_EQ(from, k % 3 == 0 ? 0u : 1u);
+        ++offered;
+        if (k % 5 == 0)
+            return false;
+        kept.push_back(k);
+        return true;
+    });
+    ASSERT_EQ(kept.size(), 50u);
+    std::uint64_t want = 10;
+    for (const std::uint64_t k : kept) {
+        if (want % 5 == 0)
+            ++want;
+        EXPECT_EQ(k, want++);
+    }
+    EXPECT_EQ(offered, kept.back() - 10 + 1);  // 10..last, once each
 }
 
 } // namespace
@@ -264,9 +441,9 @@ TEST_P(ScanBackends, RecoveryRebuildAgreesWithPointGets)
 
 /**
  * Long put/delete churn with no checkpoint in between: every erased
- * key's node must be freed on the spot, so each shard's index holds
- * exactly its head plus one node per live key. 64 keys keep the slot
- * table far from its tombstone limit.
+ * key's leaf space must be freed on the spot, so after each round's
+ * puts each shard's index holds exactly what the first round's did.
+ * 64 keys keep the slot table far from its tombstone limit.
  */
 TEST_P(ScanBackends, PutDelChurnKeepsIndexBytesFlat)
 {
@@ -277,9 +454,16 @@ TEST_P(ScanBackends, PutDelChurnKeepsIndexBytesFlat)
     kernels::NativeEnv env;
 
     constexpr std::uint64_t kKeys = 64;
+    std::vector<std::uint64_t> loaded;
     for (int round = 0; round < 5000; ++round) {
         for (std::uint64_t k = 0; k < kKeys; ++k)
             store.put(env, k, std::uint64_t(round));
+        for (int s = 0; s < scfg.shards; ++s) {
+            if (round == 0)
+                loaded.push_back(store.indexBytes(s));
+            ASSERT_EQ(store.indexBytes(s), loaded[std::size_t(s)])
+                << "shard " << s << " round " << round;
+        }
         for (std::uint64_t k = 0; k < kKeys; ++k)
             store.del(env, k);
     }
@@ -289,9 +473,7 @@ TEST_P(ScanBackends, PutDelChurnKeepsIndexBytesFlat)
     std::uint64_t entries = 0;
     for (int s = 0; s < scfg.shards; ++s) {
         entries += store.indexEntries(s);
-        EXPECT_EQ(store.indexBytes(s),
-                  (store.indexEntries(s) + 1) *
-                      sizeof(index::OrderedIndexNode))
+        EXPECT_LE(store.indexBytes(s), loaded[std::size_t(s)])
             << "shard " << s;
     }
     EXPECT_EQ(entries, kKeys / 2);

@@ -646,6 +646,40 @@ TEST(TraceRing, SinkSeesEveryPushEvenWhenFull)
     EXPECT_EQ(ring.dropped(), 32u);
 }
 
+TEST(TraceRing, StoragelessRingTeesToItsSinkAndDropsNothing)
+{
+    // Capacity 0 is the untraced server's worker ring: it keeps no
+    // events (no trace file will read them) and so loses none, but
+    // the flight recorder behind it still sees every one.
+    struct CountingSink final : TraceSink
+    {
+        std::uint64_t seen = 0;
+        void record(const TraceEvent &) override { ++seen; }
+    } sink;
+    TraceRing ring(0);
+    EXPECT_EQ(ring.capacity(), 0u);
+    ring.attachSink(&sink);
+    const std::size_t before =
+        g_allocCount.load(std::memory_order_relaxed);
+    for (std::uint64_t i = 1; i <= 40; ++i)
+        EXPECT_FALSE(ring.push(TraceEvent{"e", 0, i, 0, i}));
+    traceInstant(&ring, "i");
+    traceSpanFrom(&ring, "s", nowNs());
+    EXPECT_EQ(g_allocCount.load(std::memory_order_relaxed), before);
+    EXPECT_EQ(sink.seen, 42u);
+    EXPECT_EQ(ring.dropped(), 0u);
+    TraceEvent e;
+    EXPECT_FALSE(ring.pop(e));
+
+    // The same through a collector, as the server builds its rings.
+    TraceCollector tc;
+    TraceRing *r = tc.ring("shard-0", 0, 0);
+    r->attachSink(&sink);
+    traceInstant(r, "i");
+    EXPECT_EQ(sink.seen, 43u);
+    EXPECT_EQ(tc.totalDropped(), 0u);
+}
+
 TEST(Metrics, QuantileFromBuckets)
 {
     // 100 samples: 50 at <=0.001, 40 more at <=0.01, 10 in +Inf.

@@ -1457,6 +1457,68 @@ TEST(ServerBasic, IdleShardServesReadsOnTheAcceptor)
     std::filesystem::remove_all(dir);
 }
 
+/**
+ * An inline SCAN merges the shards' index cursors and resolves only
+ * the keys its reply carries: each shard records one scan_len sample
+ * of the records it contributed, so across shards the samples add up
+ * to the records returned (a shard that resolved its own `limit`
+ * records would count up to 4x as many).
+ */
+TEST(ServerBasic, InlineScanLenSamplesSumToItsRecords)
+{
+    const std::string dir = makeTempDir();
+    ASSERT_FALSE(dir.empty());
+    ServerConfig cfg;
+    cfg.dataDir = dir;
+    cfg.shards = 4;
+    cfg.quiet = true;
+    cfg.scrubIntervalMs = 0;
+    Server srv(cfg);
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    for (std::uint64_t k = 0; k < 200; ++k) {
+        const auto r = c.put(k, k + 1, 10000);
+        ASSERT_TRUE(r && r->status == Status::Ok);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+
+    // (sum, count) of scan_len over every shard.
+    const auto scanLen = [&] {
+        stats::Snapshot snap;
+        EXPECT_TRUE(obs::parseExposition(srv.metricsText(), snap));
+        std::pair<double, double> out{0.0, 0.0};
+        for (int s = 0; s < cfg.shards; ++s) {
+            const std::string lab = "{shard=\"" + std::to_string(s) + "\"}";
+            out.first += snap.at("lp_scan_len_sum" + lab);
+            out.second += snap.at("lp_scan_len_count" + lab);
+        }
+        return out;
+    };
+    const double scans0 = statOf(srv, "scans_inline");
+    const auto before = scanLen();
+    std::uint64_t returned = 0;
+    for (const std::uint32_t limit : {1u, 10u, 64u}) {
+        const auto s = c.scan(50, limit, 10000);
+        ASSERT_TRUE(s.has_value());
+        ASSERT_EQ(s->size(), limit);
+        for (std::uint32_t i = 0; i < limit; ++i) {
+            EXPECT_EQ((*s)[i].key, 50 + i);
+            EXPECT_EQ((*s)[i].value, 51 + i);
+        }
+        returned += limit;
+    }
+    const auto after = scanLen();
+    EXPECT_EQ(statOf(srv, "scans_inline") - scans0, 3.0);
+    EXPECT_EQ(after.first - before.first, double(returned));
+    EXPECT_EQ(after.second - before.second, 3.0 * cfg.shards);
+
+    c.close();
+    srv.stop();
+    std::filesystem::remove_all(dir);
+}
+
 namespace
 {
 

@@ -33,14 +33,32 @@ using namespace lp::server;
 namespace
 {
 
-std::string
-makeTempDir()
+/**
+ * A fresh data directory under /tmp, removed with everything in it
+ * (shard files, decision log) when the test leaves its scope by any
+ * path. Declared before the test's Server, so it outlives it.
+ */
+struct TempDir
 {
-    char tmpl[] = "/tmp/lpserver-txn-XXXXXX";
-    const char *d = ::mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
+    TempDir()
+    {
+        char tmpl[] = "/tmp/lpserver-txn-XXXXXX";
+        const char *d = ::mkdtemp(tmpl);
+        EXPECT_NE(d, nullptr);
+        path = d ? d : "";
+    }
+
+    ~TempDir()
+    {
+        if (!path.empty())
+            std::filesystem::remove_all(path);
+    }
+
+    TempDir(const TempDir &) = delete;
+    TempDir &operator=(const TempDir &) = delete;
+
+    std::string path;
+};
 
 void
 connectToServer(Client &c, const std::string &dataDir)
@@ -76,7 +94,8 @@ class ServerTxnBackends
  */
 TEST_P(ServerTxnBackends, CommitsAndReadsOverTheWire)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
     cfg.shards = 4;
@@ -127,7 +146,8 @@ TEST_P(ServerTxnBackends, CommitsAndReadsOverTheWire)
 
 TEST_P(ServerTxnBackends, OutOfRangeKeyIsRejected)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
     cfg.shards = 2;
@@ -159,7 +179,8 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ServerTxnBackends,
  */
 TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
     cfg.shards = 1;
@@ -222,7 +243,8 @@ TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
  */
 TEST(ServerTxnIsolation, ScansNeverSeePartialTransfers)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
     cfg.shards = 4;
@@ -406,7 +428,8 @@ statOf(Server &srv, const std::string &field, int shard = -1)
  */
 TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
     cfg.shards = 2;
@@ -511,7 +534,6 @@ TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
     EXPECT_EQ(gb->value, 1u);
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 } // namespace

@@ -21,10 +21,17 @@ must carry:
     fig11     bench_fig11_periodic_flush: Figure 11's windowed tmm
               cycles and NVMM writes without a cleaner (base, LP,
               EagerRecompute) and for LP at each cleaner period
-    fig12     bench_fig12_exec_time: Figure 12's cycles and NVMM
-              writes per kernel for base, LP and EagerRecompute
-    fig13     bench_fig13_write_amp: Figure 13's NVMM writes and
-              reads per kernel for base, LP and EagerRecompute
+    fig12     bench_fig12_exec_time (its first report): Figure 12's
+              cycles and NVMM writes per kernel for base, LP and
+              EagerRecompute
+    fig13     bench_fig12_exec_time (its second report): Figure 13's
+              NVMM writes and reads per kernel for base, LP and
+              EagerRecompute, from the same fifteen runs
+    recovery_time
+              bench_recovery_time: recovery + resume cycles and the
+              regions matched and repaired after a mid-run tmm crash,
+              per cleaner period and per tile size, with each tile
+              size's base and LP cycles
 
 Every gate is deterministic: for a given command the values are the
 same on every run and every machine. The result is the JSON object on
@@ -52,7 +59,7 @@ def main():
     ap.add_argument("result", help="result file ('-' for stdin)")
     ap.add_argument("--gate", default="sim_gate",
                     choices=("sim_gate", "fig10", "table6", "fig11",
-                             "fig12", "fig13"),
+                             "fig12", "fig13", "recovery_time"),
                     help="compare with tools/<gate>_golden.json")
     args = ap.parse_args()
     golden_path = os.path.join(HERE, args.gate + "_golden.json")
