@@ -78,6 +78,8 @@
 #include <string>
 #include <vector>
 
+#include "txn/protocol.hh"
+
 namespace lp::server
 {
 
@@ -143,20 +145,9 @@ struct ScanRecord
     std::uint64_t value;
 };
 
-/** One sub-op inside a TXN request. */
-struct TxnOp
-{
-    enum class Kind : std::uint8_t
-    {
-        Get = 1,
-        Put = 2,
-        Del = 3,
-        Add = 4,  ///< atomic delta (wrapping u64; absent key reads 0)
-    };
-    Kind kind = Kind::Get;
-    std::uint64_t key = 0;
-    std::uint64_t value = 0;  ///< Put: value; Add: delta; else unused
-};
+/** One sub-op inside a TXN request; its Kind values are the wire
+ *  encoding. */
+using TxnOp = txn::Op;
 
 /** One get result inside a committed TXN response body. */
 struct TxnRead

@@ -42,6 +42,7 @@
 #include "txn/decision_log.hh"
 #include "txn/lock_table.hh"
 #include "txn/prepare_log.hh"
+#include "txn/protocol.hh"
 #include "txn/recovery.hh"
 
 namespace lp::server
@@ -189,11 +190,8 @@ struct TxnCtx
     {
         int shard = 0;
         std::vector<std::uint32_t> ops;  ///< indices into ctx.ops
-        bool hasWrites = false;
 
-        /** Lock plan: distinct keys ascending, write if any mutation. */
-        std::vector<std::uint64_t> lockKeys;
-        std::vector<txn::LockMode> lockModes;
+        txn::LockPlan locks;
 
         // Filled by the owning worker:
         bool prepared = false;
@@ -394,7 +392,7 @@ struct Server::Impl
         {
             std::shared_ptr<TxnCtx> ctx;
             std::size_t part = 0;
-            std::size_t next = 0;  ///< lockKeys index being awaited
+            std::size_t next = 0;  ///< locks.keys index being awaited
         };
         std::unordered_map<txn::TxnId, ParkedTxn> parked;
 
@@ -420,18 +418,8 @@ struct Server::Impl
          */
         std::deque<OpItem> deferred;
 
-        /**
-         * Applied PREPARE slots awaiting their durability gate: a
-         * slot may be freed only once the shard's durable epoch
-         * covers the marker epoch, because the free store is itself
-         * lazy (see txn/prepare_log.hh).
-         */
-        struct SlotFree
-        {
-            std::size_t slot = 0;
-            std::uint64_t epoch = 0;
-        };
-        std::vector<SlotFree> slotFrees;
+        /** Applied PREPARE slots awaiting their durability gate. */
+        txn::GatedFrees frees;
 
         /**
          * Acks awaiting their epoch's commit, in staging order (so
@@ -554,7 +542,6 @@ struct Server::Impl
     void releaseAck(Worker &w, Worker::Pending &p);
     void releaseCommitted(Worker &w);
     std::int64_t nsToAckDeadline(const Worker &w) const;
-    void sweepSlotFrees(Worker &w);
     static bool deferrable(OpItem::Kind k);
     bool deferNow(Worker &w, const OpItem &op) const;
     void dispatchOp(Worker &w, OpItem &op);
@@ -585,6 +572,7 @@ struct Server::Impl
                         std::size_t partIdx);
     void commitTxnFast(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
                        TxnCtx::Part &part);
+    void finishFastTxn(Worker &w, const TxnCtx &ctx, std::string body);
     void routeTxn(Conn &c, Request &req);
     void drainTxnEvents();
     void finishTxn(const std::shared_ptr<TxnCtx> &ctx);

@@ -10,8 +10,6 @@
 
 #include <sys/stat.h>
 
-#include <algorithm>
-#include <map>
 #include <optional>
 
 #include "base/logging.hh"
@@ -82,8 +80,8 @@ Server::Impl::abortParked(Worker &w, txn::TxnId id,
     // lock table already removed the killed waiter entry.)
     w.lockTable.releaseAll(
         id,
-        {part.lockKeys.begin(),
-         part.lockKeys.begin() + std::ptrdiff_t(pk.next)},
+        {part.locks.keys.begin(),
+         part.locks.keys.begin() + std::ptrdiff_t(pk.next)},
         ev);
     abortTxnPart(w, pk.ctx, pk.part, false);
 }
@@ -100,10 +98,10 @@ Server::Impl::acquireTxnLocks(Worker &w,
                               txn::LockTable::Events &ev)
 {
     const TxnCtx::Part &part = ctx->parts[partIdx];
-    for (; next < part.lockKeys.size(); ++next) {
+    for (; next < part.locks.keys.size(); ++next) {
         const auto got =
-            w.lockTable.acquire(ctx->txnid, part.lockKeys[next],
-                                part.lockModes[next]);
+            w.lockTable.acquire(ctx->txnid, part.locks.keys[next],
+                                part.locks.modes[next]);
         if (got == txn::Acquire::Granted)
             continue;
         if (got == txn::Acquire::Waiting) {
@@ -114,8 +112,8 @@ Server::Impl::acquireTxnLocks(Worker &w,
         // Wait-die says die: drop what we hold and abort.
         w.lockTable.releaseAll(
             ctx->txnid,
-            {part.lockKeys.begin(),
-             part.lockKeys.begin() + std::ptrdiff_t(next)},
+            {part.locks.keys.begin(),
+             part.locks.keys.begin() + std::ptrdiff_t(next)},
             ev);
         abortTxnPart(w, ctx, partIdx, false);
         return false;
@@ -146,11 +144,9 @@ Server::Impl::abortTxnPart(Worker &w,
 }
 
 /**
- * Locks held: resolve this part's ops in wire order against an
- * overlay (read-your-writes; Add deltas become concrete values;
- * last write per key wins, first-write order), fill the
- * transaction's read slots, then run the single-shard fast path
- * or publish the PREPARE vote.
+ * Locks held: resolve this part's ops (txn::resolve) into its
+ * write-set, fill the transaction's read slots, then run the
+ * single-shard fast path or publish the PREPARE vote.
  */
 void
 Server::Impl::prepareTxnPart(Worker &w,
@@ -158,85 +154,32 @@ Server::Impl::prepareTxnPart(Worker &w,
                              std::size_t partIdx)
 {
     TxnCtx::Part &part = ctx->parts[partIdx];
+    part.writes = txn::resolve(
+        ctx->ops, part.ops,
+        [&](std::uint64_t key) { return w.kv->get(w.env, key); },
+        [&](std::uint32_t i, const std::optional<std::uint64_t> &v) {
+            ctx->reads[std::size_t(ctx->readSlot[i])] =
+                TxnRead{v.has_value(), v.value_or(0)};
+        });
 
     // Quarantine backstop on the owning thread (the acceptor's
     // precheck can race with a scrub discovering corruption).
-    if (part.hasWrites && w.kv->quarantined(0)) {
-        txn::LockTable::Events ev;
-        w.lockTable.releaseAll(ctx->txnid, part.lockKeys, ev);
-        abortTxnPart(w, ctx, partIdx, true);
-        serviceLockEvents(w, std::move(ev));
-        return;
-    }
-
-    std::unordered_map<std::uint64_t,
-                       std::optional<std::uint64_t>>
-        overlay;
-    std::vector<std::uint64_t> writeOrder;
-    const auto current =
-        [&](std::uint64_t key) -> std::optional<std::uint64_t> {
-        const auto it = overlay.find(key);
-        if (it != overlay.end())
-            return it->second;
-        return w.kv->get(w.env, key);
-    };
-    const auto noteWrite = [&](std::uint64_t key) {
-        if (overlay.find(key) == overlay.end())
-            writeOrder.push_back(key);
-    };
-    for (const auto opIdx : part.ops) {
-        const TxnOp &op = ctx->ops[opIdx];
-        switch (op.kind) {
-          case TxnOp::Kind::Get: {
-            const auto v = current(op.key);
-            ctx->reads[std::size_t(ctx->readSlot[opIdx])] =
-                TxnRead{v.has_value(), v.value_or(0)};
-            break;
-          }
-          case TxnOp::Kind::Put:
-            noteWrite(op.key);
-            overlay[op.key] = op.value;
-            break;
-          case TxnOp::Kind::Del:
-            noteWrite(op.key);
-            overlay[op.key] = std::nullopt;
-            break;
-          case TxnOp::Kind::Add: {
-            const auto v = current(op.key);
-            noteWrite(op.key);
-            overlay[op.key] = v.value_or(0) + op.value;
-            break;
-          }
-        }
-    }
-    part.writes.clear();
-    for (const auto key : writeOrder) {
-        const auto &val = overlay[key];
-        part.writes.push_back(txn::WriteOp{key, val.value_or(0),
-                                           !val.has_value()});
-    }
-
-    if (ctx->fastPath) {
+    const bool faulted = !part.writes.empty() && w.kv->quarantined(0);
+    if (!faulted && ctx->fastPath) {
         commitTxnFast(w, ctx, part);
         return;
     }
-
+    std::size_t slot = 0;
+    if (!faulted && !part.writes.empty())
+        slot = txn::allocSlot(w.env, *w.kv, 0, *w.plog, w.frees);
+    if (faulted || slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
+        txn::LockTable::Events ev;
+        w.lockTable.releaseAll(ctx->txnid, part.locks.keys, ev);
+        abortTxnPart(w, ctx, partIdx, faulted);
+        serviceLockEvents(w, std::move(ev));
+        return;
+    }
     if (!part.writes.empty()) {
-        std::size_t slot = w.plog->alloc(w.env);
-        if (slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
-            // Pressure valve: a checkpoint makes every gated
-            // free eligible; then retry once.
-            w.kv->checkpoint(w.env);
-            sweepSlotFrees(w);
-            slot = w.plog->alloc(w.env);
-        }
-        if (slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
-            txn::LockTable::Events ev;
-            w.lockTable.releaseAll(ctx->txnid, part.lockKeys, ev);
-            abortTxnPart(w, ctx, partIdx, false);
-            serviceLockEvents(w, std::move(ev));
-            return;
-        }
         w.plog->publish(w.env, slot, ctx->txnid,
                         part.writes.data(), part.writes.size());
         part.slot = slot;
@@ -248,11 +191,9 @@ Server::Impl::prepareTxnPart(Worker &w,
 
 /**
  * Single-shard fast path: stage the whole write-set as one epoch
- * -- the backend's epoch atomicity (LP discards unsealed batches,
- * WAL rolls back incomplete ones) is then the transaction
- * atomicity, with no prepare slot, no decision record, and no
- * eager protocol flush. This is where LP's commit-latency win
- * over WAL must survive. The reply and the lock release both
+ * (txn::stageOneEpoch), with no prepare slot, no decision record,
+ * and no eager protocol flush. This is where LP's commit-latency
+ * win over WAL must survive. The reply and the lock release both
  * wait for the epoch commit (releaseAck).
  */
 void
@@ -262,41 +203,34 @@ Server::Impl::commitTxnFast(Worker &w,
 {
     std::string body = encodeTxnReadsBody(ctx->reads);
     if (part.writes.empty()) {
-        // Read-only: nothing to persist, reply straight away.
-        txn::LockTable::Events ev;
-        w.lockTable.releaseAll(ctx->txnid, part.lockKeys, ev);
-        Response r;
-        r.status = Status::Ok;
-        r.id = ctx->reqId;
-        r.body = std::move(body);
-        postReply(ctx->connId, std::move(r));
-        w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
-        w.txnCommitNs.record(obs::nowNs() - ctx->tStartNs);
-        serviceLockEvents(w, std::move(ev));
+        // Read-only: nothing to persist, commit straight away.
+        finishFastTxn(w, *ctx, std::move(body));
         return;
     }
-    // Pre-flush so the write-set cannot straddle an epoch seal
-    // (stage() auto-commits WITH the filling op included, so
-    // staged + writes <= batchOps keeps us in one epoch).
-    engine::CommitPipeline &pl = w.kv->pipeline(0);
-    if (pl.stagedOps() > 0 &&
-        pl.stagedOps() + part.writes.size() >
-            std::size_t(cfg.batchOps))
-        w.kv->commitBatches(w.env);
-    std::uint64_t epoch = 0;
-    for (const auto &wr : part.writes) {
-        epoch = wr.del ? w.kv->del(w.env, wr.key)
-                       : w.kv->put(w.env, wr.key, wr.value);
-        w.statMuts.fetch_add(1, std::memory_order_relaxed);
-    }
-    Worker::Pending p;
-    p.connId = ctx->connId;
-    p.reqId = ctx->reqId;
-    p.epoch = epoch;
-    p.tStagedNs = obs::nowNs();
-    p.txn = ctx;
-    p.txnBody = std::move(body);
-    w.pending.push_back(std::move(p));
+    const std::uint64_t epoch =
+        txn::stageOneEpoch(w.env, *w.kv, 0, part.writes);
+    w.statMuts.fetch_add(part.writes.size(), std::memory_order_relaxed);
+    w.pending.push_back(Worker::Pending{ctx->connId, ctx->reqId, epoch,
+                                        obs::nowNs(), 0, nullptr, ctx,
+                                        std::move(body)});
+}
+
+/** A fast-path TXN committed: reply with its reads @p body, then
+ *  release its locks. */
+void
+Server::Impl::finishFastTxn(Worker &w, const TxnCtx &ctx,
+                            std::string body)
+{
+    Response r;
+    r.status = Status::Ok;
+    r.id = ctx.reqId;
+    r.body = std::move(body);
+    postReply(ctx.connId, std::move(r));
+    w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
+    w.txnCommitNs.record(obs::nowNs() - ctx.tStartNs);
+    txn::LockTable::Events ev;
+    w.lockTable.releaseAll(ctx.txnid, ctx.parts[0].locks.keys, ev);
+    serviceLockEvents(w, std::move(ev));
 }
 
 /**
@@ -340,12 +274,14 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     ctx->ops = std::move(req.txn);
     ctx->readSlot.assign(ctx->ops.size(), -1);
     // Split ops by shard into parts (wire order preserved
-    // within a part) and count writes for the path choice.
+    // within a part), each with its lock plan.
+    const auto shardOf = [&](std::uint64_t key) {
+        return routeShard(key, cfg.shards);
+    };
     std::unordered_map<int, std::size_t> partOf;
-    std::size_t nWrites = 0;
     for (std::size_t i = 0; i < ctx->ops.size(); ++i) {
         const TxnOp &t = ctx->ops[i];
-        const int shard = routeShard(t.key, cfg.shards);
+        const int shard = shardOf(t.key);
         const auto [pit, fresh] =
             partOf.try_emplace(shard, ctx->parts.size());
         if (fresh) {
@@ -357,35 +293,12 @@ Server::Impl::routeTxn(Conn &c, Request &req)
         if (t.kind == TxnOp::Kind::Get) {
             ctx->readSlot[i] = int(ctx->reads.size());
             ctx->reads.emplace_back();
-        } else {
-            part.hasWrites = true;
-            ++nWrites;
         }
     }
-    // Lock plan per part: keys sorted ascending, mode = max
-    // over the part's ops on that key (ordered map dedups).
-    for (auto &part : ctx->parts) {
-        std::map<std::uint64_t, txn::LockMode> modes;
-        for (const auto opIdx : part.ops) {
-            const TxnOp &t = ctx->ops[opIdx];
-            txn::LockMode &m = modes[t.key];
-            if (t.kind != TxnOp::Kind::Get)
-                m = txn::LockMode::Write;
-        }
-        for (const auto &[key, mode] : modes) {
-            part.lockKeys.push_back(key);
-            part.lockModes.push_back(mode);
-        }
-    }
-    // Fast path: single shard, and the write-set fits one
-    // epoch of a batching backend (eager persists per op, so
-    // it can never make a multi-write set crash-atomic
-    // without the prepare/decision protocol).
+    for (auto &part : ctx->parts)
+        part.locks = txn::lockPlan(ctx->ops, part.ops);
     ctx->fastPath =
-        ctx->parts.size() == 1 &&
-        (nWrites == 0 ||
-         (cfg.backend != store::Backend::EagerPerOp &&
-          nWrites <= std::size_t(cfg.batchOps)));
+        txn::fastPath(ctx->ops, shardOf, cfg.backend, cfg.batchOps);
     ctx->votesLeft = int(ctx->parts.size());
     const std::uint64_t tEnq = obs::nowNs();
     for (std::size_t i = 0; i < ctx->parts.size(); ++i) {

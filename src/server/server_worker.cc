@@ -87,7 +87,8 @@ Server::Impl::openStore(Worker &w)
     }
 }
 
-/** Acknowledge one released mutation (direct op or BATCH part). */
+/** Acknowledge one released pending entry: a PUT/DEL, a BATCH
+ *  sub-op, a fast-path TXN, or an applied TXN part. */
 void
 Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
 {
@@ -109,17 +110,7 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
         // transaction could commit against values a crash might
         // still have discarded with the unsealed batch).
         w.commitWaitNs.record(waitDt);
-        Response r;
-        r.status = Status::Ok;
-        r.id = p.reqId;
-        r.body = std::move(p.txnBody);
-        postReply(p.connId, std::move(r));
-        w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
-        w.txnCommitNs.record(obs::nowNs() - p.txn->tStartNs);
-        txn::LockTable::Events ev;
-        w.lockTable.releaseAll(
-            p.txn->txnid, p.txn->parts[0].lockKeys, ev);
-        serviceLockEvents(w, std::move(ev));
+        finishFastTxn(w, *p.txn, std::move(p.txnBody));
         return;
     }
     if (p.connId == 0)
@@ -159,7 +150,7 @@ Server::Impl::releaseCommitted(Worker &w)
         releaseAck(w, w.pending.front());
         w.pending.pop_front();
     }
-    sweepSlotFrees(w);
+    w.frees.sweep(w.env, *w.kv, 0, *w.plog);
     w.statCommittedEpoch.store(ce, std::memory_order_relaxed);
     // Seal the flight recorder on the epoch-commit cadence: the
     // watermark publish is one header write, and riding commits
@@ -177,25 +168,6 @@ Server::Impl::nsToAckDeadline(const Worker &w) const
 {
     return std::int64_t(w.pending.front().tStagedNs +
                         cfg.flushDeadlineUs * 1000 - obs::nowNs());
-}
-
-/** Free applied slots whose marker epoch the shard has made
- *  durable (the lazy-free gate of txn/prepare_log.hh). The gate
- *  is the pipeline's volatile durable watermark: it matches the
- *  superblock's for LP/WAL but, unlike it, also advances for the
- *  eager backend, whose in-place per-op persists never fold. */
-void
-Server::Impl::sweepSlotFrees(Worker &w)
-{
-    if (w.slotFrees.empty())
-        return;
-    const std::uint64_t durable = w.kv->pipeline(0).foldedEpoch();
-    std::erase_if(w.slotFrees, [&](const Worker::SlotFree &f) {
-        if (durable < f.epoch)
-            return false;
-        w.plog->free(w.env, f.slot);
-        return true;
-    });
 }
 
 /// Can this kind join Worker::deferred? Single-key Gets bypass
@@ -416,23 +388,23 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // once unlocked keys are externally visible, a crash must
         // roll forward, never re-run a half-superseded apply.
         TxnCtx::Part &part = op.txn->parts[op.part];
-        std::uint64_t epoch = 0;
-        for (const auto &wr : part.writes) {
-            epoch = wr.del ? w.kv->del(w.env, wr.key)
-                           : w.kv->put(w.env, wr.key, wr.value);
-            w.statMuts.fetch_add(1, std::memory_order_relaxed);
+        if (!part.writes.empty()) {
+            std::uint64_t epoch = 0;
+            for (const auto &wr : part.writes)
+                epoch = txn::stageWrite(w.env, *w.kv, wr);
+            w.statMuts.fetch_add(part.writes.size(),
+                                 std::memory_order_relaxed);
+            // One internal ack for the part, at its last epoch: the
+            // one the deadline commit has to reach.
             w.pending.push_back(Worker::Pending{
                 0, 0, epoch, obs::nowNs(), op.txn->traceId,
                 nullptr, nullptr, {}});
-        }
-        if (!part.writes.empty()) {
             w.plog->markApplied(w.env, part.slot, epoch);
-            w.slotFrees.push_back(
-                Worker::SlotFree{part.slot, epoch});
+            w.frees.add(part.slot, epoch);
             --w.unappliedTxns;
         }
         txn::LockTable::Events ev;
-        w.lockTable.releaseAll(op.txn->txnid, part.lockKeys, ev);
+        w.lockTable.releaseAll(op.txn->txnid, part.locks.keys, ev);
         serviceLockEvents(w, std::move(ev));
         return;
       }
@@ -447,7 +419,7 @@ Server::Impl::processOp(Worker &w, OpItem &op)
             --w.unappliedTxns;
         }
         txn::LockTable::Events ev;
-        w.lockTable.releaseAll(op.txn->txnid, part.lockKeys, ev);
+        w.lockTable.releaseAll(op.txn->txnid, part.locks.keys, ev);
         serviceLockEvents(w, std::move(ev));
         return;
       }

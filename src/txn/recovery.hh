@@ -40,6 +40,7 @@
 #include "store/kv_store.hh"
 #include "txn/decision_log.hh"
 #include "txn/prepare_log.hh"
+#include "txn/protocol.hh"
 
 namespace lp::txn
 {
@@ -130,9 +131,7 @@ recoverTxns(Env &env, store::KvStore<Env> &kv,
         PrepareLog<Env> &pl = *plogs[std::size_t(p.shard)];
         std::uint64_t epoch = 0;
         for (std::size_t i = 0; i < p.nOps; ++i) {
-            const WriteOp op = pl.op(env, p.slot, i);
-            epoch = op.del ? kv.del(env, op.key)
-                           : kv.put(env, op.key, op.value);
+            epoch = stageWrite(env, kv, pl.op(env, p.slot, i));
             ++rep.opsReplayed;
         }
         pl.markApplied(env, p.slot, epoch);

@@ -7,20 +7,22 @@
  * applies, applied markers, and gated slot frees.
  *
  * This is the same protocol lp::server's acceptor/worker split runs
- * across threads, collapsed into one call stack so the crash matrix
- * can kill it at every named step (the Hook) and the sim can account
- * every persistent store. Two commit paths:
+ * across threads, from the same txn/protocol.hh, collapsed into one
+ * call stack so the crash matrix can kill it at every named step (the
+ * Hook) and the sim can account every persistent store. Two commit
+ * paths, chosen by txn::fastPath():
  *
- *  - Fast path (single participant shard, batching backend, write
- *    count fits one epoch): writes are staged as one epoch, which the
+ *  - Fast path (every op on one shard, batching backend, write ops
+ *    fit one epoch): writes are staged as one epoch, which the
  *    backend already makes crash-atomic (LP discards unsealed
  *    batches, WAL rolls back incomplete ones). No prepare, no
  *    decision record: commit latency is one lazy stage -- this is
  *    where LP's latency win over WAL must survive, so single-shard
  *    transactions must not pay eager protocol writes.
- *  - General path (cross-shard, forced, or the eager backend, whose
- *    per-op persists have no batch atomicity): PREPARE per
- *    participant, one DecisionLog append, then lazy applies.
+ *  - General path (ops on several shards, more write ops than one
+ *    epoch holds, forced, or the eager backend, whose per-op
+ *    persists have no batch atomicity): PREPARE per shard with
+ *    writes, one DecisionLog append, then lazy applies.
  *
  * Read semantics: ops execute in order against an overlay, so a Get
  * after a Put/Add in the same transaction sees the transaction's own
@@ -41,8 +43,8 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <numeric>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -51,6 +53,7 @@
 #include "txn/decision_log.hh"
 #include "txn/lock_table.hh"
 #include "txn/prepare_log.hh"
+#include "txn/protocol.hh"
 #include "txn/recovery.hh"
 
 namespace lp::txn
@@ -93,19 +96,7 @@ class TxnKv
     /** May throw pmem::CrashException to simulate dying there. */
     using Hook = std::function<void(Step)>;
 
-    struct Op
-    {
-        enum class Kind : std::uint8_t
-        {
-            Get,
-            Put,
-            Del,
-            Add,  ///< value is a two's-complement delta; absent = 0
-        };
-        Kind kind = Kind::Get;
-        std::uint64_t key = 0;
-        std::uint64_t value = 0;
-    };
+    using Op = txn::Op;
 
     struct Result
     {
@@ -123,6 +114,7 @@ class TxnKv
             plogs_.emplace_back(arena, cfg.prepareSlots, attach);
         dlog_.emplace(arena, cfg.decisionEntries, attach);
         locks_.resize(std::size_t(cfg.store.shards));
+        frees_.resize(std::size_t(cfg.store.shards));
     }
 
     store::KvStore<Env> &kv() { return kv_; }
@@ -142,100 +134,48 @@ class TxnKv
                   "transaction op count out of range");
         const TxnId id = nextTxn_++;
         Result res;
+        std::vector<std::uint32_t> all(ops.size());
+        std::iota(all.begin(), all.end(), 0u);
 
-        // Lock set: one mode per distinct key, write if any mutation.
-        std::map<std::uint64_t, LockMode> modes;
-        for (const auto &op : ops) {
-            auto &m = modes[op.key];
-            if (op.kind != Op::Kind::Get)
-                m = LockMode::Write;
-        }
-        std::vector<std::uint64_t> held;
-        for (const auto &[key, mode] : modes) {
-            const auto got =
-                lockTable(key).acquire(id, key, mode);
+        const LockPlan locks = lockPlan(ops, all);
+        for (std::size_t i = 0; i < locks.keys.size(); ++i) {
+            const auto got = lockTable(locks.keys[i])
+                                 .acquire(id, locks.keys[i],
+                                          locks.modes[i]);
             LP_ASSERT(got == Acquire::Granted,
                       "embedded txn lock conflict (single-threaded)");
-            held.push_back(key);
         }
-
-        // Resolve ops in order against an overlay: read-your-writes,
-        // Add deltas become concrete values, last write per key wins.
-        std::unordered_map<std::uint64_t,
-                           std::optional<std::uint64_t>>
-            overlay;
-        std::vector<std::uint64_t> writeOrder;  // first-write order
-        const auto current =
-            [&](std::uint64_t key) -> std::optional<std::uint64_t> {
-            const auto it = overlay.find(key);
-            if (it != overlay.end())
-                return it->second;
-            return kv_.get(env, key);
-        };
-        const auto noteWrite = [&](std::uint64_t key) {
-            if (overlay.find(key) == overlay.end())
-                writeOrder.push_back(key);
-        };
-        for (const auto &op : ops) {
-            switch (op.kind) {
-              case Op::Kind::Get: {
-                const auto v = current(op.key);
-                res.reads.emplace_back(v.has_value(),
-                                       v.value_or(0));
-                break;
-              }
-              case Op::Kind::Put:
-                noteWrite(op.key);
-                overlay[op.key] = op.value;
-                break;
-              case Op::Kind::Del:
-                noteWrite(op.key);
-                overlay[op.key] = std::nullopt;
-                break;
-              case Op::Kind::Add: {
-                const auto v = current(op.key);
-                noteWrite(op.key);
-                overlay[op.key] = v.value_or(0) + op.value;
-                break;
-              }
-            }
-        }
-
-        // Per-shard resolved write-sets, keys in first-write order.
-        std::map<int, std::vector<WriteOp>> writes;
-        std::size_t nWrites = 0;
-        for (const auto key : writeOrder) {
-            const auto &val = overlay[key];
-            WriteOp w;
-            w.key = key;
-            w.del = !val.has_value();
-            w.value = val.value_or(0);
-            writes[kv_.shardOf(key)].push_back(w);
-            ++nWrites;
-        }
-
+        const std::vector<WriteOp> writes = resolve(
+            ops, all,
+            [&](std::uint64_t key) { return kv_.get(env, key); },
+            [&](std::uint32_t, const std::optional<std::uint64_t> &v) {
+                res.reads.emplace_back(v.has_value(), v.value_or(0));
+            });
         if (hook)
             hook(Step::PrePrepare);
 
+        const auto shardOf = [&](std::uint64_t key) {
+            return kv_.shardOf(key);
+        };
         if (writes.empty()) {
-            releaseLocks(id, held);
-            res.committed = true;
-            return res;
-        }
-
-        const bool fastPath =
-            !forceGeneral && writes.size() == 1 &&
-            backend_ != store::Backend::EagerPerOp &&
-            nWrites <= std::size_t(cfg_.store.batchOps);
-        if (fastPath) {
-            commitFast(env, writes.begin()->first,
-                       writes.begin()->second);
+            // Read-only: nothing to make durable on either path.
+        } else if (!forceGeneral &&
+                   fastPath(ops, shardOf, backend_,
+                            cfg_.store.batchOps)) {
+            stageOneEpoch(env, kv_, shardOf(writes.front().key),
+                          writes);
         } else {
             commitGeneral(env, id, writes, hook);
         }
         res.committed = true;
-        releaseLocks(id, held);
-        sweepFrees(env);
+        LockTable::Events ev;
+        for (const auto k : locks.keys)
+            lockTable(k).release(id, k, ev);
+        LP_ASSERT(ev.granted.empty() && ev.died.empty(),
+                  "embedded txn released onto waiters");
+        for (int s = 0; s < cfg_.store.shards; ++s)
+            frees_[std::size_t(s)].sweep(env, kv_, s,
+                                         plogs_[std::size_t(s)]);
         return res;
     }
 
@@ -249,7 +189,8 @@ class TxnKv
     {
         const auto kvRep = kv_.recover(env);
         locks_.assign(std::size_t(cfg_.store.shards), LockTable{});
-        pendingFrees_.clear();
+        for (auto &f : frees_)
+            f.clear();
         const std::uint64_t decMax = dlog_->scan(env);
         std::vector<PrepareLog<Env> *> pls;
         for (auto &pl : plogs_)
@@ -266,43 +207,41 @@ class TxnKv
     checkpoint(Env &env)
     {
         kv_.checkpoint(env);
-        sweepFrees(env);
+        for (int s = 0; s < cfg_.store.shards; ++s)
+            frees_[std::size_t(s)].sweep(env, kv_, s,
+                                         plogs_[std::size_t(s)]);
     }
 
     /** Prepare slots awaiting their durability gate (tests). */
-    std::size_t pendingSlotFrees() const { return pendingFrees_.size(); }
+    std::size_t
+    pendingSlotFrees() const
+    {
+        std::size_t n = 0;
+        for (const auto &f : frees_)
+            n += f.size();
+        return n;
+    }
 
   private:
     void
-    commitFast(Env &env, int shard, const std::vector<WriteOp> &ws)
-    {
-        // Pre-flush so the whole write-set lands in ONE epoch: the
-        // backend's per-epoch atomicity is then the txn atomicity.
-        auto &pl = kv_.pipeline(shard);
-        if (pl.stagedOps() > 0 &&
-            pl.stagedOps() + ws.size() >
-                std::size_t(cfg_.store.batchOps))
-            kv_.commitBatches(env);
-        for (const auto &w : ws) {
-            if (w.del)
-                kv_.del(env, w.key);
-            else
-                kv_.put(env, w.key, w.value);
-        }
-    }
-
-    void
-    commitGeneral(Env &env, TxnId id,
-                  const std::map<int, std::vector<WriteOp>> &writes,
+    commitGeneral(Env &env, TxnId id, const std::vector<WriteOp> &all,
                   const Hook &hook)
     {
-        std::vector<std::pair<int, std::size_t>> slots;
+        // Per-shard write-sets, keys in first-write order.
+        std::map<int, std::vector<WriteOp>> writes;
+        for (const auto &w : all)
+            writes[kv_.shardOf(w.key)].push_back(w);
+
+        std::vector<std::size_t> slots;
         bool first = true;
         for (const auto &[shard, ws] : writes) {
-            const std::size_t slot = allocSlot(env, shard);
-            plogs_[std::size_t(shard)].publish(env, slot, id,
-                                               ws.data(), ws.size());
-            slots.emplace_back(shard, slot);
+            auto &pl = plogs_[std::size_t(shard)];
+            const std::size_t slot = allocSlot(
+                env, kv_, shard, pl, frees_[std::size_t(shard)]);
+            LP_ASSERT(slot != PrepareLog<Env>::npos,
+                      "prepare table exhausted");
+            pl.publish(env, slot, id, ws.data(), ws.size());
+            slots.push_back(slot);
             if (first && writes.size() > 1 && hook)
                 hook(Step::MidPrepare);
             first = false;
@@ -319,8 +258,7 @@ class TxnKv
         for (const auto &[shard, ws] : writes) {
             std::uint64_t e = 0;
             for (const auto &w : ws) {
-                e = w.del ? kv_.del(env, w.key)
-                          : kv_.put(env, w.key, w.value);
+                e = stageWrite(env, kv_, w);
                 if (firstApply && hook)
                     hook(Step::MidApply);
                 firstApply = false;
@@ -329,62 +267,15 @@ class TxnKv
         }
         if (hook)
             hook(Step::PreMarker);
-        for (std::size_t i = 0; i < slots.size(); ++i) {
-            const auto [shard, slot] = slots[i];
-            plogs_[std::size_t(shard)].markApplied(env, slot,
+        std::size_t i = 0;
+        for (const auto &[shard, ws] : writes) {
+            plogs_[std::size_t(shard)].markApplied(env, slots[i],
                                                    epochs[i]);
-            pendingFrees_.push_back(
-                PendingFree{shard, slot, epochs[i]});
+            frees_[std::size_t(shard)].add(slots[i], epochs[i]);
+            ++i;
         }
         if (hook)
             hook(Step::PostMarker);
-    }
-
-    std::size_t
-    allocSlot(Env &env, int shard)
-    {
-        auto &pl = plogs_[std::size_t(shard)];
-        std::size_t slot = pl.alloc(env);
-        if (slot == PrepareLog<Env>::npos) {
-            // Pressure valve: advance the durable watermark so gated
-            // frees become eligible, then retry.
-            kv_.checkpoint(env);
-            sweepFrees(env);
-            slot = pl.alloc(env);
-        }
-        LP_ASSERT(slot != PrepareLog<Env>::npos,
-                  "prepare table exhausted");
-        return slot;
-    }
-
-    void
-    releaseLocks(TxnId id, const std::vector<std::uint64_t> &keys)
-    {
-        LockTable::Events ev;
-        for (const auto k : keys)
-            lockTable(k).release(id, k, ev);
-        LP_ASSERT(ev.granted.empty() && ev.died.empty(),
-                  "embedded txn released onto waiters");
-    }
-
-    /**
-     * Free applied slots whose epoch the shard has made durable.
-     * The gate reads the pipeline's volatile durable watermark, not
-     * the superblock's: the two agree for LP/WAL (the volatile one
-     * advances only after the meta persist), and for the eager
-     * backend -- which persists ops in place and never folds, so its
-     * superblock watermark is pinned at 0 -- only the pipeline knows
-     * every committed op is already durable.
-     */
-    void
-    sweepFrees(Env &env)
-    {
-        std::erase_if(pendingFrees_, [&](const PendingFree &f) {
-            if (kv_.pipeline(f.shard).foldedEpoch() < f.epoch)
-                return false;
-            plogs_[std::size_t(f.shard)].free(env, f.slot);
-            return true;
-        });
     }
 
     LockTable &
@@ -393,20 +284,13 @@ class TxnKv
         return locks_[std::size_t(kv_.shardOf(key))];
     }
 
-    struct PendingFree
-    {
-        int shard;
-        std::size_t slot;
-        std::uint64_t epoch;
-    };
-
     Config cfg_;
     store::KvStore<Env> kv_;
     store::Backend backend_;
     std::deque<PrepareLog<Env>> plogs_;
     std::optional<DecisionLog<Env>> dlog_;
     std::vector<LockTable> locks_;
-    std::vector<PendingFree> pendingFrees_;
+    std::vector<GatedFrees> frees_;  ///< per shard
     TxnId nextTxn_ = 1;
 };
 

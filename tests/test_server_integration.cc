@@ -50,21 +50,13 @@
 #include "server/server.hh"
 #include "stats/stats.hh"
 #include "store/layout.hh"
+#include "temp_dir.hh"
 
 using namespace lp;
 using namespace lp::server;
 
 namespace
 {
-
-std::string
-makeTempDir()
-{
-    char tmpl[] = "/tmp/lpserver-test-XXXXXX";
-    const char *d = ::mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
 
 /** Metric name -> its `# TYPE` kind in a METRICS exposition. */
 std::map<std::string, std::string>
@@ -303,7 +295,8 @@ class ServerCrash : public ::testing::TestWithParam<store::Backend>
 
 TEST_P(ServerCrash, AckedMutationsSurviveSigkill)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
 
     ServerConfig cfg;
@@ -427,7 +420,6 @@ TEST_P(ServerCrash, AckedMutationsSurviveSigkill)
     ASSERT_EQ(::waitpid(pid3, &st, 0), pid3);
     EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
 
-    std::filesystem::remove_all(dir);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -439,7 +431,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST_P(ServerCrash, ScanIdenticalAfterSigkillRecovery)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
 
     ServerConfig cfg;
@@ -510,12 +503,12 @@ TEST_P(ServerCrash, ScanIdenticalAfterSigkillRecovery)
     c2.close();
     ASSERT_EQ(::waitpid(pid2, &st, 0), pid2);
     EXPECT_TRUE(WIFEXITED(st) && WEXITSTATUS(st) == 0);
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerBasic, InProcessOpsAndStats)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -570,12 +563,12 @@ TEST(ServerBasic, InProcessOpsAndStats)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerBasic, ScanMergesShardsEndToEnd)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -624,12 +617,12 @@ TEST(ServerBasic, ScanMergesShardsEndToEnd)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerBasic, BackpressureRepliesRetry)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -667,12 +660,12 @@ TEST(ServerBasic, BackpressureRepliesRetry)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerBasic, MetricsScrapeUnderLoad)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -763,7 +756,6 @@ TEST(ServerBasic, MetricsScrapeUnderLoad)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 namespace
@@ -803,7 +795,8 @@ shardStat(const std::string &json, int shard, const std::string &field)
  */
 TEST(ServerBasic, IndexBytesFlatUnderPutDelChurn)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -856,7 +849,6 @@ TEST(ServerBasic, IndexBytesFlatUnderPutDelChurn)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -869,7 +861,8 @@ TEST(ServerBasic, IndexBytesFlatUnderPutDelChurn)
  */
 TEST(ServerBasic, PipelineCountersAgreeAcrossStatsAndMetrics)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1022,7 +1015,6 @@ TEST(ServerBasic, PipelineCountersAgreeAcrossStatsAndMetrics)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1035,7 +1027,8 @@ TEST(ServerBasic, PipelineCountersAgreeAcrossStatsAndMetrics)
  */
 TEST(ServerBasic, AcksReleaseAtEpochCommitOrFlushDeadline)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1082,7 +1075,6 @@ TEST(ServerBasic, AcksReleaseAtEpochCommitOrFlushDeadline)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1093,7 +1085,8 @@ TEST(ServerBasic, AcksReleaseAtEpochCommitOrFlushDeadline)
  */
 TEST(ServerBasic, AcksReleaseInRequestOrderAcrossEpochs)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1134,7 +1127,6 @@ TEST(ServerBasic, AcksReleaseInRequestOrderAcrossEpochs)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1145,7 +1137,8 @@ TEST(ServerBasic, AcksReleaseInRequestOrderAcrossEpochs)
  */
 TEST(ServerBasic, StopReleasesAnAckBeforeItsFlushDeadline)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1203,7 +1196,6 @@ TEST(ServerBasic, StopReleasesAnAckBeforeItsFlushDeadline)
         c.close();
         srv.stop();
     }
-    std::filesystem::remove_all(dir);
 }
 
 namespace
@@ -1229,7 +1221,8 @@ statOf(Server &srv, const std::string &key)
  */
 TEST(ServerBasic, PipelinedPutThenGetReadsItsWrite)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1271,7 +1264,6 @@ TEST(ServerBasic, PipelinedPutThenGetReadsItsWrite)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1281,7 +1273,8 @@ TEST(ServerBasic, PipelinedPutThenGetReadsItsWrite)
  */
 TEST(ServerBasic, ScanSeesThePipelinedPutsBeforeIt)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1326,7 +1319,6 @@ TEST(ServerBasic, ScanSeesThePipelinedPutsBeforeIt)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1338,7 +1330,8 @@ TEST(ServerBasic, ScanSeesThePipelinedPutsBeforeIt)
  */
 TEST(ServerBasic, ReadersSeeNonDecreasingVersionsUnderWrites)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1406,7 +1399,6 @@ TEST(ServerBasic, ReadersSeeNonDecreasingVersionsUnderWrites)
     EXPECT_GT(reads[0] + reads[1], 0);
 
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1417,7 +1409,8 @@ TEST(ServerBasic, ReadersSeeNonDecreasingVersionsUnderWrites)
  */
 TEST(ServerBasic, IdleShardServesReadsOnTheAcceptor)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1454,7 +1447,6 @@ TEST(ServerBasic, IdleShardServesReadsOnTheAcceptor)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1466,7 +1458,8 @@ TEST(ServerBasic, IdleShardServesReadsOnTheAcceptor)
  */
 TEST(ServerBasic, InlineScanLenSamplesSumToItsRecords)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1516,7 +1509,6 @@ TEST(ServerBasic, InlineScanLenSamplesSumToItsRecords)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 namespace
@@ -1596,7 +1588,8 @@ oneShardConfig(const std::string &dir, store::Backend b, int batchOps,
  */
 TEST(ServerBasic, IdleShardStagesMutationsOnTheAcceptor)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     Server srv(oneShardConfig(dir, store::Backend::Lp, 8, 100000));
     srv.start();
@@ -1633,7 +1626,6 @@ TEST(ServerBasic, IdleShardStagesMutationsOnTheAcceptor)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1644,7 +1636,8 @@ TEST(ServerBasic, IdleShardStagesMutationsOnTheAcceptor)
  */
 TEST(ServerBasic, MutationThatFillsAnEpochQueuesAndCommitsAtOnce)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     Server srv(oneShardConfig(dir, store::Backend::Lp, 4, 60000000));
     srv.start();
@@ -1678,7 +1671,6 @@ TEST(ServerBasic, MutationThatFillsAnEpochQueuesAndCommitsAtOnce)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 /**
@@ -1687,7 +1679,8 @@ TEST(ServerBasic, MutationThatFillsAnEpochQueuesAndCommitsAtOnce)
  */
 TEST(ServerBasic, EagerNeverStagesMutationsInline)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     Server srv(oneShardConfig(dir, store::Backend::EagerPerOp, 32, 100000));
     srv.start();
@@ -1717,12 +1710,12 @@ TEST(ServerBasic, EagerNeverStagesMutationsInline)
 
     c.close();
     srv.stop();
-    std::filesystem::remove_all(dir);
 }
 
 TEST(ServerBasic, MalformedFrameClosesConnection)
 {
-    const std::string dir = makeTempDir();
+    const TempDir tmp;
+    const std::string &dir = tmp.path;
     ASSERT_FALSE(dir.empty());
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -1826,5 +1819,4 @@ TEST(ServerBasic, MalformedFrameClosesConnection)
     again.close();
 
     srv.stop();
-    std::filesystem::remove_all(dir);
 }

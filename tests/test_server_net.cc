@@ -21,7 +21,6 @@
 #include <unistd.h>
 
 #include <cstring>
-#include <filesystem>
 #include <optional>
 #include <string>
 #include <thread>
@@ -32,6 +31,7 @@
 #include "server/client.hh"
 #include "server/protocol.hh"
 #include "server/server.hh"
+#include "temp_dir.hh"
 
 using namespace lp;
 using namespace lp::server;
@@ -124,15 +124,6 @@ TEST(FrameCursor, ClearKeepsCapacity)
     EXPECT_EQ(c.capacity(), cap);
 }
 
-std::string
-makeTempDir()
-{
-    char tmpl[] = "/tmp/lpserver-net-test-XXXXXX";
-    const char *d = ::mkdtemp(tmpl);
-    EXPECT_NE(d, nullptr);
-    return d ? d : "";
-}
-
 /** In-process server + temp dir, torn down with the fixture. */
 class ServerNet : public ::testing::Test
 {
@@ -140,9 +131,8 @@ class ServerNet : public ::testing::Test
     void
     SetUp() override
     {
-        dir_ = makeTempDir();
-        ASSERT_FALSE(dir_.empty());
-        cfg_.dataDir = dir_;
+        ASSERT_FALSE(dir_.path.empty());
+        cfg_.dataDir = dir_.path;
         cfg_.shards = 4;
         cfg_.quiet = true;
         srv_ = std::make_unique<Server>(cfg_);
@@ -155,8 +145,6 @@ class ServerNet : public ::testing::Test
         if (srv_)
             srv_->stop();
         srv_.reset();
-        if (!dir_.empty())
-            std::filesystem::remove_all(dir_);
     }
 
     /**
@@ -187,7 +175,7 @@ class ServerNet : public ::testing::Test
         return fd;
     }
 
-    std::string dir_;
+    const TempDir dir_{"lpserver-net-test"};  ///< outlives srv_
     ServerConfig cfg_;
     std::unique_ptr<Server> srv_;
 };

@@ -17,7 +17,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
-#include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -26,39 +26,13 @@
 #include "server/client.hh"
 #include "server/server.hh"
 #include "store/layout.hh"
+#include "temp_dir.hh"
 
 using namespace lp;
 using namespace lp::server;
 
 namespace
 {
-
-/**
- * A fresh data directory under /tmp, removed with everything in it
- * (shard files, decision log) when the test leaves its scope by any
- * path. Declared before the test's Server, so it outlives it.
- */
-struct TempDir
-{
-    TempDir()
-    {
-        char tmpl[] = "/tmp/lpserver-txn-XXXXXX";
-        const char *d = ::mkdtemp(tmpl);
-        EXPECT_NE(d, nullptr);
-        path = d ? d : "";
-    }
-
-    ~TempDir()
-    {
-        if (!path.empty())
-            std::filesystem::remove_all(path);
-    }
-
-    TempDir(const TempDir &) = delete;
-    TempDir &operator=(const TempDir &) = delete;
-
-    std::string path;
-};
 
 void
 connectToServer(Client &c, const std::string &dataDir)
@@ -94,7 +68,7 @@ class ServerTxnBackends
  */
 TEST_P(ServerTxnBackends, CommitsAndReadsOverTheWire)
 {
-    const TempDir tmp;
+    const TempDir tmp("lpserver-txn");
     const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -146,7 +120,7 @@ TEST_P(ServerTxnBackends, CommitsAndReadsOverTheWire)
 
 TEST_P(ServerTxnBackends, OutOfRangeKeyIsRejected)
 {
-    const TempDir tmp;
+    const TempDir tmp("lpserver-txn");
     const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -179,7 +153,7 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, ServerTxnBackends,
  */
 TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
 {
-    const TempDir tmp;
+    const TempDir tmp("lpserver-txn");
     const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -243,7 +217,7 @@ TEST(ServerTxnAbort, YoungerTxnDiesAndBackoffRecovers)
  */
 TEST(ServerTxnIsolation, ScansNeverSeePartialTransfers)
 {
-    const TempDir tmp;
+    const TempDir tmp("lpserver-txn");
     const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -403,11 +377,13 @@ TEST(ServerTxnIsolation, ScansNeverSeePartialTransfers)
 double
 statOf(Server &srv, const std::string &field, int shard = -1)
 {
-    const std::string json = srv.statsJson();
+    std::string json = srv.statsJson();
+    const std::size_t shards = json.find("\"shard\":{");
     std::size_t from = 0;
     if (shard >= 0)
-        from = json.find("\"" + std::to_string(shard) + "\":{",
-                         json.find("\"shard\":{"));
+        from = json.find("\"" + std::to_string(shard) + "\":{", shards);
+    else  // a total: cut out the shard objects, which repeat its key
+        json.erase(shards, json.find("}}", shards) + 2 - shards);
     const std::string tag = "\"" + field + "\":";
     const std::size_t at = json.find(tag, from);
     EXPECT_NE(at, std::string::npos) << field;
@@ -428,7 +404,7 @@ statOf(Server &srv, const std::string &field, int shard = -1)
  */
 TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
 {
-    const TempDir tmp;
+    const TempDir tmp("lpserver-txn");
     const std::string &dir = tmp.path;
     ServerConfig cfg;
     cfg.dataDir = dir;
@@ -534,6 +510,118 @@ TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
     EXPECT_EQ(gb->value, 1u);
     c.close();
     srv.stop();
+}
+
+/** Poll @p srv's STATS until @p field (of @p shard, or the total)
+ *  reaches @p atLeast; false after 10 s. */
+bool
+waitForStat(Server &srv, const std::string &field, double atLeast,
+            int shard = -1)
+{
+    const auto until =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (statOf(srv, field, shard) < atLeast) {
+        if (std::chrono::steady_clock::now() > until)
+            return false;
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return true;
+}
+
+/** A two-shard server and two keys on shard 0, one on shard 1. */
+struct TwoShards
+{
+    TempDir tmp{"lpserver-txn"};
+    ServerConfig cfg;
+    std::unique_ptr<Server> srv;
+    Client c;
+    std::uint64_t a0 = 0, a1 = 0, b = 0;
+
+    TwoShards()
+    {
+        cfg.dataDir = tmp.path;
+        cfg.shards = 2;
+        cfg.backend = store::Backend::Lp;
+        cfg.scrubIntervalMs = 0;
+        cfg.quiet = true;
+        srv = std::make_unique<Server>(cfg);
+        srv->start();
+        std::vector<std::uint64_t> onShard[2];
+        for (std::uint64_t k = 1;
+             onShard[0].size() < 2 || onShard[1].empty(); ++k)
+            onShard[store::shardOfKey(k, 2)].push_back(k);
+        a0 = onShard[0][0];
+        a1 = onShard[0][1];
+        b = onShard[1][0];
+    }
+
+    ~TwoShards() { srv->stop(); }
+};
+
+/**
+ * acks_released counts released pending entries: one per fast-path
+ * TXN and one per applied TXN part, however many writes each stages
+ * (those are what mutations counts).
+ */
+TEST(ServerTxnStats, AcksReleasedCountsOnePerTxnPart)
+{
+    TwoShards t;
+    connectToServer(t.c, t.tmp.path);
+    Server &srv = *t.srv;
+
+    // Fast path: two writes on shard 0.
+    auto res = t.c.txn({top(TxnOp::Kind::Put, t.a0, 1),
+                        top(TxnOp::Kind::Put, t.a1, 2)});
+    ASSERT_TRUE(res && res->status == Status::Ok);
+    ASSERT_TRUE(waitForStat(srv, "acks_released", 1.0, 0));
+    EXPECT_EQ(statOf(srv, "mutations", 0), 2.0);
+    EXPECT_EQ(statOf(srv, "acks_released", 0), 1.0);
+    EXPECT_EQ(statOf(srv, "mutations", 1), 0.0);
+    EXPECT_EQ(statOf(srv, "acks_released", 1), 0.0);
+
+    // General path: two writes on shard 0, one on shard 1. The reply
+    // goes out at the decision; the applies follow it.
+    res = t.c.txn({top(TxnOp::Kind::Add, t.a0, 1),
+                   top(TxnOp::Kind::Add, t.a1, 1),
+                   top(TxnOp::Kind::Put, t.b, 3)});
+    ASSERT_TRUE(res && res->status == Status::Ok);
+    ASSERT_TRUE(waitForStat(srv, "acks_released", 2.0, 0));
+    ASSERT_TRUE(waitForStat(srv, "acks_released", 1.0, 1));
+    EXPECT_EQ(statOf(srv, "mutations", 0), 4.0);
+    EXPECT_EQ(statOf(srv, "acks_released", 0), 2.0);
+    EXPECT_EQ(statOf(srv, "mutations", 1), 1.0);
+    EXPECT_EQ(statOf(srv, "acks_released", 1), 1.0);
+    EXPECT_EQ(statOf(srv, "acks_released"), 3.0);
+    t.c.close();
+}
+
+/**
+ * The single path rule (txn::fastPath), served side: a TXN that reads
+ * shard 1 and writes shard 0 commits on the general path, so the
+ * acceptor counts it and no shard does.
+ */
+TEST(ServerTxnStats, ReadOnASecondShardCommitsOnTheGeneralPath)
+{
+    TwoShards t;
+    connectToServer(t.c, t.tmp.path);
+    Server &srv = *t.srv;
+    const auto shardCommits = [&] {
+        return statOf(srv, "txn_commits", 0) +
+               statOf(srv, "txn_commits", 1);
+    };
+    const double total0 = statOf(srv, "txn_commits");
+    const double shards0 = shardCommits();
+
+    const auto res = t.c.txn({top(TxnOp::Kind::Get, t.b),
+                              top(TxnOp::Kind::Put, t.a0, 7)});
+    ASSERT_TRUE(res && res->status == Status::Ok);
+    ASSERT_TRUE(waitForStat(srv, "txn_commits", total0 + 1.0));
+    EXPECT_EQ(statOf(srv, "txn_commits"), total0 + 1.0);
+    EXPECT_EQ(shardCommits(), shards0);
+    const auto g = t.c.get(t.a0);
+    ASSERT_TRUE(g && g->status == Status::Ok);
+    EXPECT_EQ(g->value, 7u);
+    t.c.close();
 }
 
 } // namespace

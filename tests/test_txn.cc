@@ -298,6 +298,65 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, TxnBackends,
                              return store::backendName(info.param);
                          });
 
+/**
+ * The single path rule (txn::fastPath) on the batching backends: the
+ * fast path stages into the open epoch and leaves no prepare slot;
+ * the general path leaves its applied slot gated on an epoch that is
+ * not yet durable. So pendingSlotFrees() > 0 says the general path
+ * ran.
+ */
+class TxnPathRule : public ::testing::TestWithParam<store::Backend>
+{
+};
+
+TEST_P(TxnPathRule, ReadOnASecondShardTakesTheGeneralPath)
+{
+    SimFixture f(smallConfig(), GetParam());
+    std::uint64_t onShard[2] = {0, 0};
+    for (std::uint64_t k = 1; onShard[0] == 0 || onShard[1] == 0; ++k)
+        if (onShard[f.txn.kv().shardOf(k)] == 0)
+            onShard[f.txn.kv().shardOf(k)] = k;
+
+    // Control: the same write alone is single-shard.
+    ASSERT_TRUE(
+        f.txn.run(f.env, {op(TOp::Kind::Put, onShard[0], 6)}).committed);
+    EXPECT_EQ(f.txn.pendingSlotFrees(), 0u);
+
+    const auto r = f.txn.run(f.env, {op(TOp::Kind::Get, onShard[1]),
+                                     op(TOp::Kind::Put, onShard[0], 7)});
+    ASSERT_TRUE(r.committed);
+    EXPECT_GT(f.txn.pendingSlotFrees(), 0u)
+        << "a read on a second shard rode the fast path";
+    EXPECT_EQ(f.txn.kv().get(f.env, onShard[0]),
+              std::optional<std::uint64_t>(7));
+}
+
+TEST_P(TxnPathRule, WriteOpsBeyondBatchOpsTakeTheGeneralPath)
+{
+    const auto cfg = smallConfig();
+    SimFixture f(cfg, GetParam());
+    // Control: batchOps Adds to one key fit one epoch.
+    std::vector<TOp> ops(std::size_t(cfg.store.batchOps),
+                         op(TOp::Kind::Add, 5, 1));
+    ASSERT_TRUE(f.txn.run(f.env, ops).committed);
+    EXPECT_EQ(f.txn.pendingSlotFrees(), 0u);
+
+    // One more write op: the rule counts ops, not resolved keys.
+    ops.push_back(op(TOp::Kind::Add, 5, 1));
+    ASSERT_TRUE(f.txn.run(f.env, ops).committed);
+    EXPECT_GT(f.txn.pendingSlotFrees(), 0u)
+        << "more write ops than batchOps rode the fast path";
+    EXPECT_EQ(f.txn.kv().get(f.env, 5),
+              std::optional<std::uint64_t>(2 * ops.size() - 1));
+}
+
+INSTANTIATE_TEST_SUITE_P(BatchingBackends, TxnPathRule,
+                         ::testing::Values(store::Backend::Lp,
+                                           store::Backend::Wal),
+                         [](const auto &info) {
+                             return store::backendName(info.param);
+                         });
+
 // ---------------------------------------------------------------- //
 // Commit-protocol crash matrix
 // ---------------------------------------------------------------- //
