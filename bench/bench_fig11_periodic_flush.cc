@@ -30,15 +30,6 @@ using namespace lp::kernels;
 namespace
 {
 
-/** Record @p out's raw counts under "<prefix>.". */
-void
-record(stats::Snapshot &metrics, const std::string &prefix,
-       const RunOutcome &out)
-{
-    metrics[prefix + ".exec_cycles"] = out.execCycles;
-    metrics[prefix + ".nvmm_writes"] = out.nvmmWrites;
-}
-
 /** "cleaner.0_08pct" for a period of 0.0008 of the window. */
 std::string
 periodKey(double fraction)
@@ -74,9 +65,9 @@ main(int argc, char **argv)
                                  warm, window);
 
     stats::Snapshot metrics;
-    record(metrics, "window.base", base);
-    record(metrics, "window.lp", lp);
-    record(metrics, "window.ep", ep);
+    bench::recordRun(metrics, "window.base", base);
+    bench::recordRun(metrics, "window.lp", lp);
+    bench::recordRun(metrics, "window.ep", ep);
 
     const double window_cycles = lp.execCycles;
     std::printf("window writes -- base: %.0f, LP (no cleaner): %.0f "
@@ -98,7 +89,7 @@ main(int argc, char **argv)
             static_cast<Cycles>(window_cycles * f) + 1;
         const auto out = runTmmWindow(Scheme::Lp, params, c, warm,
                                       window);
-        record(metrics, periodKey(f), out);
+        bench::recordRun(metrics, periodKey(f), out);
         metrics[periodKey(f) + ".period_cycles"] =
             double(c.cleanerPeriodCycles);
         table.addRow({stats::Table::percent(f, 2),

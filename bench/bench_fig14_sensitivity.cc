@@ -7,9 +7,15 @@
  * Paper shape: (a) EP's overhead grows with NVMM latency while LP's
  * relative overhead shrinks; (b) LP scales like base from 1 to 16
  * threads.
+ *
+ * Every run's raw cycles and NVMM writes go to a JSON report
+ * (argv[1], default fig14.json) that tools/check_sim_gate.py
+ * --gate fig14 checks exactly. Exits 1 if any run computes a wrong
+ * result.
  */
 
 #include <cstdio>
+#include <string>
 
 #include "bench/common.hh"
 
@@ -17,7 +23,7 @@ using namespace lp;
 using namespace lp::kernels;
 
 int
-main()
+main(int argc, char **argv)
 {
     bench::banner("Figure 14(a): NVMM latency sensitivity (tmm)",
                   "Fig. 14(a) -- EP overhead rises with latency; "
@@ -32,6 +38,9 @@ main()
     };
     const Lat lats[] = {{60, 150}, {100, 200}, {150, 300}};
 
+    stats::Snapshot metrics;
+    bool verified = true;
+
     stats::Table table_a({"(read,write) ns", "LP overhead",
                           "EP overhead"});
     for (const Lat &l : lats) {
@@ -45,6 +54,14 @@ main()
         const auto ep = runScheme(KernelId::Tmm,
                                   Scheme::EagerRecompute, params,
                                   cfg);
+        const std::string point =
+            "latency.r" + stats::Table::num(l.read, 0) + "_w" +
+            stats::Table::num(l.write, 0);
+        bench::recordRun(metrics, point + ".base", base);
+        bench::recordRun(metrics, point + ".lp", lp);
+        bench::recordRun(metrics, point + ".ep", ep);
+        verified = verified && base.verified && lp.verified &&
+                   ep.verified;
         table_a.addRow({"(" + stats::Table::num(l.read, 0) + "," +
                             stats::Table::num(l.write, 0) + ")",
                         stats::Table::percent(
@@ -68,6 +85,10 @@ main()
         const auto base = runScheme(KernelId::Tmm, Scheme::Base, p,
                                     cfg);
         const auto lp = runScheme(KernelId::Tmm, Scheme::Lp, p, cfg);
+        const std::string point = "threads." + std::to_string(threads);
+        bench::recordRun(metrics, point + ".base", base);
+        bench::recordRun(metrics, point + ".lp", lp);
+        verified = verified && base.verified && lp.verified;
         if (threads == 1)
             base1 = base.execCycles;
         table_b.addRow({std::to_string(threads),
@@ -80,5 +101,10 @@ main()
                                          base.execCycles) - 1.0)});
     }
     table_b.print();
-    return 0;
+    if (!verified)
+        std::printf("\nA run FAILED verification.\n");
+    const bool ok = bench::writeJsonReport(
+        argc, argv, "fig14.json",
+        bench::gateReport("fig14", verified, metrics));
+    return ok && verified ? 0 : 1;
 }

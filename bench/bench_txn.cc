@@ -289,7 +289,7 @@ runSim(Backend b, std::uint64_t accounts, std::uint64_t txns,
         buildTape(accounts, tcfg.store.shards, txns, crossShard,
                   theta, 0x5eedULL);
 
-    const double nsPerCycle = 1.0 / mcfg.clockGhz;
+    const double nsPerCycle = 1.0 / sim::kClockGhz;
     obs::Histogram lat;
     const double c0 = double(ctx.machine.execCycles());
     for (const Transfer &tr : tape) {

@@ -138,6 +138,15 @@ writeJsonReport(int argc, char **argv, const char *defaultPath,
     return true;
 }
 
+/** Record @p out's cycles and NVMM writes under "<prefix>.". */
+inline void
+recordRun(stats::Snapshot &metrics, const std::string &prefix,
+          const kernels::RunOutcome &out)
+{
+    metrics[prefix + ".exec_cycles"] = out.execCycles;
+    metrics[prefix + ".nvmm_writes"] = out.nvmmWrites;
+}
+
 /**
  * The report of a deterministic bench, in the shape perfbench
  * prints: `{"bench", "correct", "metrics": {name: {"value": v}}}`.

@@ -17,6 +17,33 @@
 namespace lp::sim
 {
 
+/// @name Fixed Table II parameters
+/// The core and memory-controller parameters no experiment varies.
+/// @{
+
+/** Core clock in GHz; converts NVMM nanoseconds to cycles. */
+inline constexpr double kClockGhz = 2.0;
+
+/**
+ * Minimum spacing in cycles between NVMM writes accepted by the
+ * memory controller write port; models write bandwidth and creates
+ * the back-pressure eager flushing suffers from.
+ */
+inline constexpr Cycles kMcWritePortCycles = 16;
+
+/** Memory controller write queue entries (ADR domain, Table II). */
+inline constexpr unsigned kMcWriteQueue = 64;
+
+/** Load/store queue entries per core (Table II: 48). */
+inline constexpr unsigned kLsqEntries = 48;
+
+/** Miss status holding registers per core. */
+inline constexpr unsigned kMshrsPerCore = 16;
+
+/** Issue width of the modelled core (Table II: 4). */
+inline constexpr unsigned kIssueWidth = 4;
+/// @}
+
 /** Geometry and latency of one cache level. */
 struct CacheGeometry
 {
@@ -35,14 +62,14 @@ struct CacheGeometry
     }
 };
 
-/** Full machine configuration (Table II defaults). */
+/**
+ * The machine parameters an experiment may vary (Table II defaults);
+ * the rest are the fixed constants above.
+ */
 struct MachineConfig
 {
     /** Number of cores; each runs one software thread. */
     int numCores = 8;
-
-    /** Core clock in GHz; converts NVMM nanoseconds to cycles. */
-    double clockGhz = 2.0;
 
     /** Per-core private L1 data cache. */
     CacheGeometry l1 = {64 * 1024, 8, 2};
@@ -55,25 +82,6 @@ struct MachineConfig
 
     /** NVMM write latency in nanoseconds (150-300 in the paper). */
     double nvmmWriteNs = 300.0;
-
-    /**
-     * Minimum spacing in cycles between NVMM writes accepted by the
-     * memory controller write port; models write bandwidth and creates
-     * the back-pressure eager flushing suffers from.
-     */
-    Cycles mcWritePortCycles = 16;
-
-    /** Memory controller write queue entries (ADR domain, Table II). */
-    unsigned mcWriteQueue = 64;
-
-    /** Load/store queue entries per core (Table II: 48). */
-    unsigned lsqEntries = 48;
-
-    /** Miss status holding registers per core. */
-    unsigned mshrsPerCore = 16;
-
-    /** Issue width of the modelled core (Table II: 4). */
-    unsigned issueWidth = 4;
 
     /**
      * Period, in cycles, of the background cache cleaner that writes
@@ -99,7 +107,7 @@ struct MachineConfig
     Cycles
     nsToCycles(double ns) const
     {
-        return static_cast<Cycles>(ns * clockGhz + 0.5);
+        return static_cast<Cycles>(ns * kClockGhz + 0.5);
     }
 
     Cycles nvmmReadCycles() const { return nsToCycles(nvmmReadNs); }

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "sim/trace.hh"
 
 namespace lp::sim
 {
@@ -27,8 +26,6 @@ Machine::Machine(const MachineConfig &config, PersistBackend *be)
 void
 Machine::read(CoreId c, Addr addr, unsigned size)
 {
-    if (trace)
-        trace->read(c, addr, size);
     ++s.loads;
     const Addr first = blockAlign(addr);
     const Addr last = blockAlign(addr + size - 1);
@@ -39,8 +36,6 @@ Machine::read(CoreId c, Addr addr, unsigned size)
 void
 Machine::write(CoreId c, Addr addr, unsigned size)
 {
-    if (trace)
-        trace->write(c, addr, size);
     ++s.stores;
     const Addr first = blockAlign(addr);
     const Addr last = blockAlign(addr + size - 1);
@@ -51,8 +46,6 @@ Machine::write(CoreId c, Addr addr, unsigned size)
 void
 Machine::readStream(CoreId c, Addr addr, unsigned size)
 {
-    if (trace)
-        trace->readStream(c, addr, size);
     ++s.loads;
     ++s.streamLoads;
     const Addr first = blockAlign(addr);
@@ -97,8 +90,6 @@ void
 Machine::writeStream(CoreId c, Addr addr, unsigned size,
                      const std::function<void()> &store)
 {
-    if (trace)
-        trace->writeStream(c, addr, size);
     ++s.stores;
     ++s.streamStores;
     const Addr end = addr + size;
@@ -170,8 +161,6 @@ Machine::flushWcLine(Addr blk)
 void
 Machine::prefetch(CoreId c, Addr addr)
 {
-    if (trace)
-        trace->prefetch(c, addr);
     ++s.prefetches;
     maybeClean(c);
     const Addr blk = blockAlign(addr);
@@ -180,7 +169,7 @@ Machine::prefetch(CoreId c, Addr addr)
     if (!l2.find(blk)) {
         auto &q = prefetchQ[c];
         std::erase_if(q, [now = clk[c]](Cycles t) { return t <= now; });
-        if (q.size() >= cfg.mshrsPerCore) {
+        if (q.size() >= kMshrsPerCore) {
             // Every MSHR is busy: wait for the oldest fill (arrivals
             // are in issue order).
             ++s.mshrFullEvents;
@@ -233,10 +222,8 @@ Machine::sendToNvmm(CoreId c, Addr blk, WritebackCause cause)
 void
 Machine::tick(CoreId c, std::uint64_t n)
 {
-    if (trace)
-        trace->tick(c, n);
     s.computeOps += n;
-    clk[c] += (n + cfg.issueWidth - 1) / cfg.issueWidth;
+    clk[c] += (n + kIssueWidth - 1) / kIssueWidth;
     maybeClean(c);
 }
 
@@ -272,11 +259,11 @@ Machine::accessBlock(CoreId c, Addr blk, bool is_write)
             writePortFreeAt > clk[c] ? writePortFreeAt - clk[c] : 0;
         if (!is_write && backlog > 0)
             ++s.loadPortConflicts;
-        if (backlog >= static_cast<Cycles>(cfg.mshrsPerCore) *
-                           cfg.mcWritePortCycles / 2)
+        if (backlog >= static_cast<Cycles>(kMshrsPerCore) *
+                           kMcWritePortCycles / 2)
             ++s.mshrFullEvents;
         pruneFlushQueue(c);
-        if (flushQ[c].size() >= cfg.mshrsPerCore)
+        if (flushQ[c].size() >= kMshrsPerCore)
             ++s.mshrFullEvents;
         cost += handleL1Miss(c, blk, is_write);
         if (is_write)
@@ -437,10 +424,10 @@ Machine::grantWritePort(Cycles ready)
 {
     const Cycles grant = std::max(writePortFreeAt, ready);
     const Cycles backlog_limit =
-        static_cast<Cycles>(cfg.mcWriteQueue) * cfg.mcWritePortCycles;
+        static_cast<Cycles>(kMcWriteQueue) * kMcWritePortCycles;
     if (writePortFreeAt > ready && writePortFreeAt - ready > backlog_limit)
         ++s.mcQueueFullEvents;
-    writePortFreeAt = grant + cfg.mcWritePortCycles;
+    writePortFreeAt = grant + kMcWritePortCycles;
     return grant;
 }
 
@@ -536,7 +523,7 @@ Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
     const bool dirty = dropCopies(blk, keep_line);
 
     pruneFlushQueue(c);
-    if (flushQ[c].size() >= cfg.lsqEntries) {
+    if (flushQ[c].size() >= kLsqEntries) {
         // LSQ full of pending flushes: stall until the oldest drains.
         ++s.lsqFullEvents;
         const Cycles oldest =
@@ -547,7 +534,7 @@ Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
         }
         pruneFlushQueue(c);
     }
-    if (flushQ[c].size() >= cfg.mshrsPerCore)
+    if (flushQ[c].size() >= kMshrsPerCore)
         ++s.mshrFullEvents;
 
     if (dirty) {
@@ -562,24 +549,18 @@ Machine::flushBlock(CoreId c, Addr addr, bool keep_line)
 void
 Machine::clflushopt(CoreId c, Addr addr)
 {
-    if (trace)
-        trace->flush(c, addr);
     flushBlock(c, addr, false);
 }
 
 void
 Machine::clwb(CoreId c, Addr addr)
 {
-    if (trace)
-        trace->clwb(c, addr);
     flushBlock(c, addr, true);
 }
 
 void
 Machine::sfence(CoreId c)
 {
-    if (trace)
-        trace->fence(c);
     ++s.fences;
     while (!wcBuf[c].empty())
         flushWcEntry(c, 0);
@@ -589,7 +570,7 @@ Machine::sfence(CoreId c)
         if (done > clk[c]) {
             const Cycles stall = done - clk[c];
             s.fenceStallCycles += stall;
-            s.fuiSlotsLost += stall * cfg.issueWidth;
+            s.fuiSlotsLost += stall * kIssueWidth;
             clk[c] = done;
         }
         q.clear();

@@ -30,7 +30,7 @@
  * Software prefetch is the one way reads overlap in the in-order
  * model: a prefetch of an uncached line installs it in the L2 at
  * once but marks it in flight until its NVMM read completes, and up
- * to mshrsPerCore prefetches per core may be in flight together. A
+ * to kMshrsPerCore prefetches per core may be in flight together. A
  * demand access to an in-flight line waits only for the rest of its
  * latency.
  */
@@ -50,8 +50,6 @@
 
 namespace lp::sim
 {
-
-class TraceBuffer;
 
 /**
  * Interface to the durable storage backing the simulated NVMM.
@@ -202,7 +200,8 @@ class Machine
      * @p store, if given, performs the store's functional effect on
      * the backend's bytes. It runs after any cached copy was written
      * back and before a completed line leaves, so each write carries
-     * exactly the bytes it should; trace replay passes none.
+     * exactly the bytes it should. Only tests that check counters,
+     * not bytes, pass none.
      */
     void writeStream(CoreId c, Addr addr, unsigned size,
                      const std::function<void()> &store = {});
@@ -213,7 +212,7 @@ class Machine
      * line is read from NVMM and installed in the L2 now (evicting a
      * victim as a miss would) but arrives only l2.latency +
      * nvmmReadCycles() later; a demand access before then waits for
-     * the rest. At most mshrsPerCore prefetches are in flight per
+     * the rest. At most kMshrsPerCore prefetches are in flight per
      * core: another stalls until the oldest arrives. A line pending
      * in a write-combining buffer is drained first. A prefetch changes
      * no byte; like any access, it reaches NVMM only by that drain
@@ -280,13 +279,6 @@ class Machine
 
     /** Lines pending in the write-combining buffers of all cores. */
     unsigned pendingStreamLines() const { return wcLines; }
-
-    /**
-     * Attach a trace recorder: every subsequent program-visible
-     * operation is appended to it (see sim/trace.hh). Pass nullptr
-     * to stop recording.
-     */
-    void setTraceRecorder(TraceBuffer *recorder) { trace = recorder; }
 
     /** Per-block NVMM wear summary for the current stats epoch. */
     WearSummary wearSummary() const;
@@ -399,7 +391,6 @@ class Machine
 
     MachineConfig cfg;
     PersistBackend *backend;
-    TraceBuffer *trace = nullptr;
 
     std::vector<Cache> l1s;
     Cache l2;

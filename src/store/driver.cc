@@ -194,7 +194,7 @@ runStoreYcsb(Backend b, const StoreConfig &scfg, const YcsbParams &p,
             ? 0.0
             : double(out.nvmmWrites) / double(c.mutations);
     const double seconds =
-        out.execCycles / (mcfg.clockGhz * 1e9);
+        out.execCycles / (sim::kClockGhz * 1e9);
     out.opsPerSec = seconds == 0.0 ? 0.0 : double(p.ops) / seconds;
     out.nvmmByStructure = nvmmByStructure(ctx.machine, ctx.arena, store,
                                           flight, c.mutations);

@@ -228,7 +228,7 @@ class SlotTable
      * the next 16 keys' misses without ever waiting for a free MSHR.
      */
     static constexpr std::size_t prefetchDistance = 16;
-    static_assert(prefetchDistance == sim::MachineConfig{}.mshrsPerCore);
+    static_assert(prefetchDistance == sim::kMshrsPerCore);
 
     /** What applying one op touched. */
     struct ApplyResult

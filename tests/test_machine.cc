@@ -29,8 +29,8 @@ tinyConfig()
 
 struct Fixture
 {
-    Fixture()
-        : arena(1 << 20), m(tinyConfig(), &arena)
+    explicit Fixture(const MachineConfig &cfg = tinyConfig())
+        : arena(1 << 20), m(cfg, &arena)
     {
         data = arena.alloc<double>(4096);
     }
@@ -41,6 +41,49 @@ struct Fixture
     Machine m;
     double *data;
 };
+
+/** Allocating and streaming loads and stores on core 0, with fences. */
+void
+runStreamingMix(Fixture &f)
+{
+    for (int i = 0; i < 1024; i += 3) {
+        f.data[i] = i;
+        f.m.writeStream(0, f.addr(i), 8);
+        if (i % 7 == 0)
+            f.m.write(0, f.addr((i * 13) % 1024), 8);
+        if (i % 5 == 0)
+            f.m.readStream(0, f.addr((i * 29) % 1024), 8);
+        if (i % 11 == 0)
+            f.m.read(0, f.addr((i * 31) % 1024), 8);
+        if (i % 64 == 0)
+            f.m.sfence(0);
+    }
+}
+
+/**
+ * Prefetches, loads, stores, streaming stores and flushes from both
+ * cores over four times the tiny L2, so some prefetched lines are
+ * evicted unused and others are still in flight when loaded.
+ */
+void
+runPrefetchMix(Fixture &f)
+{
+    constexpr int kWords = 2048;
+    for (int i = 0; i < kWords; i += 5) {
+        const CoreId c = (i / 5) % 2;
+        f.m.prefetch(c, f.addr((i * 37 + 640) % kWords));
+        f.m.prefetch(c, f.addr((i * 7919) % kWords));
+        f.m.read(c, f.addr((i * 37) % kWords), 8);
+        if (i % 3 == 0)
+            f.m.write(c, f.addr((i * 11) % kWords), 8);
+        if (i % 4 == 0)
+            f.m.writeStream(c, f.addr((i * 13) % kWords), 8);
+        if (i % 50 == 0)
+            f.m.clflushopt(c, f.addr((i * 7919) % kWords));
+        if (i % 64 == 0)
+            f.m.sfence(c);
+    }
+}
 
 TEST(Machine, ColdReadCostsL1L2AndNvmm)
 {
@@ -392,19 +435,19 @@ TEST(Machine, PrefetchBeyondTheMshrsStallsForTheOldest)
     Fixture f;
     const MachineConfig cfg = tinyConfig();
     const Cycles issued = f.m.coreCycles(0);
-    for (unsigned i = 0; i < cfg.mshrsPerCore; ++i)
+    for (unsigned i = 0; i < kMshrsPerCore; ++i)
         f.m.prefetch(0, f.addr(8 * static_cast<int>(i)));
-    EXPECT_EQ(f.m.coreCycles(0) - issued, Cycles{cfg.mshrsPerCore});
+    EXPECT_EQ(f.m.coreCycles(0) - issued, Cycles{kMshrsPerCore});
     EXPECT_EQ(f.m.machineStats().mshrFullEvents.value(), 0u);
     // The 17th waits until the first prefetch's line arrives.
-    f.m.prefetch(0, f.addr(8 * static_cast<int>(cfg.mshrsPerCore)));
+    f.m.prefetch(0, f.addr(8 * static_cast<int>(kMshrsPerCore)));
     EXPECT_EQ(f.m.coreCycles(0),
               issued + cfg.l2.latency + cfg.nvmmReadCycles() + 1);
     EXPECT_EQ(f.m.machineStats().mshrFullEvents.value(), 1u);
     EXPECT_EQ(f.m.machineStats().nvmmReads.value(),
-              cfg.mshrsPerCore + 1u);
+              kMshrsPerCore + 1u);
     EXPECT_EQ(f.m.machineStats().prefetches.value(),
-              cfg.mshrsPerCore + 1u);
+              kMshrsPerCore + 1u);
 }
 
 TEST(Machine, PrefetchOfCachedLineCostsOneCycleAndNoRead)
@@ -476,13 +519,12 @@ TEST(Machine, PrefetchOfPendingStreamedLineDrainsIt)
 TEST(Machine, CrashClearsInFlightPrefetches)
 {
     Fixture f;
-    const MachineConfig cfg = tinyConfig();
-    for (unsigned i = 0; i < cfg.mshrsPerCore; ++i)
+    for (unsigned i = 0; i < kMshrsPerCore; ++i)
         f.m.prefetch(0, f.addr(8 * static_cast<int>(i)));
     f.m.loseVolatileState();
     // No MSHR stays busy and no line stays in flight.
     const Cycles before = f.m.coreCycles(0);
-    f.m.prefetch(0, f.addr(8 * static_cast<int>(cfg.mshrsPerCore)));
+    f.m.prefetch(0, f.addr(8 * static_cast<int>(kMshrsPerCore)));
     EXPECT_EQ(f.m.coreCycles(0) - before, 1u);
     f.m.read(0, f.addr(0), 8);
     EXPECT_EQ(f.m.machineStats().prefetchWaitCycles.value(), 0u);
@@ -562,6 +604,33 @@ TEST(Machine, CrashKeepsFlushedData)
     EXPECT_DOUBLE_EQ(f.data[0], 11.0);
 }
 
+TEST(Machine, FlushAndFencePersistFromEveryCoreWithEitherFlush)
+{
+    // write + clflushopt/clwb + sfence is durable whichever core
+    // issues it, and survives a crash.
+    for (const bool keep_line : {false, true}) {
+        Fixture f;
+        const int cores = tinyConfig().numCores;
+        for (CoreId c = 0; c < cores; ++c) {
+            f.data[8 * c] = 20.0 + c;
+            f.m.write(c, f.addr(8 * c), 8);
+            if (keep_line)
+                f.m.clwb(c, f.addr(8 * c));
+            else
+                f.m.clflushopt(c, f.addr(8 * c));
+            f.m.sfence(c);
+        }
+        EXPECT_EQ(f.m.machineStats().flushWrites.value(),
+                  static_cast<std::uint64_t>(cores));
+        EXPECT_EQ(f.m.totalDirtyLines(), 0u);
+        f.m.loseVolatileState();
+        f.arena.crashRestore();
+        for (CoreId c = 0; c < cores; ++c)
+            EXPECT_DOUBLE_EQ(f.data[8 * c], 20.0 + c)
+                << "clwb=" << keep_line << " core " << c;
+    }
+}
+
 TEST(Machine, DrainPersistsEverythingAndCleansLines)
 {
     Fixture f;
@@ -637,6 +706,108 @@ TEST(Machine, InclusionL2EvictionBackInvalidatesL1)
     EXPECT_GE(f.m.machineStats().backInvalidations.value(), 1u);
     // The dirty data was not lost: it reached NVMM on eviction.
     EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 1.0);
+}
+
+TEST(Machine, CountsEveryIssuedOperation)
+{
+    // One call is one instruction, whatever it hits or straddles;
+    // streaming loads and stores count among loads and stores too.
+    Fixture f;
+    for (int i = 0; i < 40; ++i) {
+        f.m.read(i % 2, f.addr(3 * i), 8);
+        if (i % 2 == 0)
+            f.m.write(0, f.addr(5 * i), 8);
+        if (i % 4 == 0)
+            f.m.readStream(1, f.addr(7 * i), 8);
+        if (i % 5 == 0)
+            f.m.writeStream(0, f.addr(8 * i), 8);
+        if (i % 8 == 0)
+            f.m.clflushopt(0, f.addr(5 * i));
+        if (i % 10 == 0)
+            f.m.clwb(1, f.addr(3 * i));
+        f.m.tick(i % 2, 3);
+    }
+    f.m.read(0, f.addr(8) - 4, 8);
+    f.m.sfence(0);
+    f.m.sfence(1);
+    const auto snap = f.m.snapshot();
+    EXPECT_EQ(snap.at("loads"), 40.0 + 10.0 + 1.0);
+    EXPECT_EQ(snap.at("stream_loads"), 10.0);
+    EXPECT_EQ(snap.at("stores"), 20.0 + 8.0);
+    EXPECT_EQ(snap.at("stream_stores"), 8.0);
+    EXPECT_EQ(snap.at("flush_instrs"), 5.0 + 4.0);
+    EXPECT_EQ(snap.at("fences"), 2.0);
+    EXPECT_EQ(snap.at("compute_ops"), 120.0);
+    EXPECT_EQ(snap.at("prefetches"), 0.0);
+}
+
+TEST(Machine, StreamingMixIsRepeatable)
+{
+    // A second machine fed the same operations reproduces every
+    // counter, cycles included.
+    Fixture a;
+    runStreamingMix(a);
+    Fixture b;
+    runStreamingMix(b);
+    const auto snap = a.m.snapshot();
+    ASSERT_GT(snap.at("stream_writes"), 0.0);
+    ASSERT_GT(snap.at("stream_loads"), 0.0);
+    EXPECT_EQ(snap, b.m.snapshot());
+}
+
+TEST(Machine, PrefetchMixIsRepeatable)
+{
+    Fixture a;
+    runPrefetchMix(a);
+    Fixture b;
+    runPrefetchMix(b);
+    const auto snap = a.m.snapshot();
+    ASSERT_GT(snap.at("prefetches"), 0.0);
+    ASSERT_GT(snap.at("prefetch_wait_cycles"), 0.0);
+    ASSERT_GT(snap.at("prefetch_unused"), 0.0);
+    EXPECT_EQ(snap, b.m.snapshot());
+}
+
+TEST(Machine, BiggerL2ChangesOnlyCacheBehaviour)
+{
+    // The same operations into a sixteen times bigger L2: the issued
+    // counts match, the L2 misses less and NVMM sees no more writes.
+    MachineConfig big = tinyConfig();
+    big.l2 = {64 * 1024, 8, 11};
+    Fixture small_l2;
+    runPrefetchMix(small_l2);
+    Fixture big_l2(big);
+    runPrefetchMix(big_l2);
+    const auto s = small_l2.m.snapshot();
+    const auto b = big_l2.m.snapshot();
+    for (const char *op : {"loads", "stores", "stream_stores",
+                           "prefetches", "flush_instrs", "fences",
+                           "compute_ops"})
+        EXPECT_EQ(b.at(op), s.at(op)) << op;
+    EXPECT_LT(b.at("l2_misses"), s.at("l2_misses"));
+    EXPECT_LE(b.at("nvmm_writes"), s.at("nvmm_writes"));
+}
+
+TEST(Machine, NvmmLatencyChangesTimingButNotTraffic)
+{
+    // On one core the block traffic does not depend on time: slower
+    // NVMM stretches the run but reads and writes the same blocks.
+    MachineConfig slow = tinyConfig();
+    slow.nvmmReadNs *= 2;
+    slow.nvmmWriteNs *= 2;
+    Fixture fast_f;
+    runStreamingMix(fast_f);
+    Fixture slow_f(slow);
+    runStreamingMix(slow_f);
+    const auto fast = fast_f.m.snapshot();
+    const auto slowed = slow_f.m.snapshot();
+    for (const char *c : {"l1_misses", "l2_misses", "nvmm_reads",
+                          "nvmm_writes", "eviction_writes",
+                          "stream_writes"})
+        EXPECT_EQ(slowed.at(c), fast.at(c)) << c;
+    EXPECT_GT(slowed.at("exec_cycles"), fast.at("exec_cycles"));
+    EXPECT_EQ(slow_f.m.blockWriteCounts(), fast_f.m.blockWriteCounts());
+    EXPECT_EQ(slow_f.m.blockReadCounts(), fast_f.m.blockReadCounts());
 }
 
 } // namespace

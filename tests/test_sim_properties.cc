@@ -69,6 +69,9 @@ TEST(SimProperties, WriteCountInvariantToNvmmLatencySingleThread)
 
 TEST(SimProperties, BiggerL2NeverMissesMore)
 {
+    // The L2 changes only cache behaviour: every size runs the same
+    // instruction stream as the smallest.
+    RunOutcome first;
     double prev_misses = -1.0;
     for (unsigned kb : {8u, 16u, 32u, 64u, 128u}) {
         const auto out = runScheme(KernelId::Tmm, Scheme::Base,
@@ -76,6 +79,10 @@ TEST(SimProperties, BiggerL2NeverMissesMore)
                                    machineWith(kb, 150, 300));
         if (prev_misses >= 0.0) {
             EXPECT_LE(out.stat("l2_misses"), prev_misses) << kb;
+            for (const char *op : {"loads", "stores", "compute_ops"})
+                EXPECT_EQ(out.stat(op), first.stat(op)) << op << kb;
+        } else {
+            first = out;
         }
         prev_misses = out.stat("l2_misses");
     }
@@ -169,6 +176,52 @@ TEST(SimProperties, ThreadCountPreservesWorkCounts)
     EXPECT_DOUBLE_EQ(one.stat("stores"), four.stat("stores"));
     EXPECT_DOUBLE_EQ(one.stat("compute_ops"),
                      four.stat("compute_ops"));
+}
+
+TEST(SimProperties, EverySchemeIsDeterministicOnFourThreads)
+{
+    // Threads interleave by simulated clock, not by the host: a rerun
+    // of any scheme reproduces every counter, cycles included.
+    const auto cfg = machineWith(16, 150, 300);
+    for (Scheme s : {Scheme::Base, Scheme::Lp, Scheme::EagerRecompute,
+                     Scheme::Wal}) {
+        const auto a = runScheme(KernelId::Tmm, s, tmm32(), cfg);
+        const auto b = runScheme(KernelId::Tmm, s, tmm32(), cfg);
+        EXPECT_TRUE(a.verified) << schemeName(s);
+        EXPECT_EQ(a.stats, b.stats) << schemeName(s);
+    }
+}
+
+TEST(SimProperties, BiggerL2KeepsLpWorkCountsOnFourThreads)
+{
+    // A sixteen times bigger L2 changes the interleaving's timing, not
+    // the work: LP issues the same operations, misses less and writes
+    // no more.
+    const auto small = runScheme(KernelId::Tmm, Scheme::Lp, tmm32(),
+                                 machineWith(16, 150, 300));
+    const auto big = runScheme(KernelId::Tmm, Scheme::Lp, tmm32(),
+                               machineWith(256, 150, 300));
+    for (const char *op : {"loads", "stores", "compute_ops",
+                           "flush_instrs", "fences"})
+        EXPECT_EQ(big.stat(op), small.stat(op)) << op;
+    EXPECT_LT(big.stat("l2_misses"), small.stat("l2_misses"));
+    EXPECT_LE(big.nvmmWrites, small.nvmmWrites);
+    EXPECT_TRUE(big.verified);
+}
+
+TEST(SimProperties, NvmmLatencyKeepsLpWorkCountsOnFourThreads)
+{
+    // Latency may shift which blocks four threads write back, but
+    // never how many operations they issue.
+    const auto first = runScheme(KernelId::Tmm, Scheme::Lp, tmm32(),
+                                 machineWith(16, 60, 120));
+    for (double ns : {150.0, 300.0}) {
+        const auto out = runScheme(KernelId::Tmm, Scheme::Lp, tmm32(),
+                                   machineWith(16, ns, 2 * ns));
+        for (const char *op : {"loads", "stores", "compute_ops"})
+            EXPECT_EQ(out.stat(op), first.stat(op)) << op << " " << ns;
+        EXPECT_GT(out.execCycles, first.execCycles) << ns;
+    }
 }
 
 TEST(SimProperties, WearTrackingCountsPerBlockWrites)

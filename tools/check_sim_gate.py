@@ -32,6 +32,16 @@ must carry:
               regions matched and repaired after a mid-run tmm crash,
               per cleaner period and per tile size, with each tile
               size's base and LP cycles
+    fig14     bench_fig14_sensitivity: Figure 14's tmm cycles and NVMM
+              writes per NVMM latency (base, LP, EagerRecompute) and
+              per thread count (base, LP)
+    fig15     bench_fig15_cache_checksum: Figure 15's tmm cycles, NVMM
+              writes, L2 misses and L2 accesses per L2 size (base, LP)
+              and per checksum kind (LP, with base and EagerRecompute
+              at the paper's L2)
+
+The --gate choices are the names of the tools/*_golden.json files, so
+a new gate needs only its golden file.
 
 Every gate is deterministic: for a given command the values are the
 same on every run and every machine. The result is the JSON object on
@@ -47,22 +57,25 @@ mismatch on stderr).
 """
 
 import argparse
+import glob
 import json
 import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+GOLDEN_SUFFIX = "_golden.json"
+GATES = sorted(os.path.basename(p)[:-len(GOLDEN_SUFFIX)]
+               for p in glob.glob(os.path.join(HERE, "*" + GOLDEN_SUFFIX)))
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("result", help="result file ('-' for stdin)")
     ap.add_argument("--gate", default="sim_gate",
-                    choices=("sim_gate", "fig10", "table6", "fig11",
-                             "fig12", "fig13", "recovery_time"),
+                    choices=GATES,
                     help="compare with tools/<gate>_golden.json")
     args = ap.parse_args()
-    golden_path = os.path.join(HERE, args.gate + "_golden.json")
+    golden_path = os.path.join(HERE, args.gate + GOLDEN_SUFFIX)
 
     with (sys.stdin if args.result == "-" else open(args.result)) as f:
         lines = f.read().splitlines()
