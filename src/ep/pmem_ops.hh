@@ -19,10 +19,8 @@
 #ifndef LP_EP_PMEM_OPS_HH
 #define LP_EP_PMEM_OPS_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "base/types.hh"
 
@@ -79,36 +77,6 @@ void
 persistObject(Env &env, const T *p)
 {
     persistRange(env, p, sizeof(T));
-}
-
-/** Host cache-block index of @p p. */
-inline std::uintptr_t
-blockIndexOf(const void *p)
-{
-    return reinterpret_cast<std::uintptr_t>(p) / blockBytes;
-}
-
-/**
- * clwb every distinct cache block in @p blocks once (no fence) and
- * clear the vector; the blocks stay cached clean. Bulk phases (the LP
- * fold, recovery replay) touch many words that share blocks (4 table
- * slots or checksum slots per block); interleaving store and
- * write-back per word re-dirties a block right after writing it back
- * and pays a second NVMM write for the same line. Batching all of a
- * phase's stores before one deduplicated write-back pass is equally
- * crash-safe -- the phase's trailing sfence is the only ordering
- * point -- and strictly write-cheaper.
- */
-template <typename Env>
-void
-writeBackBlocksOnce(Env &env, std::vector<std::uintptr_t> &blocks)
-{
-    std::sort(blocks.begin(), blocks.end());
-    blocks.erase(std::unique(blocks.begin(), blocks.end()),
-                 blocks.end());
-    for (const std::uintptr_t b : blocks)
-        env.clwb(reinterpret_cast<const void *>(b * blockBytes));
-    blocks.clear();
 }
 
 } // namespace lp::ep

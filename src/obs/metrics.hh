@@ -61,6 +61,7 @@ class MetricsText
                          const std::string &labels,
                          const Histogram &h, double scale);
     void typeLine(const std::string &name, const char *type);
+    void appendName(const std::string &name, const std::string &labels);
     void sample(const std::string &name, const std::string &labels,
                 double v);
     void bucketSample(const std::string &name,

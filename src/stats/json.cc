@@ -66,7 +66,13 @@ JsonValue::render() const
         std::string
         operator()(const std::string &s) const
         {
-            return "\"" + escape(s) + "\"";
+            // reserve/append, not "\"" + escape(s) + "\"": GCC 12
+            // at -O3 reports a false -Wrestrict in the operator+ form.
+            const std::string body = escape(s);
+            std::string out;
+            out.reserve(body.size() + 2);
+            out.append(1, '"').append(body).append(1, '"');
+            return out;
         }
 
         std::string

@@ -57,12 +57,15 @@
  * life-salted digest over the records that actually reached NVMM,
  * and compare it with the digest the trailer carries. On the first
  * validation failure the parity sweep runs once and the position is
- * retried. Accepted batches are replayed into the table with Eager
- * Persistency (Section III-E: recovery uses EP so it always makes
- * forward progress); the walk stops at the first batch that still
- * fails validation -- journal appends are sequential, so durability
- * is prefix-shaped and later batches cannot have committed either.
- * Replay is idempotent and convergent even across crashes *during*
+ * retried. The walk stops at the first batch that still fails
+ * validation -- journal appends are sequential, so durability is
+ * prefix-shaped and later batches cannot have committed either. The
+ * accepted prefix coalesces into the last op per key, as a fold
+ * window does, and is applied to the table with Eager Persistency
+ * (Section III-E: recovery uses EP so it always makes forward
+ * progress) in the fold's table-order pass, which ends in one fence;
+ * only then does the watermark move. Replay is idempotent and
+ * convergent even across crashes *during*
  * fold or recovery because (a) table writers only apply committed
  * ops, (b) deletes tombstone rather than empty slots, and (c) the
  * insert probe scans the whole chain up to the first never-used slot
@@ -81,7 +84,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "ep/pmem_ops.hh"
 #include "obs/shard_obs.hh"
 #include "repair/parity.hh"
 #include "store/backend.hh"
@@ -180,15 +182,17 @@ class LpBackend : public PersistencyBackend<Env>
      * (b) apply the coalesced last op per key to the table with
      *     Eager Persistency -- one table write per DISTINCT key in
      *     the window, which is where LP's write savings over per-op
-     *     flushing comes from on skewed workloads. The delta names
-     *     every key before the first is applied, so each key's home
-     *     line is prefetched SlotTable::prefetchDistance keys ahead
-     *     of its apply (SlotTable::walkPrefetched), and those
-     *     independent table misses overlap instead of running one
-     *     after another. All of the window's table stores execute
-     *     first, then each distinct dirty block is written back once
-     *     with clwb (ep::writeBackBlocksOnce), which leaves it cached
-     *     clean for later GETs;
+     *     flushing comes from on skewed workloads -- in one
+     *     table-order pass (SlotTable::applyInTableOrder). The delta
+     *     names every key before the first is applied, so the pass
+     *     sorts the keys by home slot (host bookkeeping, uncharged,
+     *     in the shard's reused key vector), prefetches each key's
+     *     home line SlotTable::prefetchDistance keys ahead of its
+     *     apply, so those independent table misses overlap, and
+     *     clwbs each touched block once as soon as the walk has
+     *     passed it, so the write-backs drain behind the apply and
+     *     the pass's closing sfence waits for only the last few. clwb
+     *     leaves the blocks cached clean for later GETs;
      * (c) restart the parity generation (the journal is about to
      *     restart at offset 0) and advance the durable watermark in
      *     both superblock copies.
@@ -208,18 +212,7 @@ class LpBackend : public PersistencyBackend<Env>
         obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted(), 0,
                        ob ? &ob->foldNs : nullptr);
         env.sfence();
-        std::vector<std::uintptr_t> blocks;
-        table().walkPrefetched(
-            env, sh.delta, [](const auto &kv) { return kv.first; },
-            [&](const auto &kv) {
-                const auto &[key, dv] = kv;
-                KvSlot *slot =
-                    table().applyOp(env, dv.isPut, key, dv.value);
-                if (slot)
-                    blocks.push_back(ep::blockIndexOf(slot));
-            });
-        ep::writeBackBlocksOnce(env, blocks);
-        env.sfence();
+        applyDelta(env, sh);
         sh.parity->resetGeneration(env, pl.lastCommitted());
         this->persistMeta(env, shard, pl.lastCommitted(), 0);
         env.sfence();
@@ -273,22 +266,18 @@ class LpBackend : public PersistencyBackend<Env>
             }
             return res.repaired > 0;
         };
-        // Committed batches repair the table with Eager Persistency
-        // (Section III-E); like the fold, all of a batch's stores
-        // execute first, then one clwb per distinct block.
-        std::vector<std::uintptr_t> blocks;
+        // The validated prefix coalesces into the delta exactly as
+        // stage() builds it, and repairs the table with Eager
+        // Persistency (Section III-E) in the fold's table-order pass:
+        // one apply per distinct key, one fence for the whole replay.
+        sh.delta.clear();
         const std::uint64_t committed = sh.journal->replay(
             env, cfg(), base,
-            [&](bool isPut, std::uint64_t key, std::uint64_t value) {
-                KvSlot *slot = table().applyOp(env, isPut, key, value);
-                if (slot)
-                    blocks.push_back(ep::blockIndexOf(slot));
-            },
-            [&]() {
-                ep::writeBackBlocksOnce(env, blocks);
-                env.sfence();
+            [&sh](bool isPut, std::uint64_t key, std::uint64_t value) {
+                sh.delta[key] = DeltaVal{isPut, value};
             },
             repairFn, rep);
+        applyDelta(env, sh);
         if (strict && hdrOk &&
             committed < sh.parity->lastSealedEpoch()) {
             // Clean shutdown proved every sealed epoch was durable,
@@ -445,12 +434,30 @@ class LpBackend : public PersistencyBackend<Env>
         /** Coalesced last op per key since the last fold. */
         std::unordered_map<std::uint64_t, DeltaVal> delta;
 
+        /** The delta's keys in table order; reused by every fold. */
+        std::vector<std::uint64_t> keys;
+
         /// @name Online-scrub walk state (owner thread only).
         /// @{
         std::size_t scrubCursor = 0;
         bool scrubGroupClean = true;
         /// @}
     };
+
+    /**
+     * Apply @p sh's delta to the table with Eager Persistency (the
+     * fold's step (b), and recovery's replay): one table-order pass.
+     */
+    void
+    applyDelta(Env &env, Shard &sh)
+    {
+        sh.keys.clear();
+        for (const auto &kv : sh.delta)
+            sh.keys.push_back(kv.first);
+        table().applyInTableOrder(env, sh.keys, [&sh](std::uint64_t k) {
+            return sh.delta.find(k)->second;
+        });
+    }
 
     /**
      * Recovery epilogue: start a new life and restate the superblock

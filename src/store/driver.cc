@@ -373,7 +373,9 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
                     n, spec.seed);
             }
         }
+        const Cycles recoverStart = ctx.machine.coreCycles(0);
         out.report = store.recover(env);
+        out.recoveryCycles = ctx.machine.coreCycles(0) - recoverStart;
 
         if (b == Backend::EagerPerOp) {
             // Completed ops are all durable; the one in-flight op is

@@ -260,6 +260,9 @@ struct StoreCrashOutcome
     bool crashed = false;
     RecoveryReport report;
 
+    /** Simulated core cycles store.recover() took (0 if no crash). */
+    std::uint64_t recoveryCycles = 0;
+
     /**
      * After recovery, the persistent map equalled the golden replay
      * of exactly the committed batches (for the eager backend: of all

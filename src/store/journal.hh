@@ -282,9 +282,9 @@ class BatchJournal
      * trailer, recompute its digest over what actually reached NVMM
      * and accept it iff the trailer carries that digest. Accepted
      * batches replay through @p apply(isPut, key, value) per record,
-     * then @p batchDone() (the backend's flush + fence). Stops at the
-     * first batch failing validation -- appends are sequential, so
-     * durability is prefix-shaped. Returns the last committed epoch.
+     * in journal order. Stops at the first batch failing validation
+     * -- appends are sequential, so durability is prefix-shaped.
+     * Returns the last committed epoch.
      *
      * @p repairFn(offset) is the media-repair hook: on the FIRST
      * validation failure of any kind (a missing trailer included --
@@ -296,11 +296,10 @@ class BatchJournal
      * protection covers from the journal's natural end. Pass a
      * `[](std::size_t) { return false; }` thunk to opt out.
      */
-    template <typename ApplyFn, typename DoneFn, typename RepairFn>
+    template <typename ApplyFn, typename RepairFn>
     std::uint64_t
     replay(Env &env, const StoreConfig &cfg, std::uint64_t base,
-           ApplyFn &&apply, DoneFn &&batchDone,
-           RepairFn &&repairFn, RecoveryReport &rep)
+           ApplyFn &&apply, RepairFn &&repairFn, RecoveryReport &rep)
     {
         bool repairTried = false;
         auto tryRepair = [&](std::size_t pos) {
@@ -331,7 +330,6 @@ class BatchJournal
                     apply(true, k, v);
                 ++rep.entriesReplayed;
             }
-            batchDone();
             ++rep.batchesReplayed;
             pos += count + 1;
             ++e;

@@ -23,6 +23,7 @@
 #ifndef LP_STORE_LAYOUT_HH
 #define LP_STORE_LAYOUT_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -30,6 +31,7 @@
 #include <vector>
 
 #include "base/logging.hh"
+#include "base/types.hh"
 #include "lp/checksum.hh"
 #include "pmem/arena.hh"
 #include "sim/config.hh"
@@ -210,7 +212,8 @@ struct RecoveryReport
  *
  * Writes go through the Env (or a caller-supplied recording writer
  * for the WAL plan phase); the table itself decides nothing about
- * durability.
+ * durability, except in applyInTableOrder, the LP backend's eager
+ * fold and recovery pass.
  */
 template <typename Env>
 class SlotTable
@@ -280,6 +283,60 @@ class SlotTable
             if (ahead != items.end())
                 prefetchHome(env, keyOf(*ahead++));
         }
+    }
+
+    /**
+     * The table-order apply pass of the LP fold and recovery replay:
+     * apply one op per key of @p keys (distinct keys; opOf(key) gives
+     * the key's last op as {isPut, value}) with Eager Persistency,
+     * clwb every touched block once and end in one sfence. The pass
+     * sorts @p keys by home slot (host bookkeeping, uncharged) and
+     * walks them with walkPrefetched. Linear probing writes a key at
+     * or after its home slot unless the probe wraps past the table's
+     * end, so once the next key's home block lies beyond a touched
+     * block, no later key writes that block again: it is written back
+     * right away, and the write port drains behind the apply instead
+     * of after it. Blocks below the first key's home block can only
+     * be reached by wrapping and wait for a final pass. (A wrapped
+     * write into a block already written back, which needs a chain
+     * running from the table's end past the first home block, costs
+     * that block a second write.) Crash-safe like any store + clwb
+     * phase: the trailing sfence is the only ordering point.
+     */
+    template <typename OpOf>
+    void
+    applyInTableOrder(Env &env, std::vector<std::uint64_t> &keys,
+                      OpOf opOf)
+    {
+        if (keys.empty())
+            return;
+        std::sort(keys.begin(), keys.end(),
+                  [this](std::uint64_t a, std::uint64_t b) {
+                      const std::size_t ha = bucketOf(a);
+                      const std::size_t hb = bucketOf(b);
+                      return ha != hb ? ha < hb : a < b;
+                  });
+        constexpr std::uintptr_t end = ~std::uintptr_t{0};
+        const std::uintptr_t firstHome = homeBlock(keys.front());
+        std::vector<std::uintptr_t> pending;  // touched, not written back
+        std::vector<std::uintptr_t> wrapped;  // touched below firstHome
+        std::size_t next = 1;
+        walkPrefetched(
+            env, keys, [](std::uint64_t k) { return k; },
+            [&](std::uint64_t key) {
+                const auto op = opOf(key);
+                if (const KvSlot *s =
+                        applyOp(env, op.isPut, key, op.value)) {
+                    const std::uintptr_t b = blockOf(s);
+                    (b < firstHome ? wrapped : pending).push_back(b);
+                }
+                writeBackBelow(env, pending,
+                               next < keys.size() ? homeBlock(keys[next])
+                                                  : end);
+                ++next;
+            });
+        writeBackBelow(env, wrapped, end);
+        env.sfence();
     }
 
     /** Slot holding @p key, or npos. Probes stop at never-used slots. */
@@ -412,6 +469,36 @@ class SlotTable
     prefetchHome(Env &env, std::uint64_t key)
     {
         env.prefetch(&table_[bucketOf(key)]);
+    }
+
+    static std::uintptr_t
+    blockOf(const KvSlot *s)
+    {
+        return reinterpret_cast<std::uintptr_t>(s) / blockBytes;
+    }
+
+    std::uintptr_t
+    homeBlock(std::uint64_t key) const
+    {
+        return blockOf(&table_[bucketOf(key)]);
+    }
+
+    /**
+     * clwb each distinct block of @p blocks below @p limit once and
+     * drop it from @p blocks.
+     */
+    static void
+    writeBackBelow(Env &env, std::vector<std::uintptr_t> &blocks,
+                   std::uintptr_t limit)
+    {
+        std::sort(blocks.begin(), blocks.end());
+        blocks.erase(std::unique(blocks.begin(), blocks.end()),
+                     blocks.end());
+        const auto split =
+            std::lower_bound(blocks.begin(), blocks.end(), limit);
+        for (auto it = blocks.begin(); it != split; ++it)
+            env.clwb(reinterpret_cast<const void *>(*it * blockBytes));
+        blocks.erase(blocks.begin(), split);
     }
 
     std::size_t

@@ -1,13 +1,10 @@
 /**
  * @file
  * Tests for the Eager Persistency range helpers: every block
- * overlapping a range must be flushed, regardless of alignment; and
- * the deduplicating block write-back the store's bulk phases use.
+ * overlapping a range must be flushed, regardless of alignment.
  */
 
 #include <gtest/gtest.h>
-
-#include <vector>
 
 #include "ep/pmem_ops.hh"
 #include "kernels/env.hh"
@@ -118,38 +115,6 @@ TEST(PmemOps, PersistObjectPersistsExactlyTheObject)
     EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[0]), 1.0);
     // Block 1 (doubles 8..15) was not flushed.
     EXPECT_DOUBLE_EQ(f.arena.peekDurable(&f.data[8]), 0.0);
-}
-
-/**
- * writeBackBlocksOnce issues one clwb per distinct block, whatever the
- * order and repetition of its input; the lines stay cached clean and
- * are durable once fenced.
- */
-TEST(PmemOps, WriteBackBlocksOnceDedupsAndKeepsLinesCached)
-{
-    Fixture f;
-    SimEnv env(f.machine, f.arena, 0);
-    f.dirty(env, 0, 24);  // blocks 0, 1, 2
-    std::vector<std::uintptr_t> blocks;
-    for (int i = 23; i >= 0; --i)
-        blocks.push_back(blockIndexOf(&f.data[i]));
-    writeBackBlocksOnce(env, blocks);
-    env.sfence();
-    EXPECT_TRUE(blocks.empty());
-    const sim::MachineStats &ms = f.machine.machineStats();
-    EXPECT_EQ(ms.flushInstrs.value(), 3u);
-    EXPECT_EQ(ms.flushWrites.value(), 3u);
-    EXPECT_EQ(f.machine.totalDirtyLines(), 0u);
-
-    const auto reads = ms.nvmmReads.value();
-    for (int i = 0; i < 24; ++i)
-        EXPECT_DOUBLE_EQ(env.ld(&f.data[i]), 1.0 + i);
-    EXPECT_EQ(ms.nvmmReads.value(), reads);
-
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
-    for (int i = 0; i < 24; ++i)
-        EXPECT_DOUBLE_EQ(f.data[i], 1.0 + i);
 }
 
 } // namespace

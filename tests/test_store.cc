@@ -9,8 +9,10 @@
  * trailer's epoch tag wrapping), the 16-byte journal format with its
  * self-validating batch trailer, the YCSB
  * generators, the table occupancy guard, the LP fold's one prefetch
- * per distinct key and the WAL plan phase's one per op, and GETs of
- * persisted keys that hit in the cache.
+ * per distinct key and the WAL plan phase's one per op, the LP
+ * table-order pass (one write per touched block, write-backs that
+ * drain behind the apply, recovery coalesced to the last op per key),
+ * and GETs of persisted keys that hit in the cache.
  */
 
 #include <gtest/gtest.h>
@@ -905,6 +907,277 @@ TEST(StoreWal, BatchCommitPrefetchesEachColdKeyOnce)
     EXPECT_EQ(ms.prefetches.value(), std::uint64_t(scfg.batchOps));
     EXPECT_EQ(ms.prefetchUnused.value(), 0u);
     EXPECT_GT(ms.prefetchWaitCycles.value(), 0u);
+}
+
+/** Home slot of @p key in a table of @p slots slots (SlotTable's hash). */
+std::size_t
+homeSlot(std::uint64_t key, std::size_t slots)
+{
+    return std::size_t((key * 0x9e3779b97f4a7c15ull) >> 32) & (slots - 1);
+}
+
+/** The first @p n keys from 1 up whose home slot is @p slot. */
+std::vector<std::uint64_t>
+keysHomedAt(std::size_t slot, std::size_t slots, int n)
+{
+    std::vector<std::uint64_t> keys;
+    for (std::uint64_t k = 1; int(keys.size()) < n; ++k)
+        if (homeSlot(k, slots) == slot)
+            keys.push_back(k);
+    return keys;
+}
+
+/** NVMM writes per table block (simulated block address). */
+std::map<Addr, std::uint64_t>
+tableBlockWrites(const kernels::SimContext &ctx, const FaultSurface &fs)
+{
+    const Addr lo = ctx.arena.addrOf(fs.table);
+    const Addr hi = lo + fs.tableBytes;
+    std::map<Addr, std::uint64_t> out;
+    for (const auto &[blk, n] : ctx.machine.blockWriteCounts())
+        if (blk >= lo && blk < hi)
+            out[blk] = n;
+    return out;
+}
+
+/**
+ * One fold whose keys share home blocks -- four keys homed in block
+ * 100, two homed at slot 803 (the second probes into block 201), and
+ * three homed at the table's last two slots, the third of which
+ * probes past the end into block 0 -- writes each touched table block
+ * to NVMM exactly once.
+ */
+TEST(StoreFold, WritesEachTouchedTableBlockOnce)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    const FaultSurface fs = store.faultSurface(0);
+    const std::size_t slots = fs.tableBytes / sizeof(KvSlot);
+    ASSERT_EQ(slots, 2048u);
+
+    std::vector<std::uint64_t> keys;
+    for (const auto &[slot, n] :
+         {std::pair{400, 1}, {401, 2}, {403, 1}, {803, 2}, {2046, 1},
+          {2047, 2}}) {
+        for (std::uint64_t k : keysHomedAt(std::size_t(slot), slots, n))
+            keys.push_back(k);
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i)
+        store.put(env, keys[i], i + 1);
+    const auto before = tableBlockWrites(ctx, fs);
+    store.checkpoint(env);
+    auto after = tableBlockWrites(ctx, fs);
+    for (const auto &[blk, n] : before)
+        after[blk] -= n;
+
+    const auto *table = static_cast<const KvSlot *>(fs.table);
+    std::set<Addr> touched;
+    for (std::size_t i = 0; i < slots; ++i)
+        if (table[i].key != slotEmptyKey)
+            touched.insert(blockAlign(ctx.arena.addrOf(&table[i])));
+    const auto blockOfSlot = [&](std::size_t i) {
+        return blockAlign(ctx.arena.addrOf(&table[i]));
+    };
+    EXPECT_EQ(touched, (std::set<Addr>{blockOfSlot(0), blockOfSlot(400),
+                                       blockOfSlot(803), blockOfSlot(804),
+                                       blockOfSlot(2047)}));
+    for (const Addr blk : touched)
+        EXPECT_EQ(after[blk], 1u) << "table block " << blk;
+    std::uint64_t total = 0;
+    for (const auto &[blk, n] : after)
+        total += n;
+    EXPECT_EQ(total, touched.size());
+    EXPECT_EQ(store.snapshot().size(), keys.size());
+}
+
+/**
+ * SimEnv that logs, for every sfence, the core cycles from the last
+ * plain store before it to the fence's completion: how far a store
+ * phase's write-backs trail its stores.
+ */
+class FenceLogEnv : public kernels::SimEnv
+{
+  public:
+    using SimEnv::SimEnv;
+
+    template <typename T>
+    void
+    st(T *p, T v)
+    {
+        SimEnv::st(p, v);
+        lastStore_ = now();
+    }
+
+    void
+    sfence()
+    {
+        SimEnv::sfence();
+        trails.push_back(now() - lastStore_);
+    }
+
+    std::vector<Cycles> trails;
+
+  private:
+    Cycles now() { return machine().coreCycles(core()); }
+
+    Cycles lastStore_ = 0;
+};
+
+/**
+ * The fold's write-backs drain behind its apply: with 600 distinct
+ * keys folded, the pass's fence completes within about one NVMM write
+ * latency of the last table store. Issuing every clwb after the last
+ * store instead (one per dirty block, 16 cycles apart at the write
+ * port) puts about 9k cycles between them.
+ */
+TEST(StoreFold, WriteBacksDrainBehindTheApply)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.capacity = 4096;
+    scfg.batchOps = 32;
+    scfg.foldBatches = 64;  // only the checkpoint folds
+    sim::MachineConfig mcfg = smallMachine();
+    mcfg.l2 = {256 * 1024, 8, 11};
+    kernels::SimContext ctx(mcfg, storeArenaBytes(scfg));
+    KvStore<FenceLogEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    FenceLogEnv env(ctx.machine, ctx.arena, 0);
+    for (std::uint64_t k = 0; k < 600; ++k)
+        store.put(env, keyOfRecord(k, 3), k);
+    env.trails.clear();
+    const auto flushes = ctx.machine.machineStats().flushWrites.value();
+    store.checkpoint(env);
+    EXPECT_GT(ctx.machine.machineStats().flushWrites.value() - flushes,
+              400u);
+    // Fences: journal tail, the table pass, the superblock pair.
+    ASSERT_EQ(env.trails.size(), 3u);
+    const Cycles writeLatency = mcfg.nvmmWriteCycles();
+    EXPECT_LE(env.trails[1], writeLatency + writeLatency / 4);
+    EXPECT_LE(env.trails[2], writeLatency + writeLatency / 4);
+}
+
+/**
+ * Recovery coalesces the committed prefix to the last op per key
+ * before applying it: put / del / put of one key across three
+ * committed batches costs the key's table block one NVMM write, not
+ * three. A crash inside the recovery's apply is followed by a second
+ * recovery, and the result equals the sequential replay.
+ */
+TEST(StoreRecovery, ReplayCoalescesToTheLastOpPerKey)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+    const FaultSurface fs = store.faultSurface(0);
+
+    constexpr std::uint64_t k = 5000;
+    std::map<std::uint64_t, std::uint64_t> golden;
+    std::uint64_t filler = 1;
+    for (int batch = 0; batch < 3; ++batch) {
+        if (batch == 1) {
+            store.del(env, k);
+            golden.erase(k);
+        } else {
+            store.put(env, k, std::uint64_t(batch + 1));
+            golden[k] = std::uint64_t(batch + 1);
+        }
+        for (int i = 1; i < scfg.batchOps; ++i, ++filler) {
+            store.put(env, filler, filler);
+            golden[filler] = filler;
+        }
+    }
+    ASSERT_EQ(store.committedEpoch(0), 3u);
+    // One more op fills the journal line holding epoch 3's trailer,
+    // so it streams out; the open batch 4 dies with the power.
+    store.put(env, filler, filler);
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+
+    ctx.crash.armAfterStores(10);
+    bool recoveryCrashed = false;
+    try {
+        store.recover(env);
+    } catch (const pmem::CrashException &) {
+        recoveryCrashed = true;
+        ctx.sched.clear();
+        ctx.machine.loseVolatileState();
+        ctx.arena.crashRestore();
+    }
+    ctx.crash.disarm();
+    ASSERT_TRUE(recoveryCrashed);
+
+    const auto *table = static_cast<const KvSlot *>(fs.table);
+    auto before = tableBlockWrites(ctx, fs);
+    const RecoveryReport rep = store.recover(env);
+    EXPECT_EQ(rep.batchesReplayed, 3u);
+    EXPECT_EQ(rep.entriesReplayed, 3u * std::uint64_t(scfg.batchOps));
+    EXPECT_EQ(rep.committedEpochs, std::vector<std::uint64_t>{3});
+    EXPECT_EQ(store.snapshot(), golden);
+
+    const std::size_t slots = fs.tableBytes / sizeof(KvSlot);
+    std::size_t at = slots;
+    for (std::size_t i = 0; i < slots; ++i)
+        if (table[i].key == k)
+            at = i;
+    ASSERT_LT(at, slots);
+    const Addr blk = blockAlign(ctx.arena.addrOf(&table[at]));
+    auto after = tableBlockWrites(ctx, fs);
+    EXPECT_EQ(after[blk] - before[blk], 1u);
+}
+
+/**
+ * The table-order pass clwbs each distinct touched block once,
+ * however many of its keys share the block; the lines stay cached
+ * clean and are durable once the pass returns.
+ */
+TEST(StoreFold, TableOrderPassDedupsAndKeepsLinesCached)
+{
+    constexpr std::size_t capacity = 256;
+    kernels::SimContext ctx(smallMachine(), 8 * capacity * sizeof(KvSlot));
+    SlotTable<kernels::SimEnv> table(ctx.arena, capacity, false);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    const std::size_t slots = table.slotCount();
+
+    // Three keys homed in each of the slots 40, 41 and 42 -- nine
+    // slots 40..48 over three blocks -- and two in slot 300.
+    std::vector<std::uint64_t> keys;
+    for (const auto &[slot, n] :
+         {std::pair{40, 3}, {41, 3}, {42, 3}, {300, 2}}) {
+        for (std::uint64_t k : keysHomedAt(std::size_t(slot), slots, n))
+            keys.push_back(k);
+    }
+    table.applyInTableOrder(env, keys, [](std::uint64_t key) {
+        return DeltaVal{true, key + 1};
+    });
+    const sim::MachineStats &ms = ctx.machine.machineStats();
+    EXPECT_EQ(ms.flushInstrs.value(), 4u);
+    EXPECT_EQ(ms.flushWrites.value(), 4u);
+    EXPECT_EQ(ctx.machine.totalDirtyLines(), 0u);
+
+    const auto reads = ms.nvmmReads.value();
+    for (std::uint64_t key : keys) {
+        const std::size_t i = table.probeFind(env, key);
+        ASSERT_NE(i, table.npos);
+        EXPECT_EQ(env.ld(&table.slot(i).value), key + 1);
+    }
+    EXPECT_EQ(ms.nvmmReads.value(), reads);
+
+    ctx.machine.loseVolatileState();
+    ctx.arena.crashRestore();
+    for (std::uint64_t key : keys) {
+        const std::size_t i = table.probeFind(env, key);
+        ASSERT_NE(i, table.npos);
+        EXPECT_EQ(table.slot(i).value, key + 1);
+    }
 }
 
 /**

@@ -173,7 +173,8 @@ storeUsage(const char *argv0)
         "  --seed S                                      (default 42)\n"
         "  --crash-at N    crash after N persistent stores, recover,\n"
         "                  verify against the committed-batch replay\n"
-        "  --crash-regions N   same, but after N region commits\n"
+        "  --crash-regions N   same, but after N region commits;\n"
+        "                  both print the recovery's simulated cycles\n"
         "  --trace-out F   write a Chrome trace-event JSON (epoch\n"
         "                  commits, folds, recovery spans) to F\n"
         "  --json          emit the result as JSON\n",
@@ -380,12 +381,25 @@ runStoreCommand(int argc, char **argv)
                         out.report.batchesDiscarded),
                     static_cast<unsigned long long>(
                         out.report.walUndone));
+        std::printf("recovery cycles: %llu (simulated)\n",
+                    static_cast<unsigned long long>(out.recoveryCycles));
         const bool ok =
             out.committedStateVerified && out.finalStateVerified;
         std::printf("committed state: %s   final state: %s\n",
                     out.committedStateVerified ? "verified" : "WRONG",
                     out.finalStateVerified ? "verified" : "WRONG");
         writeTrace();
+        if (json) {
+            const stats::JsonValue::Object obj{
+                {"backend", backendName(backend)},
+                {"crashed", out.crashed},
+                {"batches_replayed", out.report.batchesReplayed},
+                {"entries_replayed", out.report.entriesReplayed},
+                {"batches_discarded", out.report.batchesDiscarded},
+                {"recovery_cycles", out.recoveryCycles},
+                {"verified", ok}};
+            std::printf("%s\n", stats::JsonValue(obj).render().c_str());
+        }
         return ok ? 0 : 1;
     }
 
