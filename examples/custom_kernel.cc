@@ -171,8 +171,7 @@ main()
     } catch (const pmem::CrashException &) {
         crashed = true;
         sched.clear();
-        machine.loseVolatileState();
-        arena.crashRestore();
+        machine.powerFail();
     }
     std::printf("crash injected: %s\n", crashed ? "yes" : "no");
 

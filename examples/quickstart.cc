@@ -121,8 +121,7 @@ main()
     const auto fences_normal = machine.machineStats().fences.value();
 
     // --- crash: caches lost, NVMM contents survive -----------------
-    machine.loseVolatileState();
-    arena.crashRestore();
+    machine.powerFail();
 
     // --- recovery: detect damage by checksum, repair eagerly -------
     SimEnv renv(machine, arena, 0);

@@ -88,10 +88,7 @@ runLpWithCrashes(KernelId kernel, const KernelParams &params,
         } catch (const pmem::CrashException &) {
             out.crashed = true;
             ++out.crashes;
-            ctx.crash.disarm();
-            ctx.sched.clear();
-            ctx.machine.loseVolatileState();
-            ctx.arena.crashRestore();
+            ctx.powerFail();
             if (next_point < crash_points.size())
                 ctx.crash.armAfterStores(crash_points[next_point++]);
             in_recovery = true;

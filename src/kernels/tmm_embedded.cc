@@ -179,10 +179,7 @@ runTmmEmbedded(const KernelParams &params,
         run.ctx.sched.run();
     } catch (const pmem::CrashException &) {
         out.crashed = true;
-        run.ctx.crash.disarm();
-        run.ctx.sched.clear();
-        run.ctx.machine.loseVolatileState();
-        run.ctx.arena.crashRestore();
+        run.ctx.powerFail();
         run.recoverAndResume(out);
     }
 

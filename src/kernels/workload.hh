@@ -83,6 +83,9 @@ struct SimContext
     {
     }
 
+    /** Power failure: disarm, drop queued regions, Machine::powerFail(). */
+    void powerFail() { crash.disarm(); sched.clear(); machine.powerFail(); }
+
     pmem::PersistentArena arena;
     sim::Machine machine;
     pmem::CrashController crash;

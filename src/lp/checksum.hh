@@ -150,7 +150,7 @@ class ChecksumAcc
      * the simulated environment charges this per update so checksum
      * choice shows up in execution time (Figure 15(b)).
      */
-    static std::uint64_t
+    static constexpr std::uint64_t
     updateCost(ChecksumKind k)
     {
         switch (k) {

@@ -161,11 +161,10 @@ class PersistentArena : public sim::PersistBackend
     void persistBlock(Addr block_addr) override;
 
     /**
-     * Crash: revert the volatile view to the durable shadow. The
-     * caller must first discard cache state via
-     * Machine::loseVolatileState().
+     * sim::PersistBackend: revert the volatile view to the durable
+     * shadow (on Machine::powerFail(), or directly without a machine).
      */
-    void crashRestore();
+    void crashRestore() override;
 
     /**
      * Make the entire current volatile view durable. Used to establish

@@ -100,7 +100,7 @@ Server::Impl::flushDatapath(Conn &c)
                      (ww ? net::kWritable : 0u)))
         c.wantWrite = ww;
     if (c.readPaused &&
-        c.nc.outBytes() <= std::uint64_t(cfg.outbufLimitBytes) / 2)
+        c.nc.outBytes() <= std::uint64_t(kOutbufLimitBytes) / 2)
         c.readPaused = false;
     return true;
 }
@@ -459,7 +459,7 @@ Server::Impl::readable(std::uint64_t connId)
             if (conns.find(connId) == conns.end())
                 return;  // handleRequest closed it
             if (c.nc.outBytes() >=
-                std::uint64_t(cfg.outbufLimitBytes)) {
+                std::uint64_t(kOutbufLimitBytes)) {
                 c.readPaused = true;
                 drained = false;  // buffered frames may remain
                 break;

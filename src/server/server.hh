@@ -48,11 +48,31 @@
 #include <memory>
 #include <string>
 
-#include "lp/checksum.hh"
 #include "store/layout.hh"
 
 namespace lp::server
 {
+
+/**
+ * PREPARE slots per shard = cross-shard transactions a shard may
+ * have in flight (prepared or awaiting their durability-gated slot
+ * free). Exhaustion checkpoints the shard before refusing with Retry.
+ * Fixes the shard file's PREPARE table, which a restart re-derives.
+ */
+inline constexpr std::size_t kTxnPrepareSlots = 128;
+
+/** COMMIT records in the coordinator ring (dataDir/txnlog.lpdb). */
+inline constexpr std::size_t kTxnDecisionEntries = 4096;
+
+/**
+ * Backpressure: at or above this many unsent reply bytes the acceptor
+ * stops reading a connection until its outbuf drains below half, so a
+ * slow reader cannot balloon server memory.
+ */
+inline constexpr std::size_t kOutbufLimitBytes = 1 << 20;
+
+/** Journal regions one online-scrub step validates (its work bound). */
+inline constexpr std::size_t kScrubRegions = 32;
 
 /** Tunables of one server instance. */
 struct ServerConfig
@@ -79,8 +99,6 @@ struct ServerConfig
     /** LP: eager fold period, in committed batches (per shard). */
     int foldBatches = 64;
 
-    core::ChecksumKind checksum = core::ChecksumKind::Modular;
-
     /**
      * Commit an underfilled batch once its oldest unacknowledged
      * mutation has waited this long, bounding ack latency for slow
@@ -91,38 +109,16 @@ struct ServerConfig
     /** Backpressure: outstanding ops allowed per connection. */
     std::uint32_t maxInflightPerConn = 256;
 
-    /**
-     * PREPARE slots per shard = cross-shard transactions a shard may
-     * have in flight (prepared or awaiting their durability-gated
-     * slot free). Exhaustion checkpoints the shard as a pressure
-     * valve before refusing with Retry.
-     */
-    std::size_t txnPrepareSlots = 128;
-
-    /** COMMIT records in the coordinator ring (dataDir/txnlog.lpdb). */
-    std::size_t txnDecisionEntries = 4096;
-
     /** Connection cap; further accepts are closed immediately. */
     int maxConns = 256;
 
     /**
-     * Backpressure high watermark on a connection's unsent reply
-     * bytes: at or above it the acceptor stops reading (and hence
-     * decoding) that connection until the outbuf drains below half
-     * this limit, so a slow reader cannot balloon server memory.
-     */
-    std::size_t outbufLimitBytes = 1 << 20;
-
-    /**
      * Online-scrub throttle: a worker runs one bounded scrub step
-     * (scrubRegions journal regions) at most once per this many
+     * (kScrubRegions journal regions) at most once per this many
      * milliseconds, and only off the request path -- when its queue
      * drained empty that round. 0 disables scrubbing.
      */
     std::uint64_t scrubIntervalMs = 100;
-
-    /** Regions validated per scrub step (the step's work bound). */
-    std::size_t scrubRegions = 32;
 
     /** Suppress the startup/shutdown log lines. */
     bool quiet = false;

@@ -266,7 +266,7 @@ struct Conn
     bool wantWrite = false;      ///< EPOLLOUT currently armed
 
     /**
-     * Backpressure: set when the outbuf passed cfg.outbufLimitBytes
+     * Backpressure: set when the outbuf passed kOutbufLimitBytes
      * -- decoding (and reading) stops so a slow reader cannot balloon
      * server memory. Cleared by flushDatapath() below the low
      * watermark; the clearer must re-run readable(), because the

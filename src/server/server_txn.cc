@@ -411,9 +411,9 @@ Server::Impl::openTxnLog()
     const bool attach =
         ::stat(path.c_str(), &st) == 0 && st.st_size > 0;
     txnArena = std::make_unique<pmem::PersistentArena>(
-        txn::decisionLogBytes(cfg.txnDecisionEntries), path);
+        txn::decisionLogBytes(kTxnDecisionEntries), path);
     dlog = std::make_unique<txn::DecisionLog<kernels::NativeEnv>>(
-        *txnArena, cfg.txnDecisionEntries, attach);
+        *txnArena, kTxnDecisionEntries, attach);
     if (!attach)
         txnArena->persistAll();
     dlogMaxTxnId = dlog->scan(txnEnv);

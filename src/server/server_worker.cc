@@ -34,7 +34,6 @@ Server::Impl::openStore(Worker &w)
     scfg.shards = 1;
     scfg.batchOps = cfg.batchOps;
     scfg.foldBatches = cfg.foldBatches;
-    scfg.checksum = cfg.checksum;
     const std::string path = shardPath(w.index);
     struct stat st{};
     const bool attach = ::stat(path.c_str(), &st) == 0 &&
@@ -50,7 +49,7 @@ Server::Impl::openStore(Worker &w)
             : 0;
     w.arena = std::make_unique<pmem::PersistentArena>(
         flightBytes + store::storeArenaBytes(scfg) +
-            txn::prepareLogBytes(cfg.txnPrepareSlots),
+            txn::prepareLogBytes(kTxnPrepareSlots),
         path);
     if (cfg.flightEvents > 0)
         w.flight = std::make_unique<obs::FlightRing>(
@@ -58,7 +57,7 @@ Server::Impl::openStore(Worker &w)
     w.kv = std::make_unique<store::KvStore<kernels::NativeEnv>>(
         *w.arena, scfg, cfg.backend, attach);
     w.plog = std::make_unique<txn::PrepareLog<kernels::NativeEnv>>(
-        *w.arena, cfg.txnPrepareSlots, attach);
+        *w.arena, kTxnPrepareSlots, attach);
     // Attach the trace ring before recovery so the replay's
     // "recover_shard" span lands in the collector -- and tee it
     // into the flight recorder, which persists every span this
@@ -527,7 +526,7 @@ Server::Impl::workerMain(Worker &w)
             const auto now = Clock::now();
             if (now - w.lastScrub >=
                 std::chrono::milliseconds(cfg.scrubIntervalMs)) {
-                w.kv->scrubStep(w.env, 0, cfg.scrubRegions);
+                w.kv->scrubStep(w.env, 0, kScrubRegions);
                 w.lastScrub = now;
                 if (!w.quarantineLogged && w.kv->quarantined(0)) {
                     w.quarantineLogged = true;

@@ -62,6 +62,9 @@ class PersistBackend
 
     /** Copy one block (64B at @p block_addr) into the durable domain. */
     virtual void persistBlock(Addr block_addr) = 0;
+
+    /** Power failure: revert the volatile view to the durable image. */
+    virtual void crashRestore() = 0;
 };
 
 /** Why a block was written to NVMM; used for per-cause counters. */
@@ -194,7 +197,7 @@ class Machine
      * store's write-allocate fill. A partial line leaves as one write
      * on sfence, on buffer overflow (oldest first), when any cached
      * access or flush touches it, or on drainDirty(). Pending lines
-     * are lost by loseVolatileState(). sfence waits for these writes
+     * are lost by powerFail(). sfence waits for these writes
      * as it waits for a clflushopt's.
      *
      * @p store, if given, performs the store's functional effect on
@@ -240,13 +243,19 @@ class Machine
     /// @{
 
     /**
-     * Power failure: all cache metadata is discarded. In-flight
-     * flushes already persisted functionally at issue time (the MC
-     * write queue is in the ADR persistence domain). The caller is
-     * responsible for restoring the volatile view from the shadow
-     * (see pmem::PersistentArena::crashRestore).
+     * Power failure: all cache metadata is discarded and the backend
+     * reverts the program's bytes to its durable image, so the
+     * program observes exactly what persisted. In-flight flushes
+     * already persisted functionally at issue time (the MC write
+     * queue is in the ADR persistence domain).
      */
-    void loseVolatileState();
+    void
+    powerFail()
+    {
+        loseVolatileState();
+        if (backend)
+            backend->crashRestore();
+    }
 
     /**
      * Write back every dirty block (graceful shutdown or an explicit
@@ -308,6 +317,9 @@ class Machine
     };
 
     static std::uint32_t bit(CoreId c) { return 1u << c; }
+
+    /** powerFail()'s first half: drop every cache and queue entry. */
+    void loseVolatileState();
 
     /**
      * Demand access to @p blk, an L2 hit that would complete at

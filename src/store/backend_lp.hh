@@ -107,7 +107,7 @@ class LpBackend : public PersistencyBackend<Env>
         for (int i = 0; i < cfg().shards; ++i) {
             Shard sh;
             sh.meta = this->allocMeta(attach);
-            sh.acc = core::ChecksumAcc(cfg().checksum);
+            sh.acc = core::ChecksumAcc(kStoreChecksum);
             sh.journal =
                 std::make_unique<BatchJournal<Env>>(*ctx.arena, jcap);
             sh.parity = std::make_unique<repair::RegionParity<Env>>(
@@ -131,8 +131,7 @@ class LpBackend : public PersistencyBackend<Env>
             sh.journal->open(env, sh.acc);
         }
         const std::uint64_t epoch = pl.openEpoch();
-        sh.journal->append(env, op, key, value, epoch, sh.acc,
-                           ckCost());
+        sh.journal->append(env, op, key, value, epoch, sh.acc);
         sh.delta[key] = DeltaVal{op == JOp::Put, value};
         if (pl.stageOp()) {
             commitEpoch(env, shard);
@@ -165,7 +164,7 @@ class LpBackend : public PersistencyBackend<Env>
         // for the fold's fence.
         obs::Span span(obs::ringOf(ob), "epoch_commit", epoch,
                        pl.openTraceId(), ob ? &ob->commitNs : nullptr);
-        sh.journal->seal(env, epoch, sh.acc, ckCost());
+        sh.journal->seal(env, epoch, sh.acc);
         sh.parity->cover(
             env, epoch, sh.journal->sealedBytes(),
             sh.journal->storedWords(sh.parity->pendingRegion()));
@@ -482,12 +481,6 @@ class LpBackend : public PersistencyBackend<Env>
         sh.scrubGroupClean = true;
         pipeline(shard).rebase(committed);
         rep.committedEpochs[std::size_t(shard)] = committed;
-    }
-
-    std::uint64_t
-    ckCost() const
-    {
-        return core::ChecksumAcc::updateCost(cfg().checksum);
     }
 
     std::vector<Shard> shards_;

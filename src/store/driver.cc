@@ -141,27 +141,118 @@ nvmmByStructure(const sim::Machine &m, const pmem::PersistentArena &arena,
     return out;
 }
 
+/**
+ * The store every simulated run builds: flight ring first in the
+ * arena (the postmortem placement contract), then the store, its
+ * shard rings traced and teed into the flight ring, then the image
+ * made durable. perfbench's replay of the gate mirrors this order.
+ */
+struct SimStore
+{
+    SimStore(Backend b, const StoreConfig &scfg,
+             const sim::MachineConfig &mcfg, obs::TraceCollector *trace)
+        : ctx(mcfg, obs::FlightRing::bytesFor(kFlightEvents) +
+                        storeArenaBytes(scfg)),
+          flight(ctx.arena, kFlightEvents, 0), store(ctx.arena, scfg, b)
+    {
+        attachStoreTrace(store, trace ? trace : &localTrace);
+        attachFlightSink(store, flight);
+        ctx.arena.persistAll();
+    }
+
+    kernels::SimContext ctx;
+    obs::FlightRing flight;
+    obs::TraceCollector localTrace;
+    KvStore<kernels::SimEnv> store;
+};
+
 } // namespace
+
+CommittedLedger::CommittedLedger(const StoreConfig &cfg)
+    : batchOps_(std::uint64_t(cfg.batchOps)),
+      shardMuts_(std::size_t(cfg.shards), 0)
+{
+}
+
+void
+CommittedLedger::issue(Env &env, KvStore<Env> &store, bool isPut,
+                       std::uint64_t key, std::uint64_t value)
+{
+    const int sh = store.shardOf(key);
+    ops_.push_back({sh, isPut, shardMuts_[sh]++ / batchOps_ + 1, key, value});
+    if (isPut)
+        store.put(env, key, value);
+    else
+        store.del(env, key);
+}
+
+CommittedLedger::Map
+CommittedLedger::golden() const
+{
+    Map m;
+    for (const Op &op : ops_) {
+        if (op.isPut)
+            m[op.key] = op.value;
+        else
+            m.erase(op.key);
+    }
+    return m;
+}
+
+void
+CommittedLedger::keepCommitted(const std::vector<std::uint64_t> &committed)
+{
+    std::erase_if(ops_, [&](const Op &op) {
+        return op.epoch > committed[std::size_t(op.shard)];
+    });
+    for (std::size_t s = 0; s < shardMuts_.size(); ++s)
+        shardMuts_[s] = committed[s] * batchOps_;
+}
+
+bool
+CommittedLedger::keepRecovered(Backend b, const RecoveryReport &rep,
+                               const Map &snap)
+{
+    if (b != Backend::EagerPerOp) {
+        keepCommitted(rep.committedEpochs);
+        return snap == golden();
+    }
+    const bool all = snap == golden();
+    if (all || ops_.empty())
+        return all;
+    const Op inFlight = ops_.back();
+    ops_.pop_back();
+    if (snap == golden())
+        return true;
+    ops_.push_back(inFlight);
+    return false;
+}
+
+bool
+CommittedLedger::scanMatches(Env &env, KvStore<Env> &store) const
+{
+    const Map want = golden();
+    // Overshoot the limit, so truncation cannot mask a surplus entry.
+    const auto got = store.scan(env, 0, want.size() + 16);
+    return std::equal(got.begin(), got.end(), want.begin(), want.end(),
+                      [](const auto &g, const auto &w) {
+                          return g.first == w.first && g.second == w.second;
+                      });
+}
 
 StoreRunResult
 runStoreYcsb(Backend b, const StoreConfig &scfg, const YcsbParams &p,
              const sim::MachineConfig &mcfg,
              obs::TraceCollector *trace)
 {
-    kernels::SimContext ctx(mcfg,
-                            obs::FlightRing::bytesFor(kFlightEvents) +
-                                storeArenaBytes(scfg));
-    obs::FlightRing flight(ctx.arena, kFlightEvents, 0);
-    obs::TraceCollector localTrace;
-    KvStore<kernels::SimEnv> store(ctx.arena, scfg, b);
-    attachStoreTrace(store, trace ? trace : &localTrace);
-    attachFlightSink(store, flight);
-    ctx.arena.persistAll();
+    SimStore s(b, scfg, mcfg, trace);
+    kernels::SimContext &ctx = s.ctx;
+    KvStore<kernels::SimEnv> &store = s.store;
     kernels::SimEnv env(ctx.machine, ctx.arena, 0);
 
     std::unordered_map<std::uint64_t, std::uint64_t> golden;
     ycsbLoad(env, store, p, &golden);
-    flight.seal();
+    s.flight.seal();
 
     StoreRunResult out;
     out.loadStats = ctx.machine.snapshot();
@@ -173,7 +264,7 @@ runStoreYcsb(Backend b, const StoreConfig &scfg, const YcsbParams &p,
     const PipelineTotals loadCtrs = sumPipelineCounters(store);
 
     const MixCounts c = ycsbMix(env, store, p, &golden);
-    flight.seal();
+    s.flight.seal();
 
     const PipelineTotals mixCtrs = sumPipelineCounters(store);
     out.opsStaged = mixCtrs.opsStaged - loadCtrs.opsStaged;
@@ -197,7 +288,7 @@ runStoreYcsb(Backend b, const StoreConfig &scfg, const YcsbParams &p,
         out.execCycles / (sim::kClockGhz * 1e9);
     out.opsPerSec = seconds == 0.0 ? 0.0 : double(p.ops) / seconds;
     out.nvmmByStructure = nvmmByStructure(ctx.machine, ctx.arena, store,
-                                          flight, c.mutations);
+                                          s.flight, c.mutations);
     out.verified =
         mapsEqual(store.snapshot(), golden) && c.scanErrors == 0;
     return out;
@@ -255,87 +346,19 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
                   const sim::MachineConfig &mcfg,
                   obs::TraceCollector *trace)
 {
-    using kernels::SimEnv;
+    SimStore s(b, scfg, mcfg, trace);
+    kernels::SimContext &ctx = s.ctx;
+    KvStore<kernels::SimEnv> &store = s.store;
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
 
-    kernels::SimContext ctx(mcfg,
-                            obs::FlightRing::bytesFor(kFlightEvents) +
-                                storeArenaBytes(scfg));
-    obs::FlightRing flight(ctx.arena, kFlightEvents, 0);
-    obs::TraceCollector localTrace;
-    KvStore<SimEnv> store(ctx.arena, scfg, b);
-    attachStoreTrace(store, trace ? trace : &localTrace);
-    attachFlightSink(store, flight);
-    ctx.arena.persistAll();
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
-
-    /**
-     * Every mutation is recorded BEFORE it executes, tagged with the
-     * epoch it must land in. Epoch assignment is deterministic --
-     * batches close after exactly batchOps mutations -- so even an op
-     * interrupted mid-execution (whose put() never returned, but
-     * whose batch may still have committed) carries the right tag.
-     */
-    struct OpRec
-    {
-        int shard;
-        std::uint64_t epoch;
-        bool isPut;
-        std::uint64_t key;
-        std::uint64_t value;
-    };
-    std::vector<OpRec> issued;
-    std::vector<std::uint64_t> shardMuts(scfg.shards, 0);
+    CommittedLedger ledger(scfg);
     Rng rng(spec.seed);
-
     auto issueOne = [&](std::size_t i) {
         const std::uint64_t key =
             keyOfRecord(rng.below(spec.records), spec.seed);
-        const bool isPut = !rng.chance(spec.delFraction);
-        const std::uint64_t value = 0x1000 + i;
-        const int sh = store.shardOf(key);
-        const std::uint64_t epoch =
-            shardMuts[sh] / std::uint64_t(scfg.batchOps) + 1;
-        ++shardMuts[sh];
-        issued.push_back(OpRec{sh, epoch, isPut, key, value});
-        if (isPut)
-            store.put(env, key, value);
-        else
-            store.del(env, key);
+        ledger.issue(env, store, !rng.chance(spec.delFraction), key,
+                     0x1000 + i);
     };
-
-    // Golden replay of @p ops; with @p cut, only ops at or below
-    // their shard's epoch watermark.
-    auto replay = [](const std::vector<OpRec> &ops,
-                     const std::vector<std::uint64_t> *cut) {
-        std::map<std::uint64_t, std::uint64_t> m;
-        for (const OpRec &r : ops) {
-            if (cut && r.epoch > (*cut)[r.shard])
-                continue;
-            if (r.isPut)
-                m[r.key] = r.value;
-            else
-                m.erase(r.key);
-        }
-        return m;
-    };
-
-    // A full-range scan through the rebuilt index must agree
-    // byte-for-byte with the golden map: same keys, same values,
-    // ascending, nothing extra. The limit overshoots the expected
-    // size so truncation can never mask a surplus entry.
-    auto scanMatches =
-        [&](const std::map<std::uint64_t, std::uint64_t> &want) {
-            const auto got = store.scan(env, 0, want.size() + 16);
-            if (got.size() != want.size())
-                return false;
-            auto it = want.begin();
-            for (const auto &[k, v] : got) {
-                if (k != it->first || v != it->second)
-                    return false;
-                ++it;
-            }
-            return true;
-        };
 
     StoreCrashOutcome out;
     if (spec.byRegions)
@@ -350,10 +373,7 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
         ctx.crash.disarm();
     } catch (const pmem::CrashException &) {
         out.crashed = true;
-        ctx.crash.disarm();
-        ctx.sched.clear();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
         obs::traceInstant(store.shardObs(0).ring, "crash",
                           spec.point);
         // Torn-write injection: the dying device shredded a partial
@@ -377,43 +397,11 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
         out.report = store.recover(env);
         out.recoveryCycles = ctx.machine.coreCycles(0) - recoverStart;
 
-        if (b == Backend::EagerPerOp) {
-            // Completed ops are all durable; the one in-flight op is
-            // slot-atomic, so it either became fully visible or not.
-            const auto snap = store.snapshot();
-            if (snap == replay(issued, nullptr)) {
-                out.committedStateVerified = true;
-            } else {
-                std::vector<OpRec> done(
-                    issued.begin(),
-                    issued.empty() ? issued.end() : issued.end() - 1);
-                if (snap == replay(done, nullptr)) {
-                    out.committedStateVerified = true;
-                    issued = std::move(done);
-                }
-            }
-        } else {
-            out.committedStateVerified =
-                store.snapshot() ==
-                replay(issued, &out.report.committedEpochs);
-            // Keep only the committed ops and rebase the epoch
-            // prediction: post-recovery batches restart at the
-            // watermark regardless of how full the last one was.
-            std::vector<OpRec> keep;
-            for (const OpRec &r : issued)
-                if (r.epoch <= out.report.committedEpochs[r.shard])
-                    keep.push_back(r);
-            issued = std::move(keep);
-            for (int s = 0; s < scfg.shards; ++s) {
-                shardMuts[s] = out.report.committedEpochs[s] *
-                               std::uint64_t(scfg.batchOps);
-            }
-        }
+        out.committedStateVerified =
+            ledger.keepRecovered(b, out.report, store.snapshot());
         // Right after recovery, a scan over the rebuilt index must
         // observe exactly the committed prefix -- never a torn epoch.
-        // (issued has been trimmed to the committed ops above, so a
-        // plain replay is the committed map.)
-        out.scanStateVerified = scanMatches(replay(issued, nullptr));
+        out.scanStateVerified = ledger.scanMatches(env, store);
     }
     if (!out.crashed) {
         out.committedStateVerified = true;  // nothing to check
@@ -424,10 +412,10 @@ runStoreWithCrash(Backend b, const StoreConfig &scfg,
     for (std::size_t j = 0; j < spec.postOps; ++j)
         issueOne(spec.preOps + j);
     store.checkpoint(env);
-    flight.seal();
-    out.finalStateVerified = store.snapshot() == replay(issued, nullptr);
+    s.flight.seal();
+    out.finalStateVerified = store.snapshot() == ledger.golden();
     out.scanStateVerified =
-        out.scanStateVerified && scanMatches(replay(issued, nullptr));
+        out.scanStateVerified && ledger.scanMatches(env, store);
     return out;
 }
 
@@ -436,8 +424,6 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
                   const StoreFaultSpec &spec,
                   const sim::MachineConfig &mcfg)
 {
-    using kernels::SimEnv;
-
     // The eager and WAL backends own no journal or parity;
     // their media-protected structure is the superblock pair, so the
     // LP-specific sites degrade onto it -- keeping the matrix total.
@@ -461,75 +447,19 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
         }
     }
 
-    kernels::SimContext ctx(mcfg,
-                            obs::FlightRing::bytesFor(kFlightEvents) +
-                                storeArenaBytes(scfg));
-    obs::FlightRing flight(ctx.arena, kFlightEvents, 0);
-    obs::TraceCollector localTrace;
-    KvStore<SimEnv> store(ctx.arena, scfg, b);
-    attachStoreTrace(store, &localTrace);
-    attachFlightSink(store, flight);
-    ctx.arena.persistAll();
-    SimEnv env(ctx.machine, ctx.arena, 0);
+    SimStore s(b, scfg, mcfg, nullptr);
+    kernels::SimContext &ctx = s.ctx;
+    KvStore<kernels::SimEnv> &store = s.store;
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
 
-    // Same op bookkeeping as runStoreWithCrash: every op is tagged
-    // with the (deterministic) epoch it lands in, so LP outcomes can
-    // be checked against exactly the committed prefix.
-    struct OpRec
-    {
-        int shard;
-        std::uint64_t epoch;
-        bool isPut;
-        std::uint64_t key;
-        std::uint64_t value;
-    };
-    std::vector<OpRec> issued;
-    std::vector<std::uint64_t> shardMuts(scfg.shards, 0);
+    CommittedLedger ledger(scfg);
     Rng rng(spec.seed);
-
     auto issueOne = [&](std::size_t i) {
         const std::uint64_t key =
             keyOfRecord(rng.below(spec.records), spec.seed);
-        const bool isPut = !rng.chance(spec.delFraction);
-        const std::uint64_t value = 0x2000 + i;
-        const int sh = store.shardOf(key);
-        const std::uint64_t epoch =
-            shardMuts[sh] / std::uint64_t(scfg.batchOps) + 1;
-        ++shardMuts[sh];
-        issued.push_back(OpRec{sh, epoch, isPut, key, value});
-        if (isPut)
-            store.put(env, key, value);
-        else
-            store.del(env, key);
+        ledger.issue(env, store, !rng.chance(spec.delFraction), key,
+                     0x2000 + i);
     };
-
-    auto replay = [](const std::vector<OpRec> &ops,
-                     const std::vector<std::uint64_t> *cut) {
-        std::map<std::uint64_t, std::uint64_t> m;
-        for (const OpRec &r : ops) {
-            if (cut && r.epoch > (*cut)[std::size_t(r.shard)])
-                continue;
-            if (r.isPut)
-                m[r.key] = r.value;
-            else
-                m.erase(r.key);
-        }
-        return m;
-    };
-
-    auto scanMatches =
-        [&](const std::map<std::uint64_t, std::uint64_t> &want) {
-            const auto got = store.scan(env, 0, want.size() + 16);
-            if (got.size() != want.size())
-                return false;
-            auto it = want.begin();
-            for (const auto &[k, v] : got) {
-                if (k != it->first || v != it->second)
-                    return false;
-                ++it;
-            }
-            return true;
-        };
 
     for (std::size_t i = 0; i < spec.preOps; ++i)
         issueOne(i);
@@ -633,9 +563,7 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     } else {
         // Restart: volatile state dies, recovery sees the durable
         // image -- clean-shutdown flag set, bits flipped.
-        ctx.sched.clear();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
         out.report = store.recover(env);
     }
 
@@ -652,21 +580,10 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     // recovery they are the report's watermarks; on the scrub path
     // nothing was discarded). Eager/WAL tables are never discarded
     // at all -- even a superblock-dead quarantine keeps every op.
-    if (b == Backend::Lp && !out.viaScrub) {
-        std::vector<OpRec> keep;
-        for (const OpRec &r : issued)
-            if (r.epoch <=
-                out.report.committedEpochs[std::size_t(r.shard)])
-                keep.push_back(r);
-        issued = std::move(keep);
-        for (int s = 0; s < scfg.shards; ++s)
-            shardMuts[std::size_t(s)] =
-                out.report.committedEpochs[std::size_t(s)] *
-                std::uint64_t(scfg.batchOps);
-    }
-    const auto golden = replay(issued, nullptr);
-    out.stateVerified = store.snapshot() == golden;
-    out.scanStateVerified = scanMatches(golden);
+    if (b == Backend::Lp && !out.viaScrub)
+        ledger.keepCommitted(out.report.committedEpochs);
+    out.stateVerified = store.snapshot() == ledger.golden();
+    out.scanStateVerified = ledger.scanMatches(env, store);
 
     if (out.quarantined) {
         // No forward progress on a quarantined shard; the state
@@ -677,11 +594,10 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
     for (std::size_t j = 0; j < spec.postOps; ++j)
         issueOne(spec.preOps + j);
     store.checkpoint(env);
-    flight.seal();
-    out.finalStateVerified =
-        store.snapshot() == replay(issued, nullptr);
+    s.flight.seal();
+    out.finalStateVerified = store.snapshot() == ledger.golden();
     out.scanStateVerified =
-        out.scanStateVerified && scanMatches(replay(issued, nullptr));
+        out.scanStateVerified && ledger.scanMatches(env, store);
     return out;
 }
 

@@ -11,10 +11,12 @@
 #define LP_STORE_DRIVER_HH
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "kernels/env.hh"
 #include "obs/trace.hh"
 #include "sim/config.hh"
 #include "stats/stats.hh"
@@ -232,6 +234,61 @@ struct NativeRunResult
 NativeRunResult runStoreNative(Backend b, const StoreConfig &scfg,
                                const YcsbParams &p,
                                obs::TraceCollector *trace = nullptr);
+
+/**
+ * The committed-prefix ledger of every simulated crash run: the map
+ * recovery must reach. Each put/del is recorded BEFORE it executes,
+ * tagged with the epoch it must land in. Epoch assignment is
+ * deterministic -- a shard's batch closes after exactly batchOps
+ * mutations -- so even an op a crash interrupted (whose put() never
+ * returned, but whose batch may still have committed) carries the
+ * right tag.
+ */
+class CommittedLedger
+{
+  public:
+    using Env = kernels::SimEnv;
+    using Map = std::map<std::uint64_t, std::uint64_t>;
+
+    explicit CommittedLedger(const StoreConfig &cfg);
+
+    /** Record, then run, a put of @p value (else a del) of @p key. */
+    void issue(Env &env, KvStore<Env> &store, bool isPut,
+               std::uint64_t key, std::uint64_t value);
+
+    /** The map the kept ops produce, replayed in order. */
+    Map golden() const;
+
+    /**
+     * Keep the ops at or below their shard's watermark in
+     * @p committed; later batches restart at the watermark.
+     */
+    void keepCommitted(const std::vector<std::uint64_t> &committed);
+
+    /**
+     * Keep the prefix a recovery of backend @p b that reported @p rep
+     * must reach, and return whether @p snap equals it: LP and WAL
+     * keep the committed epochs; eager keeps every op, or (its one
+     * in-flight op being slot-atomic) every op but the last.
+     */
+    bool keepRecovered(Backend b, const RecoveryReport &rep,
+                       const Map &snap);
+
+    /** A full-range scan of @p store's rebuilt index equals golden(). */
+    bool scanMatches(Env &env, KvStore<Env> &store) const;
+
+  private:
+    struct Op
+    {
+        int shard;
+        bool isPut;
+        std::uint64_t epoch, key, value;
+    };
+
+    std::uint64_t batchOps_;
+    std::vector<std::uint64_t> shardMuts_;  ///< mutations per shard
+    std::vector<Op> ops_;
+};
 
 /** One crash-injection run. */
 struct StoreCrashSpec

@@ -237,15 +237,14 @@ class BatchJournal
     /** Append one record and fold it (salted) into the digest. */
     void
     append(Env &env, JOp op, std::uint64_t key, std::uint64_t value,
-           std::uint64_t epoch, core::ChecksumAcc &acc,
-           std::uint64_t ckCost)
+           std::uint64_t epoch, core::ChecksumAcc &acc)
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "append out of bounds");
         const JEntry rec = JEntry::encode(op, key, value);
         put(env, rec);
         digestRecord(acc, life_, epoch, tail_ - batchStart_, rec.key,
                      rec.value);
-        env.tick(recordCost(ckCost));
+        env.tick(recordCost);
     }
 
     /**
@@ -255,14 +254,13 @@ class BatchJournal
      * batch is committed; nothing else is written.
      */
     void
-    seal(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc,
-         std::uint64_t ckCost)
+    seal(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc)
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "no open batch");
         digestRecord(acc, life_, epoch, 0, slotEmptyKey,
                      tail_ - batchStart_);
         put(env, JEntry::trailer(epoch, acc.value()));
-        env.tick(recordCost(ckCost));
+        env.tick(recordCost);
         batchStart_ = npos;
     }
 
@@ -368,11 +366,10 @@ class BatchJournal
         Valid,
     };
 
-    static std::uint64_t
-    recordCost(std::uint64_t ckCost)
-    {
-        return 2 * (ckCost + journalSaltCost);
-    }
+    /** Instructions charged per record: two salted digest words. */
+    static constexpr std::uint64_t recordCost =
+        2 * (core::ChecksumAcc::updateCost(kStoreChecksum) +
+             journalSaltCost);
 
     /** Stream @p rec into the tail slot and keep its words. */
     void
@@ -398,11 +395,9 @@ class BatchJournal
     checkBatch(Env &env, const StoreConfig &cfg, std::size_t pos,
                std::uint64_t e, std::uint64_t &count)
     {
-        const std::uint64_t ckCost =
-            core::ChecksumAcc::updateCost(cfg.checksum);
         const std::size_t end =
             std::min(cap_, pos + std::size_t(cfg.batchOps) + 1);
-        core::ChecksumAcc acc(cfg.checksum);
+        core::ChecksumAcc acc(kStoreChecksum);
         bool shapeOk = true;
         for (std::size_t i = pos; i < end; ++i) {
             JEntry &je = buf_[i];
@@ -413,14 +408,14 @@ class BatchJournal
                     return Check::NoTrailer;
                 count = i - pos;
                 digestRecord(acc, life_, e, 0, k, count);
-                env.tick(recordCost(ckCost));
+                env.tick(recordCost);
                 return shapeOk &&
                                JEntry::trailer(e, acc.value()).value == v
                            ? Check::Valid
                            : Check::Invalid;
             }
             digestRecord(acc, life_, e, i - pos + 1, k, v);
-            env.tick(recordCost(ckCost));
+            env.tick(recordCost);
             if (k == slotTombstoneKey && v > maxUserKey)
                 shapeOk = false;
         }

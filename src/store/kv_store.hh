@@ -385,10 +385,9 @@ class KvStore
 
     /**
      * Crash recovery. Call on a freshly restored durable image (after
-     * Machine::loseVolatileState() + PersistentArena::crashRestore());
-     * repairs the table with Eager Persistency and rebuilds all
-     * volatile bookkeeping. Idempotent: a crash during recovery is
-     * handled by running recovery again.
+     * Machine::powerFail()); repairs the table with Eager Persistency
+     * and rebuilds all volatile bookkeeping. Idempotent: a crash
+     * during recovery is handled by running recovery again.
      */
     RecoveryReport
     recover(Env &env)

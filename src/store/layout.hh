@@ -27,6 +27,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -75,10 +76,15 @@ struct StoreConfig
      * replay length).
      */
     int foldBatches = 64;
-
-    /** Checksum kind protecting LP batches. */
-    core::ChecksumKind checksum = core::ChecksumKind::Modular;
 };
+
+/**
+ * Checksum kind protecting LP batches: a constant, as the shard file
+ * does not record it (a restart under another would fail every
+ * unfolded batch's digest).
+ */
+inline constexpr core::ChecksumKind kStoreChecksum =
+    core::ChecksumKind::Modular;
 
 /**
  * Generous arena budget (bytes) for one store with @p cfg, covering
@@ -263,6 +269,15 @@ class SlotTable
     KvSlot &slot(std::size_t i) { return table_[i]; }
     const KvSlot &slot(std::size_t i) const { return table_[i]; }
 
+    /** Home slot of @p key, where every probe for it starts. */
+    std::size_t
+    bucketOf(std::uint64_t key) const
+    {
+        return static_cast<std::size_t>(
+                   (key * 0x9e3779b97f4a7c15ull) >> 32) &
+               (slots_ - 1);
+    }
+
     /**
      * Call @p fn on every item of @p items in order, keeping the home
      * line of keyOf(item) prefetched prefetchDistance items ahead of
@@ -290,7 +305,7 @@ class SlotTable
      * apply one op per key of @p keys (distinct keys; opOf(key) gives
      * the key's last op as {isPut, value}) with Eager Persistency,
      * clwb every touched block once and end in one sfence. The pass
-     * sorts @p keys by home slot (host bookkeeping, uncharged) and
+     * sorts @p keys with sortByHome (host bookkeeping, uncharged) and
      * walks them with walkPrefetched. Linear probing writes a key at
      * or after its home slot unless the probe wraps past the table's
      * end, so once the next key's home block lies beyond a touched
@@ -310,12 +325,7 @@ class SlotTable
     {
         if (keys.empty())
             return;
-        std::sort(keys.begin(), keys.end(),
-                  [this](std::uint64_t a, std::uint64_t b) {
-                      const std::size_t ha = bucketOf(a);
-                      const std::size_t hb = bucketOf(b);
-                      return ha != hb ? ha < hb : a < b;
-                  });
+        sortByHome(keys);
         constexpr std::uintptr_t end = ~std::uintptr_t{0};
         const std::uintptr_t firstHome = homeBlock(keys.front());
         std::vector<std::uintptr_t> pending;  // touched, not written back
@@ -337,6 +347,31 @@ class SlotTable
             });
         writeBackBelow(env, wrapped, end);
         env.sfence();
+    }
+
+    /**
+     * Sort @p keys by home slot, then key: an LSD radix sort on the
+     * home slot's bytes through one reused key-sized vector, then an
+     * insertion pass over each (short) run of equal home slots.
+     */
+    void
+    sortByHome(std::vector<std::uint64_t> &keys)
+    {
+        sortScratch_.resize(keys.size());
+        for (unsigned sh = 0; (slots_ - 1) >> sh != 0; sh += 8) {
+            std::size_t at[257] = {};
+            for (const std::uint64_t k : keys)
+                ++at[((bucketOf(k) >> sh) & 0xff) + 1];
+            std::partial_sum(at, at + 257, at);
+            for (const std::uint64_t k : keys)
+                sortScratch_[at[(bucketOf(k) >> sh) & 0xff]++] = k;
+            keys.swap(sortScratch_);
+        }
+        for (std::size_t i = 1; i < keys.size(); ++i)
+            for (std::size_t j = i; j > 0 && keys[j - 1] > keys[j] &&
+                                    bucketOf(keys[j - 1]) == bucketOf(keys[j]);
+                 --j)
+                std::swap(keys[j - 1], keys[j]);
     }
 
     /** Slot holding @p key, or npos. Probes stop at never-used slots. */
@@ -501,17 +536,10 @@ class SlotTable
         blocks.erase(blocks.begin(), split);
     }
 
-    std::size_t
-    bucketOf(std::uint64_t key) const
-    {
-        return static_cast<std::size_t>(
-                   (key * 0x9e3779b97f4a7c15ull) >> 32) &
-               (slots_ - 1);
-    }
-
     KvSlot *table_ = nullptr;
     std::size_t slots_ = 0;
     std::size_t used_ = 0;
+    std::vector<std::uint64_t> sortScratch_;  ///< sortByHome's buffer
 };
 
 } // namespace lp::store

@@ -6,12 +6,14 @@
  * store stream, restore the durable image, run the kernel's recovery,
  * resume, and require the final persistent result to equal the golden
  * host result. Also covers repeated crashes (including crashes during
- * recovery itself) and the EagerRecompute recovery for TMM.
+ * recovery itself), the EagerRecompute recovery for TMM, and what a
+ * SimContext power failure leaves behind.
  */
 
 #include <gtest/gtest.h>
 
 #include "base/rng.hh"
+#include "kernels/env.hh"
 #include "kernels/harness.hh"
 #include "kernels/tmm.hh"
 #include "kernels/workload.hh"
@@ -208,10 +210,7 @@ TEST(CrashRecovery, EagerRecomputeRecoveryTmm)
             w.run(Scheme::EagerRecompute);
         } catch (const pmem::CrashException &) {
             crashed = true;
-            ctx.crash.disarm();
-            ctx.sched.clear();
-            ctx.machine.loseVolatileState();
-            ctx.arena.crashRestore();
+            ctx.powerFail();
             w.recoverEagerAndResume();
         }
         EXPECT_TRUE(crashed) << "slice " << slice;
@@ -252,6 +251,41 @@ TEST(CrashRecovery, CleanerShrinksRecoveryWork)
     EXPECT_TRUE(cleaned.verified);
     EXPECT_GE(cleaned.recovery.resumeStage,
               lazy.recovery.resumeStage);
+}
+
+/**
+ * SimContext::powerFail() leaves nothing of the failed run armed or
+ * queued: the crash is disarmed, the scheduler is empty, no line is
+ * dirty, and the arena holds exactly what was flushed.
+ */
+TEST(CrashRecovery, PowerFailDisarmsAndDropsQueuedRegions)
+{
+    SimContext ctx(testMachine(2), 1 << 16);
+    auto *x = ctx.arena.alloc<double>(64);
+    ctx.arena.persistAll();
+    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+
+    env.st(&x[0], 5.0);
+    ctx.machine.clwb(0, ctx.arena.addrOf(&x[0]));
+    ctx.machine.sfence(0);
+    env.st(&x[32], 7.0);  // another line, never flushed
+    ctx.crash.armAfterStores(100);
+    int ran = 0;
+    for (int t = 0; t < 2; ++t)
+        ctx.sched.add(t, [&ran] { ++ran; });
+
+    ctx.powerFail();
+    EXPECT_FALSE(ctx.crash.armed());
+    EXPECT_EQ(ctx.sched.pending(), 0u);
+    EXPECT_EQ(ctx.machine.totalDirtyLines(), 0u);
+    EXPECT_DOUBLE_EQ(x[0], 5.0);
+    EXPECT_DOUBLE_EQ(x[32], 0.0);
+
+    // The disarmed budget never fires, and the dropped items never run.
+    for (int i = 0; i < 200; ++i)
+        env.st(&x[1], double(i));
+    ctx.sched.run();
+    EXPECT_EQ(ran, 0);
 }
 
 } // namespace

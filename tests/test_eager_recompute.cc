@@ -77,8 +77,7 @@ TEST(EagerCommit, RegionIsDurableAfterCommit)
     ranges.emplace_back(f.data, 16 * sizeof(double));
     eagerCommitRegion(env, ranges, f.markers, 0, 41);
 
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
+    f.machine.powerFail();
     for (int i = 0; i < 16; ++i)
         EXPECT_DOUBLE_EQ(f.data[i], 2.0 * i);
     EXPECT_EQ(f.markers.value(0), 41u);
@@ -102,8 +101,7 @@ TEST(EagerCommit, MarkerOrderedAfterData)
         flushRange(env, p, bytes);
     env.sfence();
     // Crash before the marker store.
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
+    f.machine.powerFail();
     EXPECT_EQ(f.markers.value(0), ProgressMarkers::none);
     EXPECT_DOUBLE_EQ(f.data[0], 1.0);  // data did persist
 }

@@ -521,7 +521,7 @@ TEST(Machine, CrashClearsInFlightPrefetches)
     Fixture f;
     for (unsigned i = 0; i < kMshrsPerCore; ++i)
         f.m.prefetch(0, f.addr(8 * static_cast<int>(i)));
-    f.m.loseVolatileState();
+    f.m.powerFail();
     // No MSHR stays busy and no line stays in flight.
     const Cycles before = f.m.coreCycles(0);
     f.m.prefetch(0, f.addr(8 * static_cast<int>(kMshrsPerCore)));
@@ -585,8 +585,7 @@ TEST(Machine, CrashLosesDirtyCachedData)
     Fixture f;
     f.data[0] = 10.0;
     f.m.write(0, f.addr(0), 8);
-    f.m.loseVolatileState();
-    f.arena.crashRestore();
+    f.m.powerFail();
     EXPECT_DOUBLE_EQ(f.data[0], 0.0);  // never persisted
     EXPECT_EQ(f.m.totalDirtyLines(), 0u);
 }
@@ -599,8 +598,7 @@ TEST(Machine, CrashKeepsFlushedData)
     f.m.clflushopt(0, f.addr(0));
     // No fence: clflushopt hands the line to the ADR domain at issue,
     // so it survives anyway (the fence only orders visibility).
-    f.m.loseVolatileState();
-    f.arena.crashRestore();
+    f.m.powerFail();
     EXPECT_DOUBLE_EQ(f.data[0], 11.0);
 }
 
@@ -623,8 +621,7 @@ TEST(Machine, FlushAndFencePersistFromEveryCoreWithEitherFlush)
         EXPECT_EQ(f.m.machineStats().flushWrites.value(),
                   static_cast<std::uint64_t>(cores));
         EXPECT_EQ(f.m.totalDirtyLines(), 0u);
-        f.m.loseVolatileState();
-        f.arena.crashRestore();
+        f.m.powerFail();
         for (CoreId c = 0; c < cores; ++c)
             EXPECT_DOUBLE_EQ(f.data[8 * c], 20.0 + c)
                 << "clwb=" << keep_line << " core " << c;

@@ -49,8 +49,7 @@ struct Litmus
     void
     crash()
     {
-        m.loseVolatileState();
-        arena.crashRestore();
+        m.powerFail();
     }
 
     pmem::PersistentArena arena;

@@ -100,8 +100,7 @@ TEST(PmemOps, PersistRangeIsDurableOnReturn)
     f.dirty(env, 0, 16);
     persistRange(env, f.data, 16 * sizeof(double));
     // No separate fence: persistRange includes it.
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
+    f.machine.powerFail();
     for (int i = 0; i < 16; ++i)
         EXPECT_DOUBLE_EQ(f.data[i], 1.0 + i);
 }

@@ -69,8 +69,7 @@ TEST(LpRegion, LazyCommitWritesEntryButDoesNotPersist)
     region.commit(env, 5);
     EXPECT_EQ(f.table.stored(5), region.digest());
     // Not durable yet: a crash reverts it to the sentinel.
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
+    f.machine.powerFail();
     EXPECT_TRUE(f.table.neverCommitted(5));
 }
 
@@ -83,8 +82,7 @@ TEST(LpRegion, EagerCommitSurvivesCrash)
     region.update(env, 4.0);
     region.commitEager(env, 2);
     const std::uint64_t digest = region.digest();
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
+    f.machine.powerFail();
     EXPECT_EQ(f.table.stored(2), digest);
 }
 
@@ -101,8 +99,7 @@ TEST(LpRegion, LazyCommitPersistsViaNaturalEviction)
     double *junk = f.arena.alloc<double>(8192);
     for (int i = 0; i < 8192; i += 8)
         env.ld(&junk[i]);
-    f.machine.loseVolatileState();
-    f.arena.crashRestore();
+    f.machine.powerFail();
     EXPECT_EQ(f.table.stored(0), digest);
 }
 

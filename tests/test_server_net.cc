@@ -402,7 +402,7 @@ TEST_F(ServerNet, DribbledPipelinedBurst)
  * maximum-size SCAN replies queued before the client reads a single
  * byte. The server's first writev can only land a few kilobytes; the
  * rest must survive EAGAIN, EPOLLOUT re-arm, and (past
- * outbufLimitBytes) read-side backpressure, then drain completely
+ * kOutbufLimitBytes) read-side backpressure, then drain completely
  * once the client starts reading.
  */
 TEST_F(ServerNet, PartialWriteLargeScanBurst)

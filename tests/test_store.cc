@@ -11,8 +11,11 @@
  * generators, the table occupancy guard, the LP fold's one prefetch
  * per distinct key and the WAL plan phase's one per op, the LP
  * table-order pass (one write per touched block, write-backs that
- * drain behind the apply, recovery coalesced to the last op per key),
- * and GETs of persisted keys that hit in the cache.
+ * drain behind the apply, recovery coalesced to the last op per key,
+ * the radix sort giving the comparator's order), the crash runs'
+ * committed-prefix ledger (the watermark cut and epoch rebase,
+ * eager's in-flight op, the scan check), and GETs of persisted keys
+ * that hit in the cache.
  */
 
 #include <gtest/gtest.h>
@@ -181,8 +184,7 @@ TEST_P(StoreBackends, RecoverAfterCheckpointFindsNothing)
     store.checkpoint(env);
     const auto before = store.snapshot();
 
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport rep = store.recover(env);
     EXPECT_EQ(rep.batchesReplayed, 0u);
     EXPECT_EQ(rep.entriesReplayed, 0u);
@@ -259,10 +261,7 @@ TEST(StoreRecovery, RecoverTwiceIsIdempotent)
         ctx.crash.disarm();
     } catch (const pmem::CrashException &) {
         crashed = true;
-        ctx.crash.disarm();
-        ctx.sched.clear();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
     }
     ASSERT_TRUE(crashed);
 
@@ -271,8 +270,7 @@ TEST(StoreRecovery, RecoverTwiceIsIdempotent)
 
     // Recovery repaired with Eager Persistency, so a second crash
     // restore keeps its work; running recovery again is a no-op.
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport second = store.recover(env);
     EXPECT_EQ(second.batchesReplayed, 0u);
     EXPECT_EQ(second.entriesReplayed, 0u);
@@ -295,38 +293,20 @@ TEST(StoreRecovery, CrashDuringRecoveryIsRecoverable)
 
     // Deterministic op stream, recorded with predicted epochs so the
     // golden cut at any watermark is reproducible.
-    struct OpRec
-    {
-        int shard;
-        std::uint64_t epoch;
-        std::uint64_t key;
-        std::uint64_t value;
-    };
-    std::vector<OpRec> issued;
-    std::vector<std::uint64_t> shardMuts(scfg.shards, 0);
+    CommittedLedger ledger(scfg);
     Rng rng(23);
 
     ctx.crash.armAfterStores(3000);
     bool crashed = false;
     try {
-        for (int i = 0; i < 4000; ++i) {
-            const std::uint64_t key = keyOfRecord(rng.below(300), 4);
-            const int sh = store.shardOf(key);
-            const std::uint64_t epoch =
-                shardMuts[sh] / std::uint64_t(scfg.batchOps) + 1;
-            ++shardMuts[sh];
-            issued.push_back(
-                OpRec{sh, epoch, key, std::uint64_t(i)});
-            store.put(env, key, std::uint64_t(i));
-        }
+        for (int i = 0; i < 4000; ++i)
+            ledger.issue(env, store, true,
+                         keyOfRecord(rng.below(300), 4), std::uint64_t(i));
         store.checkpoint(env);
         ctx.crash.disarm();
     } catch (const pmem::CrashException &) {
         crashed = true;
-        ctx.crash.disarm();
-        ctx.sched.clear();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
     }
     ASSERT_TRUE(crashed);
 
@@ -338,20 +318,115 @@ TEST(StoreRecovery, CrashDuringRecoveryIsRecoverable)
         ctx.crash.disarm();
     } catch (const pmem::CrashException &) {
         recoveryCrashed = true;
-        ctx.crash.disarm();
-        ctx.sched.clear();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
     }
 
     const RecoveryReport rep = store.recover(env);
     (void)recoveryCrashed;  // may or may not fire; both must verify
 
-    std::map<std::uint64_t, std::uint64_t> golden;
-    for (const OpRec &r : issued)
-        if (r.epoch <= rep.committedEpochs[r.shard])
-            golden[r.key] = r.value;
-    EXPECT_EQ(store.snapshot(), golden);
+    ledger.keepCommitted(rep.committedEpochs);
+    EXPECT_EQ(store.snapshot(), ledger.golden());
+}
+
+/**
+ * The ledger keeps exactly the ops of the committed epochs, and the
+ * batches a crash lost restart at the watermark: the next batchOps
+ * ops land in the epoch after it.
+ */
+TEST(CommittedLedger, KeepsCommittedEpochsAndRebasesAtTheWatermark)
+{
+    StoreConfig scfg = smallConfig();
+    scfg.shards = 1;
+    scfg.batchOps = 4;
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    using Map = CommittedLedger::Map;
+
+    CommittedLedger ledger(scfg);
+    // Epoch 1: put 1, put 2, put 3, del 2. Epochs 2 and 3: puts 4..9.
+    for (std::uint64_t k = 1; k <= 3; ++k)
+        ledger.issue(env, store, true, k, 10 * k);
+    ledger.issue(env, store, false, 2, 0);
+    for (std::uint64_t k = 4; k <= 9; ++k)
+        ledger.issue(env, store, true, k, 10 * k);
+    EXPECT_EQ(ledger.golden().size(), 8u);
+
+    ledger.keepCommitted({1});
+    Map want{{1, 10}, {3, 30}};
+    EXPECT_EQ(ledger.golden(), want);
+
+    // Epoch 2 again: puts 101..104; put 105 opens epoch 3.
+    for (std::uint64_t k = 101; k <= 105; ++k)
+        ledger.issue(env, store, true, k, 10 * k);
+    RecoveryReport rep;
+    rep.committedEpochs = {2};
+    for (std::uint64_t k = 101; k <= 104; ++k)
+        want[k] = 10 * k;
+    EXPECT_TRUE(ledger.keepRecovered(Backend::Lp, rep, want));
+    EXPECT_EQ(ledger.golden(), want);
+
+    Map surplus = want;
+    surplus[105] = 1050;
+    EXPECT_FALSE(ledger.keepRecovered(Backend::Lp, rep, surplus));
+    EXPECT_EQ(ledger.golden(), want);
+}
+
+/**
+ * Eager persists op by op, so a recovered eager store holds every
+ * issued op, or every op but the one a crash interrupted. A snapshot
+ * missing any earlier op is a lost durable write, and leaves the
+ * ledger as it was.
+ */
+TEST(CommittedLedger, EagerRecoveryMayLoseOnlyTheInFlightOp)
+{
+    const StoreConfig scfg = smallConfig();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::EagerPerOp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+    using Map = CommittedLedger::Map;
+
+    CommittedLedger ledger(scfg);
+    for (std::uint64_t k = 1; k <= 3; ++k)
+        ledger.issue(env, store, true, k, 10 * k);
+    const Map all{{1, 10}, {2, 20}, {3, 30}};
+    const RecoveryReport rep;
+
+    EXPECT_TRUE(ledger.keepRecovered(Backend::EagerPerOp, rep, all));
+    EXPECT_EQ(ledger.golden(), all);
+
+    EXPECT_FALSE(ledger.keepRecovered(Backend::EagerPerOp, rep,
+                                      Map{{1, 10}, {3, 30}}));
+    EXPECT_EQ(ledger.golden(), all);
+
+    const Map lostLast{{1, 10}, {2, 20}};
+    EXPECT_TRUE(ledger.keepRecovered(Backend::EagerPerOp, rep, lostLast));
+    EXPECT_EQ(ledger.golden(), lostLast);
+}
+
+/** scanMatches() sees a record the ledger lacks, and one it misses. */
+TEST(CommittedLedger, ScanCatchesASurplusAndAMissingRecord)
+{
+    const StoreConfig scfg = smallConfig();
+    kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
+    KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0);
+
+    CommittedLedger ledger(scfg);
+    for (std::uint64_t k = 1; k <= 20; ++k)
+        ledger.issue(env, store, true, k, k + 100);
+    EXPECT_TRUE(ledger.scanMatches(env, store));
+
+    store.put(env, 1000, 1);  // behind the ledger's back
+    EXPECT_FALSE(ledger.scanMatches(env, store));
+    ledger.issue(env, store, true, 1000, 1);
+    EXPECT_TRUE(ledger.scanMatches(env, store));
+
+    store.del(env, 5);
+    EXPECT_FALSE(ledger.scanMatches(env, store));
 }
 
 /** Make the block holding @p p durable, as if its line had drained. */
@@ -369,23 +444,16 @@ persistBlockOf(pmem::PersistentArena &arena, const void *p)
  * block -- but the first block, holding all four records,
  * still carries the previous generation's epoch 1 = [put(10,1),
  * put(11,1), put(k,1), put(k,2)]: a permutation of the very same
- * records, which an unsalted Modular, Parity or ModularParity sum
- * cannot tell apart. Recovery must discard epoch 2 under every
- * checksum kind.
+ * records, which the store's unsalted Modular sum cannot tell
+ * apart. Recovery must discard epoch 2.
  */
-class JournalStaleGeneration
-    : public ::testing::TestWithParam<core::ChecksumKind>
-{
-};
-
-TEST_P(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
+TEST(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
 {
     StoreConfig scfg;
     scfg.capacity = 64;
     scfg.shards = 1;
     scfg.batchOps = 4;
     scfg.foldBatches = 1;  // the fold after epoch 1 restarts the journal
-    scfg.checksum = GetParam();
     kernels::SimContext ctx(smallMachine(), storeArenaBytes(scfg));
     KvStore<kernels::SimEnv> store(ctx.arena, scfg, Backend::Lp);
     ctx.arena.persistAll();
@@ -423,9 +491,7 @@ TEST_P(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
     std::copy(stale, stale + 4, journal);
     persistBlockOf(ctx.arena, &journal[0]);
     persistBlockOf(ctx.arena, &journal[4]);
-    ctx.sched.clear();
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
 
     // The durable image is exactly the scenario described above.
     ASSERT_EQ(journal[4].key, slotEmptyKey);
@@ -436,25 +502,11 @@ TEST_P(JournalStaleGeneration, PermutedStaleRecordsAreDiscarded)
     ASSERT_EQ(journal[3].value, 2u);
 
     const RecoveryReport rep = store.recover(env);
-    const std::string kind = core::checksumKindName(GetParam());
-    EXPECT_EQ(rep.committedEpochs[0], 1u) << kind;
-    EXPECT_EQ(rep.batchesDiscarded, 1u) << kind;
+    EXPECT_EQ(rep.committedEpochs[0], 1u);
+    EXPECT_EQ(rep.batchesDiscarded, 1u);
     EXPECT_EQ(store.get(env, 10), std::optional<std::uint64_t>(1));
     EXPECT_EQ(store.get(env, k), std::optional<std::uint64_t>(2));
 }
-
-INSTANTIATE_TEST_SUITE_P(
-    AllChecksums, JournalStaleGeneration,
-    ::testing::Values(core::ChecksumKind::Parity,
-                      core::ChecksumKind::Modular,
-                      core::ChecksumKind::Adler32,
-                      core::ChecksumKind::ModularParity,
-                      core::ChecksumKind::Crc32),
-    [](const auto &info) {
-        std::string name = core::checksumKindName(info.param);
-        std::replace(name.begin(), name.end(), '+', '_');
-        return name;
-    });
 
 /**
  * A Del is journaled as {slotTombstoneKey, key}; Del records and the
@@ -472,8 +524,7 @@ TEST(StoreJournalFormat, DelAndMaxUserKeySurviveCrashReplay)
     auto crashAndRecover = [&]() {
         store.commitBatches(env);
         ctx.arena.persistAll();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
         return store.recover(env);
     };
 
@@ -526,8 +577,7 @@ TEST(StoreJournalFormat, LostTrailerLineEndsTheWalk)
     EXPECT_EQ(ctx.machine.pendingStreamLines(), 1u);
     EXPECT_EQ(ctx.arena.peekDurable(&journal[7].key), 106u);
     EXPECT_NE(ctx.arena.peekDurable(&journal[8].key), 107u);
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     EXPECT_NE(journal[9].key, slotEmptyKey);
 
     const RecoveryReport rep = store.recover(env);
@@ -565,8 +615,7 @@ TEST(StoreJournalFormat, UnderfilledBatchesReplayAfterCrash)
     store.put(env, 9, 99);  // epoch 4 stays open
 
     ctx.machine.drainDirty();
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport rep = store.recover(env);
     EXPECT_EQ(rep.committedEpochs[0], 3u);
     EXPECT_EQ(rep.batchesReplayed, 3u);
@@ -600,8 +649,7 @@ TEST(StoreRecovery, RolledBackBatchStaysRolledBack)
     auto *journal = const_cast<JEntry *>(
         static_cast<const JEntry *>(store.faultSurface(0).journal));
     auto crash = [&]() {
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
     };
 
     // Life 1: each 3-op batch fills exactly one journal block.
@@ -684,8 +732,7 @@ TEST(StoreRecovery, ManyFoldsThenCrashReplaysTheUnfoldedTail)
     for (int s = 0; s < scfg.shards; ++s)
         committed.push_back(store.committedEpoch(s));
     ctx.arena.persistAll();
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport rep = store.recover(env);
     EXPECT_GT(rep.batchesReplayed, 0u);
     EXPECT_EQ(rep.committedEpochs, committed);
@@ -718,9 +765,7 @@ TEST(StoreRecovery, CleanRestartReplaysAndDiscardsNothing)
     store.markClean(env);
     const auto before = store.snapshot();
 
-    ctx.sched.clear();
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport rep = store.recover(env);
     EXPECT_EQ(rep.batchesReplayed, 0u);
     EXPECT_EQ(rep.batchesDiscarded, 0u);
@@ -763,8 +808,7 @@ TEST(StoreRecovery, EpochTagWrapRecoversExactly)
     ASSERT_LT(folded, wrap) << "the unfolded tail must straddle the wrap";
 
     ctx.arena.persistAll();
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport rep = store.recover(env);
     EXPECT_EQ(rep.committedEpochs[0], epochs);
     EXPECT_EQ(rep.batchesReplayed, epochs - folded);
@@ -1098,8 +1142,7 @@ TEST(StoreRecovery, ReplayCoalescesToTheLastOpPerKey)
     // One more op fills the journal line holding epoch 3's trailer,
     // so it streams out; the open batch 4 dies with the power.
     store.put(env, filler, filler);
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
 
     ctx.crash.armAfterStores(10);
     bool recoveryCrashed = false;
@@ -1107,9 +1150,7 @@ TEST(StoreRecovery, ReplayCoalescesToTheLastOpPerKey)
         store.recover(env);
     } catch (const pmem::CrashException &) {
         recoveryCrashed = true;
-        ctx.sched.clear();
-        ctx.machine.loseVolatileState();
-        ctx.arena.crashRestore();
+        ctx.powerFail();
     }
     ctx.crash.disarm();
     ASSERT_TRUE(recoveryCrashed);
@@ -1171,12 +1212,57 @@ TEST(StoreFold, TableOrderPassDedupsAndKeepsLinesCached)
     }
     EXPECT_EQ(ms.nvmmReads.value(), reads);
 
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     for (std::uint64_t key : keys) {
         const std::size_t i = table.probeFind(env, key);
         ASSERT_NE(i, table.npos);
         EXPECT_EQ(table.slot(i).value, key + 1);
+    }
+}
+
+/**
+ * The pass's radix sort gives exactly the comparator order -- home
+ * slot, then key -- on one-, two- and three-byte slot indices, with
+ * runs of keys sharing a home slot on both sides of the table's wrap
+ * point, fed in descending key order so the insertion pass must
+ * reorder every run.
+ */
+TEST(StoreFold, SortByHomeMatchesTheComparatorOrder)
+{
+    for (const std::size_t capacity : {32, 32768, 65536}) {
+        pmem::PersistentArena arena(2 * capacity * sizeof(KvSlot) +
+                                    blockBytes);
+        SlotTable<kernels::NativeEnv> table(arena, capacity, false);
+        const std::size_t slots = table.slotCount();
+        Rng rng(capacity);
+        std::vector<std::uint64_t> keys;
+        for (int i = 0; i < 2048; ++i)
+            keys.push_back(rng.next64());
+        int atFirst = 0;
+        int atLast = 0;
+        for (std::uint64_t k = 1; atFirst < 3 || atLast < 3; ++k) {
+            const std::size_t home = table.bucketOf(k);
+            if (home == 0 && atFirst < 3) {
+                keys.push_back(k);
+                ++atFirst;
+            } else if (home == slots - 1 && atLast < 3) {
+                keys.push_back(k);
+                ++atLast;
+            }
+        }
+        std::reverse(keys.begin(), keys.end());
+
+        std::vector<std::uint64_t> want = keys;
+        std::sort(want.begin(), want.end(),
+                  [&table](std::uint64_t a, std::uint64_t b) {
+                      const std::size_t ha = table.bucketOf(a);
+                      const std::size_t hb = table.bucketOf(b);
+                      return ha != hb ? ha < hb : a < b;
+                  });
+        table.sortByHome(keys);
+        EXPECT_EQ(keys, want) << slots << " slots";
+        EXPECT_EQ(table.bucketOf(keys.front()), 0u);
+        EXPECT_EQ(table.bucketOf(keys.back()), slots - 1);
     }
 }
 
@@ -1315,8 +1401,7 @@ TEST(StoreParity, CrashBeforeHeaderDrainsKeepsStaleSmallCoverage)
     EXPECT_EQ(ctx.arena.peekDurable(&hdr[0]), 0u)
         << "header drained: the crash point is gone";
 
-    ctx.machine.loseVolatileState();
-    ctx.arena.crashRestore();
+    ctx.powerFail();
     const RecoveryReport rep = store.recover(env);
     EXPECT_EQ(rep.committedEpochs[0], 4u);
     EXPECT_EQ(rep.batchesReplayed, 4u);

@@ -424,10 +424,7 @@ TEST_P(TxnCrashMatrix, RecoversToTheDecisionRule)
                   /*forceGeneral=*/true);
     } catch (const pmem::CrashException &) {
         crashed = true;
-        f.ctx.crash.disarm();
-        f.ctx.sched.clear();
-        f.ctx.machine.loseVolatileState();
-        f.ctx.arena.crashRestore();
+        f.ctx.powerFail();
     }
     ASSERT_TRUE(crashed) << stepName(step) << " hook never fired";
 
@@ -521,10 +518,7 @@ TEST(TxnCrashMidFold, DecidedTxnsSurviveATornCheckpoint)
         f.txn.checkpoint(f.env);
     } catch (const pmem::CrashException &) {
         crashed = true;
-        f.ctx.crash.disarm();
-        f.ctx.sched.clear();
-        f.ctx.machine.loseVolatileState();
-        f.ctx.arena.crashRestore();
+        f.ctx.powerFail();
     }
     ASSERT_TRUE(crashed) << "checkpoint finished before the trigger";
 

@@ -63,8 +63,7 @@ struct Fixture
     void
     crash()
     {
-        machine.loseVolatileState();
-        arena.crashRestore();
+        machine.powerFail();
     }
 
     pmem::PersistentArena arena;

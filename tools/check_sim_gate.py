@@ -39,6 +39,10 @@ must carry:
               writes, L2 misses and L2 accesses per L2 size (base, LP)
               and per checksum kind (LP, with base and EagerRecompute
               at the paper's L2)
+    store_recovery
+              lazyper_cli store --crash-at: LP store recovery's
+              simulated cycles, batches and records replayed and
+              batches discarded after a crash on the sim_gate geometry
 
 The --gate choices are the names of the tools/*_golden.json files, so
 a new gate needs only its golden file.

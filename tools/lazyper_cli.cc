@@ -169,7 +169,6 @@ storeUsage(const char *argv0)
         "  --uniform       uniform keys instead of zipfian\n"
         "  --theta T       zipfian skew                  (default 0.99)\n"
         "  --shards S / --batch-ops B / --fold-batches F / --capacity C\n"
-        "  --checksum parity|modular|adler32|combined|crc32\n"
         "  --seed S                                      (default 42)\n"
         "  --crash-at N    crash after N persistent stores, recover,\n"
         "                  verify against the committed-batch replay\n"
@@ -195,7 +194,6 @@ serveUsage(const char *argv0)
         "  --backend lp|eager|wal                    (default lp)\n"
         "  --capacity C    max live keys per shard   (default 16384)\n"
         "  --batch-ops B / --fold-batches F\n"
-        "  --checksum parity|modular|adler32|combined|crc32\n"
         "  --flush-deadline-us U  partial-batch commit deadline "
         "(default 2000)\n"
         "  --max-inflight N   per-connection backpressure "
@@ -244,8 +242,6 @@ runServeCommand(int argc, char **argv)
             cfg.batchOps = std::atoi(next().c_str());
         } else if (arg == "--fold-batches") {
             cfg.foldBatches = std::atoi(next().c_str());
-        } else if (arg == "--checksum") {
-            cfg.checksum = parseChecksum(next());
         } else if (arg == "--flush-deadline-us") {
             cfg.flushDeadlineUs =
                 std::strtoull(next().c_str(), nullptr, 10);
@@ -313,8 +309,6 @@ runStoreCommand(int argc, char **argv)
             scfg.foldBatches = std::atoi(next().c_str());
         } else if (arg == "--capacity") {
             scfg.capacity = std::strtoull(next().c_str(), nullptr, 10);
-        } else if (arg == "--checksum") {
-            scfg.checksum = parseChecksum(next());
         } else if (arg == "--seed") {
             p.seed = std::strtoull(next().c_str(), nullptr, 10);
         } else if (arg == "--crash-at") {
@@ -343,7 +337,7 @@ runStoreCommand(int argc, char **argv)
                 mixName(p.mix).c_str(),
                 p.zipfian ? "zipfian" : "uniform", scfg.shards,
                 scfg.batchOps, scfg.foldBatches,
-                core::checksumKindName(scfg.checksum).c_str());
+                core::checksumKindName(kStoreChecksum).c_str());
 
     std::unique_ptr<obs::TraceCollector> trace;
     if (!traceOut.empty())
@@ -383,21 +377,33 @@ runStoreCommand(int argc, char **argv)
                         out.report.walUndone));
         std::printf("recovery cycles: %llu (simulated)\n",
                     static_cast<unsigned long long>(out.recoveryCycles));
-        const bool ok =
-            out.committedStateVerified && out.finalStateVerified;
-        std::printf("committed state: %s   final state: %s\n",
+        const bool ok = out.committedStateVerified &&
+                        out.finalStateVerified && out.scanStateVerified;
+        std::printf("committed state: %s   final state: %s   "
+                    "scans: %s\n",
                     out.committedStateVerified ? "verified" : "WRONG",
-                    out.finalStateVerified ? "verified" : "WRONG");
+                    out.finalStateVerified ? "verified" : "WRONG",
+                    out.scanStateVerified ? "verified" : "WRONG");
         writeTrace();
         if (json) {
+            // The shape tools/check_sim_gate.py reads (--gate
+            // store_recovery).
+            const auto metric = [](std::uint64_t v) {
+                return stats::JsonValue::Object{{"value", v}};
+            };
             const stats::JsonValue::Object obj{
                 {"backend", backendName(backend)},
                 {"crashed", out.crashed},
-                {"batches_replayed", out.report.batchesReplayed},
-                {"entries_replayed", out.report.entriesReplayed},
-                {"batches_discarded", out.report.batchesDiscarded},
-                {"recovery_cycles", out.recoveryCycles},
-                {"verified", ok}};
+                {"correct", ok},
+                {"metrics",
+                 stats::JsonValue::Object{
+                     {"recovery_cycles", metric(out.recoveryCycles)},
+                     {"batches_replayed",
+                      metric(out.report.batchesReplayed)},
+                     {"entries_replayed",
+                      metric(out.report.entriesReplayed)},
+                     {"batches_discarded",
+                      metric(out.report.batchesDiscarded)}}}};
             std::printf("%s\n", stats::JsonValue(obj).render().c_str());
         }
         return ok ? 0 : 1;
@@ -683,7 +689,7 @@ injectUsage(const char *argv0)
         "  --seed S        mask seed for --bytes     (default 1)\n"
         "  --backend lp|eager|wal  must match the server (default lp)\n"
         "  --capacity C / --batch-ops B / --fold-batches F /\n"
-        "  --checksum K / --flight-events N / --prepare-slots S\n"
+        "  --flight-events N\n"
         "                  must match the serve flags (the layout is\n"
         "                  re-derived from the configuration)\n"
         "Flips bits in the mmap'd backing file of a shard -- simulated\n"
@@ -713,7 +719,6 @@ runInjectCommand(int argc, char **argv)
     scfg.capacity = 16384;  // serve defaults; override to match
     scfg.shards = 1;        // one arena file per server shard
     std::uint32_t flightEvents = 4096;
-    std::size_t prepareSlots = 128;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -744,13 +749,8 @@ runInjectCommand(int argc, char **argv)
             scfg.batchOps = std::atoi(next().c_str());
         } else if (arg == "--fold-batches") {
             scfg.foldBatches = std::atoi(next().c_str());
-        } else if (arg == "--checksum") {
-            scfg.checksum = parseChecksum(next());
         } else if (arg == "--flight-events") {
             flightEvents = std::uint32_t(std::atoi(next().c_str()));
-        } else if (arg == "--prepare-slots") {
-            prepareSlots =
-                std::strtoull(next().c_str(), nullptr, 10);
         } else {
             injectUsage(argv[0]);
         }
@@ -776,7 +776,8 @@ runInjectCommand(int argc, char **argv)
     pmem::PersistentArena arena(
         (flightEvents > 0 ? obs::FlightRing::bytesFor(flightEvents)
                           : 0) +
-            storeArenaBytes(scfg) + txn::prepareLogBytes(prepareSlots),
+            storeArenaBytes(scfg) +
+            txn::prepareLogBytes(server::kTxnPrepareSlots),
         path);
     if (flightEvents > 0)
         arena.allocRaw(obs::FlightRing::bytesFor(flightEvents));
