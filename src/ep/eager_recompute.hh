@@ -74,6 +74,23 @@ class ProgressMarkers
 };
 
 /**
+ * The marker half of an EagerRecompute region commit, once the
+ * region's stores are flushed and fenced: persist @p marker_value as
+ * @p thread's progress marker, fence, and count the commit.
+ */
+template <typename Env>
+void
+commitMarker(Env &env, ProgressMarkers &markers, int thread,
+             std::uint64_t marker_value)
+{
+    std::uint64_t *m = markers.slot(thread);
+    env.st(m, marker_value);
+    env.clflushopt(m);
+    env.sfence();
+    env.onRegionCommit();
+}
+
+/**
  * Commit one EagerRecompute region: flush every range the region
  * modified, fence, then persist the progress marker. Two fences per
  * region -- the scheme's fundamental cost (vs. four for WAL and zero
@@ -90,11 +107,7 @@ eagerCommitRegion(Env &env, const Ranges &ranges,
     for (const auto &[p, bytes] : ranges)
         flushRange(env, p, bytes);
     env.sfence();
-    std::uint64_t *m = markers.slot(thread);
-    env.st(m, marker_value);
-    env.clflushopt(m);
-    env.sfence();
-    env.onRegionCommit();
+    commitMarker(env, markers, thread, marker_value);
 }
 
 } // namespace lp::ep

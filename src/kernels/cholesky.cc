@@ -13,13 +13,10 @@ namespace lp::kernels
 
 CholeskyWorkload::CholeskyWorkload(const KernelParams &params,
                                    SimContext &c)
-    : p(params), ctx(c)
+    : Workload(params, c)
 {
     LP_ASSERT(p.n > 0 && p.bsize > 0 && p.n % p.bsize == 0,
               "n must be a multiple of bsize");
-    LP_ASSERT(p.threads >= 1 &&
-              p.threads <= ctx.machine.config().numCores,
-              "more threads than cores");
 
     const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
     double *a = ctx.arena.alloc<double>(elems);
@@ -39,6 +36,7 @@ CholeskyWorkload::CholeskyWorkload(const KernelParams &params,
     std::fill(l, l + elems, 0.0);
 
     // Golden: plain host Cholesky (lower).
+    result = {{l, elems}};
     golden.assign(a, a + elems);
     for (int j = 0; j < p.n; ++j) {
         double d = golden[static_cast<std::size_t>(j) * p.n + j];
@@ -79,30 +77,18 @@ CholeskyWorkload::CholeskyWorkload(const KernelParams &params,
 void
 CholeskyWorkload::runRegion(SimEnv &env, Scheme scheme, int jb, int r)
 {
-    switch (scheme) {
-      case Scheme::Base:
+    if (scheme == Scheme::Lp) {
+        core::LpRegion region(*table_, p.checksum);
+        region.reset(env);
+        cholBlock(env, v, jb, jb + r, &region, /*eager=*/false);
+        region.commit(env, key(jb, r));
+    } else if (scheme == Scheme::EagerRecompute) {
+        cholBlock(env, v, jb, jb + r, nullptr, /*eager=*/true);
+        // Marker value: the region's global key (monotonic per
+        // thread under the round-robin assignment).
+        ep::commitMarker(env, *markers, env.core(), key(jb, r));
+    } else {
         cholBlock(env, v, jb, jb + r, nullptr, /*eager=*/false);
-        break;
-      case Scheme::Lp: {
-          core::LpRegion region(*table_, p.checksum);
-          region.reset(env);
-          cholBlock(env, v, jb, jb + r, &region, /*eager=*/false);
-          region.commit(env, key(jb, r));
-          break;
-      }
-      case Scheme::EagerRecompute: {
-          cholBlock(env, v, jb, jb + r, nullptr, /*eager=*/true);
-          // Marker value: the region's global key (monotonic per
-          // thread under the round-robin assignment).
-          std::uint64_t *m = markers->slot(env.core());
-          env.st(m, static_cast<std::uint64_t>(key(jb, r)));
-          env.clflushopt(m);
-          env.sfence();
-          env.onRegionCommit();
-          break;
-      }
-      case Scheme::Wal:
-        fatal("WAL is only implemented for tmm (Table IV)");
     }
 }
 
@@ -123,36 +109,25 @@ CholeskyWorkload::runStages(Scheme scheme, int from_stage)
 {
     for (int jb = from_stage; jb < numStages(); ++jb) {
         // Region 0: the diagonal block must finish before the panel.
-        const int diag_thread = jb % p.threads;
-        ctx.sched.add(diag_thread, [this, scheme, jb, diag_thread] {
-            SimEnv env(ctx.machine, ctx.arena, diag_thread,
-                       &ctx.crash);
+        ctx.schedule(jb % p.threads, [this, scheme, jb](SimEnv &env) {
             runRegion(env, scheme, jb, 0);
         });
         ctx.sched.barrier();
 
         for (int r = 1; r < regionsInStage(jb); ++r) {
-            const int t = r % p.threads;
-            ctx.sched.add(t, [this, scheme, jb, r, t] {
-                SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
-                runRegion(env, scheme, jb, r);
-            });
+            ctx.schedule(r % p.threads,
+                         [this, scheme, jb, r](SimEnv &env) {
+                             runRegion(env, scheme, jb, r);
+                         });
         }
         ctx.sched.barrier();
     }
 }
 
-void
-CholeskyWorkload::run(Scheme scheme)
-{
-    runStages(scheme, 0);
-}
-
 core::RecoveryResult
 CholeskyWorkload::recoverAndResume()
 {
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
-
+    SimEnv env = ctx.env(0);
     core::RecoveryCallbacks cb;
     cb.numStages = numStages();
     cb.regionsInStage = [this](int jb) { return regionsInStage(jb); };
@@ -168,36 +143,10 @@ CholeskyWorkload::recoverAndResume()
         cholBlock(env, v, jb, jb + r, &region, /*eager=*/true);
         region.commitEager(env, key(jb, r));
     };
-    core::RecoveryResult res =
-        core::recover(cb, core::ResumePolicy::ValidateAllUpTo);
-
-    for (int jb = res.resumeStage; jb < numStages(); ++jb) {
-        for (int r = 0; r < regionsInStage(jb); ++r) {
-            std::uint64_t *e = table_->entry(key(jb, r));
-            env.st(e, core::invalidDigest);
-            env.clflushopt(e);
-        }
-    }
-    env.sfence();
-
-    runStages(Scheme::Lp, res.resumeStage);
-    return res;
-}
-
-bool
-CholeskyWorkload::verify(double tol) const
-{
-    return maxAbsError() <= tol;
-}
-
-double
-CholeskyWorkload::maxAbsError() const
-{
-    double worst = 0.0;
-    const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
-    for (std::size_t i = 0; i < elems; ++i)
-        worst = std::max(worst, std::fabs(v.l[i] - golden[i]));
-    return worst;
+    return recoverStages(env, cb, core::ResumePolicy::ValidateAllUpTo,
+                         [this, &env](int jb, int r) {
+                             table_->invalidate(env, key(jb, r));
+                         });
 }
 
 } // namespace lp::kernels

@@ -39,8 +39,6 @@
 namespace lp::kernels
 {
 
-class SimEnv;
-
 /** Pointers into the factorization's persistent state. */
 struct CholView
 {
@@ -75,10 +73,7 @@ class CholeskyWorkload : public Workload
     CholeskyWorkload(const KernelParams &params, SimContext &ctx);
 
     std::string name() const override { return "cholesky"; }
-    void run(Scheme scheme) override;
     core::RecoveryResult recoverAndResume() override;
-    bool verify(double tol = 1e-6) const override;
-    double maxAbsError() const override;
     std::size_t numRegions() const override;
 
     int numStages() const { return p.n / p.bsize; }
@@ -93,15 +88,12 @@ class CholeskyWorkload : public Workload
   private:
     std::size_t key(int jb, int r) const;
 
-    void runStages(Scheme scheme, int from_stage);
+    void runStages(Scheme scheme, int from_stage) override;
 
     /** Execute one region under the given scheme. */
     void runRegion(SimEnv &env, Scheme scheme, int jb, int r);
 
-    KernelParams p;
-    SimContext &ctx;
     CholView v;
-    std::vector<double> golden;
     std::unique_ptr<core::ChecksumTable> table_;
     std::unique_ptr<ep::ProgressMarkers> markers;
     std::vector<std::size_t> stageKeyBase;

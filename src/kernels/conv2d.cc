@@ -1,7 +1,6 @@
 #include "kernels/conv2d.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -12,14 +11,11 @@ namespace lp::kernels
 
 Conv2dWorkload::Conv2dWorkload(const KernelParams &params,
                                SimContext &c)
-    : p(params), ctx(c)
+    : Workload(params, c)
 {
     LP_ASSERT(p.n > 0 && p.bsize > 0 && p.n % p.bsize == 0,
               "n must be a multiple of bsize");
     LP_ASSERT(p.iterations >= 1, "need at least one iteration");
-    LP_ASSERT(p.threads >= 1 &&
-              p.threads <= ctx.machine.config().numCores,
-              "more threads than cores");
 
     const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
     double *input = ctx.arena.alloc<double>(elems);
@@ -65,6 +61,7 @@ Conv2dWorkload::Conv2dWorkload(const KernelParams &params,
         std::swap(src, dst);
     }
     golden = std::move(src);
+    result = {{conv2dDst(v, p.iterations - 1), elems}};
 
     table_ = std::make_unique<core::ChecksumTable>(
         ctx.arena,
@@ -80,12 +77,6 @@ Conv2dWorkload::numRegions() const
     return static_cast<std::size_t>(numStages()) * numBands();
 }
 
-const double *
-Conv2dWorkload::result() const
-{
-    return conv2dDst(v, p.iterations - 1);
-}
-
 void
 Conv2dWorkload::runStages(Scheme scheme, int from_stage)
 {
@@ -94,37 +85,26 @@ Conv2dWorkload::runStages(Scheme scheme, int from_stage)
         for (int band = 0; band < numBands(); ++band) {
             const int t = band % p.threads;
             const std::uint64_t my_idx = idx++;
-            ctx.sched.add(t, [this, scheme, s, band, t, my_idx] {
-                SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+            ctx.schedule(t, [this, scheme, s, band, t,
+                             my_idx](SimEnv &env) {
                 const int row0 = band * p.bsize;
                 const int row1 = row0 + p.bsize;
-                switch (scheme) {
-                  case Scheme::Base:
-                    conv2dBandBase(env, v, s, row0, row1);
-                    break;
-                  case Scheme::Lp: {
-                      core::LpRegion region(*table_, p.checksum);
-                      conv2dBandLp(env, v, s, row0, row1, region,
-                                   key(s, band));
-                      break;
-                  }
-                  case Scheme::EagerRecompute: {
-                      conv2dBandBase(env, v, s, row0, row1);
-                      std::vector<std::pair<const void *,
-                                            std::size_t>> ranges;
-                      ranges.emplace_back(
-                          conv2dDst(v, s) +
-                              static_cast<std::size_t>(row0) * p.n,
-                          static_cast<std::size_t>(p.bsize) * p.n *
-                              sizeof(double));
-                      ep::eagerCommitRegion(env, ranges, *markers, t,
-                                            my_idx);
-                      break;
-                  }
-                  case Scheme::Wal:
-                    fatal("WAL is only implemented for tmm "
-                          "(Table IV)");
+                if (scheme == Scheme::Lp) {
+                    core::LpRegion region(*table_, p.checksum);
+                    conv2dBandLp(env, v, s, row0, row1, region,
+                                 key(s, band));
+                    return;
                 }
+                conv2dBandBase(env, v, s, row0, row1);
+                if (scheme != Scheme::EagerRecompute)
+                    return;
+                ep::flushRange(env,
+                               conv2dDst(v, s) +
+                                   static_cast<std::size_t>(row0) * p.n,
+                               static_cast<std::size_t>(p.bsize) * p.n *
+                                   sizeof(double));
+                env.sfence();
+                ep::commitMarker(env, *markers, t, my_idx);
             });
         }
         // Data dependence between stages: barrier.
@@ -132,17 +112,10 @@ Conv2dWorkload::runStages(Scheme scheme, int from_stage)
     }
 }
 
-void
-Conv2dWorkload::run(Scheme scheme)
-{
-    runStages(scheme, 0);
-}
-
 core::RecoveryResult
 Conv2dWorkload::recoverAndResume()
 {
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
-
+    SimEnv env = ctx.env(0);
     core::RecoveryCallbacks cb;
     cb.numStages = numStages();
     cb.regionsInStage = [this](int) { return numBands(); };
@@ -154,39 +127,10 @@ Conv2dWorkload::recoverAndResume()
             env, v, s, row0, row0 + p.bsize, p.checksum);
         return digest == table_->stored(key(s, band));
     };
-    core::RecoveryResult res =
-        core::recover(cb, core::ResumePolicy::NewestFullStage);
-
-    // Drop stale digests of the stages about to be re-executed so a
-    // second crash cannot match a pre-crash digest.
-    for (int s = res.resumeStage; s < numStages(); ++s) {
-        for (int band = 0; band < numBands(); ++band) {
-            std::uint64_t *e = table_->entry(key(s, band));
-            env.st(e, core::invalidDigest);
-            env.clflushopt(e);
-        }
-    }
-    env.sfence();
-
-    runStages(Scheme::Lp, res.resumeStage);
-    return res;
-}
-
-bool
-Conv2dWorkload::verify(double tol) const
-{
-    return maxAbsError() <= tol;
-}
-
-double
-Conv2dWorkload::maxAbsError() const
-{
-    const double *r = result();
-    double worst = 0.0;
-    const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
-    for (std::size_t i = 0; i < elems; ++i)
-        worst = std::max(worst, std::fabs(r[i] - golden[i]));
-    return worst;
+    return recoverStages(env, cb, core::ResumePolicy::NewestFullStage,
+                         [this, &env](int s, int band) {
+                             table_->invalidate(env, key(s, band));
+                         });
 }
 
 } // namespace lp::kernels

@@ -154,10 +154,7 @@ class Conv2dWorkload : public Workload
     Conv2dWorkload(const KernelParams &params, SimContext &ctx);
 
     std::string name() const override { return "2d-conv"; }
-    void run(Scheme scheme) override;
     core::RecoveryResult recoverAndResume() override;
-    bool verify(double tol = 1e-6) const override;
-    double maxAbsError() const override;
     std::size_t numRegions() const override;
 
     int numBands() const { return p.n / p.bsize; }
@@ -170,15 +167,10 @@ class Conv2dWorkload : public Workload
         return static_cast<std::size_t>(stage) * numBands() + band;
     }
 
-    /** Queue one stage's regions and run them to a barrier. */
-    void runStages(Scheme scheme, int from_stage);
+    /** Queue each stage's regions and run them to a barrier. */
+    void runStages(Scheme scheme, int from_stage) override;
 
-    const double *result() const;
-
-    KernelParams p;
-    SimContext &ctx;
     Conv2dView v;
-    std::vector<double> golden;
     std::unique_ptr<core::ChecksumTable> table_;
     std::unique_ptr<ep::ProgressMarkers> markers;
 };

@@ -56,14 +56,11 @@ fftGolden(const std::vector<double> &in_re,
 }
 
 FftWorkload::FftWorkload(const KernelParams &params, SimContext &c)
-    : p(params), ctx(c)
+    : Workload(params, c)
 {
     LP_ASSERT(p.n >= 2 &&
               isPowerOf2(static_cast<std::uint64_t>(p.n)),
               "FFT length must be a power of two >= 2");
-    LP_ASSERT(p.threads >= 1 &&
-              p.threads <= ctx.machine.config().numCores,
-              "more threads than cores");
     stages = static_cast<int>(floorLog2(p.n));
     regions = static_cast<int>(
         std::min<std::int64_t>(p.threads * 2, std::int64_t{p.n} / 2));
@@ -86,9 +83,14 @@ FftWorkload::FftWorkload(const KernelParams &params, SimContext &c)
     std::fill(b_re, b_re + p.n, 0.0);
     std::fill(b_im, b_im + p.n, 0.0);
 
+    // Golden: the real parts, then the imaginary parts.
+    std::vector<double> golden_im;
     fftGolden(std::vector<double>(in_re, in_re + p.n),
-              std::vector<double>(in_im, in_im + p.n), goldenRe,
-              goldenIm);
+              std::vector<double>(in_im, in_im + p.n), golden,
+              golden_im);
+    golden.insert(golden.end(), golden_im.begin(), golden_im.end());
+    result = {{fftDstRe(v, stages - 1), std::size_t(p.n)},
+              {fftDstIm(v, stages - 1), std::size_t(p.n)}};
 
     table_ = std::make_unique<core::ChecksumTable>(
         ctx.arena, static_cast<std::size_t>(stages) * regions);
@@ -115,66 +117,46 @@ FftWorkload::runStages(Scheme scheme, int from_stage)
 {
     for (int k = from_stage; k < stages; ++k) {
         for (int r = 0; r < regions; ++r) {
-            const int t = r % p.threads;
-            ctx.sched.add(t, [this, scheme, k, r, t] {
-                SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+            ctx.schedule(r % p.threads, [this, scheme, k,
+                                         r](SimEnv &env) {
                 std::int64_t u0;
                 std::int64_t u1;
                 chunkBounds(r, u0, u1);
-                switch (scheme) {
-                  case Scheme::Base:
-                    fftChunk(env, v, k, u0, u1, nullptr);
-                    break;
-                  case Scheme::Lp: {
-                      core::LpRegion region(*table_, p.checksum);
-                      region.reset(env);
-                      fftChunk(env, v, k, u0, u1, &region);
-                      region.commit(env, key(k, r));
-                      break;
-                  }
-                  case Scheme::EagerRecompute: {
-                      fftChunk(env, v, k, u0, u1, nullptr);
-                      // A stride-group-aligned u-range [p0*sk,
-                      // p1*sk) writes exactly the contiguous index
-                      // range [2*p0*sk, 2*p1*sk); chunk bounds may
-                      // split a group, so round outward -- a few
-                      // redundant clean-line flushes, never a missed
-                      // dirty one.
-                      const std::int64_t sk = std::int64_t{1} << k;
-                      const std::int64_t lo = (u0 / sk) * sk;
-                      const std::int64_t hi = ((u1 + sk - 1) / sk) * sk;
-                      const std::size_t bytes =
-                          static_cast<std::size_t>(hi - lo) * 2 *
-                          sizeof(double);
-                      ep::flushRange(env, fftDstRe(v, k) + 2 * lo,
-                                     bytes);
-                      ep::flushRange(env, fftDstIm(v, k) + 2 * lo,
-                                     bytes);
-                      env.sfence();
-                      env.onRegionCommit();
-                      break;
-                  }
-                  case Scheme::Wal:
-                    fatal("WAL is only implemented for tmm "
-                          "(Table IV)");
+                if (scheme == Scheme::Lp) {
+                    core::LpRegion region(*table_, p.checksum);
+                    region.reset(env);
+                    fftChunk(env, v, k, u0, u1, &region);
+                    region.commit(env, key(k, r));
+                    return;
                 }
+                fftChunk(env, v, k, u0, u1, nullptr);
+                if (scheme != Scheme::EagerRecompute)
+                    return;
+                // A stride-group-aligned u-range [p0*sk, p1*sk)
+                // writes exactly the contiguous index range
+                // [2*p0*sk, 2*p1*sk); chunk bounds may split a group,
+                // so round outward -- a few redundant clean-line
+                // flushes, never a missed dirty one.
+                const std::int64_t sk = std::int64_t{1} << k;
+                const std::int64_t lo = (u0 / sk) * sk;
+                const std::int64_t hi = ((u1 + sk - 1) / sk) * sk;
+                const std::size_t bytes =
+                    static_cast<std::size_t>(hi - lo) * 2 *
+                    sizeof(double);
+                ep::flushRange(env, fftDstRe(v, k) + 2 * lo, bytes);
+                ep::flushRange(env, fftDstIm(v, k) + 2 * lo, bytes);
+                env.sfence();
+                env.onRegionCommit();
             });
         }
         ctx.sched.barrier();
     }
 }
 
-void
-FftWorkload::run(Scheme scheme)
-{
-    runStages(scheme, 0);
-}
-
 core::RecoveryResult
 FftWorkload::recoverAndResume()
 {
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
-
+    SimEnv env = ctx.env(0);
     core::RecoveryCallbacks cb;
     cb.numStages = stages;
     cb.regionsInStage = [this](int) { return regions; };
@@ -187,39 +169,10 @@ FftWorkload::recoverAndResume()
         return fftChunkChecksum(env, v, k, u0, u1, p.checksum) ==
                table_->stored(key(k, r));
     };
-    core::RecoveryResult res =
-        core::recover(cb, core::ResumePolicy::NewestFullStage);
-
-    for (int k = res.resumeStage; k < stages; ++k) {
-        for (int r = 0; r < regions; ++r) {
-            std::uint64_t *e = table_->entry(key(k, r));
-            env.st(e, core::invalidDigest);
-            env.clflushopt(e);
-        }
-    }
-    env.sfence();
-
-    runStages(Scheme::Lp, res.resumeStage);
-    return res;
-}
-
-bool
-FftWorkload::verify(double tol) const
-{
-    return maxAbsError() <= tol;
-}
-
-double
-FftWorkload::maxAbsError() const
-{
-    const double *rre = fftDstRe(v, stages - 1);
-    const double *rim = fftDstIm(v, stages - 1);
-    double worst = 0.0;
-    for (int i = 0; i < p.n; ++i) {
-        worst = std::max(worst, std::fabs(rre[i] - goldenRe[i]));
-        worst = std::max(worst, std::fabs(rim[i] - goldenIm[i]));
-    }
-    return worst;
+    return recoverStages(env, cb, core::ResumePolicy::NewestFullStage,
+                         [this, &env](int k, int r) {
+                             table_->invalidate(env, key(k, r));
+                         });
 }
 
 } // namespace lp::kernels

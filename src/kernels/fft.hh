@@ -171,14 +171,10 @@ class FftWorkload : public Workload
     FftWorkload(const KernelParams &params, SimContext &ctx);
 
     std::string name() const override { return "fft"; }
-    void run(Scheme scheme) override;
     core::RecoveryResult recoverAndResume() override;
-    bool verify(double tol = 1e-6) const override;
-    double maxAbsError() const override;
     std::size_t numRegions() const override;
 
     int numStages() const { return stages; }
-    int regionsPerStage() const { return regions; }
 
   private:
     std::size_t
@@ -190,15 +186,11 @@ class FftWorkload : public Workload
     /** Butterfly range [u0, u1) of region @p r. */
     void chunkBounds(int r, std::int64_t &u0, std::int64_t &u1) const;
 
-    void runStages(Scheme scheme, int from_stage);
+    void runStages(Scheme scheme, int from_stage) override;
 
-    KernelParams p;
-    SimContext &ctx;
     FftView v;
     int stages;
     int regions;
-    std::vector<double> goldenRe;
-    std::vector<double> goldenIm;
     std::unique_ptr<core::ChecksumTable> table_;
 };
 

@@ -1,7 +1,6 @@
 #include "kernels/gauss.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -11,13 +10,10 @@ namespace lp::kernels
 {
 
 GaussWorkload::GaussWorkload(const KernelParams &params, SimContext &c)
-    : p(params), ctx(c)
+    : Workload(params, c)
 {
     LP_ASSERT(p.n >= 2 && p.bsize > 0 && p.n % p.bsize == 0,
               "n must be a multiple of bsize");
-    LP_ASSERT(p.threads >= 1 &&
-              p.threads <= ctx.machine.config().numCores,
-              "more threads than cores");
 
     const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
     double *a = ctx.arena.alloc<double>(elems);
@@ -36,6 +32,7 @@ GaussWorkload::GaussWorkload(const KernelParams &params, SimContext &c)
     std::copy(a, a + elems, m);
 
     // Golden: the same in-place elimination on the host.
+    result = {{m, elems}};
     golden.assign(a, a + elems);
     for (int k = 0; k < p.n - 1; ++k) {
         const double piv = golden[static_cast<std::size_t>(k) * p.n +
@@ -78,9 +75,7 @@ GaussWorkload::runStages(Scheme scheme, int from_stage)
     for (int k = from_stage; k < numStages(); ++k) {
         // Pivot-final region: checksum the now-final row k.
         if (scheme == Scheme::Lp) {
-            const int pt = k % p.threads;
-            ctx.sched.add(pt, [this, k, pt] {
-                SimEnv env(ctx.machine, ctx.arena, pt, &ctx.crash);
+            ctx.schedule(k % p.threads, [this, k](SimEnv &env) {
                 core::LpRegion region(*table_, p.checksum);
                 region.reset(env);
                 for (int j = 0; j < p.n; ++j) {
@@ -96,45 +91,27 @@ GaussWorkload::runStages(Scheme scheme, int from_stage)
             if (!bandActive(k, band))
                 continue;
             const int t = band % p.threads;
-            ctx.sched.add(t, [this, scheme, k, band, t] {
-                SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+            ctx.schedule(t, [this, scheme, k, band, t](SimEnv &env) {
                 const int row0 = band * p.bsize;
                 const int row1 = row0 + p.bsize;
-                switch (scheme) {
-                  case Scheme::Base:
-                    gaussBandBody(env, v, k, row0, row1, nullptr);
-                    break;
-                  case Scheme::Lp: {
-                      core::LpRegion region(*table_, p.checksum);
-                      region.reset(env);
-                      gaussBandBody(env, v, k, row0, row1, &region);
-                      region.commit(env, bandKey(k, band));
-                      break;
-                  }
-                  case Scheme::EagerRecompute: {
-                      gaussBandBody(env, v, k, row0, row1, nullptr);
-                      for (int i = std::max(row0, k + 1); i < row1;
-                           ++i) {
-                          ep::flushRange(
-                              env,
-                              &v.m[static_cast<std::size_t>(i) * p.n +
-                                   k],
-                              static_cast<std::size_t>(p.n - k) *
-                                  sizeof(double));
-                      }
-                      env.sfence();
-                      std::uint64_t *mk = markers->slot(t);
-                      env.st(mk, static_cast<std::uint64_t>(
-                                     bandKey(k, band)));
-                      env.clflushopt(mk);
-                      env.sfence();
-                      env.onRegionCommit();
-                      break;
-                  }
-                  case Scheme::Wal:
-                    fatal("WAL is only implemented for tmm "
-                          "(Table IV)");
+                if (scheme == Scheme::Lp) {
+                    core::LpRegion region(*table_, p.checksum);
+                    region.reset(env);
+                    gaussBandBody(env, v, k, row0, row1, &region);
+                    region.commit(env, bandKey(k, band));
+                    return;
                 }
+                gaussBandBody(env, v, k, row0, row1, nullptr);
+                if (scheme != Scheme::EagerRecompute)
+                    return;
+                for (int i = std::max(row0, k + 1); i < row1; ++i) {
+                    ep::flushRange(
+                        env, &v.m[static_cast<std::size_t>(i) * p.n + k],
+                        static_cast<std::size_t>(p.n - k) *
+                            sizeof(double));
+                }
+                env.sfence();
+                ep::commitMarker(env, *markers, t, bandKey(k, band));
             });
         }
         ctx.sched.barrier();
@@ -142,20 +119,15 @@ GaussWorkload::runStages(Scheme scheme, int from_stage)
 }
 
 void
-GaussWorkload::run(Scheme scheme)
+GaussWorkload::rebuildRowEager(SimEnv &env, int i, int through,
+                               int cols)
 {
-    runStages(scheme, 0);
-}
-
-void
-GaussWorkload::rebuildRowEager(SimEnv &env, int i, int through)
-{
-    // Replay row i from the immutable input through stage
-    // min(through, i) - 1, reading pivot rows from the (already
-    // validated or rebuilt) working matrix.
+    // Replay columns [0, cols) of row i from the immutable input
+    // through stage min(through, i) - 1, reading pivot rows from the
+    // (already validated or rebuilt) working matrix.
     const int n = p.n;
-    std::vector<double> row(n);
-    for (int j = 0; j < n; ++j)
+    std::vector<double> row(cols);
+    for (int j = 0; j < cols; ++j)
         row[j] = env.ld(&v.a[static_cast<std::size_t>(i) * n + j]);
     const int last = std::min(through, i);
     for (int s = 0; s < last; ++s) {
@@ -164,17 +136,17 @@ GaussWorkload::rebuildRowEager(SimEnv &env, int i, int through)
         const double mult = row[s] / piv;
         row[s] = mult;
         env.tick(6);
-        for (int j = s + 1; j < n; ++j) {
+        for (int j = s + 1; j < cols; ++j) {
             row[j] -= mult *
                       env.ld(&v.m[static_cast<std::size_t>(s) * n +
                                   j]);
             env.tick(2);
         }
     }
-    for (int j = 0; j < n; ++j)
+    for (int j = 0; j < cols; ++j)
         env.st(&v.m[static_cast<std::size_t>(i) * n + j], row[j]);
     ep::flushRange(env, &v.m[static_cast<std::size_t>(i) * n],
-                   static_cast<std::size_t>(n) * sizeof(double));
+                   static_cast<std::size_t>(cols) * sizeof(double));
     env.sfence();
 }
 
@@ -194,7 +166,7 @@ GaussWorkload::advanceRowsEager(SimEnv &env, int row0, int row1,
 core::RecoveryResult
 GaussWorkload::recoverAndResume()
 {
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+    SimEnv env = ctx.env(0);
     core::RecoveryResult res;
     const int B = numBands();
     const int S = numStages();
@@ -234,7 +206,7 @@ GaussWorkload::recoverAndResume()
             ++res.matched;
             continue;
         }
-        rebuildRowEager(env, k, k);
+        rebuildRowEager(env, k, k, p.n);
         core::LpRegion region(*table_, p.checksum);
         region.reset(env);
         for (int j = 0; j < p.n; ++j) {
@@ -247,20 +219,29 @@ GaussWorkload::recoverAndResume()
     }
 
     // 2b. Bring every band's non-finalized rows (index >= resume) to
-    // the post-(resume-1) state.
+    // the post-(resume-1) state. A band digest of stage k >= 0 only
+    // covers columns k.. of its rows; their multipliers in columns
+    // [0, k) were stored by earlier stages and may not have
+    // persisted, so they are recomputed from the input and the
+    // finalized pivot rows. A band with no match is rebuilt whole.
     for (int band = 0; band < B; ++band) {
         const int lo = std::max(band * p.bsize, resume);
         const int hi = (band + 1) * p.bsize;
         if (lo >= hi)
             continue;
-        if (found[band] == resume - 1) {
-            ++res.matched;
-        } else if (found[band] >= 0) {
-            advanceRowsEager(env, lo, hi, found[band] + 1, resume);
-            ++res.repaired;
-        } else {
+        const int k = found[band];
+        if (k < 0) {
             for (int i = lo; i < hi; ++i)
-                rebuildRowEager(env, i, resume);
+                rebuildRowEager(env, i, resume, p.n);
+            ++res.repaired;
+            continue;
+        }
+        for (int i = lo; i < hi; ++i)
+            rebuildRowEager(env, i, k, k);
+        if (k == resume - 1) {
+            ++res.matched;
+        } else {
+            advanceRowsEager(env, lo, hi, k + 1, resume);
             ++res.repaired;
         }
     }
@@ -268,39 +249,17 @@ GaussWorkload::recoverAndResume()
     // 2c. Drop digests that are stale or about to be re-created.
     for (int band = 0; band < B; ++band) {
         for (int k = found[band] + 1; k < S; ++k) {
-            if (!bandActive(k, band))
-                continue;
-            std::uint64_t *e = table_->entry(bandKey(k, band));
-            env.st(e, core::invalidDigest);
-            env.clflushopt(e);
+            if (bandActive(k, band))
+                table_->invalidate(env, bandKey(k, band));
         }
     }
-    for (int k = resume; k < S; ++k) {
-        std::uint64_t *e = table_->entry(pivotKey(k));
-        env.st(e, core::invalidDigest);
-        env.clflushopt(e);
-    }
+    for (int k = resume; k < S; ++k)
+        table_->invalidate(env, pivotKey(k));
     env.sfence();
 
     // 3. Resume normal (lazy) execution.
     runStages(Scheme::Lp, resume);
     return res;
-}
-
-bool
-GaussWorkload::verify(double tol) const
-{
-    return maxAbsError() <= tol;
-}
-
-double
-GaussWorkload::maxAbsError() const
-{
-    double worst = 0.0;
-    const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
-    for (std::size_t i = 0; i < elems; ++i)
-        worst = std::max(worst, std::fabs(v.m[i] - golden[i]));
-    return worst;
 }
 
 } // namespace lp::kernels

@@ -14,8 +14,10 @@
  * scan (like TMM's Figure 9 refinement) for the in-flight rows, and
  * the pivot-final digests to validate (or rebuild from the immutable
  * input) each finalized row, in ascending row order so rebuilt pivot
- * rows feed later rebuilds. See recoverAndResume() for the full
- * procedure.
+ * rows feed later rebuilds. A band digest does not cover the
+ * multipliers its rows stored in earlier stages, so recovery
+ * recomputes those from the input. See recoverAndResume() for the
+ * full procedure.
  */
 
 #ifndef LP_KERNELS_GAUSS_HH
@@ -37,8 +39,6 @@
 
 namespace lp::kernels
 {
-
-class SimEnv;
 
 /** Pointers into the elimination's persistent state. */
 struct GaussView
@@ -126,10 +126,7 @@ class GaussWorkload : public Workload
     GaussWorkload(const KernelParams &params, SimContext &ctx);
 
     std::string name() const override { return "gauss"; }
-    void run(Scheme scheme) override;
     core::RecoveryResult recoverAndResume() override;
-    bool verify(double tol = 1e-6) const override;
-    double maxAbsError() const override;
     std::size_t numRegions() const override;
 
     int numStages() const { return p.n - 1; }
@@ -157,19 +154,19 @@ class GaussWorkload : public Workload
         return (band + 1) * p.bsize - 1 > k;
     }
 
-    void runStages(Scheme scheme, int from_stage);
+    void runStages(Scheme scheme, int from_stage) override;
 
-    /** Rebuild row @p i from the input through stage @p through-1. */
-    void rebuildRowEager(SimEnv &env, int i, int through);
+    /**
+     * Rebuild columns [0, @p cols) of row @p i from the input through
+     * stage @p through-1.
+     */
+    void rebuildRowEager(SimEnv &env, int i, int through, int cols);
 
     /** Advance rows [row0,row1) in place over stages [s0, s1). */
     void advanceRowsEager(SimEnv &env, int row0, int row1, int s0,
                           int s1);
 
-    KernelParams p;
-    SimContext &ctx;
     GaussView v;
-    std::vector<double> golden;
     std::unique_ptr<core::ChecksumTable> table_;
     std::unique_ptr<ep::ProgressMarkers> markers;
 };

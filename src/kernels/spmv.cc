@@ -1,7 +1,6 @@
 #include "kernels/spmv.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -12,14 +11,11 @@ namespace lp::kernels
 {
 
 SpmvWorkload::SpmvWorkload(const KernelParams &params, SimContext &c)
-    : p(params), ctx(c)
+    : Workload(params, c)
 {
     LP_ASSERT(p.n > 0 && p.bsize > 0 && p.n % p.bsize == 0,
               "n must be a multiple of bsize");
     LP_ASSERT(p.iterations >= 1, "need at least one iteration");
-    LP_ASSERT(p.threads >= 1 &&
-              p.threads <= ctx.machine.config().numCores,
-              "more threads than cores");
 
     // Build a CSR operator with an irregular pattern: row i has
     // 1 + (i % 13) off-diagonal entries at pseudo-random columns,
@@ -73,6 +69,7 @@ SpmvWorkload::SpmvWorkload(const KernelParams &params, SimContext &c)
         std::swap(x, y);
     }
     golden = std::move(x);
+    result = {{spmvDst(v, p.iterations - 1), std::size_t(p.n)}};
 
     // The keyed table sized for ~50% load factor.
     table_ = std::make_unique<core::KeyedChecksumTable>(
@@ -97,55 +94,34 @@ SpmvWorkload::runStages(Scheme scheme, int from_stage)
         for (int band = 0; band < numBands(); ++band) {
             const int t = band % p.threads;
             const std::uint64_t my_idx = idx++;
-            ctx.sched.add(t, [this, scheme, s, band, t, my_idx] {
-                SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+            ctx.schedule(t, [this, scheme, s, band, t,
+                             my_idx](SimEnv &env) {
                 const int row0 = band * p.bsize;
                 const int row1 = row0 + p.bsize;
-                switch (scheme) {
-                  case Scheme::Base:
-                    spmvBand(env, v, s, row0, row1, nullptr);
-                    break;
-                  case Scheme::Lp: {
-                      core::ChecksumAcc acc(p.checksum);
-                      spmvBand(env, v, s, row0, row1, &acc);
-                      // Claim a slot and commit key + digest
-                      // lazily through the environment.
-                      const std::uint64_t key = regionKey(s, band);
-                      const std::size_t slot =
-                          table_->claimSlot(key);
-                      env.st(table_->keyPtr(slot), key);
-                      env.st(table_->digestPtr(slot), acc.value());
-                      env.onRegionCommit();
-                      break;
-                  }
-                  case Scheme::EagerRecompute: {
-                      spmvBand(env, v, s, row0, row1, nullptr);
-                      ep::flushRange(
-                          env, spmvDst(v, s) + row0,
-                          static_cast<std::size_t>(p.bsize) *
-                              sizeof(double));
-                      env.sfence();
-                      std::uint64_t *m = markers->slot(t);
-                      env.st(m, my_idx);
-                      env.clflushopt(m);
-                      env.sfence();
-                      env.onRegionCommit();
-                      break;
-                  }
-                  case Scheme::Wal:
-                    fatal("WAL is only implemented for tmm "
-                          "(Table IV)");
+                if (scheme == Scheme::Lp) {
+                    core::ChecksumAcc acc(p.checksum);
+                    spmvBand(env, v, s, row0, row1, &acc);
+                    // Claim a slot and commit key + digest lazily
+                    // through the environment.
+                    const std::uint64_t key = regionKey(s, band);
+                    const std::size_t slot = table_->claimSlot(key);
+                    env.st(table_->keyPtr(slot), key);
+                    env.st(table_->digestPtr(slot), acc.value());
+                    env.onRegionCommit();
+                    return;
                 }
+                spmvBand(env, v, s, row0, row1, nullptr);
+                if (scheme != Scheme::EagerRecompute)
+                    return;
+                ep::flushRange(env, spmvDst(v, s) + row0,
+                               static_cast<std::size_t>(p.bsize) *
+                                   sizeof(double));
+                env.sfence();
+                ep::commitMarker(env, *markers, t, my_idx);
             });
         }
         ctx.sched.barrier();
     }
-}
-
-void
-SpmvWorkload::run(Scheme scheme)
-{
-    runStages(scheme, 0);
 }
 
 std::uint64_t
@@ -165,8 +141,7 @@ SpmvWorkload::digestOf(SimEnv &env, int s, int band) const
 core::RecoveryResult
 SpmvWorkload::recoverAndResume()
 {
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
-
+    SimEnv env = ctx.env(0);
     core::RecoveryCallbacks cb;
     cb.numStages = numStages();
     cb.regionsInStage = [this](int) { return numBands(); };
@@ -176,43 +151,10 @@ SpmvWorkload::recoverAndResume()
         return table_->matches(regionKey(s, band),
                                digestOf(env, s, band));
     };
-    core::RecoveryResult res =
-        core::recover(cb, core::ResumePolicy::NewestFullStage);
-
-    // Invalidate digests of stages about to be re-executed.
-    for (int s = res.resumeStage; s < numStages(); ++s) {
-        for (int band = 0; band < numBands(); ++band) {
-            const std::size_t slot =
-                table_->findSlot(regionKey(s, band));
-            if (slot == core::KeyedChecksumTable::npos)
-                continue;
-            env.st(table_->digestPtr(slot), core::invalidDigest);
-            env.clflushopt(table_->digestPtr(slot));
-        }
-    }
-    env.sfence();
-
-    runStages(Scheme::Lp, res.resumeStage);
-    return res;
-}
-
-bool
-SpmvWorkload::verify(double tol) const
-{
-    return maxAbsError() <= tol;
-}
-
-double
-SpmvWorkload::maxAbsError() const
-{
-    const double *result =
-        p.iterations % 2 == 1 ? v.bufA : v.bufB;
-    if (p.iterations == 0)
-        result = v.x0;
-    double worst = 0.0;
-    for (int i = 0; i < p.n; ++i)
-        worst = std::max(worst, std::fabs(result[i] - golden[i]));
-    return worst;
+    return recoverStages(env, cb, core::ResumePolicy::NewestFullStage,
+                         [this, &env](int s, int band) {
+                             table_->invalidate(env, regionKey(s, band));
+                         });
 }
 
 } // namespace lp::kernels

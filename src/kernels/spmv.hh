@@ -96,10 +96,7 @@ class SpmvWorkload : public Workload
     SpmvWorkload(const KernelParams &params, SimContext &ctx);
 
     std::string name() const override { return "spmv"; }
-    void run(Scheme scheme) override;
     core::RecoveryResult recoverAndResume() override;
-    bool verify(double tol = 1e-6) const override;
-    double maxAbsError() const override;
     std::size_t numRegions() const override;
 
     int numStages() const { return p.iterations; }
@@ -116,15 +113,12 @@ class SpmvWorkload : public Workload
     const core::KeyedChecksumTable &table() const { return *table_; }
 
   private:
-    void runStages(Scheme scheme, int from_stage);
+    void runStages(Scheme scheme, int from_stage) override;
 
     /** Current digest of (stage, band) from the restored data. */
-    std::uint64_t digestOf(class SimEnv &env, int s, int band) const;
+    std::uint64_t digestOf(SimEnv &env, int s, int band) const;
 
-    KernelParams p;
-    SimContext &ctx;
     SpmvView v;
-    std::vector<double> golden;
     std::unique_ptr<core::KeyedChecksumTable> table_;
     std::unique_ptr<ep::ProgressMarkers> markers;
 };

@@ -1,7 +1,6 @@
 #include "kernels/tmm.hh"
 
 #include <algorithm>
-#include <cmath>
 
 #include "base/logging.hh"
 #include "base/rng.hh"
@@ -11,13 +10,10 @@ namespace lp::kernels
 {
 
 TmmWorkload::TmmWorkload(const KernelParams &params, SimContext &c)
-    : p(params), ctx(c)
+    : Workload(params, c)
 {
     LP_ASSERT(p.n > 0 && p.bsize > 0 && p.n % p.bsize == 0,
               "n must be a multiple of bsize");
-    LP_ASSERT(p.threads >= 1 &&
-              p.threads <= ctx.machine.config().numCores,
-              "more threads than cores");
 
     const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
     double *a = ctx.arena.alloc<double>(elems);
@@ -33,6 +29,7 @@ TmmWorkload::TmmWorkload(const KernelParams &params, SimContext &c)
     std::fill(cm, cm + elems, 0.0);
 
     // Golden result on the host (untiled i/k/j loop).
+    result = {{cm, elems}};
     golden.assign(elems, 0.0);
     for (int i = 0; i < p.n; ++i) {
         for (int k = 0; k < p.n; ++k) {
@@ -78,8 +75,7 @@ TmmWorkload::scheduleLp(const std::vector<int> &resume_stage,
             for (int band = t; band < numBands(); band += p.threads) {
                 if (s < resume_stage[band])
                     continue;
-                ctx.sched.add(t, [this, t, band, s] {
-                    SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+                ctx.schedule(t, [this, band, s](SimEnv &env) {
                     core::LpRegion region(*table_, p.checksum);
                     tmmRegionLp(env, v, s * p.bsize, band * p.bsize,
                                 region, key(band, s));
@@ -100,8 +96,8 @@ TmmWorkload::scheduleUniform(Scheme scheme, int from_stage,
                 const std::uint64_t my_idx = idx++;
                 if (s < from_stage)
                     continue;
-                ctx.sched.add(t, [this, t, band, s, scheme, my_idx] {
-                    SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+                ctx.schedule(t, [this, t, band, s, scheme,
+                                 my_idx](SimEnv &env) {
                     const int kk = s * p.bsize;
                     const int ii = band * p.bsize;
                     switch (scheme) {
@@ -125,13 +121,19 @@ TmmWorkload::scheduleUniform(Scheme scheme, int from_stage,
 }
 
 void
-TmmWorkload::run(Scheme scheme)
+TmmWorkload::schedule(Scheme scheme, int from_stage, int end_stage)
 {
     if (scheme == Scheme::Lp) {
-        scheduleLp(std::vector<int>(numBands(), 0), numStages());
+        scheduleLp(std::vector<int>(numBands(), from_stage), end_stage);
     } else {
-        scheduleUniform(scheme, 0, numStages());
+        scheduleUniform(scheme, from_stage, end_stage);
     }
+}
+
+void
+TmmWorkload::runStages(Scheme scheme, int from_stage)
+{
+    schedule(scheme, from_stage, numStages());
     ctx.sched.run();
 }
 
@@ -142,27 +144,19 @@ TmmWorkload::runWindow(Scheme scheme, int warm_stages,
     LP_ASSERT(warm_stages >= 0 && window_stages > 0 &&
               warm_stages + window_stages <= numStages(),
               "window exceeds the stage count");
-    auto schedule = [&](int from, int to) {
-        if (scheme == Scheme::Lp) {
-            scheduleLp(std::vector<int>(numBands(), from), to);
-        } else {
-            scheduleUniform(scheme, from, to);
-        }
-    };
     if (warm_stages > 0) {
-        schedule(0, warm_stages);
+        schedule(scheme, 0, warm_stages);
         ctx.sched.run();
         ctx.machine.syncAllCores();
     }
     ctx.machine.resetStats();
-    schedule(warm_stages, warm_stages + window_stages);
+    schedule(scheme, warm_stages, warm_stages + window_stages);
     ctx.sched.run();
 }
 
 void
-TmmWorkload::rebuildBandEager(int band, int through)
+TmmWorkload::rebuildBandEager(SimEnv &env, int band, int through)
 {
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
     const int ii = band * p.bsize;
     for (int i = ii; i < ii + p.bsize; ++i)
         for (int j = 0; j < p.n; ++j)
@@ -182,7 +176,7 @@ TmmWorkload::recoverAndResume()
     // Runs on the restored durable image. Per-band Figure 9: each
     // band independently finds the newest stage whose stored digest
     // matches the band's current (durable) contents.
-    SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+    SimEnv env = ctx.env(0);
     core::RecoveryResult res;
     std::vector<int> resume(numBands(), 0);
 
@@ -203,7 +197,7 @@ TmmWorkload::recoverAndResume()
             // No stage matches: the band may hold partial stage-0
             // writes. Repair = zero it eagerly; accumulation restarts
             // from stage 0.
-            rebuildBandEager(band, 0);
+            rebuildBandEager(env, band, 0);
             ++res.repaired;
         } else {
             ++res.matched;
@@ -212,11 +206,8 @@ TmmWorkload::recoverAndResume()
 
         // Drop stale digests of stages this band will re-execute, so
         // a second crash cannot match a pre-crash digest.
-        for (int s = resume[band]; s < numStages(); ++s) {
-            std::uint64_t *e = table_->entry(key(band, s));
-            env.st(e, core::invalidDigest);
-            env.clflushopt(e);
-        }
+        for (int s = resume[band]; s < numStages(); ++s)
+            table_->invalidate(env, key(band, s));
     }
     env.sfence();
 
@@ -232,6 +223,7 @@ TmmWorkload::recoverEagerAndResume()
     // Marker-driven EagerRecompute recovery: everything up to and
     // including marker is durable; the marker+1 region may be
     // partially persisted and its band is rebuilt from the inputs.
+    SimEnv env = ctx.env(0);
     const int owned_base = numBands() / p.threads;
     std::vector<std::uint64_t> done(p.threads, 0);
     for (int t = 0; t < p.threads; ++t) {
@@ -245,7 +237,7 @@ TmmWorkload::recoverEagerAndResume()
         const int s = static_cast<int>(done[t] / owned);
         const int pos = static_cast<int>(done[t] % owned);
         const int band = t + pos * p.threads;
-        rebuildBandEager(band, s);
+        rebuildBandEager(env, band, s);
     }
     // Resume each thread at its first unexecuted region. Schedule all
     // threads with a shared skip is incorrect when counts differ, so
@@ -257,8 +249,8 @@ TmmWorkload::recoverEagerAndResume()
                 const std::uint64_t my_idx = idx++;
                 if (my_idx < done[t])
                     continue;
-                ctx.sched.add(t, [this, t, band, s, my_idx] {
-                    SimEnv env(ctx.machine, ctx.arena, t, &ctx.crash);
+                ctx.schedule(t, [this, t, band, s,
+                                 my_idx](SimEnv &env) {
                     tmmRegionEager(env, v, s * p.bsize,
                                    band * p.bsize, *markers, t,
                                    my_idx);
@@ -267,22 +259,6 @@ TmmWorkload::recoverEagerAndResume()
         }
     }
     ctx.sched.run();
-}
-
-bool
-TmmWorkload::verify(double tol) const
-{
-    return maxAbsError() <= tol;
-}
-
-double
-TmmWorkload::maxAbsError() const
-{
-    double worst = 0.0;
-    const std::size_t elems = static_cast<std::size_t>(p.n) * p.n;
-    for (std::size_t i = 0; i < elems; ++i)
-        worst = std::max(worst, std::fabs(v.c[i] - golden[i]));
-    return worst;
 }
 
 } // namespace lp::kernels

@@ -176,10 +176,11 @@ class TmmWorkload : public Workload
     TmmWorkload(const KernelParams &params, SimContext &ctx);
 
     std::string name() const override { return "tmm"; }
-    void run(Scheme scheme) override;
+
+    /** Like Workload::run, but tmm also implements WAL. */
+    void run(Scheme scheme) override { runStages(scheme, 0); }
+
     core::RecoveryResult recoverAndResume() override;
-    bool verify(double tol = 1e-6) const override;
-    double maxAbsError() const override;
     std::size_t numRegions() const override;
 
     /** EagerRecompute recovery: marker-driven recompute (tests). */
@@ -234,13 +235,15 @@ class TmmWorkload : public Workload
     void scheduleUniform(Scheme scheme, int from_stage,
                          int end_stage);
 
-    /** Zero band @p band and re-accumulate stages [0,@p through) EP. */
-    void rebuildBandEager(int band, int through);
+    /** Queue every band's stages [@p from_stage, @p end_stage). */
+    void schedule(Scheme scheme, int from_stage, int end_stage);
 
-    KernelParams p;
-    SimContext &ctx;
+    void runStages(Scheme scheme, int from_stage) override;
+
+    /** Zero band @p band and re-accumulate stages [0,@p through) EP. */
+    void rebuildBandEager(SimEnv &env, int band, int through);
+
     TmmView v;
-    std::vector<double> golden;
     std::unique_ptr<core::ChecksumTable> table_;
     std::unique_ptr<ep::ProgressMarkers> markers;
     std::vector<std::unique_ptr<ep::WalArea>> walAreas;

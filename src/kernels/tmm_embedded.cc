@@ -73,9 +73,7 @@ struct EmbRun
                 for (int band = t; band < bands; band += p.threads) {
                     if (s < resume[band])
                         continue;
-                    ctx.sched.add(t, [this, t, band, s] {
-                        SimEnv env(ctx.machine, ctx.arena, t,
-                                   &ctx.crash);
+                    ctx.schedule(t, [this, band, s](SimEnv &env) {
                         tmmEmbRegionLp(env, v, s, band, p.checksum);
                     });
                 }
@@ -87,7 +85,7 @@ struct EmbRun
     void
     recoverAndResume(TmmEmbeddedOutcome &out)
     {
-        SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+        SimEnv env = ctx.env(0);
         std::vector<int> resume(bands, 0);
         for (int band = 0; band < bands; ++band) {
             const std::uint64_t current =

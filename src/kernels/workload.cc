@@ -1,5 +1,8 @@
 #include "kernels/workload.hh"
 
+#include <algorithm>
+#include <cmath>
+
 #include "base/logging.hh"
 #include "kernels/cholesky.hh"
 #include "kernels/conv2d.hh"
@@ -35,6 +38,47 @@ kernelName(KernelId k)
       case KernelId::Spmv:     return "spmv";
     }
     return "unknown";
+}
+
+Workload::Workload(const KernelParams &params, SimContext &c)
+    : p(params), ctx(c)
+{
+    LP_ASSERT(p.threads >= 1 &&
+              p.threads <= ctx.machine.config().numCores,
+              "more threads than cores");
+}
+
+void
+Workload::run(Scheme scheme)
+{
+    if (scheme == Scheme::Wal)
+        fatal("WAL is only implemented for tmm (Table IV)");
+    runStages(scheme, 0);
+}
+
+double
+Workload::maxAbsError() const
+{
+    double worst = 0.0;
+    std::size_t g = 0;
+    for (std::span<const double> part : result)
+        for (double x : part)
+            worst = std::max(worst, std::fabs(x - golden[g++]));
+    return worst;
+}
+
+core::RecoveryResult
+Workload::recoverStages(SimEnv &env, const core::RecoveryCallbacks &cb,
+                        core::ResumePolicy policy,
+                        const std::function<void(int, int)> &invalidate)
+{
+    const core::RecoveryResult res = core::recover(cb, policy);
+    for (int s = res.resumeStage; s < cb.numStages; ++s)
+        for (int r = 0; r < cb.regionsInStage(s); ++r)
+            invalidate(s, r);
+    env.sfence();
+    runStages(Scheme::Lp, res.resumeStage);
+    return res;
 }
 
 std::unique_ptr<Workload>

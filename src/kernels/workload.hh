@@ -1,21 +1,28 @@
 /**
  * @file
- * Workload framework: the pieces shared by all five benchmark kernels
- * (TMM, Cholesky, 2D-convolution, Gauss/LU, FFT).
+ * Workload framework: the region runner shared by all six kernels
+ * (TMM, Cholesky, 2D-convolution, Gauss/LU, FFT, SpMV).
  *
- * A Workload owns its persistent data (allocated from the context's
- * arena), a golden host-side result for verification, and knows how
- * to run itself under each persistency scheme and how to recover its
- * Lazy Persistency variant after an injected crash.
+ * The Workload base owns the parameters, the SimContext and the
+ * golden host-side result; it verifies the persistent result, runs
+ * the stages, and ends every staged recovery the same way (drop the
+ * digests of the stages to redo, fence, resume lazily). A kernel
+ * supplies its persistent data (allocated from the context's arena),
+ * its stages and region keys, its checksum walk, and its recovery
+ * decisions.
  */
 
 #ifndef LP_KERNELS_WORKLOAD_HH
 #define LP_KERNELS_WORKLOAD_HH
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <span>
 #include <string>
+#include <vector>
 
+#include "kernels/env.hh"
 #include "lp/checksum.hh"
 #include "lp/recovery.hh"
 #include "pmem/arena.hh"
@@ -86,13 +93,27 @@ struct SimContext
     /** Power failure: disarm, drop queued regions, Machine::powerFail(). */
     void powerFail() { crash.disarm(); sched.clear(); machine.powerFail(); }
 
+    /** An environment driving core @p t, wired to the crash hooks. */
+    SimEnv env(CoreId t) { return SimEnv(machine, arena, t, &crash); }
+
+    /** Queue @p body(env) as one region on thread @p t. */
+    template <typename Body>
+    void
+    schedule(int t, Body body)
+    {
+        sched.add(t, [this, t, body] {
+            SimEnv e = env(t);
+            body(e);
+        });
+    }
+
     pmem::PersistentArena arena;
     sim::Machine machine;
     pmem::CrashController crash;
     sim::RegionScheduler sched;
 };
 
-/** Abstract interface each kernel implements. */
+/** A kernel bound to a SimContext, with its golden result. */
 class Workload
 {
   public:
@@ -103,9 +124,10 @@ class Workload
     /**
      * Run the kernel to completion under @p scheme. Requires a fresh
      * durable initial image (the constructor establishes one); a
-     * workload instance runs exactly once, plus recovery.
+     * workload instance runs exactly once, plus recovery. WAL is
+     * only implemented for tmm (Table IV): any other kernel dies.
      */
-    virtual void run(Scheme scheme) = 0;
+    virtual void run(Scheme scheme);
 
     /**
      * After an injected crash of the Lp scheme (the harness has
@@ -116,13 +138,41 @@ class Workload
     virtual core::RecoveryResult recoverAndResume() = 0;
 
     /** Compare the persistent result against the golden host result. */
-    virtual bool verify(double tol = 1e-6) const = 0;
+    bool verify(double tol = 1e-6) const { return maxAbsError() <= tol; }
 
     /** Largest absolute element error vs. the golden result. */
-    virtual double maxAbsError() const = 0;
+    double maxAbsError() const;
 
     /** Total number of LP regions the kernel commits. */
     virtual std::size_t numRegions() const = 0;
+
+  protected:
+    /** Checks that every thread has a core of its own. */
+    Workload(const KernelParams &params, SimContext &ctx);
+
+    /** Run stages [@p from_stage, end) under @p scheme. */
+    virtual void runStages(Scheme scheme, int from_stage) = 0;
+
+    /**
+     * The Figure 9 recovery of a staged kernel, run on core 0's
+     * @p env: core::recover(@p cb, @p policy), then
+     * @p invalidate(stage, region) for every region of the stages it
+     * re-executes -- so a second crash cannot match a pre-crash
+     * digest -- a fence, and lazy execution from the resume stage.
+     */
+    core::RecoveryResult
+    recoverStages(SimEnv &env, const core::RecoveryCallbacks &cb,
+                  core::ResumePolicy policy,
+                  const std::function<void(int, int)> &invalidate);
+
+    KernelParams p;
+    SimContext &ctx;
+
+    /** Golden host result, in the order of @p result's parts. */
+    std::vector<double> golden;
+
+    /** The persistent result, compared element-wise with golden. */
+    std::vector<std::span<const double>> result;
 };
 
 /** Instantiate a kernel workload bound to @p ctx. */

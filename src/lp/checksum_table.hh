@@ -70,6 +70,19 @@ class ChecksumTable
         return stored(idx) == invalidDigest;
     }
 
+    /**
+     * Drop entry @p idx durably through @p env: store invalidDigest
+     * and write the line back. The caller fences.
+     */
+    template <typename Env>
+    void
+    invalidate(Env &env, std::size_t idx)
+    {
+        std::uint64_t *e = entry(idx);
+        env.st(e, invalidDigest);
+        env.clflushopt(e);
+    }
+
     /** Reset every entry to invalidDigest (volatile view only). */
     void clear();
 

@@ -117,6 +117,22 @@ class KeyedChecksumTable
         return s != npos && storedDigest(s) == digest;
     }
 
+    /**
+     * Drop @p key's digest durably through @p env, if the key has a
+     * slot: store invalidDigest and write the line back. The caller
+     * fences.
+     */
+    template <typename Env>
+    void
+    invalidate(Env &env, std::uint64_t key)
+    {
+        const std::size_t s = findSlot(key);
+        if (s == npos)
+            return;
+        env.st(digestPtr(s), invalidDigest);
+        env.clflushopt(digestPtr(s));
+    }
+
     /** Bytes occupied (space-overhead reporting). */
     std::size_t
     bytes() const

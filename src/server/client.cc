@@ -291,16 +291,6 @@ Client::putBackoff(std::uint64_t key, std::uint64_t value,
 }
 
 std::optional<Response>
-Client::delBackoff(std::uint64_t key, const RetryPolicy &policy,
-                   int timeoutMs)
-{
-    Request r;
-    r.op = Op::Del;
-    r.key = key;
-    return retryLoop(std::move(r), policy, timeoutMs);
-}
-
-std::optional<Response>
 Client::stats(int timeoutMs)
 {
     Request r;

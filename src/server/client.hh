@@ -173,18 +173,15 @@ class Client
     /** Lifetime backoff/abort counters of this connection. */
     const RetryCounters &retryCounters() const { return counters_; }
 
-    /// @name Backoff variants: retry Status::Retry per @p policy
-    /// (sleeping between attempts) instead of bouncing it straight
-    /// back. Any other status -- including Fault -- returns at once.
-    /// @{
+    /**
+     * put() that retries Status::Retry per @p policy (sleeping
+     * between attempts) instead of bouncing it straight back. Any
+     * other status -- including Fault -- returns at once.
+     */
     std::optional<Response> putBackoff(std::uint64_t key,
                                        std::uint64_t value,
                                        const RetryPolicy &policy = {},
                                        int timeoutMs = -1);
-    std::optional<Response> delBackoff(std::uint64_t key,
-                                       const RetryPolicy &policy = {},
-                                       int timeoutMs = -1);
-    /// @}
 
   private:
     std::optional<Response> roundTrip(const Request &r, int timeoutMs);

@@ -74,6 +74,17 @@ inline constexpr std::size_t kOutbufLimitBytes = 1 << 20;
 /** Journal regions one online-scrub step validates (its work bound). */
 inline constexpr std::size_t kScrubRegions = 32;
 
+/**
+ * Crash-persistent flight recorder: events per shard ring, a power
+ * of two (obs::FlightRing). Each worker carves its ring out of the
+ * FRONT of its shard arena and tees every trace span into it with
+ * LP-style plain stores, sealing a watermark as epochs commit;
+ * `lazyper_cli postmortem <dataDir>` decodes the rings from the raw
+ * shard files after a crash. Fixes the shard file's layout, which a
+ * restart (and `lazyper_cli inject`) re-derives.
+ */
+inline constexpr std::uint32_t kFlightEvents = 4096;
+
 /** Tunables of one server instance. */
 struct ServerConfig
 {
@@ -136,17 +147,6 @@ struct ServerConfig
      * the rings store nothing and only feed the flight recorder.
      */
     std::size_t traceRingCapacity = 1 << 14;
-
-    /**
-     * Crash-persistent flight recorder: events per shard ring,
-     * rounded up to a power of two (obs::FlightRing). Each worker
-     * carves its ring out of the FRONT of its shard arena and tees
-     * every trace span into it with LP-style plain stores, sealing a
-     * watermark as epochs commit; `lazyper_cli postmortem <dataDir>`
-     * decodes the rings from the raw shard files after a crash.
-     * 0 disables (and shrinks the arena accordingly).
-     */
-    std::uint32_t flightEvents = 4096;
 };
 
 /** Aggregate of what startup recovery found across all shards. */

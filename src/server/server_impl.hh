@@ -350,9 +350,8 @@ struct Server::Impl
         /**
          * Crash-persistent flight recorder, carved out of the FRONT
          * of this worker's shard arena (offset 64 -- the postmortem
-         * placement contract) and teed from `ring`; null when
-         * cfg.flightEvents == 0. Sealed as the shard's committed
-         * epoch advances and on graceful drain.
+         * placement contract) and teed from `ring`. Sealed as the
+         * shard's committed epoch advances and on graceful drain.
          */
         std::unique_ptr<obs::FlightRing> flight;
 

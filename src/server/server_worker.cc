@@ -43,17 +43,13 @@ Server::Impl::openStore(Worker &w)
     // obs::FlightRing placement contract), then the store image,
     // then this shard's PREPARE table, allocated in that order on
     // every open (the arena attach contract).
-    const std::size_t flightBytes =
-        cfg.flightEvents > 0
-            ? obs::FlightRing::bytesFor(cfg.flightEvents)
-            : 0;
     w.arena = std::make_unique<pmem::PersistentArena>(
-        flightBytes + store::storeArenaBytes(scfg) +
+        obs::FlightRing::bytesFor(kFlightEvents) +
+            store::storeArenaBytes(scfg) +
             txn::prepareLogBytes(kTxnPrepareSlots),
         path);
-    if (cfg.flightEvents > 0)
-        w.flight = std::make_unique<obs::FlightRing>(
-            *w.arena, cfg.flightEvents, std::uint32_t(w.index));
+    w.flight = std::make_unique<obs::FlightRing>(
+        *w.arena, kFlightEvents, std::uint32_t(w.index));
     w.kv = std::make_unique<store::KvStore<kernels::NativeEnv>>(
         *w.arena, scfg, cfg.backend, attach);
     w.plog = std::make_unique<txn::PrepareLog<kernels::NativeEnv>>(
@@ -66,8 +62,7 @@ Server::Impl::openStore(Worker &w)
     // keeps wrapping).
     if (w.ring) {
         w.kv->attachTraceRing(0, w.ring);
-        if (w.flight)
-            w.ring->attachSink(w.flight.get());
+        w.ring->attachSink(w.flight.get());
     }
     if (attach) {
         w.report = w.kv->recover(w.env);
@@ -155,7 +150,7 @@ Server::Impl::releaseCommitted(Worker &w)
     // watermark publish is one header write, and riding commits
     // means everything up to the last committed epoch's spans is
     // recoverable by postmortem after a SIGKILL.
-    if (w.flight && ce != prevCe)
+    if (ce != prevCe)
         w.flight->seal();
 }
 
@@ -561,11 +556,8 @@ Server::Impl::workerMain(Worker &w)
             releaseCommitted(w);
             // Final flight watermark: the drain marker plus every
             // span the epoch-cadence seal had not covered yet.
-            if (w.flight) {
-                obs::traceInstant(w.ring, "drain",
-                                  w.kv->committedEpoch(0));
-                w.flight->seal();
-            }
+            obs::traceInstant(w.ring, "drain", w.kv->committedEpoch(0));
+            w.flight->seal();
             LP_ASSERT(w.pending.empty(),
                       "worker drained with unreleased acks");
             break;

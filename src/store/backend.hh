@@ -27,15 +27,16 @@
  *    (parity reconstruction, superblock replicas) before falling
  *    back to epoch discard, and quarantines on provable-but-
  *    unrepairable corruption (docs/repair_design.md).
- *  - verify(): non-mutating audit of the backend's own invariants
- *    (committed batches still validate; no armed WAL). A debugging /
- *    test aid: it reads through the Env and thus perturbs the
- *    simulated caches like any other access.
  *  - scrub(): incremental online validate-and-repair walk over the
  *    backend's sealed media-protected structures; bounded work per
  *    call so the caller (the server's idle loop) can rate-limit it.
- *  - staged()/mergeStaged(): read-your-writes over mutations that
- *    are staged but not yet applied to the table.
+ *
+ * Read-your-writes over mutations that are staged but not yet
+ * applied to the table is shared, not a hook: a backend that stages
+ * (LP until the fold, WAL until the batch commits) records each
+ * mutation's coalesced effect in delta(shard), and staged() /
+ * mergeStaged() read it for every backend (eager never stages, so
+ * its delta stays empty).
  *
  * Media-fault tolerance plumbing shared by ALL backends lives here:
  * every shard's superblock (ShardMeta) is kept in TWO copies sealed
@@ -61,6 +62,7 @@
 #include <deque>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/commit_pipeline.hh"
@@ -170,9 +172,6 @@ class PersistencyBackend
     virtual void recover(Env &env, int shard,
                          RecoveryReport &rep) = 0;
 
-    /** Non-mutating audit of the backend's durability invariants. */
-    virtual bool verify(Env &env, int shard) = 0;
-
     /**
      * Online scrub step: validate (and repair) up to @p maxRegions
      * regions of the shard's sealed media-protected structures.
@@ -196,25 +195,30 @@ class PersistencyBackend
 
     /**
      * Read-your-writes lookup over staged-but-unapplied mutations;
-     * std::nullopt (and no Env effect) when the key is not staged or
-     * the backend applies in place.
+     * std::nullopt (and no Env effect) when the key is not staged.
      */
-    virtual std::optional<DeltaVal>
-    staged(Env &env, int shard, std::uint64_t key)
+    std::optional<DeltaVal>
+    staged(Env &env, int shard, std::uint64_t key) const
     {
-        (void)env;
-        (void)shard;
-        (void)key;
-        return std::nullopt;
+        const auto &d = deltas_[std::size_t(shard)];
+        const auto it = d.find(key);
+        if (it == d.end())
+            return std::nullopt;
+        env.tick(4);
+        return it->second;
     }
 
     /** Overlay staged mutations onto a host-side snapshot. */
-    virtual void
+    void
     mergeStaged(int shard,
                 std::map<std::uint64_t, std::uint64_t> &out) const
     {
-        (void)shard;
-        (void)out;
+        for (const auto &[k, dv] : deltas_[std::size_t(shard)]) {
+            if (dv.isPut)
+                out[k] = dv.value;
+            else
+                out.erase(k);
+        }
     }
 
     /** Where this shard's media-protected structures live. */
@@ -293,7 +297,15 @@ class PersistencyBackend
         replicas_.push_back(r);
         lives_.push_back(0);
         media_.emplace_back();
+        deltas_.emplace_back();
         return m;
+    }
+
+    /** The shard's coalesced last op per staged-but-unapplied key. */
+    std::unordered_map<std::uint64_t, DeltaVal> &
+    delta(int shard)
+    {
+        return deltas_[std::size_t(shard)];
     }
 
     /**
@@ -450,6 +462,7 @@ class PersistencyBackend
     std::vector<std::uint64_t> lives_;
     /// Deque: atomics must never relocate (acceptor threads read).
     std::deque<MediaCounters> media_;
+    std::vector<std::unordered_map<std::uint64_t, DeltaVal>> deltas_;
 };
 
 } // namespace lp::store

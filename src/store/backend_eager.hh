@@ -77,14 +77,6 @@ class EagerBackend : public PersistencyBackend<Env>
         pipeline(shard).rebase(0);
         rep.committedEpochs[std::size_t(shard)] = 0;
     }
-
-    bool
-    verify(Env &env, int shard) override
-    {
-        (void)env;
-        (void)shard;
-        return true;
-    }
 };
 
 } // namespace lp::store

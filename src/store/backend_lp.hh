@@ -81,7 +81,6 @@
 #define LP_STORE_BACKEND_LP_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "obs/shard_obs.hh"
@@ -132,7 +131,7 @@ class LpBackend : public PersistencyBackend<Env>
         }
         const std::uint64_t epoch = pl.openEpoch();
         sh.journal->append(env, op, key, value, epoch, sh.acc);
-        sh.delta[key] = DeltaVal{op == JOp::Put, value};
+        this->delta(shard)[key] = DeltaVal{op == JOp::Put, value};
         if (pl.stageOp()) {
             commitEpoch(env, shard);
             if (pl.foldDue())
@@ -211,13 +210,13 @@ class LpBackend : public PersistencyBackend<Env>
         obs::Span span(obs::ringOf(ob), "fold", pl.lastCommitted(), 0,
                        ob ? &ob->foldNs : nullptr);
         env.sfence();
-        applyDelta(env, sh);
+        applyDelta(env, shard);
         sh.parity->resetGeneration(env, pl.lastCommitted());
         this->persistMeta(env, shard, pl.lastCommitted(), 0);
         env.sfence();
         pl.noteFold();
         sh.journal->reset();
-        sh.delta.clear();
+        this->delta(shard).clear();
         sh.scrubCursor = 0;
         sh.scrubGroupClean = true;
     }
@@ -269,14 +268,15 @@ class LpBackend : public PersistencyBackend<Env>
         // stage() builds it, and repairs the table with Eager
         // Persistency (Section III-E) in the fold's table-order pass:
         // one apply per distinct key, one fence for the whole replay.
-        sh.delta.clear();
+        auto &delta = this->delta(shard);
+        delta.clear();
         const std::uint64_t committed = sh.journal->replay(
             env, cfg(), base,
-            [&sh](bool isPut, std::uint64_t key, std::uint64_t value) {
-                sh.delta[key] = DeltaVal{isPut, value};
+            [&delta](bool isPut, std::uint64_t key, std::uint64_t value) {
+                delta[key] = DeltaVal{isPut, value};
             },
             repairFn, rep);
-        applyDelta(env, sh);
+        applyDelta(env, shard);
         if (strict && hdrOk &&
             committed < sh.parity->lastSealedEpoch()) {
             // Clean shutdown proved every sealed epoch was durable,
@@ -286,17 +286,6 @@ class LpBackend : public PersistencyBackend<Env>
             this->noteUnrepairable(shard, &rep, 1);
         }
         resetShard(env, sh, shard, committed, rep);
-    }
-
-    bool
-    verify(Env &env, int shard) override
-    {
-        Shard &sh = shards_[std::size_t(shard)];
-        auto &pl = pipeline(shard);
-        if (pl.epochOpen())
-            return false;  // commit or checkpoint before auditing
-        return sh.journal->auditCommitted(env, cfg(), pl.foldedEpoch(),
-                                          pl.lastCommitted());
     }
 
     /**
@@ -398,30 +387,6 @@ class LpBackend : public PersistencyBackend<Env>
         Base::markClean(env, shard);
     }
 
-    std::optional<DeltaVal>
-    staged(Env &env, int shard, std::uint64_t key) override
-    {
-        const Shard &sh = shards_[std::size_t(shard)];
-        const auto it = sh.delta.find(key);
-        if (it == sh.delta.end())
-            return std::nullopt;
-        env.tick(4);
-        return it->second;
-    }
-
-    void
-    mergeStaged(int shard,
-                std::map<std::uint64_t, std::uint64_t> &out)
-        const override
-    {
-        for (const auto &[k, dv] : shards_[std::size_t(shard)].delta) {
-            if (dv.isPut)
-                out[k] = dv.value;
-            else
-                out.erase(k);
-        }
-    }
-
   private:
     struct Shard
     {
@@ -429,9 +394,6 @@ class LpBackend : public PersistencyBackend<Env>
         std::unique_ptr<BatchJournal<Env>> journal;
         std::unique_ptr<repair::RegionParity<Env>> parity;
         core::ChecksumAcc acc;
-
-        /** Coalesced last op per key since the last fold. */
-        std::unordered_map<std::uint64_t, DeltaVal> delta;
 
         /** The delta's keys in table order; reused by every fold. */
         std::vector<std::uint64_t> keys;
@@ -444,17 +406,20 @@ class LpBackend : public PersistencyBackend<Env>
     };
 
     /**
-     * Apply @p sh's delta to the table with Eager Persistency (the
+     * Apply @p shard's delta to the table with Eager Persistency (the
      * fold's step (b), and recovery's replay): one table-order pass.
+     * The delta accumulates since the last fold.
      */
     void
-    applyDelta(Env &env, Shard &sh)
+    applyDelta(Env &env, int shard)
     {
-        sh.keys.clear();
-        for (const auto &kv : sh.delta)
-            sh.keys.push_back(kv.first);
-        table().applyInTableOrder(env, sh.keys, [&sh](std::uint64_t k) {
-            return sh.delta.find(k)->second;
+        std::vector<std::uint64_t> &keys = shards_[std::size_t(shard)].keys;
+        const auto &delta = this->delta(shard);
+        keys.clear();
+        for (const auto &kv : delta)
+            keys.push_back(kv.first);
+        table().applyInTableOrder(env, keys, [&delta](std::uint64_t k) {
+            return delta.find(k)->second;
         });
     }
 
@@ -476,7 +441,7 @@ class LpBackend : public PersistencyBackend<Env>
         env.sfence();
         sh.journal->reset();
         sh.acc.reset();
-        sh.delta.clear();
+        this->delta(shard).clear();
         sh.scrubCursor = 0;
         sh.scrubGroupClean = true;
         pipeline(shard).rebase(committed);

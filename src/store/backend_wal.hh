@@ -23,7 +23,6 @@
 #define LP_STORE_BACKEND_WAL_HH
 
 #include <memory>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -68,7 +67,7 @@ class WalBackend : public PersistencyBackend<Env>
             pl.beginEpoch();
         const std::uint64_t epoch = pl.openEpoch();
         sh.pending.push_back(PendingOp{op, key, value});
-        sh.delta[key] = DeltaVal{op == JOp::Put, value};
+        this->delta(shard)[key] = DeltaVal{op == JOp::Put, value};
         env.tick(4);
         if (pl.stageOp())
             commitEpoch(env, shard);
@@ -137,7 +136,7 @@ class WalBackend : public PersistencyBackend<Env>
         pl.commitEpoch();
         pl.syncDurable();
         sh.pending.clear();
-        sh.delta.clear();
+        this->delta(shard).clear();
         env.onRegionCommit();
     }
 
@@ -154,7 +153,7 @@ class WalBackend : public PersistencyBackend<Env>
         // invalid check word now is a media fault.
         const auto ms = this->auditMeta(env, shard, &rep);
         sh.pending.clear();
-        sh.delta.clear();
+        this->delta(shard).clear();
         if (!ms.ok) {
             pipeline(shard).rebase(0);
             rep.committedEpochs[std::size_t(shard)] = 0;
@@ -165,38 +164,6 @@ class WalBackend : public PersistencyBackend<Env>
         env.sfence();
         pipeline(shard).rebase(committed);
         rep.committedEpochs[std::size_t(shard)] = committed;
-    }
-
-    /** No armed (sealed-but-uncommitted) transaction may survive. */
-    bool
-    verify(Env &env, int shard) override
-    {
-        (void)env;
-        return !shards_[std::size_t(shard)].wal->interrupted();
-    }
-
-    std::optional<DeltaVal>
-    staged(Env &env, int shard, std::uint64_t key) override
-    {
-        const Shard &sh = shards_[std::size_t(shard)];
-        const auto it = sh.delta.find(key);
-        if (it == sh.delta.end())
-            return std::nullopt;
-        env.tick(4);
-        return it->second;
-    }
-
-    void
-    mergeStaged(int shard,
-                std::map<std::uint64_t, std::uint64_t> &out)
-        const override
-    {
-        for (const auto &[k, dv] : shards_[std::size_t(shard)].delta) {
-            if (dv.isPut)
-                out[k] = dv.value;
-            else
-                out.erase(k);
-        }
     }
 
   private:
@@ -214,9 +181,6 @@ class WalBackend : public PersistencyBackend<Env>
 
         /** This batch's ops, in arrival order (for the plan phase). */
         std::vector<PendingOp> pending;
-
-        /** Coalesced last op per key in the open batch. */
-        std::unordered_map<std::uint64_t, DeltaVal> delta;
     };
 
     std::vector<Shard> shards_;

@@ -335,28 +335,6 @@ class BatchJournal
         return e - 1;
     }
 
-    /**
-     * Non-mutating audit of committed-but-unfolded batches (the
-     * verify() hook): re-walk epochs base+1 .. last through the same
-     * validation as replay(), without applying anything. True iff
-     * every committed batch still matches its trailer's digest.
-     */
-    bool
-    auditCommitted(Env &env, const StoreConfig &cfg,
-                   std::uint64_t base, std::uint64_t last)
-    {
-        std::size_t pos = 0;
-        for (std::uint64_t e = base + 1; e <= last; ++e) {
-            std::uint64_t count = 0;
-            if (pos >= cap_ ||
-                checkBatch(env, cfg, pos, e, count) !=
-                    Check::Valid)
-                return false;
-            pos += count + 1;
-        }
-        return true;
-    }
-
   private:
     /** Outcome of validating the batch expected at one position. */
     enum class Check

@@ -116,7 +116,6 @@ class KvStore
 
     Backend backend() const { return backendKind_; }
     const StoreConfig &config() const { return cfg_; }
-    std::size_t tableSlots() const { return table_.slotCount(); }
     int shardOf(std::uint64_t key) const { return shardIndex(key); }
 
     /** One shard's commit scheduling state (and stat counters). */
@@ -417,21 +416,6 @@ class KvStore
                     slot.key);
         }
         return rep;
-    }
-
-    /**
-     * Audit the backend's durability invariants (committed LP batches
-     * still validate, no armed WAL transaction). A test/debug aid: it
-     * reads through the Env, so it perturbs simulated caches like any
-     * other access; do not call inside a measured phase.
-     */
-    bool
-    verify(Env &env)
-    {
-        for (int s = 0; s < cfg_.shards; ++s)
-            if (!backend_->verify(env, s))
-                return false;
-        return true;
     }
 
     /**

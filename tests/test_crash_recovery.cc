@@ -231,6 +231,32 @@ TEST(CrashRecovery, RecoveryCausesNoDataLossUnderSmallCache)
     EXPECT_TRUE(out.verified);
 }
 
+TEST(CrashRecovery, RecoversWhenEvictionsPersistPartialStages)
+{
+    // An 8KB L2 evicts throughout the run, so the durable image mixes
+    // stages (testMachine's 64KB L2 holds these working sets whole).
+    // Gauss is the sharp case: band digests match while multipliers
+    // that earlier stages stored in the same rows never persisted.
+    sim::MachineConfig cfg = testMachine();
+    cfg.l2 = {8 * 1024, 8, 11};
+    for (KernelId id : {KernelId::Tmm, KernelId::Cholesky,
+                        KernelId::Conv2d, KernelId::Gauss,
+                        KernelId::Fft, KernelId::Spmv}) {
+        const KernelParams p = smallParams(id);
+        const auto total = static_cast<std::uint64_t>(
+            runScheme(id, Scheme::Lp, p, cfg).stat("stores"));
+        for (int slice = 1; slice < 8; ++slice) {
+            const std::uint64_t point = total * slice / 8;
+            const auto out = runLpWithCrash(id, p, cfg, point);
+            EXPECT_TRUE(out.crashed) << kernelName(id) << " " << point;
+            EXPECT_TRUE(out.verified)
+                << kernelName(id) << " crash after " << point << " of "
+                << total << " stores: max abs error "
+                << out.maxAbsError;
+        }
+    }
+}
+
 TEST(CrashRecovery, CleanerShrinksRecoveryWork)
 {
     // With a frequent cleaner, more regions are durable at the crash,

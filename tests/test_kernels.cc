@@ -269,5 +269,18 @@ TEST(Kernels, FreshWorkloadIsUnverified)
     EXPECT_FALSE(w->verify());
 }
 
+TEST(KernelDeathTest, WalIsOnlyForTmm)
+{
+    for (KernelId id : {KernelId::Cholesky, KernelId::Conv2d,
+                        KernelId::Gauss, KernelId::Fft,
+                        KernelId::Spmv}) {
+        EXPECT_EXIT(runScheme(id, Scheme::Wal, smallParams(id),
+                              testMachine()),
+                    ::testing::ExitedWithCode(1),
+                    "WAL is only implemented for tmm \\(Table IV\\)")
+            << kernelName(id);
+    }
+}
+
 } // namespace
 } // namespace lp::kernels

@@ -32,6 +32,12 @@ must carry:
               regions matched and repaired after a mid-run tmm crash,
               per cleaner period and per tile size, with each tile
               size's base and LP cycles
+    kernel_recovery
+              bench_recovery_time (its second report): recovery +
+              resume cycles, regions checked, matched and repaired,
+              and the resume stage after a crash at half of each of
+              Cholesky's, 2D-conv's, Gauss's, FFT's and SpMV's LP
+              stores
     fig14     bench_fig14_sensitivity: Figure 14's tmm cycles and NVMM
               writes per NVMM latency (base, LP, EagerRecompute) and
               per thread count (base, LP)

@@ -202,9 +202,6 @@ serveUsage(const char *argv0)
         "  --trace-out F   write a Chrome trace-event JSON (epoch\n"
         "                  commits, folds, recovery, connection\n"
         "                  lifecycles, request flows) to F at shutdown\n"
-        "  --flight-events N   per-shard crash-persistent flight\n"
-        "                  recorder slots, 0 = off  (default 4096);\n"
-        "                  decode after a crash with `postmortem`\n"
         "  --quiet\n"
         "Runs until SIGINT/SIGTERM or a SHUTDOWN op; on shutdown every\n"
         "shard is checkpointed (eager fold) before the process exits.\n",
@@ -252,9 +249,6 @@ runServeCommand(int argc, char **argv)
             cfg.maxConns = std::atoi(next().c_str());
         } else if (arg == "--trace-out") {
             cfg.traceOut = next();
-        } else if (arg == "--flight-events") {
-            cfg.flightEvents =
-                std::uint32_t(std::atoi(next().c_str()));
         } else if (arg == "--quiet") {
             cfg.quiet = true;
         } else {
@@ -688,8 +682,7 @@ injectUsage(const char *argv0)
         "                  single bit flip\n"
         "  --seed S        mask seed for --bytes     (default 1)\n"
         "  --backend lp|eager|wal  must match the server (default lp)\n"
-        "  --capacity C / --batch-ops B / --fold-batches F /\n"
-        "  --flight-events N\n"
+        "  --capacity C / --batch-ops B / --fold-batches F\n"
         "                  must match the serve flags (the layout is\n"
         "                  re-derived from the configuration)\n"
         "Flips bits in the mmap'd backing file of a shard -- simulated\n"
@@ -718,7 +711,6 @@ runInjectCommand(int argc, char **argv)
     StoreConfig scfg;
     scfg.capacity = 16384;  // serve defaults; override to match
     scfg.shards = 1;        // one arena file per server shard
-    std::uint32_t flightEvents = 4096;
 
     for (int i = 2; i < argc; ++i) {
         const std::string arg = argv[i];
@@ -749,8 +741,6 @@ runInjectCommand(int argc, char **argv)
             scfg.batchOps = std::atoi(next().c_str());
         } else if (arg == "--fold-batches") {
             scfg.foldBatches = std::atoi(next().c_str());
-        } else if (arg == "--flight-events") {
-            flightEvents = std::uint32_t(std::atoi(next().c_str()));
         } else {
             injectUsage(argv[0]);
         }
@@ -773,14 +763,13 @@ runInjectCommand(int argc, char **argv)
     // allocation sequence, so this is safe against both a stopped
     // file and a live server's mapping (MAP_SHARED over the same
     // pages).
+    const std::size_t flightBytes =
+        obs::FlightRing::bytesFor(server::kFlightEvents);
     pmem::PersistentArena arena(
-        (flightEvents > 0 ? obs::FlightRing::bytesFor(flightEvents)
-                          : 0) +
-            storeArenaBytes(scfg) +
+        flightBytes + storeArenaBytes(scfg) +
             txn::prepareLogBytes(server::kTxnPrepareSlots),
         path);
-    if (flightEvents > 0)
-        arena.allocRaw(obs::FlightRing::bytesFor(flightEvents));
+    arena.allocRaw(flightBytes);
     store::KvStore<kernels::NativeEnv> kv(arena, scfg, backend,
                                           /*attach=*/true);
     const FaultSurface fs = kv.faultSurface(0);
@@ -905,8 +894,8 @@ runPostmortemCommand(int argc, char **argv)
             base + blockBytes, len - blockBytes);
         if (!rec.valid) {
             std::printf("shard %d: no valid flight seal in %s "
-                        "(server ran with --flight-events 0, or the "
-                        "region is damaged)\n",
+                        "(the file predates the flight recorder, or "
+                        "the region is damaged)\n",
                         s, path.c_str());
             ::munmap(map, len);
             continue;
