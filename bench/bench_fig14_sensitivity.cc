@@ -62,8 +62,12 @@ main(int argc, char **argv)
         bench::recordRun(metrics, point + ".ep", ep);
         verified = verified && base.verified && lp.verified &&
                    ep.verified;
-        table_a.addRow({"(" + stats::Table::num(l.read, 0) + "," +
-                            stats::Table::num(l.write, 0) + ")",
+        std::string lat("(");
+        lat.append(stats::Table::num(l.read, 0))
+            .append(",")
+            .append(stats::Table::num(l.write, 0))
+            .append(")");
+        table_a.addRow({lat,
                         stats::Table::percent(
                             bench::ratio(lp.execCycles,
                                          base.execCycles) - 1.0),

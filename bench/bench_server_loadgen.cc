@@ -779,7 +779,7 @@ runOpenLoop(int argc, char **argv, stats::JsonValue::Object &root)
         e.emplace("rtt_p50_us", rttSm.p50Ns / 1e3);
         e.emplace("rtt_p99_us", rttSm.p99Ns / 1e3);
         e.emplace("wall_seconds", wall);
-        points.push_back(stats::JsonValue(std::move(e)));
+        points.emplace_back(std::move(e));
     }
     table.print();
     std::printf("\n");

@@ -87,4 +87,25 @@ CommitPipeline::rebase(std::uint64_t committed)
     foldedEpoch_ = committed;
 }
 
+ShardPlan
+planShardRound(const ShardRound &r, std::uint64_t flushDeadlineUs,
+               std::uint64_t scrubIntervalMs)
+{
+    ShardPlan p;
+    const std::uint64_t nextScrubNs =
+        r.lastScrubNs + scrubIntervalMs * 1000000;
+    if (r.oldestAckNs) {
+        p.wakeNs = *r.oldestAckNs + flushDeadlineUs * 1000;
+        if (r.nowNs >= *p.wakeNs)
+            p.commit = CommitReason::Deadline;
+        else if (r.stopping)
+            p.commit = CommitReason::Drain;
+    } else if (scrubIntervalMs > 0) {
+        p.wakeNs = nextScrubNs;
+    }
+    p.scrub = scrubIntervalMs > 0 && !r.stopping && !r.dequeued &&
+              r.nowNs >= nextScrubNs;
+    return p;
+}
+
 } // namespace lp::engine

@@ -8,9 +8,9 @@
  * open epoch is always lastCommitted + 1), fold-period accounting
  * (an eager checkpoint is due every foldBatches committed epochs),
  * and per-epoch stats under the canonical names of
- * engine/stat_names.hh. Acknowledgement scheduling is not here: a
- * service that holds replies until their epoch commits (lp::server)
- * keeps its own queue of them and reads lastCommitted().
+ * engine/stat_names.hh; and the schedule of a served shard, whose
+ * service (lp::server) holds replies until their epoch commits:
+ * planShardRound() and mayStageInline() below.
  *
  * The pipeline is pure volatile bookkeeping: it never touches
  * persistent memory and never looks at a clock. The persistency
@@ -29,6 +29,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <optional>
 
 namespace lp::obs
 {
@@ -168,6 +169,53 @@ class CommitPipeline
     PipelineCounters counters_;
     obs::ShardObs *obs_ = nullptr;
 };
+
+// The served shard's schedule, clock-free: times are caller's ns.
+
+/** Why a round commits the shard's open epoch. */
+enum class CommitReason : std::uint8_t { None, Deadline, Drain };
+
+/** What a serving shard worker knows when it plans a round. */
+struct ShardRound
+{
+    std::uint64_t nowNs = 0;
+    std::optional<std::uint64_t> oldestAckNs;  ///< oldest pending ack staged
+    bool stopping = false;
+    bool dequeued = false;  ///< this round dequeued a request
+    std::uint64_t lastScrubNs = 0;
+};
+
+/** What the round does after running its requests, and its wake. */
+struct ShardPlan
+{
+    CommitReason commit = CommitReason::None;
+    bool scrub = false;  ///< take one online-scrub step
+    std::optional<std::uint64_t> wakeNs;  ///< nullopt: only on a request
+};
+
+/**
+ * A round commits once the oldest pending ack has waited
+ * @p flushDeadlineUs (Deadline) or when stopping (Drain); scrubs only
+ * on a round that dequeued nothing, not while stopping, once per
+ * @p scrubIntervalMs (0 = never); and sleeps until that ack's
+ * deadline, else until the next scrub step. A pending ack overrides
+ * the scrub timer rather than racing it.
+ */
+ShardPlan planShardRound(const ShardRound &r, std::uint64_t flushDeadlineUs,
+                         std::uint64_t scrubIntervalMs);
+
+/**
+ * May another thread stage one op into @p pl while its worker
+ * sleeps? Only behind a pending ack of the open epoch, whose deadline
+ * the worker sleeps on, and only if the op leaves the epoch unfilled:
+ * the worker alone opens, commits and folds epochs.
+ */
+inline bool
+mayStageInline(const CommitPipeline &pl, bool ackPending)
+{
+    return pl.epochOpen() && ackPending &&
+           pl.stagedOps() + 1 < pl.policy().batchOps;
+}
 
 } // namespace lp::engine
 

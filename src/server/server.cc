@@ -48,11 +48,18 @@ onStopSignal(int)
 void
 Server::Impl::postReply(std::uint64_t connId, Response r)
 {
+    postReply(ReplyMsg{connId, obs::nowNs(), std::move(r), nullptr});
+}
+
+/** Queue @p m for the acceptor: a reply or a transaction vote. */
+void
+Server::Impl::postReply(ReplyMsg m)
+{
     bool wasEmpty;
     {
         std::lock_guard<std::mutex> g(replyMu);
         wasEmpty = replies.empty();
-        replies.push_back(ReplyMsg{connId, obs::nowNs(), std::move(r)});
+        replies.push_back(std::move(m));
     }
     // Ring the acceptor only on the empty->nonempty edge: one wake
     // drains the whole queue, so followers piggyback for free.
@@ -113,6 +120,15 @@ Server::Impl::localReply(Conn &c, Response r)
     c.nc.queueFrame();
 }
 
+/** Refuse request @p id with status @p s, counted in @p stat. */
+void
+Server::Impl::refuse(Conn &c, std::atomic<std::uint64_t> &stat, Status s,
+                     std::uint64_t id)
+{
+    stat.fetch_add(1, std::memory_order_relaxed);
+    localReply(c, statusReply(s, id));
+}
+
 /**
  * Take @p w's shard for the acceptor if it is idle: the worker is
  * between rounds (its shard lock is free), nothing routed to the
@@ -161,11 +177,9 @@ Server::Impl::inlineGet(Conn &c, Worker &w, const Request &req,
 
 /**
  * Stage a PUT or DEL into its idle shard's open epoch on the
- * acceptor, skipping the worker wake-up. Only when the epoch is
- * already open with a pending ack -- so the worker sleeps on that
- * ack's deadline, which an entry appended behind it cannot move --
- * and the op does not fill it. The op that opens an epoch and the op
- * that fills one queue, so the worker alone commits, folds, releases
+ * acceptor, skipping the worker wake-up, when the shard's schedule
+ * allows it (engine::mayStageInline: behind a pending ack, without
+ * filling the epoch), so the worker alone commits, folds, releases
  * acks and writes its trace ring. Nothing deferred, no transaction
  * part between PREPARE and apply (a plain store under it would be
  * clobbered by the apply) and no quarantine, or the op queues and
@@ -176,12 +190,9 @@ bool
 Server::Impl::inlineStage(Worker &w, const OpItem &op)
 {
     const IdleHold hold = holdIdle(w);
-    if (!hold)
-        return false;
-    const engine::CommitPipeline &pl = w.kv->pipeline(0);
-    if (!w.deferred.empty() || w.unappliedTxns > 0 ||
-        w.kv->quarantined(0) || !pl.epochOpen() || w.pending.empty() ||
-        pl.stagedOps() + 1 >= pl.policy().batchOps)
+    if (!hold || !w.deferred.empty() || w.unappliedTxns > 0 ||
+        w.kv->quarantined(0) ||
+        !engine::mayStageInline(w.kv->pipeline(0), !w.pending.empty()))
         return false;
     stageMutation(w, op);
     statMutsInline.fetch_add(1, std::memory_order_relaxed);
@@ -262,25 +273,16 @@ Server::Impl::handleRequest(Conn &c, Request &req)
       case Op::Get:
       case Op::Put:
       case Op::Del: {
-        if (req.key > store::maxUserKey) {
-            statErrs.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Err, req.id));
-            return;
-        }
+        if (req.key > store::maxUserKey)
+            return refuse(c, statErrs, Status::Err, req.id);
         Worker &w = *workers[std::size_t(routeShard(req.key, cfg.shards))];
         // Quarantine fast path: refuse mutations to a read-only
         // shard before they queue (the worker re-checks; this
         // mirror read just saves the round trip). GETs pass.
-        if (req.op != Op::Get && w.kv->quarantined(0)) {
-            statFaults.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Fault, req.id));
-            return;
-        }
-        if (c.inflight >= cfg.maxInflightPerConn) {
-            statRetries.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Retry, req.id));
-            return;
-        }
+        if (req.op != Op::Get && w.kv->quarantined(0))
+            return refuse(c, statFaults, Status::Fault, req.id);
+        if (c.inflight >= cfg.maxInflightPerConn)
+            return refuse(c, statRetries, Status::Retry, req.id);
         if (req.op == Op::Get && inlineGet(c, w, req, traceId))
             return;
         ++c.inflight;
@@ -303,11 +305,8 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         // A start key beyond maxUserKey is legal (empty result),
         // unlike point ops: the range [start, ~0] simply holds no
         // user keys. The decoder already enforced the limit range.
-        if (c.inflight >= cfg.maxInflightPerConn) {
-            statRetries.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Retry, req.id));
-            return;
-        }
+        if (c.inflight >= cfg.maxInflightPerConn)
+            return refuse(c, statRetries, Status::Retry, req.id);
         if (inlineScan(c, req, traceId))
             return;
         ++c.inflight;
@@ -334,11 +333,8 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             return;
         }
         for (const BatchOp &b : req.batch) {
-            if (b.key > store::maxUserKey) {
-                statErrs.fetch_add(1, std::memory_order_relaxed);
-                localReply(c, statusReply(Status::Err, req.id));
-                return;
-            }
+            if (b.key > store::maxUserKey)
+                return refuse(c, statErrs, Status::Err, req.id);
         }
         // All-or-nothing quarantine check: refuse the whole
         // BATCH before enqueueing anything if any target shard
@@ -349,17 +345,11 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         // transactional across shards.)
         for (const BatchOp &b : req.batch) {
             if (workers[std::size_t(routeShard(b.key, cfg.shards))]
-                    ->kv->quarantined(0)) {
-                statFaults.fetch_add(1, std::memory_order_relaxed);
-                localReply(c, statusReply(Status::Fault, req.id));
-                return;
-            }
+                    ->kv->quarantined(0))
+                return refuse(c, statFaults, Status::Fault, req.id);
         }
-        if (c.inflight >= cfg.maxInflightPerConn) {
-            statRetries.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Retry, req.id));
-            return;
-        }
+        if (c.inflight >= cfg.maxInflightPerConn)
+            return refuse(c, statRetries, Status::Retry, req.id);
         ++c.inflight;
         auto ctx = std::make_shared<BatchCtx>(
             std::uint32_t(req.batch.size()), c.id, req.id, traceId);
@@ -520,9 +510,17 @@ Server::Impl::drainReplies()
     }
     // Encode everything first, flush each touched connection once:
     // a burst of worker replies to one connection becomes a single
-    // gathered writev instead of one blocking write per frame.
+    // gathered writev instead of one blocking write per frame. A
+    // deciding vote appends its decision reply to this same pass.
     std::vector<std::uint64_t> touched;
-    for (ReplyMsg &m : local) {
+    for (std::size_t i = 0; i < local.size(); ++i) {
+        if (const std::shared_ptr<TxnCtx> ctx = std::move(local[i].vote)) {
+            if (--ctx->votesLeft == 0)
+                local.push_back(ReplyMsg{ctx->connId, obs::nowNs(),
+                                         finishTxn(ctx), nullptr});
+            continue;
+        }
+        ReplyMsg &m = local[i];
         auto it = conns.find(m.connId);
         if (it == conns.end())
             continue;  // client left before its reply
@@ -569,7 +567,6 @@ Server::Impl::acceptorMain()
                 acceptPending();
             } else if (ud == udWake) {
                 wakeFd.drain();
-                drainTxnEvents();
                 drainReplies();
             } else if (ud == udStop) {
                 stopFd.drain();
@@ -620,9 +617,8 @@ Server::Impl::shutdownSequence()
 
     // Bounded drain loop: replies may still arrive while workers
     // commit their final batches.
-    const auto deadline = Clock::now() + std::chrono::seconds(10);
+    const std::uint64_t deadlineNs = obs::nowNs() + 10000000000ull;  // 10 s
     for (;;) {
-        drainTxnEvents();
         drainReplies();
         const bool allOut =
             workersExited.load(std::memory_order_acquire) ==
@@ -637,7 +633,7 @@ Server::Impl::shutdownSequence()
             if (c->nc.wantWrite())
                 unflushed = true;
         if ((allOut && !queued && !unflushed) ||
-            Clock::now() >= deadline)
+            obs::nowNs() >= deadlineNs)
             break;
         const int n = loop.wait(50);
         for (int i = 0; i < n; ++i) {

@@ -48,8 +48,6 @@
 namespace lp::server
 {
 
-using Clock = std::chrono::steady_clock;
-
 /**
  * Server-level key router: store::shardOfKey, the exact function
  * KvStore routes with, so the distribution matches the store's own
@@ -160,7 +158,7 @@ struct ScanCtx
  * One TXN request in flight. The acceptor is the coordinator: it
  * splits the wire ops into one Part per participant shard and fans a
  * Txn item out to each owning worker. Workers lock, resolve, and
- * vote (a TxnEvent back to the acceptor); once every part has voted
+ * vote (a ReplyMsg carrying the TxnCtx); once every part has voted
  * the acceptor either appends the COMMIT record -- the transaction's
  * linearization and durability point -- and fans out TxnApply, or
  * tells the prepared parts to roll back (TxnAbort).
@@ -168,9 +166,9 @@ struct ScanCtx
  * Field ownership: the acceptor writes the routing plan before
  * fan-out; each worker writes only its own Part and the read slots
  * its gets own. Every handoff rides a mutex (worker queues, the
- * TxnEvent queue), so no field needs to be atomic except the abort
+ * reply queue), so no field needs to be atomic except the abort
  * flags, which several workers may set at once. The vote counter
- * is plain: only the acceptor counts votes (drainTxnEvents()).
+ * is plain: only the acceptor counts votes (drainReplies()).
  */
 struct TxnCtx
 {
@@ -205,16 +203,6 @@ struct TxnCtx
     std::atomic<bool> faulted{false};  ///< abort cause was quarantine
 };
 
-/** One participant's vote, traveling worker -> acceptor. */
-struct TxnEvent
-{
-    enum class Kind : std::uint8_t { Prepared, Aborted };
-
-    Kind kind;
-    std::size_t part;  ///< index into ctx->parts
-    std::shared_ptr<TxnCtx> ctx;
-};
-
 /** One operation handed from the acceptor to a worker. */
 struct OpItem
 {
@@ -243,12 +231,14 @@ struct OpItem
     std::size_t part = 0;             ///< Txn*: index into txn->parts
 };
 
-/** One response traveling worker -> acceptor. */
+/** One response traveling worker -> acceptor, or (vote set, no
+ *  connection) a TXN participant's vote, its outcome in the TxnCtx. */
 struct ReplyMsg
 {
-    std::uint64_t connId;
+    std::uint64_t connId = 0;
     std::uint64_t tPostNs = 0;  ///< post time (ack-path latency)
     Response resp;
+    std::shared_ptr<TxnCtx> vote;
 };
 
 /**
@@ -356,7 +346,7 @@ struct Server::Impl
         std::unique_ptr<obs::FlightRing> flight;
 
         // Online-scrub throttle state (worker thread only).
-        Clock::time_point lastScrub{};
+        std::uint64_t lastScrubNs = 0;  ///< obs::nowNs() of the last step
         bool quarantineLogged = false;
 
         // Everything below is storeMu-only: the worker's rounds
@@ -462,7 +452,7 @@ struct Server::Impl
     /// @name Acceptor state
     /// @{
     net::EventLoop loop;  ///< ready batch sized from cfg.maxConns
-    net::WakeFd wakeFd;   ///< workers ring this when replies queue
+    net::WakeFd wakeFd;   ///< workers ring this when replies/votes queue
     net::WakeFd stopFd;   ///< requestStop()/signals ring this
     int listenFd = -1;
     int port_ = 0;
@@ -510,13 +500,10 @@ struct Server::Impl
     /// @name Transaction coordinator (docs/txn_design.md)
     /// The acceptor assigns ids, collects votes, and owns the
     /// persistent decision ring (dataDir/txnlog.lpdb). Workers post
-    /// their votes through txnMu and read the decision index only
-    /// during the startup recovery phase (ordered by the worker-queue
-    /// handoff).
+    /// their votes through the reply queue and read the decision
+    /// index only during the startup recovery phase (ordered by the
+    /// worker-queue handoff).
     /// @{
-    std::mutex txnMu;
-    std::vector<TxnEvent> txnEvents;
-
     kernels::NativeEnv txnEnv;
     std::unique_ptr<pmem::PersistentArena> txnArena;
     std::unique_ptr<txn::DecisionLog<kernels::NativeEnv>> dlog;
@@ -540,7 +527,8 @@ struct Server::Impl
     void openStore(Worker &w);
     void releaseAck(Worker &w, Worker::Pending &p);
     void releaseCommitted(Worker &w);
-    std::int64_t nsToAckDeadline(const Worker &w) const;
+    engine::ShardPlan planRound(const Worker &w, bool stopping,
+                                bool dequeued) const;
     static bool deferrable(OpItem::Kind k);
     bool deferNow(Worker &w, const OpItem &op) const;
     void dispatchOp(Worker &w, OpItem &op);
@@ -554,7 +542,6 @@ struct Server::Impl
     void enqueue(int shard, OpItem &&op);
 
     // server_txn.cc -- coordinator + participant txn machinery.
-    void postTxnEvent(TxnEvent ev);
     void serviceLockEvents(Worker &w, txn::LockTable::Events ev);
     void resumeParked(Worker &w, txn::TxnId id,
                       txn::LockTable::Events &ev);
@@ -565,7 +552,7 @@ struct Server::Impl
                          std::size_t partIdx, std::size_t next,
                          txn::LockTable::Events &ev);
     void abortTxnPart(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
-                      std::size_t partIdx, bool faulted);
+                      bool faulted);
     void prepareTxnPart(Worker &w,
                         const std::shared_ptr<TxnCtx> &ctx,
                         std::size_t partIdx);
@@ -573,8 +560,7 @@ struct Server::Impl
                        TxnCtx::Part &part);
     void finishFastTxn(Worker &w, const TxnCtx &ctx, std::string body);
     void routeTxn(Conn &c, Request &req);
-    void drainTxnEvents();
-    void finishTxn(const std::shared_ptr<TxnCtx> &ctx);
+    Response finishTxn(const std::shared_ptr<TxnCtx> &ctx);
     void openTxnLog();
 
     // server_stats.cc -- observability rendering from one table.
@@ -585,10 +571,13 @@ struct Server::Impl
     std::string metricsTextNow() const;
 
     // server.cc -- lifecycle + acceptor datapath.
+    void postReply(ReplyMsg m);
     void postReply(std::uint64_t connId, Response r);
     void closeConn(std::uint64_t id);
     bool flushDatapath(Conn &c);
     void localReply(Conn &c, Response r);
+    void refuse(Conn &c, std::atomic<std::uint64_t> &stat, Status s,
+                std::uint64_t id);
 
     /**
      * The acceptor's hold on an idle shard (holdIdle): the shard

@@ -17,20 +17,6 @@
 namespace lp::server
 {
 
-void
-Server::Impl::postTxnEvent(TxnEvent ev)
-{
-    bool wasEmpty;
-    {
-        std::lock_guard<std::mutex> g(txnMu);
-        wasEmpty = txnEvents.empty();
-        txnEvents.push_back(std::move(ev));
-    }
-    // Empty->nonempty edge only, like postReply: one wake drains all.
-    if (wasEmpty)
-        wakeFd.signal();
-}
-
 /**
  * Service the fallout of a lock release: resume parked parts the
  * release granted, abort the ones it killed (whose own releases
@@ -83,7 +69,7 @@ Server::Impl::abortParked(Worker &w, txn::TxnId id,
         {part.locks.keys.begin(),
          part.locks.keys.begin() + std::ptrdiff_t(pk.next)},
         ev);
-    abortTxnPart(w, pk.ctx, pk.part, false);
+    abortTxnPart(w, pk.ctx, false);
 }
 
 /**
@@ -115,7 +101,7 @@ Server::Impl::acquireTxnLocks(Worker &w,
             {part.locks.keys.begin(),
              part.locks.keys.begin() + std::ptrdiff_t(next)},
             ev);
-        abortTxnPart(w, ctx, partIdx, false);
+        abortTxnPart(w, ctx, false);
         return false;
     }
     return true;
@@ -126,7 +112,7 @@ Server::Impl::acquireTxnLocks(Worker &w,
 void
 Server::Impl::abortTxnPart(Worker &w,
                            const std::shared_ptr<TxnCtx> &ctx,
-                           std::size_t partIdx, bool faulted)
+                           bool faulted)
 {
     if (faulted)
         ctx->faulted.store(true, std::memory_order_release);
@@ -140,7 +126,7 @@ Server::Impl::abortTxnPart(Worker &w,
         return;
     }
     ctx->abortedParts.fetch_add(1, std::memory_order_relaxed);
-    postTxnEvent(TxnEvent{TxnEvent::Kind::Aborted, partIdx, ctx});
+    postReply(ReplyMsg{0, 0, {}, ctx});
 }
 
 /**
@@ -175,7 +161,7 @@ Server::Impl::prepareTxnPart(Worker &w,
     if (faulted || slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
         txn::LockTable::Events ev;
         w.lockTable.releaseAll(ctx->txnid, part.locks.keys, ev);
-        abortTxnPart(w, ctx, partIdx, faulted);
+        abortTxnPart(w, ctx, faulted);
         serviceLockEvents(w, std::move(ev));
         return;
     }
@@ -186,7 +172,7 @@ Server::Impl::prepareTxnPart(Worker &w,
         ++w.unappliedTxns;
     }
     part.prepared = true;
-    postTxnEvent(TxnEvent{TxnEvent::Kind::Prepared, partIdx, ctx});
+    postReply(ReplyMsg{0, 0, {}, ctx});
 }
 
 /**
@@ -241,11 +227,8 @@ void
 Server::Impl::routeTxn(Conn &c, Request &req)
 {
     for (const TxnOp &t : req.txn) {
-        if (t.key > store::maxUserKey) {
-            statErrs.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Err, req.id));
-            return;
-        }
+        if (t.key > store::maxUserKey)
+            return refuse(c, statErrs, Status::Err, req.id);
     }
     // Quarantine precheck. Unlike BATCH (per-op Fault votes)
     // the worker-side backstop aborts the WHOLE transaction,
@@ -253,17 +236,11 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     for (const TxnOp &t : req.txn) {
         if (t.kind != TxnOp::Kind::Get &&
             workers[std::size_t(routeShard(t.key, cfg.shards))]
-                ->kv->quarantined(0)) {
-            statFaults.fetch_add(1, std::memory_order_relaxed);
-            localReply(c, statusReply(Status::Fault, req.id));
-            return;
-        }
+                ->kv->quarantined(0))
+            return refuse(c, statFaults, Status::Fault, req.id);
     }
-    if (c.inflight >= cfg.maxInflightPerConn) {
-        statRetries.fetch_add(1, std::memory_order_relaxed);
-        localReply(c, statusReply(Status::Retry, req.id));
-        return;
-    }
+    if (c.inflight >= cfg.maxInflightPerConn)
+        return refuse(c, statRetries, Status::Retry, req.id);
     ++c.inflight;
     auto ctx = std::make_shared<TxnCtx>();
     ctx->txnid = nextTxnId++;
@@ -314,28 +291,14 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     }
 }
 
-/** Collect participant votes; the last vote decides the txn. */
-void
-Server::Impl::drainTxnEvents()
-{
-    std::vector<TxnEvent> local;
-    {
-        std::lock_guard<std::mutex> g(txnMu);
-        local.swap(txnEvents);
-    }
-    for (TxnEvent &ev : local) {
-        if (--ev.ctx->votesLeft == 0)
-            finishTxn(ev.ctx);
-    }
-}
-
 /**
  * Every participant voted (general path only; the fast path never
- * posts events). Unanimous PREPARE commits; any Aborted vote
- * aborts. Either way every part gets a follow-up op -- read-only
- * parts included, since they hold locks to release.
+ * votes). Unanimous PREPARE commits; any Aborted vote aborts.
+ * Either way every part gets a follow-up op -- read-only parts
+ * included, since they hold locks to release -- and the client's
+ * reply is returned for drainReplies() to deliver.
  */
-void
+Response
 Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
 {
     const std::uint64_t tEnq = obs::nowNs();
@@ -357,11 +320,8 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
             statFaults.fetch_add(1, std::memory_order_relaxed);
         statTxnAborts.fetch_add(1, std::memory_order_relaxed);
         txnAbortNs.record(obs::nowNs() - ctx->tStartNs);
-        postReply(ctx->connId,
-                  statusReply(faulted ? Status::Fault
-                                      : Status::Aborted,
-                              ctx->reqId));
-        return;
+        return statusReply(faulted ? Status::Fault : Status::Aborted,
+                           ctx->reqId);
     }
     bool anyWrites = false;
     for (const auto &part : ctx->parts)
@@ -377,7 +337,6 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
     r.status = Status::Ok;
     r.id = ctx->reqId;
     r.body = encodeTxnReadsBody(ctx->reads);
-    postReply(ctx->connId, std::move(r));
     statTxnCommits.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t commitDt = obs::nowNs() - ctx->tStartNs;
     txnCommitNs.record(commitDt);
@@ -395,6 +354,7 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
         it.part = i;
         enqueue(ctx->parts[i].shard, std::move(it));
     }
+    return r;
 }
 
 /**

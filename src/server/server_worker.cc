@@ -1,12 +1,12 @@
 /**
  * @file
  * The shard worker: store open/recovery, the dequeue-dispatch-
- * commit-release round, strict-FIFO deferral, and the ack schedule
- * (a reply waits for its epoch's commit, bounded by the flush
- * deadline). One thread per shard; each round runs under the shard
- * lock (Worker::storeMu), which the acceptor also takes to serve a
- * read or stage a mutation of an idle shard. See server_impl.hh for
- * the ownership contract.
+ * commit-release round on engine::planShardRound's schedule,
+ * strict-FIFO deferral, and the ack release (a reply waits for its
+ * epoch's commit, bounded by the flush deadline). One thread per
+ * shard; each round runs under the shard lock (Worker::storeMu),
+ * which the acceptor also takes to serve a read or stage a mutation
+ * of an idle shard. See server_impl.hh for the ownership contract.
  */
 
 #include "server/server_impl.hh"
@@ -72,7 +72,7 @@ Server::Impl::openStore(Worker &w)
     }
     w.statCommittedEpoch.store(w.kv->committedEpoch(0),
                                std::memory_order_relaxed);
-    w.lastScrub = Clock::now();
+    w.lastScrubNs = obs::nowNs();
     if (w.kv->quarantined(0)) {
         w.quarantineLogged = true;
         warn("lp::server shard " + std::to_string(w.index) +
@@ -154,14 +154,17 @@ Server::Impl::releaseCommitted(Worker &w)
         w.flight->seal();
 }
 
-/** Nanoseconds until the oldest pending ack's flush deadline,
- *  its tStagedNs + cfg.flushDeadlineUs; negative once that has
- *  passed. Requires a pending ack. */
-std::int64_t
-Server::Impl::nsToAckDeadline(const Worker &w) const
+/** @p w's schedule (engine::planShardRound) as of now. The caller
+ *  holds w.storeMu or w.mu: either keeps pending's front in place. */
+engine::ShardPlan
+Server::Impl::planRound(const Worker &w, bool stopping, bool dequeued) const
 {
-    return std::int64_t(w.pending.front().tStagedNs +
-                        cfg.flushDeadlineUs * 1000 - obs::nowNs());
+    std::optional<std::uint64_t> oldestAck;
+    if (!w.pending.empty())
+        oldestAck = w.pending.front().tStagedNs;
+    return engine::planShardRound(
+        {obs::nowNs(), oldestAck, stopping, dequeued, w.lastScrubNs},
+        cfg.flushDeadlineUs, cfg.scrubIntervalMs);
 }
 
 /// Can this kind join Worker::deferred? Single-key Gets bypass
@@ -458,18 +461,12 @@ Server::Impl::workerMain(Worker &w)
             };
             if (w.q.empty() && !w.stopFlag) {
                 w.statWakeups.fetch_add(1, std::memory_order_relaxed);
-                if (!w.pending.empty())
-                    w.cv.wait_for(
-                        lk, std::chrono::nanoseconds(nsToAckDeadline(w)),
-                        woken);
-                else if (cfg.scrubIntervalMs > 0)
-                    // Wake for the next scrub step even with no
-                    // traffic: an idle server still patrols.
-                    w.cv.wait_until(
-                        lk,
-                        w.lastScrub + std::chrono::milliseconds(
-                                          cfg.scrubIntervalMs),
-                        woken);
+                const auto wake = planRound(w, false, false).wakeNs;
+                if (wake)
+                    w.cv.wait_for(lk,
+                                  std::chrono::nanoseconds(std::int64_t(
+                                      *wake - obs::nowNs())),
+                                  woken);
                 else
                     w.cv.wait(lk, woken);
             }
@@ -496,40 +493,25 @@ Server::Impl::workerMain(Worker &w)
         for (OpItem &op : local)
             dispatchOp(w, op);
 
-        // Deadline flush: commit an underfilled batch rather than
-        // keep its acks hostage to future traffic.
-        if (!w.pending.empty()) {
-            const bool due = nsToAckDeadline(w) <= 0;
-            if (stopping || due) {
-                if (due) {
-                    w.statDeadlineCommits.fetch_add(
-                        1, std::memory_order_relaxed);
-                    obs::traceInstant(
-                        w.ring, "deadline_commit",
-                        w.kv->pipeline(0).lastCommitted() + 1);
-                }
-                w.kv->commitBatches(w.env);
-            }
+        const engine::ShardPlan plan =
+            planRound(w, stopping, !local.empty());
+        if (plan.commit == engine::CommitReason::Deadline) {
+            w.statDeadlineCommits.fetch_add(1, std::memory_order_relaxed);
+            obs::traceInstant(w.ring, "deadline_commit",
+                              w.kv->pipeline(0).lastCommitted() + 1);
         }
+        if (plan.commit != engine::CommitReason::None)
+            w.kv->commitBatches(w.env);
         releaseCommitted(w);
 
-        // Online scrub: strictly off the request path (only on
-        // rounds whose queue drained empty) and rate-limited, so
-        // foreground latency never pays for media patrol.
-        if (!stopping && local.empty() &&
-            cfg.scrubIntervalMs > 0) {
-            const auto now = Clock::now();
-            if (now - w.lastScrub >=
-                std::chrono::milliseconds(cfg.scrubIntervalMs)) {
-                w.kv->scrubStep(w.env, 0, kScrubRegions);
-                w.lastScrub = now;
-                if (!w.quarantineLogged && w.kv->quarantined(0)) {
-                    w.quarantineLogged = true;
-                    warn("lp::server shard " +
-                         std::to_string(w.index) +
-                         " quarantined by scrub: unrepairable "
-                         "media corruption; serving read-only");
-                }
+        if (plan.scrub) {
+            w.lastScrubNs = obs::nowNs();
+            w.kv->scrubStep(w.env, 0, kScrubRegions);
+            if (!w.quarantineLogged && w.kv->quarantined(0)) {
+                w.quarantineLogged = true;
+                warn("lp::server shard " + std::to_string(w.index) +
+                     " quarantined by scrub: unrepairable "
+                     "media corruption; serving read-only");
             }
         }
 

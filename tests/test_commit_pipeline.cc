@@ -1,19 +1,24 @@
 /**
  * @file
  * Unit tests for lp::engine::CommitPipeline: epoch sequencing, the
- * underfilled-batch flush, and fold-period accounting. The server's
- * ack schedule (release at epoch commit or at the flush deadline) is
- * covered by ServerBasic.AcksReleaseAtEpochCommitOrFlushDeadline in
+ * underfilled-batch flush, and fold-period accounting; and for the
+ * served shard's schedule (planShardRound, mayStageInline), one
+ * table row per rule with no threads or clocks. The server's ack
+ * release end to end is covered by
+ * ServerBasic.AcksReleaseAtEpochCommitOrFlushDeadline in
  * test_server_integration.cc.
  */
 
 #include <gtest/gtest.h>
+
+#include <optional>
 
 #include "engine/commit_pipeline.hh"
 #include "engine/stat_names.hh"
 
 using lp::engine::CommitPipeline;
 using lp::engine::CommitPolicy;
+using lp::engine::CommitReason;
 
 namespace
 {
@@ -161,6 +166,116 @@ TEST(CommitPipeline, CanonicalStatNamesAreStable)
     EXPECT_STREQ(sn::deadlineCommits, "deadline_commits");
     EXPECT_STREQ(sn::acksReleased, "acks_released");
     EXPECT_STREQ(sn::committedEpoch, "committed_epoch");
+}
+
+constexpr std::uint64_t kMs = 1000000;  // in ns
+constexpr std::optional<std::uint64_t> kNever;
+
+/** One worker round and what the schedule must plan for it. */
+struct RoundCase
+{
+    const char *what;
+    std::uint64_t nowNs;
+    std::optional<std::uint64_t> oldestAckNs;
+    bool stopping;
+    bool dequeued;
+    std::uint64_t lastScrubNs;
+    std::uint64_t scrubIntervalMs;
+    CommitReason commit;
+    bool scrub;
+    std::optional<std::uint64_t> wakeNs;
+};
+
+TEST(ShardSchedule, EveryRoundFollowsTheDeadlineDrainAndScrubRules)
+{
+    // A 2 ms flush deadline throughout; times in ms for readability.
+    const std::uint64_t deadlineUs = 2000;
+    const CommitReason none = CommitReason::None;
+    const CommitReason deadline = CommitReason::Deadline;
+    const CommitReason drain = CommitReason::Drain;
+    const RoundCase cases[] = {
+        // what, now, oldest ack, stopping, dequeued, last scrub,
+        //   scrub interval ms -> commit, scrub, wake
+        {"no ack, scrub off: never wake", 50 * kMs, kNever, false,
+         false, 0, 0, none, false, kNever},
+        {"no ack, scrub off, a request ran", 50 * kMs, kNever, false,
+         true, 0, 0, none, false, kNever},
+        {"ack pending: wake at staged + deadline", 10 * kMs, 9 * kMs,
+         false, true, 0, 0, none, false, 11 * kMs},
+        {"deadline reached: commit for it", 11 * kMs, 9 * kMs, false,
+         false, 0, 0, deadline, false, 11 * kMs},
+        {"deadline long past: commit for it", 40 * kMs, 9 * kMs,
+         false, true, 0, 0, deadline, false, 11 * kMs},
+        {"stopping: drain before the deadline", 10 * kMs, 9 * kMs,
+         true, false, 0, 0, drain, false, 11 * kMs},
+        {"stopping past the deadline: counts as deadline", 12 * kMs,
+         9 * kMs, true, false, 0, 0, deadline, false, 11 * kMs},
+        {"stopping with no ack: nothing to commit", 10 * kMs, kNever,
+         true, false, 0, 0, none, false, kNever},
+        {"idle, no ack: wake for the next scrub", 3 * kMs, kNever,
+         false, false, 2 * kMs, 10, none, false, 12 * kMs},
+        {"idle, interval reached: scrub", 12 * kMs, kNever, false,
+         false, 2 * kMs, 10, none, true, 12 * kMs},
+        {"a round that dequeued: no scrub", 30 * kMs, kNever, false,
+         true, 2 * kMs, 10, none, false, 12 * kMs},
+        {"stopping: no scrub", 30 * kMs, kNever, true, false, 2 * kMs,
+         10, none, false, 12 * kMs},
+        {"scrub due before the ack deadline: wake stays the deadline",
+         5 * kMs, 4 * kMs, false, true, 0, 1, none, false, 6 * kMs},
+        {"empty round with an ack pending still scrubs when due",
+         5 * kMs, 4 * kMs, false, false, 0, 1, none, true, 6 * kMs},
+        {"deadline and scrub in one empty round", 7 * kMs, 4 * kMs,
+         false, false, 0, 1, deadline, true, 6 * kMs},
+    };
+    for (const RoundCase &c : cases) {
+        lp::engine::ShardRound r;
+        r.nowNs = c.nowNs;
+        r.oldestAckNs = c.oldestAckNs;
+        r.stopping = c.stopping;
+        r.dequeued = c.dequeued;
+        r.lastScrubNs = c.lastScrubNs;
+        const lp::engine::ShardPlan p =
+            lp::engine::planShardRound(r, deadlineUs, c.scrubIntervalMs);
+        EXPECT_EQ(p.commit, c.commit) << c.what;
+        EXPECT_EQ(p.scrub, c.scrub) << c.what;
+        EXPECT_EQ(p.wakeNs, c.wakeNs) << c.what;
+    }
+}
+
+/** One shard state the acceptor finds and whether it may stage. */
+struct StageCase
+{
+    const char *what;
+    int batchOps;
+    bool epochOpen;
+    int staged;
+    bool ackPending;
+    bool mayStage;
+};
+
+TEST(ShardSchedule, AcceptorStagesOnlyBehindAPendingAckWithoutFilling)
+{
+    const StageCase cases[] = {
+        {"no epoch open", 8, false, 0, false, false},
+        {"no epoch open, an ack pending", 8, false, 0, true, false},
+        {"no ack pending", 8, true, 1, false, false},
+        {"the op would fill the epoch", 8, true, 7, true, false},
+        {"one-op epochs: every op fills", 1, true, 0, true, false},
+        {"room behind the opening op", 8, true, 1, true, true},
+        {"room for one more before the filler", 8, true, 6, true,
+         true},
+    };
+    for (const StageCase &c : cases) {
+        CommitPipeline pl(policyOf(c.batchOps, 64));
+        if (c.epochOpen) {
+            pl.beginEpoch();
+            for (int i = 0; i < c.staged; ++i)
+                pl.stageOp();
+        }
+        EXPECT_EQ(lp::engine::mayStageInline(pl, c.ackPending),
+                  c.mayStage)
+            << c.what;
+    }
 }
 
 } // namespace

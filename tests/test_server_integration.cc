@@ -1820,3 +1820,31 @@ TEST(ServerBasic, MalformedFrameClosesConnection)
 
     srv.stop();
 }
+
+/**
+ * An idle worker still patrols its media: sent nothing but STATS
+ * reads, an LP shard wakes on its scrub interval and takes a scrub
+ * step each time (on a fresh shard's empty journal every step
+ * completes a pass). With the interval at 0 it never scrubs.
+ */
+TEST(ServerBasic, IdleWorkerScrubsOnItsInterval)
+{
+    {
+        const TempDir tmp;
+        ASSERT_FALSE(tmp.path.empty());
+        ServerConfig cfg =
+            oneShardConfig(tmp.path, store::Backend::Lp, 32, 2000);
+        cfg.scrubIntervalMs = 1;
+        Server srv(cfg);
+        srv.start();
+        awaitStat(srv, "scrub_passes", 3.0);
+        srv.stop();
+    }
+    const TempDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
+    Server srv(oneShardConfig(tmp.path, store::Backend::Lp, 32, 2000));
+    srv.start();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    EXPECT_EQ(statOf(srv, "scrub_passes"), 0.0);
+    srv.stop();
+}
