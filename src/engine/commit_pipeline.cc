@@ -35,7 +35,10 @@ CommitPipeline::stageOp()
     LP_ASSERT(open_, "stageOp without an open epoch");
     ++stagedOps_;
     counters_.opsStaged.fetch_add(1, std::memory_order_relaxed);
-    return stagedOps_ >= policy_.batchOps;
+    if (stagedOps_ < policy_.batchOps)
+        return false;
+    counters_.fullCommits.fetch_add(1, std::memory_order_relaxed);
+    return true;
 }
 
 bool

@@ -58,6 +58,7 @@ struct PipelineCounters
 {
     std::atomic<std::uint64_t> opsStaged{0};
     std::atomic<std::uint64_t> epochsCommitted{0};
+    std::atomic<std::uint64_t> fullCommits{0};  ///< stageOp() said full
     std::atomic<std::uint64_t> folds{0};
 };
 

@@ -28,6 +28,12 @@ inline constexpr const char *folds = "folds";
 /** Commits forced by the flush deadline, not a full batch. */
 inline constexpr const char *deadlineCommits = "deadline_commits";
 
+/** Commits because the open epoch reached batchOps. */
+inline constexpr const char *fullCommits = "full_commits";
+
+/** Commits of a stopping worker's last epoch, before its deadline. */
+inline constexpr const char *drainCommits = "drain_commits";
+
 /** Acknowledgements released by epoch commit. */
 inline constexpr const char *acksReleased = "acks_released";
 
@@ -185,6 +191,12 @@ inline constexpr const char *writevBatch = "writev_batch";
 
 /** read/writev calls that hit EAGAIN (socket saturation). */
 inline constexpr const char *eagainTotal = "eagain_total";
+
+/** Read pauses begun by a full outbuf (kOutbufLimitBytes). */
+inline constexpr const char *readPausesOutbuf = "read_pauses_outbuf";
+
+/** Read pauses begun by in-flight operations (kInflightOpsLimit). */
+inline constexpr const char *readPausesOps = "read_pauses_ops";
 /// @}
 
 /// @name Tracing-datapath counters (lp::obs).

@@ -172,8 +172,8 @@ struct Request
 struct Response
 {
     Status status = Status::Ok;
-    std::uint64_t id = 0;
     bool hasValue = false;       ///< GET hit: value is meaningful
+    std::uint64_t id = 0;
     std::uint64_t value = 0;
     std::string body;            ///< STATS: JSON; METRICS: exposition
 };

@@ -51,6 +51,14 @@ Server::Impl::postReply(std::uint64_t connId, Response r)
     postReply(ReplyMsg{connId, obs::nowNs(), std::move(r), nullptr});
 }
 
+/** Reply to @p ctx's request, releasing its weight when drained. */
+void
+Server::Impl::postReply(const RequestCtx &ctx, Response r)
+{
+    postReply(ReplyMsg{ctx.connId, obs::nowNs(), std::move(r), nullptr,
+                       ctx.weight});
+}
+
 /** Queue @p m for the acceptor: a reply or a transaction vote. */
 void
 Server::Impl::postReply(ReplyMsg m)
@@ -85,12 +93,32 @@ Server::Impl::closeConn(std::uint64_t id)
 }
 
 /**
+ * Update and return @p c's read pause (Conn::readPaused): it starts
+ * when unsent reply bytes reach kOutbufLimitBytes or in-flight ops
+ * reach kInflightOpsLimit, and lasts until both are at or below half
+ * their limit. Each start is counted by its cause.
+ */
+bool
+Server::Impl::pauseReads(Conn &c)
+{
+    const bool was = c.readPaused;
+    const auto over = [was](std::uint64_t v, std::uint64_t limit) {
+        return was ? v > limit / 2 : v >= limit;
+    };
+    const bool ops = over(c.inflightOps, kInflightOpsLimit);
+    c.readPaused = ops || over(c.nc.outBytes(), kOutbufLimitBytes);
+    if (c.readPaused && !was)
+        (ops ? statPausesOps : statPausesOutbuf)
+            .fetch_add(1, std::memory_order_relaxed);
+    return c.readPaused;
+}
+
+/**
  * Flush @p c's queued replies, keep its EPOLLOUT interest in sync,
- * and lift the backpressure read-pause once the outbuf drains below
- * the low watermark. Returns false if the connection died (already
- * closed here). Callers that observe the pause lifting must re-run
- * readable(): the edge-triggered loop never re-reports bytes that
- * arrived during the pause.
+ * and re-evaluate the read pause (pauseReads). Returns false if the
+ * connection died (already closed here). Callers that observe the
+ * pause lifting must re-run readable(): the edge-triggered loop never
+ * re-reports bytes that arrived during the pause.
  */
 bool
 Server::Impl::flushDatapath(Conn &c)
@@ -106,9 +134,7 @@ Server::Impl::flushDatapath(Conn &c)
                  net::kReadable | net::kEdge | net::kPeerClosed |
                      (ww ? net::kWritable : 0u)))
         c.wantWrite = ww;
-    if (c.readPaused &&
-        c.nc.outBytes() <= std::uint64_t(kOutbufLimitBytes) / 2)
-        c.readPaused = false;
+    pauseReads(c);
     return true;
 }
 
@@ -197,7 +223,7 @@ Server::Impl::inlineStage(Worker &w, const OpItem &op)
     stageMutation(w, op);
     statMutsInline.fetch_add(1, std::memory_order_relaxed);
     obs::traceSpanFrom(acceptRing, "stage", op.tEnqNs, op.reqId,
-                       op.traceId);
+                       op.traceId());
     return true;
 }
 
@@ -285,7 +311,7 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             return refuse(c, statRetries, Status::Retry, req.id);
         if (req.op == Op::Get && inlineGet(c, w, req, traceId))
             return;
-        ++c.inflight;
+        c.admit(1);
         OpItem it;
         it.kind = req.op == Op::Get   ? OpItem::Kind::Get
                   : req.op == Op::Put ? OpItem::Kind::Put
@@ -295,7 +321,6 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         it.key = req.key;
         it.value = req.value;
         it.tEnqNs = obs::nowNs();
-        it.traceId = traceId;
         if (req.op != Op::Get && inlineStage(w, it))
             return;  // the worker posts its ack after the commit
         enqueue(w.index, std::move(it));
@@ -309,10 +334,9 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             return refuse(c, statRetries, Status::Retry, req.id);
         if (inlineScan(c, req, traceId))
             return;
-        ++c.inflight;
-        auto ctx = std::make_shared<ScanCtx>(cfg.shards, c.id,
-                                             req.id, req.limit,
-                                             traceId);
+        auto ctx = std::make_shared<ScanCtx>(cfg.shards, c.id, req.id,
+                                             req.limit);
+        c.admit(ctx->weight);
         const std::uint64_t tEnq = obs::nowNs();
         for (int s = 0; s < cfg.shards; ++s) {
             OpItem it;
@@ -321,8 +345,7 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             it.reqId = req.id;
             it.key = req.key;
             it.tEnqNs = tEnq;
-            it.traceId = traceId;
-            it.scan = ctx;
+            it.ctx = ctx;
             enqueue(s, std::move(it));
         }
         return;
@@ -350,9 +373,9 @@ Server::Impl::handleRequest(Conn &c, Request &req)
         }
         if (c.inflight >= cfg.maxInflightPerConn)
             return refuse(c, statRetries, Status::Retry, req.id);
-        ++c.inflight;
         auto ctx = std::make_shared<BatchCtx>(
-            std::uint32_t(req.batch.size()), c.id, req.id, traceId);
+            std::uint32_t(req.batch.size()), c.id, req.id);
+        c.admit(ctx->weight);
         const std::uint64_t tEnq = obs::nowNs();
         for (const BatchOp &b : req.batch) {
             OpItem it;
@@ -363,8 +386,7 @@ Server::Impl::handleRequest(Conn &c, Request &req)
             it.key = b.key;
             it.value = b.value;
             it.tEnqNs = tEnq;
-            it.traceId = traceId;
-            it.batch = ctx;
+            it.ctx = ctx;
             enqueue(routeShard(b.key, cfg.shards), std::move(it));
         }
         return;
@@ -448,9 +470,7 @@ Server::Impl::readable(std::uint64_t connId)
             handleRequest(c, req);
             if (conns.find(connId) == conns.end())
                 return;  // handleRequest closed it
-            if (c.nc.outBytes() >=
-                std::uint64_t(kOutbufLimitBytes)) {
-                c.readPaused = true;
+            if (pauseReads(c)) {
                 drained = false;  // buffered frames may remain
                 break;
             }
@@ -517,7 +537,8 @@ Server::Impl::drainReplies()
         if (const std::shared_ptr<TxnCtx> ctx = std::move(local[i].vote)) {
             if (--ctx->votesLeft == 0)
                 local.push_back(ReplyMsg{ctx->connId, obs::nowNs(),
-                                         finishTxn(ctx), nullptr});
+                                         finishTxn(ctx), nullptr,
+                                         ctx->weight});
             continue;
         }
         ReplyMsg &m = local[i];
@@ -527,6 +548,7 @@ Server::Impl::drainReplies()
         Conn &c = *it->second;
         if (c.inflight > 0)
             --c.inflight;
+        c.inflightOps -= m.weight;
         encodeResponse(m.resp, c.nc.frameBuf());
         c.nc.queueFrame();
         const std::uint64_t ackDt = obs::nowNs() - m.tPostNs;

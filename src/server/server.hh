@@ -28,8 +28,11 @@
  *    replies per-op since each op persists in place. The SIGKILL
  *    integration test holds the server to exactly this promise.
  *
- *  - Backpressure: at most maxInflightPerConn operations may be
- *    outstanding per connection; excess requests get Status::Retry.
+ *  - Backpressure, three limits per connection: a request frame
+ *    beyond maxInflightPerConn outstanding ones gets Status::Retry;
+ *    kInflightOpsLimit operations in flight, or kOutbufLimitBytes
+ *    of unsent replies, pause reading it, so the backlog waits in
+ *    the socket.
  *
  * Startup runs shard recovery (journal replay / WAL undo) on each
  * worker's own thread BEFORE the port is bound, so no request can
@@ -48,6 +51,7 @@
 #include <memory>
 #include <string>
 
+#include "server/protocol.hh"
 #include "store/layout.hh"
 
 namespace lp::server
@@ -66,10 +70,20 @@ inline constexpr std::size_t kTxnDecisionEntries = 4096;
 
 /**
  * Backpressure: at or above this many unsent reply bytes the acceptor
- * stops reading a connection until its outbuf drains below half, so a
+ * stops reading a connection until its outbuf drains to half, so a
  * slow reader cannot balloon server memory.
  */
 inline constexpr std::size_t kOutbufLimitBytes = 1 << 20;
+
+/**
+ * Backpressure: at or above this many operations in flight (a BATCH
+ * weighs its sub-ops, a SCAN its shards, a TXN its parts, any other
+ * op 1) the acceptor stops reading a connection until they drain to
+ * half, so a pipelined backlog waits in the socket, not in worker
+ * queues: a connection holds at most kInflightOpsLimit +
+ * maxBatchOps - 1 queued or unacknowledged ops.
+ */
+inline constexpr std::size_t kInflightOpsLimit = maxBatchOps;
 
 /** Journal regions one online-scrub step validates (its work bound). */
 inline constexpr std::size_t kScrubRegions = 32;
@@ -117,7 +131,12 @@ struct ServerConfig
      */
     std::uint64_t flushDeadlineUs = 2000;
 
-    /** Backpressure: outstanding ops allowed per connection. */
+    /**
+     * Backpressure: outstanding request frames allowed per
+     * connection (a BATCH, SCAN or TXN is one); a frame beyond them
+     * gets Status::Retry. Operations in flight are bounded apart
+     * from this, by pausing reads (kInflightOpsLimit).
+     */
     std::uint32_t maxInflightPerConn = 256;
 
     /** Connection cap; further accepts are closed immediately. */

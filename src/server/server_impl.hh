@@ -92,22 +92,34 @@ struct Countdown
 };
 
 /**
+ * What every fanned-out request shares: whose request it is, and its
+ * weight -- the OpItems it created, which count against its
+ * connection's in-flight ops (Conn::inflightOps) until its one reply
+ * is drained. The reply carries the weight back (postReply(ctx, r)).
+ */
+struct RequestCtx
+{
+    std::uint64_t connId = 0;
+    std::uint64_t reqId = 0;
+    std::uint32_t weight = 0;
+
+    /** The request's flow id, derived like every hop's. */
+    std::uint64_t traceId() const { return obs::traceIdOf(connId, reqId); }
+};
+
+/**
  * One BATCH request in flight: its sub-ops scatter across workers;
  * the worker that releases the last acknowledgement emits the single
  * reply.
  */
-struct BatchCtx
+struct BatchCtx : RequestCtx
 {
-    BatchCtx(std::uint32_t n, std::uint64_t conn, std::uint64_t req,
-             std::uint64_t trace)
-        : remaining(n), connId(conn), reqId(req), traceId(trace)
+    BatchCtx(std::uint32_t n, std::uint64_t conn, std::uint64_t req)
+        : RequestCtx{conn, req, n}, remaining(n)
     {
     }
 
     Countdown remaining;
-    std::uint64_t connId;
-    std::uint64_t reqId;
-    std::uint64_t traceId;  ///< request flow id (obs::traceIdOf)
 
     /**
      * Set by any worker that refused its sub-ops because its shard is
@@ -137,20 +149,18 @@ Response mergedScanReply(const std::vector<std::vector<ScanRecord>> &parts,
  * posts the single reply (remaining.arrive() publishes each worker's
  * slot to the merger).
  */
-struct ScanCtx
+struct ScanCtx : RequestCtx
 {
     ScanCtx(int shards, std::uint64_t conn, std::uint64_t req,
-            std::uint32_t lim, std::uint64_t trace)
-        : remaining(std::uint32_t(shards)), connId(conn), reqId(req),
-          limit(lim), traceId(trace), parts(std::size_t(shards))
+            std::uint32_t lim)
+        : RequestCtx{conn, req, std::uint32_t(shards)},
+          remaining(std::uint32_t(shards)), limit(lim),
+          parts(std::size_t(shards))
     {
     }
 
     Countdown remaining;
-    std::uint64_t connId;
-    std::uint64_t reqId;
     std::uint32_t limit;
-    std::uint64_t traceId;  ///< request flow id (obs::traceIdOf)
     std::vector<std::vector<ScanRecord>> parts;  ///< slot per shard
 };
 
@@ -170,13 +180,10 @@ struct ScanCtx
  * flags, which several workers may set at once. The vote counter
  * is plain: only the acceptor counts votes (drainReplies()).
  */
-struct TxnCtx
+struct TxnCtx : RequestCtx
 {
     std::uint64_t txnid = 0;
-    std::uint64_t connId = 0;
-    std::uint64_t reqId = 0;
     std::uint64_t tStartNs = 0;
-    std::uint64_t traceId = 0;  ///< request flow id (obs::traceIdOf)
     bool fastPath = false;  ///< single shard, batching backend
 
     std::vector<TxnOp> ops;     ///< wire order
@@ -219,17 +226,32 @@ struct OpItem
     };
 
     Kind kind;
-    std::uint64_t connId = 0;
+    std::uint32_t part = 0;    ///< Txn*: index into txn()->parts
+    std::uint64_t connId = 0;  ///< 0: a decision or recovery item
     std::uint64_t reqId = 0;
     std::uint64_t key = 0;    ///< SCAN: start_key
     std::uint64_t value = 0;  ///< PUT: value
     std::uint64_t tEnqNs = 0;  ///< enqueue time (queue-wait latency)
-    std::uint64_t traceId = 0; ///< request flow id (obs::traceIdOf)
-    std::shared_ptr<BatchCtx> batch;  ///< set for BATCH sub-ops
-    std::shared_ptr<ScanCtx> scan;    ///< set for SCAN sub-scans
-    std::shared_ptr<TxnCtx> txn;      ///< set for Txn* items
-    std::size_t part = 0;             ///< Txn*: index into txn->parts
+
+    /** A BATCH sub-op's BatchCtx, a sub-scan's ScanCtx or a Txn*
+     *  item's TxnCtx: kind says which; unset for a lone op. */
+    std::shared_ptr<RequestCtx> ctx;
+
+    BatchCtx *batch() const { return static_cast<BatchCtx *>(ctx.get()); }
+    ScanCtx *scan() const { return static_cast<ScanCtx *>(ctx.get()); }
+    TxnCtx *txn() const { return static_cast<TxnCtx *>(ctx.get()); }
+
+    /** Request flow id (obs::traceIdOf); 0 for TxnRecover. A
+     *  decision item (TxnApply/TxnAbort) takes its TxnCtx's. */
+    std::uint64_t
+    traceId() const
+    {
+        if (ctx)
+            return ctx->traceId();
+        return connId ? obs::traceIdOf(connId, reqId) : 0;
+    }
 };
+static_assert(sizeof(OpItem) <= 64, "an OpItem fits one cache line");
 
 /** One response traveling worker -> acceptor, or (vote set, no
  *  connection) a TXN participant's vote, its outcome in the TxnCtx. */
@@ -239,7 +261,10 @@ struct ReplyMsg
     std::uint64_t tPostNs = 0;  ///< post time (ack-path latency)
     Response resp;
     std::shared_ptr<TxnCtx> vote;
+    std::uint32_t weight = 1;  ///< the request's in-flight ops
 };
+static_assert(sizeof(ReplyMsg) <= 96,
+              "the op weight must not grow a ReplyMsg");
 
 /**
  * Per-connection acceptor-side state: the net::Connection datapath
@@ -252,18 +277,29 @@ struct Conn
     net::Connection nc;
     std::uint64_t id = 0;
     std::uint64_t tOpenNs = 0;   ///< accept time (lifecycle span)
-    std::uint32_t inflight = 0;  ///< worker-routed ops outstanding
+    std::uint32_t inflight = 0;  ///< worker-routed frames outstanding
+    std::uint32_t inflightOps = 0;  ///< their weight (RequestCtx)
     bool wantWrite = false;      ///< EPOLLOUT currently armed
 
     /**
-     * Backpressure: set when the outbuf passed kOutbufLimitBytes
-     * -- decoding (and reading) stops so a slow reader cannot balloon
-     * server memory. Cleared by flushDatapath() below the low
-     * watermark; the clearer must re-run readable(), because the
-     * edge-triggered loop will never re-report bytes that already
-     * arrived.
+     * Backpressure: set once the outbuf reaches kOutbufLimitBytes or
+     * inflightOps reaches kInflightOpsLimit -- decoding (and reading)
+     * stops, so neither a slow reader nor a pipelined backlog can
+     * balloon server memory: the bytes wait in the socket. Cleared
+     * once both are at or below half their limit
+     * (Server::Impl::pauseReads); the clearer must re-run readable(),
+     * because the edge-triggered loop will never re-report bytes that
+     * already arrived.
      */
     bool readPaused = false;
+
+    /** Count a routed frame of @p ops OpItems in flight. */
+    void
+    admit(std::uint32_t ops)
+    {
+        ++inflight;
+        inflightOps += ops;
+    }
 };
 
 /** epoll user-data sentinels; connection ids start above these. */
@@ -322,6 +358,7 @@ struct Server::Impl
         std::atomic<std::uint64_t> statTxnAborts{0};   ///< fast path
         std::atomic<std::uint64_t> statAcksReleased{0};
         std::atomic<std::uint64_t> statDeadlineCommits{0};
+        std::atomic<std::uint64_t> statDrainCommits{0};
         std::atomic<std::uint64_t> statWakeups{0};  ///< rounds after a wait
 
         // Request-lifecycle histograms, recorded by this worker;
@@ -489,6 +526,9 @@ struct Server::Impl
     std::atomic<std::uint64_t> statScansInline{0};  ///< inlineScan hits
     std::atomic<std::uint64_t> statMutsInline{0};   ///< inlineStage hits
     std::atomic<std::uint64_t> statDoorbells{0};    ///< wakeFd rings
+    // Read pauses (pauseReads), by the limit that began them.
+    std::atomic<std::uint64_t> statPausesOutbuf{0};
+    std::atomic<std::uint64_t> statPausesOps{0};
 
     // Acceptor-recorded request-lifecycle histograms (single writer:
     // the acceptor thread; STATS/METRICS render on the same thread).
@@ -573,7 +613,9 @@ struct Server::Impl
     // server.cc -- lifecycle + acceptor datapath.
     void postReply(ReplyMsg m);
     void postReply(std::uint64_t connId, Response r);
+    void postReply(const RequestCtx &ctx, Response r);
     void closeConn(std::uint64_t id);
+    bool pauseReads(Conn &c);
     bool flushDatapath(Conn &c);
     void localReply(Conn &c, Response r);
     void refuse(Conn &c, std::atomic<std::uint64_t> &stat, Status s,

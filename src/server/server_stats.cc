@@ -108,6 +108,10 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
      [](auto &s, auto *) { return num(s.netStats.outbufBytes); }},
     {sn::eagainTotal, Kind::Counter, Scope::Server,
      [](auto &s, auto *) { return num(s.netStats.eagainTotal); }},
+    {sn::readPausesOutbuf, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statPausesOutbuf); }},
+    {sn::readPausesOps, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statPausesOps); }},
     {sn::writevBatch, Kind::Histogram, Scope::Server,
      [](auto &s, auto *) { return hist(s.netStats.writevBatch); }},
     {sn::reqParseNs, Kind::Histogram, Scope::Server,
@@ -171,6 +175,12 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
      [](auto &, auto *w) { return num(w->kv->pipeline(0).counters().folds); }},
     {sn::deadlineCommits, Kind::Counter, Scope::Shard,
      [](auto &, auto *w) { return num(w->statDeadlineCommits); }},
+    {sn::fullCommits, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) {
+         return num(w->kv->pipeline(0).counters().fullCommits);
+     }},
+    {sn::drainCommits, Kind::Counter, Scope::Shard,
+     [](auto &, auto *w) { return num(w->statDrainCommits); }},
     {sn::committedEpoch, Kind::Gauge, Scope::Shard,
      [](auto &, auto *w) { return num(w->statCommittedEpoch); }},
     {sn::queueDepth, Kind::Gauge, Scope::Shard,

@@ -119,10 +119,9 @@ Server::Impl::abortTxnPart(Worker &w,
     if (ctx->fastPath) {
         w.statTxnAborts.fetch_add(1, std::memory_order_relaxed);
         w.txnAbortNs.record(obs::nowNs() - ctx->tStartNs);
-        postReply(ctx->connId,
-                  statusReply(faulted ? Status::Fault
-                                      : Status::Aborted,
-                              ctx->reqId));
+        postReply(*ctx, statusReply(faulted ? Status::Fault
+                                            : Status::Aborted,
+                                    ctx->reqId));
         return;
     }
     ctx->abortedParts.fetch_add(1, std::memory_order_relaxed);
@@ -211,7 +210,7 @@ Server::Impl::finishFastTxn(Worker &w, const TxnCtx &ctx,
     r.status = Status::Ok;
     r.id = ctx.reqId;
     r.body = std::move(body);
-    postReply(ctx.connId, std::move(r));
+    postReply(ctx, std::move(r));
     w.statTxnCommits.fetch_add(1, std::memory_order_relaxed);
     w.txnCommitNs.record(obs::nowNs() - ctx.tStartNs);
     txn::LockTable::Events ev;
@@ -241,12 +240,10 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     }
     if (c.inflight >= cfg.maxInflightPerConn)
         return refuse(c, statRetries, Status::Retry, req.id);
-    ++c.inflight;
     auto ctx = std::make_shared<TxnCtx>();
     ctx->txnid = nextTxnId++;
     ctx->connId = c.id;
     ctx->reqId = req.id;
-    ctx->traceId = obs::traceIdOf(c.id, req.id);
     ctx->tStartNs = obs::nowNs();
     ctx->ops = std::move(req.txn);
     ctx->readSlot.assign(ctx->ops.size(), -1);
@@ -277,16 +274,17 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     ctx->fastPath =
         txn::fastPath(ctx->ops, shardOf, cfg.backend, cfg.batchOps);
     ctx->votesLeft = int(ctx->parts.size());
+    ctx->weight = std::uint32_t(ctx->parts.size());
+    c.admit(ctx->weight);
     const std::uint64_t tEnq = obs::nowNs();
     for (std::size_t i = 0; i < ctx->parts.size(); ++i) {
         OpItem it;
         it.kind = OpItem::Kind::Txn;
+        it.part = std::uint32_t(i);
         it.connId = c.id;
         it.reqId = req.id;
         it.tEnqNs = tEnq;
-        it.traceId = ctx->traceId;
-        it.txn = ctx;
-        it.part = i;
+        it.ctx = ctx;
         enqueue(ctx->parts[i].shard, std::move(it));
     }
 }
@@ -308,10 +306,9 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
                 continue;
             OpItem it;
             it.kind = OpItem::Kind::TxnAbort;
+            it.part = std::uint32_t(i);
             it.tEnqNs = tEnq;
-            it.traceId = ctx->traceId;
-            it.txn = ctx;
-            it.part = i;
+            it.ctx = ctx;
             enqueue(ctx->parts[i].shard, std::move(it));
         }
         const bool faulted =
@@ -343,15 +340,14 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
     // Coordinator-side span covering route->decision; the flow id
     // connects it to the per-shard prepare/apply queue spans.
     obs::traceSpanFrom(acceptRing, "txn_commit", ctx->tStartNs,
-                       ctx->txnid, ctx->traceId);
-    txnCommitNs.recordExemplar(commitDt, ctx->traceId);
+                       ctx->txnid, ctx->traceId());
+    txnCommitNs.recordExemplar(commitDt, ctx->traceId());
     for (std::size_t i = 0; i < ctx->parts.size(); ++i) {
         OpItem it;
         it.kind = OpItem::Kind::TxnApply;
+        it.part = std::uint32_t(i);
         it.tEnqNs = tEnq;
-        it.traceId = ctx->traceId;
-        it.txn = ctx;
-        it.part = i;
+        it.ctx = ctx;
         enqueue(ctx->parts[i].shard, std::move(it));
     }
     return r;

@@ -118,7 +118,7 @@ Server::Impl::releaseAck(Worker &w, Worker::Pending &p)
                        ? Status::Fault
                        : Status::Ok;
         r.id = p.batch->reqId;
-        postReply(p.batch->connId, std::move(r));
+        postReply(*p.batch, std::move(r));
         return;
     }
     Response r;
@@ -265,28 +265,28 @@ Server::Impl::stageMutation(Worker &w, const OpItem &op)
     // with a scrub discovering corruption, so the authoritative
     // refusal lives here, under the shard lock.
     if (w.kv->quarantined(0)) {
-        if (op.batch) {
-            op.batch->faulted.store(true, std::memory_order_release);
-            if (op.batch->remaining.arrive())
-                postReply(op.batch->connId,
-                          statusReply(Status::Fault, op.batch->reqId));
+        if (BatchCtx *b = op.batch()) {
+            b->faulted.store(true, std::memory_order_release);
+            if (b->remaining.arrive())
+                postReply(*b, statusReply(Status::Fault, b->reqId));
             return;
         }
         postReply(op.connId, statusReply(Status::Fault, op.reqId));
         return;
     }
+    const std::uint64_t traceId = op.traceId();
     const std::uint64_t epoch =
         op.kind == OpItem::Kind::Put
-            ? w.kv->put(w.env, op.key, op.value, op.traceId)
-            : w.kv->del(w.env, op.key, op.traceId);
+            ? w.kv->put(w.env, op.key, op.value, traceId)
+            : w.kv->del(w.env, op.key, traceId);
     w.statMuts.fetch_add(1, std::memory_order_relaxed);
     // Every mutation waits for its epoch to commit; the worker's
     // next releaseCommitted() releases it the same round for
     // backends that commit per op (eager, and WAL when the op
     // filled its batch).
-    w.pending.push_back(Worker::Pending{op.connId, op.reqId, epoch,
-                                        obs::nowNs(), op.traceId,
-                                        op.batch, nullptr, {}});
+    w.pending.push_back(Worker::Pending{
+        op.connId, op.reqId, epoch, obs::nowNs(), traceId,
+        std::static_pointer_cast<BatchCtx>(op.ctx), nullptr, {}});
 }
 
 /**
@@ -345,10 +345,9 @@ Server::Impl::processOp(Worker &w, OpItem &op)
 {
     const std::uint64_t queueDt = obs::nowNs() - op.tEnqNs;
     w.queueNs.record(queueDt);
-    if (op.traceId) {
-        obs::traceSpanFrom(w.ring, "queue", op.tEnqNs, op.reqId,
-                           op.traceId);
-        w.queueNs.recordExemplar(queueDt, op.traceId);
+    if (const std::uint64_t traceId = op.traceId()) {
+        obs::traceSpanFrom(w.ring, "queue", op.tEnqNs, op.reqId, traceId);
+        w.queueNs.recordExemplar(queueDt, traceId);
     }
     switch (op.kind) {
       case OpItem::Kind::Get:
@@ -359,12 +358,11 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // retryDeferred; by the time a sub-scan runs here, no
         // prepared-but-unapplied transaction write can be under
         // its range.
-        ScanCtx &ctx = *op.scan;
+        ScanCtx &ctx = *op.scan();
         scanShard(w, op.key, ctx.limit, ctx.parts[std::size_t(w.index)]);
         if (!ctx.remaining.arrive())
             return;  // other shards still scanning
-        postReply(ctx.connId,
-                  mergedScanReply(ctx.parts, ctx.limit, ctx.reqId));
+        postReply(ctx, mergedScanReply(ctx.parts, ctx.limit, ctx.reqId));
         return;
       }
       case OpItem::Kind::Put:
@@ -372,9 +370,10 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         stageMutation(w, op);
         return;
       case OpItem::Kind::Txn: {
+        const auto ctx = std::static_pointer_cast<TxnCtx>(op.ctx);
         txn::LockTable::Events ev;
-        if (acquireTxnLocks(w, op.txn, op.part, 0, ev))
-            prepareTxnPart(w, op.txn, op.part);
+        if (acquireTxnLocks(w, ctx, op.part, 0, ev))
+            prepareTxnPart(w, ctx, op.part);
         serviceLockEvents(w, std::move(ev));
         return;
       }
@@ -384,7 +383,8 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // persist the applied marker BEFORE releasing the locks --
         // once unlocked keys are externally visible, a crash must
         // roll forward, never re-run a half-superseded apply.
-        TxnCtx::Part &part = op.txn->parts[op.part];
+        TxnCtx &ctx = *op.txn();
+        TxnCtx::Part &part = ctx.parts[op.part];
         if (!part.writes.empty()) {
             std::uint64_t epoch = 0;
             for (const auto &wr : part.writes)
@@ -394,14 +394,14 @@ Server::Impl::processOp(Worker &w, OpItem &op)
             // One internal ack for the part, at its last epoch: the
             // one the deadline commit has to reach.
             w.pending.push_back(Worker::Pending{
-                0, 0, epoch, obs::nowNs(), op.txn->traceId,
-                nullptr, nullptr, {}});
+                0, 0, epoch, obs::nowNs(), ctx.traceId(), nullptr,
+                nullptr, {}});
             w.plog->markApplied(w.env, part.slot, epoch);
             w.frees.add(part.slot, epoch);
             --w.unappliedTxns;
         }
         txn::LockTable::Events ev;
-        w.lockTable.releaseAll(op.txn->txnid, part.locks.keys, ev);
+        w.lockTable.releaseAll(ctx.txnid, part.locks.keys, ev);
         serviceLockEvents(w, std::move(ev));
         return;
       }
@@ -410,13 +410,14 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         // freeing the undecided vote IS the roll-back. The free
         // is lazy on purpose -- if it tears, recovery still sees
         // prepared-with-no-decision and rolls back again.
-        TxnCtx::Part &part = op.txn->parts[op.part];
+        TxnCtx &ctx = *op.txn();
+        TxnCtx::Part &part = ctx.parts[op.part];
         if (!part.writes.empty()) {
             w.plog->free(w.env, part.slot);
             --w.unappliedTxns;
         }
         txn::LockTable::Events ev;
-        w.lockTable.releaseAll(op.txn->txnid, part.locks.keys, ev);
+        w.lockTable.releaseAll(ctx.txnid, part.locks.keys, ev);
         serviceLockEvents(w, std::move(ev));
         return;
       }
@@ -499,6 +500,8 @@ Server::Impl::workerMain(Worker &w)
             w.statDeadlineCommits.fetch_add(1, std::memory_order_relaxed);
             obs::traceInstant(w.ring, "deadline_commit",
                               w.kv->pipeline(0).lastCommitted() + 1);
+        } else if (plan.commit == engine::CommitReason::Drain) {
+            w.statDrainCommits.fetch_add(1, std::memory_order_relaxed);
         }
         if (plan.commit != engine::CommitReason::None)
             w.kv->commitBatches(w.env);

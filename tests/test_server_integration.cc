@@ -1848,3 +1848,161 @@ TEST(ServerBasic, IdleWorkerScrubsOnItsInterval)
     EXPECT_EQ(statOf(srv, "scrub_passes"), 0.0);
     srv.stop();
 }
+
+namespace
+{
+
+/** A BATCH of maxBatchOps PUTs of keys 0.. with values base + key. */
+Request
+fullBatch(Client &c, std::uint64_t base)
+{
+    Request r;
+    r.op = Op::Batch;
+    r.id = c.nextId();
+    for (std::uint64_t k = 0; k < maxBatchOps; ++k)
+        r.batch.push_back(BatchOp{true, k, base + k});
+    return r;
+}
+
+} // namespace
+
+/**
+ * A connection's in-flight work is capped in operations: one client
+ * pipelines 32 BATCH frames of maxBatchOps PUTs to a one-shard LP
+ * server in one write. Each frame reaches the cap on its own, so the
+ * acceptor stops reading until its reply is drained; the rest waits
+ * in the socket. The worker's queue, polled from a second connection
+ * throughout, never holds more than kInflightOpsLimit + maxBatchOps
+ * - 1 ops; every frame is acknowledged and the last one's values
+ * are what a read finds.
+ */
+TEST(ServerBasic, PipelinedBatchFloodStaysUnderTheInflightOpsCap)
+{
+    const TempDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
+    Server srv(oneShardConfig(tmp.path, store::Backend::Lp, 32, 2000));
+    srv.start();
+
+    std::atomic<bool> done{false};
+    std::atomic<std::uint64_t> peak{0}, polls{0};
+    std::thread poller([&] {
+        Client s;
+        if (!s.connectTo("127.0.0.1", srv.port()))
+            return;
+        while (!done.load()) {
+            const auto r = s.stats(10000);
+            if (!r)
+                return;
+            std::map<std::string, double> st;
+            std::size_t at = 0;
+            flattenStats(r->body, at, "", st);
+            const auto depth = std::uint64_t(st.at("shard.0.queue_depth"));
+            if (depth > peak.load())
+                peak.store(depth);
+            polls.fetch_add(1);
+        }
+    });
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    constexpr int kFrames = 32;
+    std::vector<Request> flood;
+    for (int f = 0; f < kFrames; ++f)
+        flood.push_back(fullBatch(c, std::uint64_t(f) << 32));
+    ASSERT_TRUE(c.sendRequests(flood));
+    for (int f = 0; f < kFrames; ++f) {
+        const auto r = c.recvResponse(30000);
+        ASSERT_TRUE(r.has_value()) << "frame " << f;
+        EXPECT_EQ(r->id, flood[std::size_t(f)].id);
+        EXPECT_EQ(r->status, Status::Ok);
+    }
+    done.store(true);
+    poller.join();
+
+    EXPECT_GT(polls.load(), 0u);
+    EXPECT_LE(peak.load(), kInflightOpsLimit + maxBatchOps - 1);
+    EXPECT_EQ(statOf(srv, "read_pauses_ops"), double(kFrames));
+    const std::uint64_t last = std::uint64_t(kFrames - 1) << 32;
+    for (std::uint64_t k = 0; k < maxBatchOps; k += 15) {
+        const auto g = c.get(k, 10000);
+        ASSERT_TRUE(g && g->status == Status::Ok) << "key " << k;
+        EXPECT_EQ(g->value, last + k);
+    }
+    c.close();
+    srv.stop();
+}
+
+/**
+ * A paused connection resumes when its ops are acknowledged, even
+ * when nothing but the flush deadline will acknowledge them: one
+ * BATCH of maxBatchOps PUTs stages into an epoch twice that size,
+ * so its acks wait for the 50 ms deadline commit, and the GET sent
+ * behind it is read only after the BATCH is acknowledged.
+ */
+TEST(ServerBasic, PausedConnectionResumesOnItsDeadlineCommit)
+{
+    const TempDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
+    Server srv(oneShardConfig(tmp.path, store::Backend::Lp,
+                              int(2 * maxBatchOps), 50000));
+    srv.start();
+
+    Client c;
+    ASSERT_TRUE(c.connectTo("127.0.0.1", srv.port()));
+    Request get;
+    get.op = Op::Get;
+    get.key = 7;
+    const Request batch = fullBatch(c, 1000);
+    get.id = c.nextId();
+    const auto t0 = std::chrono::steady_clock::now();
+    ASSERT_TRUE(c.sendRequests(std::vector<Request>{batch, get}));
+    const auto rb = c.recvResponse(10000);
+    ASSERT_TRUE(rb.has_value()) << "the paused connection hung";
+    EXPECT_EQ(rb->id, batch.id);
+    EXPECT_EQ(rb->status, Status::Ok);
+    EXPECT_GE(std::chrono::steady_clock::now() - t0,
+              std::chrono::milliseconds(50));
+    const auto rg = c.recvResponse(10000);
+    ASSERT_TRUE(rg.has_value()) << "reading never resumed";
+    EXPECT_EQ(rg->id, get.id);
+    EXPECT_EQ(rg->status, Status::Ok);
+    EXPECT_EQ(rg->value, 1007u);
+    EXPECT_EQ(statOf(srv, "read_pauses_ops"), 1.0);
+    EXPECT_GE(statOf(srv, "deadline_commits"), 1.0);
+    EXPECT_EQ(statOf(srv, "full_commits"), 0.0);
+    c.close();
+    srv.stop();
+}
+
+/**
+ * A paused connection stalls only itself: while one client's BATCH
+ * holds its connection at the ops cap (its acks wait for a deadline
+ * that never comes), a GET on another connection is answered. The
+ * stop's drain commit then acknowledges the BATCH.
+ */
+TEST(ServerBasic, PausedConnectionDoesNotStallOthers)
+{
+    const TempDir tmp;
+    ASSERT_FALSE(tmp.path.empty());
+    Server srv(oneShardConfig(tmp.path, store::Backend::Lp,
+                              int(2 * maxBatchOps), 600000000));
+    srv.start();
+
+    Client a, b;
+    ASSERT_TRUE(a.connectTo("127.0.0.1", srv.port()));
+    ASSERT_TRUE(b.connectTo("127.0.0.1", srv.port()));
+    const Request batch = fullBatch(a, 1000);
+    ASSERT_TRUE(a.sendRequest(batch));
+    awaitStat(srv, "read_pauses_ops", 1.0);
+    const auto g = b.get(maxBatchOps + 1, 10000);
+    ASSERT_TRUE(g.has_value()) << "a paused connection stalled another";
+    EXPECT_EQ(g->status, Status::NotFound);
+    EXPECT_EQ(statOf(srv, "acks_released"), 0.0);
+
+    srv.stop();
+    const auto r = a.recvResponse(10000);
+    ASSERT_TRUE(r.has_value());
+    EXPECT_EQ(r->id, batch.id);
+    EXPECT_EQ(r->status, Status::Ok);
+    EXPECT_EQ(statOf(srv, "drain_commits"), 1.0);
+}

@@ -400,7 +400,10 @@ statOf(Server &srv, const std::string &field, int shard = -1)
  * an epoch open. A two-shard TXN writes a (shard 0) and b (shard 1);
  * its shard-1 part sits behind a deep BATCH backlog, so its shard-0
  * part stays prepared while PUT a arrives. PUT a queues, defers
- * behind the apply, and is the value that stays.
+ * behind the apply, and is the value that stays. The backlog comes
+ * from other connections, one frame each: a connection stops being
+ * read at kInflightOpsLimit ops in flight, so on the TXN's own
+ * connection PUT a would be read only once the backlog drained.
  */
 TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
 {
@@ -445,24 +448,31 @@ TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     const double wakes0 = statOf(srv, "worker_wakeups", 0);
 
-    // The backlog on shard 1, then the TXN, in one write.
-    std::vector<Request> burst;
-    for (int i = 0; i < 16; ++i) {
+    // The backlog on shard 1, then the TXN.
+    std::vector<Client> flood(16);
+    std::vector<std::uint64_t> floodIds;
+    for (Client &f : flood) {
+        connectToServer(f, dir);
         Request r;
         r.op = Op::Batch;
-        r.id = c.nextId();
+        r.id = f.nextId();
         for (std::size_t j = 0; j < maxBatchOps; ++j)
             r.batch.push_back(BatchOp{true, onShard[1][1 + j % 64], j});
-        burst.push_back(std::move(r));
+        floodIds.push_back(r.id);
+        ASSERT_TRUE(f.sendRequest(r));
+    }
+    // Each flood connection pauses once its frame is routed: only
+    // then is the whole backlog queued ahead of the TXN.
+    while (statOf(srv, "read_pauses_ops") < double(flood.size())) {
+        ASSERT_LT(std::chrono::steady_clock::now(), until);
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
     Request t;
     t.op = Op::Txn;
     t.id = c.nextId();
     t.txn = {top(TxnOp::Kind::Put, a, 1), top(TxnOp::Kind::Put, b, 1)};
-    burst.push_back(t);
-    for (const Request &r : burst)
-        ids.push_back(r.id);
-    ASSERT_TRUE(c.sendRequests(burst));
+    ids.push_back(t.id);
+    ASSERT_TRUE(c.sendRequest(t));
 
     // Shard 0's worker prepared its part and went back to sleep.
     while (statOf(srv, "worker_wakeups", 0) < wakes0 + 1.0) {
@@ -499,6 +509,13 @@ TEST(ServerTxnInline, PutUnderAPreparedPartIsNotStagedInline)
         ASSERT_TRUE(r.has_value());
         EXPECT_EQ(r->status, Status::Ok) << "request " << r->id;
         left.erase(r->id);
+    }
+    for (std::size_t i = 0; i < flood.size(); ++i) {
+        const auto r = flood[i].recvResponse(10000);
+        ASSERT_TRUE(r.has_value());
+        EXPECT_EQ(r->id, floodIds[i]);
+        EXPECT_EQ(r->status, Status::Ok) << "flood frame " << i;
+        flood[i].close();
     }
 
     EXPECT_EQ(statOf(srv, "muts_inline"), 0.0);
