@@ -12,10 +12,11 @@
  *     inflates every transaction queued behind it instead of
  *     silently thinning the sample. The paper's headline must
  *     survive the protocol: single-shard transactions ride the fast
- *     path (one lazily-persisted epoch, no prepare/decision
- *     records), so LP's commit latency stays well under WAL's;
- *     cross-shard transactions pay the general path (PREPARE per
- *     participant + decision append) on every backend.
+ *     path (one lazily-persisted epoch, no decision record), so LP's
+ *     commit latency stays well under WAL's; cross-shard
+ *     transactions pay the general path on every backend: one
+ *     decision append carrying the write-set (one fence), then each
+ *     participant's lazy apply with its Applied record.
  *
  *  2. Server contention (TXN opcode over TCP): concurrent clients
  *     run zipfian-skewed transfers through Client::txnBackoff

@@ -108,6 +108,10 @@ planShardRound(const ShardRound &r, std::uint64_t flushDeadlineUs,
     }
     p.scrub = scrubIntervalMs > 0 && !r.stopping && !r.dequeued &&
               r.nowNs >= nextScrubNs;
+    if (r.appliedUndurable) {
+        p.fold = !r.stopping && !r.dequeued;
+        p.wakeNs = r.nowNs;
+    }
     return p;
 }
 

@@ -184,12 +184,16 @@ struct ShardRound
     bool stopping = false;
     bool dequeued = false;  ///< this round dequeued a request
     std::uint64_t lastScrubNs = 0;
+    /** The shard holds an applied transaction part that is not yet
+     *  durable, which pins its decision-ring entry. */
+    bool appliedUndurable = false;
 };
 
 /** What the round does after running its requests, and its wake. */
 struct ShardPlan
 {
     CommitReason commit = CommitReason::None;
+    bool fold = false;   ///< checkpoint: make every applied part durable
     bool scrub = false;  ///< take one online-scrub step
     std::optional<std::uint64_t> wakeNs;  ///< nullopt: only on a request
 };
@@ -200,7 +204,11 @@ struct ShardPlan
  * on a round that dequeued nothing, not while stopping, once per
  * @p scrubIntervalMs (0 = never); and sleeps until that ack's
  * deadline, else until the next scrub step. A pending ack overrides
- * the scrub timer rather than racing it.
+ * the scrub timer rather than racing it. A shard with an applied
+ * transaction part not yet durable folds on the first round that
+ * dequeues nothing (not while stopping, whose drain checkpoints
+ * anyway) and does not sleep before it: the fold frees the part's
+ * decision-ring entry.
  */
 ShardPlan planShardRound(const ShardRound &r, std::uint64_t flushDeadlineUs,
                          std::uint64_t scrubIntervalMs);

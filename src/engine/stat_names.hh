@@ -78,6 +78,10 @@ inline constexpr const char *txnCommits = "txn_commits";
 /** Transactions aborted (wait-die losses surfaced to clients). */
 inline constexpr const char *txnAborts = "txn_aborts";
 
+/** General-path TXNs refused with Retry: the decision ring was
+ *  pinned by parts not yet durable. */
+inline constexpr const char *txnRingFull = "txn_ring_full";
+
 /** Live keys in the shard's ordered index (gauge). */
 inline constexpr const char *indexEntries = "index_entries";
 

@@ -52,10 +52,12 @@ parityHeaderCheck(std::uint64_t covered, std::uint64_t lastSealed)
 }
 
 std::uint64_t
-shardMetaCheck(std::uint64_t foldedEpoch, std::uint64_t flags)
+shardMetaCheck(std::uint64_t foldedEpoch, std::uint64_t flags,
+               std::uint64_t appliedSeq)
 {
-    return neverZero(
-        mix64(foldedEpoch ^ mix64(flags ^ 0x73686172646d6574ull)));
+    const std::uint64_t h =
+        mix64(foldedEpoch ^ mix64(flags ^ 0x73686172646d6574ull));
+    return neverZero(appliedSeq == 0 ? h : mix64(h ^ appliedSeq));
 }
 
 } // namespace lp::repair

@@ -57,11 +57,13 @@ std::uint64_t parityHeaderCheck(std::uint64_t covered,
                                 std::uint64_t lastSealed);
 
 /**
- * Check word sealing a shard superblock's (foldedEpoch, flags) pair;
- * same never-zero guarantee as parityHeaderCheck.
+ * Check word sealing a shard superblock's (foldedEpoch, flags,
+ * appliedSeq) words; same never-zero guarantee as parityHeaderCheck.
+ * An appliedSeq of 0 leaves the (foldedEpoch, flags) check as it is.
  */
 std::uint64_t shardMetaCheck(std::uint64_t foldedEpoch,
-                             std::uint64_t flags);
+                             std::uint64_t flags,
+                             std::uint64_t appliedSeq = 0);
 
 } // namespace lp::repair
 

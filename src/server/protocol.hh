@@ -124,7 +124,7 @@ inline constexpr std::size_t maxScanRecords = 4096;
 
 /**
  * Largest accepted TXN op count. Matches txn::maxTxnWriteOps so any
- * wire transaction's write-set fits one PREPARE slot per shard; a
+ * wire transaction's whole write-set fits one decision entry; a
  * bigger multi-key update should be split (only single transactions
  * get cross-shard atomicity anyway).
  */

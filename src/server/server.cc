@@ -17,6 +17,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -207,7 +208,7 @@ Server::Impl::inlineGet(Conn &c, Worker &w, const Request &req,
  * allows it (engine::mayStageInline: behind a pending ack, without
  * filling the epoch), so the worker alone commits, folds, releases
  * acks and writes its trace ring. Nothing deferred, no transaction
- * part between PREPARE and apply (a plain store under it would be
+ * part between its vote and its apply (a plain store under it would be
  * clobbered by the apply) and no quarantine, or the op queues and
  * the worker sorts it out. Eager commits every op inside its stage,
  * so it never has an epoch open here.
@@ -230,7 +231,7 @@ Server::Impl::inlineStage(Worker &w, const OpItem &op)
 /**
  * Serve a SCAN on the acceptor when every shard is idle. Holding
  * every shard lock with every queue empty, nothing deferred and no
- * transaction part between PREPARE and apply is a consistent cut:
+ * transaction part between its vote and its apply is a consistent cut:
  * no request routed anywhere is half done. Any busy shard returns
  * false and the SCAN fans out as usual. The held shards' index
  * cursors merge on keys, so only the keys the reply carries are
@@ -760,8 +761,8 @@ Server::Impl::start()
         recov.mediaUnrepairable += wp->report.mediaUnrepairable;
     }
 
-    // Transaction recovery, phase 2: the decision index must
-    // exist before any shard replays its prepare table, and both
+    // Transaction recovery, phase 2: the decision ring must be
+    // scanned before any shard rolls its decisions forward, and both
     // must finish before the port binds -- a request must never
     // observe a committed-but-unapplied transaction write-set.
     openTxnLog();
@@ -777,14 +778,16 @@ Server::Impl::start()
             return txnReadyCount == int(workers.size());
         });
     }
-    std::uint64_t maxTxnSeen = dlogMaxTxnId;
+    std::uint64_t applied = 0;
     for (const auto &wp : workers) {
         recov.txnRolledForward += wp->txnReport.rolledForward;
-        recov.txnRolledBack += wp->txnReport.rolledBack;
         recov.txnSkipped += wp->txnReport.skipped;
-        maxTxnSeen = std::max(maxTxnSeen, wp->txnReport.maxTxnId);
+        applied = std::max(applied, wp->durableApplied.load(
+                                        std::memory_order_acquire));
     }
-    nextTxnId = maxTxnSeen + 1;
+    dlog->advancePast(applied);
+    recov.txnRolledBack = dlog->torn();
+    nextTxnId = dlogMaxTxnId + 1;
 
     listenFd = ::socket(AF_INET, SOCK_STREAM, 0);
     LP_ASSERT(listenFd >= 0, "socket() failed");

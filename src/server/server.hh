@@ -58,15 +58,14 @@ namespace lp::server
 {
 
 /**
- * PREPARE slots per shard = cross-shard transactions a shard may
- * have in flight (prepared or awaiting their durability-gated slot
- * free). Exhaustion checkpoints the shard before refusing with Retry.
- * Fixes the shard file's PREPARE table, which a restart re-derives.
+ * COMMIT records in the coordinator ring (dataDir/txnlog.lpdb): the
+ * general-path transactions that may be decided but not yet durably
+ * applied on every shard they touch. Each entry carries its
+ * write-set in 576 bytes, so the ring is 126 KiB. A TXN that finds
+ * it pinned gets Retry while the pinning shards fold. Fixes the
+ * file's layout, which a restart re-derives.
  */
-inline constexpr std::size_t kTxnPrepareSlots = 128;
-
-/** COMMIT records in the coordinator ring (dataDir/txnlog.lpdb). */
-inline constexpr std::size_t kTxnDecisionEntries = 4096;
+inline constexpr std::size_t kTxnDecisionEntries = 224;
 
 /**
  * Backpressure: at or above this many unsent reply bytes the acceptor
@@ -190,13 +189,13 @@ struct ServerRecovery
     /// @name Cross-shard transaction recovery (docs/txn_design.md).
     /// @{
 
-    /** Committed-but-unapplied transactions re-applied per shard. */
+    /** Committed transaction parts re-applied, over all shards. */
     std::uint64_t txnRolledForward = 0;
 
-    /** Prepared-but-undecided (or torn) votes discarded. */
+    /** Torn decisions discarded (never acknowledged). */
     std::uint64_t txnRolledBack = 0;
 
-    /** Committed transactions whose applies already survived. */
+    /** Committed transaction parts whose applies already survived. */
     std::uint64_t txnSkipped = 0;
     /// @}
 };

@@ -41,7 +41,6 @@
 #include "store/kv_store.hh"
 #include "txn/decision_log.hh"
 #include "txn/lock_table.hh"
-#include "txn/prepare_log.hh"
 #include "txn/protocol.hh"
 #include "txn/recovery.hh"
 
@@ -169,9 +168,10 @@ struct ScanCtx : RequestCtx
  * splits the wire ops into one Part per participant shard and fans a
  * Txn item out to each owning worker. Workers lock, resolve, and
  * vote (a ReplyMsg carrying the TxnCtx); once every part has voted
- * the acceptor either appends the COMMIT record -- the transaction's
- * linearization and durability point -- and fans out TxnApply, or
- * tells the prepared parts to roll back (TxnAbort).
+ * the acceptor either appends the COMMIT record with every part's
+ * write-set -- the transaction's linearization and durability point
+ * -- and fans out TxnApply, or tells the prepared parts to drop
+ * their locks (TxnAbort).
  *
  * Field ownership: the acceptor writes the routing plan before
  * fan-out; each worker writes only its own Part and the read slots
@@ -185,6 +185,8 @@ struct TxnCtx : RequestCtx
     std::uint64_t txnid = 0;
     std::uint64_t tStartNs = 0;
     bool fastPath = false;  ///< single shard, batching backend
+    bool ringReserved = false;  ///< holds a decision-ring reservation
+    std::uint64_t seq = 0;      ///< decision seq, once committed
 
     std::vector<TxnOp> ops;     ///< wire order
     std::vector<int> readSlot;  ///< per op: index into reads, or -1
@@ -199,8 +201,7 @@ struct TxnCtx : RequestCtx
         txn::LockPlan locks;
 
         // Filled by the owning worker:
-        bool prepared = false;
-        std::size_t slot = 0;  ///< PREPARE slot (writes non-empty only)
+        bool prepared = false;  ///< locked and resolved; voted commit
         std::vector<txn::WriteOp> writes;  ///< resolved write-set
     };
     std::vector<Part> parts;
@@ -221,8 +222,8 @@ struct OpItem
         Scan,
         Txn,        ///< lock + resolve + vote one participant part
         TxnApply,   ///< decision = commit: apply the part's write-set
-        TxnAbort,   ///< decision = abort: free the vote, drop locks
-        TxnRecover, ///< startup: replay the txn decision rules
+        TxnAbort,   ///< decision = abort: drop the part's locks
+        TxnRecover, ///< startup: roll the shard's decisions forward
     };
 
     Kind kind;
@@ -360,6 +361,8 @@ struct Server::Impl
         std::atomic<std::uint64_t> statDeadlineCommits{0};
         std::atomic<std::uint64_t> statDrainCommits{0};
         std::atomic<std::uint64_t> statWakeups{0};  ///< rounds after a wait
+        /** kv->durableAppliedSeq(0), for the acceptor's ring gate. */
+        std::atomic<std::uint64_t> durableApplied{0};
 
         // Request-lifecycle histograms, recorded by this worker;
         // the acceptor reads them for STATS/METRICS under the
@@ -399,17 +402,16 @@ struct Server::Impl
         // Cross-shard transaction state (docs/txn_design.md). All of
         // it is storeMu-only except txnReport, which start() reads
         // after the txn-recovery latch.
-        std::unique_ptr<txn::PrepareLog<kernels::NativeEnv>> plog;
         txn::LockTable lockTable;
         txn::TxnRecoveryReport txnReport;
 
         /**
-         * General-path parts on this shard between PREPARE and their
-         * apply/abort. While non-zero, scans over write-locked ranges
-         * and plain mutations of write-locked keys defer: the part's
-         * write-set is resolved but not yet visible, so reading
-         * around it would half-observe the transaction and writing
-         * under it would be clobbered by the apply.
+         * General-path parts on this shard between their vote and
+         * their apply/abort. While non-zero, scans over write-locked
+         * ranges and plain mutations of write-locked keys defer: the
+         * part's write-set is resolved but not yet visible, so
+         * reading around it would half-observe the transaction and
+         * writing under it would be clobbered by the apply.
          */
         int unappliedTxns = 0;
 
@@ -443,9 +445,6 @@ struct Server::Impl
          * everything queued here.
          */
         std::deque<OpItem> deferred;
-
-        /** Applied PREPARE slots awaiting their durability gate. */
-        txn::GatedFrees frees;
 
         /**
          * Acks awaiting their epoch's commit, in staging order (so
@@ -522,6 +521,7 @@ struct Server::Impl
     std::atomic<std::uint64_t> statMalformed{0};
     std::atomic<std::uint64_t> statTxnCommits{0};  ///< general path
     std::atomic<std::uint64_t> statTxnAborts{0};   ///< general path
+    std::atomic<std::uint64_t> statTxnRingFull{0};  ///< pinned-ring Retry
     std::atomic<std::uint64_t> statGetsInline{0};   ///< inlineGet hits
     std::atomic<std::uint64_t> statScansInline{0};  ///< inlineScan hits
     std::atomic<std::uint64_t> statMutsInline{0};   ///< inlineStage hits
@@ -540,9 +540,10 @@ struct Server::Impl
     /// @name Transaction coordinator (docs/txn_design.md)
     /// The acceptor assigns ids, collects votes, and owns the
     /// persistent decision ring (dataDir/txnlog.lpdb). Workers post
-    /// their votes through the reply queue and read the decision
-    /// index only during the startup recovery phase (ordered by the
-    /// worker-queue handoff).
+    /// their votes through the reply queue and read the ring only
+    /// during the startup recovery phase (ordered by the worker-queue
+    /// handoff); the acceptor reads their durable applied seqs
+    /// through Worker::durableApplied.
     /// @{
     kernels::NativeEnv txnEnv;
     std::unique_ptr<pmem::PersistentArena> txnArena;
@@ -593,9 +594,8 @@ struct Server::Impl
                          txn::LockTable::Events &ev);
     void abortTxnPart(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
                       bool faulted);
-    void prepareTxnPart(Worker &w,
-                        const std::shared_ptr<TxnCtx> &ctx,
-                        std::size_t partIdx);
+    void voteTxnPart(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
+                     std::size_t partIdx);
     void commitTxnFast(Worker &w, const std::shared_ptr<TxnCtx> &ctx,
                        TxnCtx::Part &part);
     void finishFastTxn(Worker &w, const TxnCtx &ctx, std::string body);

@@ -128,6 +128,8 @@ const Server::Impl::StatRow Server::Impl::statRows[] = {
      [](auto &s, auto *w) {
          return num(w ? w->statTxnAborts : s.statTxnAborts);
      }},
+    {sn::txnRingFull, Kind::Counter, Scope::Server,
+     [](auto &s, auto *) { return num(s.statTxnRingFull); }},
     {sn::txnCommitLatNs, Kind::Histogram, Scope::Pooled,
      [](auto &s, auto *w) {
          return hist(w ? w->txnCommitNs : s.txnCommitNs);

@@ -3,13 +3,14 @@
  * Cross-shard transaction machinery (docs/txn_design.md): the
  * acceptor-side coordinator (routeTxn, vote collection, the
  * decision append) and the worker-side participant (lock
- * acquisition, prepare, fast-path commit).
+ * acquisition, resolution and vote, fast-path commit).
  */
 
 #include "server/server_impl.hh"
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "base/logging.hh"
@@ -49,7 +50,7 @@ Server::Impl::resumeParked(Worker &w, txn::TxnId id,
     // The awaited key (index pk.next) was just granted to us;
     // continue the plan past it.
     if (acquireTxnLocks(w, pk.ctx, pk.part, pk.next + 1, ev))
-        prepareTxnPart(w, pk.ctx, pk.part);
+        voteTxnPart(w, pk.ctx, pk.part);
 }
 
 void
@@ -131,12 +132,13 @@ Server::Impl::abortTxnPart(Worker &w,
 /**
  * Locks held: resolve this part's ops (txn::resolve) into its
  * write-set, fill the transaction's read slots, then run the
- * single-shard fast path or publish the PREPARE vote.
+ * single-shard fast path or vote commit. The vote persists nothing:
+ * the coordinator's decision entry will carry the write-set.
  */
 void
-Server::Impl::prepareTxnPart(Worker &w,
-                             const std::shared_ptr<TxnCtx> &ctx,
-                             std::size_t partIdx)
+Server::Impl::voteTxnPart(Worker &w,
+                          const std::shared_ptr<TxnCtx> &ctx,
+                          std::size_t partIdx)
 {
     TxnCtx::Part &part = ctx->parts[partIdx];
     part.writes = txn::resolve(
@@ -154,31 +156,24 @@ Server::Impl::prepareTxnPart(Worker &w,
         commitTxnFast(w, ctx, part);
         return;
     }
-    std::size_t slot = 0;
-    if (!faulted && !part.writes.empty())
-        slot = txn::allocSlot(w.env, *w.kv, 0, *w.plog, w.frees);
-    if (faulted || slot == txn::PrepareLog<kernels::NativeEnv>::npos) {
+    if (faulted) {
         txn::LockTable::Events ev;
         w.lockTable.releaseAll(ctx->txnid, part.locks.keys, ev);
-        abortTxnPart(w, ctx, faulted);
+        abortTxnPart(w, ctx, true);
         serviceLockEvents(w, std::move(ev));
         return;
     }
-    if (!part.writes.empty()) {
-        w.plog->publish(w.env, slot, ctx->txnid,
-                        part.writes.data(), part.writes.size());
-        part.slot = slot;
+    if (!part.writes.empty())
         ++w.unappliedTxns;
-    }
     part.prepared = true;
     postReply(ReplyMsg{0, 0, {}, ctx});
 }
 
 /**
  * Single-shard fast path: stage the whole write-set as one epoch
- * (txn::stageOneEpoch), with no prepare slot, no decision record,
- * and no eager protocol flush. This is where LP's commit-latency
- * win over WAL must survive. The reply and the lock release both
+ * (txn::stageOneEpoch), with no decision record and no eager
+ * protocol flush. This is where LP's commit-latency win over WAL
+ * must survive. The reply and the lock release both
  * wait for the epoch commit (releaseAck).
  */
 void
@@ -219,8 +214,10 @@ Server::Impl::finishFastTxn(Worker &w, const TxnCtx &ctx,
 }
 
 /**
- * Coordinator entry: validate, pick the path, split the wire ops
- * into per-shard parts with their lock plans, and fan out.
+ * Coordinator entry: validate, pick the path, reserve a decision-ring
+ * entry for a general-path TXN that writes (Retry when the ring is
+ * pinned), split the wire ops into per-shard parts with their lock
+ * plans, and fan out.
  */
 void
 Server::Impl::routeTxn(Conn &c, Request &req)
@@ -240,7 +237,25 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     }
     if (c.inflight >= cfg.maxInflightPerConn)
         return refuse(c, statRetries, Status::Retry, req.id);
+    const auto shardOf = [&](std::uint64_t key) {
+        return routeShard(key, cfg.shards);
+    };
+    const bool fastPath =
+        txn::fastPath(req.txn, shardOf, cfg.backend, cfg.batchOps);
+    const bool writes = std::any_of(
+        req.txn.begin(), req.txn.end(),
+        [](const TxnOp &t) { return t.kind != TxnOp::Kind::Get; });
+    if (!fastPath && writes &&
+        !dlog->reserve([&](int s) {
+            return workers[std::size_t(s)]->durableApplied.load(
+                std::memory_order_acquire);
+        })) {
+        statTxnRingFull.fetch_add(1, std::memory_order_relaxed);
+        return refuse(c, statRetries, Status::Retry, req.id);
+    }
     auto ctx = std::make_shared<TxnCtx>();
+    ctx->fastPath = fastPath;
+    ctx->ringReserved = !fastPath && writes;
     ctx->txnid = nextTxnId++;
     ctx->connId = c.id;
     ctx->reqId = req.id;
@@ -249,9 +264,6 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     ctx->readSlot.assign(ctx->ops.size(), -1);
     // Split ops by shard into parts (wire order preserved
     // within a part), each with its lock plan.
-    const auto shardOf = [&](std::uint64_t key) {
-        return routeShard(key, cfg.shards);
-    };
     std::unordered_map<int, std::size_t> partOf;
     for (std::size_t i = 0; i < ctx->ops.size(); ++i) {
         const TxnOp &t = ctx->ops[i];
@@ -271,8 +283,6 @@ Server::Impl::routeTxn(Conn &c, Request &req)
     }
     for (auto &part : ctx->parts)
         part.locks = txn::lockPlan(ctx->ops, part.ops);
-    ctx->fastPath =
-        txn::fastPath(ctx->ops, shardOf, cfg.backend, cfg.batchOps);
     ctx->votesLeft = int(ctx->parts.size());
     ctx->weight = std::uint32_t(ctx->parts.size());
     c.admit(ctx->weight);
@@ -291,7 +301,7 @@ Server::Impl::routeTxn(Conn &c, Request &req)
 
 /**
  * Every participant voted (general path only; the fast path never
- * votes). Unanimous PREPARE commits; any Aborted vote aborts.
+ * votes). A unanimous commit vote commits; any Aborted vote aborts.
  * Either way every part gets a follow-up op -- read-only parts
  * included, since they hold locks to release -- and the client's
  * reply is returned for drainReplies() to deliver.
@@ -301,6 +311,8 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
 {
     const std::uint64_t tEnq = obs::nowNs();
     if (ctx->abortedParts.load(std::memory_order_acquire) > 0) {
+        if (ctx->ringReserved)
+            dlog->unreserve();
         for (std::size_t i = 0; i < ctx->parts.size(); ++i) {
             if (!ctx->parts[i].prepared)
                 continue;
@@ -320,16 +332,22 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
         return statusReply(faulted ? Status::Fault : Status::Aborted,
                            ctx->reqId);
     }
-    bool anyWrites = false;
-    for (const auto &part : ctx->parts)
-        if (!part.writes.empty())
-            anyWrites = true;
-    // The decision append (store + flush + fence) IS the commit:
-    // with every vote durable, the record makes the outcome
-    // recoverable, so the client reply goes out now and the
-    // applies stay lazy.
-    if (anyWrites)
-        dlog->append(txnEnv, ctx->txnid);
+    // The decision append (stores, a clwb per line, one fence) IS
+    // the commit: the entry holds every part's write-set, so the
+    // outcome is recoverable from it alone, the client reply goes
+    // out now and the applies stay lazy.
+    if (ctx->ringReserved) {
+        std::vector<txn::WriteOp> writes;
+        std::vector<int> shards;
+        for (const auto &part : ctx->parts) {
+            writes.insert(writes.end(), part.writes.begin(),
+                          part.writes.end());
+            if (!part.writes.empty())
+                shards.push_back(part.shard);
+        }
+        ctx->seq = dlog->append(txnEnv, ctx->txnid, writes,
+                                std::move(shards));
+    }
     Response r;
     r.status = Status::Ok;
     r.id = ctx->reqId;
@@ -338,7 +356,7 @@ Server::Impl::finishTxn(const std::shared_ptr<TxnCtx> &ctx)
     const std::uint64_t commitDt = obs::nowNs() - ctx->tStartNs;
     txnCommitNs.record(commitDt);
     // Coordinator-side span covering route->decision; the flow id
-    // connects it to the per-shard prepare/apply queue spans.
+    // connects it to the per-shard vote/apply queue spans.
     obs::traceSpanFrom(acceptRing, "txn_commit", ctx->tStartNs,
                        ctx->txnid, ctx->traceId());
     txnCommitNs.recordExemplar(commitDt, ctx->traceId());

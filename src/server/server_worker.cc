@@ -41,19 +41,16 @@ Server::Impl::openStore(Worker &w)
     // Arena budget: the flight-recorder ring FIRST (so postmortem
     // finds it at the arena base offset in the raw file -- the
     // obs::FlightRing placement contract), then the store image,
-    // then this shard's PREPARE table, allocated in that order on
-    // every open (the arena attach contract).
+    // allocated in that order on every open (the arena attach
+    // contract).
     w.arena = std::make_unique<pmem::PersistentArena>(
         obs::FlightRing::bytesFor(kFlightEvents) +
-            store::storeArenaBytes(scfg) +
-            txn::prepareLogBytes(kTxnPrepareSlots),
+            store::storeArenaBytes(scfg),
         path);
     w.flight = std::make_unique<obs::FlightRing>(
         *w.arena, kFlightEvents, std::uint32_t(w.index));
     w.kv = std::make_unique<store::KvStore<kernels::NativeEnv>>(
         *w.arena, scfg, cfg.backend, attach);
-    w.plog = std::make_unique<txn::PrepareLog<kernels::NativeEnv>>(
-        *w.arena, kTxnPrepareSlots, attach);
     // Attach the trace ring before recovery so the replay's
     // "recover_shard" span lands in the collector -- and tee it
     // into the flight recorder, which persists every span this
@@ -144,7 +141,8 @@ Server::Impl::releaseCommitted(Worker &w)
         releaseAck(w, w.pending.front());
         w.pending.pop_front();
     }
-    w.frees.sweep(w.env, *w.kv, 0, *w.plog);
+    w.durableApplied.store(w.kv->durableAppliedSeq(0),
+                           std::memory_order_release);
     w.statCommittedEpoch.store(ce, std::memory_order_relaxed);
     // Seal the flight recorder on the epoch-commit cadence: the
     // watermark publish is one header write, and riding commits
@@ -163,7 +161,8 @@ Server::Impl::planRound(const Worker &w, bool stopping, bool dequeued) const
     if (!w.pending.empty())
         oldestAck = w.pending.front().tStagedNs;
     return engine::planShardRound(
-        {obs::nowNs(), oldestAck, stopping, dequeued, w.lastScrubNs},
+        {obs::nowNs(), oldestAck, stopping, dequeued, w.lastScrubNs,
+         w.kv->appliedSeq(0) > w.kv->durableAppliedSeq(0)},
         cfg.flushDeadlineUs, cfg.scrubIntervalMs);
 }
 
@@ -373,22 +372,22 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         const auto ctx = std::static_pointer_cast<TxnCtx>(op.ctx);
         txn::LockTable::Events ev;
         if (acquireTxnLocks(w, ctx, op.part, 0, ev))
-            prepareTxnPart(w, ctx, op.part);
+            voteTxnPart(w, ctx, op.part);
         serviceLockEvents(w, std::move(ev));
         return;
       }
       case OpItem::Kind::TxnApply: {
         // Coordinator decided commit: apply this part's write-set
-        // lazily (the decision record makes it recoverable), then
-        // persist the applied marker BEFORE releasing the locks --
-        // once unlocked keys are externally visible, a crash must
-        // roll forward, never re-run a half-superseded apply.
+        // lazily (the decision record makes it recoverable), its
+        // Applied record riding the same epochs, then release the
+        // locks. The record is staged before any later write to
+        // these keys, so a durable later write implies a durable
+        // record and recovery never re-runs a superseded apply.
         TxnCtx &ctx = *op.txn();
         TxnCtx::Part &part = ctx.parts[op.part];
         if (!part.writes.empty()) {
-            std::uint64_t epoch = 0;
-            for (const auto &wr : part.writes)
-                epoch = txn::stageWrite(w.env, *w.kv, wr);
+            const std::uint64_t epoch =
+                txn::applyPart(w.env, *w.kv, 0, ctx.seq, part.writes);
             w.statMuts.fetch_add(part.writes.size(),
                                  std::memory_order_relaxed);
             // One internal ack for the part, at its last epoch: the
@@ -396,8 +395,6 @@ Server::Impl::processOp(Worker &w, OpItem &op)
             w.pending.push_back(Worker::Pending{
                 0, 0, epoch, obs::nowNs(), ctx.traceId(), nullptr,
                 nullptr, {}});
-            w.plog->markApplied(w.env, part.slot, epoch);
-            w.frees.add(part.slot, epoch);
             --w.unappliedTxns;
         }
         txn::LockTable::Events ev;
@@ -406,16 +403,13 @@ Server::Impl::processOp(Worker &w, OpItem &op)
         return;
       }
       case OpItem::Kind::TxnAbort: {
-        // Coordinator decided abort and this part had prepared:
-        // freeing the undecided vote IS the roll-back. The free
-        // is lazy on purpose -- if it tears, recovery still sees
-        // prepared-with-no-decision and rolls back again.
+        // Coordinator decided abort and this part had voted commit:
+        // nothing of it was persisted, so dropping its locks IS the
+        // roll-back.
         TxnCtx &ctx = *op.txn();
         TxnCtx::Part &part = ctx.parts[op.part];
-        if (!part.writes.empty()) {
-            w.plog->free(w.env, part.slot);
+        if (!part.writes.empty())
             --w.unappliedTxns;
-        }
         txn::LockTable::Events ev;
         w.lockTable.releaseAll(ctx.txnid, part.locks.keys, ev);
         serviceLockEvents(w, std::move(ev));
@@ -423,14 +417,14 @@ Server::Impl::processOp(Worker &w, OpItem &op)
       }
       case OpItem::Kind::TxnRecover: {
         // Startup phase 2 (after every shard's own recovery and
-        // the coordinator's decision-log scan): replay this
-        // shard's prepare table against the decision index.
-        const std::vector<txn::PrepareLog<kernels::NativeEnv> *>
-            pls{w.plog.get()};
-        const std::vector<std::uint64_t> marks{
-            w.kv->committedEpoch(0)};
-        w.txnReport = txn::recoverTxns(w.env, *w.kv, pls, marks,
-                                       dlog->index());
+        // the coordinator's decision-ring scan): roll this shard's
+        // part of every later decision forward.
+        w.txnReport = txn::recoverTxns(
+            w.env, *w.kv, *dlog, [&](std::uint64_t key) {
+                return routeShard(key, cfg.shards) == w.index;
+            });
+        w.durableApplied.store(w.kv->durableAppliedSeq(0),
+                               std::memory_order_release);
         {
             std::lock_guard<std::mutex> g(readyMu);
             ++txnReadyCount;
@@ -503,7 +497,9 @@ Server::Impl::workerMain(Worker &w)
         } else if (plan.commit == engine::CommitReason::Drain) {
             w.statDrainCommits.fetch_add(1, std::memory_order_relaxed);
         }
-        if (plan.commit != engine::CommitReason::None)
+        if (plan.fold)
+            w.kv->checkpoint(w.env);
+        else if (plan.commit != engine::CommitReason::None)
             w.kv->commitBatches(w.env);
         releaseCommitted(w);
 
@@ -519,12 +515,12 @@ Server::Impl::workerMain(Worker &w)
         }
 
         if (stopping) {
-            // Parked, deferred, and prepared-but-undecided
+            // Parked, deferred, and voted-but-undecided
             // transaction work dies with the connections -- to a
             // client an unacked request lost at shutdown is
-            // indistinguishable from one lost in flight. Prepared
-            // slots stay durable; the next startup's decision
-            // replay rolls them back (or forward).
+            // indistinguishable from one lost in flight. Nothing
+            // of an undecided transaction was persisted; a decided
+            // one's applies are already staged.
             w.parked.clear();
             w.deferred.clear();
             // Graceful drain: everything committed and folded, so

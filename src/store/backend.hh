@@ -15,7 +15,12 @@
  *
  *  - stage(op): admit one mutation into the open epoch, committing
  *    (and folding) when the pipeline says the period elapsed; returns
- *    the epoch the op landed in.
+ *    the epoch the op landed in. JOp::Applied (value = a transaction
+ *    decision seq) is not a mutation but the shard's record that it
+ *    applied its part of that decision: it rides the same durability
+ *    unit as the ops staged before it -- an LP journal record, the
+ *    WAL batch's superblock update, or (eager) one superblock write
+ *    -- and a durable one lands in ShardMeta::appliedSeq.
  *  - commitEpoch(): close and commit the open epoch even if
  *    underfilled (group-commit deadline, checkpoint).
  *  - fold(): eager checkpoint -- make every committed epoch durable
@@ -238,6 +243,20 @@ class PersistencyBackend
         return ctx_.arena->peekDurable(&metas_[shard]->foldedEpoch);
     }
 
+    /** Highest decision seq whose part the shard staged (Applied). */
+    std::uint64_t
+    appliedSeq(int shard) const
+    {
+        return applied_[std::size_t(shard)];
+    }
+
+    /** Highest decision seq whose part the shard made durable. */
+    std::uint64_t
+    durableAppliedSeq(int shard) const
+    {
+        return durableApplied_[std::size_t(shard)];
+    }
+
     /** This shard's cumulative media-fault counters (any thread). */
     const MediaCounters &
     mediaCounters(int shard) const
@@ -291,11 +310,14 @@ class PersistencyBackend
                 c->foldedEpoch = 0;
                 c->flags = 0;
                 c->check = repair::shardMetaCheck(0, 0);
+                c->appliedSeq = 0;
             }
         }
         metas_.push_back(m);
         replicas_.push_back(r);
         lives_.push_back(0);
+        applied_.push_back(0);
+        durableApplied_.push_back(0);
         media_.emplace_back();
         deltas_.emplace_back();
         return m;
@@ -308,22 +330,51 @@ class PersistencyBackend
         return deltas_[std::size_t(shard)];
     }
 
+    /** Both applied seqs of @p shard become @p seq (eager, and
+     *  recovery: the staged records of a crashed run are gone). */
+    void
+    setApplied(int shard, std::uint64_t seq)
+    {
+        applied_[std::size_t(shard)] = seq;
+        durableApplied_[std::size_t(shard)] = seq;
+    }
+
+    /** Stage the Applied record of decision @p seq (stage()). */
+    void
+    stageApplied(int shard, std::uint64_t seq)
+    {
+        applied_[std::size_t(shard)] = seq;
+    }
+
+    /** Every staged Applied record is durable (fold, WAL commit). */
+    void
+    promoteApplied(int shard)
+    {
+        durableApplied_[std::size_t(shard)] = applied_[std::size_t(shard)];
+    }
+
     /**
-     * Store (@p epoch, @p flags with the shard's life) + check word
-     * into both superblock copies and flush them; the caller's fence
-     * orders the pair.
+     * Store (@p epoch, @p flags with the shard's life, the durable
+     * applied seq when there is one) + check word into both
+     * superblock copies and flush them; the caller's fence orders
+     * the pair.
      */
     void
     persistMeta(Env &env, int shard, std::uint64_t epoch,
                 std::uint64_t flags)
     {
         flags |= lives_[std::size_t(shard)] << shardLifeShift;
+        const std::uint64_t seq = durableApplied_[std::size_t(shard)];
+        if (seq != 0)
+            flags |= shardAppliedSeq;
         const std::uint64_t check =
-            repair::shardMetaCheck(epoch, flags);
+            repair::shardMetaCheck(epoch, flags, seq);
         for (ShardMeta *c : {metas_[std::size_t(shard)],
                              replicas_[std::size_t(shard)]}) {
             env.st(&c->foldedEpoch, epoch);
             env.st(&c->flags, flags);
+            if (seq != 0)
+                env.st(&c->appliedSeq, seq);
             env.st(&c->check, check);
             env.clwb(c);
         }
@@ -369,23 +420,33 @@ class PersistencyBackend
     {
         ShardMeta *p = metas_[std::size_t(shard)];
         ShardMeta *r = replicas_[std::size_t(shard)];
+        // The applied seq is read only where the flags say it is set.
+        const auto seqOf = [&env](ShardMeta *c, std::uint64_t f) {
+            return f & shardAppliedSeq ? env.ld(&c->appliedSeq)
+                                       : std::uint64_t{0};
+        };
         const std::uint64_t pe = env.ld(&p->foldedEpoch);
         const std::uint64_t pf = env.ld(&p->flags);
+        const std::uint64_t ps = seqOf(p, pf);
         const bool pOk =
-            env.ld(&p->check) == repair::shardMetaCheck(pe, pf);
+            env.ld(&p->check) == repair::shardMetaCheck(pe, pf, ps);
         const std::uint64_t re = env.ld(&r->foldedEpoch);
         const std::uint64_t rf = env.ld(&r->flags);
+        const std::uint64_t rs = seqOf(r, rf);
         const bool rOk =
-            env.ld(&r->check) == repair::shardMetaCheck(re, rf);
+            env.ld(&r->check) == repair::shardMetaCheck(re, rf, rs);
         env.tick(8);
         MetaState st;
         const auto lifeOf = [](std::uint64_t f) {
             return f >> shardLifeShift;
         };
-        // Take @p f's life as the shard's; returns the other flags.
-        const auto adopt = [&](std::uint64_t f) {
+        // Take @p f's life as the shard's and @p seq as its durable
+        // applied seq (recovery makes it the staged one too); returns
+        // the flags below the life but for the seq bit.
+        const auto adopt = [&](std::uint64_t f, std::uint64_t seq) {
             lives_[std::size_t(shard)] = lifeOf(f);
-            return f & ((1ull << shardLifeShift) - 1);
+            durableApplied_[std::size_t(shard)] = seq;
+            return f & ((1ull << shardLifeShift) - 1) & ~shardAppliedSeq;
         };
         if (pOk && rOk) {
             st.ok = true;
@@ -394,7 +455,10 @@ class PersistencyBackend
                 st.clean = (pf & rf & shardCleanShutdown) != 0;
                 // A crash between the copies of a recovery's life
                 // advance: either life is safe, as none wrote yet.
-                adopt(lifeOf(pf) > lifeOf(rf) ? pf : rf);
+                // Nor between an eager Applied write's copies: either
+                // seq's part is durable, so the higher is safe.
+                adopt(lifeOf(pf) > lifeOf(rf) ? pf : rf,
+                      ps > rs ? ps : rs);
             } else {
                 // Crash between the copies' drains: the fold's data
                 // fence precedes the meta store, so the higher epoch
@@ -402,7 +466,7 @@ class PersistencyBackend
                 // too -- replay is idempotent). Resync silently.
                 st.epoch = pe > re ? pe : re;
                 st.clean = false;
-                adopt(pe > re ? pf : rf);
+                adopt(pe > re ? pf : rf, pe > re ? ps : rs);
                 persistMeta(env, shard, st.epoch, 0);
                 env.sfence();
             }
@@ -412,7 +476,7 @@ class PersistencyBackend
             // One copy rotted (an invalid check cannot come from a
             // crash): restore it from the valid twin.
             const std::uint64_t e = pOk ? pe : re;
-            const std::uint64_t f = adopt(pOk ? pf : rf);
+            const std::uint64_t f = adopt(pOk ? pf : rf, pOk ? ps : rs);
             persistMeta(env, shard, e, f);
             env.sfence();
             noteRepaired(shard, rep, 1);
@@ -460,6 +524,10 @@ class PersistencyBackend
     std::vector<ShardMeta *> replicas_;
     /// Per shard: the life persistMeta() stores (see shardLifeShift).
     std::vector<std::uint64_t> lives_;
+    /// Per shard: the last Applied seq staged, and the last durable
+    /// one (what persistMeta() stores).
+    std::vector<std::uint64_t> applied_;
+    std::vector<std::uint64_t> durableApplied_;
     /// Deque: atomics must never relocate (acceptor threads read).
     std::deque<MediaCounters> media_;
     std::vector<std::unordered_map<std::uint64_t, DeltaVal>> deltas_;

@@ -38,6 +38,14 @@ class EagerBackend : public PersistencyBackend<Env>
     stage(Env &env, int shard, JOp op, std::uint64_t key,
           std::uint64_t value) override
     {
+        if (op == JOp::Applied) {
+            // The part's ops are already durable in place: one
+            // superblock write records it.
+            this->setApplied(shard, value);
+            this->persistMeta(env, shard, 0, 0);
+            env.sfence();
+            return pipeline(shard).lastCommitted();
+        }
         KvSlot *slot =
             table().applyOp(env, op == JOp::Put, key, value);
         if (slot) {
@@ -69,6 +77,7 @@ class EagerBackend : public PersistencyBackend<Env>
         // shutdown flag and can rot, so it is audited (and repaired
         // from its twin) like every backend's.
         const auto ms = this->auditMeta(env, shard, &rep);
+        this->setApplied(shard, ms.ok ? this->durableAppliedSeq(shard) : 0);
         if (ms.ok) {
             this->persistMeta(env, shard, 0, 0);
             env.sfence();

@@ -131,7 +131,10 @@ class LpBackend : public PersistencyBackend<Env>
         }
         const std::uint64_t epoch = pl.openEpoch();
         sh.journal->append(env, op, key, value, epoch, sh.acc);
-        this->delta(shard)[key] = DeltaVal{op == JOp::Put, value};
+        if (op == JOp::Applied)
+            this->stageApplied(shard, value);
+        else
+            this->delta(shard)[key] = DeltaVal{op == JOp::Put, value};
         if (pl.stageOp()) {
             commitEpoch(env, shard);
             if (pl.foldDue())
@@ -192,8 +195,9 @@ class LpBackend : public PersistencyBackend<Env>
      *     the pass's closing sfence waits for only the last few. clwb
      *     leaves the blocks cached clean for later GETs;
      * (c) restart the parity generation (the journal is about to
-     *     restart at offset 0) and advance the durable watermark in
-     *     both superblock copies.
+     *     restart at offset 0) and advance the durable watermark --
+     *     and the applied seq, when the window carried an Applied
+     *     record -- in both superblock copies.
      * A crash anywhere in between leaves a state recover() handles:
      * before (c) the watermark is old and every applied batch is
      * durably committed, so replay just re-applies them.
@@ -212,6 +216,7 @@ class LpBackend : public PersistencyBackend<Env>
         env.sfence();
         applyDelta(env, shard);
         sh.parity->resetGeneration(env, pl.lastCommitted());
+        this->promoteApplied(shard);
         this->persistMeta(env, shard, pl.lastCommitted(), 0);
         env.sfence();
         pl.noteFold();
@@ -232,6 +237,7 @@ class LpBackend : public PersistencyBackend<Env>
             // against a known base. The folded table image itself is
             // intact; leave it, quarantine the shard (auditMeta
             // already counted the unrepairable fault).
+            this->setApplied(shard, 0);
             resetShard(env, sh, shard, 0, rep);
             return;
         }
@@ -268,14 +274,20 @@ class LpBackend : public PersistencyBackend<Env>
         // stage() builds it, and repairs the table with Eager
         // Persistency (Section III-E) in the fold's table-order pass:
         // one apply per distinct key, one fence for the whole replay.
+        // An Applied record raises the shard's applied seq instead.
         auto &delta = this->delta(shard);
         delta.clear();
+        std::uint64_t applied = this->durableAppliedSeq(shard);
         const std::uint64_t committed = sh.journal->replay(
             env, cfg(), base,
-            [&delta](bool isPut, std::uint64_t key, std::uint64_t value) {
-                delta[key] = DeltaVal{isPut, value};
+            [&](bool isPut, std::uint64_t key, std::uint64_t value) {
+                if (key == slotAppliedKey)
+                    applied = value;
+                else
+                    delta[key] = DeltaVal{isPut, value};
             },
             repairFn, rep);
+        this->setApplied(shard, applied);
         applyDelta(env, shard);
         if (strict && hdrOk &&
             committed < sh.parity->lastSealedEpoch()) {
@@ -425,9 +437,9 @@ class LpBackend : public PersistencyBackend<Env>
 
     /**
      * Recovery epilogue: start a new life and restate the superblock
-     * pair at @p committed with it and with the clean flag CLEARED
-     * (we are running again), restart the journal/parity generation,
-     * and rebase the pipeline.
+     * pair at @p committed with it, the applied seq replay found, and
+     * the clean flag CLEARED (we are running again), restart the
+     * journal/parity generation, and rebase the pipeline.
      */
     void
     resetShard(Env &env, Shard &sh, int shard,

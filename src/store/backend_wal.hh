@@ -49,7 +49,8 @@ class WalBackend : public PersistencyBackend<Env>
             Shard sh;
             sh.meta = this->allocMeta(attach);
             // Up to two table words per op, plus the six superblock
-            // words (epoch/flags/check on both copies) and slack.
+            // words (epoch/flags/check on both copies) and slack: an
+            // Applied record takes an op's place and adds two.
             sh.wal = std::make_unique<ep::WalArea>(
                 *ctx.arena, 2 * std::size_t(cfg().batchOps) + 8,
                 attach);
@@ -66,8 +67,12 @@ class WalBackend : public PersistencyBackend<Env>
         if (!pl.epochOpen())
             pl.beginEpoch();
         const std::uint64_t epoch = pl.openEpoch();
-        sh.pending.push_back(PendingOp{op, key, value});
-        this->delta(shard)[key] = DeltaVal{op == JOp::Put, value};
+        if (op == JOp::Applied) {
+            this->stageApplied(shard, value);
+        } else {
+            sh.pending.push_back(PendingOp{op, key, value});
+            this->delta(shard)[key] = DeltaVal{op == JOp::Put, value};
+        }
         env.tick(4);
         if (pl.stageOp())
             commitEpoch(env, shard);
@@ -80,7 +85,11 @@ class WalBackend : public PersistencyBackend<Env>
     {
         Shard &sh = shards_[std::size_t(shard)];
         auto &pl = pipeline(shard);
-        if (sh.pending.empty())
+        // An Applied record not yet durable is the batch's only
+        // trace when it carries no op.
+        const std::uint64_t seq = this->appliedSeq(shard);
+        const bool applied = seq != this->durableAppliedSeq(shard);
+        if (sh.pending.empty() && !applied)
             return;
         const std::uint64_t epoch = pl.openEpoch();
         obs::ShardObs *ob = pl.obs();
@@ -108,12 +117,17 @@ class WalBackend : public PersistencyBackend<Env>
             });
         // The watermark advance joins the transaction -- on BOTH
         // superblock copies, check words restated so the pair stays
-        // valid at every durable point.
+        // valid at every durable point -- and so does the applied
+        // seq of a batch that carries an Applied record.
+        const std::uint64_t flags = seq != 0 ? shardAppliedSeq : 0;
         for (ShardMeta *c :
              {sh.meta, this->replicas_[std::size_t(shard)]}) {
             planStore(&c->foldedEpoch, epoch);
-            planStore(&c->flags, 0);
-            planStore(&c->check, repair::shardMetaCheck(epoch, 0));
+            planStore(&c->flags, flags);
+            if (applied)
+                planStore(&c->appliedSeq, seq);
+            planStore(&c->check,
+                      repair::shardMetaCheck(epoch, flags, seq));
         }
         for (auto it = plan.rbegin(); it != plan.rend(); ++it)
             *(it->ptr) = it->old;
@@ -135,6 +149,7 @@ class WalBackend : public PersistencyBackend<Env>
             table().noteClaim();
         pl.commitEpoch();
         pl.syncDurable();
+        this->promoteApplied(shard);
         sh.pending.clear();
         this->delta(shard).clear();
         env.onRegionCommit();
@@ -154,6 +169,7 @@ class WalBackend : public PersistencyBackend<Env>
         const auto ms = this->auditMeta(env, shard, &rep);
         sh.pending.clear();
         this->delta(shard).clear();
+        this->setApplied(shard, ms.ok ? this->durableAppliedSeq(shard) : 0);
         if (!ms.ok) {
             pipeline(shard).rebase(0);
             rep.committedEpochs[std::size_t(shard)] = 0;

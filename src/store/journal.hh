@@ -60,11 +60,12 @@
 namespace lp::store
 {
 
-/** Journal record type; Put and Del are told apart by their first word. */
+/** Journal record type; the three are told apart by their first word. */
 enum class JOp : std::uint8_t
 {
-    Put = 1,   ///< stored as {key, value}
-    Del = 2,   ///< stored as {slotTombstoneKey, key}
+    Put = 1,      ///< stored as {key, value}
+    Del = 2,      ///< stored as {slotTombstoneKey, key}
+    Applied = 3,  ///< stored as {slotAppliedKey, decision seq}
 };
 
 /**
@@ -82,21 +83,25 @@ inline constexpr std::uint64_t trailerTagMask =
 
 /**
  * One journal record, 16B (four per block). Put is {key, value}; Del
- * is {slotTombstoneKey, key}, unambiguous because slotTombstoneKey is
- * above maxUserKey; the batch trailer is {slotEmptyKey, digest48 <<
- * 16 | epoch tag}.
+ * is {slotTombstoneKey, key}; Applied -- the shard applied its part
+ * of a transaction decision, which replay reports instead of
+ * applying -- is {slotAppliedKey, seq}. Both sentinels are above
+ * maxUserKey, so the forms are unambiguous; the batch trailer is
+ * {slotEmptyKey, digest48 << 16 | epoch tag}.
  */
 struct JEntry
 {
     std::uint64_t key;
     std::uint64_t value;
 
-    /** The stored form of a Put or Del. */
+    /** The stored form of a Put, Del or Applied (value = seq). */
     static JEntry
     encode(JOp op, std::uint64_t key, std::uint64_t value)
     {
-        return op == JOp::Del ? JEntry{slotTombstoneKey, key}
-                              : JEntry{key, value};
+        if (op == JOp::Del)
+            return JEntry{slotTombstoneKey, key};
+        return op == JOp::Applied ? JEntry{slotAppliedKey, value}
+                                  : JEntry{key, value};
     }
 
     /**
@@ -280,9 +285,10 @@ class BatchJournal
      * trailer, recompute its digest over what actually reached NVMM
      * and accept it iff the trailer carries that digest. Accepted
      * batches replay through @p apply(isPut, key, value) per record,
-     * in journal order. Stops at the first batch failing validation
-     * -- appends are sequential, so durability is prefix-shaped.
-     * Returns the last committed epoch.
+     * in journal order (an Applied record as a put of slotAppliedKey,
+     * for the caller to tell apart). Stops at the first batch
+     * failing validation -- appends are sequential, so durability is
+     * prefix-shaped. Returns the last committed epoch.
      *
      * @p repairFn(offset) is the media-repair hook: on the FIRST
      * validation failure of any kind (a missing trailer included --

@@ -263,6 +263,36 @@ class KvStore
         return mutate(env, JOp::Del, key, 0, traceId);
     }
 
+    /**
+     * Record that @p shard applied its part of transaction decision
+     * @p seq (txn::applyPart, after staging the part's writes). The
+     * record rides the durability unit of the writes staged before
+     * it (backend.hh), so once it is durable the part is; parts must
+     * reach a shard in seq order. Returns the record's epoch.
+     */
+    std::uint64_t
+    stageApplied(Env &env, int shard, std::uint64_t seq)
+    {
+        checkShardOwner(shard);
+        LP_ASSERT(seq > backend_->appliedSeq(shard),
+                  "decision parts must reach a shard in seq order");
+        return backend_->stage(env, shard, JOp::Applied, 0, seq);
+    }
+
+    /** Highest decision seq whose part @p shard staged. */
+    std::uint64_t
+    appliedSeq(int shard) const
+    {
+        return backend_->appliedSeq(shard);
+    }
+
+    /** Highest decision seq whose part @p shard made durable. */
+    std::uint64_t
+    durableAppliedSeq(int shard) const
+    {
+        return backend_->durableAppliedSeq(shard);
+    }
+
     /** Read @p key, observing this handle's own uncommitted writes. */
     std::optional<std::uint64_t>
     get(Env &env, std::uint64_t key)
@@ -393,12 +423,15 @@ class KvStore
     {
         RecoveryReport rep;
         rep.committedEpochs.assign(std::size_t(cfg_.shards), 0);
+        rep.appliedSeqs.assign(std::size_t(cfg_.shards), 0);
         for (int s = 0; s < cfg_.shards; ++s) {
             rebindShardOwner(s);
             obs::ShardObs &ob = obs_[std::size_t(s)];
             obs::Span span(ob.ring, "recover_shard", std::uint64_t(s),
                            0, &ob.recoverNs);
             backend_->recover(env, s, rep);
+            rep.appliedSeqs[std::size_t(s)] =
+                backend_->durableAppliedSeq(s);
         }
         table_.resyncUsed();
         // Rebuild the ordered indexes from the recovered table. The

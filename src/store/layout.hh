@@ -123,8 +123,15 @@ inline constexpr std::uint64_t slotEmptyKey = ~0ull;
 /** Key sentinel: deleted slot; probing continues past it. */
 inline constexpr std::uint64_t slotTombstoneKey = ~0ull - 1;
 
+/**
+ * Key sentinel of an LP journal record {slotAppliedKey, seq}: the
+ * shard applied its part of transaction decision seq (journal.hh).
+ * Never a table key.
+ */
+inline constexpr std::uint64_t slotAppliedKey = ~0ull - 2;
+
 /** Largest key a user may store. */
-inline constexpr std::uint64_t maxUserKey = slotTombstoneKey - 1;
+inline constexpr std::uint64_t maxUserKey = slotAppliedKey - 1;
 
 /**
  * Per-shard persistent metadata (the shard "superblock"); owns a
@@ -140,14 +147,19 @@ inline constexpr std::uint64_t maxUserKey = slotTombstoneKey - 1;
  * foldedEpoch is the durable watermark: every batch up to and
  * including it is fully folded into the table (LP) or
  * transactionally committed (WAL). flags carries the clean-shutdown
- * bit; check = repair::shardMetaCheck(foldedEpoch, flags).
+ * bit; check = repair::shardMetaCheck(foldedEpoch, flags,
+ * appliedSeq). appliedSeq is the highest transaction decision whose
+ * part the shard durably applied (txn/decision_log.hh); it is stored
+ * and read only under shardAppliedSeq, so a shard that never applied
+ * a transaction part writes and reads exactly the three words above.
  */
 struct ShardMeta
 {
     std::uint64_t foldedEpoch;
     std::uint64_t flags;
     std::uint64_t check;
-    std::uint64_t pad[5];
+    std::uint64_t appliedSeq;
+    std::uint64_t pad[4];
 };
 
 static_assert(sizeof(ShardMeta) == 64);
@@ -161,6 +173,9 @@ static_assert(sizeof(ShardMeta) == 64);
  * discarded as a torn tail. recover() clears the flag.
  */
 inline constexpr std::uint64_t shardCleanShutdown = 1ull << 0;
+
+/** ShardMeta::flags bit: ShardMeta::appliedSeq holds a decision. */
+inline constexpr std::uint64_t shardAppliedSeq = 1ull << 1;
 
 /**
  * ShardMeta::flags bits from this one up hold the shard's LIFE: a
@@ -208,6 +223,13 @@ struct RecoveryReport
 
     /** Per shard: the epoch watermark after recovery. */
     std::vector<std::uint64_t> committedEpochs;
+
+    /**
+     * Per shard: the highest transaction decision whose part the
+     * recovered image holds (0 = none); txn recovery rolls every
+     * later decision touching the shard forward.
+     */
+    std::vector<std::uint64_t> appliedSeqs;
 };
 
 /**

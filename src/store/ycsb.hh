@@ -81,7 +81,7 @@ parseMix(const std::string &s)
  * Bijective 64-bit mix (splitmix64 finalizer) turning a dense record
  * id into a store key. Bijectivity guarantees distinct ids map to
  * distinct keys; the reserved-sentinel guard can only trigger if an
- * id happens to be a preimage of the two top keys, which for dense
+ * id happens to be a preimage of the three top keys, which for dense
  * ids is beyond astronomically unlikely.
  */
 inline std::uint64_t

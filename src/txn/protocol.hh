@@ -21,7 +21,7 @@
 
 #include "store/layout.hh"
 #include "txn/lock_table.hh"
-#include "txn/prepare_log.hh"
+#include "txn/decision_log.hh"
 
 namespace lp::txn
 {
@@ -121,8 +121,8 @@ resolve(const std::vector<Op> &ops,
 }
 
 /**
- * The commit-path rule: the single-shard fast path (no PREPARE, no
- * decision record) iff every op routes to one shard (@p shardOf) and
+ * The commit-path rule: the single-shard fast path (no decision
+ * record) iff every op routes to one shard (@p shardOf) and
  * nothing is written, or the backend batches (eager persists per op)
  * and the write ops fit one epoch. It is decided from the ops alone,
  * before any lock or resolution, and only the general path can hold
@@ -178,70 +178,21 @@ stageOneEpoch(Env &env, Kv &kv, int shard,
 }
 
 /**
- * One shard's applied PREPARE slots awaiting their durability gate.
- * A slot may be freed only once the shard's durable epoch covers its
- * marker epoch, because the free store is itself lazy (see
- * prepare_log.hh). The gate reads the pipeline's volatile durable
- * watermark, foldedEpoch(), not the superblock's: the two agree for
- * LP and WAL (the volatile one advances only after the meta
- * persist), and for the eager backend -- which persists ops in place
- * and never folds, so its superblock watermark stays 0 -- only the
- * pipeline knows every committed op is already durable.
+ * Apply @p shard's part @p writes of decision @p seq: every write
+ * through the ordinary (lazy) store path, then the shard's Applied
+ * record, which rides the durability unit of those writes -- the
+ * fact recovery's skip rule reads (txn/recovery.hh). Parts reach a
+ * shard in seq order. Returns the record's epoch: once that epoch is
+ * durable, so is the part.
  */
-class GatedFrees
-{
-  public:
-    void
-    add(std::size_t slot, std::uint64_t epoch)
-    {
-        q_.push_back(Entry{slot, epoch});
-    }
-
-    /** Free every slot of @p plog that @p shard of @p kv has made
-     *  durable. */
-    template <typename Env, typename Kv>
-    void
-    sweep(Env &env, const Kv &kv, int shard, PrepareLog<Env> &plog)
-    {
-        if (q_.empty())
-            return;
-        const std::uint64_t durable = kv.pipeline(shard).foldedEpoch();
-        std::erase_if(q_, [&](const Entry &f) {
-            if (durable < f.epoch)
-                return false;
-            plog.free(env, f.slot);
-            return true;
-        });
-    }
-
-    std::size_t size() const { return q_.size(); }
-    void clear() { q_.clear(); }
-
-  private:
-    struct Entry
-    {
-        std::size_t slot;
-        std::uint64_t epoch;
-    };
-    std::vector<Entry> q_;
-};
-
-/** A free slot of @p shard's PREPARE table @p plog. A full table
- *  runs the pressure valve -- a checkpoint makes every gated free
- *  eligible; sweep, retry once -- and may still give npos, to which
- *  each caller reacts its own way. */
 template <typename Env, typename Kv>
-std::size_t
-allocSlot(Env &env, Kv &kv, int shard, PrepareLog<Env> &plog,
-          GatedFrees &frees)
+std::uint64_t
+applyPart(Env &env, Kv &kv, int shard, std::uint64_t seq,
+          const std::vector<WriteOp> &writes)
 {
-    std::size_t slot = plog.alloc(env);
-    if (slot == PrepareLog<Env>::npos) {
-        kv.checkpoint(env);
-        frees.sweep(env, kv, shard, plog);
-        slot = plog.alloc(env);
-    }
-    return slot;
+    for (const auto &w : writes)
+        stageWrite(env, kv, w);
+    return kv.stageApplied(env, shard, seq);
 }
 
 } // namespace lp::txn

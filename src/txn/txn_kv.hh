@@ -2,9 +2,9 @@
  * @file
  * txn::TxnKv -- the embedded (single-threaded) transactional facade
  * over a multi-shard KvStore, running the full cross-shard commit
- * protocol inline: lock acquisition, Add-delta resolution, PREPARE
- * publication, the DecisionLog append (the durability point), lazy
- * applies, applied markers, and gated slot frees.
+ * protocol inline: lock acquisition, Add-delta resolution, the
+ * DecisionLog append (the durability point, carrying the write-set),
+ * and the lazy applies with their Applied records.
  *
  * This is the same protocol lp::server's acceptor/worker split runs
  * across threads, from the same txn/protocol.hh, collapsed into one
@@ -15,14 +15,14 @@
  *  - Fast path (every op on one shard, batching backend, write ops
  *    fit one epoch): writes are staged as one epoch, which the
  *    backend already makes crash-atomic (LP discards unsealed
- *    batches, WAL rolls back incomplete ones). No prepare, no
- *    decision record: commit latency is one lazy stage -- this is
- *    where LP's latency win over WAL must survive, so single-shard
- *    transactions must not pay eager protocol writes.
+ *    batches, WAL rolls back incomplete ones). No decision record:
+ *    commit latency is one lazy stage -- this is where LP's latency
+ *    win over WAL must survive, so single-shard transactions must
+ *    not pay eager protocol writes.
  *  - General path (ops on several shards, more write ops than one
  *    epoch holds, forced, or the eager backend, whose per-op
- *    persists have no batch atomicity): PREPARE per shard with
- *    writes, one DecisionLog append, then lazy applies.
+ *    persists have no batch atomicity): one DecisionLog append
+ *    holding the whole write-set, then each shard's lazy applies.
  *
  * Read semantics: ops execute in order against an overlay, so a Get
  * after a Put/Add in the same transaction sees the transaction's own
@@ -38,9 +38,9 @@
 #ifndef LP_TXN_TXN_KV_HH
 #define LP_TXN_TXN_KV_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
 #include <numeric>
@@ -52,7 +52,6 @@
 #include "store/layout.hh"
 #include "txn/decision_log.hh"
 #include "txn/lock_table.hh"
-#include "txn/prepare_log.hh"
 #include "txn/protocol.hh"
 #include "txn/recovery.hh"
 
@@ -66,31 +65,33 @@ class TxnKv
     struct Config
     {
         store::StoreConfig store;
-        std::size_t prepareSlots = 64;     ///< per shard
         std::size_t decisionEntries = 1024;
     };
 
-    /** Arena budget: store + per-shard prepare tables + decision
-     *  ring, in the exact allocation order the constructor uses. */
+    /** Arena budget: store + decision ring, in the exact allocation
+     *  order the constructor uses. */
     static std::size_t
     arenaBytes(const Config &c)
     {
         return store::storeArenaBytes(c.store) +
-               std::size_t(c.store.shards) *
-                   prepareLogBytes(c.prepareSlots) +
                decisionLogBytes(c.decisionEntries);
     }
 
-    /** Commit-protocol steps the crash hook fires at. */
+    /** Commit-protocol steps the crash hook fires at. PrePrepare,
+     *  PostPrepare, PreMarker and PostMarker keep their names from
+     *  the PREPARE-log protocol, which fixes the crash-matrix test
+     *  IDs; the comments say where each fires now. */
     enum class Step
     {
-        PrePrepare,    ///< locks held, writes resolved, nothing durable
-        MidPrepare,    ///< first participant prepared, others not
-        PostPrepare,   ///< all votes durable, no decision
+        PrePrepare,    ///< id taken, no lock held, nothing read
+        PreDecision,   ///< locks held, writes resolved, nothing durable
+        PostPrepare,   ///< decision-ring entry reserved, append not begun
+        TornDecision,  ///< the decision append is about to start
         PostDecision,  ///< decision durable, nothing applied
-        MidApply,      ///< first write applied (lazily)
-        PreMarker,     ///< all writes applied, no marker
-        PostMarker,    ///< all markers durable
+        MidApply,      ///< first participant's part applied (lazily)
+        PreMarker,     ///< every write staged, last Applied record not
+        PostApply,     ///< every part applied with its Applied record
+        PostMarker,    ///< locks released, the transaction complete
     };
 
     /** May throw pmem::CrashException to simulate dying there. */
@@ -108,23 +109,22 @@ class TxnKv
     TxnKv(pmem::PersistentArena &arena, const Config &cfg,
           store::Backend backend, bool attach = false)
         : cfg_(cfg), kv_(arena, cfg.store, backend, attach),
-          backend_(backend)
+          backend_(backend), dlog_(arena, cfg.decisionEntries, attach)
     {
-        for (int s = 0; s < cfg.store.shards; ++s)
-            plogs_.emplace_back(arena, cfg.prepareSlots, attach);
-        dlog_.emplace(arena, cfg.decisionEntries, attach);
         locks_.resize(std::size_t(cfg.store.shards));
-        frees_.resize(std::size_t(cfg.store.shards));
     }
 
     store::KvStore<Env> &kv() { return kv_; }
+
+    /** Host pointer to the decision ring (fault injection). */
+    const void *decisionRing() const { return dlog_.data(); }
     const Config &config() const { return cfg_; }
     std::uint64_t nextTxnId() const { return nextTxn_; }
 
     /**
      * Execute one transaction. @p forceGeneral routes even
-     * single-shard transactions through prepare/decision (the crash
-     * matrix uses this to reach every protocol step).
+     * single-shard transactions through the decision record (the
+     * crash matrix uses this to reach every protocol step).
      */
     Result
     run(Env &env, const std::vector<Op> &ops, const Hook &hook = {},
@@ -137,6 +137,8 @@ class TxnKv
         std::vector<std::uint32_t> all(ops.size());
         std::iota(all.begin(), all.end(), 0u);
 
+        if (hook)
+            hook(Step::PrePrepare);
         const LockPlan locks = lockPlan(ops, all);
         for (std::size_t i = 0; i < locks.keys.size(); ++i) {
             const auto got = lockTable(locks.keys[i])
@@ -152,7 +154,7 @@ class TxnKv
                 res.reads.emplace_back(v.has_value(), v.value_or(0));
             });
         if (hook)
-            hook(Step::PrePrepare);
+            hook(Step::PreDecision);
 
         const auto shardOf = [&](std::uint64_t key) {
             return kv_.shardOf(key);
@@ -173,109 +175,82 @@ class TxnKv
             lockTable(k).release(id, k, ev);
         LP_ASSERT(ev.granted.empty() && ev.died.empty(),
                   "embedded txn released onto waiters");
-        for (int s = 0; s < cfg_.store.shards; ++s)
-            frees_[std::size_t(s)].sweep(env, kv_, s,
-                                         plogs_[std::size_t(s)]);
+        if (hook)
+            hook(Step::PostMarker);
         return res;
     }
 
     /**
-     * Recover after a crash: journal replay, decision-index rebuild,
-     * the txn decision rules, and a reset of all volatile protocol
-     * state (locks, pending frees, id counter).
+     * Recover after a crash: store recovery, decision-ring scan, the
+     * txn roll-forward rules, the next seq moved past every shard's
+     * applied seq, and a reset of all volatile protocol state (locks,
+     * id counter).
      */
     TxnRecoveryReport
     recover(Env &env)
     {
-        const auto kvRep = kv_.recover(env);
+        kv_.recover(env);
         locks_.assign(std::size_t(cfg_.store.shards), LockTable{});
-        for (auto &f : frees_)
-            f.clear();
-        const std::uint64_t decMax = dlog_->scan(env);
-        std::vector<PrepareLog<Env> *> pls;
-        for (auto &pl : plogs_)
-            pls.push_back(&pl);
-        auto rep = recoverTxns(env, kv_, pls, kvRep.committedEpochs,
-                               dlog_->index());
-        rep.maxTxnId = std::max(rep.maxTxnId, decMax);
-        nextTxn_ = rep.maxTxnId + 1;
+        nextTxn_ = dlog_.scan(env) + 1;
+        auto rep = recoverTxns(env, kv_, dlog_,
+                               [](std::uint64_t) { return true; });
+        rep.rolledBack = dlog_.torn();
+        std::uint64_t applied = 0;
+        for (int s = 0; s < cfg_.store.shards; ++s)
+            applied = std::max(applied, kv_.durableAppliedSeq(s));
+        dlog_.advancePast(applied);
         return rep;
     }
 
-    /** Full durability plus a pending-slot-free sweep. */
-    void
-    checkpoint(Env &env)
-    {
-        kv_.checkpoint(env);
-        for (int s = 0; s < cfg_.store.shards; ++s)
-            frees_[std::size_t(s)].sweep(env, kv_, s,
-                                         plogs_[std::size_t(s)]);
-    }
-
-    /** Prepare slots awaiting their durability gate (tests). */
-    std::size_t
-    pendingSlotFrees() const
-    {
-        std::size_t n = 0;
-        for (const auto &f : frees_)
-            n += f.size();
-        return n;
-    }
+    /** Full durability: every applied part durable, the ring free. */
+    void checkpoint(Env &env) { kv_.checkpoint(env); }
 
   private:
     void
     commitGeneral(Env &env, TxnId id, const std::vector<WriteOp> &all,
                   const Hook &hook)
     {
-        // Per-shard write-sets, keys in first-write order.
-        std::map<int, std::vector<WriteOp>> writes;
+        // Per-shard parts, keys in first-write order.
+        std::map<int, std::vector<WriteOp>> parts;
         for (const auto &w : all)
-            writes[kv_.shardOf(w.key)].push_back(w);
+            parts[kv_.shardOf(w.key)].push_back(w);
+        std::vector<int> shards;
+        for (const auto &[shard, part] : parts)
+            shards.push_back(shard);
 
-        std::vector<std::size_t> slots;
-        bool first = true;
-        for (const auto &[shard, ws] : writes) {
-            auto &pl = plogs_[std::size_t(shard)];
-            const std::size_t slot = allocSlot(
-                env, kv_, shard, pl, frees_[std::size_t(shard)]);
-            LP_ASSERT(slot != PrepareLog<Env>::npos,
-                      "prepare table exhausted");
-            pl.publish(env, slot, id, ws.data(), ws.size());
-            slots.push_back(slot);
-            if (first && writes.size() > 1 && hook)
-                hook(Step::MidPrepare);
-            first = false;
+        // The ring's pressure valve: a checkpoint makes every applied
+        // part durable, which frees every entry.
+        const auto durableSeqOf = [&](int s) {
+            return kv_.durableAppliedSeq(s);
+        };
+        if (!dlog_.reserve(durableSeqOf)) {
+            kv_.checkpoint(env);
+            LP_ASSERT(dlog_.reserve(durableSeqOf),
+                      "decision ring pinned after a checkpoint");
         }
-        if (hook)
+        if (hook) {
             hook(Step::PostPrepare);
-
-        dlog_->append(env, id);  // THE commit point
+            hook(Step::TornDecision);
+        }
+        const std::uint64_t seq =
+            dlog_.append(env, id, all, std::move(shards));  // THE commit
         if (hook)
             hook(Step::PostDecision);
 
-        std::vector<std::uint64_t> epochs;
-        bool firstApply = true;
-        for (const auto &[shard, ws] : writes) {
-            std::uint64_t e = 0;
-            for (const auto &w : ws) {
-                e = stageWrite(env, kv_, w);
-                if (firstApply && hook)
-                    hook(Step::MidApply);
-                firstApply = false;
-            }
-            epochs.push_back(e);
+        // applyPart, spelled out so the hook can land between the
+        // last part's writes and its Applied record.
+        std::size_t left = parts.size();
+        for (const auto &[shard, part] : parts) {
+            for (const auto &w : part)
+                stageWrite(env, kv_, w);
+            if (--left == 0 && hook)
+                hook(Step::PreMarker);
+            kv_.stageApplied(env, shard, seq);
+            if (left + 1 == parts.size() && hook)
+                hook(Step::MidApply);
         }
         if (hook)
-            hook(Step::PreMarker);
-        std::size_t i = 0;
-        for (const auto &[shard, ws] : writes) {
-            plogs_[std::size_t(shard)].markApplied(env, slots[i],
-                                                   epochs[i]);
-            frees_[std::size_t(shard)].add(slots[i], epochs[i]);
-            ++i;
-        }
-        if (hook)
-            hook(Step::PostMarker);
+            hook(Step::PostApply);
     }
 
     LockTable &
@@ -287,10 +262,8 @@ class TxnKv
     Config cfg_;
     store::KvStore<Env> kv_;
     store::Backend backend_;
-    std::deque<PrepareLog<Env>> plogs_;
-    std::optional<DecisionLog<Env>> dlog_;
+    DecisionLog<Env> dlog_;
     std::vector<LockTable> locks_;
-    std::vector<GatedFrees> frees_;  ///< per shard
     TxnId nextTxn_ = 1;
 };
 

@@ -184,6 +184,8 @@ struct RoundCase
     CommitReason commit;
     bool scrub;
     std::optional<std::uint64_t> wakeNs;
+    bool appliedUndurable = false;
+    bool fold = false;
 };
 
 TEST(ShardSchedule, EveryRoundFollowsTheDeadlineDrainAndScrubRules)
@@ -226,6 +228,12 @@ TEST(ShardSchedule, EveryRoundFollowsTheDeadlineDrainAndScrubRules)
          5 * kMs, 4 * kMs, false, false, 0, 1, none, true, 6 * kMs},
         {"deadline and scrub in one empty round", 7 * kMs, 4 * kMs,
          false, false, 0, 1, deadline, true, 6 * kMs},
+        {"an undurable applied part: fold when idle, never sleep",
+         5 * kMs, 4 * kMs, false, false, 0, 0, none, false, 5 * kMs,
+         true, true},
+        {"an undurable applied part behind a request: no fold yet",
+         5 * kMs, kNever, false, true, 0, 0, none, false, 5 * kMs,
+         true, false},
     };
     for (const RoundCase &c : cases) {
         lp::engine::ShardRound r;
@@ -234,9 +242,11 @@ TEST(ShardSchedule, EveryRoundFollowsTheDeadlineDrainAndScrubRules)
         r.stopping = c.stopping;
         r.dequeued = c.dequeued;
         r.lastScrubNs = c.lastScrubNs;
+        r.appliedUndurable = c.appliedUndurable;
         const lp::engine::ShardPlan p =
             lp::engine::planShardRound(r, deadlineUs, c.scrubIntervalMs);
         EXPECT_EQ(p.commit, c.commit) << c.what;
+        EXPECT_EQ(p.fold, c.fold) << c.what;
         EXPECT_EQ(p.scrub, c.scrub) << c.what;
         EXPECT_EQ(p.wakeNs, c.wakeNs) << c.what;
     }

@@ -22,13 +22,23 @@
  * regions 24-27, where JournalLastCovered flips region 27's bits.
  * foldBatches is large enough that no fold runs before the injection
  * -- the journal still carries the full stream.
+ *
+ * The transaction layer's decision ring (dataDir/txnlog.lpdb in the
+ * server) is the last row, TxnRingMediaFault: it has no redundant
+ * copy, so rot is detected, never repaired.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <tuple>
+#include <vector>
 
+#include "kernels/env.hh"
+#include "kernels/workload.hh"
+#include "pmem/fault.hh"
 #include "store/driver.hh"
+#include "txn/txn_kv.hh"
 
 namespace lp::store
 {
@@ -160,6 +170,94 @@ INSTANTIATE_TEST_SUITE_P(
         return backendName(std::get<0>(info.param)) +
                std::string("_") + siteName(std::get<1>(info.param));
     });
+
+/**
+ * The decision ring's row: rot in an entry whose parts are durable
+ * costs nothing, while a committed entry whose parts were not yet
+ * applied fails its checksum, is discarded like a torn append, and
+ * takes its whole -- acknowledged -- transaction with it, atomically:
+ * the balance sum still holds. The decisions after the rot take seqs
+ * above every shard's applied seq, so they commit and recover.
+ */
+class TxnRingMediaFault : public ::testing::TestWithParam<Backend>
+{
+};
+
+TEST_P(TxnRingMediaFault, RottedUnappliedDecisionLosesItsWholeTransaction)
+{
+    using Kv = txn::TxnKv<kernels::SimEnv>;
+    Kv::Config cfg;
+    cfg.store = matrixConfig();
+    cfg.store.shards = 2;
+    cfg.decisionEntries = 8;
+    kernels::SimContext ctx(sim::MachineConfig{}, Kv::arenaBytes(cfg));
+    Kv t(ctx.arena, cfg, GetParam());
+    ctx.arena.persistAll();
+    kernels::SimEnv env(ctx.machine, ctx.arena, 0, &ctx.crash);
+
+    std::map<std::uint64_t, std::uint64_t> golden;
+    for (std::uint64_t k = 1; k <= 8; ++k) {
+        t.kv().put(env, k, 100);
+        golden[k] = 100;
+    }
+    std::uint64_t dst = 2;
+    while (t.kv().shardOf(dst) == t.kv().shardOf(1))
+        ++dst;
+    const auto transfer = [&](std::uint64_t amt) {
+        return std::vector<Kv::Op>{
+            {Kv::Op::Kind::Add, 1, std::uint64_t(0) - amt},
+            {Kv::Op::Kind::Add, dst, amt}};
+    };
+    // Decision 1, applied and made durable.
+    ASSERT_TRUE(t.run(env, transfer(10), {}, true).committed);
+    golden[1] -= 10;
+    golden[dst] += 10;
+    t.checkpoint(env);
+    // Decision 2, committed; the crash beats its applies.
+    bool crashed = false;
+    try {
+        t.run(env, transfer(20),
+              [](Kv::Step s) {
+                  if (s == Kv::Step::PostDecision)
+                      throw pmem::CrashException{};
+              },
+              true);
+    } catch (const pmem::CrashException &) {
+        crashed = true;
+        ctx.powerFail();
+    }
+    ASSERT_TRUE(crashed);
+    // One bit of each entry's first ops line rots.
+    pmem::FaultInjector inj(ctx.arena);
+    inj.flipBitAt(t.decisionRing(), 64, 0);
+    inj.flipBitAt(t.decisionRing(), sizeof(txn::DecisionEntry) + 64, 0);
+
+    const txn::TxnRecoveryReport rep = t.recover(env);
+    EXPECT_EQ(rep.rolledBack, 2u);
+    EXPECT_EQ(rep.rolledForward, 0u);
+    EXPECT_EQ(t.kv().snapshot(), golden)
+        << "decision 1 must survive, decision 2 must vanish whole";
+
+    // The ring lost every entry, yet both shards applied decision 1:
+    // the next decision must take a seq above it, commit, and survive
+    // a second power failure before any of its applies is durable.
+    ASSERT_TRUE(t.run(env, transfer(5), {}, true).committed);
+    golden[1] -= 5;
+    golden[dst] += 5;
+    ctx.powerFail();
+    const txn::TxnRecoveryReport again = t.recover(env);
+    EXPECT_EQ(again.rolledBack, 0u) << "the rotted entries counted twice";
+    EXPECT_EQ(t.kv().snapshot(), golden)
+        << "the decision after the rot was lost";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, TxnRingMediaFault,
+                         ::testing::Values(Backend::Lp,
+                                           Backend::EagerPerOp,
+                                           Backend::Wal),
+                         [](const auto &info) {
+                             return backendName(info.param);
+                         });
 
 } // namespace
 } // namespace lp::store

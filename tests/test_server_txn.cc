@@ -16,6 +16,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <memory>
 #include <set>
@@ -639,6 +640,72 @@ TEST(ServerTxnStats, ReadOnASecondShardCommitsOnTheGeneralPath)
     ASSERT_TRUE(g && g->status == Status::Ok);
     EXPECT_EQ(g->value, 7u);
     t.c.close();
+}
+
+/**
+ * The decision seq never runs backwards: a restart whose decision
+ * ring has lost every entry (zeroed here, as media rot could leave
+ * it) while both shards already applied decision 1 must still hand
+ * the next general-path TXN a seq above it. A reused seq would fence
+ * and acknowledge, then trip the shard's seq-order check on apply.
+ */
+TEST(ServerTxnRestart, LostRingEntriesDoNotRewindTheDecisionSeq)
+{
+    const TempDir tmp("lpserver-txn");
+    ServerConfig cfg;
+    cfg.dataDir = tmp.path;
+    cfg.shards = 2;
+    cfg.backend = store::Backend::Lp;
+    cfg.scrubIntervalMs = 0;
+    cfg.quiet = true;
+    std::uint64_t a = 1, b = 2;
+    while (store::shardOfKey(b, 2) == store::shardOfKey(a, 2))
+        ++b;
+    const auto transfer = [&](std::uint64_t va, std::uint64_t vb) {
+        return std::vector<TxnOp>{top(TxnOp::Kind::Put, a, va),
+                                  top(TxnOp::Kind::Put, b, vb)};
+    };
+    {
+        Server srv(cfg);
+        srv.start();
+        Client c;
+        connectToServer(c, tmp.path);
+        const auto res = c.txn(transfer(10, 20));
+        ASSERT_TRUE(res && res->status == Status::Ok);
+        srv.stop();  // graceful: both parts durable
+    }
+    {
+        const std::string ring = tmp.path + "/txnlog.lpdb";
+        std::FILE *f = std::fopen(ring.c_str(), "r+b");
+        ASSERT_NE(f, nullptr);
+        std::fseek(f, 0, SEEK_END);
+        const std::vector<char> zeros(std::size_t(std::ftell(f)), 0);
+        std::rewind(f);
+        ASSERT_EQ(std::fwrite(zeros.data(), 1, zeros.size(), f),
+                  zeros.size());
+        std::fclose(f);
+    }
+    {
+        Server srv(cfg);
+        srv.start();
+        Client c;
+        connectToServer(c, tmp.path);
+        const auto res = c.txn(transfer(11, 21));
+        ASSERT_TRUE(res && res->status == Status::Ok);
+        srv.stop();
+    }
+    Server srv(cfg);
+    srv.start();
+    EXPECT_EQ(srv.recovery().txnRolledBack, 0u);
+    Client c;
+    connectToServer(c, tmp.path);
+    const auto ga = c.get(a);
+    const auto gb = c.get(b);
+    ASSERT_TRUE(ga && ga->status == Status::Ok);
+    ASSERT_TRUE(gb && gb->status == Status::Ok);
+    EXPECT_EQ(ga->value, 11u);
+    EXPECT_EQ(gb->value, 21u);
+    srv.stop();
 }
 
 } // namespace

@@ -68,7 +68,6 @@
 #include "stats/table.hh"
 #include "store/driver.hh"
 #include "store/kv_store.hh"
-#include "txn/prepare_log.hh"
 
 using namespace lp;
 using namespace lp::kernels;
@@ -755,7 +754,7 @@ runInjectCommand(int argc, char **argv)
 
     // Re-attach the arena and re-derive the shard layout exactly the
     // way a restarting server does: same total size (flight ring +
-    // store + prepare log -- a size mismatch fatal()s in the mmap),
+    // store -- a size mismatch fatal()s in the mmap),
     // same allocation order. The flight ring region is skipped with a
     // bare allocRaw rather than a FlightRing, whose constructor would
     // seal a new generation into a live server's recorder; KvStore
@@ -765,10 +764,7 @@ runInjectCommand(int argc, char **argv)
     // pages).
     const std::size_t flightBytes =
         obs::FlightRing::bytesFor(server::kFlightEvents);
-    pmem::PersistentArena arena(
-        flightBytes + storeArenaBytes(scfg) +
-            txn::prepareLogBytes(server::kTxnPrepareSlots),
-        path);
+    pmem::PersistentArena arena(flightBytes + storeArenaBytes(scfg), path);
     arena.allocRaw(flightBytes);
     store::KvStore<kernels::NativeEnv> kv(arena, scfg, backend,
                                           /*attach=*/true);
