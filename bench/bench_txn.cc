@@ -83,7 +83,7 @@ buildTape(std::uint64_t accounts, int shards, std::uint64_t txns,
     std::vector<std::vector<std::uint64_t>> byShard;
     byShard.resize(std::size_t(shards));
     for (std::uint64_t k = 0; k < accounts; ++k)
-        byShard[std::size_t(k % std::uint64_t(shards))].push_back(k);
+        byShard[std::size_t(store::shardOfKey(k, shards))].push_back(k);
 
     std::vector<Transfer> tape;
     tape.reserve(txns);
@@ -91,7 +91,7 @@ buildTape(std::uint64_t accounts, int shards, std::uint64_t txns,
     ZipfianGen zipf(accounts, theta);
     for (std::uint64_t i = 0; i < txns; ++i) {
         const std::uint64_t src = zipf.next(rng) % accounts;
-        const int srcShard = int(src % std::uint64_t(shards));
+        const int srcShard = store::shardOfKey(src, shards);
         int dstShard = srcShard;
         if (crossShard)
             dstShard =

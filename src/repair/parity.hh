@@ -1,7 +1,7 @@
 /**
  * @file
- * lp::repair::RegionParity -- incremental XOR parity plus per-region
- * fingerprints over one append-only persistent buffer.
+ * lp::repair::RegionParity -- incremental XOR parity over one
+ * append-only persistent buffer.
  *
  * Pangolin (PAPERS.md) turns media-fault *detection* into *repair* by
  * keeping parity pages over data it can restore; this class is that
@@ -16,41 +16,39 @@
  *  - coverage is a strict PREFIX watermark, so "which bytes the
  *    parity vouches for" is a single counter.
  *
- * Every 8 regions share one XOR parity block (~12.5% space) and each
- * region gets an 8-byte fingerprint (repair/repair.hh mix64 chain).
- * A reconstruction is accepted ONLY when it reproduces the stored
- * fingerprint, so stale parity left by a crash can never fabricate
- * data: a failed check falls back to the caller's pre-parity
- * semantics (epoch discard).
+ * Every 8 regions share one XOR parity block (~12.5% space). The
+ * parity only RECONSTRUCTS; it detects nothing. The caller's own
+ * checksum decides whether a reconstruction is right: the store
+ * accepts one only when the batch digest it restores validates
+ * (store/backend_lp.hh), so stale parity left by a crash can never
+ * fabricate data.
  *
  * Coverage advances ONE WHOLE GROUP at a time. When the sealed prefix
- * completes a group, its 8 fingerprints and its XOR parity are
- * computed on the host and each of the two 64B lines is written with
- * 8 back-to-back STREAMING stores (Env::stStream): a full line leaves
- * the write-combining buffer at once as one NVMM write, with no
- * write-allocate fill, and no parity line ever waits in the buffer.
- * (A plain store would first fetch the line from NVMM whenever the
- * cache had evicted it.) The header is restated with plain stores
- * after the group's lines have left, so after a crash it can only be
- * stale-small. The trailing partial group is covered only when the
- * shard is marked clean (coverTail), since strict recovery assumes
- * every whole sealed region is covered. Repairs (recovery/scrub,
- * both eager phases) and the header store + clwb and let the caller
- * fence: clwb keeps the line cached clean for the next header update
- * or verification read.
+ * completes a group, its XOR parity is computed on the host and its
+ * 64B line is written with 8 back-to-back STREAMING stores
+ * (Env::stStream): a full line leaves the write-combining buffer at
+ * once as one NVMM write, with no write-allocate fill, and no parity
+ * line ever waits in the buffer. (A plain store would first fetch the
+ * line from NVMM whenever the cache had evicted it.) The header is
+ * restated with plain stores after the group's line has left, so
+ * after a crash it can only be stale-small. The trailing partial
+ * group is covered only when the shard is marked clean (coverTail),
+ * since strict recovery assumes every whole sealed region is
+ * covered. Restores (recovery/scrub, both eager phases) and the
+ * header store + clwb and let the caller fence: clwb keeps the line
+ * cached clean for the next header update or read.
  *
  * Coverage reads nothing back: the appender hands over the words it
  * just stored, because a journal streams its lines past the cache and
- * a load would have to fetch each one from NVMM again. Verification
- * reads (fingerprint checks, reconstruction, parity scrub) are
- * STREAMING loads (Env::ldStream): a cached copy is used
- * -- required for correctness, since fingerprints cover the eventual
- * durable content and a repaired line may still be cache-dirty -- and
- * a write-combined line still pending is drained first -- but a
- * miss reads NVMM without installing a line. An allocating sweep
- * would cycle the small LLC and evict exactly the dirty coalescing
- * lines Lazy Persistency's write efficiency comes from; real
- * scrubbers use non-temporal reads for the same reason.
+ * a load would have to fetch each one from NVMM again.
+ * Reconstruction and the parity scrub read with STREAMING loads
+ * (Env::ldStream): a cached copy is used -- required for
+ * correctness, since a restored line may still be cache-dirty -- and
+ * a write-combined line still pending is drained first -- but a miss
+ * reads NVMM without installing a line. An allocating sweep would
+ * cycle the small LLC and evict exactly the dirty coalescing lines
+ * Lazy Persistency's write efficiency comes from; real scrubbers use
+ * non-temporal reads for the same reason.
  *
  * The header block records (coveredRegions, lastSealedEpoch) under a
  * check word. After a crash the durable header may be stale-small --
@@ -72,31 +70,15 @@
 namespace lp::repair
 {
 
-/** Outcome of one region validation/repair attempt. */
-enum class RegionState
-{
-    Clean,         ///< fingerprint already matches the content
-    Repaired,      ///< reconstruction matched and was written back
-    Unrepairable,  ///< reconstruction failed the fingerprint check
-};
-
-/** Totals of one repair sweep over the covered prefix. */
-struct SweepResult
-{
-    std::uint64_t repaired = 0;
-    std::uint64_t unrepairable = 0;
-};
-
 template <typename Env>
 class RegionParity
 {
   public:
     /**
      * Protect @p dataBytes bytes at @p data (64B-aligned, arena
-     * memory). Allocates, in deterministic order: the fingerprint
-     * array, the parity blocks, the header block. With @p attach the
-     * allocations re-derive an existing image; call loadDurable()
-     * before trusting coverage.
+     * memory). Allocates, in deterministic order: the parity blocks,
+     * the header block. With @p attach the allocations re-derive an
+     * existing image; call loadDurable() before trusting coverage.
      */
     RegionParity(pmem::PersistentArena &arena, const void *data,
                  std::size_t dataBytes, bool attach)
@@ -104,10 +86,6 @@ class RegionParity
           regions_(parityRegionCount(dataBytes)),
           groups_(parityGroupCount(regions_))
     {
-        // Whole fingerprint lines, one per group, so each is streamed
-        // out full.
-        hash_ = arena.alloc<std::uint64_t>(
-            (groups_ ? groups_ : 1) * groupRegions);
         parity_ = arena.alloc<std::uint64_t>(
             (groups_ ? groups_ : 1) * regionWords);
         hdr_ = arena.alloc<Header>(1);
@@ -205,29 +183,20 @@ class RegionParity
         env.clwb(hdr_);
     }
 
-    /** Does region @p r's content still match its fingerprint? */
-    bool
-    verifyRegion(Env &env, std::size_t r)
-    {
-        return fingerprint(env, r) == env.ldStream(&hash_[r]);
-    }
-
     /**
-     * Validate region @p r (< coveredRegions()) and, on a fingerprint
-     * mismatch, reconstruct it from its group parity and covered
-     * peers. The write-back is store + flush; the caller fences.
+     * Candidate content of covered region @p r (< coveredRegions()):
+     * its group's parity XOR every other covered region of the group,
+     * into @p out. Right only if the parity and those peers are; the
+     * caller's checksum decides.
      */
-    RegionState
-    repairRegion(Env &env, std::size_t r)
+    void
+    reconstruct(Env &env, std::size_t r, std::uint64_t *out)
     {
-        LP_ASSERT(r < covered_, "repair outside the covered prefix");
-        if (verifyRegion(env, r))
-            return RegionState::Clean;
+        LP_ASSERT(r < covered_, "reconstruct outside the coverage");
         const std::size_t g = r / groupRegions;
-        std::uint64_t rec[regionWords];
         const std::uint64_t *par = groupParity(g);
         for (std::size_t w = 0; w < regionWords; ++w)
-            rec[w] = env.ldStream(&par[w]);
+            out[w] = env.ldStream(&par[w]);
         const std::size_t lo = g * groupRegions;
         const std::size_t hi =
             lo + groupRegions < covered_ ? lo + groupRegions : covered_;
@@ -235,47 +204,35 @@ class RegionParity
             if (peer == r)
                 continue;
             for (std::size_t w = 0; w < regionWords; ++w)
-                rec[w] ^= env.ldStream(&words_[peer * regionWords + w]);
+                out[w] ^= env.ldStream(&words_[peer * regionWords + w]);
             env.tick(regionWords);
         }
-        if (fingerprintOf(r, rec) != env.ldStream(&hash_[r]))
-            return RegionState::Unrepairable;
-        auto *dst = const_cast<std::uint64_t *>(
-            &words_[r * regionWords]);
-        for (std::size_t w = 0; w < regionWords; ++w)
-            env.st(&dst[w], rec[w]);
-        env.clwb(dst);
-        return RegionState::Repaired;
     }
 
     /**
-     * One pass over the whole covered prefix: repair every region
-     * that fails its fingerprint. Recovery's repair hook; the caller
-     * fences after and decides what an unrepairable region means.
+     * Write @p n words of @p src back over data words [@p w, w + n),
+     * all inside one region: store + clwb, the caller fences.
      */
-    SweepResult
-    repairCovered(Env &env)
+    void
+    restore(Env &env, std::size_t w, std::size_t n,
+            const std::uint64_t *src)
     {
-        SweepResult res;
-        for (std::size_t r = 0; r < covered_; ++r) {
-            switch (repairRegion(env, r)) {
-              case RegionState::Repaired:    ++res.repaired; break;
-              case RegionState::Unrepairable: ++res.unrepairable; break;
-              case RegionState::Clean:        break;
-            }
-        }
-        return res;
+        auto *dst = const_cast<std::uint64_t *>(&words_[w]);
+        for (std::size_t i = 0; i < n; ++i)
+            env.st(&dst[i], src[i]);
+        env.clwb(dst);
     }
 
     /**
      * Scrub aid: recompute group @p g's parity over its covered
-     * regions and rewrite the parity block if it diverged (the
-     * "parity page itself is the corrupt one" case -- only call when
-     * the group's covered regions verified clean, so the divergence
-     * is provably the parity's). Returns true when rewritten.
+     * regions, whose words @p stored holds from the group's first
+     * word on, and rewrite the parity block if it diverged (the
+     * "parity page itself is the corrupt one" case -- only pass words
+     * that every checksum over them validated, so the divergence is
+     * provably the parity's). Returns true when rewritten.
      */
     bool
-    scrubGroupParity(Env &env, std::size_t g)
+    scrubGroupParity(Env &env, std::size_t g, const std::uint64_t *stored)
     {
         const std::size_t lo = g * groupRegions;
         const std::size_t hi =
@@ -283,9 +240,9 @@ class RegionParity
         if (lo >= hi)
             return false;
         std::uint64_t want[regionWords] = {};
-        for (std::size_t peer = lo; peer < hi; ++peer) {
+        for (std::size_t r = 0; r < hi - lo; ++r) {
             for (std::size_t w = 0; w < regionWords; ++w)
-                want[w] ^= env.ldStream(&words_[peer * regionWords + w]);
+                want[w] ^= stored[r * regionWords + w];
             env.tick(regionWords);
         }
         std::uint64_t *par = groupParity(g);
@@ -303,11 +260,6 @@ class RegionParity
 
     /// @name Introspection for fault injection (store FaultSurface).
     /// @{
-    const void *hashes() const { return hash_; }
-    std::size_t hashBytes() const
-    {
-        return groups_ * groupRegions * sizeof(std::uint64_t);
-    }
     const void *parityBlocks() const { return parity_; }
     std::size_t parityBytes() const
     {
@@ -340,10 +292,9 @@ class RegionParity
     }
 
     /**
-     * Cover regions [covered_, @p newCov): recompute the fingerprint
-     * line and the XOR parity line of each group they touch, from its
-     * first region on (@p stored starts at pendingRegion()), and
-     * stream both lines out whole. Unused fingerprint slots are 0.
+     * Cover regions [covered_, @p newCov): recompute the XOR parity
+     * line of each group they touch, from its first region on
+     * (@p stored starts at pendingRegion()), and stream it out whole.
      */
     void
     coverTo(Env &env, std::size_t newCov, const std::uint64_t *stored)
@@ -354,17 +305,14 @@ class RegionParity
         for (std::size_t lo = first; lo < newCov; lo += groupRegions) {
             const std::size_t hi =
                 lo + groupRegions < newCov ? lo + groupRegions : newCov;
-            std::uint64_t fp[groupRegions] = {};
             std::uint64_t par[regionWords] = {};
             for (std::size_t r = lo; r < hi; ++r) {
                 const std::uint64_t *w8 =
                     stored + (r - first) * regionWords;
-                fp[r - lo] = fingerprintOf(r, w8);
                 for (std::size_t w = 0; w < regionWords; ++w)
                     par[w] ^= w8[w];
-                env.tick(4 * regionWords);
+                env.tick(2 * regionWords);
             }
-            streamLine(env, &hash_[lo], fp);
             streamLine(env, groupParity(lo / groupRegions), par);
         }
         covered_ = newCov;
@@ -376,30 +324,6 @@ class RegionParity
     {
         for (std::size_t w = 0; w < regionWords; ++w)
             env.stStream(&dst[w], src[w]);
-    }
-
-    /**
-     * Fingerprint of region @p r's current content. Streaming loads:
-     * on the scrub path a miss must not displace workload lines.
-     */
-    std::uint64_t
-    fingerprint(Env &env, std::size_t r)
-    {
-        std::uint64_t h = mix64(r + 1);
-        for (std::size_t w = 0; w < regionWords; ++w)
-            h = mix64(h ^ env.ldStream(&words_[r * regionWords + w]));
-        env.tick(2 * regionWords);
-        return h;
-    }
-
-    /** Fingerprint of candidate content @p w8 for region @p r. */
-    static std::uint64_t
-    fingerprintOf(std::size_t r, const std::uint64_t *w8)
-    {
-        std::uint64_t h = mix64(r + 1);
-        for (std::size_t w = 0; w < regionWords; ++w)
-            h = mix64(h ^ w8[w]);
-        return h;
     }
 
     void
@@ -415,7 +339,6 @@ class RegionParity
     const std::uint64_t *words_;
     std::size_t regions_;
     std::size_t groups_;
-    std::uint64_t *hash_ = nullptr;
     std::uint64_t *parity_ = nullptr;
     Header *hdr_ = nullptr;
 

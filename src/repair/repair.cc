@@ -28,9 +28,8 @@ std::size_t
 parityArenaBytes(std::size_t dataBytes)
 {
     const std::size_t regions = parityRegionCount(dataBytes);
-    // Per group one fingerprint line and one parity line, plus the
-    // header block.
-    return 2 * parityGroupCount(regions) * regionBytes + regionBytes;
+    // One parity line per group, plus the header block.
+    return (parityGroupCount(regions) + 1) * regionBytes;
 }
 
 namespace

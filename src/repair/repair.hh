@@ -1,16 +1,16 @@
 /**
  * @file
- * Non-template helpers of lp::repair: the mixing hash behind region
- * fingerprints and metadata check words, and the parity geometry
- * shared between RegionParity (repair/parity.hh) and the store's
- * arena budget (store/store.cc).
+ * Non-template helpers of lp::repair: the mixing hash behind the
+ * journal's batch digest and the metadata check words, and the
+ * parity geometry shared between RegionParity (repair/parity.hh) and
+ * the store's arena budget (store/store.cc).
  *
  * Geometry: the protected buffer is cut into 64-byte REGIONS (one
  * cache block, the unit the simulated NVMM persists atomically) and
  * every 8 consecutive regions form a GROUP sharing one 64-byte XOR
- * parity block -- Pangolin's parity scheme at ~12.5% space, plus one
- * 8-byte fingerprint per region so a reconstruction is accepted only
- * when it provably reproduces the committed bytes.
+ * parity block -- Pangolin's parity scheme at ~12.5% space. Parity
+ * holds no checksum of its own: the owner's checksum accepts a
+ * reconstruction only when it reproduces the committed bytes.
  */
 
 #ifndef LP_REPAIR_REPAIR_HH
@@ -43,7 +43,7 @@ std::size_t parityGroupCount(std::size_t regions);
 
 /**
  * Arena bytes RegionParity allocates for a @p dataBytes buffer
- * (fingerprints + parity blocks + header), before per-allocation
+ * (parity blocks + header), before per-allocation
  * block-alignment padding.
  */
 std::size_t parityArenaBytes(std::size_t dataBytes);

@@ -132,8 +132,6 @@ struct FaultSurface
     std::size_t coveredBytes = 0;        ///< parity-covered prefix
     const void *parity = nullptr;        ///< XOR parity blocks
     std::size_t parityBytes = 0;
-    const void *parityHashes = nullptr;  ///< region fingerprints
-    std::size_t parityHashBytes = 0;
     const void *parityHeader = nullptr;  ///< coverage header block
 };
 

@@ -34,21 +34,25 @@
  * Media-fault tolerance (docs/repair_design.md). The journal is the
  * only structure whose loss silently loses committed data, so it
  * gets the heaviest protection: a repair::RegionParity instance per
- * shard fingerprints and XOR-folds the sealed 64B journal regions
- * one whole 8-region group at a time, at the commit that completes
- * the group, from the words the journal streamed out. Each group's
- * fingerprint and parity lines are streamed whole, so they cost one
- * NVMM write each and no read; markClean() covers the trailing
- * partial group, which strict recovery relies on. A batch's digest
- * lives in its trailer, a journal word like any other, so the same
- * parity repairs a rotted trailer; no digest replica is needed.
- * The shard superblock pair is the base class's. Crash tears and
- * media faults are disambiguated by the clean-shutdown flag
- * (store/layout.hh): recovery after a PROVEN clean shutdown runs
- * STRICT -- a validation failure there is a media fault, repaired
- * via parity or counted unrepairable (quarantine) -- while recovery
- * after a crash keeps the historical discard semantics and only
- * counts repairs the fingerprints prove.
+ * shard XOR-folds the sealed 64B journal regions one whole 8-region
+ * group at a time, at the commit that completes the group, from the
+ * words the journal streamed out. Each group's parity line is
+ * streamed whole, so it costs one NVMM write and no read;
+ * markClean() covers the trailing partial group, which strict
+ * recovery relies on. The batch digest is the journal's only
+ * checksum, and it both detects a rotted batch and tells which
+ * parity reconstruction restores it: REPAIR BY TRIAL (repairBatch)
+ * offers, per parity group the batch overlaps, the reconstruction of
+ * each of its covered regions, and accepts a choice of at most one
+ * per group only when the batch's digest then validates. A batch's
+ * digest lives in its trailer, a journal word like any other, so the
+ * same trial repairs a rotted trailer. The shard superblock pair is
+ * the base class's. Crash tears and media faults are disambiguated
+ * by the clean-shutdown flag (store/layout.hh): recovery after a
+ * PROVEN clean shutdown runs STRICT -- a validation failure there is
+ * a media fault, repaired by trial or counted unrepairable
+ * (quarantine) -- while recovery after a crash keeps the historical
+ * discard semantics and only counts repairs the digest proves.
  *
  * Recovery. Per shard, arbitrate the superblock pair for the durable
  * foldedEpoch W and the shard's life, and walk the journal from
@@ -56,7 +60,8 @@
  * walk): find each batch's trailer and check its tag, recompute the
  * life-salted digest over the records that actually reached NVMM,
  * and compare it with the digest the trailer carries. On the first
- * validation failure the parity sweep runs once and the position is
+ * validation failure of a batch starting inside the parity-covered
+ * prefix the batch is repaired by trial and, if that restored it,
  * retried. The walk stops at the first batch that still fails
  * validation -- journal appends are sequential, so durability is
  * prefix-shaped and later batches cannot have committed either. The
@@ -80,6 +85,7 @@
 #ifndef LP_STORE_BACKEND_LP_HH
 #define LP_STORE_BACKEND_LP_HH
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -106,7 +112,6 @@ class LpBackend : public PersistencyBackend<Env>
         for (int i = 0; i < cfg().shards; ++i) {
             Shard sh;
             sh.meta = this->allocMeta(attach);
-            sh.acc = core::ChecksumAcc(kStoreChecksum);
             sh.journal =
                 std::make_unique<BatchJournal<Env>>(*ctx.arena, jcap);
             sh.parity = std::make_unique<repair::RegionParity<Env>>(
@@ -126,11 +131,10 @@ class LpBackend : public PersistencyBackend<Env>
             // Fold first if the journal lacks room for a full batch.
             if (!sh.journal->roomFor(cfg().batchOps))
                 fold(env, shard);
-            pl.beginEpoch();
-            sh.journal->open(env, sh.acc);
+            sh.journal->open(env, pl.beginEpoch());
         }
         const std::uint64_t epoch = pl.openEpoch();
-        sh.journal->append(env, op, key, value, epoch, sh.acc);
+        sh.journal->append(env, op, key, value);
         if (op == JOp::Applied)
             this->stageApplied(shard, value);
         else
@@ -166,7 +170,7 @@ class LpBackend : public PersistencyBackend<Env>
         // for the fold's fence.
         obs::Span span(obs::ringOf(ob), "epoch_commit", epoch,
                        pl.openTraceId(), ob ? &ob->commitNs : nullptr);
-        sh.journal->seal(env, epoch, sh.acc);
+        sh.journal->seal(env);
         sh.parity->cover(
             env, epoch, sh.journal->sealedBytes(),
             sh.journal->storedWords(sh.parity->pendingRegion()));
@@ -222,8 +226,7 @@ class LpBackend : public PersistencyBackend<Env>
         pl.noteFold();
         sh.journal->reset();
         this->delta(shard).clear();
-        sh.scrubCursor = 0;
-        sh.scrubGroupClean = true;
+        sh.scrub = ScrubCursor{};
     }
 
     void
@@ -254,21 +257,18 @@ class LpBackend : public PersistencyBackend<Env>
         }
         // Media-repair hook for the replay walk: when the batch that
         // failed starts inside the parity-covered journal prefix,
-        // sweep that prefix once, restoring every region whose parity
-        // reconstruction reproduces its fingerprint. A batch starting
-        // past it has no covered byte -- at the journal's natural end
-        // there is nothing to repair, and the digest check alone
-        // decides.
-        auto repairFn = [&](std::size_t failedAt) {
-            if (failedAt >= sh.parity->coveredBytes())
+        // repair it by trial. A batch starting past it has no covered
+        // byte -- at the journal's natural end there is nothing to
+        // repair, and the digest check alone decides.
+        auto repairFn = [&](std::size_t pos, std::uint64_t e) {
+            if (pos * sizeof(JEntry) >= sh.parity->coveredBytes())
                 return false;
-            const repair::SweepResult res =
-                sh.parity->repairCovered(env);
-            if (res.repaired) {
+            const std::size_t n = repairBatch(env, sh, pos, e);
+            if (n) {
                 env.sfence();
-                this->noteRepaired(shard, &rep, res.repaired);
+                this->noteRepaired(shard, &rep, n);
             }
-            return res.repaired > 0;
+            return n > 0;
         };
         // The validated prefix coalesces into the delta exactly as
         // stage() builds it, and repairs the table with Eager
@@ -301,15 +301,19 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
     /**
-     * Online scrub: advance a region cursor over the covered journal
-     * prefix, validating fingerprints and repairing from parity.
+     * Online scrub: advance a cursor over the sealed batches that
+     * start inside the covered journal prefix, validating each by its
+     * digest (streaming loads) and repairing a failing one by trial.
      * The store is LIVE here -- no crash ambiguity -- so every
-     * mismatch is a media fault: repairs and unrepairable regions
-     * both count. When a parity group's covered regions all verified
-     * clean, the group's parity block itself is recomputed and
-     * rewritten if it diverged (the "parity page is the corrupt one"
-     * case). Reaching the end of the covered prefix audits the
-     * superblock pair and completes a pass.
+     * failure is a media fault: repairs count, and a batch no trial
+     * restores counts unrepairable (which quarantines the shard and
+     * ends the walk). Once the cursor has passed a parity group, every
+     * batch overlapping it has validated, so the group's parity line
+     * itself is recomputed from the words the walk read and rewritten
+     * if it diverged (the "parity page is the corrupt one" case).
+     * Reaching the end of the covered prefix audits the superblock
+     * pair and completes a pass. Returns the covered regions the
+     * cursor passed.
      */
     std::size_t
     scrub(Env &env, int shard, std::size_t maxRegions) override
@@ -317,51 +321,76 @@ class LpBackend : public PersistencyBackend<Env>
         if (this->quarantined(shard))
             return 0;
         Shard &sh = shards_[std::size_t(shard)];
-        const std::size_t covered = sh.parity->coveredRegions();
-        if (sh.scrubCursor >= covered) {
+        ScrubCursor &cur = sh.scrub;
+        const std::size_t coveredBytes = sh.parity->coveredBytes();
+        if (cur.pos * sizeof(JEntry) >= coveredBytes) {
             // Pass complete (or a fold restarted the generation):
             // close out with the superblock audit and wrap.
             this->auditMeta(env, shard, nullptr);
             this->media_[std::size_t(shard)].scrubPasses.fetch_add(
                 1, std::memory_order_relaxed);
-            sh.scrubCursor = 0;
-            sh.scrubGroupClean = true;
+            cur = ScrubCursor{};
             return 0;
         }
-        std::size_t done = 0;
+        const auto load = [&](const std::uint64_t *p) {
+            cur.words.push_back(env.ldStream(p));
+            return cur.words.back();
+        };
+        const std::size_t groupBytes =
+            repair::groupRegions * repair::regionBytes;
+        // Whole covered regions the walk has passed once it reaches
+        // @p pos; a step that does not end the pass passes at least
+        // one.
+        const auto passed = [&](std::size_t pos) {
+            return std::min(pos * sizeof(JEntry), coveredBytes) /
+                   repair::regionBytes;
+        };
+        const std::size_t start = passed(cur.pos);
         bool wrote = false;
-        while (done < maxRegions && sh.scrubCursor < covered) {
-            const std::size_t r = sh.scrubCursor++;
-            switch (sh.parity->repairRegion(env, r)) {
-              case repair::RegionState::Clean:
-                break;
-              case repair::RegionState::Repaired:
-                this->noteRepaired(shard, nullptr, 1);
-                wrote = true;
-                break;
-              case repair::RegionState::Unrepairable:
-                this->noteUnrepairable(shard, nullptr, 1);
-                sh.scrubGroupClean = false;
-                break;
+        while (passed(cur.pos) - start < maxRegions &&
+               cur.pos * sizeof(JEntry) < coveredBytes) {
+            const std::uint64_t e =
+                pipeline(shard).foldedEpoch() + 1 + cur.batches;
+            std::uint64_t count = 0;
+            const std::size_t mark = cur.words.size();
+            auto c = sh.journal->check(env, cfg(), cur.pos, e, count, load);
+            if (c != BatchJournal<Env>::Check::Valid) {
+                cur.words.resize(mark);
+                const std::size_t n = repairBatch(env, sh, cur.pos, e);
+                if (n) {
+                    this->noteRepaired(shard, nullptr, n);
+                    wrote = true;
+                    c = sh.journal->check(env, cfg(), cur.pos, e, count,
+                                          load);
+                }
+                if (c != BatchJournal<Env>::Check::Valid) {
+                    this->noteUnrepairable(shard, nullptr, 1);
+                    break;
+                }
             }
-            ++done;
-            const bool groupEnd =
-                (r + 1) % repair::groupRegions == 0 ||
-                r + 1 == covered;
-            if (groupEnd) {
-                if (sh.scrubGroupClean &&
-                    sh.parity->scrubGroupParity(
-                        env, r / repair::groupRegions)) {
+            cur.pos += count + 1;
+            ++cur.batches;
+            const std::size_t end =
+                std::min(cur.pos * sizeof(JEntry), coveredBytes);
+            for (; cur.groups * groupBytes < coveredBytes &&
+                   std::min((cur.groups + 1) * groupBytes,
+                            coveredBytes) <= end;
+                 ++cur.groups) {
+                if (sh.parity->scrubGroupParity(env, cur.groups,
+                                                cur.words.data())) {
                     this->noteRepaired(shard, nullptr, 1);
                     wrote = true;
                 }
-                sh.scrubGroupClean = true;
+                const std::size_t drop =
+                    std::min(cur.words.size(), groupBytes / 8);
+                cur.words.erase(cur.words.begin(),
+                                cur.words.begin() +
+                                    static_cast<std::ptrdiff_t>(drop));
             }
-            if (this->quarantined(shard))
-                break;
         }
         if (wrote)
             env.sfence();
+        const std::size_t done = passed(cur.pos) - start;
         this->media_[std::size_t(shard)].scrubRegions.fetch_add(
             done, std::memory_order_relaxed);
         return done;
@@ -378,8 +407,6 @@ class LpBackend : public PersistencyBackend<Env>
         fs.coveredBytes = sh.parity->coveredBytes();
         fs.parity = sh.parity->parityBlocks();
         fs.parityBytes = sh.parity->parityBytes();
-        fs.parityHashes = sh.parity->hashes();
-        fs.parityHashBytes = sh.parity->hashBytes();
         fs.parityHeader = sh.parity->header();
         return fs;
     }
@@ -400,22 +427,131 @@ class LpBackend : public PersistencyBackend<Env>
     }
 
   private:
+    /**
+     * Online-scrub walk state (owner thread only): the next batch's
+     * journal entry; the batches and parity groups the walk has
+     * passed since the generation began; and the words it validated
+     * from the first one of the next group to re-check.
+     */
+    struct ScrubCursor
+    {
+        std::size_t pos = 0;
+        std::uint64_t batches = 0;
+        std::size_t groups = 0;
+        std::vector<std::uint64_t> words;
+    };
+
     struct Shard
     {
         ShardMeta *meta = nullptr;
         std::unique_ptr<BatchJournal<Env>> journal;
         std::unique_ptr<repair::RegionParity<Env>> parity;
-        core::ChecksumAcc acc;
 
         /** The delta's keys in table order; reused by every fold. */
         std::vector<std::uint64_t> keys;
 
-        /// @name Online-scrub walk state (owner thread only).
-        /// @{
-        std::size_t scrubCursor = 0;
-        bool scrubGroupClean = true;
-        /// @}
+        ScrubCursor scrub;
     };
+
+    /** Trials repairBatch runs at most per batch. */
+    static constexpr std::size_t kMaxRepairTrials = 1024;
+
+    /**
+     * Repair by trial the batch of epoch @p e expected at journal
+     * entry @p pos, which failed validation. Every covered region of
+     * the batch's window (BatchJournal::windowEnd) whose parity
+     * reconstruction differs from what is stored there is a
+     * candidate. XOR parity restores one region per group, so a trial
+     * picks at most one candidate per parity group: trials over one
+     * group run first, then over two, and so on, kMaxRepairTrials at
+     * most. The first trial whose words validate the batch is written
+     * back -- only the window's words, since the digest vouches for
+     * nothing else. Returns the regions restored, 0 when no trial
+     * validates; the caller fences.
+     */
+    std::size_t
+    repairBatch(Env &env, Shard &sh, std::size_t pos, std::uint64_t e)
+    {
+        constexpr std::size_t rw = repair::regionWords;
+        const auto *words =
+            static_cast<const std::uint64_t *>(sh.journal->data());
+        const std::size_t lo = 2 * pos;
+        const std::size_t hi = 2 * sh.journal->windowEnd(cfg(), pos);
+        const std::size_t rEnd = std::min((hi + rw - 1) / rw,
+                                          sh.parity->coveredRegions());
+        std::vector<std::uint64_t> view(hi - lo);
+        for (std::size_t w = lo; w < hi; ++w)
+            view[w - lo] = env.ldStream(&words[w]);
+
+        // The window's words of each candidate, grouped by parity
+        // group.
+        struct Cand
+        {
+            std::size_t at;  ///< first window word it covers
+            std::size_t n;
+            std::uint64_t w[rw];
+        };
+        std::vector<std::vector<Cand>> groups;
+        std::size_t lastGroup = 0;
+        for (std::size_t r = lo / rw; r < rEnd; ++r) {
+            std::uint64_t rec[rw];
+            sh.parity->reconstruct(env, r, rec);
+            Cand c;
+            c.at = std::max(lo, r * rw);
+            c.n = std::min(hi, r * rw + rw) - c.at;
+            std::copy_n(rec + (c.at - r * rw), c.n, c.w);
+            if (std::equal(c.w, c.w + c.n, view.begin() + (c.at - lo)))
+                continue;
+            const std::size_t g = r / repair::groupRegions;
+            if (groups.empty() || g != lastGroup)
+                groups.emplace_back();
+            lastGroup = g;
+            groups.back().push_back(c);
+        }
+
+        const auto swapIn = [&](Cand &c) {
+            std::swap_ranges(c.w, c.w + c.n, view.begin() + (c.at - lo));
+        };
+        std::size_t trials = 0;
+        const auto valid = [&] {
+            ++trials;
+            std::uint64_t count = 0;
+            return sh.journal->check(
+                       env, cfg(), pos, e, count,
+                       [&](const std::uint64_t *p) {
+                           return view[std::size_t(p - words) - lo];
+                       }) == BatchJournal<Env>::Check::Valid;
+        };
+        // Try one candidate in each of @p left more groups, from group
+        // @p g on; on success the chosen candidates are in `view`.
+        std::vector<Cand *> chosen;
+        const auto pick = [&](auto &self, std::size_t g,
+                              std::size_t left) -> bool {
+            if (left == 0)
+                return valid();
+            for (std::size_t h = g; h + left <= groups.size(); ++h) {
+                for (Cand &c : groups[h]) {
+                    if (trials >= kMaxRepairTrials)
+                        return false;
+                    swapIn(c);
+                    chosen.push_back(&c);
+                    if (self(self, h + 1, left - 1))
+                        return true;
+                    chosen.pop_back();
+                    swapIn(c);
+                }
+            }
+            return false;
+        };
+        for (std::size_t n = 1; n <= groups.size(); ++n) {
+            if (!pick(pick, 0, n))
+                continue;
+            for (const Cand *c : chosen)
+                sh.parity->restore(env, c->at, c->n, &view[c->at - lo]);
+            return chosen.size();
+        }
+        return 0;
+    }
 
     /**
      * Apply @p shard's delta to the table with Eager Persistency (the
@@ -452,10 +588,8 @@ class LpBackend : public PersistencyBackend<Env>
         sh.parity->resetGeneration(env, committed);
         env.sfence();
         sh.journal->reset();
-        sh.acc.reset();
         this->delta(shard).clear();
-        sh.scrubCursor = 0;
-        sh.scrubGroupClean = true;
+        sh.scrub = ScrubCursor{};
         pipeline(shard).rebase(committed);
         rep.committedEpochs[std::size_t(shard)] = committed;
     }

@@ -93,8 +93,8 @@ nvmmByStructure(const sim::Machine &m, const pmem::PersistentArena &arena,
                 const KvStore<kernels::SimEnv> &store,
                 const obs::FlightRing &flight, std::uint64_t mutations)
 {
-    enum : std::size_t { Table, Journal, Parity, Fingerprints,
-                         ParityHeader, Superblocks, Flight, Other };
+    enum : std::size_t { Table, Journal, Parity, ParityHeader,
+                         Superblocks, Flight, Other };
     static_assert(std::size(kNvmmStructures) == Other + 1);
     struct Range
     {
@@ -114,7 +114,6 @@ nvmmByStructure(const sim::Machine &m, const pmem::PersistentArena &arena,
             add(Table, fs.table, fs.tableBytes);
         add(Journal, fs.journal, fs.journalBytes);
         add(Parity, fs.parity, fs.parityBytes);
-        add(Fingerprints, fs.parityHashes, fs.parityHashBytes);
         add(ParityHeader, fs.parityHeader,
             fs.parityHeader ? blockBytes : 0);
         add(Superblocks, fs.metaPrimary, sizeof(ShardMeta));
@@ -483,7 +482,8 @@ runStoreWithFault(Backend b, const StoreConfig &scfg,
         fs.sealedBytes / repair::regionBytes * repair::regionBytes;
     switch (site) {
       case FaultSite::JournalPayload:
-        // Byte 9 of region 0: epoch 1's batch-header count word.
+        // Byte 9 of region 0: the value word of epoch 1's first
+        // record.
         if (coveredBytes >= repair::regionBytes) {
             inj.flipBitAt(fs.journal, 9, 3);
             out.injected = true;

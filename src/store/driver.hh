@@ -131,8 +131,8 @@ struct NvmmTraffic
 
 /** Structure names nvmmByStructure reports, in order. */
 inline constexpr const char *kNvmmStructures[] = {
-    "table",         "journal",     "parity",      "fingerprints",
-    "parity_header", "superblocks", "flight_ring", "other",
+    "table",       "journal",     "parity",      "parity_header",
+    "superblocks", "flight_ring", "other",
 };
 
 /** Result of one simulated YCSB run (stats cover the mix only). */

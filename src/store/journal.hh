@@ -16,28 +16,36 @@
  * line fills or the fold's fence drains it.
  *
  * The journal is SELF-VALIDATING: the trailer carries the batch's
- * salted digest, so a batch is committed exactly when its trailer
- * line is durable and the digest recomputed over what reached NVMM
- * matches it. No separate checksum table exists. The paper keeps its
+ * digest, so a batch is committed exactly when its trailer line is
+ * durable and the digest recomputed over what reached NVMM matches
+ * it. No separate checksum table exists. The paper keeps its
  * checksums in a table because its regions update data in place; a
  * journal batch is append-only and already ends in a record of its
  * own, so the check rides there, and the journal parity that covers
  * every record covers the trailer too.
  *
- * A record stores only what replay applies; its epoch and in-batch
- * index are not stored but folded into the batch digest as a
- * per-word salt (journalSalt), together with the shard's LIFE -- a
- * counter kept in the superblock and advanced by every recovery. A
- * stale record from an earlier journal generation -- even one sitting
- * at the same position of a permutation of the new batch -- therefore
- * still fails validation, because it is salted as the epoch and index
- * it would have to belong to; and a batch a crashed life left behind
+ * The digest (BatchDigest) is the journal's ONLY checksum: it
+ * decides what recovery replays, and it also decides which parity
+ * reconstruction of a rotted batch is right (backend_lp.hh). So it
+ * is strong: each word enters as mix64(word ^ salt) into a 64-bit
+ * sum, its salt derived from one per-batch mix64 of the shard's LIFE
+ * and the batch's epoch plus the word's position. mix64 is a
+ * bijection, so changing any one word always moves the sum, and any
+ * change to one or two words leaves the trailer's 48 digest bits
+ * unchanged only with probability about 2^-48. A record stores only
+ * what replay applies; its epoch and in-batch index are not stored
+ * but enter the digest through the salt. LIFE is a counter kept in
+ * the superblock and advanced by every recovery. A stale record from
+ * an earlier journal generation -- even one sitting at the same
+ * position of a permutation of the new batch -- therefore still
+ * fails validation, because it is salted as the epoch and index it
+ * would have to belong to; and a batch a crashed life left behind
  * fails under the next life's salt even though epoch numbers restart
  * at the recovered watermark. The journal array restarts at offset 0
  * after each fold.
  *
  * The journal owns the CURSORS (tail, open-batch start) and the
- * store/checksum mechanics; epoch numbering and batch/fold accounting
+ * store/digest mechanics; epoch numbering and batch/fold accounting
  * are the CommitPipeline's (engine/commit_pipeline.hh). The geometry
  * helper shared with arena budgeting is non-template and lives in
  * journal.cc.
@@ -53,7 +61,6 @@
 
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "lp/checksum.hh"
 #include "repair/repair.hh"
 #include "store/layout.hh"
 
@@ -122,37 +129,58 @@ static_assert(sizeof(JEntry) == 16);
 static_assert(blockBytes % sizeof(JEntry) == 0,
               "a journal record must never straddle a block");
 
-/** Instructions charged per digest salt (one mix64). */
-inline constexpr std::uint64_t journalSaltCost = 8;
+/** Instructions charged per mix64. */
+inline constexpr std::uint64_t mixCost = 8;
 
 /**
- * Digest salt of digested word @p word (trailer words 0 and 1, record
- * i words 2i and 2i+1, i from 1) of the batch of @p epoch written in
- * shard life @p life. It is ADDED to the word before the word enters
- * the checksum: an XOR salt would cancel out of a Parity digest for a
- * permuted batch, an additive one carries into the folded bits and
- * does not.
+ * Instructions charged per digested word: its salt step, the XOR,
+ * one mix64 and the add.
  */
-inline std::uint64_t
-journalSalt(std::uint64_t life, std::uint64_t epoch, std::uint64_t word)
-{
-    return repair::mix64((epoch ^ (life << 40)) * 0x9e3779b97f4a7c15ull +
-                         word);
-}
+inline constexpr std::uint64_t digestWordCost = mixCost + 3;
 
 /**
- * Fold record @p index (0 = the trailer, which digests as
- * {slotEmptyKey, record count}) of @p epoch's batch of life @p life
- * into @p acc.
+ * Running digest of one batch (see the file comment). The batch's
+ * words are numbered: the trailer's are 0 and 1 (the trailer digests
+ * as {slotEmptyKey, record count}), record j's 2j and 2j+1, j from
+ * 1. The salt is XORed in: each word passes through its own mix64,
+ * so no salt can cancel across words. The digest is part of the
+ * journal format, which the shard file does not version: a batch
+ * sealed under another digest fails validation.
  */
-inline void
-digestRecord(core::ChecksumAcc &acc, std::uint64_t life,
-             std::uint64_t epoch, std::uint64_t index, std::uint64_t key,
-             std::uint64_t value)
+class BatchDigest
 {
-    acc.addWord(key + journalSalt(life, epoch, 2 * index));
-    acc.addWord(value + journalSalt(life, epoch, 2 * index + 1));
-}
+  public:
+    /** Start the digest of @p epoch's batch in shard life @p life. */
+    void
+    start(std::uint64_t life, std::uint64_t epoch)
+    {
+        salt_ = repair::mix64((epoch ^ (life << 40)) * kStride);
+        sum_ = 0;
+    }
+
+    /** Fold record @p index (0 = the trailer) into the sum. */
+    void
+    addRecord(std::uint64_t index, std::uint64_t key, std::uint64_t value)
+    {
+        add(2 * index, key);
+        add(2 * index + 1, value);
+    }
+
+    std::uint64_t value() const { return sum_; }
+
+  private:
+    static constexpr std::uint64_t kStride = 0x9e3779b97f4a7c15ull;
+
+    /** Fold word number @p i, holding @p w, into the sum. */
+    void
+    add(std::uint64_t i, std::uint64_t w)
+    {
+        sum_ += repair::mix64(w ^ (salt_ + i * kStride));
+    }
+
+    std::uint64_t salt_ = 0;
+    std::uint64_t sum_ = 0;
+};
 
 /** Journal entry capacity for @p cfg: foldBatches + slack batches. */
 std::size_t journalCapacity(const StoreConfig &cfg);
@@ -206,7 +234,7 @@ class BatchJournal
         return fresh_.data() + (w - freshBase_);
     }
 
-    /** Shard life the digests are salted with (see journalSalt). */
+    /** Shard life the digests are salted with (see BatchDigest). */
     void setLife(std::uint64_t life) { life_ = life; }
 
     /** Room for @p batchOps records plus the trailer? */
@@ -217,15 +245,16 @@ class BatchJournal
     }
 
     /**
-     * Open a batch for the next epoch and reset @p acc for its
-     * digest. Nothing is stored until the first record: the trailer
-     * is written last, at seal.
+     * Open the batch of @p epoch and start its digest. Nothing is
+     * stored until the first record: the trailer is written last, at
+     * seal.
      */
     void
-    open(Env &env, core::ChecksumAcc &acc)
+    open(Env &env, std::uint64_t epoch)
     {
         LP_ASSERT(!batchOpen(), "batch already open");
         batchStart_ = tail_;
+        epoch_ = epoch;
         // Parity covers whole groups of regions: keep the words from
         // the first region of the group the tail is in.
         constexpr std::size_t groupWords =
@@ -235,20 +264,18 @@ class BatchJournal
                      fresh_.begin() +
                          static_cast<std::ptrdiff_t>(keep - freshBase_));
         freshBase_ = keep;
-        acc.reset();
-        env.tick(4);
+        digest_.start(life_, epoch);
+        env.tick(4 + mixCost);
     }
 
-    /** Append one record and fold it (salted) into the digest. */
+    /** Append one record and fold it into the digest. */
     void
-    append(Env &env, JOp op, std::uint64_t key, std::uint64_t value,
-           std::uint64_t epoch, core::ChecksumAcc &acc)
+    append(Env &env, JOp op, std::uint64_t key, std::uint64_t value)
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "append out of bounds");
         const JEntry rec = JEntry::encode(op, key, value);
         put(env, rec);
-        digestRecord(acc, life_, epoch, tail_ - batchStart_, rec.key,
-                     rec.value);
+        digest_.addRecord(tail_ - batchStart_, rec.key, rec.value);
         env.tick(recordCost);
     }
 
@@ -259,12 +286,11 @@ class BatchJournal
      * batch is committed; nothing else is written.
      */
     void
-    seal(Env &env, std::uint64_t epoch, core::ChecksumAcc &acc)
+    seal(Env &env)
     {
         LP_ASSERT(batchOpen() && tail_ < cap_, "no open batch");
-        digestRecord(acc, life_, epoch, 0, slotEmptyKey,
-                     tail_ - batchStart_);
-        put(env, JEntry::trailer(epoch, acc.value()));
+        digest_.addRecord(0, slotEmptyKey, tail_ - batchStart_);
+        put(env, JEntry::trailer(epoch_, digest_.value()));
         env.tick(recordCost);
         batchStart_ = npos;
     }
@@ -279,51 +305,110 @@ class BatchJournal
         freshBase_ = 0;
     }
 
+    /** Outcome of validating the batch expected at one position. */
+    enum class Check
+    {
+        NoTrailer,  ///< no trailer with the expected tag: journal end
+        Invalid,    ///< tagged trailer found; shape or digest fails
+        Valid,
+    };
+
+    /**
+     * One past the last entry a batch starting at entry @p pos can
+     * occupy: batchOps records and the trailer.
+     */
+    std::size_t
+    windowEnd(const StoreConfig &cfg, std::size_t pos) const
+    {
+        return std::min(cap_, pos + std::size_t(cfg.batchOps) + 1);
+    }
+
+    /**
+     * Validate the batch of epoch @p e that should start at entry
+     * @p pos (< capacity), reading each journal word through
+     * @p load(const std::uint64_t *): its trailer must be the first
+     * record within the window whose key is slotEmptyKey and carry
+     * @p e's tag; each record must have a legal shape (a Del names a
+     * user key); and the digest recomputed over what was read must be
+     * the one the trailer carries. On Valid, @p count is the batch's
+     * record count; on Invalid, too.
+     */
+    template <typename LoadFn>
+    Check
+    check(Env &env, const StoreConfig &cfg, std::size_t pos,
+          std::uint64_t e, std::uint64_t &count, LoadFn &&load) const
+    {
+        const std::size_t end = windowEnd(cfg, pos);
+        BatchDigest d;
+        d.start(life_, e);
+        env.tick(mixCost);
+        bool shapeOk = true;
+        for (std::size_t i = pos; i < end; ++i) {
+            const JEntry &je = buf_[i];
+            const std::uint64_t k = load(&je.key);
+            const std::uint64_t v = load(&je.value);
+            if (k == slotEmptyKey) {
+                if ((v & trailerTagMask) != (e & trailerTagMask))
+                    return Check::NoTrailer;
+                count = i - pos;
+                d.addRecord(0, k, count);
+                env.tick(recordCost);
+                return shapeOk &&
+                               JEntry::trailer(e, d.value()).value == v
+                           ? Check::Valid
+                           : Check::Invalid;
+            }
+            d.addRecord(i - pos + 1, k, v);
+            env.tick(recordCost);
+            if (k == slotTombstoneKey && v > maxUserKey)
+                shapeOk = false;
+        }
+        return Check::NoTrailer;
+    }
+
     /**
      * Recovery walk (see the recovery story in backend_lp.hh): from
-     * offset 0, expect epochs base+1, base+2, ...; find each batch's
-     * trailer, recompute its digest over what actually reached NVMM
-     * and accept it iff the trailer carries that digest. Accepted
-     * batches replay through @p apply(isPut, key, value) per record,
-     * in journal order (an Applied record as a put of slotAppliedKey,
-     * for the caller to tell apart). Stops at the first batch
-     * failing validation -- appends are sequential, so durability is
+     * offset 0, expect epochs base+1, base+2, ...; check each batch
+     * over what actually reached NVMM. Accepted batches replay
+     * through @p apply(isPut, key, value) per record, in journal
+     * order (an Applied record as a put of slotAppliedKey, for the
+     * caller to tell apart). Stops at the first batch failing
+     * validation -- appends are sequential, so durability is
      * prefix-shaped. Returns the last committed epoch.
      *
-     * @p repairFn(offset) is the media-repair hook: on the FIRST
+     * @p repairFn(pos, epoch) is the media-repair hook: on a
      * validation failure of any kind (a missing trailer included --
      * a rotted trailer looks exactly like the clean end of the
-     * journal) it is invoked once with the failing batch's byte
-     * offset in the journal; if it reports that it changed anything,
-     * the failing position is re-validated once before the failure
-     * is made final. The offset lets the hook tell a batch that media
-     * protection covers from the journal's natural end. Pass a
-     * `[](std::size_t) { return false; }` thunk to opt out.
+     * journal) it is invoked with the failing batch's entry position
+     * and epoch; if it reports that it restored anything, the
+     * position is re-validated once before the failure is made
+     * final. Pass a `[](std::size_t, std::uint64_t) { return false; }`
+     * thunk to opt out.
      */
     template <typename ApplyFn, typename RepairFn>
     std::uint64_t
     replay(Env &env, const StoreConfig &cfg, std::uint64_t base,
            ApplyFn &&apply, RepairFn &&repairFn, RecoveryReport &rep)
     {
-        bool repairTried = false;
-        auto tryRepair = [&](std::size_t pos) {
-            if (repairTried)
-                return false;
-            repairTried = true;
-            return repairFn(pos * sizeof(JEntry));
+        const auto load = [&env](const std::uint64_t *p) {
+            return env.ld(p);
         };
         std::uint64_t e = base + 1;
         std::size_t pos = 0;
+        bool retried = false;
         while (pos < cap_) {
             std::uint64_t count = 0;
-            const Check c = checkBatch(env, cfg, pos, e, count);
+            const Check c = check(env, cfg, pos, e, count, load);
             if (c != Check::Valid) {
-                if (tryRepair(pos))
+                if (!retried && repairFn(pos, e)) {
+                    retried = true;
                     continue;
+                }
                 if (c == Check::Invalid)
                     ++rep.batchesDiscarded;
                 break;
             }
+            retried = false;
             for (std::uint64_t i = 0; i < count; ++i) {
                 JEntry &je = buf_[pos + i];
                 const std::uint64_t k = env.ld(&je.key);
@@ -342,18 +427,8 @@ class BatchJournal
     }
 
   private:
-    /** Outcome of validating the batch expected at one position. */
-    enum class Check
-    {
-        NoTrailer,  ///< no trailer with the expected tag: journal end
-        Invalid,    ///< tagged trailer found; shape or digest fails
-        Valid,
-    };
-
-    /** Instructions charged per record: two salted digest words. */
-    static constexpr std::uint64_t recordCost =
-        2 * (core::ChecksumAcc::updateCost(kStoreChecksum) +
-             journalSaltCost);
+    /** Instructions charged per record: two digested words. */
+    static constexpr std::uint64_t recordCost = 2 * digestWordCost;
 
     /** Stream @p rec into the tail slot and keep its words. */
     void
@@ -366,51 +441,13 @@ class BatchJournal
         fresh_.push_back(rec.value);
     }
 
-    /**
-     * Validate the batch of epoch @p e that should start at @p pos
-     * (< cap_): its trailer must be the first record within
-     * batchOps + 1 whose key is slotEmptyKey and carry @p e's tag;
-     * each record must have a legal shape (a Del names a user key);
-     * and the salted digest recomputed over what reached NVMM must be
-     * the one the trailer carries. On Valid, @p count is the batch's
-     * record count.
-     */
-    Check
-    checkBatch(Env &env, const StoreConfig &cfg, std::size_t pos,
-               std::uint64_t e, std::uint64_t &count)
-    {
-        const std::size_t end =
-            std::min(cap_, pos + std::size_t(cfg.batchOps) + 1);
-        core::ChecksumAcc acc(kStoreChecksum);
-        bool shapeOk = true;
-        for (std::size_t i = pos; i < end; ++i) {
-            JEntry &je = buf_[i];
-            const std::uint64_t k = env.ld(&je.key);
-            const std::uint64_t v = env.ld(&je.value);
-            if (k == slotEmptyKey) {
-                if ((v & trailerTagMask) != (e & trailerTagMask))
-                    return Check::NoTrailer;
-                count = i - pos;
-                digestRecord(acc, life_, e, 0, k, count);
-                env.tick(recordCost);
-                return shapeOk &&
-                               JEntry::trailer(e, acc.value()).value == v
-                           ? Check::Valid
-                           : Check::Invalid;
-            }
-            digestRecord(acc, life_, e, i - pos + 1, k, v);
-            env.tick(recordCost);
-            if (k == slotTombstoneKey && v > maxUserKey)
-                shapeOk = false;
-        }
-        return Check::NoTrailer;
-    }
-
     JEntry *buf_ = nullptr;
     std::size_t cap_ = 0;
     std::size_t tail_ = 0;
     std::size_t batchStart_ = npos;
+    std::uint64_t epoch_ = 0;  ///< of the open batch
     std::uint64_t life_ = 0;
+    BatchDigest digest_;       ///< of the open batch
 
     /// Words stored since the first region of the parity group the
     /// tail was in when the last batch opened; fresh_[0] is journal

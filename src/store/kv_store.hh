@@ -207,9 +207,9 @@ class KvStore
     }
 
     /**
-     * One online-scrub step of @p shard: validate up to
+     * One online-scrub step of @p shard: validate about
      * @p maxRegions protected regions, repairing from parity where
-     * the fingerprints prove it. Owner-thread only (it may write);
+     * the checksum proves it. Owner-thread only (it may write);
      * cheap enough for an idle loop. Returns regions examined.
      */
     std::size_t

@@ -33,7 +33,6 @@
 
 #include "base/logging.hh"
 #include "base/types.hh"
-#include "lp/checksum.hh"
 #include "pmem/arena.hh"
 #include "sim/config.hh"
 
@@ -43,7 +42,7 @@ namespace lp::store
 /** How a store instance makes its mutations durable. */
 enum class Backend
 {
-    Lp,          ///< Lazy Persistency: lazy journal + checksum epochs
+    Lp,          ///< Lazy Persistency: lazy journal + digest epochs
     EagerPerOp,  ///< clwb + sfence per mutation (PMEM idiom)
     Wal,         ///< per-batch undo-logged durable transactions
 };
@@ -77,14 +76,6 @@ struct StoreConfig
      */
     int foldBatches = 64;
 };
-
-/**
- * Checksum kind protecting LP batches: a constant, as the shard file
- * does not record it (a restart under another would fail every
- * unfolded batch's digest).
- */
-inline constexpr core::ChecksumKind kStoreChecksum =
-    core::ChecksumKind::Modular;
 
 /**
  * Generous arena budget (bytes) for one store with @p cfg, covering
@@ -208,9 +199,9 @@ struct RecoveryReport
 
     /**
      * Media faults detected AND repaired during recovery: journal
-     * regions (trailers included) reconstructed from parity
-     * (fingerprint-verified), superblock copies restored from their
-     * replica, a rotted parity header restarted.
+     * regions (trailers included) reconstructed from parity (the
+     * batch digest verifies each), superblock copies restored from
+     * their replica, a rotted parity header restarted.
      */
     std::uint64_t mediaRepaired = 0;
 

@@ -60,8 +60,8 @@ storeArenaBytes(const StoreConfig &cfg)
     std::size_t bytes = slots * 16 + std::size_t(cfg.shards) *
              (2 * sizeof(ShardMeta) +       // superblock pair
               jcap * sizeof(JEntry) +       // journal
-              repair::parityArenaBytes(     // fingerprints + parity
-                  jcap * sizeof(JEntry)) +  //   + coverage header
+              repair::parityArenaBytes(     // parity + coverage
+                  jcap * sizeof(JEntry)) +  //   header
               walEntries * 16 + 2 * 64);    // WAL log + count + status
     // ~10 allocations per shard plus 4 global, each padded to a block.
     bytes += (std::size_t(cfg.shards) * 10 + 10) * blockBytes;

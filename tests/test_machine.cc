@@ -141,8 +141,8 @@ TEST(Machine, StreamReadCoalescesInFillBuffer)
 TEST(Machine, StreamReadHitsCachedCopy)
 {
     Fixture f;
-    // A cache-dirty line must satisfy the streaming read (fingerprints
-    // cover the eventual durable content), at L1-hit cost.
+    // A cache-dirty line must satisfy the streaming read (a scrub's
+    // checksum covers the eventual durable content), at L1-hit cost.
     f.m.write(0, f.addr(0), 8);
     const auto readsAfterFill = f.m.machineStats().nvmmReads.value();
     const Cycles before = f.m.coreCycles(0);

@@ -851,18 +851,18 @@ TEST(StoreTraffic, ByStructureCoversAllWritesAndJournalIsNeverRead)
         EXPECT_GT(r.nvmmByStructure[0].writesPerMut, 0.0)
             << backendName(b) << ": table";
         if (b == Backend::Lp) {
-            EXPECT_GT(r.nvmmByStructure[1].writesPerMut, 0.0);
-            EXPECT_EQ(r.nvmmByStructure[1].readsPerMut, 0.0);
-            // Parity and fingerprints are streamed one whole line per
-            // group each: never read, written equally often.
+            const NvmmTraffic &jr = r.nvmmByStructure[1];
+            EXPECT_GT(jr.writesPerMut, 0.0);
+            EXPECT_EQ(jr.readsPerMut, 0.0);
+            // Parity is the journal's only redundancy: one whole line
+            // streamed per completed 8-region group, never read, so
+            // at most one parity write per eight journal lines.
             const NvmmTraffic &par = r.nvmmByStructure[2];
-            const NvmmTraffic &fp = r.nvmmByStructure[3];
             ASSERT_STREQ(kNvmmStructures[2], "parity");
-            ASSERT_STREQ(kNvmmStructures[3], "fingerprints");
+            ASSERT_STREQ(kNvmmStructures[3], "parity_header");
             EXPECT_GT(par.writesPerMut, 0.0);
             EXPECT_EQ(par.readsPerMut, 0.0);
-            EXPECT_EQ(fp.readsPerMut, 0.0);
-            EXPECT_EQ(par.writesPerMut, fp.writesPerMut);
+            EXPECT_LE(8 * par.writesPerMut, jr.writesPerMut);
         }
     }
 }
@@ -1309,15 +1309,17 @@ TEST(StoreParity, CoverStopsAtGroupBoundaryUntilMarkedClean)
 }
 
 /**
- * RegionParity on its own: a tail cover's partial parity repairs a
- * region of the partial group, and the later whole-group cover that
- * completes the group rewrites both lines so a region past the old
- * tail repairs too.
+ * RegionParity on its own: a tail cover's partial parity
+ * reconstructs a region of the partial group, and the later
+ * whole-group cover that completes the group rewrites its line so a
+ * region past the old tail reconstructs too. restore() writes a
+ * reconstruction back.
  */
 TEST(StoreParity, TailCoverIsRewrittenWhenTheGroupCompletes)
 {
     constexpr std::size_t regions = 32;
-    constexpr std::size_t words = regions * repair::regionWords;
+    constexpr std::size_t rw = repair::regionWords;
+    constexpr std::size_t words = regions * rw;
     kernels::SimContext ctx(smallMachine(),
                             words * sizeof(std::uint64_t) +
                                 repair::parityArenaBytes(words * 8) +
@@ -1329,13 +1331,21 @@ TEST(StoreParity, TailCoverIsRewrittenWhenTheGroupCompletes)
     for (std::size_t w = 0; w < words; ++w)
         data[w] = repair::mix64(w);
     const auto stored = [&]() {
-        return data + par.pendingRegion() * repair::regionWords;
+        return data + par.pendingRegion() * rw;
     };
-    const auto rot = [&](std::size_t r) {
-        data[r * repair::regionWords + 3] ^= 0x40;
+    // Rot one word of region @p r; reconstruct it; the candidate must
+    // be the original region, and restoring it undoes the rot.
+    const auto rotAndRebuild = [&](std::size_t r) {
+        std::uint64_t want[rw];
+        std::copy_n(data + r * rw, rw, want);
+        data[r * rw + 3] ^= 0x40;
+        std::uint64_t rec[rw];
+        par.reconstruct(env, r, rec);
+        EXPECT_TRUE(std::equal(rec, rec + rw, want)) << "region " << r;
+        par.restore(env, r * rw + 3, 1, rec + 3);
+        EXPECT_TRUE(std::equal(data + r * rw, data + r * rw + rw, want))
+            << "region " << r;
     };
-    const std::uint64_t want10 = data[10 * repair::regionWords + 3];
-    const std::uint64_t want12 = data[12 * repair::regionWords + 3];
 
     par.cover(env, 1, 11 * repair::regionBytes + 16, stored());
     EXPECT_EQ(par.coveredRegions(), 8u);
@@ -1343,27 +1353,23 @@ TEST(StoreParity, TailCoverIsRewrittenWhenTheGroupCompletes)
     par.coverTail(env, 11 * repair::regionBytes + 16, stored());
     EXPECT_EQ(par.coveredRegions(), 11u);
     EXPECT_EQ(par.pendingRegion(), 8u);
-    rot(10);
-    EXPECT_EQ(par.repairRegion(env, 10), repair::RegionState::Repaired);
-    EXPECT_EQ(data[10 * repair::regionWords + 3], want10);
+    rotAndRebuild(10);
 
     par.cover(env, 2, 15 * repair::regionBytes, stored());
     EXPECT_EQ(par.coveredRegions(), 11u) << "group 1 is not complete";
     par.cover(env, 3, 16 * repair::regionBytes, stored());
     EXPECT_EQ(par.coveredRegions(), 16u);
     EXPECT_EQ(par.lastSealedEpoch(), 3u);
-    rot(12);
-    EXPECT_EQ(par.repairRegion(env, 12), repair::RegionState::Repaired);
-    EXPECT_EQ(data[12 * repair::regionWords + 3], want12);
-    EXPECT_EQ(par.repairCovered(env).repaired, 0u);
+    rotAndRebuild(12);
+    rotAndRebuild(2);
 }
 
 /**
- * A group's streamed parity and fingerprint lines leave for NVMM at
- * the commit that completes the group, before the header that
- * vouches for them. Crash with the lines durable but the header
- * still cached: the durable header is stale-small (no coverage), and
- * recovery accepts exactly the committed prefix.
+ * A group's streamed parity line leaves for NVMM at the commit that
+ * completes the group, before the header that vouches for it. Crash
+ * with the line durable but the header still cached: the durable
+ * header is stale-small (no coverage), and recovery accepts exactly
+ * the committed prefix.
  */
 TEST(StoreParity, CrashBeforeHeaderDrainsKeepsStaleSmallCoverage)
 {
@@ -1388,13 +1394,9 @@ TEST(StoreParity, CrashBeforeHeaderDrainsKeepsStaleSmallCoverage)
               repair::groupRegions * repair::regionBytes);
 
     const auto *parity = static_cast<const std::uint64_t *>(fs.parity);
-    const auto *hashes =
-        static_cast<const std::uint64_t *>(fs.parityHashes);
     for (std::size_t w = 0; w < repair::regionWords; ++w) {
         EXPECT_EQ(ctx.arena.peekDurable(&parity[w]), parity[w])
             << "parity word " << w << " still pending";
-        EXPECT_EQ(ctx.arena.peekDurable(&hashes[w]), hashes[w])
-            << "fingerprint " << w << " still pending";
     }
     const auto *hdr = static_cast<const std::uint64_t *>(fs.parityHeader);
     EXPECT_EQ(hdr[0], repair::groupRegions);

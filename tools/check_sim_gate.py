@@ -49,9 +49,19 @@ must carry:
               lazyper_cli store --crash-at: LP store recovery's
               simulated cycles, batches and records replayed and
               batches discarded after a crash on the sim_gate geometry
+    bench_store
+              bench_store_ycsb: the YCSB grid, compared with the
+              committed BENCH_store.json itself
 
 The --gate choices are the names of the tools/*_golden.json files, so
 a new gate needs only its golden file.
+
+A golden file may instead name a committed REPORT (a path from the
+repository root) and the report's HOST_TIMED sections. Then the golden
+values are every leaf of that report outside those sections, named by
+its dotted path ("zipf_A.lp.exec_cycles"), and the result is a report
+of the same shape, flattened the same way. Such a report has no
+"correct" field; its own "verified" leaves are compared instead.
 
 Every gate is deterministic: for a given command the values are the
 same on every run and every machine. The result is the JSON object on
@@ -73,9 +83,27 @@ import os
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
 GOLDEN_SUFFIX = "_golden.json"
 GATES = sorted(os.path.basename(p)[:-len(GOLDEN_SUFFIX)]
                for p in glob.glob(os.path.join(HERE, "*" + GOLDEN_SUFFIX)))
+
+
+def flatten(obj, prefix=""):
+    """Every leaf of a nested report, named by its dotted path."""
+    out = {}
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            out.update(flatten(value, prefix + key + "."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def report_metrics(report, host_timed):
+    """The leaves of @p report outside its host-timed sections."""
+    return {name: value for name, value in flatten(report).items()
+            if name.split(".")[0] not in host_timed}
 
 
 def main():
@@ -99,11 +127,20 @@ def main():
         return 1
 
     problems = []
-    if not result.get("correct"):
-        problems.append("the run reported a wrong answer")
-    metrics = result.get("metrics", {})
+    if "report" in golden:
+        host_timed = set(golden["host_timed"])
+        with open(os.path.join(ROOT, golden["report"])) as f:
+            golden["metrics"] = report_metrics(json.load(f), host_timed)
+        got_all = report_metrics(result, host_timed)
+        for name in sorted(set(got_all) - set(golden["metrics"])):
+            problems.append("%s is not in %s" % (name, golden["report"]))
+    else:
+        if not result.get("correct"):
+            problems.append("the run reported a wrong answer")
+        got_all = {name: m.get("value")
+                   for name, m in result.get("metrics", {}).items()}
     for name, want in sorted(golden["metrics"].items()):
-        got = metrics.get(name, {}).get("value")
+        got = got_all.get(name)
         if got != want:
             problems.append("%s = %r, golden %r" % (name, got, want))
 

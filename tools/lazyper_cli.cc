@@ -325,12 +325,11 @@ runStoreCommand(int argc, char **argv)
     mcfg.l2 = {128 * 1024, 8, 11};
 
     std::printf("store backend=%s records=%zu ops=%zu mix=%s %s "
-                "shards=%d batch=%d fold=%d checksum=%s\n",
+                "shards=%d batch=%d fold=%d\n",
                 backendName(backend).c_str(), p.records, p.ops,
                 mixName(p.mix).c_str(),
                 p.zipfian ? "zipfian" : "uniform", scfg.shards,
-                scfg.batchOps, scfg.foldBatches,
-                core::checksumKindName(kStoreChecksum).c_str());
+                scfg.batchOps, scfg.foldBatches);
 
     std::unique_ptr<obs::TraceCollector> trace;
     if (!traceOut.empty())
